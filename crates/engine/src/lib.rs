@@ -13,12 +13,13 @@
 //!   index built by a caller-supplied factory (the registry passes
 //!   `registry::build_index`, keeping this crate free of index-family
 //!   dependencies).  Shards build in parallel on `std::thread::scope`.
-//! * A **query planner**: point queries route to exactly one shard via the
+//! * [`plan`] — the **query planner**, free of I/O so the distributed
+//!   router shares it: point queries route to exactly one shard via the
 //!   frozen partitioner, window queries fan out only to shards whose MBR
 //!   intersects the window, and kNN queries visit shards best-first by MBR
 //!   `MINDIST` with a distance-bound cutoff and a `(distance, id)` k-way
-//!   merge.  Skipped shards are charged to the new
-//!   [`QueryStats::shards_pruned`](common::QueryStats) counter.
+//!   merge.  [`ShardedIndex`] is its in-process executor; skipped shards
+//!   are charged to [`QueryStats::shards_pruned`](common::QueryStats).
 //! * [`executor`] — the batch executor: the trait's batch entry points split
 //!   a workload over a scoped worker pool, one [`QueryContext`] per worker,
 //!   and merge the per-worker statistics, making batch serving actually
@@ -29,11 +30,13 @@
 
 pub mod executor;
 pub mod partition;
+pub mod plan;
 
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use partition::Partitioner;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
+use plan::{infallible, Fanout, ShardView};
 use sfc::CurveKind;
 
 /// Section tag of the sharded container metadata.
@@ -79,6 +82,21 @@ struct Shard {
     /// Bounding rectangle of the shard's *current* contents; expanded on
     /// insert so window/kNN pruning never cuts off live points.
     mbr: Rect,
+}
+
+impl Shard {
+    fn view(&self) -> ShardView {
+        ShardView {
+            mbr: self.mbr,
+            len: self.index.len(),
+        }
+    }
+}
+
+/// Charges a planned query's fan-out to the caller's statistics.
+fn charge(cx: &mut QueryContext, fan: Fanout) {
+    cx.stats.shards_visited += fan.visited as u64;
+    cx.count_shards_pruned(fan.pruned);
 }
 
 /// Routing metadata of one shard as stored in the sharded container: the
@@ -313,26 +331,9 @@ impl ShardedIndex {
         })
     }
 
-    /// Merges `(distance², point)` candidates, keeping the `k` best by
-    /// `(distance, id)` — the deterministic tie-break shared with
-    /// `brute_force::knn_query`.  Public so the distributed router's k-way
-    /// gather uses byte-identical merge semantics (its per-shard candidate
-    /// streams must fold exactly like the single-process planner's).
-    pub fn merge_candidate(best: &mut Vec<(f64, Point)>, k: usize, d_sq: f64, p: Point) {
-        if best.len() >= k && {
-            let (kd, kp) = best[k - 1];
-            (d_sq, p.id) >= (kd, kp.id)
-        } {
-            return;
-        }
-        if let Err(pos) = best.binary_search_by(|(bd, bp)| {
-            bd.partial_cmp(&d_sq)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(bp.id.cmp(&p.id))
-        }) {
-            best.insert(pos, (d_sq, p));
-            best.truncate(k);
-        }
+    /// The planner's view of every shard, in shard order.
+    fn views(&self) -> impl Iterator<Item = ShardView> + '_ {
+        self.shards.iter().map(Shard::view)
     }
 }
 
@@ -346,34 +347,14 @@ impl SpatialIndex for ShardedIndex {
     }
 
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        if self.shards.is_empty() {
-            return None;
-        }
-        // The frozen key function sends an indexed location to exactly the
-        // shard that holds it, so one shard answers the query.
-        let primary = self.partitioner.route(q.x, q.y);
-        cx.count_shard_visit();
-        if let Some(hit) = self.shards[primary].index.point_query(q, cx) {
-            cx.count_shards_pruned(self.shards.len() - 1);
-            return Some(hit);
-        }
-        // Miss in the routed shard: only possible for locations not indexed
-        // under the frozen keys (negative lookups, duplicate locations).
-        // Fall back to the shards whose MBR can contain the location.
-        let mut pruned = self.shards.len() - 1;
-        for (i, s) in self.shards.iter().enumerate() {
-            if i == primary || !s.mbr.contains(q) {
-                continue;
-            }
-            pruned -= 1;
-            cx.count_shard_visit();
-            if let Some(hit) = s.index.point_query(q, cx) {
-                cx.count_shards_pruned(pruned);
-                return Some(hit);
-            }
-        }
-        cx.count_shards_pruned(pruned);
-        None
+        let (hit, fan) = infallible(plan::first_hit(
+            &self.partitioner,
+            self.views(),
+            q,
+            |shard| Ok(self.shards[shard].index.point_query(q, cx)),
+        ));
+        charge(cx, fan);
+        hit
     }
 
     fn window_query_visit(
@@ -382,16 +363,13 @@ impl SpatialIndex for ShardedIndex {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        let mut pruned = 0usize;
-        for s in &self.shards {
-            if s.mbr.intersects(window) {
-                cx.count_shard_visit();
-                s.index.window_query_visit(window, cx, visit);
-            } else {
-                pruned += 1;
-            }
-        }
-        cx.count_shards_pruned(pruned);
+        let fan = infallible(plan::window(self.views(), window, |shard| {
+            self.shards[shard]
+                .index
+                .window_query_visit(window, cx, visit);
+            Ok(())
+        }));
+        charge(cx, fan);
     }
 
     fn knn_query_visit(
@@ -401,50 +379,16 @@ impl SpatialIndex for ShardedIndex {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        if k == 0 {
-            return;
-        }
-        let k_eff = k.min(self.len());
-        if k_eff == 0 {
-            return;
-        }
-        // Best-first over shards by MINDIST to the shard MBR (ties broken by
-        // shard position for determinism).
-        let mut order: Vec<(f64, usize)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.index.is_empty())
-            .map(|(i, s)| (s.mbr.min_dist_sq(q), i))
-            .collect();
-        order.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        let empty_shards = self.shards.len() - order.len();
-
-        let mut best: Vec<(f64, Point)> = Vec::with_capacity(k_eff + 1);
-        let mut pruned = empty_shards;
-        for (i, &(mindist_sq, shard)) in order.iter().enumerate() {
-            // Distance-bound cutoff: once k candidates are collected, a
-            // shard whose MBR lies strictly beyond the k-th distance cannot
-            // contribute — and neither can any later (farther) shard.
-            if best.len() >= k_eff && mindist_sq > best[k_eff - 1].0 {
-                pruned += order.len() - i;
-                break;
-            }
-            cx.count_shard_visit();
+        let mut merge = plan::KnnMerge::new(self.views(), q, k);
+        let k_eff = merge.k_eff();
+        while let Some(shard) = merge.next_shard() {
             self.shards[shard]
                 .index
-                .knn_query_visit(q, k_eff, cx, &mut |p| {
-                    Self::merge_candidate(&mut best, k_eff, p.dist_sq(q), *p);
-                });
+                .knn_query_visit(q, k_eff, cx, &mut |p| merge.offer(*p));
         }
-        cx.count_shards_pruned(pruned);
-        for (_, p) in &best {
-            visit(p);
-        }
+        let (best, fan) = merge.finish();
+        charge(cx, fan);
+        best.for_each(|p| visit(&p));
     }
 
     fn range_query_visit(
@@ -454,22 +398,13 @@ impl SpatialIndex for ShardedIndex {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        // Shard-MBR fan-out: only shards whose MBR lies within the radius of
-        // the centre are queried; the rest are charged as pruned.
-        if !radius.is_finite() || radius < 0.0 {
-            return;
-        }
-        let r_sq = radius * radius;
-        let mut pruned = 0usize;
-        for s in &self.shards {
-            if !s.index.is_empty() && s.mbr.min_dist_sq(center) <= r_sq {
-                cx.count_shard_visit();
-                s.index.range_query_visit(center, radius, cx, visit);
-            } else {
-                pruned += 1;
-            }
-        }
-        cx.count_shards_pruned(pruned);
+        let fan = infallible(plan::range(self.views(), center, radius, |shard| {
+            self.shards[shard]
+                .index
+                .range_query_visit(center, radius, cx, visit);
+            Ok(())
+        }));
+        charge(cx, fan);
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
@@ -485,57 +420,30 @@ impl SpatialIndex for ShardedIndex {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
-        // Shard-MBR fan-out: each shard joins only the probes within the
-        // radius of its MBR, through its own family-specific pruning.  The
-        // partitioner assigns every indexed point to exactly one shard, so
-        // the union of per-shard pair sets is duplicate-free by
-        // construction (test-enforced) — no cross-shard deduplication pass
-        // is needed.
-        if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
-            return;
-        }
-        let r_sq = radius * radius;
-        let mut pruned = 0usize;
-        let mut kept: Vec<Point> = Vec::new();
-        for s in &self.shards {
-            if s.index.is_empty() {
-                pruned += 1;
-                continue;
-            }
-            storage::kernels::probes_within(probes, &s.mbr, r_sq, &mut kept);
-            if kept.is_empty() {
-                pruned += 1;
-                continue;
-            }
-            cx.count_shard_visit();
-            s.index.distance_join_probes(&kept, radius, cx, visit);
-        }
-        cx.count_shards_pruned(pruned);
+        // Each shard joins its probe subset through its own family-specific
+        // pruning.
+        let fan = infallible(plan::join(self.views(), probes, radius, |shard, kept| {
+            self.shards[shard]
+                .index
+                .distance_join_probes(kept, radius, cx, visit);
+            Ok(())
+        }));
+        charge(cx, fan);
     }
 
     fn insert(&mut self, p: Point) {
-        if self.shards.is_empty() {
-            return;
-        }
-        let shard = self.partitioner.route(p.x, p.y);
+        let shard = plan::home_shard(&self.partitioner, &p);
         self.shards[shard].mbr.expand_to_point(p);
         self.shards[shard].index.insert(p);
     }
 
     fn delete(&mut self, p: &Point) -> bool {
-        if self.shards.is_empty() {
-            return false;
-        }
-        let primary = self.partitioner.route(p.x, p.y);
-        if self.shards[primary].index.delete(p) {
-            return true;
-        }
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            if i != primary && s.mbr.contains(p) && s.index.delete(p) {
-                return true;
-            }
-        }
-        false
+        let views: Vec<ShardView> = self.views().collect();
+        let shards = &mut self.shards;
+        let probe = |shard: usize| Ok(shards[shard].index.delete(p).then_some(()));
+        infallible(plan::first_hit(&self.partitioner, views, p, probe))
+            .0
+            .is_some()
     }
 
     fn rebuild(&mut self) {

@@ -1,6 +1,5 @@
-//! Bounded-in-flight admission control, shared by the single-process
-//! serving loop ([`crate::server_loop`]) and the distributed router
-//! (`crates/router`).
+//! Bounded-in-flight admission control, the gate of the shared listener
+//! front-end ([`crate::frontend`]).
 //!
 //! The mechanism is two bounded counters: a global in-flight window and a
 //! per-connection window.  When either is exhausted the request must be

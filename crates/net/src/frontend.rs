@@ -1,0 +1,422 @@
+//! The listener front-end shared by the single-process serving loop
+//! ([`crate::server_loop`]) and the distributed router (`crates/router`).
+//!
+//! A [`FrontEnd`] owns everything about serving the wire protocol that does
+//! not depend on *what* answers a request: the acceptor pool and the
+//! connection registry, the stop flag and the drain choreography, two-window
+//! admission control, the `net.*` telemetry, and the per-request triage.
+//! What happens to an admitted request is the per-connection handler's
+//! business: the serving loop queues it for its worker pool and writes
+//! replies from a per-connection writer thread, the router plans and
+//! scatters it on the connection's own thread.
+
+use crate::admission::{AdmissionGate, ConnSlots};
+use crate::wire::{ErrorCode, Request, Response};
+use crate::NetError;
+use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
+use std::collections::HashMap;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// Upper bound accepted for a kNN `k` — far above any workload in the
+/// paper (max 625), low enough that a hostile `k` cannot drive a
+/// pathological allocation.
+pub const MAX_KNN_K: u32 = 65_536;
+
+/// The request classes tracked per-class by telemetry, in tag order.  The
+/// labels match the load generator's class names
+/// (`crates/bench/src/netload.rs`), so a scraped `net.requests.<class>`
+/// counter reconciles directly against client-side per-class counts.
+pub const REQUEST_CLASSES: [&str; 7] = [
+    "point",
+    "window",
+    "knn",
+    "range",
+    "join-probe",
+    "insert",
+    "delete",
+];
+
+/// Index into [`REQUEST_CLASSES`]; `None` for the control messages.
+fn class_index(req: &Request) -> Option<usize> {
+    match req {
+        Request::Point(_) => Some(0),
+        Request::Window(_) => Some(1),
+        Request::Knn(..) => Some(2),
+        Request::Range(..) => Some(3),
+        Request::JoinProbes(..) => Some(4),
+        Request::Insert(_) => Some(5),
+        Request::Delete(_) => Some(6),
+        Request::Ping | Request::Shutdown | Request::Stats | Request::Events { .. } => None,
+    }
+}
+
+/// Semantic validation of a decoded request; framing-level corruption is
+/// already excluded by the frame CRC and the decoder.
+fn validate(req: &Request) -> Result<(), String> {
+    match req {
+        Request::Knn(_, k) if *k > MAX_KNN_K => {
+            Err(format!("k {k} exceeds the cap of {MAX_KNN_K}"))
+        }
+        Request::Range(_, radius) | Request::JoinProbes(_, radius)
+            if !radius.is_finite() || *radius < 0.0 =>
+        {
+            Err(format!(
+                "radius {radius} is not a finite non-negative value"
+            ))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A point-in-time sample of a front-end's serving counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FrontStats {
+    /// Connections accepted since start.
+    pub connections: u64,
+    /// Requests fully decoded (including ones later shed).
+    pub requests: u64,
+    /// Requests shed (by admission control, or by the handler).
+    pub shed: u64,
+}
+
+#[derive(Default)]
+struct StatCounters {
+    connections: AtomicU64,
+    requests: AtomicU64,
+    shed: AtomicU64,
+}
+
+/// Pre-registered telemetry handles for the serving hot paths.  Recording
+/// through these is a handful of relaxed atomic ops per request; nothing
+/// here takes a lock after registration, which is how the perf gate's p99
+/// holds with telemetry always-on.
+struct FrontMetrics {
+    /// `net.requests.<class>`: responses delivered successfully, per class.
+    completed: [Counter; 7],
+    /// `net.shed.<class>`: requests refused with `OVERLOAD`, per class.
+    shed: [Counter; 7],
+    /// `net.latency_us.<class>`: decode-to-delivery latency, microseconds.
+    latency: [Histogram; 7],
+    /// `net.bad_request`: frames that decoded but failed validation (plus
+    /// undecodable payloads on an intact stream).
+    bad_request: Counter,
+    /// `net.connections_open` / `net.connections_total`.
+    connections_open: Gauge,
+    connections_total: Counter,
+}
+
+impl FrontMetrics {
+    fn register(t: &Telemetry) -> Self {
+        let per_class = |kind: &str, i: usize| format!("net.{kind}.{}", REQUEST_CLASSES[i]);
+        Self {
+            completed: std::array::from_fn(|i| t.metrics.counter(&per_class("requests", i))),
+            shed: std::array::from_fn(|i| t.metrics.counter(&per_class("shed", i))),
+            latency: std::array::from_fn(|i| t.metrics.histogram(&per_class("latency_us", i))),
+            bad_request: t.metrics.counter("net.bad_request"),
+            connections_open: t.metrics.gauge("net.connections_open"),
+            connections_total: t.metrics.counter("net.connections_total"),
+        }
+    }
+}
+
+/// What serves one accepted connection, start to finish.
+type Handler = dyn Fn(TcpStream) + Send + Sync;
+
+/// What [`FrontEnd::triage`] made of one frame.
+pub enum Triage {
+    /// Answered (or refused) on the spot; send this and move on.
+    Reply(Response),
+    /// Admitted: the handler owes the request an answer, a
+    /// [`FrontEnd::complete`] when that answer is a success, and a
+    /// [`FrontEnd::release`] of the connection's admission slot.
+    Admitted {
+        /// The decoded, validated request.
+        req: Request,
+        /// Its index into [`REQUEST_CLASSES`].
+        class: usize,
+    },
+}
+
+/// The shared listener front-end; see the module docs.
+pub struct FrontEnd {
+    addr: SocketAddr,
+    acceptor_count: usize,
+    stop: AtomicBool,
+    admission: AdmissionGate,
+    stats: StatCounters,
+    next_conn_id: AtomicU64,
+    /// Read-half handles of live connections, poked on shutdown so blocked
+    /// readers wake immediately.
+    conn_streams: Mutex<HashMap<u64, TcpStream>>,
+    acceptors: Mutex<Vec<JoinHandle<()>>>,
+    /// Connection thread handles, joined at shutdown (finished ones are
+    /// swept opportunistically on accept).
+    conn_threads: Mutex<Vec<JoinHandle<()>>>,
+    telemetry: Arc<Telemetry>,
+    metrics: FrontMetrics,
+    /// Journal timestamp (µs) of the last `OverloadShed` event, for
+    /// rate-limiting: shed storms must not evict the compaction events a
+    /// bounded journal retains (the exact shed totals are in counters).
+    last_shed_event_us: AtomicU64,
+}
+
+impl FrontEnd {
+    /// Binds `cfg.bind_addr` (port 0 = ephemeral) and registers the `net.*`
+    /// metrics on `telemetry`; [`start`](Self::start) takes the listener.
+    pub fn bind(
+        cfg: &server::ServeConfig,
+        telemetry: Arc<Telemetry>,
+    ) -> Result<(Arc<Self>, TcpListener), NetError> {
+        let listener = TcpListener::bind(&cfg.bind_addr)?;
+        let front = Arc::new(Self {
+            addr: listener.local_addr()?,
+            acceptor_count: cfg.acceptors.max(1),
+            stop: AtomicBool::new(false),
+            admission: AdmissionGate::new(
+                cfg.global_inflight,
+                cfg.per_conn_inflight,
+                telemetry.metrics.gauge("net.inflight"),
+            ),
+            stats: StatCounters::default(),
+            next_conn_id: AtomicU64::new(0),
+            conn_streams: Mutex::new(HashMap::new()),
+            acceptors: Mutex::new(Vec::new()),
+            conn_threads: Mutex::new(Vec::new()),
+            metrics: FrontMetrics::register(&telemetry),
+            telemetry,
+            last_shed_event_us: AtomicU64::new(0),
+        });
+        Ok((front, listener))
+    }
+
+    /// Starts the acceptor pool.  Every accepted connection gets its own
+    /// thread running `handler(stream)` until the connection is done.
+    pub fn start(
+        self: &Arc<Self>,
+        listener: TcpListener,
+        handler: impl Fn(TcpStream) + Send + Sync + 'static,
+    ) -> Result<(), NetError> {
+        let handler: Arc<Handler> = Arc::new(handler);
+        let mut acceptors = self.acceptors.lock().unwrap();
+        for _ in 0..self.acceptor_count {
+            let (front, handler) = (Arc::clone(self), Arc::clone(&handler));
+            let listener = listener.try_clone()?;
+            acceptors.push(std::thread::spawn(move || {
+                front.acceptor_loop(&listener, &handler)
+            }));
+        }
+        Ok(())
+    }
+
+    fn acceptor_loop(self: &Arc<Self>, listener: &TcpListener, handler: &Arc<Handler>) {
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(_) if self.is_stopped() => return,
+                Err(_) => continue,
+            };
+            if self.is_stopped() {
+                // Either the shutdown poke or a client racing the drain;
+                // refusing new connections is the drain contract.
+                return;
+            }
+            self.stats.connections.fetch_add(1, Ordering::Relaxed);
+            self.metrics.connections_total.inc();
+            let _ = stream.set_nodelay(true);
+            // A peer that stops reading must not pin a writing thread
+            // forever (it would stall the drain at shutdown); a stuck send
+            // errors out and the connection is dropped.
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+            let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
+            let Ok(read_poke) = stream.try_clone() else {
+                continue;
+            };
+            self.conn_streams.lock().unwrap().insert(id, read_poke);
+            let (front, handler) = (Arc::clone(self), Arc::clone(handler));
+            let handle = std::thread::spawn(move || front.run_connection(id, stream, &*handler));
+            let mut threads = self.conn_threads.lock().unwrap();
+            threads.retain(|h| !h.is_finished());
+            threads.push(handle);
+            drop(threads);
+            // A connection accepted in the race window right before the stop
+            // flag was set would miss the poke sweep; re-check so its read
+            // half is shut down too.
+            if self.is_stopped() {
+                if let Some(s) = self.conn_streams.lock().unwrap().get(&id) {
+                    let _ = s.shutdown(Shutdown::Read);
+                }
+                return;
+            }
+        }
+    }
+
+    fn run_connection(&self, id: u64, stream: TcpStream, handler: &Handler) {
+        self.metrics.connections_open.add(1);
+        self.telemetry
+            .journal
+            .record(EventKind::ConnOpen { conn: id });
+        handler(stream);
+        self.conn_streams.lock().unwrap().remove(&id);
+        self.metrics.connections_open.add(-1);
+        self.telemetry
+            .journal
+            .record(EventKind::ConnClose { conn: id });
+    }
+
+    /// Sorts one received frame: decodes it, answers control messages
+    /// inline with the sequence number `seq` reports, and refuses, sheds or
+    /// admits everything else against `slots`.
+    ///
+    /// Telemetry scrapes are answered like `Ping` and bypass admission
+    /// control: an overloaded (or draining) server must still be observable
+    /// — that is the point of the telemetry.
+    pub fn triage(&self, payload: &[u8], slots: &ConnSlots, seq: impl FnOnce() -> u64) -> Triage {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let refuse = |code, message: String| Triage::Reply(Response::Error { code, message });
+        let req = match Request::decode(payload) {
+            Ok(req) => req,
+            Err(e) => {
+                // The frame passed its CRC, so framing is intact and the
+                // stream can continue; only this message is refused.
+                self.metrics.bad_request.inc();
+                return refuse(ErrorCode::BadRequest, e.to_string());
+            }
+        };
+        let Some(class) = class_index(&req) else {
+            return Triage::Reply(match req {
+                Request::Stats => Response::Stats {
+                    seq: seq(),
+                    metrics: self.telemetry.metrics.snapshot(),
+                },
+                Request::Events { since } => Response::Events {
+                    seq: seq(),
+                    events: self.telemetry.journal.since(since),
+                },
+                Request::Shutdown => {
+                    // Flip the stop flag BEFORE acknowledging: a client
+                    // that received the ack must observe the server as
+                    // stopped.  The ack is still written — shutdown only
+                    // closes the read halves.
+                    self.begin_shutdown();
+                    Response::Pong { seq: seq() }
+                }
+                _ => Response::Pong { seq: seq() },
+            });
+        };
+        if self.is_stopped() {
+            refuse(ErrorCode::ShuttingDown, "server is draining".into())
+        } else if let Err(msg) = validate(&req) {
+            self.metrics.bad_request.inc();
+            refuse(ErrorCode::BadRequest, msg)
+        } else if !self.admission.try_admit(slots) {
+            self.note_shed(class);
+            refuse(ErrorCode::Overload, "in-flight queue full".into())
+        } else {
+            Triage::Admitted { req, class }
+        }
+    }
+
+    /// Counts one successfully answered request of `class`, decoded at
+    /// `t0`.  Call it *before* handing the response to the peer: a
+    /// closed-loop client that sees the response and immediately scrapes
+    /// `Stats` must find it reflected.
+    pub fn complete(&self, class: usize, t0: Instant) {
+        self.metrics.completed[class].inc();
+        self.metrics.latency[class].record(t0.elapsed().as_micros() as u64);
+    }
+
+    /// Returns an admitted request's admission tokens.
+    pub fn release(&self, slots: &ConnSlots) {
+        self.admission.release(slots);
+    }
+
+    /// Counts one shed and journals an `OverloadShed` event, rate-limited
+    /// to one per second so a shed storm cannot evict rarer lifecycle
+    /// events from the bounded journal.
+    pub fn note_shed(&self, class: usize) {
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.shed[class].inc();
+        let now_us = self.telemetry.journal.uptime_us();
+        let last = self.last_shed_event_us.load(Ordering::Relaxed);
+        if now_us.saturating_sub(last) >= 1_000_000
+            && self
+                .last_shed_event_us
+                .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+        {
+            self.telemetry.journal.record(EventKind::OverloadShed {
+                shed_total: self.stats.shed.load(Ordering::Relaxed),
+            });
+        }
+    }
+
+    /// The bound address (resolves the actual port when bound to port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Point-in-time serving counters.
+    pub fn stats(&self) -> FrontStats {
+        FrontStats {
+            connections: self.stats.connections.load(Ordering::Relaxed),
+            requests: self.stats.requests.load(Ordering::Relaxed),
+            shed: self.stats.shed.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The telemetry sink the `net.*` metrics live in.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
+    }
+
+    /// Whether a shutdown (local or via a wire `Shutdown` request) has
+    /// begun.
+    pub fn is_stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Sets the stop flag and unblocks everything that might be waiting on
+    /// a socket: acceptors get poke connections, connection readers get
+    /// their read half shut down.  In-flight work keeps draining.
+    pub fn begin_shutdown(&self) {
+        if self.stop.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        self.telemetry.journal.record(EventKind::Shutdown {
+            uptime_us: self.telemetry.journal.uptime_us(),
+            drained: self.admission.inflight(),
+        });
+        for _ in 0..self.acceptor_count {
+            // A throwaway connection unblocks one blocked accept(); the
+            // acceptor sees the stop flag and exits.
+            let _ = TcpStream::connect(self.addr);
+        }
+        for stream in self.conn_streams.lock().unwrap().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// Begins the shutdown if nobody has, then waits until every acceptor
+    /// and every connection handler has returned.
+    pub fn join(&self) {
+        self.begin_shutdown();
+        let acceptors: Vec<_> = self.acceptors.lock().unwrap().drain(..).collect();
+        for h in acceptors {
+            let _ = h.join();
+        }
+        // Connections registered concurrently with begin_shutdown's poke
+        // sweep get their read half shut down here instead.
+        let streams: Vec<_> = self.conn_streams.lock().unwrap().drain().collect();
+        for (_, s) in &streams {
+            let _ = s.shutdown(Shutdown::Read);
+        }
+        let conn_threads: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
+        for h in conn_threads {
+            let _ = h.join();
+        }
+    }
+}

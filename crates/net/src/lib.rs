@@ -2,10 +2,12 @@
 //!
 //! Everything is hand-rolled over `std::net` (the offline vendor policy
 //! rules out tokio/hyper/serde): a length-prefixed binary protocol whose
-//! framing mirrors the `persist` snapshot conventions ([`wire`]), an
+//! framing mirrors the `persist` snapshot conventions ([`wire`]), a
+//! listener front-end — acceptors, admission control, drain, `net.*`
+//! telemetry — shared with the distributed router ([`frontend`]), an
 //! admission-controlled TCP server that coalesces concurrently-arriving
-//! requests into snapshot-sharing micro-batches ([`serve`]), and a blocking
-//! [`NetClient`].
+//! requests into snapshot-sharing micro-batches ([`serve_config`]), and a
+//! blocking [`NetClient`].
 //!
 //! The serving contract is the same one the in-process engine makes:
 //! every data-bearing response carries the write sequence number
@@ -17,7 +19,7 @@
 //! ```
 //! use common::SpatialIndex;
 //! use geom::Point;
-//! use server::{ServerConfig, SpatialServer};
+//! use server::{ServeConfig, ServerConfig, SpatialServer};
 //! use std::sync::Arc;
 //!
 //! // An engine serving three points, fronted by a TCP listener on an
@@ -30,7 +32,7 @@
 //! let rebuild: server::RebuildFn =
 //!     Box::new(|pts| Box::new(common::brute_force::ScanIndex::new(pts.to_vec())));
 //! let engine = Arc::new(SpatialServer::new(points, rebuild, ServerConfig::default()));
-//! let handle = net::serve(engine, "127.0.0.1:0", net::NetConfig::default()).unwrap();
+//! let handle = net::serve_config(engine, &ServeConfig::default()).unwrap();
 //!
 //! let mut client = net::NetClient::connect(&handle.local_addr().to_string()).unwrap();
 //! let (seq, hit) = client.point(&Point::with_id(0.5, 0.5, 2)).unwrap();
@@ -48,14 +50,16 @@ use std::fmt;
 
 pub mod admission;
 pub mod client;
+pub mod frontend;
 pub mod remote;
 pub mod server_loop;
 pub mod wire;
 
 pub use admission::{AdmissionGate, ConnSlots};
 pub use client::NetClient;
+pub use frontend::{FrontEnd, FrontStats, Triage, REQUEST_CLASSES};
 pub use remote::RemoteIndex;
-pub use server_loop::{serve, serve_config, NetConfig, NetHandle, NetStats, REQUEST_CLASSES};
+pub use server_loop::{serve_config, NetHandle, NetStats};
 pub use wire::{ErrorCode, Request, Response};
 
 /// Everything that can go wrong on the wire, mirroring the
@@ -133,20 +137,6 @@ impl From<std::io::Error> for NetError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn unified_serve_config_defaults_match_net_defaults() {
-        // `server::ServeConfig` restates the network defaults (the crate
-        // dependency points server → net-ward, not the other way); this
-        // pins the two against drifting apart.
-        let net = NetConfig::default();
-        let unified = NetConfig::from(&server::ServeConfig::default());
-        assert_eq!(net.acceptors, unified.acceptors);
-        assert_eq!(net.workers, unified.workers);
-        assert_eq!(net.batch_max, unified.batch_max);
-        assert_eq!(net.per_conn_inflight, unified.per_conn_inflight);
-        assert_eq!(net.global_inflight, unified.global_inflight);
-    }
 
     #[test]
     fn errors_format_for_operators() {

@@ -1,127 +1,35 @@
 //! The admission-controlled TCP server.
 //!
-//! Topology: an acceptor pool (thread-per-core by default) blocks on the
-//! shared `TcpListener`; each accepted connection gets a reader thread and
-//! a writer thread.  Readers decode frames, run admission control, and
-//! push admitted requests onto one global job queue; a worker pool drains
-//! that queue in micro-batches, pins **one** [`server::Snapshot`] per
-//! batch, and answers every read in the batch through the snapshot's
-//! batch entry points (`point_queries` / `window_queries` / `knn_queries`
-//! / `range_queries`).  Responses are routed back to each connection's
-//! ordered outbox, so a pipelining client always receives responses in
-//! request order.
+//! Topology: the shared [`FrontEnd`] accepts connections (acceptor pool,
+//! thread-per-core by default) and triages every frame; each connection
+//! gets a reader thread and a writer thread.  Readers push admitted
+//! requests onto one global job queue; a worker pool drains that queue in
+//! micro-batches, pins **one** [`server::Snapshot`] per batch, and answers
+//! every read in the batch through the snapshot's batch entry points
+//! (`point_queries` / `window_queries` / `knn_queries` / `range_queries`).
+//! Responses are routed back to each connection's ordered outbox, so a
+//! pipelining client always receives responses in request order.
 //!
-//! Admission control is two bounded counters — per-connection in-flight
-//! and global in-flight.  When either is exhausted the request is **shed**
-//! immediately with a typed `OVERLOAD` response instead of queueing
-//! unboundedly; the connection stays healthy and later requests are
-//! admitted again as soon as in-flight work drains.
-//!
-//! Shutdown (via [`NetHandle::shutdown`] or a wire `Shutdown` request)
-//! drains: the acceptors stop accepting, every connection's read half is
-//! shut down so readers stop admitting new work, in-flight batches run to
-//! completion and their responses are flushed, and only then do the
-//! threads exit.  [`NetHandle::join`] (also run on drop) collects every
-//! thread — nothing is leaked.
+//! Admission control and the drain choreography are the front-end's.  On
+//! shutdown (via [`NetHandle::shutdown`] or a wire `Shutdown` request)
+//! readers stop admitting new work, in-flight batches run to completion
+//! and their responses are flushed, and only then do the threads exit;
+//! [`NetHandle::join`] (also run on drop) collects the workers last.
 
-use crate::admission::{AdmissionGate, ConnSlots};
+use crate::admission::ConnSlots;
+use crate::frontend::{FrontEnd, Triage};
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
 use common::QueryContext;
 use geom::Point;
-use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
+use obs::{Counter, Gauge, Histogram, Telemetry};
 use server::SpatialServer;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Upper bound accepted for a kNN `k` — far above any workload in the
-/// paper (max 625), low enough that a hostile `k` cannot drive a
-/// pathological allocation.
-pub const MAX_KNN_K: u32 = 65_536;
-
-/// Tuning knobs for the serving loop.  The defaults suit the CI smoke
-/// workload; tests shrink the admission bounds to force shedding
-/// deterministically.
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Acceptor threads blocking on the listener (thread-per-core capped
-    /// at 4 by default — accepting is cheap).
-    pub acceptors: usize,
-    /// Worker threads draining the batch queue (thread-per-core capped at
-    /// 8 by default).
-    pub workers: usize,
-    /// Maximum requests coalesced into one micro-batch (one pinned
-    /// snapshot).
-    pub batch_max: usize,
-    /// Bounded per-connection in-flight admission window.
-    pub per_conn_inflight: usize,
-    /// Bounded global in-flight admission window.
-    pub global_inflight: usize,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
-        Self {
-            acceptors: cores.clamp(1, 4),
-            workers: cores.clamp(1, 8),
-            batch_max: 32,
-            per_conn_inflight: 64,
-            global_inflight: 1024,
-        }
-    }
-}
-
-impl NetConfig {
-    /// Overrides the acceptor pool size.
-    pub fn with_acceptors(mut self, n: usize) -> Self {
-        self.acceptors = n.max(1);
-        self
-    }
-
-    /// Overrides the worker pool size.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
-    /// Overrides the micro-batch cap.
-    pub fn with_batch_max(mut self, n: usize) -> Self {
-        self.batch_max = n.max(1);
-        self
-    }
-
-    /// Overrides the per-connection in-flight admission window (0 sheds
-    /// everything — useful in tests).
-    pub fn with_per_conn_inflight(mut self, n: usize) -> Self {
-        self.per_conn_inflight = n;
-        self
-    }
-
-    /// Overrides the global in-flight admission window (0 sheds
-    /// everything — useful in tests).
-    pub fn with_global_inflight(mut self, n: usize) -> Self {
-        self.global_inflight = n;
-        self
-    }
-}
-
-impl From<&server::ServeConfig> for NetConfig {
-    /// The network subset of the unified serving configuration.
-    fn from(cfg: &server::ServeConfig) -> Self {
-        Self {
-            acceptors: cfg.acceptors.max(1),
-            workers: cfg.workers.max(1),
-            batch_max: cfg.batch_max.max(1),
-            per_conn_inflight: cfg.per_conn_inflight,
-            global_inflight: cfg.global_inflight,
-        }
-    }
-}
 
 /// A point-in-time sample of the serving counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -139,65 +47,11 @@ pub struct NetStats {
     pub batched: u64,
 }
 
-#[derive(Default)]
-struct StatCounters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    batches: AtomicU64,
-    batched: AtomicU64,
-}
-
-/// The request classes tracked per-class by telemetry, in tag order.  The
-/// labels match the load generator's class names
-/// (`crates/bench/src/netload.rs`), so a scraped `net.requests.<class>`
-/// counter reconciles directly against client-side per-class counts.
-pub const REQUEST_CLASSES: [&str; 7] = [
-    "point",
-    "window",
-    "knn",
-    "range",
-    "join-probe",
-    "insert",
-    "delete",
-];
-
-/// Index into [`REQUEST_CLASSES`] for a queue-eligible request; `None` for
-/// the control messages the reader answers inline.
-fn class_index(req: &Request) -> Option<usize> {
-    match req {
-        Request::Point(_) => Some(0),
-        Request::Window(_) => Some(1),
-        Request::Knn(..) => Some(2),
-        Request::Range(..) => Some(3),
-        Request::JoinProbes(..) => Some(4),
-        Request::Insert(_) => Some(5),
-        Request::Delete(_) => Some(6),
-        Request::Ping | Request::Shutdown | Request::Stats | Request::Events { .. } => None,
-    }
-}
-
-/// Pre-registered telemetry handles for the serving hot paths.  Recording
-/// through these is a handful of relaxed atomic ops per request; nothing
-/// here takes a lock after registration, which is how the perf gate's p99
-/// holds with telemetry always-on.
-struct NetMetrics {
-    /// `net.requests.<class>`: responses delivered successfully, per class.
-    completed: [Counter; 7],
-    /// `net.shed.<class>`: requests refused by admission control, per class.
-    shed: [Counter; 7],
-    /// `net.latency_us.<class>`: decode-to-delivery latency, microseconds.
-    latency: [Histogram; 7],
-    /// `net.bad_request`: frames that decoded but failed validation (plus
-    /// undecodable payloads on an intact stream).
-    bad_request: Counter,
+/// Telemetry handles of the queue → worker → outbox path; the per-request
+/// `net.*` handles live in the [`FrontEnd`].
+struct WorkerMetrics {
     /// `net.queue_depth`: jobs waiting in the global batch queue.
     queue_depth: Gauge,
-    /// `net.inflight`: admission tokens currently held.
-    inflight: Gauge,
-    /// `net.connections_open` / `net.connections_total`.
-    connections_open: Gauge,
-    connections_total: Counter,
     /// `net.outbox_depth`: per-connection ready-response backlog, sampled
     /// at every worker delivery.
     outbox_depth: Histogram,
@@ -210,26 +64,10 @@ struct NetMetrics {
     shards_pruned: Counter,
 }
 
-impl NetMetrics {
+impl WorkerMetrics {
     fn register(t: &Telemetry) -> Self {
         Self {
-            completed: std::array::from_fn(|i| {
-                t.metrics
-                    .counter(&format!("net.requests.{}", REQUEST_CLASSES[i]))
-            }),
-            shed: std::array::from_fn(|i| {
-                t.metrics
-                    .counter(&format!("net.shed.{}", REQUEST_CLASSES[i]))
-            }),
-            latency: std::array::from_fn(|i| {
-                t.metrics
-                    .histogram(&format!("net.latency_us.{}", REQUEST_CLASSES[i]))
-            }),
-            bad_request: t.metrics.counter("net.bad_request"),
             queue_depth: t.metrics.gauge("net.queue_depth"),
-            inflight: t.metrics.gauge("net.inflight"),
-            connections_open: t.metrics.gauge("net.connections_open"),
-            connections_total: t.metrics.counter("net.connections_total"),
             outbox_depth: t.metrics.histogram("net.outbox_depth"),
             blocks_touched: t.metrics.counter("query.blocks_touched"),
             nodes_visited: t.metrics.counter("query.nodes_visited"),
@@ -247,7 +85,7 @@ struct Job {
     order: u64,
     /// Decode time, for the delivered-latency histogram.
     t0: Instant,
-    /// Index into [`REQUEST_CLASSES`].
+    /// Index into [`crate::REQUEST_CLASSES`].
     class: usize,
 }
 
@@ -311,100 +149,18 @@ impl ConnShared {
 }
 
 struct Core {
+    front: Arc<FrontEnd>,
     spatial: Arc<SpatialServer>,
-    cfg: NetConfig,
-    addr: SocketAddr,
-    stop: AtomicBool,
+    /// Maximum requests coalesced into one micro-batch (one pinned
+    /// snapshot).
+    batch_max: usize,
+    /// Cap on a connection's ready-response backlog; see `connection_loop`.
+    outbox_cap: usize,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    /// Two-window admission control, shared machinery with the router.
-    admission: AdmissionGate,
-    stats: StatCounters,
-    next_conn_id: AtomicU64,
-    /// Read-half handles of live connections, poked on shutdown so blocked
-    /// readers wake immediately.
-    conn_streams: Mutex<HashMap<u64, TcpStream>>,
-    /// Reader thread handles, joined at shutdown (finished ones are swept
-    /// opportunistically on accept).
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Shared telemetry sink (the spatial server's — one scrape covers
-    /// both layers).
-    telemetry: Arc<Telemetry>,
-    /// Pre-registered handles into `telemetry`.
-    metrics: NetMetrics,
-    /// Journal timestamp (µs) of the last `OverloadShed` event, for
-    /// rate-limiting: shed storms must not evict the compaction events a
-    /// bounded journal retains (the exact shed totals are in counters).
-    last_shed_event_us: AtomicU64,
-    /// In-flight requests observed at the moment shutdown began — the
-    /// "drained" count the shutdown summary reports.
-    drained_at_shutdown: AtomicU64,
-}
-
-impl Core {
-    fn try_admit(&self, conn: &ConnShared) -> bool {
-        self.admission.try_admit(&conn.slots)
-    }
-
-    fn release(&self, conn: &ConnShared) {
-        self.admission.release(&conn.slots);
-    }
-
-    /// Counts one shed and journals an `OverloadShed` event, rate-limited
-    /// to one per second so a shed storm cannot evict rarer lifecycle
-    /// events from the bounded journal.
-    fn note_shed(&self, class: usize) {
-        self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.shed[class].inc();
-        let now_us = self.telemetry.journal.uptime_us();
-        let last = self.last_shed_event_us.load(Ordering::Relaxed);
-        if now_us.saturating_sub(last) >= 1_000_000
-            && self
-                .last_shed_event_us
-                .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.telemetry.journal.record(EventKind::OverloadShed {
-                shed_total: self.stats.shed.load(Ordering::Relaxed),
-            });
-        }
-    }
-
-    /// Sets the stop flag and unblocks everything that might be waiting on
-    /// a socket: acceptors get poke connections, connection readers get
-    /// their read half shut down.  In-flight work keeps draining.
-    fn begin_shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let inflight = self.admission.inflight();
-        self.drained_at_shutdown.store(inflight, Ordering::Relaxed);
-        self.telemetry.journal.record(EventKind::Shutdown {
-            uptime_us: self.telemetry.journal.uptime_us(),
-            drained: inflight,
-        });
-        for _ in 0..self.cfg.acceptors {
-            // A throwaway connection unblocks one blocked accept(); the
-            // acceptor sees the stop flag and exits.
-            let _ = TcpStream::connect(self.addr);
-        }
-        let streams = self.conn_streams.lock().unwrap();
-        for stream in streams.values() {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-        drop(streams);
-        self.queue_cv.notify_all();
-    }
-
-    fn stats(&self) -> NetStats {
-        NetStats {
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            shed: self.stats.shed.load(Ordering::Relaxed),
-            batches: self.stats.batches.load(Ordering::Relaxed),
-            batched: self.stats.batched.load(Ordering::Relaxed),
-        }
-    }
+    batches: AtomicU64,
+    batched: AtomicU64,
+    metrics: WorkerMetrics,
 }
 
 /// Running server: owns every thread the listener spawned.
@@ -413,32 +169,38 @@ impl Core {
 /// [`NetHandle::shutdown`] + [`NetHandle::join`] to do it explicitly.
 pub struct NetHandle {
     core: Arc<Core>,
-    acceptors: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl NetHandle {
     /// The bound address (resolves the actual port when served on port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.core.addr
+        self.core.front.local_addr()
     }
 
     /// Point-in-time serving counters.
     pub fn stats(&self) -> NetStats {
-        self.core.stats()
+        let front = self.core.front.stats();
+        NetStats {
+            connections: front.connections,
+            requests: front.requests,
+            shed: front.shed,
+            batches: self.core.batches.load(Ordering::Relaxed),
+            batched: self.core.batched.load(Ordering::Relaxed),
+        }
     }
 
     /// Whether a shutdown (local or via a wire `Shutdown` request) has
     /// begun.
     pub fn is_stopped(&self) -> bool {
-        self.core.stop.load(Ordering::Acquire)
+        self.core.front.is_stopped()
     }
 
     /// Begins a graceful shutdown: stop accepting, refuse new requests,
     /// drain in-flight work.  Idempotent; returns without waiting — call
     /// [`NetHandle::join`] to wait for the drain.
     pub fn shutdown(&self) {
-        self.core.begin_shutdown();
+        self.core.front.begin_shutdown();
     }
 
     /// Waits for the full drain: acceptors, per-connection readers and
@@ -448,24 +210,7 @@ impl NetHandle {
     }
 
     fn join_inner(&mut self) {
-        self.core.begin_shutdown();
-        for h in self.acceptors.drain(..) {
-            let _ = h.join();
-        }
-        // Connections registered concurrently with begin_shutdown's poke
-        // sweep get their read half shut down here instead.
-        let streams: Vec<TcpStream> = {
-            let mut map = self.core.conn_streams.lock().unwrap();
-            map.drain().map(|(_, s)| s).collect()
-        };
-        for s in &streams {
-            let _ = s.shutdown(Shutdown::Read);
-        }
-        let conn_threads: Vec<JoinHandle<()>> =
-            self.core.conn_threads.lock().unwrap().drain(..).collect();
-        for h in conn_threads {
-            let _ = h.join();
-        }
+        self.core.front.join();
         // No reader is left to enqueue jobs; workers drain what remains
         // and exit on the (stop, empty-queue) condition.
         self.core.queue_cv.notify_all();
@@ -481,302 +226,98 @@ impl Drop for NetHandle {
     }
 }
 
-/// Binds the unified configuration's address and starts serving `spatial`
-/// over the wire protocol — the [`server::ServeConfig`] front door.  The
-/// compaction subset of `cfg` is not consulted here: it belongs to whoever
-/// constructed the [`SpatialServer`] (see `registry::serve_config`).
+/// Binds `cfg.bind_addr` (use port 0 for an ephemeral port) and starts
+/// serving `spatial` over the wire protocol; returns once the listener is
+/// bound and the pools are running.  The compaction subset of `cfg` is not
+/// consulted here: it belongs to whoever constructed the [`SpatialServer`]
+/// (see `registry::serve_config`).
 pub fn serve_config(
     spatial: Arc<SpatialServer>,
     cfg: &server::ServeConfig,
 ) -> Result<NetHandle, NetError> {
-    serve(spatial, &cfg.bind_addr, NetConfig::from(cfg))
-}
-
-/// Binds `addr` (use port 0 for an ephemeral port) and starts serving
-/// `spatial` over the wire protocol.  Returns once the listener is bound
-/// and the pools are running.
-///
-/// Thin shim kept for existing call sites: prefer [`serve_config`] with a
-/// [`server::ServeConfig`], which carries the bind address and admission
-/// knobs in one builder.
-pub fn serve(
-    spatial: Arc<SpatialServer>,
-    addr: &str,
-    cfg: NetConfig,
-) -> Result<NetHandle, NetError> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
     let telemetry = Arc::clone(spatial.telemetry());
-    let metrics = NetMetrics::register(&telemetry);
+    let metrics = WorkerMetrics::register(&telemetry);
+    let (front, listener) = FrontEnd::bind(cfg, telemetry)?;
     let core = Arc::new(Core {
+        front: Arc::clone(&front),
         spatial,
-        cfg: cfg.clone(),
-        addr,
-        stop: AtomicBool::new(false),
+        batch_max: cfg.batch_max.max(1),
+        outbox_cap: cfg.per_conn_inflight + 64,
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
-        admission: AdmissionGate::new(
-            cfg.global_inflight,
-            cfg.per_conn_inflight,
-            metrics.inflight.clone(),
-        ),
-        stats: StatCounters::default(),
-        next_conn_id: AtomicU64::new(0),
-        conn_streams: Mutex::new(HashMap::new()),
-        conn_threads: Mutex::new(Vec::new()),
-        telemetry,
+        batches: AtomicU64::new(0),
+        batched: AtomicU64::new(0),
         metrics,
-        last_shed_event_us: AtomicU64::new(0),
-        drained_at_shutdown: AtomicU64::new(0),
     });
-    let acceptors = (0..cfg.acceptors)
-        .map(|_| {
-            let core = Arc::clone(&core);
-            let listener = listener.try_clone().map_err(NetError::Io)?;
-            Ok(std::thread::spawn(move || acceptor_loop(&core, &listener)))
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
-    let workers = (0..cfg.workers)
+    let workers = (0..cfg.workers.max(1))
         .map(|_| {
             let core = Arc::clone(&core);
             std::thread::spawn(move || worker_loop(&core))
         })
         .collect();
-    Ok(NetHandle {
-        core,
-        acceptors,
-        workers,
-    })
+    let handle = NetHandle { core, workers };
+    let core = Arc::clone(&handle.core);
+    front.start(listener, move |stream| connection_loop(&core, stream))?;
+    Ok(handle)
 }
 
-fn acceptor_loop(core: &Arc<Core>, listener: &TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if core.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if core.stop.load(Ordering::Acquire) {
-            // Either the shutdown poke or a client racing the drain;
-            // refusing new connections is the drain contract.
-            return;
-        }
-        core.stats.connections.fetch_add(1, Ordering::Relaxed);
-        core.metrics.connections_total.inc();
-        let _ = stream.set_nodelay(true);
-        // A peer that stops reading must not pin a writer thread forever
-        // (it would stall the drain at shutdown); a stuck send errors out
-        // and the connection is dropped.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let id = core.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let (read_poke, write_half) = match (stream.try_clone(), stream.try_clone()) {
-            (Ok(a), Ok(b)) => (a, b),
-            _ => continue,
-        };
-        core.conn_streams.lock().unwrap().insert(id, read_poke);
-        let handle = {
-            let core = Arc::clone(core);
-            std::thread::spawn(move || connection_loop(&core, id, stream, write_half))
-        };
-        let mut threads = core.conn_threads.lock().unwrap();
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
-        drop(threads);
-        // A connection accepted in the race window right before the stop
-        // flag was set would miss the poke sweep; re-check so its read
-        // half is shut down too.
-        if core.stop.load(Ordering::Acquire) {
-            if let Some(s) = core.conn_streams.lock().unwrap().get(&id) {
-                let _ = s.shutdown(Shutdown::Read);
-            }
-            return;
-        }
-    }
-}
-
-/// Semantic validation of an admitted request; framing-level corruption is
-/// already excluded by the frame CRC and the decoder.
-fn validate(req: &Request) -> Result<(), String> {
-    match req {
-        Request::Knn(_, k) if *k > MAX_KNN_K => {
-            Err(format!("k {k} exceeds the cap of {MAX_KNN_K}"))
-        }
-        Request::Range(_, radius) | Request::JoinProbes(_, radius)
-            if !radius.is_finite() || *radius < 0.0 =>
-        {
-            Err(format!(
-                "radius {radius} is not a finite non-negative value"
-            ))
-        }
-        _ => Ok(()),
-    }
-}
-
-/// Reader half of one connection: decode, admit (or shed), enqueue; spawns
-/// and finally joins the connection's writer thread.
-fn connection_loop(core: &Arc<Core>, id: u64, mut stream: TcpStream, write_half: TcpStream) {
+/// Reader half of one connection: triage, enqueue what was admitted;
+/// spawns and finally joins the connection's writer thread.
+fn connection_loop(core: &Arc<Core>, mut stream: TcpStream) {
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
     let conn = Arc::new(ConnShared::new());
-    core.metrics.connections_open.add(1);
-    core.telemetry
-        .journal
-        .record(EventKind::ConnOpen { conn: id });
     let writer = {
         let conn = Arc::clone(&conn);
         std::thread::spawn(move || writer_loop(&conn, write_half))
     };
     let mut order: u64 = 0;
-    loop {
-        let payload = match wire::read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            // Clean EOF between frames (client done, or our read half was
-            // shut down by the drain) — stop reading.
-            Ok(None) => break,
-            // Framing broken mid-stream (client disconnected mid-request,
-            // or garbage): resynchronisation is impossible, drop the
-            // connection.  In-flight responses still flush below.
-            Err(_) => break,
-        };
+    // Clean EOF between frames (client done, or our read half was shut
+    // down by the drain) stops the reader; so does framing broken
+    // mid-stream (client disconnected mid-request, or garbage), where
+    // resynchronisation is impossible.  In-flight responses still flush
+    // below.
+    while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
         let t0 = Instant::now();
-        core.stats.requests.fetch_add(1, Ordering::Relaxed);
-        // Backpressure for reader-issued responses (errors, pongs): a peer
-        // that sends requests but never reads responses would otherwise
-        // grow the outbox unboundedly.  Admitted jobs are already bounded
-        // by the admission window.
-        let outbox_cap = core.cfg.per_conn_inflight + 64;
-        let issue = |resp: Response, conn: &Arc<ConnShared>, order: &mut u64| {
-            let mut st = conn.outbox.lock().unwrap();
-            while st.ready.len() >= outbox_cap && !st.dead {
-                st = conn.cv.wait(st).unwrap();
-            }
-            st.issued += 1;
-            drop(st);
-            conn.deliver(*order, resp);
-            *order += 1;
-        };
-        let req = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // The frame passed its CRC, so framing is intact and the
-                // stream can continue; only this message is refused.
-                core.metrics.bad_request.inc();
-                issue(
-                    Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: e.to_string(),
-                    },
-                    &conn,
-                    &mut order,
-                );
-                continue;
-            }
-        };
-        match req {
-            Request::Ping => {
-                let seq = core.spatial.snapshot().seq();
-                issue(Response::Pong { seq }, &conn, &mut order);
-            }
-            // Telemetry scrapes are answered inline like Ping and bypass
-            // admission control: an overloaded (or draining) server must
-            // still be observable — that is the point of the telemetry.
-            Request::Stats => {
-                let seq = core.spatial.snapshot().seq();
-                issue(
-                    Response::Stats {
-                        seq,
-                        metrics: core.telemetry.metrics.snapshot(),
-                    },
-                    &conn,
-                    &mut order,
-                );
-            }
-            Request::Events { since } => {
-                let seq = core.spatial.snapshot().seq();
-                issue(
-                    Response::Events {
-                        seq,
-                        events: core.telemetry.journal.since(since),
-                    },
-                    &conn,
-                    &mut order,
-                );
-            }
-            Request::Shutdown => {
-                // Flip the stop flag BEFORE acknowledging: a client that
-                // received the ack must observe the server as stopped.
-                // The writer thread still flushes the ack — shutdown only
-                // closes the read halves.
-                core.begin_shutdown();
-                let seq = core.spatial.snapshot().seq();
-                issue(Response::Pong { seq }, &conn, &mut order);
-            }
-            req => {
-                if core.stop.load(Ordering::Acquire) {
-                    issue(
-                        Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "server is draining".into(),
-                        },
-                        &conn,
-                        &mut order,
-                    );
-                } else if let Err(msg) = validate(&req) {
-                    core.metrics.bad_request.inc();
-                    issue(
-                        Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: msg,
-                        },
-                        &conn,
-                        &mut order,
-                    );
-                } else if !core.try_admit(&conn) {
-                    let class = class_index(&req).expect("queue-eligible request");
-                    core.note_shed(class);
-                    issue(
-                        Response::Error {
-                            code: ErrorCode::Overload,
-                            message: "in-flight queue full".into(),
-                        },
-                        &conn,
-                        &mut order,
-                    );
-                } else {
-                    let class = class_index(&req).expect("queue-eligible request");
-                    let mut st = conn.outbox.lock().unwrap();
-                    st.issued += 1;
-                    drop(st);
-                    let mut q = core.queue.lock().unwrap();
-                    q.push_back(Job {
-                        req,
-                        conn: Arc::clone(&conn),
-                        order,
-                        t0,
-                        class,
-                    });
-                    core.metrics.queue_depth.set(q.len() as i64);
-                    drop(q);
-                    core.queue_cv.notify_one();
-                    order += 1;
+        let seq = || core.spatial.snapshot().seq();
+        match core.front.triage(&payload, &conn.slots, seq) {
+            Triage::Reply(resp) => {
+                // Backpressure for reader-issued responses (errors,
+                // pongs): a peer that sends requests but never reads
+                // responses would otherwise grow the outbox unboundedly.
+                // Admitted jobs are already bounded by the admission
+                // window.
+                let mut st = conn.outbox.lock().unwrap();
+                while st.ready.len() >= core.outbox_cap && !st.dead {
+                    st = conn.cv.wait(st).unwrap();
                 }
+                st.issued += 1;
+                drop(st);
+                conn.deliver(order, resp);
+            }
+            Triage::Admitted { req, class } => {
+                conn.outbox.lock().unwrap().issued += 1;
+                let mut q = core.queue.lock().unwrap();
+                q.push_back(Job {
+                    req,
+                    conn: Arc::clone(&conn),
+                    order,
+                    t0,
+                    class,
+                });
+                core.metrics.queue_depth.set(q.len() as i64);
+                drop(q);
+                core.queue_cv.notify_one();
             }
         }
+        order += 1;
     }
     // Drain contract: mark the outbox closed so the writer exits once
     // every issued response has been flushed, then wait for it.
-    let mut st = conn.outbox.lock().unwrap();
-    st.closed = true;
-    drop(st);
+    conn.outbox.lock().unwrap().closed = true;
     conn.cv.notify_all();
     let _ = writer.join();
-    core.conn_streams.lock().unwrap().remove(&id);
-    core.metrics.connections_open.add(-1);
-    core.telemetry
-        .journal
-        .record(EventKind::ConnClose { conn: id });
 }
 
 /// Writer half of one connection: emits responses strictly in request
@@ -819,12 +360,12 @@ fn worker_loop(core: &Arc<Core>) {
             let mut q = core.queue.lock().unwrap();
             loop {
                 if !q.is_empty() {
-                    let n = q.len().min(core.cfg.batch_max);
+                    let n = q.len().min(core.batch_max);
                     let batch: Vec<Job> = q.drain(..n).collect();
                     core.metrics.queue_depth.set(q.len() as i64);
                     break batch;
                 }
-                if core.stop.load(Ordering::Acquire) {
+                if core.front.is_stopped() {
                     return;
                 }
                 let (guard, _) = core
@@ -842,10 +383,8 @@ fn worker_loop(core: &Arc<Core>) {
 /// through the snapshot's batch entry points, writes applied in queue
 /// order through the delta overlay.
 fn execute_batch(core: &Arc<Core>, jobs: &[Job]) {
-    core.stats.batches.fetch_add(1, Ordering::Relaxed);
-    core.stats
-        .batched
-        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+    core.batches.fetch_add(1, Ordering::Relaxed);
+    core.batched.fetch_add(jobs.len() as u64, Ordering::Relaxed);
     let snap = core.spatial.snapshot();
     let seq = snap.seq();
     let mut cx = QueryContext::new();
@@ -878,16 +417,8 @@ fn execute_batch(core: &Arc<Core>, jobs: &[Job]) {
                 let (removed, wseq) = core.spatial.delete(p);
                 responses[i] = Some(Response::Written { seq: wseq, removed });
             }
-            // Handled inline by the reader; never enqueued.
-            Request::Ping | Request::Shutdown => {
-                responses[i] = Some(Response::Pong { seq });
-            }
-            Request::Stats | Request::Events { .. } => {
-                responses[i] = Some(Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: "telemetry requests are answered inline".into(),
-                });
-            }
+            // Answered inline by the front-end's triage; never enqueued.
+            Request::Ping | Request::Shutdown | Request::Stats | Request::Events { .. } => {}
         }
     }
     let qs: Vec<Point> = points.iter().map(|(_, p)| *p).collect();
@@ -941,10 +472,9 @@ fn execute_batch(core: &Arc<Core>, jobs: &[Job]) {
         });
         // Count before delivering: a closed-loop client that sees this
         // response and immediately scrapes STATS must find it reflected.
-        core.metrics.completed[job.class].inc();
-        core.metrics.latency[job.class].record(job.t0.elapsed().as_micros() as u64);
+        core.front.complete(job.class, job.t0);
         let depth = job.conn.deliver(job.order, resp);
         core.metrics.outbox_depth.record(depth as u64);
-        core.release(&job.conn);
+        core.front.release(&job.conn.slots);
     }
 }

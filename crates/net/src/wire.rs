@@ -28,14 +28,10 @@ use std::io::{Read, Write};
 /// Magic bytes opening every frame in either direction.
 pub const MAGIC: [u8; 4] = *b"RNET";
 
-/// Wire protocol version; bumped on any incompatible layout change.
-/// Version 2 added the `STATS`/`EVENTS` telemetry tags; every version-1
-/// tag is unchanged, so version-1 frames are still accepted (see
-/// [`MIN_PROTOCOL_VERSION`]).
+/// Wire protocol version; bumped on any incompatible layout change, and
+/// the only version [`read_frame`] accepts.  Version 2 added the
+/// `STATS`/`EVENTS` telemetry tags.
 pub const PROTOCOL_VERSION: u16 = 2;
-
-/// Oldest protocol version [`read_frame`] still accepts.
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
 /// Upper bound on a frame payload.  A length prefix above this is rejected
 /// before any buffer is allocated, so a corrupt (or hostile) length field
@@ -674,7 +670,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, NetError> {
         return Err(NetError::BadMagic);
     }
     let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(NetError::UnsupportedVersion(version));
     }
     let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
@@ -766,12 +762,19 @@ mod tests {
     }
 
     #[test]
-    fn version_one_frames_are_still_accepted() {
-        let payload = Request::Ping.encode();
-        let mut frame = frame_bytes(&payload);
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let mut cursor = std::io::Cursor::new(frame);
-        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), payload);
+    fn other_versions_are_refused_before_any_payload_allocation() {
+        for v in [0u16, 1, 3] {
+            // A header announcing the largest legal payload, with nothing
+            // behind it: the refusal must come from the version field
+            // alone, not from trying to read (or allocate) the payload.
+            let mut header = MAGIC.to_vec();
+            header.extend_from_slice(&v.to_le_bytes());
+            header.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+            match read_frame(&mut std::io::Cursor::new(header)) {
+                Err(NetError::UnsupportedVersion(got)) => assert_eq!(got, v),
+                other => panic!("version {v}: got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use common::brute_force::ScanIndex;
 use common::QueryContext;
 use geom::{Point, Rect};
-use net::{NetClient, NetConfig, NetError};
-use server::{RebuildFn, ServerConfig, SpatialServer};
+use net::{NetClient, NetError};
+use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,17 +23,17 @@ fn test_points(n: usize) -> Vec<Point> {
         .collect()
 }
 
-fn spawn_server(points: Vec<Point>, cfg: NetConfig) -> (Arc<SpatialServer>, net::NetHandle) {
+fn spawn_server(points: Vec<Point>, cfg: ServeConfig) -> (Arc<SpatialServer>, net::NetHandle) {
     let rebuild: RebuildFn = Box::new(|pts| Box::new(ScanIndex::new(pts.to_vec())));
     let engine = Arc::new(SpatialServer::new(points, rebuild, ServerConfig::default()));
-    let handle = net::serve(Arc::clone(&engine), "127.0.0.1:0", cfg).unwrap();
+    let handle = net::serve_config(Arc::clone(&engine), &cfg).unwrap();
     (engine, handle)
 }
 
 #[test]
 fn networked_answers_are_byte_identical_to_in_process() {
     let points = test_points(500);
-    let (engine, handle) = spawn_server(points.clone(), NetConfig::default());
+    let (engine, handle) = spawn_server(points.clone(), ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let mut client = NetClient::connect(&addr).unwrap();
     let mut cx = QueryContext::new();
@@ -65,7 +65,7 @@ fn networked_answers_are_byte_identical_to_in_process() {
 
 #[test]
 fn writes_route_through_the_delta_overlay() {
-    let (engine, handle) = spawn_server(test_points(100), NetConfig::default());
+    let (engine, handle) = spawn_server(test_points(100), ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let mut client = NetClient::connect(&addr).unwrap();
 
@@ -88,7 +88,7 @@ fn writes_route_through_the_delta_overlay() {
 
 #[test]
 fn zero_admission_window_sheds_with_typed_overload() {
-    let cfg = NetConfig::default().with_global_inflight(0);
+    let cfg = ServeConfig::default().with_global_inflight(0);
     let (_engine, handle) = spawn_server(test_points(50), cfg);
     let mut client = NetClient::connect(&handle.local_addr().to_string()).unwrap();
     // Control messages bypass admission; queries are shed.
@@ -106,7 +106,7 @@ fn zero_admission_window_sheds_with_typed_overload() {
 
 #[test]
 fn wire_shutdown_drains_and_refuses_new_requests() {
-    let (_engine, handle) = spawn_server(test_points(50), NetConfig::default());
+    let (_engine, handle) = spawn_server(test_points(50), ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let mut client = NetClient::connect(&addr).unwrap();
     client.shutdown_server().unwrap();
@@ -126,7 +126,7 @@ fn wire_shutdown_drains_and_refuses_new_requests() {
 
 #[test]
 fn garbage_and_disconnects_do_not_take_the_server_down() {
-    let (_engine, handle) = spawn_server(test_points(50), NetConfig::default());
+    let (_engine, handle) = spawn_server(test_points(50), ServeConfig::default());
     let addr = handle.local_addr().to_string();
 
     // Garbage bytes: the connection is dropped, the server lives.
@@ -163,7 +163,7 @@ fn garbage_and_disconnects_do_not_take_the_server_down() {
 #[test]
 fn live_stats_and_events_reconcile_with_traffic() {
     let points = test_points(300);
-    let (_engine, handle) = spawn_server(points.clone(), NetConfig::default());
+    let (_engine, handle) = spawn_server(points.clone(), ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let mut client = NetClient::connect(&addr).unwrap();
 
@@ -218,7 +218,7 @@ fn live_stats_and_events_reconcile_with_traffic() {
 #[test]
 fn concurrent_clients_coalesce_into_micro_batches() {
     let points = test_points(2000);
-    let cfg = NetConfig::default().with_workers(2).with_batch_max(16);
+    let cfg = ServeConfig::default().with_workers(2).with_batch_max(16);
     let (_engine, handle) = spawn_server(points.clone(), cfg);
     let addr = handle.local_addr().to_string();
     let threads = 8;

@@ -11,25 +11,18 @@
 //! connect to it exactly as they would to a single-process server, and it
 //! connects to shard servers as an ordinary [`NetClient`].
 //!
-//! Query planning mirrors [`engine::ShardedIndex`]'s executor decision for
-//! decision, so a router in front of N shard processes returns
-//! byte-identical answers to the single-process sharded index built from
-//! the same snapshot:
-//!
-//! * **point** — route to the partitioner's primary shard; on a miss, fall
-//!   back to the shards whose MBR contains the location.
-//! * **window** — fan out to the shards whose MBR intersects the window,
-//!   in shard order.
-//! * **kNN** — best-first over non-empty shards by MINDIST to the shard
-//!   MBR with the engine's distance-bound cutoff, merging per-shard
-//!   candidates through [`engine::ShardedIndex::merge_candidate`]
-//!   (distance ties by id).
-//! * **range** — fan out to the non-empty shards whose MBR lies within the
-//!   radius.
-//! * **join probes** — forward to each non-empty shard only the probes
-//!   within the radius of its MBR ([`storage::kernels::probes_within`]);
-//!   the partitioner assigns every indexed point to exactly one shard, so
-//!   the concatenated pair sets are duplicate-free by construction.
+//! Query planning is [`engine::plan`] — the same code
+//! [`engine::ShardedIndex`] runs in-process — so a router in front of N
+//! shard processes returns byte-identical answers, with identical
+//! `shards_visited` / `shards_pruned` counts, to the single-process sharded
+//! index built from the same snapshot.  The router only supplies the
+//! executor: where the engine calls a shard's inner index, it calls the
+//! shard's replica set over the wire and turns an unreachable shard into a
+//! typed refusal.  Likewise the listener — acceptors, admission, drain,
+//! control messages, `net.*` telemetry — is [`net::FrontEnd`], the one the
+//! single-process serving loop uses.  What is left here is what is
+//! actually distributed: replica choice and failover, write fan-out, the
+//! router-level write sequence, and shutdown propagation.
 //!
 //! Each shard may be served by N **replicas**.  Reads round-robin across
 //! live replicas and fail over on connection errors (a killed replica
@@ -39,8 +32,8 @@
 //! delete-misses).  A replica that fails a write is taken out of rotation
 //! rather than allowed to diverge.
 //!
-//! Telemetry reuses the `net.*` metric names so `net-load --verify-stats`
-//! and `net-stats` work against a router unmodified, and adds
+//! Telemetry: the front-end's `net.*` metrics (so `net-load
+//! --verify-stats` and `net-stats` work against a router unmodified), plus
 //! `router.shards_visited` / `router.shards_pruned` (the planner's
 //! fan-out accounting), `router.replica_failovers`, and a
 //! `router.upstream_us.shard<i>` latency histogram per shard.
@@ -49,125 +42,23 @@
 #![warn(missing_docs)]
 
 use engine::partition::Partitioner;
-use engine::{ShardManifest, ShardedIndex};
+use engine::plan::{self, Fanout, ShardError, ShardView};
+use engine::ShardManifest;
 use geom::{Point, Rect};
-use net::server_loop::MAX_KNN_K;
-use net::{AdmissionGate, ConnSlots, ErrorCode, NetClient, NetError, Request, Response};
-use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
-use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use net::{ConnSlots, ErrorCode, FrontEnd, NetClient, NetError, Request, Response, Triage};
+use obs::{Counter, EventKind, Histogram, Telemetry};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long the router keeps retrying each shard's first reachable replica
 /// at startup (shard servers may still be binding their listeners).
 const STARTUP_CONNECT_DEADLINE: Duration = Duration::from_secs(10);
 
-/// A point-in-time sample of the router's serving counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RouterStats {
-    /// Client connections accepted since start.
-    pub connections: u64,
-    /// Requests fully decoded (including ones later shed).
-    pub requests: u64,
-    /// Requests shed by admission control (or refused because a shard had
-    /// no live replicas).
-    pub shed: u64,
-}
-
-#[derive(Default)]
-struct StatCounters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    shed: AtomicU64,
-}
-
-/// Pre-registered telemetry handles.  The `net.*` names match the
-/// single-process serving loop's so existing scrape tooling reconciles
-/// against a router unchanged; the `router.*` names carry the planner's
-/// own accounting.
-struct RouterMetrics {
-    /// `net.requests.<class>`: responses delivered successfully, per class.
-    completed: [Counter; 7],
-    /// `net.shed.<class>`: requests refused (admission or dead shard).
-    shed: [Counter; 7],
-    /// `net.latency_us.<class>`: decode-to-delivery latency, microseconds.
-    latency: [Histogram; 7],
-    /// `net.bad_request`: undecodable or semantically invalid requests.
-    bad_request: Counter,
-    /// `net.inflight`: admission tokens currently held.
-    inflight: Gauge,
-    /// `net.connections_open` / `net.connections_total`.
-    connections_open: Gauge,
-    connections_total: Counter,
-    /// `router.shards_visited`: shard servers consulted by the planner.
-    shards_visited: Counter,
-    /// `router.shards_pruned`: shards excluded by routing or MBR bounds.
-    shards_pruned: Counter,
-    /// `router.replica_failovers`: replicas taken out of rotation.
-    replica_failovers: Counter,
-}
-
-impl RouterMetrics {
-    fn register(t: &Telemetry) -> Self {
-        Self {
-            completed: std::array::from_fn(|i| {
-                t.metrics
-                    .counter(&format!("net.requests.{}", net::REQUEST_CLASSES[i]))
-            }),
-            shed: std::array::from_fn(|i| {
-                t.metrics
-                    .counter(&format!("net.shed.{}", net::REQUEST_CLASSES[i]))
-            }),
-            latency: std::array::from_fn(|i| {
-                t.metrics
-                    .histogram(&format!("net.latency_us.{}", net::REQUEST_CLASSES[i]))
-            }),
-            bad_request: t.metrics.counter("net.bad_request"),
-            inflight: t.metrics.gauge("net.inflight"),
-            connections_open: t.metrics.gauge("net.connections_open"),
-            connections_total: t.metrics.counter("net.connections_total"),
-            shards_visited: t.metrics.counter("router.shards_visited"),
-            shards_pruned: t.metrics.counter("router.shards_pruned"),
-            replica_failovers: t.metrics.counter("router.replica_failovers"),
-        }
-    }
-}
-
-/// Index into [`net::REQUEST_CLASSES`] for a plannable request; `None` for
-/// the control messages answered inline.
-fn class_index(req: &Request) -> Option<usize> {
-    match req {
-        Request::Point(_) => Some(0),
-        Request::Window(_) => Some(1),
-        Request::Knn(..) => Some(2),
-        Request::Range(..) => Some(3),
-        Request::JoinProbes(..) => Some(4),
-        Request::Insert(_) => Some(5),
-        Request::Delete(_) => Some(6),
-        Request::Ping | Request::Shutdown | Request::Stats | Request::Events { .. } => None,
-    }
-}
-
-/// Semantic validation, mirroring the single-process serving loop's rules
-/// so a client sees the same refusals whichever front-end it talks to.
-fn validate(req: &Request) -> Result<(), String> {
-    match req {
-        Request::Knn(_, k) if *k > MAX_KNN_K => {
-            Err(format!("k {k} exceeds the cap of {MAX_KNN_K}"))
-        }
-        Request::Range(_, radius) | Request::JoinProbes(_, radius)
-            if !radius.is_finite() || *radius < 0.0 =>
-        {
-            Err(format!(
-                "radius {radius} is not a finite non-negative value"
-            ))
-        }
-        _ => Ok(()),
-    }
-}
+/// A point-in-time sample of the router's serving counters (`shed` also
+/// counts requests refused because a shard had no live replicas).
+pub use net::FrontStats as RouterStats;
 
 /// Whether an upstream error means the connection (or replica) is unusable,
 /// as opposed to a semantic refusal the router should relay.  Overload,
@@ -241,9 +132,9 @@ struct ShardState {
     /// exactly as the single-process engine expands its shard MBRs.
     mbr: RwLock<Rect>,
     /// Live point count, scraped from the shard server's `server.points`
-    /// gauge at startup and maintained on routed writes.  Drives the kNN
-    /// `k_eff` clamp and empty-shard pruning, mirroring the engine's
-    /// per-shard `len()` checks.
+    /// gauge at startup and maintained on routed writes.  Drives the
+    /// planner's kNN `k_eff` clamp and empty-shard pruning, standing in for
+    /// the engine's per-shard `len()`.
     len: AtomicU64,
     replicas: Vec<Replica>,
     /// Round-robin cursor for read distribution.
@@ -252,13 +143,23 @@ struct ShardState {
     upstream_us: Histogram,
 }
 
+impl ShardState {
+    fn view(&self) -> ShardView {
+        ShardView {
+            mbr: *self.mbr.read().unwrap(),
+            len: self.len.load(Ordering::Acquire) as usize,
+        }
+    }
+}
+
+/// The outcome of executing a plan: the reply, or the upstream failure
+/// that stopped the scatter and the shard it happened at.
+type Planned = Result<Response, ShardError<NetError>>;
+
 struct Core {
+    front: Arc<FrontEnd>,
     partitioner: Partitioner,
     shards: Vec<ShardState>,
-    addr: SocketAddr,
-    acceptor_count: usize,
-    stop: AtomicBool,
-    admission: AdmissionGate,
     /// Serializes writes: the fan-out to a shard's replicas must not
     /// interleave with another write's fan-out, or replica op streams (and
     /// the router's MBR/len bookkeeping) could diverge.
@@ -267,13 +168,12 @@ struct Core {
     /// write, sampled by reads — the same contract a single-process
     /// server's `Snapshot::seq` gives replay oracles.
     seq: AtomicU64,
-    stats: StatCounters,
-    next_conn_id: AtomicU64,
-    conn_streams: Mutex<HashMap<u64, TcpStream>>,
-    conn_threads: Mutex<Vec<JoinHandle<()>>>,
-    telemetry: Arc<Telemetry>,
-    metrics: RouterMetrics,
-    last_shed_event_us: AtomicU64,
+    /// `router.shards_visited`: shard servers consulted by the planner.
+    shards_visited: Counter,
+    /// `router.shards_pruned`: shards excluded by routing or MBR bounds.
+    shards_pruned: Counter,
+    /// `router.replica_failovers`: replicas taken out of rotation.
+    replica_failovers: Counter,
     /// Shutdown has been propagated to the shard servers (runs once).
     propagated: AtomicBool,
 }
@@ -283,26 +183,14 @@ impl Core {
         self.seq.load(Ordering::Acquire)
     }
 
-    fn note_fanout(&self, visited: u64, pruned: u64) {
-        self.metrics.shards_visited.add(visited);
-        self.metrics.shards_pruned.add(pruned);
+    /// The planner's view of every shard, in shard order.
+    fn views(&self) -> impl Iterator<Item = ShardView> + '_ {
+        self.shards.iter().map(ShardState::view)
     }
 
-    fn note_shed(&self, class: usize) {
-        self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        self.metrics.shed[class].inc();
-        let now_us = self.telemetry.journal.uptime_us();
-        let last = self.last_shed_event_us.load(Ordering::Relaxed);
-        if now_us.saturating_sub(last) >= 1_000_000
-            && self
-                .last_shed_event_us
-                .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.telemetry.journal.record(EventKind::OverloadShed {
-                shed_total: self.stats.shed.load(Ordering::Relaxed),
-            });
-        }
+    fn note_fanout(&self, fan: Fanout) {
+        self.shards_visited.add(fan.visited as u64);
+        self.shards_pruned.add(fan.pruned as u64);
     }
 
     /// Takes a replica out of rotation (idempotent) and records the
@@ -312,11 +200,14 @@ impl Core {
             .dead
             .swap(true, Ordering::AcqRel)
         {
-            self.metrics.replica_failovers.inc();
-            self.telemetry.journal.record(EventKind::ReplicaFailover {
-                shard: shard as u64,
-                replica: replica as u64,
-            });
+            self.replica_failovers.inc();
+            self.front
+                .telemetry()
+                .journal
+                .record(EventKind::ReplicaFailover {
+                    shard: shard as u64,
+                    replica: replica as u64,
+                });
         }
     }
 
@@ -327,7 +218,7 @@ impl Core {
     fn read_shard<T>(
         &self,
         shard: usize,
-        f: impl Fn(&mut NetClient) -> Result<T, NetError>,
+        f: impl Fn(&mut NetClient) -> Result<(u64, T), NetError>,
     ) -> Result<T, NetError> {
         let st = &self.shards[shard];
         let n = st.replicas.len();
@@ -341,7 +232,7 @@ impl Core {
             }
             let t0 = Instant::now();
             match rep.call(true, &f) {
-                Ok(v) => {
+                Ok((_, v)) => {
                     st.upstream_us.record(t0.elapsed().as_micros() as u64);
                     return Ok(v);
                 }
@@ -356,15 +247,15 @@ impl Core {
     }
 
     /// One write against `shard`, fanned out to **every** live replica so
-    /// their states stay identical.  Returns the first success (`None`
-    /// when no replica accepted it).  A replica that fails a write — for
-    /// any reason — is taken out of rotation rather than allowed to miss
-    /// an op and diverge.
+    /// their states stay identical.  Returns the first success
+    /// (`Err(Overload)` when no replica accepted it).  A replica that fails
+    /// a write — for any reason — is taken out of rotation rather than
+    /// allowed to miss an op and diverge.
     fn write_shard<T>(
         &self,
         shard: usize,
         f: impl Fn(&mut NetClient) -> Result<T, NetError>,
-    ) -> Option<T> {
+    ) -> Result<T, NetError> {
         let st = &self.shards[shard];
         let mut first = None;
         for (i, rep) in st.replicas.iter().enumerate() {
@@ -372,44 +263,41 @@ impl Core {
                 continue;
             }
             match rep.call(false, &f) {
-                Ok(v) => {
-                    if first.is_none() {
-                        first = Some(v);
-                    }
-                }
+                Ok(v) => first = first.or(Some(v)),
                 Err(_) => self.mark_dead(shard, i),
             }
         }
-        first
+        first.ok_or(NetError::Overload)
     }
 
-    /// Maps an upstream read failure onto a client-facing refusal.
-    fn upstream_error(&self, shard: usize, e: NetError) -> Response {
-        match e {
-            NetError::ShuttingDown => Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: format!("shard {shard} is draining"),
-            },
-            NetError::Remote(msg) => Response::Error {
-                code: ErrorCode::BadRequest,
-                message: format!("shard {shard} refused: {msg}"),
-            },
-            NetError::Overload => Response::Error {
-                code: ErrorCode::Overload,
-                message: format!("shard {shard} overloaded or has no live replicas"),
-            },
-            other => Response::Error {
-                code: ErrorCode::Overload,
-                message: format!("shard {shard} unreachable: {other}"),
-            },
-        }
+    /// Maps the upstream failure that stopped a plan onto a client-facing
+    /// refusal.
+    fn upstream_error(&self, ShardError { shard, error }: ShardError<NetError>) -> Response {
+        let (code, message) = match error {
+            NetError::ShuttingDown => (
+                ErrorCode::ShuttingDown,
+                format!("shard {shard} is draining"),
+            ),
+            NetError::Remote(msg) => (
+                ErrorCode::BadRequest,
+                format!("shard {shard} refused: {msg}"),
+            ),
+            NetError::Overload => (
+                ErrorCode::Overload,
+                format!("shard {shard} overloaded or has no live replicas"),
+            ),
+            other => (
+                ErrorCode::Overload,
+                format!("shard {shard} unreachable: {other}"),
+            ),
+        };
+        Response::Error { code, message }
     }
 
-    /// Plans and executes one admitted request.  Every branch mirrors the
-    /// corresponding [`engine::ShardedIndex`] executor path, including its
-    /// visited/pruned accounting.
+    /// Executes one admitted request: [`engine::plan`] decides the targets,
+    /// the closures here reach them through `read_shard` / `write_shard`.
     fn exec(&self, req: Request) -> Response {
-        match req {
+        let planned = match req {
             Request::Point(p) => self.exec_point(p),
             Request::Window(w) => self.exec_window(w),
             Request::Knn(p, k) => self.exec_knn(p, k),
@@ -418,248 +306,98 @@ impl Core {
             Request::Insert(p) => self.exec_insert(p),
             Request::Delete(p) => self.exec_delete(p),
             Request::Ping | Request::Shutdown | Request::Stats | Request::Events { .. } => {
-                Response::Error {
+                Ok(Response::Error {
                     code: ErrorCode::BadRequest,
                     message: "control requests are answered inline".into(),
-                }
+                })
             }
-        }
+        };
+        planned.unwrap_or_else(|e| self.upstream_error(e))
     }
 
-    fn exec_point(&self, q: Point) -> Response {
+    fn exec_point(&self, q: Point) -> Planned {
         let seq = self.current_seq();
-        let n = self.shards.len();
-        let primary = self.partitioner.route(q.x, q.y);
-        let mut visited = 1u64;
-        match self.read_shard(primary, |c| c.point(&q)) {
-            Ok((_, Some(hit))) => {
-                self.note_fanout(visited, (n - 1) as u64);
-                return Response::Point {
-                    seq,
-                    hit: Some(hit),
-                };
-            }
-            Ok((_, None)) => {}
-            Err(e) => return self.upstream_error(primary, e),
-        }
-        // Miss in the routed shard: fall back to the shards whose MBR can
-        // contain the location, exactly as the engine does.
-        let mut pruned = n - 1;
-        for i in 0..n {
-            if i == primary || !self.shards[i].mbr.read().unwrap().contains(&q) {
-                continue;
-            }
-            pruned -= 1;
-            visited += 1;
-            match self.read_shard(i, |c| c.point(&q)) {
-                Ok((_, Some(hit))) => {
-                    self.note_fanout(visited, pruned as u64);
-                    return Response::Point {
-                        seq,
-                        hit: Some(hit),
-                    };
-                }
-                Ok((_, None)) => {}
-                Err(e) => return self.upstream_error(i, e),
-            }
-        }
-        self.note_fanout(visited, pruned as u64);
-        Response::Point { seq, hit: None }
+        let probe = |shard| self.read_shard(shard, |c| c.point(&q));
+        let (hit, fan) = plan::first_hit(&self.partitioner, self.views(), &q, probe)?;
+        self.note_fanout(fan);
+        Ok(Response::Point { seq, hit })
     }
 
-    fn exec_window(&self, w: Rect) -> Response {
+    fn exec_window(&self, w: Rect) -> Planned {
         let seq = self.current_seq();
         let mut points = Vec::new();
-        let (mut visited, mut pruned) = (0u64, 0u64);
-        for (i, st) in self.shards.iter().enumerate() {
-            if st.mbr.read().unwrap().intersects(&w) {
-                visited += 1;
-                match self.read_shard(i, |c| c.window(&w)) {
-                    Ok((_, ps)) => points.extend(ps),
-                    Err(e) => return self.upstream_error(i, e),
-                }
-            } else {
-                pruned += 1;
-            }
-        }
-        self.note_fanout(visited, pruned);
-        Response::Points { seq, points }
+        let fan = plan::window(self.views(), &w, |shard| {
+            points.extend(self.read_shard(shard, |c| c.window(&w))?);
+            Ok(())
+        })?;
+        self.note_fanout(fan);
+        Ok(Response::Points { seq, points })
     }
 
-    fn exec_knn(&self, q: Point, k: u32) -> Response {
+    fn exec_knn(&self, q: Point, k: u32) -> Planned {
         let seq = self.current_seq();
-        if k == 0 {
-            return Response::Knn {
-                seq,
-                points: Vec::new(),
-            };
+        let mut merge = plan::KnnMerge::new(self.views(), &q, k as usize);
+        let k_eff = merge.k_eff() as u32;
+        while let Some(shard) = merge.next_shard() {
+            self.read_shard(shard, |c| c.knn(&q, k_eff))
+                .map_err(|error| ShardError { shard, error })?
+                .into_iter()
+                .for_each(|p| merge.offer(p));
         }
-        let lens: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.len.load(Ordering::Acquire))
-            .collect();
-        let total: u64 = lens.iter().sum();
-        let k_eff = (k as usize).min(total as usize);
-        if k_eff == 0 {
-            return Response::Knn {
-                seq,
-                points: Vec::new(),
-            };
-        }
-        // Best-first over non-empty shards by MINDIST to the shard MBR,
-        // ties by shard position — the engine's order.
-        let mut order: Vec<(f64, usize)> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| lens[*i] > 0)
-            .map(|(i, s)| (s.mbr.read().unwrap().min_dist_sq(&q), i))
-            .collect();
-        order.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        let empty_shards = self.shards.len() - order.len();
-        let mut best: Vec<(f64, Point)> = Vec::with_capacity(k_eff + 1);
-        let mut pruned = empty_shards as u64;
-        let mut visited = 0u64;
-        for (i, &(mindist_sq, shard)) in order.iter().enumerate() {
-            // The engine's distance-bound cutoff: once k candidates are in
-            // hand, a shard beyond the k-th distance (and every later,
-            // farther shard) cannot contribute.
-            if best.len() >= k_eff && mindist_sq > best[k_eff - 1].0 {
-                pruned += (order.len() - i) as u64;
-                break;
-            }
-            visited += 1;
-            match self.read_shard(shard, |c| c.knn(&q, k_eff as u32)) {
-                Ok((_, ps)) => {
-                    for p in ps {
-                        ShardedIndex::merge_candidate(&mut best, k_eff, p.dist_sq(&q), p);
-                    }
-                }
-                Err(e) => return self.upstream_error(shard, e),
-            }
-        }
-        self.note_fanout(visited, pruned);
-        Response::Knn {
+        let (best, fan) = merge.finish();
+        self.note_fanout(fan);
+        Ok(Response::Knn {
             seq,
-            points: best.into_iter().map(|(_, p)| p).collect(),
-        }
+            points: best.collect(),
+        })
     }
 
-    fn exec_range(&self, center: Point, radius: f64) -> Response {
+    fn exec_range(&self, center: Point, radius: f64) -> Planned {
         let seq = self.current_seq();
-        let r_sq = radius * radius;
         let mut points = Vec::new();
-        let (mut visited, mut pruned) = (0u64, 0u64);
-        for (i, st) in self.shards.iter().enumerate() {
-            let non_empty = st.len.load(Ordering::Acquire) > 0;
-            if non_empty && st.mbr.read().unwrap().min_dist_sq(&center) <= r_sq {
-                visited += 1;
-                match self.read_shard(i, |c| c.range(&center, radius)) {
-                    Ok((_, ps)) => points.extend(ps),
-                    Err(e) => return self.upstream_error(i, e),
-                }
-            } else {
-                pruned += 1;
-            }
-        }
-        self.note_fanout(visited, pruned);
-        Response::Points { seq, points }
+        let fan = plan::range(self.views(), &center, radius, |shard| {
+            points.extend(self.read_shard(shard, |c| c.range(&center, radius))?);
+            Ok(())
+        })?;
+        self.note_fanout(fan);
+        Ok(Response::Points { seq, points })
     }
 
-    fn exec_join(&self, probes: &[Point], radius: f64) -> Response {
+    fn exec_join(&self, probes: &[Point], radius: f64) -> Planned {
         let seq = self.current_seq();
         let mut pairs = Vec::new();
-        if probes.is_empty() {
-            return Response::Pairs { seq, pairs };
-        }
-        let r_sq = radius * radius;
-        let (mut visited, mut pruned) = (0u64, 0u64);
-        let mut kept: Vec<Point> = Vec::new();
-        for (i, st) in self.shards.iter().enumerate() {
-            if st.len.load(Ordering::Acquire) == 0 {
-                pruned += 1;
-                continue;
-            }
-            let mbr = *st.mbr.read().unwrap();
-            storage::kernels::probes_within(probes, &mbr, r_sq, &mut kept);
-            if kept.is_empty() {
-                pruned += 1;
-                continue;
-            }
-            visited += 1;
-            match self.read_shard(i, |c| c.join_probes(&kept, radius)) {
-                Ok((_, ps)) => pairs.extend(ps),
-                Err(e) => return self.upstream_error(i, e),
-            }
-        }
-        self.note_fanout(visited, pruned);
-        Response::Pairs { seq, pairs }
+        let fan = plan::join(self.views(), probes, radius, |shard, kept| {
+            pairs.extend(self.read_shard(shard, |c| c.join_probes(kept, radius))?);
+            Ok(())
+        })?;
+        self.note_fanout(fan);
+        Ok(Response::Pairs { seq, pairs })
     }
 
-    fn exec_insert(&self, p: Point) -> Response {
+    fn exec_insert(&self, p: Point) -> Planned {
         let _gate = self.write_gate.lock().expect("write gate poisoned");
-        let shard = self.partitioner.route(p.x, p.y);
-        match self.write_shard(shard, |c| c.insert(&p)) {
-            Some(_) => {
-                self.shards[shard].mbr.write().unwrap().expand_to_point(p);
-                self.shards[shard].len.fetch_add(1, Ordering::AcqRel);
-                let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-                Response::Written {
-                    seq,
-                    removed: false,
-                }
-            }
-            None => Response::Error {
-                code: ErrorCode::Overload,
-                message: format!("shard {shard} has no live replicas"),
-            },
-        }
+        let shard = plan::home_shard(&self.partitioner, &p);
+        self.write_shard(shard, |c| c.insert(&p))
+            .map_err(|error| ShardError { shard, error })?;
+        self.shards[shard].mbr.write().unwrap().expand_to_point(p);
+        self.shards[shard].len.fetch_add(1, Ordering::AcqRel);
+        let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
+        Ok(Response::Written {
+            seq,
+            removed: false,
+        })
     }
 
-    fn exec_delete(&self, p: Point) -> Response {
+    fn exec_delete(&self, p: Point) -> Planned {
         let _gate = self.write_gate.lock().expect("write gate poisoned");
-        let n = self.shards.len();
-        let primary = self.partitioner.route(p.x, p.y);
-        // Primary first, then the MBR-containment sweep — the engine's
-        // delete order.  Every attempted shard's delete goes to all of its
-        // live replicas (the shard server sequences even a delete-miss, so
-        // replicas must see the same op stream).
-        let mut removed_in = None;
-        match self.write_shard(primary, |c| c.delete(&p)) {
-            Some((true, _)) => removed_in = Some(primary),
-            Some((false, _)) => {}
-            None => {
-                return Response::Error {
-                    code: ErrorCode::Overload,
-                    message: format!("shard {primary} has no live replicas"),
-                }
-            }
-        }
-        if removed_in.is_none() {
-            for i in 0..n {
-                if i == primary || !self.shards[i].mbr.read().unwrap().contains(&p) {
-                    continue;
-                }
-                match self.write_shard(i, |c| c.delete(&p)) {
-                    Some((true, _)) => {
-                        removed_in = Some(i);
-                        break;
-                    }
-                    Some((false, _)) => {}
-                    None => {
-                        return Response::Error {
-                            code: ErrorCode::Overload,
-                            message: format!("shard {i} has no live replicas"),
-                        }
-                    }
-                }
-            }
-        }
+        // Every attempted shard's delete goes to all of its live replicas
+        // (the shard server sequences even a delete-miss, so replicas must
+        // see the same op stream).
+        let probe = |shard| {
+            let (removed, _) = self.write_shard(shard, |c| c.delete(&p))?;
+            Ok(removed.then_some(shard))
+        };
+        let (removed_in, _) = plan::first_hit(&self.partitioner, self.views(), &p, probe)?;
         if let Some(shard) = removed_in {
             // Saturating: duplicate locations can make the maintained count
             // an approximation; it must never underflow.
@@ -670,38 +408,39 @@ impl Core {
                 });
         }
         let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
-        Response::Written {
+        Ok(Response::Written {
             seq,
             removed: removed_in.is_some(),
-        }
+        })
     }
 
-    /// Sets the stop flag and unblocks everything waiting on a socket —
-    /// the same drain choreography as the single-process serving loop.
-    /// Upstream propagation happens later, in [`RouterHandle::join`], so
-    /// in-flight fan-outs complete against live shard servers first.
-    fn begin_shutdown(&self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.telemetry.journal.record(EventKind::Shutdown {
-            uptime_us: self.telemetry.journal.uptime_us(),
-            drained: self.admission.inflight(),
-        });
-        for _ in 0..self.acceptor_count {
-            let _ = TcpStream::connect(self.addr);
-        }
-        let streams = self.conn_streams.lock().unwrap();
-        for stream in streams.values() {
-            let _ = stream.shutdown(Shutdown::Read);
-        }
-    }
-
-    fn stats(&self) -> RouterStats {
-        RouterStats {
-            connections: self.stats.connections.load(Ordering::Relaxed),
-            requests: self.stats.requests.load(Ordering::Relaxed),
-            shed: self.stats.shed.load(Ordering::Relaxed),
+    /// One client connection, processed serially on its own thread: the
+    /// router is a scatter point, not a compute node, so a request's
+    /// latency is its upstream fan-out — responses are naturally in request
+    /// order and no reorder buffer is needed.
+    fn connection_loop(&self, mut stream: TcpStream) {
+        let slots = ConnSlots::default();
+        while let Ok(Some(payload)) = net::wire::read_frame(&mut stream) {
+            let t0 = Instant::now();
+            let resp = match self.front.triage(&payload, &slots, || self.current_seq()) {
+                Triage::Reply(resp) => resp,
+                Triage::Admitted { req, class } => {
+                    let resp = self.exec(req);
+                    self.front.release(&slots);
+                    match &resp {
+                        Response::Error {
+                            code: ErrorCode::Overload,
+                            ..
+                        } => self.front.note_shed(class),
+                        Response::Error { .. } => {}
+                        _ => self.front.complete(class, t0),
+                    }
+                    resp
+                }
+            };
+            if net::wire::write_frame(&mut stream, &resp.encode()).is_err() {
+                break;
+            }
         }
     }
 }
@@ -714,29 +453,28 @@ impl Core {
 /// to do it explicitly.
 pub struct RouterHandle {
     core: Arc<Core>,
-    acceptors: Vec<JoinHandle<()>>,
 }
 
 impl RouterHandle {
     /// The bound address (resolves the actual port when served on port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.core.addr
+        self.core.front.local_addr()
     }
 
     /// Point-in-time serving counters.
     pub fn stats(&self) -> RouterStats {
-        self.core.stats()
+        self.core.front.stats()
     }
 
     /// The router's telemetry sink (scraped over the wire via `Stats`).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.core.telemetry
+        self.core.front.telemetry()
     }
 
     /// Whether a shutdown (local or via a wire `Shutdown` request) has
     /// begun.
     pub fn is_stopped(&self) -> bool {
-        self.core.stop.load(Ordering::Acquire)
+        self.core.front.is_stopped()
     }
 
     /// Begins a graceful shutdown: stop accepting, refuse new requests,
@@ -744,45 +482,27 @@ impl RouterHandle {
     /// call [`RouterHandle::join`] to wait for the drain and the upstream
     /// propagation.
     pub fn shutdown(&self) {
-        self.core.begin_shutdown();
+        self.core.front.begin_shutdown();
     }
 
     /// Waits for the full drain, then propagates a graceful shutdown to
     /// every live shard replica — a `net-load --shutdown-server` run
     /// against a router therefore takes the whole process tree down, with
     /// every process draining its in-flight work first.
-    pub fn join(mut self) {
+    pub fn join(self) {
         self.join_inner();
     }
 
-    fn join_inner(&mut self) {
-        self.core.begin_shutdown();
-        for h in self.acceptors.drain(..) {
-            let _ = h.join();
-        }
-        // Connections registered concurrently with begin_shutdown's poke
-        // sweep get their read half shut down here instead.
-        let streams: Vec<TcpStream> = {
-            let mut map = self.core.conn_streams.lock().unwrap();
-            map.drain().map(|(_, s)| s).collect()
-        };
-        for s in &streams {
-            let _ = s.shutdown(Shutdown::Read);
-        }
-        let conn_threads: Vec<JoinHandle<()>> =
-            self.core.conn_threads.lock().unwrap().drain(..).collect();
-        for h in conn_threads {
-            let _ = h.join();
-        }
-        // Client side fully drained: now take the shard servers down too.
-        // Each acks the shutdown before draining, so this returns quickly;
-        // their own handles (in their own processes) finish the drain.
+    fn join_inner(&self) {
+        // Upstream propagation waits for the client-side drain, so
+        // in-flight fan-outs complete against live shard servers first.
+        self.core.front.join();
+        // Each shard server acks the shutdown before draining, so this
+        // returns quickly; their own handles (in their own processes)
+        // finish the drain.
         if !self.core.propagated.swap(true, Ordering::AcqRel) {
-            for shard in &self.core.shards {
-                for rep in &shard.replicas {
-                    if rep.dead.load(Ordering::Acquire) {
-                        continue;
-                    }
+            for rep in self.core.shards.iter().flat_map(|s| &s.replicas) {
+                if !rep.dead.load(Ordering::Acquire) {
                     let _ = rep.call(false, &|c: &mut NetClient| c.shutdown_server());
                 }
             }
@@ -829,7 +549,6 @@ pub fn serve(
         )));
     }
     let telemetry = Arc::new(Telemetry::new());
-    let metrics = RouterMetrics::register(&telemetry);
     let mut shards = Vec::with_capacity(n_shards);
     let mut total_points = 0u64;
     for (i, (meta, addrs)) in manifest.shards.iter().zip(replicas).enumerate() {
@@ -849,48 +568,35 @@ pub fn serve(
     telemetry.journal.record(EventKind::ServerStart {
         points: total_points,
     });
-    let listener = TcpListener::bind(&cfg.bind_addr)?;
-    let addr = listener.local_addr()?;
-    let acceptor_count = cfg.acceptors.max(1);
+    let (front, listener) = FrontEnd::bind(cfg, Arc::clone(&telemetry))?;
     let core = Arc::new(Core {
+        front: Arc::clone(&front),
         partitioner: manifest.partitioner,
         shards,
-        addr,
-        acceptor_count,
-        stop: AtomicBool::new(false),
-        admission: AdmissionGate::new(
-            cfg.global_inflight,
-            cfg.per_conn_inflight,
-            metrics.inflight.clone(),
-        ),
         write_gate: Mutex::new(()),
         seq: AtomicU64::new(0),
-        stats: StatCounters::default(),
-        next_conn_id: AtomicU64::new(0),
-        conn_streams: Mutex::new(HashMap::new()),
-        conn_threads: Mutex::new(Vec::new()),
-        telemetry,
-        metrics,
-        last_shed_event_us: AtomicU64::new(0),
+        shards_visited: telemetry.metrics.counter("router.shards_visited"),
+        shards_pruned: telemetry.metrics.counter("router.shards_pruned"),
+        replica_failovers: telemetry.metrics.counter("router.replica_failovers"),
         propagated: AtomicBool::new(false),
     });
-    let acceptors = (0..acceptor_count)
-        .map(|_| {
-            let core = Arc::clone(&core);
-            let listener = listener.try_clone().map_err(NetError::Io)?;
-            Ok(std::thread::spawn(move || acceptor_loop(&core, &listener)))
-        })
-        .collect::<Result<Vec<_>, NetError>>()?;
-    Ok(RouterHandle { core, acceptors })
+    let handle = RouterHandle {
+        core: Arc::clone(&core),
+    };
+    front.start(listener, move |stream| core.connection_loop(stream))?;
+    Ok(handle)
 }
 
-/// Scrapes a shard's live point count from the first reachable replica's
-/// `server.points` gauge, pooling the connection for later reads.
+/// Scrapes a shard's live point count from the first replica that answers
+/// with a `server.points` gauge, pooling the connection for later reads.  A
+/// replica that cannot be reached, drops the connection or answers without
+/// the gauge is skipped like a failed connect; only a shard with no usable
+/// replica at all fails the startup.
 fn scrape_shard_len(shard: usize, replicas: &[Replica]) -> Result<u64, NetError> {
-    let mut last = None;
+    let mut last = NetError::Closed;
     for rep in replicas {
-        match NetClient::connect_retry(&rep.addr, STARTUP_CONNECT_DEADLINE) {
-            Ok(mut client) => {
+        let scraped =
+            NetClient::connect_retry(&rep.addr, STARTUP_CONNECT_DEADLINE).and_then(|mut client| {
                 let (_, snapshot) = client.stats()?;
                 let points = snapshot.gauge("server.points").ok_or_else(|| {
                     NetError::Corrupt(format!(
@@ -898,148 +604,15 @@ fn scrape_shard_len(shard: usize, replicas: &[Replica]) -> Result<u64, NetError>
                         rep.addr
                     ))
                 })?;
+                Ok((client, points))
+            });
+        match scraped {
+            Ok((client, points)) => {
                 *rep.client.lock().expect("replica client lock poisoned") = Some(client);
                 return Ok(points.max(0) as u64);
             }
-            Err(e) => last = Some(e),
+            Err(e) => last = e,
         }
     }
-    Err(last.unwrap_or(NetError::Closed))
-}
-
-fn acceptor_loop(core: &Arc<Core>, listener: &TcpListener) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if core.stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if core.stop.load(Ordering::Acquire) {
-            return;
-        }
-        core.stats.connections.fetch_add(1, Ordering::Relaxed);
-        core.metrics.connections_total.inc();
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let id = core.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let read_poke = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        core.conn_streams.lock().unwrap().insert(id, read_poke);
-        let handle = {
-            let core = Arc::clone(core);
-            std::thread::spawn(move || connection_loop(&core, id, stream))
-        };
-        let mut threads = core.conn_threads.lock().unwrap();
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
-        drop(threads);
-        if core.stop.load(Ordering::Acquire) {
-            if let Some(s) = core.conn_streams.lock().unwrap().get(&id) {
-                let _ = s.shutdown(Shutdown::Read);
-            }
-            return;
-        }
-    }
-}
-
-/// One client connection, processed serially: the router is a scatter
-/// point, not a compute node, so a request's latency is its upstream
-/// fan-out — responses are naturally in request order and no reorder
-/// buffer is needed.
-fn connection_loop(core: &Arc<Core>, id: u64, mut stream: TcpStream) {
-    let slots = ConnSlots::default();
-    core.metrics.connections_open.add(1);
-    core.telemetry
-        .journal
-        .record(EventKind::ConnOpen { conn: id });
-    while let Ok(Some(payload)) = net::wire::read_frame(&mut stream) {
-        let t0 = Instant::now();
-        core.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let req = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                core.metrics.bad_request.inc();
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: e.to_string(),
-                };
-                if net::wire::write_frame(&mut stream, &resp.encode()).is_err() {
-                    break;
-                }
-                continue;
-            }
-        };
-        let resp = match req {
-            Request::Ping => Response::Pong {
-                seq: core.current_seq(),
-            },
-            Request::Stats => Response::Stats {
-                seq: core.current_seq(),
-                metrics: core.telemetry.metrics.snapshot(),
-            },
-            Request::Events { since } => Response::Events {
-                seq: core.current_seq(),
-                events: core.telemetry.journal.since(since),
-            },
-            Request::Shutdown => {
-                // Stop flag first, ack second — a client that received the
-                // ack must observe the router as stopped.  Propagation to
-                // the shard servers happens in join, after the drain.
-                core.begin_shutdown();
-                Response::Pong {
-                    seq: core.current_seq(),
-                }
-            }
-            req => {
-                let class = class_index(&req).expect("plannable request");
-                if core.stop.load(Ordering::Acquire) {
-                    Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "router is draining".into(),
-                    }
-                } else if let Err(msg) = validate(&req) {
-                    core.metrics.bad_request.inc();
-                    Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: msg,
-                    }
-                } else if !core.admission.try_admit(&slots) {
-                    core.note_shed(class);
-                    Response::Error {
-                        code: ErrorCode::Overload,
-                        message: "in-flight queue full".into(),
-                    }
-                } else {
-                    let resp = core.exec(req);
-                    core.admission.release(&slots);
-                    match &resp {
-                        Response::Error {
-                            code: ErrorCode::Overload,
-                            ..
-                        } => core.note_shed(class),
-                        Response::Error { .. } => {}
-                        _ => {
-                            core.metrics.completed[class].inc();
-                            core.metrics.latency[class].record(t0.elapsed().as_micros() as u64);
-                        }
-                    }
-                    resp
-                }
-            }
-        };
-        if net::wire::write_frame(&mut stream, &resp.encode()).is_err() {
-            break;
-        }
-    }
-    core.conn_streams.lock().unwrap().remove(&id);
-    core.metrics.connections_open.add(-1);
-    core.telemetry
-        .journal
-        .record(EventKind::ConnClose { conn: id });
+    Err(last)
 }

@@ -45,11 +45,13 @@ impl Cluster {
 /// Builds a sharded-grid snapshot over `data`, serves every shard over TCP
 /// (`replicas_shard0` copies of shard 0, one of each other shard), starts
 /// a router over the manifest, and loads the single-process reference
-/// index from the same snapshot.
+/// index from the same snapshot.  `decoy`, when given, is listed as shard
+/// 0's first replica, ahead of the real ones.
 fn spawn_cluster(
     data: &[Point],
     replicas_shard0: usize,
     tag: &str,
+    decoy: Option<String>,
 ) -> (Cluster, Box<dyn SpatialIndex>) {
     let path = snapshot_path(tag);
     let index = registry::build_index(BaseKind::Grid.sharded(), data, &cfg());
@@ -61,7 +63,7 @@ fn spawn_cluster(
     for shard in 0..manifest.shard_count() {
         let bytes = registry::load_shard_snapshot(&path, shard).expect("extract shard");
         let copies = if shard == 0 { replicas_shard0 } else { 1 };
-        let mut shard_addrs = Vec::new();
+        let mut shard_addrs: Vec<String> = decoy.iter().filter(|_| shard == 0).cloned().collect();
         for _ in 0..copies {
             let server = Arc::new(
                 registry::serve_snapshot_bytes(&bytes, &cfg(), ServerConfig::default())
@@ -106,7 +108,7 @@ fn pair_ids(index: &dyn SpatialIndex, probes: &[Point], radius: f64) -> Vec<(u64
 #[test]
 fn router_matches_local_sharded_index_for_all_five_classes() {
     let data = generate(Distribution::skewed_default(), 4_000, 71);
-    let (cluster, mut local) = spawn_cluster(&data, 1, "det");
+    let (cluster, mut local) = spawn_cluster(&data, 1, "det", None);
     let mut remote = RemoteIndex::connect(&cluster.router_addr()).expect("connect");
 
     let windows = queries::window_queries(&data, queries::WindowSpec::default(), 25, 73);
@@ -182,7 +184,7 @@ fn router_matches_local_sharded_index_for_all_five_classes() {
 #[test]
 fn router_fanout_accounting_matches_the_engine_planner() {
     let data = generate(Distribution::Uniform, 3_000, 81);
-    let (cluster, local) = spawn_cluster(&data, 1, "stats");
+    let (cluster, local) = spawn_cluster(&data, 1, "stats", None);
     let mut client = NetClient::connect(&cluster.router_addr()).expect("connect");
 
     let windows = queries::window_queries(&data, queries::WindowSpec::default(), 15, 83);
@@ -234,7 +236,7 @@ fn router_fanout_accounting_matches_the_engine_planner() {
 #[test]
 fn killed_replica_degrades_capacity_not_correctness() {
     let data = generate(Distribution::skewed_default(), 2_000, 91);
-    let (mut cluster, mut local) = spawn_cluster(&data, 2, "failover");
+    let (mut cluster, mut local) = spawn_cluster(&data, 2, "failover", None);
     let mut client = NetClient::connect(&cluster.router_addr()).expect("connect");
     let windows = queries::window_queries(&data, queries::WindowSpec::default(), 10, 93);
 
@@ -279,9 +281,43 @@ fn killed_replica_degrades_capacity_not_correctness() {
 }
 
 #[test]
+fn startup_skips_a_replica_that_accepts_and_then_hangs_up() {
+    // A listener that accepts every connection and drops it at once: the
+    // router's startup scrape reaches it, then loses the connection.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind decoy");
+    let decoy_addr = listener.local_addr().unwrap().to_string();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let decoy = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if stop.load(std::sync::atomic::Ordering::Acquire) {
+                    return;
+                }
+                drop(stream);
+            }
+        })
+    };
+
+    let data = generate(Distribution::Uniform, 1_000, 99);
+    let (cluster, local) = spawn_cluster(&data, 1, "flaky", Some(decoy_addr.clone()));
+    let mut client = NetClient::connect(&cluster.router_addr()).expect("connect");
+    let mut cx = QueryContext::new();
+    for w in &queries::window_queries(&data, queries::WindowSpec::default(), 10, 101) {
+        let (_, got) = client.window(w).expect("window behind a flaky replica");
+        assert_eq!(by_id(got), by_id(local.window_query(w, &mut cx)));
+    }
+
+    drop(cluster);
+    stop.store(true, std::sync::atomic::Ordering::Release);
+    let _ = std::net::TcpStream::connect(&decoy_addr);
+    decoy.join().expect("decoy thread");
+}
+
+#[test]
 fn wire_shutdown_propagates_to_every_shard_server() {
     let data = generate(Distribution::Uniform, 500, 95);
-    let (mut cluster, _local) = spawn_cluster(&data, 1, "shutdown");
+    let (mut cluster, _local) = spawn_cluster(&data, 1, "shutdown", None);
     let mut client = NetClient::connect(&cluster.router_addr()).expect("connect");
     client.shutdown_server().expect("shutdown ack");
     let router = cluster.router.take().unwrap();

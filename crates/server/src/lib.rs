@@ -234,16 +234,15 @@ impl ServerConfig {
 }
 
 /// The unified serving configuration: every knob a serving process needs —
-/// compaction ([`ServerConfig`]), network admission/batching (mirroring
-/// `net::NetConfig`), the bind address, and an optional snapshot warm-start
-/// path — behind one builder.
+/// compaction ([`ServerConfig`]), network admission/batching, the bind
+/// address, and an optional snapshot warm-start path — behind one builder.
 ///
 /// This is the front door for `registry::serve_config`, `net::serve_config`,
 /// the shard server, and the distributed router; construct it with the
-/// `with_*` builders.  The older split surface (`ServerConfig` here,
-/// `NetConfig` in `net`, positional bind addresses) remains as thin shims
-/// for one release so call sites can migrate mechanically — prefer
-/// `ServeConfig` in new code.
+/// `with_*` builders.  The network defaults are written here and nowhere
+/// else: `net` and the router read the fields directly.  [`ServerConfig`]
+/// is the compaction subset, for callers that construct a
+/// [`SpatialServer`] without a listener.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address the serving listener binds (port 0 = ephemeral).
@@ -253,11 +252,14 @@ pub struct ServeConfig {
     pub warm_start: Option<std::path::PathBuf>,
     /// Compaction knobs of the wrapped [`SpatialServer`].
     pub server: ServerConfig,
-    /// Acceptor threads blocking on the listener.
+    /// Acceptor threads blocking on the listener (thread-per-core capped
+    /// at 4 by default — accepting is cheap).
     pub acceptors: usize,
-    /// Worker threads draining the batch queue.
+    /// Worker threads draining the batch queue (thread-per-core capped at
+    /// 8 by default).
     pub workers: usize,
-    /// Maximum requests coalesced into one micro-batch.
+    /// Maximum requests coalesced into one micro-batch (one pinned
+    /// snapshot).
     pub batch_max: usize,
     /// Bounded per-connection in-flight admission window.
     pub per_conn_inflight: usize,
@@ -267,9 +269,6 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        // The network defaults must match `net::NetConfig::default()` (a
-        // test over there pins the agreement); they are restated here
-        // because the dependency points the other way.
         let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
         Self {
             bind_addr: "127.0.0.1:0".to_string(),

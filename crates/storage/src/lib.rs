@@ -30,7 +30,7 @@ mod snapshot;
 mod store;
 
 pub use block::{Block, BlockId};
-pub use snapshot::{SECTION_STORE_V1, SECTION_STORE_V2};
+pub use snapshot::SECTION_STORE_V2;
 pub use store::BlockStore;
 
 /// The block capacity used throughout the paper's experiments (`B = 100`).

@@ -3,26 +3,15 @@
 //! bit-for-bit the store that was saved (block IDs included — query code
 //! holds IDs in its directory structures).
 //!
-//! Two section versions exist:
-//!
-//! * [`SECTION_STORE_V1`] (`0x5301`) — the original array-of-structs layout
-//!   (one interleaved `Point` record per point).  Still **read** for
-//!   compatibility with pre-rewrite snapshots; never written.
-//! * [`SECTION_STORE_V2`] (`0x5302`) — the struct-of-arrays layout matching
-//!   the in-memory [`Block`] lanes: per block, the whole `x` lane, then the
-//!   `y` lane, then the `id` lane, each length-prefixed.  This is what
-//!   [`BlockStore::write_snapshot`] emits; lanes serialise and deserialise
-//!   as contiguous runs.
-//!
-//! [`BlockStore::read_snapshot`] peeks the section tag and dispatches, so a
-//! v1 snapshot loads into the SoA store via conversion and replays
-//! byte-identically (`tests/snapshot_compat.rs` polices this).
+//! The one section layout, [`SECTION_STORE_V2`] (`0x5302`), is the
+//! struct-of-arrays layout matching the in-memory `Block` lanes: per block,
+//! the whole `x` lane, then the `y` lane, then the `id` lane, each
+//! length-prefixed, so lanes serialise and deserialise as contiguous runs.
+//! (Tag `0x5301`, the array-of-structs layout it replaced, is no longer
+//! read: such a section fails the tag check with a typed error.)
 
-use crate::{Block, BlockStore};
+use crate::BlockStore;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
-
-/// Section tag of the legacy array-of-structs block-store record (read-only).
-pub const SECTION_STORE_V1: u32 = 0x5301;
 
 /// Section tag of the struct-of-arrays block-store record.
 pub const SECTION_STORE_V2: u32 = 0x5302;
@@ -46,19 +35,11 @@ impl BlockStore {
         w.end_section();
     }
 
-    /// Reads a store section in either version, validating capacity,
-    /// occupancy, and chain links against the block count.  A zero or
-    /// oversold capacity surfaces as [`PersistError::Corrupt`] — never a
-    /// panic — because snapshot bytes are untrusted input.
+    /// Reads a store section, validating capacity, occupancy, and chain
+    /// links against the block count.  A zero or oversold capacity surfaces
+    /// as [`PersistError::Corrupt`] — never a panic — because snapshot
+    /// bytes are untrusted input.
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        match r.peek_section_tag()? {
-            SECTION_STORE_V1 => Self::read_snapshot_v1(r),
-            _ => Self::read_snapshot_v2(r),
-        }
-    }
-
-    /// Reads the current struct-of-arrays section.
-    fn read_snapshot_v2(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         r.begin_section(SECTION_STORE_V2)?;
         let capacity = r.get_usize()?;
         if capacity == 0 {
@@ -90,55 +71,16 @@ impl BlockStore {
                     .block_mut(bid)
                     .push(geom::Point::with_id(xs[i], ys[i], ids[i]));
             }
-            read_block_tail(r, store.block_mut(bid), n_blocks, id)?;
+            let prev = checked_link(r.get_opt_usize()?, n_blocks, id, "prev")?;
+            let next = checked_link(r.get_opt_usize()?, n_blocks, id, "next")?;
+            let block = store.block_mut(bid);
+            block.set_prev(prev);
+            block.set_next(next);
+            block.set_overflow(r.get_bool()?);
         }
         r.end_section()?;
         Ok(store)
     }
-
-    /// Reads a legacy array-of-structs section, converting to lanes.
-    fn read_snapshot_v1(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        r.begin_section(SECTION_STORE_V1)?;
-        let capacity = r.get_usize()?;
-        if capacity == 0 {
-            return Err(PersistError::Corrupt("zero block capacity".into()));
-        }
-        let n_blocks = r.get_len(1)?;
-        let mut store = BlockStore::new(capacity);
-        for id in 0..n_blocks {
-            let len = r.get_len(24)?;
-            if len > capacity {
-                return Err(PersistError::Corrupt(format!(
-                    "block {id} holds {len} points but capacity is {capacity}"
-                )));
-            }
-            let bid = store.allocate();
-            for _ in 0..len {
-                let p = r.get_point()?;
-                store.block_mut(bid).push(p);
-            }
-            read_block_tail(r, store.block_mut(bid), n_blocks, id)?;
-        }
-        r.end_section()?;
-        Ok(store)
-    }
-}
-
-/// Reads the per-block suffix shared by both section versions: chain links
-/// (validated against the block count) and the overflow flag.
-fn read_block_tail(
-    r: &mut SnapshotReader<'_>,
-    block: &mut Block,
-    n_blocks: usize,
-    id: usize,
-) -> Result<(), PersistError> {
-    let prev = checked_link(r.get_opt_usize()?, n_blocks, id, "prev")?;
-    let next = checked_link(r.get_opt_usize()?, n_blocks, id, "next")?;
-    let overflow = r.get_bool()?;
-    block.set_prev(prev);
-    block.set_next(next);
-    block.set_overflow(overflow);
-    Ok(())
 }
 
 fn checked_link(
@@ -172,25 +114,6 @@ mod tests {
         let bytes = w.finish();
         let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
         BlockStore::read_snapshot(&mut r).unwrap()
-    }
-
-    /// Writes a store the way the pre-rewrite (v1, array-of-structs) writer
-    /// did, so the conversion path stays covered even though the writer is
-    /// gone.
-    fn write_v1(store: &BlockStore, w: &mut SnapshotWriter) {
-        w.begin_section(SECTION_STORE_V1);
-        w.put_usize(store.capacity());
-        w.put_usize(store.len());
-        for (_, block) in store.iter() {
-            w.put_usize(block.len());
-            for p in block.iter_points() {
-                w.put_point(&p);
-            }
-            w.put_opt_usize(block.prev());
-            w.put_opt_usize(block.next());
-            w.put_bool(block.is_overflow());
-        }
-        w.end_section();
     }
 
     fn assert_stores_equal(a: &BlockStore, b: &BlockStore) {
@@ -229,21 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_sections_load_via_conversion() {
-        let mut store = BlockStore::new(4);
-        store.pack(&pts(11));
-        let ov = store.insert_overflow_after(1);
-        store.block_mut(ov).push(Point::with_id(0.5, 0.5, 99));
-        let mut w = SnapshotWriter::new("Store");
-        write_v1(&store, &mut w);
-        let bytes = w.finish();
-        let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
-        let loaded = BlockStore::read_snapshot(&mut r).unwrap();
-        assert_stores_equal(&store, &loaded);
-        assert_eq!(loaded.overflow_chain(1), store.overflow_chain(1));
-    }
-
-    #[test]
     fn overflow_chains_survive_the_roundtrip() {
         let mut store = BlockStore::new(2);
         store.pack(&pts(4));
@@ -263,21 +171,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_is_corrupt_not_panic_in_both_versions() {
-        for tag in [SECTION_STORE_V1, SECTION_STORE_V2] {
-            let mut w = SnapshotWriter::new("Store");
-            w.begin_section(tag);
-            w.put_usize(0); // capacity 0: would assert in Block::new
-            w.put_usize(0); // no blocks
-            w.end_section();
-            let bytes = w.finish();
-            let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
-            match BlockStore::read_snapshot(&mut r) {
-                Err(PersistError::Corrupt(msg)) => {
-                    assert!(msg.contains("capacity"), "tag 0x{tag:04x}: {msg}")
-                }
-                other => panic!("tag 0x{tag:04x}: expected Corrupt, got {other:?}"),
-            }
+    fn zero_capacity_is_corrupt_not_panic() {
+        let mut w = SnapshotWriter::new("Store");
+        w.begin_section(SECTION_STORE_V2);
+        w.put_usize(0); // capacity 0: would assert in Block::new
+        w.put_usize(0); // no blocks
+        w.end_section();
+        let bytes = w.finish();
+        let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
+        match BlockStore::read_snapshot(&mut r) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("capacity"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

@@ -53,13 +53,17 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn unsupported_version_is_rejected() {
-    let mut frame = valid_frame();
-    // The version field sits directly after the 4-byte magic.
-    frame[4..6].copy_from_slice(&7u16.to_le_bytes());
-    assert!(matches!(
-        decode_frame(&frame),
-        Err(NetError::UnsupportedVersion(7))
-    ));
+    // Version 1 had deployed no writer when its acceptance was dropped; it
+    // is refused like any other foreign version.
+    for version in [1u16, 7] {
+        let mut frame = valid_frame();
+        // The version field sits directly after the 4-byte magic.
+        frame[4..6].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            decode_frame(&frame),
+            Err(NetError::UnsupportedVersion(v)) if v == version
+        ));
+    }
 }
 
 #[test]

@@ -5,19 +5,13 @@
 //! answer point/window/kNN queries — and their statistics — exactly like a
 //! deterministic fresh build of the same parameters.
 //!
-//! Two fixture generations are committed:
-//!
-//! * `*_v1.snapshot` — written by the pre-SoA writer (block-store section
-//!   `0x5301`, interleaved per-point records).  Frozen forever: today's
-//!   reader converts them on load, and their replays must stay identical.
-//! * the unsuffixed fixtures — today's format (SoA lane section `0x5302`),
-//!   held byte-identical to what today's writer produces.
+//! The committed fixtures are in today's format (SoA lane section
+//! `0x5302`) and are held byte-identical to what today's writer produces.
 //!
 //! The fixtures deliberately use the two model-free families (Grid, HRR),
-//! whose builds are bit-deterministic across platforms.  Regenerate the
-//! unsuffixed ones with `cargo test --test snapshot_compat -- --ignored`
-//! after an *intentional* format change (never touch the `_v1` copies; add
-//! a new frozen generation instead when the format changes again).
+//! whose builds are bit-deterministic across platforms.  Regenerate them
+//! with `cargo test --test snapshot_compat -- --ignored` after an
+//! *intentional* format change.
 
 use bench::{replay_workload, ReplaySpec};
 use common::{MaintenanceBudget, QueryContext};
@@ -34,13 +28,6 @@ use std::path::PathBuf;
 const FIXTURES: &[(&str, IndexKind, usize, u64)] = &[
     ("grid_300_seed71.snapshot", IndexKind::Grid, 300, 71),
     ("hrr_300_seed71.snapshot", IndexKind::Hrr, 300, 71),
-];
-
-/// Frozen pre-SoA fixtures (legacy block-store section `0x5301`): never
-/// regenerated, only read.
-const FIXTURES_V1: &[(&str, IndexKind, usize, u64)] = &[
-    ("grid_300_seed71_v1.snapshot", IndexKind::Grid, 300, 71),
-    ("hrr_300_seed71_v1.snapshot", IndexKind::Hrr, 300, 71),
 ];
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -117,32 +104,6 @@ fn current_snapshots_still_serve_all_query_types_unchanged() {
     }
 }
 
-/// Pre-SoA snapshots (interleaved block-store section) load through the
-/// legacy-section reader and must replay answer- and stats-identically.
-#[test]
-fn pre_soa_snapshots_still_serve_all_query_types_unchanged() {
-    for &(name, kind, n, seed) in FIXTURES_V1 {
-        assert_fixture_serves_unchanged(name, kind, n, seed);
-    }
-}
-
-/// Loading a legacy v1 snapshot and re-saving it must produce exactly
-/// today's (v2) bytes: the conversion is total, and a converted store is
-/// indistinguishable from a freshly built one.
-#[test]
-fn legacy_snapshots_resave_as_todays_bytes() {
-    for (&(v1_name, ..), &(name, ..)) in FIXTURES_V1.iter().zip(FIXTURES) {
-        let old = std::fs::read(fixture_path(v1_name)).expect("read v1 fixture");
-        let current = std::fs::read(fixture_path(name)).expect("read fixture");
-        let loaded = load_index_bytes(&old).expect("load v1 fixture");
-        let resaved = snapshot_bytes(loaded.as_ref()).expect("serialise");
-        assert_eq!(
-            resaved, current,
-            "fixture {v1_name}: conversion to the current format drifted"
-        );
-    }
-}
-
 /// The fixture bytes must stay byte-identical to what today's writer
 /// produces for the same build — if this fails, the snapshot format (or a
 /// build path) changed and the change must be intentional and versioned.
@@ -169,7 +130,7 @@ fn todays_writer_still_produces_the_fixture_bytes() {
 /// missing support and serves them with full compaction passes.
 #[test]
 fn fixtures_default_maintenance_state_sanely() {
-    for &(name, kind, n, seed) in FIXTURES.iter().chain(FIXTURES_V1) {
+    for &(name, kind, n, seed) in FIXTURES {
         let bytes = std::fs::read(fixture_path(name)).expect("read fixture");
         let mut loaded = load_index_bytes(&bytes).expect("load fixture");
         assert!(

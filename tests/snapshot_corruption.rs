@@ -110,21 +110,40 @@ fn sharded_containers_reject_corrupt_inner_snapshots() {
 #[test]
 fn zero_block_capacity_is_corrupt_not_a_panic() {
     // `Block::new` asserts a positive capacity; a crafted snapshot must be
-    // rejected by the reader *before* that assert can fire, in either
-    // block-store section generation.
-    for tag in [storage::SECTION_STORE_V1, storage::SECTION_STORE_V2] {
-        let mut w = persist::SnapshotWriter::new("Grid");
-        w.begin_section(tag);
-        w.put_usize(0); // capacity — invalid
-        w.put_usize(0); // block count
-        w.end_section();
-        match load_index_bytes(&w.finish()) {
-            Err(PersistError::Corrupt(msg)) => {
-                assert!(msg.contains("capacity"), "unhelpful message: {msg}")
-            }
-            Ok(_) => panic!("zero-capacity snapshot loaded successfully"),
-            Err(other) => panic!("expected Corrupt, got {other}"),
+    // rejected by the reader *before* that assert can fire.
+    let mut w = persist::SnapshotWriter::new("Grid");
+    w.begin_section(storage::SECTION_STORE_V2);
+    w.put_usize(0); // capacity — invalid
+    w.put_usize(0); // block count
+    w.end_section();
+    match load_index_bytes(&w.finish()) {
+        Err(PersistError::Corrupt(msg)) => {
+            assert!(msg.contains("capacity"), "unhelpful message: {msg}")
         }
+        Ok(_) => panic!("zero-capacity snapshot loaded successfully"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
+    }
+}
+
+#[test]
+fn retired_aos_store_section_is_a_typed_error_not_a_panic() {
+    // Tag 0x5301 was the array-of-structs store layout; its reader is gone.
+    // A well-framed (header, length, CRC all valid) snapshot that still
+    // carries it must be refused by the tag check, naming the tag.
+    let mut w = persist::SnapshotWriter::new("Grid");
+    w.begin_section(0x5301);
+    w.put_usize(4); // capacity
+    w.put_usize(1); // block count
+    w.put_usize(1); // one interleaved point record
+    w.put_point(&geom::Point::with_id(0.25, 0.75, 7));
+    w.put_opt_usize(None);
+    w.put_opt_usize(None);
+    w.put_bool(false);
+    w.end_section();
+    match load_index_bytes(&w.finish()) {
+        Err(PersistError::Corrupt(msg)) => assert!(msg.contains("0x5301"), "{msg}"),
+        Ok(_) => panic!("a 0x5301 store section loaded successfully"),
+        Err(other) => panic!("expected Corrupt, got {other}"),
     }
 }
 
