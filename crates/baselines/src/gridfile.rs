@@ -283,21 +283,8 @@ impl SpatialIndex for GridFile {
                 continue;
             }
             for &b in blocks {
-                let blk = self.read_block(b, cx);
-                if let [q] = kept.as_slice() {
-                    // Single surviving probe: the vectorized radius filter
-                    // preserves the (point-major) visit order.
-                    let q = *q;
-                    blk.for_each_within(&q, r_sq, |p, _| visit(&p, &q));
-                } else {
-                    for p in blk.iter_points() {
-                        for q in &kept {
-                            if p.dist_sq(q) <= r_sq {
-                                visit(&p, q);
-                            }
-                        }
-                    }
-                }
+                self.read_block(b, cx)
+                    .for_each_pair_within(&kept, r_sq, &mut *visit);
             }
         }
     }
@@ -320,15 +307,10 @@ impl SpatialIndex for GridFile {
 
     fn delete(&mut self, p: &Point) -> bool {
         let cell = Self::cell_of(self.side, p);
-        for i in 0..self.cells[cell].len() {
-            let b = self.cells[cell][i];
-            let found = self.store.block(b).find_at(p.x, p.y).map(|q| q.id);
-            if let Some(id) = found {
-                if id == p.id || p.id == 0 {
-                    self.store.block_mut(b).remove_by_id(id);
-                    self.n_points -= 1;
-                    return true;
-                }
+        for &b in &self.cells[cell] {
+            if self.store.block_mut(b).remove_at(p.x, p.y, p.id).is_some() {
+                self.n_points -= 1;
+                return true;
             }
         }
         false

@@ -6,12 +6,20 @@
 //! levels are built by packing every `F` node MBRs into a parent.  The
 //! resulting R-tree offers "the state-of-the-art window query performance"
 //! and is the paper's strongest traditional competitor.
+//!
+//! The family supplies layout, bulk-load and updates.  All five query
+//! classes run through [`storage::directory`] over `View`, which charges a
+//! node per expanded directory node (leaf parents included) and a block per
+//! opened data block; block MBRs sit in the directory, so testing one is
+//! free.
 
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::{CurveKind, RankSpace};
-use storage::{BlockId, BlockStore};
+use std::ops::ControlFlow;
+use storage::directory::{self, Child, DirectoryView};
+use storage::{Block, BlockId, BlockStore};
 
 /// Fan-out of internal nodes (the paper stores up to 100 MBRs per node).
 const FANOUT: usize = 100;
@@ -195,15 +203,6 @@ impl HilbertRTree {
         }
     }
 
-    /// Reads a block as part of a query, charging the access and its
-    /// candidates to the context.
-    #[inline]
-    fn read_block(&self, id: BlockId, cx: &mut QueryContext) -> &storage::Block {
-        let block = self.store.block(id);
-        cx.count_block_scan(block.len());
-        block
-    }
-
     /// Reads an HRR snapshot written by [`SpatialIndex::write_snapshot`].
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         let store = BlockStore::read_snapshot(r)?;
@@ -272,6 +271,45 @@ impl HilbertRTree {
     }
 }
 
+/// One query's view of the directory (see the module docs for what it
+/// charges).
+struct View<'a> {
+    tree: &'a HilbertRTree,
+    cx: &'a mut QueryContext,
+}
+
+impl DirectoryView for View<'_> {
+    fn root(&self) -> Option<(Rect, Child)> {
+        let root = self.tree.root?;
+        Some((self.tree.nodes[root].mbr, Child::Node(root)))
+    }
+
+    #[inline]
+    fn entries(
+        &mut self,
+        node: usize,
+        mut f: impl FnMut(&mut Self, Rect, Child) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.cx.count_node();
+        let tree = self.tree;
+        match &tree.nodes[node].kind {
+            NodeKind::Internal(children) => children
+                .iter()
+                .try_for_each(|&c| f(self, tree.nodes[c].mbr, Child::Node(c))),
+            NodeKind::LeafParent(blocks) => blocks
+                .iter()
+                .try_for_each(|&b| f(self, tree.block_mbr(b), Child::Page(b))),
+        }
+    }
+
+    #[inline]
+    fn page(&mut self, page: usize) -> &Block {
+        let block = self.tree.store.block(page);
+        self.cx.count_block_scan(block.len());
+        block
+    }
+}
+
 impl SpatialIndex for HilbertRTree {
     fn name(&self) -> &'static str {
         "HRR"
@@ -282,34 +320,7 @@ impl SpatialIndex for HilbertRTree {
     }
 
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        let root = self.root?;
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.nodes[id].mbr.contains(q) {
-                continue;
-            }
-            cx.count_node();
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        if self.nodes[c].mbr.contains(q) {
-                            stack.push(c);
-                        }
-                    }
-                }
-                NodeKind::LeafParent(blocks) => {
-                    for &b in blocks {
-                        if !self.block_mbr(b).contains(q) {
-                            continue;
-                        }
-                        if let Some(p) = self.read_block(b, cx).find_at(q.x, q.y) {
-                            return Some(p);
-                        }
-                    }
-                }
-            }
-        }
-        None
+        directory::point(&mut View { tree: self, cx }, q)
     }
 
     fn window_query_visit(
@@ -318,32 +329,7 @@ impl SpatialIndex for HilbertRTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.nodes[id].mbr.intersects(window) {
-                continue;
-            }
-            cx.count_node();
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        if self.nodes[c].mbr.intersects(window) {
-                            stack.push(c);
-                        }
-                    }
-                }
-                NodeKind::LeafParent(blocks) => {
-                    for &b in blocks {
-                        if !self.block_mbr(b).intersects(window) {
-                            continue;
-                        }
-                        self.read_block(b, cx)
-                            .for_each_in_rect(window, |p| visit(&p));
-                    }
-                }
-            }
-        }
+        directory::window(&mut View { tree: self, cx }, window, visit)
     }
 
     fn knn_query_visit(
@@ -353,94 +339,7 @@ impl SpatialIndex for HilbertRTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        // Best-first search (Roussopoulos et al.) over nodes, blocks and
-        // points, ordered by MINDIST / distance.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        enum Item {
-            Node(usize),
-            Block(BlockId),
-            Point(Point),
-        }
-        // Ordered by (distance, container-before-point, point id) so that
-        // equal-distance points emit deterministically in id order (nodes
-        // and blocks expand first, letting tied points inside them compete).
-        struct Entry(f64, bool, u64, Item);
-        impl PartialEq for Entry {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0
-                    .partial_cmp(&other.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.1.cmp(&other.1))
-                    .then(self.2.cmp(&other.2))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        if k == 0 {
-            return;
-        }
-        let Some(root) = self.root else { return };
-        let mut found = 0usize;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Entry(
-            self.nodes[root].mbr.min_dist(q),
-            false,
-            0,
-            Item::Node(root),
-        )));
-        while let Some(Reverse(Entry(_, _, _, item))) = heap.pop() {
-            match item {
-                Item::Point(p) => {
-                    visit(&p);
-                    found += 1;
-                    if found == k {
-                        break;
-                    }
-                }
-                Item::Block(b) => {
-                    self.read_block(b, cx).for_each_dist_sq(q, |p, d_sq| {
-                        heap.push(Reverse(Entry(d_sq.sqrt(), true, p.id, Item::Point(p))));
-                    });
-                }
-                Item::Node(id) => {
-                    cx.count_node();
-                    match &self.nodes[id].kind {
-                        NodeKind::Internal(children) => {
-                            for &c in children {
-                                heap.push(Reverse(Entry(
-                                    self.nodes[c].mbr.min_dist(q),
-                                    false,
-                                    0,
-                                    Item::Node(c),
-                                )));
-                            }
-                        }
-                        NodeKind::LeafParent(blocks) => {
-                            for &b in blocks {
-                                heap.push(Reverse(Entry(
-                                    self.block_mbr(b).min_dist(q),
-                                    false,
-                                    0,
-                                    Item::Block(b),
-                                )));
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        directory::knn(&mut View { tree: self, cx }, q, k, visit)
     }
 
     fn range_query_visit(
@@ -450,39 +349,7 @@ impl SpatialIndex for HilbertRTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        // MINDIST traversal: tighter than the default circumscribing-box
-        // window (a node overlapping the box's corners but not the circle is
-        // pruned here).
-        if !radius.is_finite() || radius < 0.0 {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        if self.nodes[root].mbr.min_dist_sq(center) > r_sq {
-            return;
-        }
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            cx.count_node();
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        if self.nodes[c].mbr.min_dist_sq(center) <= r_sq {
-                            stack.push(c);
-                        }
-                    }
-                }
-                NodeKind::LeafParent(blocks) => {
-                    for &b in blocks {
-                        if self.block_mbr(b).min_dist_sq(center) > r_sq {
-                            continue;
-                        }
-                        self.read_block(b, cx)
-                            .for_each_within(center, r_sq, |p, _| visit(&p));
-                    }
-                }
-            }
-        }
+        directory::range(&mut View { tree: self, cx }, center, radius, visit)
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
@@ -500,60 +367,7 @@ impl SpatialIndex for HilbertRTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
-        // Directory-MBR filter cascade: one traversal carries the whole
-        // probe set, discarding probes farther than the radius from each
-        // node's MBR before descending.  Every surviving block is read once,
-        // however many probes reach it — block-level pruning instead of one
-        // root-to-leaf probe per point.
-        if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let mut root_kept = Vec::new();
-        storage::kernels::probes_within(probes, &self.nodes[root].mbr, r_sq, &mut root_kept);
-        if root_kept.is_empty() {
-            return;
-        }
-        let mut stack = vec![(root, root_kept)];
-        while let Some((id, cand)) = stack.pop() {
-            cx.count_node();
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    for &c in children {
-                        let mut kept = Vec::new();
-                        storage::kernels::probes_within(&cand, &self.nodes[c].mbr, r_sq, &mut kept);
-                        if !kept.is_empty() {
-                            stack.push((c, kept));
-                        }
-                    }
-                }
-                NodeKind::LeafParent(blocks) => {
-                    let mut kept = Vec::new();
-                    for &b in blocks {
-                        storage::kernels::probes_within(&cand, &self.block_mbr(b), r_sq, &mut kept);
-                        if kept.is_empty() {
-                            continue;
-                        }
-                        let blk = self.read_block(b, cx);
-                        if let [q] = kept.as_slice() {
-                            // Single surviving probe: the vectorized radius
-                            // filter preserves the (point-major) visit order.
-                            let q = *q;
-                            blk.for_each_within(&q, r_sq, |p, _| visit(&p, &q));
-                        } else {
-                            for p in blk.iter_points() {
-                                for q in &kept {
-                                    if p.dist_sq(q) <= r_sq {
-                                        visit(&p, q);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        directory::distance_join(&mut View { tree: self, cx }, probes, radius, visit)
     }
 
     fn insert(&mut self, p: Point) {
@@ -612,37 +426,36 @@ impl SpatialIndex for HilbertRTree {
 
     fn delete(&mut self, p: &Point) -> bool {
         let Some(root) = self.root else { return false };
-        // Locate the block containing p with an MBR-guided search.
-        let mut stack = vec![(root, Vec::new())];
-        while let Some((id, path)) = stack.pop() {
+        // MBR-guided search for the block holding p; `path` is the chain of
+        // ancestors of the node on top of the stack.
+        let mut stack = vec![(root, 0)];
+        let mut path = Vec::new();
+        let mut hit = None;
+        'search: while let Some((id, depth)) = stack.pop() {
             if !self.nodes[id].mbr.contains(p) {
                 continue;
             }
-            let mut path = path;
+            path.truncate(depth);
             path.push(id);
-            match self.nodes[id].kind.clone() {
+            match &self.nodes[id].kind {
                 NodeKind::Internal(children) => {
-                    for c in children {
-                        stack.push((c, path.clone()));
-                    }
+                    stack.extend(children.iter().map(|&c| (c, depth + 1)));
                 }
                 NodeKind::LeafParent(blocks) => {
-                    for b in blocks {
-                        let found = self.store.block(b).find_at(p.x, p.y).map(|q| q.id);
-                        if let Some(id_found) = found {
-                            if id_found == p.id || p.id == 0 {
-                                self.store.block_mut(b).remove_by_id(id_found);
-                                self.update_block_mbr(b);
-                                self.refresh_mbrs(&path);
-                                self.n_points -= 1;
-                                return true;
-                            }
+                    for &b in blocks {
+                        if self.store.block_mut(b).remove_at(p.x, p.y, p.id).is_some() {
+                            hit = Some(b);
+                            break 'search;
                         }
                     }
                 }
             }
         }
-        false
+        let Some(block) = hit else { return false };
+        self.update_block_mbr(block);
+        self.refresh_mbrs(&path);
+        self.n_points -= 1;
+        true
     }
 
     fn size_bytes(&self) -> usize {

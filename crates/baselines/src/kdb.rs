@@ -8,11 +8,19 @@
 //! while keeping the fan-out of a disk-based K-D-B-tree.  Regions tile their
 //! parent region exactly, so every location belongs to exactly one leaf —
 //! the property that makes K-D-B window queries overlap-free.
+//!
+//! The family supplies layout, bulk-load and updates.  All five query
+//! classes run through [`storage::directory`] over `View`, which charges a
+//! node per expanded internal node and a block per opened leaf block; a
+//! leaf is a directory node that costs nothing and whose one entry is its
+//! block.
 
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
-use storage::{BlockId, BlockStore};
+use std::ops::ControlFlow;
+use storage::directory::{self, Child, DirectoryView};
+use storage::{Block, BlockId, BlockStore};
 
 /// Directory fan-out (√FANOUT cuts per dimension), matching the paper's 100
 /// entries per internal node.
@@ -205,15 +213,6 @@ impl KdbTree {
         self.nodes[leaf_idx].kind = NodeKind::Internal(vec![left_node, right_node]);
     }
 
-    /// Reads a block as part of a query, charging the access and its
-    /// candidates to the context.
-    #[inline]
-    fn read_block(&self, id: BlockId, cx: &mut QueryContext) -> &storage::Block {
-        let block = self.store.block(id);
-        cx.count_block_scan(block.len());
-        block
-    }
-
     /// Reads a K-D-B snapshot written by [`SpatialIndex::write_snapshot`].
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         let store = BlockStore::read_snapshot(r)?;
@@ -271,6 +270,45 @@ impl KdbTree {
     }
 }
 
+/// One query's view of the directory (see the module docs for what it
+/// charges).
+struct View<'a> {
+    tree: &'a KdbTree,
+    cx: &'a mut QueryContext,
+}
+
+impl DirectoryView for View<'_> {
+    fn root(&self) -> Option<(Rect, Child)> {
+        let root = self.tree.root?;
+        Some((self.tree.nodes[root].region, Child::Node(root)))
+    }
+
+    #[inline]
+    fn entries(
+        &mut self,
+        node: usize,
+        mut f: impl FnMut(&mut Self, Rect, Child) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let tree = self.tree;
+        match &tree.nodes[node].kind {
+            NodeKind::Internal(children) => {
+                self.cx.count_node();
+                children
+                    .iter()
+                    .try_for_each(|&c| f(self, tree.nodes[c].region, Child::Node(c)))
+            }
+            NodeKind::Leaf(block) => f(self, tree.nodes[node].region, Child::Page(*block)),
+        }
+    }
+
+    #[inline]
+    fn page(&mut self, page: usize) -> &Block {
+        let block = self.tree.store.block(page);
+        self.cx.count_block_scan(block.len());
+        block
+    }
+}
+
 impl SpatialIndex for KdbTree {
     fn name(&self) -> &'static str {
         "KDB"
@@ -281,32 +319,9 @@ impl SpatialIndex for KdbTree {
     }
 
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        // A point on a partition boundary is contained in the regions of two
-        // sibling leaves, so the search must follow every containing child,
-        // not just the first one.
-        let root = self.root?;
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.nodes[id].region.contains(q) {
-                continue;
-            }
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for &c in children {
-                        if self.nodes[c].region.contains(q) {
-                            stack.push(c);
-                        }
-                    }
-                }
-                NodeKind::Leaf(block) => {
-                    if let Some(p) = self.read_block(*block, cx).find_at(q.x, q.y) {
-                        return Some(p);
-                    }
-                }
-            }
-        }
-        None
+        // A point on a partition boundary lies in the regions of two sibling
+        // leaves; the traversal follows every containing child.
+        directory::point(&mut View { tree: self, cx }, q)
     }
 
     fn window_query_visit(
@@ -315,27 +330,7 @@ impl SpatialIndex for KdbTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.nodes[id].region.intersects(window) {
-                continue;
-            }
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for &c in children {
-                        if self.nodes[c].region.intersects(window) {
-                            stack.push(c);
-                        }
-                    }
-                }
-                NodeKind::Leaf(block) => {
-                    self.read_block(*block, cx)
-                        .for_each_in_rect(window, |p| visit(&p));
-                }
-            }
-        }
+        directory::window(&mut View { tree: self, cx }, window, visit)
     }
 
     fn knn_query_visit(
@@ -345,80 +340,7 @@ impl SpatialIndex for KdbTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        enum Item {
-            Node(usize),
-            Point(Point),
-        }
-        // Ordered by (distance, node-before-point, point id): equal-distance
-        // points emit in id order, and a node at the same distance is
-        // expanded first so any tied point inside it can still compete —
-        // making kNN answers deterministic across runs and shards.
-        struct Entry(f64, bool, u64, Item);
-        impl PartialEq for Entry {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0
-                    .partial_cmp(&other.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.1.cmp(&other.1))
-                    .then(self.2.cmp(&other.2))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        if k == 0 {
-            return;
-        }
-        let Some(root) = self.root else { return };
-        let mut found = 0usize;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Entry(
-            self.nodes[root].region.min_dist(q),
-            false,
-            0,
-            Item::Node(root),
-        )));
-        while let Some(Reverse(Entry(_, _, _, item))) = heap.pop() {
-            match item {
-                Item::Point(p) => {
-                    visit(&p);
-                    found += 1;
-                    if found == k {
-                        break;
-                    }
-                }
-                Item::Node(id) => match &self.nodes[id].kind {
-                    NodeKind::Internal(children) => {
-                        cx.count_node();
-                        for &c in children {
-                            heap.push(Reverse(Entry(
-                                self.nodes[c].region.min_dist(q),
-                                false,
-                                0,
-                                Item::Node(c),
-                            )));
-                        }
-                    }
-                    NodeKind::Leaf(block) => {
-                        self.read_block(*block, cx).for_each_dist_sq(q, |p, d_sq| {
-                            heap.push(Reverse(Entry(d_sq.sqrt(), true, p.id, Item::Point(p))));
-                        });
-                    }
-                },
-            }
-        }
+        directory::knn(&mut View { tree: self, cx }, q, k, visit)
     }
 
     fn range_query_visit(
@@ -428,33 +350,7 @@ impl SpatialIndex for KdbTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        // MINDIST traversal over the tiling regions: tighter than the default
-        // circumscribing-box window query.
-        if !radius.is_finite() || radius < 0.0 {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if self.nodes[id].region.min_dist_sq(center) > r_sq {
-                continue;
-            }
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for &c in children {
-                        if self.nodes[c].region.min_dist_sq(center) <= r_sq {
-                            stack.push(c);
-                        }
-                    }
-                }
-                NodeKind::Leaf(block) => {
-                    self.read_block(*block, cx)
-                        .for_each_within(center, r_sq, |p, _| visit(&p));
-                }
-            }
-        }
+        directory::range(&mut View { tree: self, cx }, center, radius, visit)
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
@@ -472,56 +368,7 @@ impl SpatialIndex for KdbTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
-        // Region filter cascade: each directory region discards every probe
-        // farther than the radius before descending, and each leaf block is
-        // read once for all surviving probes.
-        if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let mut root_kept = Vec::new();
-        storage::kernels::probes_within(probes, &self.nodes[root].region, r_sq, &mut root_kept);
-        if root_kept.is_empty() {
-            return;
-        }
-        let mut stack = vec![(root, root_kept)];
-        while let Some((id, cand)) = stack.pop() {
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for &c in children {
-                        let mut kept = Vec::new();
-                        storage::kernels::probes_within(
-                            &cand,
-                            &self.nodes[c].region,
-                            r_sq,
-                            &mut kept,
-                        );
-                        if !kept.is_empty() {
-                            stack.push((c, kept));
-                        }
-                    }
-                }
-                NodeKind::Leaf(block) => {
-                    let blk = self.read_block(*block, cx);
-                    if let [q] = cand.as_slice() {
-                        // Single surviving probe: the vectorized radius filter
-                        // preserves the (point-major) visit order.
-                        let q = *q;
-                        blk.for_each_within(&q, r_sq, |p, _| visit(&p, &q));
-                    } else {
-                        for p in blk.iter_points() {
-                            for q in &cand {
-                                if p.dist_sq(q) <= r_sq {
-                                    visit(&p, q);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        directory::distance_join(&mut View { tree: self, cx }, probes, radius, visit)
     }
 
     fn insert(&mut self, p: Point) {
@@ -549,22 +396,13 @@ impl SpatialIndex for KdbTree {
             if !self.nodes[id].region.contains(p) {
                 continue;
             }
-            match self.nodes[id].kind.clone() {
-                NodeKind::Internal(children) => {
-                    for c in children {
-                        if self.nodes[c].region.contains(p) {
-                            stack.push(c);
-                        }
-                    }
-                }
+            match &self.nodes[id].kind {
+                NodeKind::Internal(children) => stack.extend(children),
                 NodeKind::Leaf(block) => {
-                    let found = self.store.block(block).find_at(p.x, p.y).map(|q| q.id);
-                    if let Some(id_found) = found {
-                        if id_found == p.id || p.id == 0 {
-                            self.store.block_mut(block).remove_by_id(id_found);
-                            self.n_points -= 1;
-                            return true;
-                        }
+                    let removed = self.store.block_mut(*block).remove_at(p.x, p.y, p.id);
+                    if removed.is_some() {
+                        self.n_points -= 1;
+                        return true;
                     }
                 }
             }

@@ -9,10 +9,19 @@
 //! modest quality improvement that does not change the comparison's shape —
 //! the role of RR\* in the evaluation is "strong dynamic R-tree baseline
 //! with slow, insertion-based construction".
+//!
+//! The family supplies layout, insertion/split and deletion.  All five query
+//! classes run through [`storage::directory`] over `View`, which charges a
+//! node per expanded internal node and a block per opened leaf page; a leaf
+//! is a directory node that costs nothing and whose one entry is its page
+//! (a [`storage::Block`] the node owns, scanned by the shared kernels).
 
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
+use std::ops::ControlFlow;
+use storage::directory::{self, Child, DirectoryView};
+use storage::Block;
 
 /// Maximum entries per node (paper: 100 points per leaf / 100 MBRs per node).
 const MAX_ENTRIES: usize = 100;
@@ -24,7 +33,7 @@ const MIN_ENTRIES: usize = 40;
 
 #[derive(Debug, Clone)]
 enum NodeKind {
-    Leaf(Vec<Point>),
+    Leaf(Block),
     Internal(Vec<(Rect, usize)>),
 }
 
@@ -37,10 +46,7 @@ struct RNode {
 impl RNode {
     fn recompute_mbr(&mut self) {
         self.mbr = match &self.kind {
-            NodeKind::Leaf(points) => points.iter().fold(Rect::empty(), |mut acc, p| {
-                acc.expand_to_point(*p);
-                acc
-            }),
+            NodeKind::Leaf(page) => page.mbr(),
             NodeKind::Internal(children) => children
                 .iter()
                 .fold(Rect::empty(), |acc, (r, _)| acc.union(r)),
@@ -91,6 +97,16 @@ impl RStarTree {
             tree.insert(p);
         }
         tree
+    }
+
+    /// A leaf page holding `points` (at most `MAX_ENTRIES` outside snapshot
+    /// loading, which keeps whatever the writer stored).
+    fn leaf_page(points: &[Point]) -> NodeKind {
+        let mut page = Block::new(points.len().max(MAX_ENTRIES));
+        for p in points {
+            page.push(*p);
+        }
+        NodeKind::Leaf(page)
     }
 
     fn new_node(&mut self, kind: NodeKind) -> usize {
@@ -243,27 +259,21 @@ impl RStarTree {
     /// was split.
     fn insert_into(&mut self, node: usize, p: Point) -> Option<(Rect, usize)> {
         match &self.nodes[node].kind {
-            NodeKind::Leaf(_) => {
-                if let NodeKind::Leaf(points) = &mut self.nodes[node].kind {
-                    points.push(p);
+            NodeKind::Leaf(page) if page.len() < MAX_ENTRIES => {
+                if let NodeKind::Leaf(page) = &mut self.nodes[node].kind {
+                    page.push(p);
                 }
-                if self.nodes[node].len() > MAX_ENTRIES {
-                    let points = match std::mem::replace(
-                        &mut self.nodes[node].kind,
-                        NodeKind::Leaf(Vec::new()),
-                    ) {
-                        NodeKind::Leaf(pts) => pts,
-                        NodeKind::Internal(_) => unreachable!(),
-                    };
-                    let (left, right) = Self::split_points(points);
-                    self.nodes[node].kind = NodeKind::Leaf(left);
-                    self.nodes[node].recompute_mbr();
-                    let sibling = self.new_node(NodeKind::Leaf(right));
-                    Some((self.nodes[sibling].mbr, sibling))
-                } else {
-                    self.nodes[node].mbr.expand_to_point(p);
-                    None
-                }
+                self.nodes[node].mbr.expand_to_point(p);
+                None
+            }
+            NodeKind::Leaf(page) => {
+                let mut points = page.to_points();
+                points.push(p);
+                let (left, right) = Self::split_points(points);
+                self.nodes[node].kind = Self::leaf_page(&left);
+                self.nodes[node].recompute_mbr();
+                let sibling = self.new_node(Self::leaf_page(&right));
+                Some((self.nodes[sibling].mbr, sibling))
             }
             NodeKind::Internal(_) => {
                 let child = self.choose_subtree(node, &p);
@@ -297,6 +307,45 @@ impl RStarTree {
                 }
             }
         }
+    }
+
+    /// Removes `p` from the subtree under `node`, refreshing the MBRs on
+    /// the way back up.  Returns whether anything was removed.
+    fn remove_below(&mut self, node: usize, p: &Point) -> bool {
+        if !self.nodes[node].mbr.contains(p) {
+            return false;
+        }
+        let n_children = match &mut self.nodes[node].kind {
+            NodeKind::Leaf(page) => {
+                // Order-preserving, so the page's scan order is stable.
+                let kept: Vec<Point> = page
+                    .iter_points()
+                    .filter(|q| !(q.x == p.x && q.y == p.y && (q.id == p.id || p.id == 0)))
+                    .collect();
+                if kept.len() == page.len() {
+                    return false;
+                }
+                self.nodes[node].kind = Self::leaf_page(&kept);
+                self.nodes[node].recompute_mbr();
+                return true;
+            }
+            NodeKind::Internal(children) => children.len(),
+        };
+        for i in 0..n_children {
+            let NodeKind::Internal(children) = &self.nodes[node].kind else {
+                unreachable!("node kinds do not change during a delete");
+            };
+            let (rect, child) = children[i];
+            if rect.contains(p) && self.remove_below(child, p) {
+                let child_mbr = self.nodes[child].mbr;
+                if let NodeKind::Internal(children) = &mut self.nodes[node].kind {
+                    children[i].0 = child_mbr;
+                }
+                self.nodes[node].recompute_mbr();
+                return true;
+            }
+        }
+        false
     }
 
     /// Reads an R*-tree snapshot written by
@@ -333,7 +382,7 @@ impl RStarTree {
                     for _ in 0..len {
                         points.push(r.get_point()?);
                     }
-                    NodeKind::Leaf(points)
+                    Self::leaf_page(&points)
                 }
                 other => {
                     return Err(PersistError::Corrupt(format!(
@@ -357,6 +406,47 @@ impl RStarTree {
     }
 }
 
+/// One query's view of the directory (see the module docs for what it
+/// charges).  A leaf's page id is the leaf's node id.
+struct View<'a> {
+    tree: &'a RStarTree,
+    cx: &'a mut QueryContext,
+}
+
+impl DirectoryView for View<'_> {
+    fn root(&self) -> Option<(Rect, Child)> {
+        let root = self.tree.root?;
+        Some((self.tree.nodes[root].mbr, Child::Node(root)))
+    }
+
+    #[inline]
+    fn entries(
+        &mut self,
+        node: usize,
+        mut f: impl FnMut(&mut Self, Rect, Child) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let tree = self.tree;
+        match &tree.nodes[node].kind {
+            NodeKind::Internal(children) => {
+                self.cx.count_node();
+                children
+                    .iter()
+                    .try_for_each(|&(rect, child)| f(self, rect, Child::Node(child)))
+            }
+            NodeKind::Leaf(_) => f(self, tree.nodes[node].mbr, Child::Page(node)),
+        }
+    }
+
+    #[inline]
+    fn page(&mut self, page: usize) -> &Block {
+        let NodeKind::Leaf(block) = &self.tree.nodes[page].kind else {
+            unreachable!("only leaves are handed out as pages");
+        };
+        self.cx.count_block_scan(block.len());
+        block
+    }
+}
+
 impl SpatialIndex for RStarTree {
     fn name(&self) -> &'static str {
         "RR*"
@@ -367,31 +457,7 @@ impl SpatialIndex for RStarTree {
     }
 
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        let root = self.root?;
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.nodes[id].mbr.contains(q) {
-                continue;
-            }
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for (rect, child) in children {
-                        if rect.contains(q) {
-                            stack.push(*child);
-                        }
-                    }
-                }
-                NodeKind::Leaf(points) => {
-                    // A leaf is this tree's data page: charge it as a block.
-                    cx.count_block_scan(points.len());
-                    if let Some(p) = points.iter().find(|p| p.x == q.x && p.y == q.y) {
-                        return Some(*p);
-                    }
-                }
-            }
-        }
-        None
+        directory::point(&mut View { tree: self, cx }, q)
     }
 
     fn window_query_visit(
@@ -400,31 +466,7 @@ impl SpatialIndex for RStarTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if !self.nodes[id].mbr.intersects(window) {
-                continue;
-            }
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for (rect, child) in children {
-                        if rect.intersects(window) {
-                            stack.push(*child);
-                        }
-                    }
-                }
-                NodeKind::Leaf(points) => {
-                    cx.count_block_scan(points.len());
-                    for p in points {
-                        if window.contains(p) {
-                            visit(p);
-                        }
-                    }
-                }
-            }
-        }
+        directory::window(&mut View { tree: self, cx }, window, visit)
     }
 
     fn knn_query_visit(
@@ -434,80 +476,7 @@ impl SpatialIndex for RStarTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        enum Item {
-            Node(usize),
-            Point(Point),
-        }
-        // Ordered by (distance, node-before-point, point id) so that
-        // equal-distance points emit deterministically in id order (nodes
-        // expand first, letting tied points inside them compete).
-        struct Entry(f64, bool, u64, Item);
-        impl PartialEq for Entry {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0
-                    .partial_cmp(&other.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.1.cmp(&other.1))
-                    .then(self.2.cmp(&other.2))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        if k == 0 {
-            return;
-        }
-        let Some(root) = self.root else { return };
-        let mut found = 0usize;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(Entry(
-            self.nodes[root].mbr.min_dist(q),
-            false,
-            0,
-            Item::Node(root),
-        )));
-        while let Some(Reverse(Entry(_, _, _, item))) = heap.pop() {
-            match item {
-                Item::Point(p) => {
-                    visit(&p);
-                    found += 1;
-                    if found == k {
-                        break;
-                    }
-                }
-                Item::Node(id) => match &self.nodes[id].kind {
-                    NodeKind::Internal(children) => {
-                        cx.count_node();
-                        for (rect, child) in children {
-                            heap.push(Reverse(Entry(
-                                rect.min_dist(q),
-                                false,
-                                0,
-                                Item::Node(*child),
-                            )));
-                        }
-                    }
-                    NodeKind::Leaf(points) => {
-                        cx.count_block_scan(points.len());
-                        for p in points {
-                            heap.push(Reverse(Entry(p.dist(q), true, p.id, Item::Point(*p))));
-                        }
-                    }
-                },
-            }
-        }
+        directory::knn(&mut View { tree: self, cx }, q, k, visit)
     }
 
     fn range_query_visit(
@@ -517,37 +486,7 @@ impl SpatialIndex for RStarTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        // MINDIST traversal: tighter than the default circumscribing-box
-        // window query.
-        if !radius.is_finite() || radius < 0.0 {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            if self.nodes[id].mbr.min_dist_sq(center) > r_sq {
-                continue;
-            }
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for (rect, child) in children {
-                        if rect.min_dist_sq(center) <= r_sq {
-                            stack.push(*child);
-                        }
-                    }
-                }
-                NodeKind::Leaf(points) => {
-                    cx.count_block_scan(points.len());
-                    for p in points {
-                        if p.dist_sq(center) <= r_sq {
-                            visit(p);
-                        }
-                    }
-                }
-            }
-        }
+        directory::range(&mut View { tree: self, cx }, center, radius, visit)
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
@@ -560,9 +499,9 @@ impl SpatialIndex for RStarTree {
                         stack.push(*child);
                     }
                 }
-                NodeKind::Leaf(points) => {
-                    for p in points {
-                        visit(p);
+                NodeKind::Leaf(page) => {
+                    for p in page.iter_points() {
+                        visit(&p);
                     }
                 }
             }
@@ -576,55 +515,13 @@ impl SpatialIndex for RStarTree {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
-        // Directory-MBR filter cascade (see the HRR implementation): one
-        // traversal carries the probe set, each leaf page is charged once.
-        if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let root_kept: Vec<Point> = probes
-            .iter()
-            .filter(|q| self.nodes[root].mbr.min_dist_sq(q) <= r_sq)
-            .copied()
-            .collect();
-        if root_kept.is_empty() {
-            return;
-        }
-        let mut stack = vec![(root, root_kept)];
-        while let Some((id, cand)) = stack.pop() {
-            match &self.nodes[id].kind {
-                NodeKind::Internal(children) => {
-                    cx.count_node();
-                    for (rect, child) in children {
-                        let kept: Vec<Point> = cand
-                            .iter()
-                            .filter(|q| rect.min_dist_sq(q) <= r_sq)
-                            .copied()
-                            .collect();
-                        if !kept.is_empty() {
-                            stack.push((*child, kept));
-                        }
-                    }
-                }
-                NodeKind::Leaf(points) => {
-                    cx.count_block_scan(points.len());
-                    for p in points {
-                        for q in &cand {
-                            if p.dist_sq(q) <= r_sq {
-                                visit(p, q);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        directory::distance_join(&mut View { tree: self, cx }, probes, radius, visit)
     }
 
     fn insert(&mut self, p: Point) {
         match self.root {
             None => {
-                let root = self.new_node(NodeKind::Leaf(vec![p]));
+                let root = self.new_node(Self::leaf_page(&[p]));
                 self.root = Some(root);
                 self.height = 1;
             }
@@ -650,41 +547,7 @@ impl SpatialIndex for RStarTree {
         // is omitted: the paper's deletion experiments only flag points as
         // deleted as well.
         let Some(root) = self.root else { return false };
-        fn recurse(tree: &mut RStarTree, node: usize, p: &Point) -> bool {
-            if !tree.nodes[node].mbr.contains(p) {
-                return false;
-            }
-            match tree.nodes[node].kind.clone() {
-                NodeKind::Leaf(_) => {
-                    if let NodeKind::Leaf(points) = &mut tree.nodes[node].kind {
-                        let before = points.len();
-                        points
-                            .retain(|q| !(q.x == p.x && q.y == p.y && (q.id == p.id || p.id == 0)));
-                        if points.len() != before {
-                            tree.nodes[node].recompute_mbr();
-                            return true;
-                        }
-                    }
-                    false
-                }
-                NodeKind::Internal(children) => {
-                    for (rect, child) in children {
-                        if rect.contains(p) && recurse(tree, child, p) {
-                            let child_mbr = tree.nodes[child].mbr;
-                            if let NodeKind::Internal(entries) = &mut tree.nodes[node].kind {
-                                if let Some(entry) = entries.iter_mut().find(|(_, c)| *c == child) {
-                                    entry.0 = child_mbr;
-                                }
-                            }
-                            tree.nodes[node].recompute_mbr();
-                            return true;
-                        }
-                    }
-                    false
-                }
-            }
-        }
-        if recurse(self, root, p) {
+        if self.remove_below(root, p) {
             self.n_points -= 1;
             true
         } else {
@@ -728,11 +591,11 @@ impl SpatialIndex for RStarTree {
                         w.put_usize(*child);
                     }
                 }
-                NodeKind::Leaf(points) => {
+                NodeKind::Leaf(page) => {
                     w.put_u8(1);
-                    w.put_usize(points.len());
-                    for p in points {
-                        w.put_point(p);
+                    w.put_usize(page.len());
+                    for p in page.iter_points() {
+                        w.put_point(&p);
                     }
                 }
             }
@@ -786,9 +649,9 @@ mod tests {
         let (_, tree) = build_small(2000);
         fn check(tree: &RStarTree, node: usize) {
             match &tree.nodes[node].kind {
-                NodeKind::Leaf(points) => {
-                    for p in points {
-                        assert!(tree.nodes[node].mbr.contains(p));
+                NodeKind::Leaf(page) => {
+                    for p in page.iter_points() {
+                        assert!(tree.nodes[node].mbr.contains(&p));
                     }
                 }
                 NodeKind::Internal(children) => {

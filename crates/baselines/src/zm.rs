@@ -574,20 +574,7 @@ impl SpatialIndex for ZOrderModel {
                 continue;
             }
             cx.count_candidates(block.len());
-            if let [q] = kept.as_slice() {
-                // Single surviving probe: the vectorized radius filter
-                // preserves the (point-major) visit order.
-                let q = *q;
-                block.for_each_within(&q, r_sq, |p, _| visit(&p, &q));
-            } else {
-                for p in block.iter_points() {
-                    for q in &kept {
-                        if p.dist_sq(q) <= r_sq {
-                            visit(&p, q);
-                        }
-                    }
-                }
-            }
+            block.for_each_pair_within(&kept, r_sq, &mut *visit);
         }
     }
 
@@ -630,49 +617,25 @@ impl SpatialIndex for ZOrderModel {
         let Some((lo, hi)) = self.predicted_block_range(z, &mut scratch) else {
             return false;
         };
-        // Search the predicted chain explicitly (instead of via `scan_chain`)
-        // so the block can be mutated once the victim is located.
-        let mut victim: Option<(BlockId, u64)> = None;
+        // Walk the predicted chain explicitly (instead of via `scan_chain`):
+        // the blocks are mutated, not read.  Past `hi` only the overflow
+        // blocks chained directly after it still belong to the range.
         let mut cur = Some(lo);
+        let mut past_hi = false;
         let mut guard = self.store.len() + 1;
         while let Some(id) = cur {
-            let block = self.store.block(id);
-            if let Some(found) = block.find_at(p.x, p.y) {
-                if found.id == p.id || p.id == 0 {
-                    victim = Some((id, found.id));
-                    break;
-                }
-            }
-            if id == hi {
-                let mut next = block.next();
-                while let Some(nb) = next {
-                    if !self.store.block(nb).is_overflow() {
-                        break;
-                    }
-                    let ov = self.store.block(nb);
-                    if let Some(found) = ov.find_at(p.x, p.y) {
-                        if found.id == p.id || p.id == 0 {
-                            victim = Some((nb, found.id));
-                            break;
-                        }
-                    }
-                    next = ov.next();
-                }
+            if (past_hi && !self.store.block(id).is_overflow()) || guard == 0 {
                 break;
             }
-            cur = block.next();
+            if self.store.block_mut(id).remove_at(p.x, p.y, p.id).is_some() {
+                self.n_points -= 1;
+                return true;
+            }
+            past_hi |= id == hi;
+            cur = self.store.block(id).next();
             guard -= 1;
-            if guard == 0 {
-                break;
-            }
         }
-        if let Some((block_id, point_id)) = victim {
-            self.store.block_mut(block_id).remove_by_id(point_id);
-            self.n_points -= 1;
-            true
-        } else {
-            false
-        }
+        false
     }
 
     fn size_bytes(&self) -> usize {

@@ -1,0 +1,287 @@
+//! The exact query paths of the RSMI structure — the paper's **RSMIa**.
+//!
+//! Every sub-model stores the MBR of the points below it, so the model tree
+//! doubles as an R-tree directory.  This module supplies that directory as
+//! a [`storage::directory`] view (`ExactView`) and routes the exact
+//! window / kNN / distance-range / distance-join queries through the shared
+//! traversal; the learned paths stay in [`crate::index`].
+//!
+//! Accounting: a node per expanded internal model.  A leaf stores no
+//! per-block MBRs, so expanding it computes each block's MBR from the
+//! block's points — that read is the block access (`count_block`), charged
+//! whether or not the MBR then prunes the block; opening a surviving block
+//! adds only its candidates.
+
+use crate::index::Rsmi;
+use crate::node::Node;
+use crate::RsmiConfig;
+use common::{QueryContext, SpatialIndex};
+use geom::{Point, Rect};
+use persist::{PersistError, SnapshotReader, SnapshotWriter};
+use std::ops::ControlFlow;
+use storage::directory::{self, Child, DirectoryView};
+use storage::Block;
+
+/// One exact query's view of the model tree as an MBR directory.
+struct ExactView<'a> {
+    index: &'a Rsmi,
+    cx: &'a mut QueryContext,
+}
+
+impl DirectoryView for ExactView<'_> {
+    fn root(&self) -> Option<(Rect, Child)> {
+        let root = self.index.root?;
+        Some((self.index.nodes[root].mbr(), Child::Node(root)))
+    }
+
+    #[inline]
+    fn entries(
+        &mut self,
+        node: usize,
+        mut f: impl FnMut(&mut Self, Rect, Child) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let index = self.index;
+        match &index.nodes[node] {
+            Node::Internal(n) => {
+                self.cx.count_node();
+                for (mbr, child) in n.child_mbrs.iter().zip(&n.children) {
+                    if let Some(c) = child {
+                        f(self, *mbr, Child::Node(*c))?;
+                    }
+                }
+            }
+            Node::Leaf(leaf) => {
+                for base in leaf.first_block..leaf.first_block + leaf.n_blocks {
+                    for b in index.store.overflow_chain(base) {
+                        self.cx.count_block();
+                        f(self, index.store.block(b).mbr(), Child::Page(b))?;
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    #[inline]
+    fn page(&mut self, page: usize) -> &Block {
+        let block = self.index.store.block(page);
+        self.cx.count_candidates(block.len());
+        block
+    }
+}
+
+impl Rsmi {
+    /// Exact window query — the paper's **RSMIa** variant: an R-tree-style
+    /// traversal over the MBRs stored with every sub-model.
+    pub fn window_query_exact_visit(
+        &self,
+        window: &Rect,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
+    ) {
+        directory::window(&mut ExactView { index: self, cx }, window, visit)
+    }
+
+    /// Exact window query returning a fresh vector.
+    pub fn window_query_exact(&self, window: &Rect, cx: &mut QueryContext) -> Vec<Point> {
+        let mut out = Vec::new();
+        self.window_query_exact_visit(window, cx, &mut |p| out.push(*p));
+        out
+    }
+
+    /// Exact distance-range query: an R-tree-style `MINDIST` traversal over
+    /// the MBRs stored with every sub-model.
+    ///
+    /// Unlike window and kNN queries, distance-range answers are exact for
+    /// *both* RSMI variants: the learned scan-range prediction cannot bound
+    /// a circle (curve values inside a Hilbert window are not bracketed by
+    /// its corners), so the trait's distance queries always take this
+    /// MBR-guided path and are held to the brute-force oracle by the
+    /// conformance tests.
+    pub fn range_query_exact_visit(
+        &self,
+        center: &Point,
+        radius: f64,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
+    ) {
+        directory::range(&mut ExactView { index: self, cx }, center, radius, visit)
+    }
+
+    /// Exact index-nested join worker over an explicit probe set: one
+    /// traversal of the model tree carries every probe, each node's MBR
+    /// discarding the probes beyond the radius before descending (the
+    /// learned directory doubles as the join's pruning directory), and each
+    /// surviving block is read once for all probes that reach it.
+    pub fn distance_join_probes_visit(
+        &self,
+        probes: &[Point],
+        radius: f64,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point, &Point),
+    ) {
+        directory::distance_join(&mut ExactView { index: self, cx }, probes, radius, visit)
+    }
+
+    /// Exact kNN query, visitor form — the RSMIa variant: a best-first
+    /// traversal over the sub-model MBRs.  Visits results closest first.
+    pub fn knn_query_exact_visit(
+        &self,
+        q: &Point,
+        k: usize,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
+    ) {
+        directory::knn(&mut ExactView { index: self, cx }, q, k, visit)
+    }
+
+    /// Exact kNN query returning a fresh vector, closest first.
+    pub fn knn_query_exact(&self, q: &Point, k: usize, cx: &mut QueryContext) -> Vec<Point> {
+        let mut out = Vec::with_capacity(k);
+        self.knn_query_exact_visit(q, k, cx, &mut |p| out.push(*p));
+        out
+    }
+}
+
+/// The paper's **RSMIa** variant: the same structure as [`Rsmi`], answering
+/// window and kNN queries *exactly* through an MBR-guided traversal instead
+/// of the learned scan-range prediction.
+///
+/// The wrapper shares no state with other indices — it owns its `Rsmi` — so
+/// the registry can hand it out as an independent `Box<dyn SpatialIndex>`.
+#[derive(Debug, Clone)]
+pub struct RsmiExact(Rsmi);
+
+impl RsmiExact {
+    /// Bulk-loads the underlying RSMI.
+    pub fn build(points: Vec<Point>, config: RsmiConfig) -> Self {
+        Self(Rsmi::build(points, config))
+    }
+
+    /// Wraps an already-built RSMI.
+    pub fn from_rsmi(inner: Rsmi) -> Self {
+        Self(inner)
+    }
+
+    /// The wrapped index.
+    pub fn inner(&self) -> &Rsmi {
+        &self.0
+    }
+
+    /// Unwraps into the plain (approximate) index.
+    pub fn into_inner(self) -> Rsmi {
+        self.0
+    }
+
+    /// Reads an RSMIa snapshot: the identical structure record as
+    /// [`Rsmi::read_snapshot`] (the variant differs only in its query
+    /// traversal, which the kind tag selects at load time).
+    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
+        Ok(Self(Rsmi::read_snapshot(r)?))
+    }
+}
+
+impl SpatialIndex for RsmiExact {
+    fn name(&self) -> &'static str {
+        "RSMIa"
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        self.0.point_query(q, cx)
+    }
+
+    fn window_query_visit(
+        &self,
+        window: &Rect,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
+    ) {
+        self.0.window_query_exact_visit(window, cx, visit)
+    }
+
+    fn knn_query_visit(
+        &self,
+        q: &Point,
+        k: usize,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
+    ) {
+        self.0.knn_query_exact_visit(q, k, cx, visit)
+    }
+
+    fn range_query_visit(
+        &self,
+        center: &Point,
+        radius: f64,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
+    ) {
+        self.0.range_query_exact_visit(center, radius, cx, visit)
+    }
+
+    fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
+        SpatialIndex::for_each_point(&self.0, visit)
+    }
+
+    fn distance_join_probes(
+        &self,
+        probes: &[Point],
+        radius: f64,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point, &Point),
+    ) {
+        self.0.distance_join_probes_visit(probes, radius, cx, visit)
+    }
+
+    fn insert(&mut self, p: Point) {
+        self.0.insert(p)
+    }
+
+    fn delete(&mut self, p: &Point) -> bool {
+        self.0.delete(p)
+    }
+
+    fn rebuild(&mut self) {
+        self.0.rebuild()
+    }
+
+    fn size_bytes(&self) -> usize {
+        SpatialIndex::size_bytes(&self.0)
+    }
+
+    fn height(&self) -> usize {
+        SpatialIndex::height(&self.0)
+    }
+
+    fn model_count(&self) -> usize {
+        SpatialIndex::model_count(&self.0)
+    }
+
+    fn model_error_bounds(&self) -> Option<(u64, u64)> {
+        SpatialIndex::model_error_bounds(&self.0)
+    }
+
+    fn maintenance_stats(&self) -> Option<common::MaintenanceStats> {
+        Some(Rsmi::maintenance_stats(&self.0))
+    }
+
+    fn rebuild_partial(
+        &mut self,
+        budget: &common::MaintenanceBudget,
+    ) -> common::MaintenanceOutcome {
+        Rsmi::rebuild_partial(&mut self.0, budget)
+    }
+
+    fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn write_snapshot(&self, w: &mut SnapshotWriter) -> Result<(), PersistError> {
+        self.0.encode_snapshot(w);
+        Ok(())
+    }
+}

@@ -50,15 +50,15 @@ pub struct RsmiStats {
 ///
 /// See the crate-level documentation for an overview and a usage example.
 /// Window and kNN answers are **approximate** (high recall, no false
-/// positives); wrap the index in [`RsmiExact`] for the paper's RSMIa variant
+/// positives); wrap the index in [`crate::RsmiExact`] for the paper's RSMIa variant
 /// with exact answers.  Distance-range queries and distance joins are exact
 /// for *both* variants (see [`Rsmi::range_query_exact_visit`]).
 #[derive(Debug, Clone)]
 pub struct Rsmi {
     config: RsmiConfig,
-    nodes: Vec<Node>,
-    root: Option<NodeId>,
-    store: BlockStore,
+    pub(crate) nodes: Vec<Node>,
+    pub(crate) root: Option<NodeId>,
+    pub(crate) store: BlockStore,
     n_points: usize,
     height: usize,
     model_count: usize,
@@ -356,7 +356,7 @@ impl Rsmi {
     /// window (results are filtered), but points whose blocks fall outside
     /// the predicted scan range may be missed.  The paper reports recall
     /// above 87 % across all settings; use [`Rsmi::window_query_exact_visit`]
-    /// (or the [`RsmiExact`] wrapper) when exact answers are required.
+    /// (or the [`crate::RsmiExact`] wrapper) when exact answers are required.
     pub fn window_query_visit(
         &self,
         window: &Rect,
@@ -369,194 +369,6 @@ impl Rsmi {
         self.scan_chain(begin, end, cx, |block| {
             block.for_each_in_rect(window, |p| visit(&p));
         });
-    }
-
-    /// Exact window query — the paper's **RSMIa** variant: an R-tree-style
-    /// traversal over the MBRs stored with every sub-model.
-    pub fn window_query_exact_visit(
-        &self,
-        window: &Rect,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            match &self.nodes[id] {
-                Node::Internal(node) => {
-                    // One "node access" per internal node visited, so total
-                    // accesses remain comparable with the tree baselines.
-                    cx.count_node();
-                    for (cell, child) in node.children.iter().enumerate() {
-                        if let Some(c) = child {
-                            if node.child_mbrs[cell].intersects(window) {
-                                stack.push(*c);
-                            }
-                        }
-                    }
-                }
-                Node::Leaf(leaf) => {
-                    if !leaf.mbr.intersects(window) {
-                        continue;
-                    }
-                    for i in 0..leaf.n_blocks {
-                        for id in self.store.overflow_chain(leaf.first_block + i) {
-                            // The MBR test reads the block's points, so the
-                            // block access is charged even when it prunes.
-                            cx.count_block();
-                            let block = self.store.block(id);
-                            if !block.mbr().intersects(window) {
-                                continue;
-                            }
-                            cx.count_candidates(block.len());
-                            block.for_each_in_rect(window, |p| visit(&p));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exact window query returning a fresh vector.
-    pub fn window_query_exact(&self, window: &Rect, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_exact_visit(window, cx, &mut |p| out.push(*p));
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // Distance-range queries and joins (exact for both RSMI variants)
-    // ------------------------------------------------------------------
-
-    /// Exact distance-range query: an R-tree-style `MINDIST` traversal over
-    /// the MBRs stored with every sub-model (the same machinery as the
-    /// RSMIa window/kNN variants).
-    ///
-    /// Unlike window and kNN queries, distance-range answers are exact for
-    /// *both* RSMI variants: the learned scan-range prediction cannot bound
-    /// a circle (curve values inside a Hilbert window are not bracketed by
-    /// its corners), so the trait's distance queries always take this
-    /// MBR-guided path and are held to the brute-force oracle by the
-    /// conformance tests.
-    pub fn range_query_exact_visit(
-        &self,
-        center: &Point,
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        if !radius.is_finite() || radius < 0.0 {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            match &self.nodes[id] {
-                Node::Internal(node) => {
-                    cx.count_node();
-                    for (cell, child) in node.children.iter().enumerate() {
-                        if let Some(c) = child {
-                            if node.child_mbrs[cell].min_dist_sq(center) <= r_sq {
-                                stack.push(*c);
-                            }
-                        }
-                    }
-                }
-                Node::Leaf(leaf) => {
-                    if leaf.mbr.min_dist_sq(center) > r_sq {
-                        continue;
-                    }
-                    for i in 0..leaf.n_blocks {
-                        for b in self.store.overflow_chain(leaf.first_block + i) {
-                            // The MBR test reads the block's points, so the
-                            // block access is charged even when it prunes.
-                            cx.count_block();
-                            let block = self.store.block(b);
-                            if block.mbr().min_dist_sq(center) > r_sq {
-                                continue;
-                            }
-                            cx.count_candidates(block.len());
-                            block.for_each_within(center, r_sq, |p, _| visit(&p));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Exact index-nested join worker over an explicit probe set: one
-    /// traversal of the model tree carries every probe, each node's MBR
-    /// discarding the probes beyond the radius before descending (the
-    /// learned directory doubles as the join's pruning directory), and each
-    /// surviving block is read once for all probes that reach it.
-    pub fn distance_join_probes_visit(
-        &self,
-        probes: &[Point],
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point, &Point),
-    ) {
-        if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
-            return;
-        }
-        let r_sq = radius * radius;
-        let Some(root) = self.root else { return };
-        let mut stack = vec![(root, probes.to_vec())];
-        while let Some((id, cand)) = stack.pop() {
-            match &self.nodes[id] {
-                Node::Internal(node) => {
-                    cx.count_node();
-                    for (cell, child) in node.children.iter().enumerate() {
-                        if let Some(c) = child {
-                            let mut kept = Vec::new();
-                            storage::kernels::probes_within(
-                                &cand,
-                                &node.child_mbrs[cell],
-                                r_sq,
-                                &mut kept,
-                            );
-                            if !kept.is_empty() {
-                                stack.push((*c, kept));
-                            }
-                        }
-                    }
-                }
-                Node::Leaf(leaf) => {
-                    if cand.iter().all(|q| leaf.mbr.min_dist_sq(q) > r_sq) {
-                        continue;
-                    }
-                    for i in 0..leaf.n_blocks {
-                        for b in self.store.overflow_chain(leaf.first_block + i) {
-                            cx.count_block();
-                            let block = self.store.block(b);
-                            let mbr = block.mbr();
-                            let mut kept = Vec::new();
-                            storage::kernels::probes_within(&cand, &mbr, r_sq, &mut kept);
-                            if kept.is_empty() {
-                                continue;
-                            }
-                            cx.count_candidates(block.len());
-                            if let [q] = kept.as_slice() {
-                                // Single surviving probe: the vectorized
-                                // radius filter preserves the (point-major)
-                                // visit order.
-                                let q = *q;
-                                block.for_each_within(&q, r_sq, |p, _| visit(&p, &q));
-                            } else {
-                                for p in block.iter_points() {
-                                    for q in &kept {
-                                        if p.dist_sq(q) <= r_sq {
-                                            visit(&p, q);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -680,122 +492,6 @@ impl Rsmi {
                 }
             });
         }
-    }
-
-    /// Exact kNN query, visitor form — the RSMIa variant: a best-first
-    /// traversal over the sub-model MBRs (the classical algorithm of
-    /// Roussopoulos et al.).  Visits results closest first.
-    pub fn knn_query_exact_visit(
-        &self,
-        q: &Point,
-        k: usize,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        struct Entry {
-            dist: f64,
-            /// `(container-before-point, point id)`: equal-distance points
-            /// emit deterministically in id order, and containers at the
-            /// same distance expand first so tied points inside them still
-            /// compete.
-            tie: (bool, u64),
-            kind: EntryKind,
-        }
-        #[derive(PartialEq)]
-        enum EntryKind {
-            Node(NodeId),
-            Block(BlockId),
-            Point(Point),
-        }
-        impl PartialEq for Entry {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist
-                    .partial_cmp(&other.dist)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.tie.cmp(&other.tie))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        if k == 0 {
-            return;
-        }
-        let Some(root) = self.root else { return };
-        let mut found = 0usize;
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        heap.push(Reverse(Entry {
-            dist: self.nodes[root].mbr().min_dist(q),
-            tie: (false, 0),
-            kind: EntryKind::Node(root),
-        }));
-        while let Some(Reverse(entry)) = heap.pop() {
-            match entry.kind {
-                EntryKind::Point(p) => {
-                    visit(&p);
-                    found += 1;
-                    if found == k {
-                        break;
-                    }
-                }
-                EntryKind::Block(id) => {
-                    let block = self.read_block(id, cx);
-                    block.for_each_dist_sq(q, |p, d_sq| {
-                        heap.push(Reverse(Entry {
-                            dist: d_sq.sqrt(),
-                            tie: (true, p.id),
-                            kind: EntryKind::Point(p),
-                        }));
-                    });
-                }
-                EntryKind::Node(id) => match &self.nodes[id] {
-                    Node::Internal(node) => {
-                        cx.count_node();
-                        for (cell, child) in node.children.iter().enumerate() {
-                            if let Some(c) = child {
-                                heap.push(Reverse(Entry {
-                                    dist: node.child_mbrs[cell].min_dist(q),
-                                    tie: (false, 0),
-                                    kind: EntryKind::Node(*c),
-                                }));
-                            }
-                        }
-                    }
-                    Node::Leaf(leaf) => {
-                        cx.count_node();
-                        for i in 0..leaf.n_blocks {
-                            for b in self.store.overflow_chain(leaf.first_block + i) {
-                                let dist = self.store.block(b).mbr().min_dist(q);
-                                heap.push(Reverse(Entry {
-                                    dist,
-                                    tie: (false, 0),
-                                    kind: EntryKind::Block(b),
-                                }));
-                            }
-                        }
-                    }
-                },
-            }
-        }
-    }
-
-    /// Exact kNN query returning a fresh vector, closest first.
-    pub fn knn_query_exact(&self, q: &Point, k: usize, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::with_capacity(k);
-        self.knn_query_exact_visit(q, k, cx, &mut |p| out.push(*p));
-        out
     }
 
     // ------------------------------------------------------------------
@@ -925,17 +621,10 @@ impl Rsmi {
         let (lo, hi) = leaf.predicted_range(p.x, p.y);
         for base in lo..=hi {
             for id in self.store.overflow_chain(base) {
-                let found = {
-                    let block = self.store.block(id);
-                    block.find_at(p.x, p.y).map(|q| q.id)
-                };
-                if let Some(found_id) = found {
-                    if found_id == p.id || p.id == 0 {
-                        self.store.block_mut(id).remove_by_id(found_id);
-                        self.n_points -= 1;
-                        self.maint[leaf_id].ops_since_train += 1;
-                        return true;
-                    }
+                if self.store.block_mut(id).remove_at(p.x, p.y, p.id).is_some() {
+                    self.n_points -= 1;
+                    self.maint[leaf_id].ops_since_train += 1;
+                    return true;
                 }
             }
         }
@@ -1430,152 +1119,10 @@ impl SpatialIndex for Rsmi {
     }
 }
 
-/// The paper's **RSMIa** variant: the same structure as [`Rsmi`], answering
-/// window and kNN queries *exactly* through an MBR-guided traversal instead
-/// of the learned scan-range prediction.
-///
-/// The wrapper shares no state with other indices — it owns its `Rsmi` — so
-/// the registry can hand it out as an independent `Box<dyn SpatialIndex>`.
-#[derive(Debug, Clone)]
-pub struct RsmiExact(Rsmi);
-
-impl RsmiExact {
-    /// Bulk-loads the underlying RSMI.
-    pub fn build(points: Vec<Point>, config: RsmiConfig) -> Self {
-        Self(Rsmi::build(points, config))
-    }
-
-    /// Wraps an already-built RSMI.
-    pub fn from_rsmi(inner: Rsmi) -> Self {
-        Self(inner)
-    }
-
-    /// The wrapped index.
-    pub fn inner(&self) -> &Rsmi {
-        &self.0
-    }
-
-    /// Unwraps into the plain (approximate) index.
-    pub fn into_inner(self) -> Rsmi {
-        self.0
-    }
-
-    /// Reads an RSMIa snapshot: the identical structure record as
-    /// [`Rsmi::read_snapshot`] (the variant differs only in its query
-    /// traversal, which the kind tag selects at load time).
-    pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        Ok(Self(Rsmi::read_snapshot(r)?))
-    }
-}
-
-impl SpatialIndex for RsmiExact {
-    fn name(&self) -> &'static str {
-        "RSMIa"
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        self.0.point_query(q, cx)
-    }
-
-    fn window_query_visit(
-        &self,
-        window: &Rect,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        self.0.window_query_exact_visit(window, cx, visit)
-    }
-
-    fn knn_query_visit(
-        &self,
-        q: &Point,
-        k: usize,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        self.0.knn_query_exact_visit(q, k, cx, visit)
-    }
-
-    fn range_query_visit(
-        &self,
-        center: &Point,
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        self.0.range_query_exact_visit(center, radius, cx, visit)
-    }
-
-    fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
-        SpatialIndex::for_each_point(&self.0, visit)
-    }
-
-    fn distance_join_probes(
-        &self,
-        probes: &[Point],
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point, &Point),
-    ) {
-        self.0.distance_join_probes_visit(probes, radius, cx, visit)
-    }
-
-    fn insert(&mut self, p: Point) {
-        self.0.insert(p)
-    }
-
-    fn delete(&mut self, p: &Point) -> bool {
-        self.0.delete(p)
-    }
-
-    fn rebuild(&mut self) {
-        self.0.rebuild()
-    }
-
-    fn size_bytes(&self) -> usize {
-        SpatialIndex::size_bytes(&self.0)
-    }
-
-    fn height(&self) -> usize {
-        SpatialIndex::height(&self.0)
-    }
-
-    fn model_count(&self) -> usize {
-        SpatialIndex::model_count(&self.0)
-    }
-
-    fn model_error_bounds(&self) -> Option<(u64, u64)> {
-        SpatialIndex::model_error_bounds(&self.0)
-    }
-
-    fn maintenance_stats(&self) -> Option<common::MaintenanceStats> {
-        Some(Rsmi::maintenance_stats(&self.0))
-    }
-
-    fn rebuild_partial(
-        &mut self,
-        budget: &common::MaintenanceBudget,
-    ) -> common::MaintenanceOutcome {
-        Rsmi::rebuild_partial(&mut self.0, budget)
-    }
-
-    fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn write_snapshot(&self, w: &mut SnapshotWriter) -> Result<(), PersistError> {
-        self.0.encode_snapshot(w);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RsmiExact;
     use common::{brute_force, metrics};
 
     fn grid_points(side: usize) -> Vec<Point> {
@@ -2251,7 +1798,7 @@ mod tests {
         let stats = SpatialIndex::maintenance_stats(&exact).unwrap();
         assert_eq!(stats.ops_since_train, 120);
         let clone = SpatialIndex::clone_index(&exact).expect("RsmiExact clones");
-        assert_eq!(clone.len(), exact.0.len());
+        assert_eq!(clone.len(), exact.inner().len());
         let outcome =
             SpatialIndex::rebuild_partial(&mut exact, &common::MaintenanceBudget::default());
         assert!(!outcome.full_rebuild);

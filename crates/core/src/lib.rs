@@ -73,11 +73,13 @@
 #![warn(missing_docs)]
 
 mod build;
+mod exact;
 mod index;
 mod node;
 mod pmf;
 
-pub use index::{Rsmi, RsmiExact, RsmiStats};
+pub use exact::RsmiExact;
+pub use index::{Rsmi, RsmiStats};
 pub use pmf::PiecewiseCdf;
 
 use sfc::CurveKind;

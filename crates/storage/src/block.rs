@@ -188,17 +188,57 @@ impl Block {
         kernels::for_each_dist_sq(self.xs(), self.ys(), &self.ids, center.x, center.y, visit);
     }
 
+    /// The pairing kernel of every distance join: visits `(p, q)` for each
+    /// block point `p` and surviving probe `q` within squared distance
+    /// `r_sq`, point-major (lane order, then probe order).
+    pub fn for_each_pair_within(
+        &self,
+        probes: &[Point],
+        r_sq: f64,
+        mut visit: impl FnMut(&Point, &Point),
+    ) {
+        if let [q] = probes {
+            // Single surviving probe: the vectorized radius filter preserves
+            // the (point-major) visit order.
+            self.for_each_within(q, r_sq, |p, _| visit(&p, q));
+        } else {
+            for p in self.iter_points() {
+                for q in probes {
+                    if p.dist_sq(q) <= r_sq {
+                        visit(&p, q);
+                    }
+                }
+            }
+        }
+    }
+
     /// Removes the point with the given id, swapping in the last entry
     /// (the paper's deletion strategy: "swap p with the last point in this
     /// block and mark p as deleted").  Returns the removed point.
     pub fn remove_by_id(&mut self, id: u64) -> Option<Point> {
         let pos = self.ids.iter().position(|&i| i == id)?;
+        Some(self.swap_remove(pos))
+    }
+
+    /// Removes the first point at exactly `(x, y)` whose id is `id` — the
+    /// delete of every block-backed family.  `id == 0` is the wildcard: any
+    /// point at the location matches.  Co-located duplicates are legal, so
+    /// the id is tested per point, not on the first coordinate match only.
+    /// Swaps in the last entry like [`Block::remove_by_id`].
+    pub fn remove_at(&mut self, x: f64, y: f64, id: u64) -> Option<Point> {
+        let (xs, ys) = (self.xs(), self.ys());
+        let pos =
+            (0..xs.len()).find(|&i| xs[i] == x && ys[i] == y && (id == 0 || self.ids[i] == id))?;
+        Some(self.swap_remove(pos))
+    }
+
+    fn swap_remove(&mut self, pos: usize) -> Point {
         let p = self.point(pos);
         let last = self.ids.len() - 1;
         self.coords[pos] = self.coords[last];
         self.coords[self.capacity + pos] = self.coords[self.capacity + last];
         self.ids.swap_remove(pos);
-        Some(p)
+        p
     }
 
     /// Finds a point with exactly the given coordinates.
@@ -271,6 +311,23 @@ mod tests {
         // The swapped-in survivor keeps its own coordinates on every lane.
         assert_eq!(b.point(0), Point::with_id(0.2, 0.2, 8));
         assert!(b.remove_by_id(99).is_none());
+    }
+
+    #[test]
+    fn remove_at_tests_the_id_of_every_co_located_point() {
+        let mut b = Block::new(4);
+        b.push(Point::with_id(0.3, 0.7, 1001));
+        b.push(Point::with_id(0.3, 0.7, 1002));
+        b.push(Point::with_id(0.5, 0.5, 7));
+        assert!(b.remove_at(0.3, 0.7, 9).is_none());
+        assert!(b.remove_at(0.5, 0.7, 1002).is_none());
+        assert_eq!(b.remove_at(0.3, 0.7, 1002).unwrap().id, 1002);
+        // The survivor of the swap keeps its lanes; the first duplicate is
+        // still there and the wildcard takes it.
+        assert_eq!(b.to_points()[1], Point::with_id(0.5, 0.5, 7));
+        assert_eq!(b.remove_at(0.3, 0.7, 0).unwrap().id, 1001);
+        assert!(b.find_at(0.3, 0.7).is_none());
+        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * [`mbr_of`] — min/max fold of a lane pair,
 //! * [`for_each_in_rect`] / [`for_each_within`] / [`for_each_dist_sq`] —
 //!   candidate filters driving the masks chunk by chunk, visiting survivors
-//!   in ascending lane order.
+//!   in ascending lane order,
+//! * [`probes_within`] — a join's probe set filtered by `MINDIST` to a
+//!   rectangle (the survivors are paired with a block by
+//!   [`crate::Block::for_each_pair_within`]).
 //!
 //! Bit-compatibility contract: each kernel computes *exactly* the expression
 //! the scalar per-point code used before the rewrite (`x >= min_x && …` for

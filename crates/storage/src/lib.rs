@@ -12,7 +12,9 @@
 //! * [`BlockStore`] — an arena of blocks,
 //! * [`kernels`] — chunked, autovectorizable scan kernels (batch
 //!   rect-contains, batch distance-squared, branchless MINDIST, candidate
-//!   filters) shared by every block-backed query path.
+//!   filters) shared by every block-backed query path,
+//! * [`directory`] — the one traversal (point, window, kNN, range, join)
+//!   of every tree-shaped family, generic over a node view.
 //!
 //! Everything is kept in main memory, exactly as in the paper's experimental
 //! setup ("We run all indices and algorithms in main memory for ease of
@@ -25,6 +27,7 @@
 #![warn(missing_docs)]
 
 mod block;
+pub mod directory;
 pub mod kernels;
 mod snapshot;
 mod store;

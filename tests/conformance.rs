@@ -219,6 +219,32 @@ fn conformance_body(kind: IndexKind) {
     assert!(!index.delete(&extra), "{}", kind.name());
     assert_eq!(index.len(), data.len(), "{}", kind.name());
 
+    // Co-located duplicates are legal input, and delete-by-id must pick the
+    // right one even when it is not the first at its location.
+    let first = Point::with_id(0.3, 0.7, 1001);
+    let second = Point::with_id(0.3, 0.7, 1002);
+    index.insert(first);
+    index.insert(second);
+    assert!(
+        index.delete(&second),
+        "{} missed the second duplicate",
+        kind.name()
+    );
+    assert_eq!(index.len(), data.len() + 1, "{}", kind.name());
+    assert_eq!(
+        index.point_query(&first, &mut cx).map(|f| f.id),
+        Some(first.id),
+        "{} deleted the wrong duplicate",
+        kind.name()
+    );
+    assert!(index.delete(&first), "{}", kind.name());
+    assert!(
+        index.point_query(&first, &mut cx).is_none(),
+        "{}",
+        kind.name()
+    );
+    assert_eq!(index.len(), data.len(), "{}", kind.name());
+
     // Rebuild is at worst a no-op: content survives.
     index.rebuild();
     assert_eq!(

@@ -1,0 +1,203 @@
+//! Traversal pins: the four directory families (HRR, KDB, RR\*, RSMIa — and
+//! RSMI for range/join, which take the exact path) share one traversal, so
+//! their visit order and their `QueryStats` accounting are a contract, not
+//! an accident.  One seeded 20 k-point data set, with inserts and deletes
+//! applied, answers a fixed pool of point / window / kNN / range / join
+//! queries; per family × class this file pins
+//!
+//! * an FNV-64 over the result ids **in visit order**, and
+//! * the `(blocks_touched, nodes_visited, candidates_scanned)` triple.
+//!
+//! The table was generated from the hand-written per-family traversals that
+//! preceded `storage::directory`; the only row that changed with the shared
+//! traversal is RSMIa kNN's stats (see the comment on that row).  On a
+//! mismatch the test prints the whole observed table in source form, so an
+//! intended change (new data generator, retrained models) regenerates it by
+//! copy and paste.
+
+use baselines::{HilbertRTree, KdbTree, RStarTree};
+use common::{QueryContext, SpatialIndex};
+use datagen::{generate, queries, Distribution};
+use geom::{Point, Rect};
+use rsmi::{Rsmi, RsmiConfig, RsmiExact};
+
+const BLOCK_CAPACITY: usize = 50;
+
+const ALL_CLASSES: &[&str] = &["point", "window", "knn", "range", "join"];
+
+/// `(family, class, fnv64 of ids in visit order, (blocks, nodes, candidates))`.
+type Pin = (&'static str, &'static str, u64, (u64, u64, u64));
+
+const PINS: &[Pin] = &[
+    ("HRR", "point", 0x5F549D4ECFF7CBC5, (236, 487, 7087)),
+    ("HRR", "window", 0x161C0EBA04F6E833, (1777, 139, 50524)),
+    ("HRR", "knn", 0x45BC8FB6B33712F8, (166, 86, 4507)),
+    ("HRR", "range", 0x7DBE20ADAA8E2568, (414, 109, 13094)),
+    ("HRR", "join", 0x4AEAADC5ED607C61, (941, 12, 26899)),
+    ("KDB", "point", 0x5F549D4ECFF7CBC5, (200, 581, 5499)),
+    ("KDB", "window", 0xAA1ADD6D2BDBBF57, (1826, 1371, 49162)),
+    ("KDB", "knn", 0x45BC8FB6B33712F8, (166, 228, 4514)),
+    ("KDB", "range", 0xEC72E71CB560AF14, (420, 407, 11458)),
+    ("KDB", "join", 0xB729BD4E2565A701, (950, 718, 25462)),
+    ("RR*", "point", 0x5F549D4ECFF7CBC5, (199, 403, 13215)),
+    ("RR*", "window", 0x4367E4BA6A9F3A4B, (802, 112, 49764)),
+    ("RR*", "knn", 0x45BC8FB6B33712F8, (93, 80, 6098)),
+    ("RR*", "range", 0xAE713A791FBA9E48, (181, 77, 11966)),
+    ("RR*", "join", 0x601F2C43D153EDFD, (462, 14, 29710)),
+    ("RSMIa", "point", 0x5F549D4ECFF7CBC5, (5084, 200, 164958)),
+    ("RSMIa", "window", 0x653550B26B2F6083, (10430, 47, 64331)),
+    // The one row the shared traversal changed.  RSMIa's hand-written kNN
+    // charged a node per expanded leaf and a block only when the block was
+    // popped — (395, 190, 15470) — while its window/range/join charged no
+    // leaf node and every block whose MBR was computed.  kNN now follows
+    // the same rule as the other three classes; the answers are unchanged.
+    ("RSMIa", "knn", 0x45BC8FB6B33712F8, (6892, 37, 15470)),
+    ("RSMIa", "range", 0x0E34EC6A21D618FC, (7650, 37, 20634)),
+    ("RSMIa", "join", 0xCE510C3A9AACB975, (1540, 3, 33058)),
+    ("RSMI", "range", 0x0E34EC6A21D618FC, (7650, 37, 20634)),
+    ("RSMI", "join", 0xCE510C3A9AACB975, (1540, 3, 33058)),
+];
+
+fn fnv64(hash: &mut u64, value: u64) {
+    for byte in value.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// The data set plus the update stream every family replays: scattered
+/// inserts, a dense cluster that forces leaf splits and overflow chains,
+/// then deletes of bulk-loaded and of inserted points.
+fn dataset() -> (Vec<Point>, Vec<Point>, Vec<Point>) {
+    let data = generate(Distribution::skewed_default(), 20_000, 17);
+    let mut inserts = queries::insertion_points(&data, 2_000, 5);
+    inserts.extend((0..600u64).map(|i| {
+        Point::with_id(
+            0.31 + 0.0002 * (i % 30) as f64,
+            0.07 + 0.0002 * (i / 30) as f64,
+            1_000_000 + i,
+        )
+    }));
+    let deletes = data
+        .iter()
+        .step_by(17)
+        .chain(inserts.iter().step_by(5))
+        .copied()
+        .collect();
+    (data, inserts, deletes)
+}
+
+/// Runs the whole query pool of one class and returns its pin.
+fn run_class(
+    index: &dyn SpatialIndex,
+    class: &'static str,
+    data: &[Point],
+) -> (u64, (u64, u64, u64)) {
+    let mut cx = QueryContext::new();
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    match class {
+        "point" => {
+            let hits = queries::point_queries(data, 150, 23);
+            let misses = queries::negative_point_queries(data, 50, 29);
+            for q in hits.iter().chain(&misses) {
+                let found = index.point_query(q, &mut cx);
+                fnv64(&mut hash, found.map_or(u64::MAX, |p| p.id));
+            }
+        }
+        "window" => {
+            for area_percent in [0.01, 0.25, 1.0] {
+                let spec = queries::WindowSpec {
+                    area_percent,
+                    aspect_ratio: 2.0,
+                };
+                for w in queries::window_queries(data, spec, 15, 31) {
+                    index.window_query_visit(&w, &mut cx, &mut |p| fnv64(&mut hash, p.id));
+                }
+            }
+            // Degenerate and space-covering windows.
+            let p = data[4];
+            index.window_query_visit(&Rect::new(p.x, p.y, p.x, p.y), &mut cx, &mut |p| {
+                fnv64(&mut hash, p.id)
+            });
+            index.window_query_visit(&Rect::unit(), &mut cx, &mut |p| fnv64(&mut hash, p.id));
+        }
+        "knn" => {
+            for k in [1, 10, 100] {
+                for q in queries::knn_queries(data, 12, 37) {
+                    index.knn_query_visit(&q, k, &mut cx, &mut |p| fnv64(&mut hash, p.id));
+                }
+            }
+            // A query on a data location (distance-zero tie with its block).
+            index.knn_query_visit(&data[9], 5, &mut cx, &mut |p| fnv64(&mut hash, p.id));
+        }
+        "range" => {
+            for r in [0.0, 0.01, 0.05] {
+                for c in queries::range_query_centers(data, 12, 41) {
+                    index.range_query_visit(&c, r, &mut cx, &mut |p| fnv64(&mut hash, p.id));
+                }
+            }
+            index.range_query_visit(&data[9], 0.0, &mut cx, &mut |p| fnv64(&mut hash, p.id));
+        }
+        "join" => {
+            for (count, r) in [(200, 0.01), (40, 0.05), (1, 0.02)] {
+                let probes = queries::join_points(data, count, 43);
+                index.distance_join_probes(&probes, r, &mut cx, &mut |p, q| {
+                    fnv64(&mut hash, p.id);
+                    fnv64(&mut hash, q.id);
+                });
+            }
+        }
+        other => unreachable!("unknown class {other}"),
+    }
+    let s = cx.stats;
+    (
+        hash,
+        (s.blocks_touched, s.nodes_visited, s.candidates_scanned),
+    )
+}
+
+#[test]
+fn visit_order_and_accounting_match_the_pinned_table() {
+    let (data, inserts, deletes) = dataset();
+    let rsmi = Rsmi::build(data.clone(), RsmiConfig::fast());
+    let mut families: Vec<(Box<dyn SpatialIndex>, &[&'static str])> = vec![
+        (
+            Box::new(HilbertRTree::build(data.clone(), BLOCK_CAPACITY)),
+            ALL_CLASSES,
+        ),
+        (
+            Box::new(KdbTree::build(data.clone(), BLOCK_CAPACITY)),
+            ALL_CLASSES,
+        ),
+        (
+            Box::new(RStarTree::build(data.clone(), BLOCK_CAPACITY)),
+            ALL_CLASSES,
+        ),
+        (Box::new(RsmiExact::from_rsmi(rsmi.clone())), ALL_CLASSES),
+        // Plain RSMI answers range and join through the exact traversal.
+        (Box::new(rsmi), &["range", "join"]),
+    ];
+    let mut observed: Vec<Pin> = Vec::new();
+    for (index, classes) in &mut families {
+        for p in &inserts {
+            index.insert(*p);
+        }
+        for p in &deletes {
+            assert!(index.delete(p), "{} lost {p:?}", index.name());
+        }
+        assert_eq!(index.len(), data.len() + inserts.len() - deletes.len());
+        for &class in classes.iter() {
+            let (hash, stats) = run_class(index.as_ref(), class, &data);
+            observed.push((index.name(), class, hash, stats));
+        }
+    }
+    if observed != PINS {
+        let table: String = observed
+            .iter()
+            .map(|(family, class, hash, stats)| {
+                format!("    ({family:?}, {class:?}, {hash:#018X}, {stats:?}),\n")
+            })
+            .collect();
+        panic!("traversal pins differ; observed table:\n{table}");
+    }
+}
