@@ -258,49 +258,6 @@ impl ZOrderModel {
         ))
     }
 
-    /// Reads a block as part of a query, charging the access and its
-    /// candidates to the context.
-    #[inline]
-    fn read_block(&self, id: BlockId, cx: &mut QueryContext) -> &storage::Block {
-        let block = self.store.block(id);
-        cx.count_block_scan(block.len());
-        block
-    }
-
-    /// Scans blocks `begin..=end` (following the chain, including overflow
-    /// blocks), charging each read to `cx` and applying `f` to each block.
-    fn scan_chain(
-        &self,
-        begin: BlockId,
-        end: BlockId,
-        cx: &mut QueryContext,
-        mut f: impl FnMut(&storage::Block),
-    ) {
-        let mut cur = Some(begin);
-        let mut guard = self.store.len() + 1;
-        while let Some(id) = cur {
-            let block = self.read_block(id, cx);
-            f(block);
-            if id == end {
-                let mut next = block.next();
-                while let Some(nb) = next {
-                    if !self.store.block(nb).is_overflow() {
-                        break;
-                    }
-                    let ov = self.read_block(nb, cx);
-                    f(ov);
-                    next = ov.next();
-                }
-                break;
-            }
-            cur = block.next();
-            guard -= 1;
-            if guard == 0 {
-                break;
-            }
-        }
-    }
-
     /// Read access to the underlying block store.
     pub fn block_store(&self) -> &BlockStore {
         &self.store
@@ -391,15 +348,15 @@ impl SpatialIndex for ZOrderModel {
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
         let z = zcurve::encode_unit(q.x, q.y, Z_ORDER);
         let (lo, hi) = self.predicted_block_range(z, cx)?;
-        let mut found = None;
-        self.scan_chain(lo, hi, cx, |block| {
-            if found.is_none() {
+        for (_, block) in self.store.chain_range(lo, hi) {
+            if block.mbr().contains(q) {
+                cx.count_block_scan(block.len());
                 if let Some(p) = block.find_at(q.x, q.y) {
-                    found = Some(p);
+                    return Some(p);
                 }
             }
-        });
-        found
+        }
+        None
     }
 
     fn window_query_visit(
@@ -422,9 +379,12 @@ impl SpatialIndex for ZOrderModel {
             return;
         };
         let (lo, hi) = (lo.min(hi), hi.max(lo));
-        self.scan_chain(lo, hi, cx, |block| {
-            block.for_each_in_rect(window, |p| visit(&p));
-        });
+        for (_, block) in self.store.chain_range(lo, hi) {
+            if block.mbr().intersects(window) {
+                cx.count_block_scan(block.len());
+                block.for_each_in_rect(window, |p| visit(&p));
+            }
+        }
     }
 
     fn knn_query_visit(
@@ -471,8 +431,8 @@ impl SpatialIndex for ZOrderModel {
                 if covers_space {
                     // Guarantee k results: fall back to scanning all blocks.
                     best.clear();
-                    for (id, _) in self.store.iter() {
-                        let block = self.read_block(id, cx);
+                    for (_, block) in self.store.iter() {
+                        cx.count_block_scan(block.len());
                         block.for_each_dist_sq(q, |p, d_sq| {
                             let d = d_sq.sqrt();
                             let pos = best
@@ -521,20 +481,18 @@ impl SpatialIndex for ZOrderModel {
         // coverage (that is exactly why its window answers are approximate).
         // Distance-range answers are required to be exact for every family,
         // so ZM falls back to a bounded sweep of the curve-ordered store,
-        // pruning each block by its MBR's MINDIST.  The MBR test reads the
-        // block, so the block access is charged even when it prunes
-        // (matching the RSMIa convention); candidates are only charged for
-        // blocks that survive.
+        // pruning each block by its MBR's MINDIST.  The MBR sits in the
+        // block header, so the test is free; a block is charged when it
+        // survives and is opened (the one rule of every family).
         if !radius.is_finite() || radius < 0.0 {
             return;
         }
         let r_sq = radius * radius;
         for (_, block) in self.store.iter() {
-            cx.count_block();
             if block.is_empty() || block.mbr().min_dist_sq(center) > r_sq {
                 continue;
             }
-            cx.count_candidates(block.len());
+            cx.count_block_scan(block.len());
             block.for_each_within(center, r_sq, |p, _| visit(&p));
         }
     }
@@ -555,25 +513,24 @@ impl SpatialIndex for ZOrderModel {
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
         // One sweep of the store joins every probe at once: each block's MBR
-        // discards the probes beyond the radius, and the block's points are
-        // read exactly once — instead of one full-store range probe per
-        // point of the other index.
+        // (free to test, as above) discards the probes beyond the radius,
+        // and a block some probe survives to is opened exactly once —
+        // instead of one full-store range probe per point of the other
+        // index.
         if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
             return;
         }
         let r_sq = radius * radius;
         let mut kept: Vec<Point> = Vec::new();
         for (_, block) in self.store.iter() {
-            cx.count_block();
             if block.is_empty() {
                 continue;
             }
-            let mbr = block.mbr();
-            storage::kernels::probes_within(probes, &mbr, r_sq, &mut kept);
+            storage::kernels::probes_within(probes, &block.mbr(), r_sq, &mut kept);
             if kept.is_empty() {
                 continue;
             }
-            cx.count_candidates(block.len());
+            cx.count_block_scan(block.len());
             block.for_each_pair_within(&kept, r_sq, &mut *visit);
         }
     }
@@ -591,19 +548,16 @@ impl SpatialIndex for ZOrderModel {
         // Insert into the predicted block (middle of the range), or the
         // first block of its overflow chain that has space, or a new
         // overflow block.
-        let target_base = (lo + hi) / 2;
-        let chain = self.store.overflow_chain(target_base);
+        let mut tail = (lo + hi) / 2;
         let mut target = None;
-        for id in &chain {
-            if !self.store.block(*id).is_full() {
-                target = Some(*id);
+        for (id, block) in self.store.overflow_chain(tail) {
+            tail = id;
+            if !block.is_full() {
+                target = Some(id);
                 break;
             }
         }
-        let target = target.unwrap_or_else(|| {
-            self.store
-                .insert_overflow_after(*chain.last().expect("chain non-empty"))
-        });
+        let target = target.unwrap_or_else(|| self.store.insert_overflow_after(tail));
         self.store.block_mut(target).push(p);
         self.n_points += 1;
     }
@@ -617,25 +571,11 @@ impl SpatialIndex for ZOrderModel {
         let Some((lo, hi)) = self.predicted_block_range(z, &mut scratch) else {
             return false;
         };
-        // Walk the predicted chain explicitly (instead of via `scan_chain`):
-        // the blocks are mutated, not read.  Past `hi` only the overflow
-        // blocks chained directly after it still belong to the range.
-        let mut cur = Some(lo);
-        let mut past_hi = false;
-        let mut guard = self.store.len() + 1;
-        while let Some(id) = cur {
-            if (past_hi && !self.store.block(id).is_overflow()) || guard == 0 {
-                break;
-            }
-            if self.store.block_mut(id).remove_at(p.x, p.y, p.id).is_some() {
-                self.n_points -= 1;
-                return true;
-            }
-            past_hi |= id == hi;
-            cur = self.store.block(id).next();
-            guard -= 1;
+        if self.store.remove_in_chain_range(lo, hi, p).is_none() {
+            return false;
         }
-        false
+        self.n_points -= 1;
+        true
     }
 
     fn size_bytes(&self) -> usize {
@@ -718,6 +658,29 @@ mod tests {
         assert!(zm
             .point_query(&Point::new(0.111111, 0.222222), &mut cx())
             .is_none());
+    }
+
+    #[test]
+    fn a_point_hit_stops_reading_the_predicted_range() {
+        // Regression: the lookup kept reading (and charging) the rest of
+        // its predicted range after it had its answer.
+        let (pts, zm) = build_small(1200);
+        for p in &pts {
+            let z = zcurve::encode_unit(p.x, p.y, Z_ORDER);
+            let (lo, hi) = zm.predicted_block_range(z, &mut cx()).unwrap();
+            let position = zm
+                .store
+                .chain_range(lo, hi)
+                .position(|(_, block)| block.find_at(p.x, p.y).is_some())
+                .expect("the predicted range holds every indexed point");
+            let mut c = cx();
+            assert!(zm.point_query(p, &mut c).is_some());
+            assert!(
+                c.stats.blocks_touched as usize <= position + 1,
+                "{p:?}: {} blocks read for a hit in block {position} of its range",
+                c.stats.blocks_touched
+            );
+        }
     }
 
     #[test]

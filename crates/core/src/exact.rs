@@ -6,11 +6,10 @@
 //! window / kNN / distance-range / distance-join queries through the shared
 //! traversal; the learned paths stay in [`crate::index`].
 //!
-//! Accounting: a node per expanded internal model.  A leaf stores no
-//! per-block MBRs, so expanding it computes each block's MBR from the
-//! block's points — that read is the block access (`count_block`), charged
-//! whether or not the MBR then prunes the block; opening a surviving block
-//! adds only its candidates.
+//! Accounting: a node per expanded internal model.  A leaf's entries are
+//! its blocks' MBRs, read from the block headers — testing one is free, as
+//! for any directory entry; a block is charged, with its candidates, when
+//! it is opened.
 
 use crate::index::Rsmi;
 use crate::node::Node;
@@ -52,9 +51,8 @@ impl DirectoryView for ExactView<'_> {
             }
             Node::Leaf(leaf) => {
                 for base in leaf.first_block..leaf.first_block + leaf.n_blocks {
-                    for b in index.store.overflow_chain(base) {
-                        self.cx.count_block();
-                        f(self, index.store.block(b).mbr(), Child::Page(b))?;
+                    for (b, block) in index.store.overflow_chain(base) {
+                        f(self, block.mbr(), Child::Page(b))?;
                     }
                 }
             }
@@ -65,7 +63,7 @@ impl DirectoryView for ExactView<'_> {
     #[inline]
     fn page(&mut self, page: usize) -> &Block {
         let block = self.index.store.block(page);
-        self.cx.count_candidates(block.len());
+        self.cx.count_block_scan(block.len());
         block
     }
 }

@@ -213,28 +213,35 @@ impl Rsmi {
 
     /// Descends from the root to a leaf following model predictions
     /// (Algorithm 1, lines 1–3), charging one node visit per internal model
-    /// invoked.  Returns the path of internal nodes with the child-cell
-    /// chosen at each, plus the leaf ID.
-    fn descend(
+    /// invoked and reporting each `(internal node, chosen child cell)` to
+    /// `step`.  Returns the leaf ID.
+    fn descend_with(
         &self,
         x: f64,
         y: f64,
         cx: &mut QueryContext,
-    ) -> Option<(Vec<(NodeId, usize)>, NodeId)> {
+        mut step: impl FnMut(NodeId, usize),
+    ) -> Option<NodeId> {
         let mut cur = self.root?;
-        let mut path = Vec::with_capacity(self.height);
         loop {
             match &self.nodes[cur] {
-                Node::Leaf(_) => return Some((path, cur)),
+                Node::Leaf(_) => return Some(cur),
                 Node::Internal(node) => {
                     cx.count_node();
                     let j = node.model.predict_xy(x, y) as usize;
                     let (cell, child) = node.nearest_child(j)?;
-                    path.push((cur, cell));
+                    step(cur, cell);
                     cur = child;
                 }
             }
         }
+    }
+
+    /// The leaf a location routes to — the read paths' descent, which keeps
+    /// no path.
+    #[inline]
+    fn descend(&self, x: f64, y: f64, cx: &mut QueryContext) -> Option<NodeId> {
+        self.descend_with(x, y, cx, |_, _| {})
     }
 
     fn leaf(&self, id: NodeId) -> &LeafNode {
@@ -244,28 +251,19 @@ impl Rsmi {
         }
     }
 
-    /// Reads a block as part of a query, charging the access and its
-    /// candidates to the context.
-    #[inline]
-    fn read_block(&self, id: BlockId, cx: &mut QueryContext) -> &storage::Block {
-        let block = self.store.block(id);
-        cx.count_block_scan(block.len());
-        block
-    }
-
     // ------------------------------------------------------------------
     // Point queries (§4.1)
     // ------------------------------------------------------------------
 
     /// Point query (Algorithm 1): returns the indexed point with exactly the
-    /// query coordinates, if present.
+    /// query coordinates, if present.  Walks the predicted range in chain
+    /// order and opens only the blocks whose MBR contains the key.
     pub fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        let (_, leaf_id) = self.descend(q.x, q.y, cx)?;
-        let leaf = self.leaf(leaf_id);
+        let leaf = self.leaf(self.descend(q.x, q.y, cx)?);
         let (lo, hi) = leaf.predicted_range(q.x, q.y);
-        for base in lo..=hi {
-            for id in self.store.overflow_chain(base) {
-                let block = self.read_block(id, cx);
+        for (_, block) in self.store.chain_range(lo, hi) {
+            if block.mbr().contains(q) {
+                cx.count_block_scan(block.len());
                 if let Some(p) = block.find_at(q.x, q.y) {
                     return Some(p);
                 }
@@ -281,14 +279,13 @@ impl Rsmi {
     /// The anchor points whose predicted blocks bound the scan range: the
     /// bottom-left and top-right corners for Z-ordered data, all four
     /// corners for Hilbert-ordered data (§4.2).
-    fn window_anchors(&self, window: &Rect) -> Vec<Point> {
-        match self.config.curve {
-            CurveKind::Z => vec![
-                Point::new(window.min_x, window.min_y),
-                Point::new(window.max_x, window.max_y),
-            ],
-            CurveKind::Hilbert => window.corners().to_vec(),
-        }
+    fn window_anchors(&self, window: &Rect) -> impl Iterator<Item = Point> {
+        let corners = window.corners();
+        let picks: &[usize] = match self.config.curve {
+            CurveKind::Z => &[0, 3],
+            CurveKind::Hilbert => &[0, 1, 2, 3],
+        };
+        picks.iter().map(move |&i| corners[i])
     }
 
     /// Predicted global block range `[begin, end]` covering a window, from
@@ -301,8 +298,7 @@ impl Rsmi {
         let mut begin = usize::MAX;
         let mut end = 0usize;
         for anchor in self.window_anchors(window) {
-            let (_, leaf_id) = self.descend(anchor.x, anchor.y, cx)?;
-            let leaf = self.leaf(leaf_id);
+            let leaf = self.leaf(self.descend(anchor.x, anchor.y, cx)?);
             let (lo, hi) = leaf.predicted_range(anchor.x, anchor.y);
             begin = begin.min(lo);
             end = end.max(hi);
@@ -314,43 +310,9 @@ impl Rsmi {
         }
     }
 
-    /// Scans the block chain from `begin` through `end` (inclusive),
-    /// including overflow blocks spliced into the chain, charging each block
-    /// read (and its candidates) to `cx` and calling `f` on every block.
-    fn scan_chain(
-        &self,
-        begin: BlockId,
-        end: BlockId,
-        cx: &mut QueryContext,
-        mut f: impl FnMut(&storage::Block),
-    ) {
-        let mut cur = Some(begin);
-        let mut guard = self.store.len() + 1;
-        while let Some(id) = cur {
-            let block = self.read_block(id, cx);
-            f(block);
-            if id == end {
-                // Include the overflow blocks chained directly after `end`.
-                let mut next = block.next();
-                while let Some(n) = next {
-                    if !self.store.block(n).is_overflow() {
-                        break;
-                    }
-                    let ov = self.read_block(n, cx);
-                    f(ov);
-                    next = ov.next();
-                }
-                break;
-            }
-            cur = block.next();
-            guard -= 1;
-            if guard == 0 {
-                break;
-            }
-        }
-    }
-
-    /// Window query (Algorithm 2), visitor form.
+    /// Window query (Algorithm 2), visitor form: predict the chain range
+    /// from the anchors, test each block's MBR in its header, open only the
+    /// blocks that intersect the window.
     ///
     /// The answer is **approximate**: it never contains points outside the
     /// window (results are filtered), but points whose blocks fall outside
@@ -366,9 +328,12 @@ impl Rsmi {
         let Some((begin, end)) = self.window_block_range(window, cx) else {
             return;
         };
-        self.scan_chain(begin, end, cx, |block| {
-            block.for_each_in_rect(window, |p| visit(&p));
-        });
+        for (_, block) in self.store.chain_range(begin, end) {
+            if block.mbr().intersects(window) {
+                cx.count_block_scan(block.len());
+                block.for_each_in_rect(window, |p| visit(&p));
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -411,11 +376,14 @@ impl Rsmi {
                         best[k_eff - 1].0
                     }
                 };
-                self.scan_chain(begin, end, cx, |block| {
-                    let dist_bound = kth(&best);
-                    if best.len() >= k_eff && block.mbr().min_dist(q) >= dist_bound {
-                        return;
+                for (_, block) in self.store.chain_range(begin, end) {
+                    // Opened only if it can beat the running k-th distance
+                    // (infinite until k points are held: only an empty
+                    // block is skipped then).
+                    if block.mbr().min_dist(q) >= kth(&best) {
+                        continue;
                     }
+                    cx.count_block_scan(block.len());
                     block.for_each_dist_sq(q, |p, d_sq| {
                         let d = d_sq.sqrt();
                         if best.len() < k_eff || d < kth(&best) {
@@ -435,7 +403,7 @@ impl Rsmi {
                             }
                         }
                     });
-                });
+                }
             }
 
             let covers_space = width >= 2.0 && height >= 2.0;
@@ -473,8 +441,8 @@ impl Rsmi {
         best: &mut Vec<(f64, Point)>,
     ) {
         best.clear();
-        for (id, _) in self.store.iter() {
-            let block = self.read_block(id, cx);
+        for (_, block) in self.store.iter() {
+            cx.count_block_scan(block.len());
             block.for_each_dist_sq(q, |p, d_sq| {
                 let d = d_sq.sqrt();
                 let pos = best
@@ -512,15 +480,19 @@ impl Rsmi {
         // Updates are maintenance, not queries: route with a throwaway
         // context so nothing is charged to any caller's statistics.
         let mut scratch = QueryContext::new();
-        let Some((path, leaf_id)) = self.descend(p.x, p.y, &mut scratch) else {
+        let mut path = Vec::with_capacity(self.height);
+        let routed = self.descend_with(p.x, p.y, &mut scratch, |node_id, cell| {
+            path.push((node_id, cell));
+        });
+        let Some(leaf_id) = routed else {
             return;
         };
         // Enlarge MBRs along the path (§5: "recursively update the MBRs of
         // the ancestor models").
-        for (node_id, cell) in &path {
-            if let Node::Internal(node) = &mut self.nodes[*node_id] {
+        for (node_id, cell) in path {
+            if let Node::Internal(node) = &mut self.nodes[node_id] {
                 node.mbr.expand_to_point(p);
-                node.child_mbrs[*cell].expand_to_point(p);
+                node.child_mbrs[cell].expand_to_point(p);
             }
         }
         let (predicted, leaf_first, leaf_blocks) = {
@@ -536,11 +508,12 @@ impl Rsmi {
             leaf.mbr.expand_to_point(p);
         }
         // Find space in the predicted block or its overflow chain.
-        let chain = self.store.overflow_chain(predicted);
+        let mut tail = predicted;
         let mut target = None;
-        for id in &chain {
-            if !self.store.block(*id).is_full() {
-                target = Some(*id);
+        for (id, block) in self.store.overflow_chain(predicted) {
+            tail = id;
+            if !block.is_full() {
+                target = Some(id);
                 break;
             }
         }
@@ -554,9 +527,7 @@ impl Rsmi {
             Some(id) => id,
             None => match self.reusable_leaf_slot(leaf_id, &p) {
                 Some(alt) => alt,
-                None => self
-                    .store
-                    .insert_overflow_after(*chain.last().expect("chain contains the base block")),
+                None => self.store.insert_overflow_after(tail),
             },
         };
         self.store.block_mut(target).push(p);
@@ -614,21 +585,16 @@ impl Rsmi {
     /// remain valid; the freed slot is reused by later insertions.
     pub fn delete(&mut self, p: &Point) -> bool {
         let mut scratch = QueryContext::new();
-        let Some((_, leaf_id)) = self.descend(p.x, p.y, &mut scratch) else {
+        let Some(leaf_id) = self.descend(p.x, p.y, &mut scratch) else {
             return false;
         };
-        let leaf = self.leaf(leaf_id);
-        let (lo, hi) = leaf.predicted_range(p.x, p.y);
-        for base in lo..=hi {
-            for id in self.store.overflow_chain(base) {
-                if self.store.block_mut(id).remove_at(p.x, p.y, p.id).is_some() {
-                    self.n_points -= 1;
-                    self.maint[leaf_id].ops_since_train += 1;
-                    return true;
-                }
-            }
+        let (lo, hi) = self.leaf(leaf_id).predicted_range(p.x, p.y);
+        if self.store.remove_in_chain_range(lo, hi, p).is_none() {
+            return false;
         }
-        false
+        self.n_points -= 1;
+        self.maint[leaf_id].ops_since_train += 1;
+        true
     }
 
     /// Number of overflow blocks created by insertions since the last
@@ -734,8 +700,8 @@ impl Rsmi {
         let mut inputs: Vec<Vec<f64>> = Vec::new();
         let mut targets: Vec<u64> = Vec::new();
         for i in 0..n_blocks {
-            for id in self.store.overflow_chain(first + i) {
-                for p in self.store.block(id).iter_points() {
+            for (_, block) in self.store.overflow_chain(first + i) {
+                for p in block.iter_points() {
                     inputs.push(vec![p.x, p.y]);
                     targets.push(i as u64);
                 }
@@ -769,8 +735,8 @@ impl Rsmi {
             let Node::Leaf(leaf) = node else { continue };
             for i in 0..leaf.n_blocks {
                 let base = leaf.first_block + i;
-                for id in self.store.overflow_chain(base) {
-                    for p in self.store.block(id).iter_points() {
+                for (_, block) in self.store.overflow_chain(base) {
+                    for p in block.iter_points() {
                         let (lo, hi) = leaf.predicted_range(p.x, p.y);
                         if base < lo || base > hi {
                             violations += 1;

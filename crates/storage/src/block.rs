@@ -20,6 +20,11 @@ pub type BlockId = usize;
 /// [`Block::is_overflow`] so that they "do not count towards the error
 /// bounds" (§5): query algorithms treat them as extensions of their
 /// predecessor block.
+///
+/// The block header carries the tight MBR of the live points.  [`Block::push`]
+/// expands it and a removal recomputes it only when the removed point lay on
+/// an edge, so [`Block::mbr`] is O(1) and always exact.  It is not persisted:
+/// loading a snapshot pushes the points back, which rebuilds it.
 #[derive(Debug, Clone)]
 pub struct Block {
     /// `[x0..x_cap | y0..y_cap]`; only the first `len` entries of each half
@@ -30,6 +35,7 @@ pub struct Block {
     prev: Option<BlockId>,
     next: Option<BlockId>,
     overflow: bool,
+    mbr: Rect,
 }
 
 impl Block {
@@ -43,6 +49,7 @@ impl Block {
             prev: None,
             next: None,
             overflow: false,
+            mbr: Rect::empty(),
         }
     }
 
@@ -117,6 +124,7 @@ impl Block {
         self.coords[n] = p.x;
         self.coords[self.capacity + n] = p.y;
         self.ids.push(p.id);
+        self.mbr.expand_to_point(p);
     }
 
     /// The x-coordinate lane.
@@ -238,6 +246,11 @@ impl Block {
         self.coords[pos] = self.coords[last];
         self.coords[self.capacity + pos] = self.coords[self.capacity + last];
         self.ids.swap_remove(pos);
+        // Only a point on an edge can have been holding that edge out.
+        let m = self.mbr;
+        if p.x == m.min_x || p.x == m.max_x || p.y == m.min_y || p.y == m.max_y {
+            self.mbr = kernels::mbr_of(self.xs(), self.ys());
+        }
         p
     }
 
@@ -250,18 +263,21 @@ impl Block {
     }
 
     /// The minimum bounding rectangle of the block's points (empty rectangle
-    /// for an empty block) — a packed min/max fold over the lanes.
+    /// for an empty block), read from the block header.
+    #[inline]
     pub fn mbr(&self) -> Rect {
-        kernels::mbr_of(self.xs(), self.ys())
+        self.mbr
     }
 
     /// Approximate in-memory size of the block in bytes, for index-size
     /// accounting.  The fixed capacity is charged even when the block is not
     /// full, mirroring an on-disk page (the lane split leaves the per-point
-    /// footprint unchanged: two `f64`s plus one `u64`).
+    /// footprint unchanged: two `f64`s plus one `u64`); the header is the
+    /// links and flags plus the MBR.
     pub fn size_bytes(&self) -> usize {
         self.capacity * (2 * std::mem::size_of::<f64>() + std::mem::size_of::<u64>())
             + 4 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Rect>()
     }
 }
 

@@ -8,8 +8,9 @@
 //! * [`Block`] — a fixed-capacity container of points with `prev`/`next`
 //!   links so that consecutive blocks can be scanned like a linked list
 //!   (Fig. 4 of the paper), stored struct-of-arrays (separate `x`/`y`/`id`
-//!   lanes),
-//! * [`BlockStore`] — an arena of blocks,
+//!   lanes) with the tight MBR of its points in the header,
+//! * [`BlockStore`] — an arena of blocks, with the chain walks
+//!   ([`BlockStore::chain_range`]) the learned families scan along,
 //! * [`kernels`] — chunked, autovectorizable scan kernels (batch
 //!   rect-contains, batch distance-squared, branchless MINDIST, candidate
 //!   filters) shared by every block-backed query path,
@@ -34,7 +35,7 @@ mod store;
 
 pub use block::{Block, BlockId};
 pub use snapshot::SECTION_STORE_V2;
-pub use store::BlockStore;
+pub use store::{BlockStore, ChainRange};
 
 /// The block capacity used throughout the paper's experiments (`B = 100`).
 pub const DEFAULT_BLOCK_CAPACITY: usize = 100;

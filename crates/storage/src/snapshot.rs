@@ -158,8 +158,84 @@ mod tests {
         let ov = store.insert_overflow_after(0);
         store.block_mut(ov).push(Point::with_id(0.5, 0.5, 99));
         let loaded = roundtrip(&store);
-        assert_eq!(loaded.overflow_chain(0), store.overflow_chain(0));
+        let ids = |s: &BlockStore| s.overflow_chain(0).map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(ids(&loaded), vec![0, ov]);
+        assert_eq!(ids(&loaded), ids(&store));
         assert!(loaded.block(ov).is_overflow());
+    }
+
+    /// The header MBR against the fold it caches, bit for bit.
+    fn assert_mbrs_are_the_fold(store: &BlockStore, what: &str) {
+        let bits = |r: geom::Rect| [r.min_x, r.min_y, r.max_x, r.max_y].map(f64::to_bits);
+        for (id, block) in store.iter() {
+            let fold = crate::kernels::mbr_of(block.xs(), block.ys());
+            assert_eq!(
+                bits(block.mbr()),
+                bits(fold),
+                "{what}: block {id} (capacity {}, {} points)",
+                store.capacity(),
+                block.len()
+            );
+        }
+    }
+
+    #[test]
+    fn block_mbr_is_the_fold_under_any_interleaving_of_pushes_and_removals() {
+        // Coordinates come from a 9 x 9 grid, so duplicates sit on every
+        // edge; capacities straddle the kernels' 64-point chunk seam.
+        for (capacity, seed) in [
+            (1usize, 3u64),
+            (2, 5),
+            (63, 7),
+            (64, 11),
+            (65, 13),
+            (100, 17),
+        ] {
+            let mut store = BlockStore::new(capacity);
+            for _ in 0..3 {
+                store.allocate();
+            }
+            let mut state = seed;
+            let mut rand = |n: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize % n
+            };
+            let mut next_id = 1u64;
+            // Alternating phases long enough to drive every block to full
+            // and back down through a single point to empty, then refill.
+            let phase = 6 * capacity + 15;
+            let (mut filled, mut emptied) = (0, 0);
+            for step in 0..8 * phase {
+                let block = store.block_mut(rand(3));
+                let filling = (step / phase) % 2 == 0;
+                if block.is_empty() || (!block.is_full() && rand(4) < if filling { 3 } else { 1 }) {
+                    let (x, y) = (rand(9) as f64 / 8.0, rand(9) as f64 / 8.0);
+                    block.push(Point::with_id(x, y, next_id));
+                    next_id += 1;
+                    filled += usize::from(block.is_full());
+                } else {
+                    let victim = block.point(rand(block.len()));
+                    let removed = match rand(3) {
+                        0 => block.remove_by_id(victim.id),
+                        1 => block.remove_at(victim.x, victim.y, victim.id),
+                        _ => block.remove_at(victim.x, victim.y, 0),
+                    };
+                    assert!(removed.is_some_and(|p| p.same_location(&victim)));
+                    emptied += usize::from(block.is_empty());
+                }
+                assert_mbrs_are_the_fold(&store, "after an operation");
+                if step % 500 == 499 {
+                    assert_mbrs_are_the_fold(&roundtrip(&store), "after a snapshot round trip");
+                    assert_mbrs_are_the_fold(&store.clone(), "after clone");
+                }
+            }
+            assert!(
+                filled > 3 && emptied > 3,
+                "capacity {capacity}: {filled} / {emptied}"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,62 @@ pub struct BlockStore {
     capacity: usize,
 }
 
+/// Position of a walk over `begin..=end` of the block chain plus the
+/// overflow tail of `end`.  Holds no borrow, so the store can mutate the
+/// block it has just been handed.
+#[derive(Debug, Clone)]
+struct ChainCursor {
+    next: Option<BlockId>,
+    end: BlockId,
+    past_end: bool,
+    /// Blocks the walk may still yield: a chain never holds more blocks
+    /// than the store, so corrupt (cyclic) links end the walk instead of
+    /// hanging it.
+    budget: usize,
+}
+
+impl ChainCursor {
+    fn new(begin: BlockId, end: BlockId, budget: usize) -> Self {
+        Self {
+            next: Some(begin),
+            end,
+            past_end: false,
+            budget,
+        }
+    }
+
+    fn advance(&mut self, blocks: &[Block]) -> Option<BlockId> {
+        let id = self.next?;
+        let block = &blocks[id];
+        if self.budget == 0 || (self.past_end && !block.is_overflow()) {
+            self.next = None;
+            return None;
+        }
+        self.budget -= 1;
+        self.past_end |= id == self.end;
+        self.next = block.next();
+        Some(id)
+    }
+}
+
+/// Iterator over a stretch of the block chain, see
+/// [`BlockStore::chain_range`].
+#[derive(Debug, Clone)]
+pub struct ChainRange<'a> {
+    blocks: &'a [Block],
+    cursor: ChainCursor,
+}
+
+impl<'a> Iterator for ChainRange<'a> {
+    type Item = (BlockId, &'a Block);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let id = self.cursor.advance(self.blocks)?;
+        Some((id, &self.blocks[id]))
+    }
+}
+
 impl BlockStore {
     /// Creates an empty store whose blocks will have capacity `capacity`.
     pub fn new(capacity: usize) -> Self {
@@ -123,22 +179,44 @@ impl BlockStore {
         id
     }
 
-    /// Follows `next` links starting at `id` (inclusive) and returns the IDs
-    /// of `id` plus all *overflow* blocks chained immediately after it.
-    ///
-    /// Query algorithms use this to extend a predicted block with the blocks
-    /// created by insertions, which are excluded from the error bounds.
-    pub fn overflow_chain(&self, id: BlockId) -> Vec<BlockId> {
-        let mut ids = vec![id];
-        let mut cur = self.blocks[id].next();
-        while let Some(n) = cur {
-            if !self.blocks[n].is_overflow() {
-                break;
-            }
-            ids.push(n);
-            cur = self.blocks[n].next();
+    /// Walks the chain from `begin` through `end` (inclusive) and on through
+    /// the overflow blocks chained directly after `end` — the blocks a
+    /// predicted range `[begin, end]` stands for, since insertion-created
+    /// blocks "do not count towards the error bounds" (§5) and extend their
+    /// predecessor.  If `end` is never reached the walk runs to the chain's
+    /// tail.  Nothing is allocated and nothing is charged: the caller
+    /// decides which of the blocks it opens.
+    pub fn chain_range(&self, begin: BlockId, end: BlockId) -> ChainRange<'_> {
+        ChainRange {
+            blocks: &self.blocks,
+            cursor: ChainCursor::new(begin, end, self.blocks.len()),
         }
-        ids
+    }
+
+    /// `id` plus all *overflow* blocks chained immediately after it.
+    pub fn overflow_chain(&self, id: BlockId) -> ChainRange<'_> {
+        self.chain_range(id, id)
+    }
+
+    /// Removes the first point matching `p` ([`Block::remove_at`]: exact
+    /// location, id `0` the wildcard) from the blocks of
+    /// [`chain_range(begin, end)`](Self::chain_range), in chain order.
+    pub fn remove_in_chain_range(
+        &mut self,
+        begin: BlockId,
+        end: BlockId,
+        p: &Point,
+    ) -> Option<Point> {
+        let mut cursor = ChainCursor::new(begin, end, self.blocks.len());
+        while let Some(id) = cursor.advance(&self.blocks) {
+            let block = &mut self.blocks[id];
+            if block.mbr().contains(p) {
+                if let Some(removed) = block.remove_at(p.x, p.y, p.id) {
+                    return Some(removed);
+                }
+            }
+        }
+        None
     }
 
     /// Iterates over all blocks (used by rebuild and verification code).
@@ -160,6 +238,10 @@ mod tests {
         (0..n)
             .map(|i| Point::with_id(i as f64 / n as f64, i as f64 / n as f64, i as u64))
             .collect()
+    }
+
+    fn ids(chain: ChainRange<'_>) -> Vec<BlockId> {
+        chain.map(|(id, _)| id).collect()
     }
 
     #[test]
@@ -222,9 +304,45 @@ mod tests {
         store.pack(&pts(4)); // blocks 0 and 1
         let ov1 = store.insert_overflow_after(0);
         let ov2 = store.insert_overflow_after(ov1);
-        assert_eq!(store.overflow_chain(0), vec![0, ov1, ov2]);
+        assert_eq!(ids(store.overflow_chain(0)), vec![0, ov1, ov2]);
         // block 1 is a regular block, so the chain from it stops immediately.
-        assert_eq!(store.overflow_chain(1), vec![1]);
+        assert_eq!(ids(store.overflow_chain(1)), vec![1]);
+    }
+
+    #[test]
+    fn chain_range_covers_begin_to_end_and_the_overflow_tail_of_end() {
+        let mut store = BlockStore::new(2);
+        store.pack(&pts(8)); // blocks 0..=3
+        let ov0 = store.insert_overflow_after(0);
+        let ov2a = store.insert_overflow_after(2);
+        let ov2b = store.insert_overflow_after(ov2a);
+        assert_eq!(ids(store.chain_range(0, 2)), vec![0, ov0, 1, 2, ov2a, ov2b]);
+        assert_eq!(ids(store.chain_range(1, 1)), vec![1]);
+        assert_eq!(ids(store.chain_range(3, 3)), vec![3]);
+        // An unreachable `end` runs to the tail; a cycle ends at the budget.
+        assert_eq!(ids(store.chain_range(2, 0)), vec![2, ov2a, ov2b, 3]);
+        store.block_mut(3).set_next(Some(0));
+        assert_eq!(ids(store.chain_range(1, 99)).len(), store.len());
+    }
+
+    #[test]
+    fn remove_in_chain_range_takes_the_first_match_in_chain_order() {
+        let mut store = BlockStore::new(2);
+        store.pack(&pts(4)); // blocks 0 and 1
+        let ov = store.insert_overflow_after(0);
+        let dup = Point::with_id(0.9, 0.9, 77);
+        store.block_mut(ov).push(dup);
+        let twin = Point::with_id(0.9, 0.9, 78);
+        store.block_mut(1).remove_by_id(3).unwrap();
+        store.block_mut(1).push(twin);
+        // Outside the range: block 1 alone does not hold id 77.
+        assert!(store.remove_in_chain_range(1, 1, &dup).is_none());
+        // The wildcard takes the overflow block's copy first (chain order).
+        let wild = Point::new(0.9, 0.9);
+        assert_eq!(store.remove_in_chain_range(0, 1, &wild).unwrap().id, 77);
+        assert_eq!(store.remove_in_chain_range(0, 1, &wild).unwrap().id, 78);
+        assert!(store.remove_in_chain_range(0, 1, &wild).is_none());
+        assert_eq!(store.total_points(), 3);
     }
 
     #[test]

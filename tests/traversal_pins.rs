@@ -1,21 +1,22 @@
-//! Traversal pins: the four directory families (HRR, KDB, RR\*, RSMIa — and
-//! RSMI for range/join, which take the exact path) share one traversal, so
-//! their visit order and their `QueryStats` accounting are a contract, not
-//! an accident.  One seeded 20 k-point data set, with inserts and deletes
-//! applied, answers a fixed pool of point / window / kNN / range / join
-//! queries; per family × class this file pins
+//! Traversal pins: the four directory families (HRR, KDB, RR\*, RSMIa) share
+//! one traversal, and the learned scans of RSMI and ZM share one chain walk
+//! and one block-MBR test, so their visit order and their `QueryStats`
+//! accounting are a contract, not an accident.  One seeded 20 k-point data
+//! set, with inserts and deletes applied, answers a fixed pool of point /
+//! window / kNN / range / join queries; per family × class this file pins
 //!
 //! * an FNV-64 over the result ids **in visit order**, and
 //! * the `(blocks_touched, nodes_visited, candidates_scanned)` triple.
 //!
-//! The table was generated from the hand-written per-family traversals that
-//! preceded `storage::directory`; the only row that changed with the shared
-//! traversal is RSMIa kNN's stats (see the comment on that row).  On a
-//! mismatch the test prints the whole observed table in source form, so an
-//! intended change (new data generator, retrained models) regenerates it by
-//! copy and paste.
+//! The hashes were generated from the hand-written per-family traversals
+//! that preceded `storage::directory` (RSMI's learned rows and ZM's from the
+//! unpruned chain scans that preceded the block-header MBR); no change since
+//! has moved one.  On a mismatch the test prints the whole observed table in
+//! source form, so an intended change (new data generator, retrained models)
+//! regenerates it by copy and paste.
 
-use baselines::{HilbertRTree, KdbTree, RStarTree};
+use baselines::zm::ZmConfig;
+use baselines::{HilbertRTree, KdbTree, RStarTree, ZOrderModel};
 use common::{QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use geom::{Point, Rect};
@@ -44,18 +45,23 @@ const PINS: &[Pin] = &[
     ("RR*", "knn", 0x45BC8FB6B33712F8, (93, 80, 6098)),
     ("RR*", "range", 0xAE713A791FBA9E48, (181, 77, 11966)),
     ("RR*", "join", 0x601F2C43D153EDFD, (462, 14, 29710)),
-    ("RSMIa", "point", 0x5F549D4ECFF7CBC5, (5084, 200, 164958)),
-    ("RSMIa", "window", 0x653550B26B2F6083, (10430, 47, 64331)),
-    // The one row the shared traversal changed.  RSMIa's hand-written kNN
-    // charged a node per expanded leaf and a block only when the block was
-    // popped — (395, 190, 15470) — while its window/range/join charged no
-    // leaf node and every block whose MBR was computed.  kNN now follows
-    // the same rule as the other three classes; the answers are unchanged.
-    ("RSMIa", "knn", 0x45BC8FB6B33712F8, (6892, 37, 15470)),
-    ("RSMIa", "range", 0x0E34EC6A21D618FC, (7650, 37, 20634)),
-    ("RSMIa", "join", 0xCE510C3A9AACB975, (1540, 3, 33058)),
-    ("RSMI", "range", 0x0E34EC6A21D618FC, (7650, 37, 20634)),
-    ("RSMI", "join", 0xCE510C3A9AACB975, (1540, 3, 33058)),
+    // One accounting rule for every family: a block is charged, with its
+    // candidates, when its lanes are read; testing an MBR that sits in a
+    // directory node or a block header is free.
+    ("RSMIa", "point", 0x5F549D4ECFF7CBC5, (437, 200, 16767)),
+    ("RSMIa", "window", 0x653550B26B2F6083, (1795, 47, 64331)),
+    ("RSMIa", "knn", 0x45BC8FB6B33712F8, (395, 37, 15470)),
+    ("RSMIa", "range", 0x0E34EC6A21D618FC, (542, 37, 20634)),
+    ("RSMIa", "join", 0xCE510C3A9AACB975, (921, 3, 33058)),
+    ("RSMI", "point", 0x5F549D4ECFF7CBC5, (437, 200, 16767)),
+    ("RSMI", "window", 0x9071EBE4F5CA553B, (1674, 188, 59105)),
+    ("RSMI", "knn", 0x45BC8FB6B33712F8, (680, 148, 25879)),
+    ("RSMI", "range", 0x0E34EC6A21D618FC, (542, 37, 20634)),
+    ("RSMI", "join", 0xCE510C3A9AACB975, (921, 3, 33058)),
+    ("ZM", "point", 0x5F549D4ECFF7CBC5, (451, 600, 16871)),
+    ("ZM", "window", 0xB1AD270DAFB04FC3, (1694, 282, 55413)),
+    ("ZM", "range", 0xBDE0B66FAE2885F4, (464, 0, 16358)),
+    ("ZM", "join", 0xBB9ADE19327CDD89, (984, 0, 32244)),
 ];
 
 fn fnv64(hash: &mut u64, value: u64) {
@@ -175,7 +181,12 @@ fn visit_order_and_accounting_match_the_pinned_table() {
         ),
         (Box::new(RsmiExact::from_rsmi(rsmi.clone())), ALL_CLASSES),
         // Plain RSMI answers range and join through the exact traversal.
-        (Box::new(rsmi), &["range", "join"]),
+        (Box::new(rsmi), ALL_CLASSES),
+        // ZM's kNN is its window scan under an expanding region.
+        (
+            Box::new(ZOrderModel::build(data.clone(), ZmConfig::fast())),
+            &["point", "window", "range", "join"],
+        ),
     ];
     let mut observed: Vec<Pin> = Vec::new();
     for (index, classes) in &mut families {
