@@ -392,9 +392,9 @@ struct Epoch {
     base: Box<dyn SpatialIndex>,
     /// Copy counts and canonical positions of every key the base contains,
     /// so deletes can decide in O(1) how many base copies they mask (keeps
-    /// `len()`, kNN over-fetch, and delete results exact without querying
-    /// the base) and duplicate-location point queries resolve in `Vec`
-    /// order.
+    /// `len()`, the kNN widening cap, and delete results exact without
+    /// querying the base) and duplicate-location point queries resolve in
+    /// `Vec` order.
     base_keys: HashMap<Key, BaseKeyInfo>,
     /// Writes since this epoch's base was built.  Readers clone the `Arc`
     /// under a momentary read lock; the (single) writer appends through
@@ -460,6 +460,10 @@ struct ServerMetrics {
     compaction_pause_us: Histogram,
     /// `server.compaction_rebuild_us`: off-lock rebuild duration.
     compaction_rebuild_us: Histogram,
+    /// `server.compaction_pass_us`: a whole pass, full or partial — delta
+    /// capture, fold into the canonical points, rebuild, key map and swap.
+    /// The rebuild and pause clocks above time two of those five phases.
+    compaction_pass_us: Histogram,
     /// `server.compactions_full` / `server.compactions_partial`: how the
     /// swaps were produced — the soak suite asserts partial passes carried
     /// the steady-state load.
@@ -493,6 +497,7 @@ impl ServerMetrics {
             model_err_above: t.metrics.gauge("server.model_err_above"),
             compaction_pause_us: t.metrics.histogram("server.compaction_pause_us"),
             compaction_rebuild_us: t.metrics.histogram("server.compaction_rebuild_us"),
+            compaction_pass_us: t.metrics.histogram("server.compaction_pass_us"),
             compactions_full: t.metrics.counter("server.compactions_full"),
             compactions_partial: t.metrics.counter("server.compactions_partial"),
             subtree_rebuilds: t.metrics.counter("server.subtree_rebuilds"),
@@ -671,6 +676,7 @@ impl Core {
     /// faithfully against `Vec` fold semantics).
     fn compact_with(&self, mode: CompactionMode) -> bool {
         let mut points = self.compact_state.lock().expect("compact lock poisoned");
+        let pass_t0 = Instant::now();
         let epoch = self.current_epoch();
         let captured = epoch.delta.read().expect("delta lock poisoned").clone();
         if captured.is_empty() {
@@ -756,6 +762,9 @@ impl Core {
             .epoch
             .set(new_epoch_id.min(i64::MAX as u64) as i64);
         self.metrics.compaction_pause_us.record(pause_us);
+        self.metrics
+            .compaction_pass_us
+            .record(pass_t0.elapsed().as_micros() as u64);
         match partial_outcome {
             // A clone whose `rebuild_partial` fell back to a full rebuild
             // still counts as a full pass: the whole structure was redone.
@@ -1032,6 +1041,54 @@ fn compactor_loop(core: &Core) {
 // Snapshot: the reader-side merged view
 // ---------------------------------------------------------------------
 
+/// The running `k` nearest of a merged kNN, ascending by `(distance, id)` —
+/// the order of [`common::brute_force::knn_query`].
+struct Nearest {
+    q: Point,
+    k: usize,
+    best: Vec<(f64, Point)>,
+}
+
+impl Nearest {
+    fn new(q: Point, k: usize) -> Self {
+        Self {
+            q,
+            k,
+            best: Vec::with_capacity(k + 1),
+        }
+    }
+
+    /// The squared distance beyond which no candidate can enter: the k-th
+    /// held distance, infinite while fewer than `k` are held.
+    fn bound(&self) -> f64 {
+        if self.best.len() >= self.k {
+            self.best[self.k - 1].0
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    fn push(&mut self, p: &Point) {
+        let d = p.dist_sq(&self.q);
+        if self.best.len() >= self.k {
+            let (wd, wp) = self.best[self.k - 1];
+            if (d, p.id) >= (wd, wp.id) {
+                return;
+            }
+        }
+        let pos = self
+            .best
+            .binary_search_by(|(bd, bp)| {
+                bd.partial_cmp(&d)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(bp.id.cmp(&p.id))
+            })
+            .unwrap_or_else(|e| e);
+        self.best.insert(pos, (d, *p));
+        self.best.truncate(self.k);
+    }
+}
+
 /// A frozen, consistent view of a [`SpatialServer`]: one epoch's base index
 /// plus the delta overlay as of the moment the snapshot was taken.
 ///
@@ -1159,36 +1216,40 @@ impl Snapshot {
         if k == 0 {
             return;
         }
-        // Ask the base for enough extra neighbours to survive masking: at
-        // most `masked_base` of its answers can be deleted.
-        let k_base = k.saturating_add(self.delta.masked_base());
-        let mut best: Vec<(f64, Point)> = Vec::with_capacity(k + 1);
-        let mut push = |p: &Point| {
-            let d = p.dist_sq(q);
-            if best.len() >= k {
-                let (wd, wp) = best[k - 1];
-                if (d, p.id) >= (wd, wp.id) {
-                    return;
+        // Ask the base for the `k` that was asked for, and widen only on a
+        // shortfall: when masked neighbours came back that the request had
+        // not allowed for and the base had more to give, ask again for `k`
+        // plus what they stand for.  A masked neighbour stands for every
+        // base copy of its key (a sharded base reports a duplicated key once
+        // but spends one slot of a shard's quota per copy).  The request
+        // grows every round and stops at `k + masked_base` at the latest.
+        let cap = k.saturating_add(self.delta.masked_base());
+        let mut nearest = Nearest::new(*q, k);
+        let mut k_base = k;
+        loop {
+            nearest.best.clear();
+            let (mut returned, mut masked) = (0usize, 0usize);
+            self.epoch.base.knn_query_visit(q, k_base, cx, &mut |p| {
+                returned += 1;
+                match self.delta.masked_copies(p) {
+                    0 => nearest.push(p),
+                    copies => masked += copies as usize,
                 }
+            });
+            let widened = k.saturating_add(masked).min(cap);
+            if returned < k_base || widened <= k_base {
+                break;
             }
-            let pos = best
-                .binary_search_by(|(bd, bp)| {
-                    bd.partial_cmp(&d)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(bp.id.cmp(&p.id))
-                })
-                .unwrap_or_else(|e| e);
-            best.insert(pos, (d, *p));
-            best.truncate(k);
-        };
-        self.epoch.base.knn_query_visit(q, k_base, cx, &mut |p| {
-            if !self.delta.masks(p) {
-                push(p);
-            }
+            k_base = widened;
+        }
+        // Only inserts no farther than the running k-th distance can enter,
+        // and the bound tightens as they do.
+        let examined = self.delta.visit_inserts_near(q, nearest.bound(), &mut |p| {
+            nearest.push(p);
+            nearest.bound()
         });
-        let examined = self.delta.visit_inserts(&mut push);
         cx.count_candidates(examined);
-        for (_, p) in &best {
+        for (_, p) in &nearest.best {
             visit(p);
         }
     }
@@ -1855,7 +1916,7 @@ mod tests {
         assert!(server.point_query(&p, &mut cx).is_none());
         assert!(server.window_query(&Rect::unit(), &mut cx).is_empty());
         assert!(server.knn_query(&p, 5, &mut cx).is_empty());
-        // kNN over-fetch stays correct with other live points around.
+        // kNN widening stays correct with other live points around.
         let q = Point::with_id(0.25, 0.25, 9);
         server.insert(q);
         assert_eq!(
@@ -2036,6 +2097,41 @@ mod tests {
         // Drift gauges were refreshed from the post-pass base.
         assert_eq!(m.gauge("server.maint_ops_since_train"), Some(0));
         assert_eq!(m.gauge("server.maint_stale_subtrees"), Some(0));
+    }
+
+    #[test]
+    fn the_pass_clock_covers_the_fold_the_rebuild_and_the_swap() {
+        // `rebuild_us` starts after the fold and `pause_us` times the swap
+        // alone; `server.compaction_pass_us` is the whole pass, for full
+        // and partial passes alike.
+        for (rebuild, rebuild_clock) in [
+            (scan_rebuild(), "server.compaction_rebuild_us"),
+            (maint_rebuild(), "server.partial_rebuild_us"),
+        ] {
+            let data = generate(Distribution::skewed_default(), 2_000, 53);
+            let server = SpatialServer::new(data.clone(), rebuild, manual_cfg());
+            for (i, victim) in data.iter().enumerate().skip(1).step_by(4) {
+                server.delete(victim);
+                server.insert(Point::with_id(victim.y, victim.x, 80_000 + i as u64));
+            }
+            assert!(server.maintain_now());
+            let m = server.telemetry().metrics.snapshot();
+            let pass = m.histogram("server.compaction_pass_us").unwrap();
+            let rebuild = m.histogram(rebuild_clock).unwrap();
+            let pause = m.histogram("server.compaction_pause_us").unwrap();
+            assert_eq!((pass.count, rebuild.count, pause.count), (1, 1, 1));
+            assert!(
+                pass.sum >= rebuild.sum + pause.sum,
+                "pass {} us < rebuild {} us + pause {} us",
+                pass.sum,
+                rebuild.sum,
+                pause.sum
+            );
+            // A pass with nothing to fold is not a pass.
+            assert!(!server.maintain_now());
+            let m = server.telemetry().metrics.snapshot();
+            assert_eq!(m.histogram("server.compaction_pass_us").unwrap().count, 1);
+        }
     }
 
     #[test]

@@ -306,3 +306,65 @@ fn ghost_delta_delete_stays_dead_across_partial_epochs() {
         );
     }
 }
+
+/// Regression (compaction keeps up): a backlog of 4 096 buffered ops, half
+/// of them deletes, folds in one policy-driven pass — the fold walks the
+/// canonical points once, not once per delete — and what the server then
+/// holds is exactly what the `Vec` oracle holds.
+#[test]
+fn a_4096_op_backlog_folds_in_one_pass() {
+    let data = generate(Distribution::skewed_default(), 6_000, 29);
+    let server = serve_index(
+        IndexKind::Rsmi,
+        &data,
+        &IndexConfig::fast(),
+        ServerConfig::default().with_auto_compact(false),
+    );
+    let mut oracle = data.clone();
+    let delete = |oracle: &mut Vec<Point>, victim: Point| {
+        let before = oracle.len();
+        oracle.retain(|x| !(x.same_location(&victim) && x.id == victim.id));
+        assert_eq!(
+            server.apply(WriteOp::Delete(victim)).0,
+            oracle.len() != before
+        );
+    };
+    let fresh = |i: usize| Point::with_id(0.3, 0.0001 * i as f64, 9_000_000 + i as u64);
+    // Never id 0: the learned kinds read it as a wildcard.
+    let base_point = |i: usize| data[1 + (2 * i) % (data.len() - 1)];
+    for i in 0..2_048usize {
+        let victim = match i % 8 {
+            2 => base_point(i - 1), // already deleted: a no-op
+            4 => fresh(i - 2),      // both buffered copies of one key
+            6 => base_point(i - 1), // deleted, re-inserted, deleted again
+            7 => fresh(i - 1),      // an insert buffered one round earlier
+            _ => base_point(i),
+        };
+        delete(&mut oracle, victim);
+        let p = match i % 8 {
+            3 => fresh(i - 1), // a second copy
+            5 => victim,       // the re-insert of a deleted base point
+            _ => fresh(i),
+        };
+        server.apply(WriteOp::Insert(p));
+        oracle.push(p);
+    }
+    assert_eq!(server.stats().delta_ops, 4_096);
+    assert!(server.maintain_now());
+    let stats = server.stats();
+    assert_eq!(stats.delta_ops, 0);
+    assert_eq!(stats.compactions, 1);
+    assert_eq!(stats.len, oracle.len());
+
+    let key = |p: &Point| (p.id, p.x.to_bits(), p.y.to_bits());
+    let mut held: Vec<_> = Vec::with_capacity(oracle.len());
+    common::SpatialIndex::for_each_point(&server, &mut |p| held.push(key(p)));
+    let mut expect: Vec<_> = oracle.iter().map(key).collect();
+    held.sort_unstable();
+    expect.sort_unstable();
+    assert_eq!(held, expect);
+    let mut cx = QueryContext::new();
+    for q in oracle.iter().step_by(37) {
+        assert!(server.snapshot().point_query(q, &mut cx).is_some());
+    }
+}
