@@ -8,35 +8,20 @@
 //! statistics — there is no per-index special casing anywhere in the
 //! harness.
 //!
-//! The binary `experiments` (in `src/bin/experiments.rs`) uses these helpers
-//! to regenerate every table and figure; the benches under `benches/` use
-//! them to build fixtures.
-//!
-//! # Sharded serving benchmarks
-//!
-//! `benches/sharded_window.rs` compares the sharded engine at 1 / 4 / 8
-//! shards on a fixed 50k-point skewed data set under the hotspot window
-//! workload.  The expected shape:
-//!
-//! * **1 shard** — the unsharded index behind a thin routing facade; the
-//!   baseline.  Any overhead over the plain index is the cost of the facade
-//!   (one MBR intersection test per query) and should be negligible.
-//! * **4 / 8 shards** — hotspot queries intersect only the shards covering
-//!   the hot region, so `shards_pruned` per query grows with the shard
-//!   count while the visited shards shrink; per-query latency drops
-//!   accordingly.
-//! * **beyond** — once the hot region's shards are already skipped or
-//!   split, additional shards only add fan-out bookkeeping; the curve
-//!   flattens (and eventually rises).  The `sharded` experiment of the
-//!   `experiments` binary reports the same effect with shard counters and
-//!   the multi-threaded batch speedup.
+//! The binary `experiments` (in `src/bin/experiments/`) uses these helpers
+//! to regenerate every table and figure and to drive the serving stack;
+//! [`live`] (oracle replay of concurrent runs) and [`netload`] (closed-loop
+//! load generation and telemetry reconciliation) are shared with the
+//! workspace's integration tests, so the CLI gates and the test suites
+//! enforce the same acceptance criteria.  Performance is measured by the
+//! standalone harness under `benchmark/` (contract: `BENCHMARK.json`), not
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod live;
 pub mod netload;
-pub mod summary;
 
 use common::{brute_force, metrics, QueryContext, QueryStats, SpatialIndex};
 use geom::{Point, Rect};
@@ -330,156 +315,13 @@ pub fn replay_workload(
 }
 
 // ---------------------------------------------------------------------
-// Machine-readable experiment reports
+// Markdown output
 // ---------------------------------------------------------------------
 
-/// One experiment table: the unit both the markdown output and the JSON
-/// summary are built from.
-#[derive(Debug, Clone)]
-pub struct ReportTable {
-    /// Table caption (the figure/table name).
-    pub title: String,
-    /// Column names.
-    pub header: Vec<String>,
-    /// Row cells, one inner vector per row.
-    pub rows: Vec<Vec<String>>,
-}
-
-/// Version of the JSON document layout [`Report::to_json`] emits, recorded
-/// as the top-level `schema_version` field so downstream tooling can detect
-/// layout changes in archived `bench-summary` artifacts.  History:
-///
-/// * **1** — `meta` object + `tables` array (unversioned in the artifact).
-/// * **2** — adds the explicit `schema_version` field; runs carry
-///   self-describing metadata (`experiment`, `kind`, `shards`, `threads`,
-///   `seed`, …) in `meta`.
-/// * **3** — the networked-serving experiments (`net-serve`/`net-load`)
-///   emit per-query-class tail-latency tables whose `p50 time (us)` /
-///   `p99 time (us)` columns are load-bearing perf-gate metrics (the
-///   `p999 (us)` column is deliberately named without "time" so the gate
-///   does not fail on last-permille noise); `meta` gains the load-generator
-///   keys (`mode`, `connections`, `rate`).  Layout of `meta`/`tables` is
-///   unchanged, so version-2 consumers parse version-3 documents.
-pub const BENCH_SUMMARY_SCHEMA_VERSION: u32 = 3;
-
-/// Collects every table an experiments run produces, printing each as
-/// markdown as it lands and optionally serialising the whole run as JSON —
-/// the machine-readable artifact CI archives as the repo's perf trajectory.
-#[derive(Debug, Default)]
-pub struct Report {
-    /// Run-level metadata (`scale`, `epochs`, the experiment id, …).
-    pub meta: Vec<(String, String)>,
-    /// The tables, in emission order.
-    pub tables: Vec<ReportTable>,
-}
-
-impl Report {
-    /// Creates an empty report.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one piece of run-level metadata.
-    pub fn meta(&mut self, key: &str, value: impl std::fmt::Display) {
-        self.meta.push((key.to_string(), value.to_string()));
-    }
-
-    /// Prints a table as markdown and records it for the JSON summary.
-    pub fn table(&mut self, title: &str, header: &[&str], rows: Vec<Vec<String>>) {
-        println!("{}", markdown_table(title, header, &rows));
-        self.tables.push(ReportTable {
-            title: title.to_string(),
-            header: header.iter().map(|h| h.to_string()).collect(),
-            rows,
-        });
-    }
-
-    /// Serialises the report as a JSON document (hand-rolled writer — the
-    /// build environment is offline, so no serde).
-    pub fn to_json(&self) -> String {
-        let mut out =
-            format!("{{\n  \"schema_version\": {BENCH_SUMMARY_SCHEMA_VERSION},\n  \"meta\": {{");
-        for (i, (k, v)) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {}", json_string(k), json_scalar(v)));
-        }
-        out.push_str("\n  },\n  \"tables\": [");
-        for (i, t) in self.tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\n      \"title\": {},",
-                json_string(&t.title)
-            ));
-            out.push_str("\n      \"header\": [");
-            out.push_str(
-                &t.header
-                    .iter()
-                    .map(|h| json_string(h))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-            out.push_str("],\n      \"rows\": [");
-            for (j, row) in t.rows.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n        [");
-                out.push_str(
-                    &row.iter()
-                        .map(|c| json_scalar(c))
-                        .collect::<Vec<_>>()
-                        .join(", "),
-                );
-                out.push(']');
-            }
-            out.push_str("\n      ]\n    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON summary to a file, creating parent directories.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// Escapes a string as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Emits a cell as a JSON number when it parses as one (so downstream
-/// tooling can plot the trajectory without re-parsing strings), falling back
-/// to a JSON string.
-fn json_scalar(s: &str) -> String {
-    match s.parse::<f64>() {
-        Ok(v) if v.is_finite() && !s.is_empty() => s.to_string(),
-        _ => json_string(s),
-    }
+/// Prints one experiment table as markdown — how every subcommand of the
+/// `experiments` binary reports.
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    println!("{}", markdown_table(title, header, rows));
 }
 
 /// Formats a list of measurements as a GitHub-flavoured markdown table.
@@ -635,50 +477,6 @@ mod tests {
             .collect();
         assert_eq!(batch, single);
         assert_eq!(batch_cx.stats, single_cx.stats);
-    }
-
-    #[test]
-    fn report_collects_tables_and_serialises_json() {
-        let mut report = Report::new();
-        report.meta("scale", 0.5);
-        report.meta("experiment", "table3");
-        report.table(
-            "Demo",
-            &["index", "time (us)"],
-            vec![vec!["RSMI".into(), "1.25".into()]],
-        );
-        assert_eq!(report.tables.len(), 1);
-        let json = report.to_json();
-        // The document is self-describing: schema version first.
-        assert!(
-            json.starts_with(&format!(
-                "{{\n  \"schema_version\": {BENCH_SUMMARY_SCHEMA_VERSION},"
-            )),
-            "{json}"
-        );
-        // Numbers stay numbers, strings get quoted and escaped.
-        assert!(json.contains("\"scale\": 0.5"), "{json}");
-        assert!(json.contains("\"experiment\": \"table3\""), "{json}");
-        assert!(json.contains("\"RSMI\", 1.25"), "{json}");
-        assert!(json.contains("\"title\": \"Demo\""), "{json}");
-    }
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("0.01%"), "\"0.01%\"");
-    }
-
-    #[test]
-    fn report_json_writes_to_nested_paths() {
-        let dir = std::env::temp_dir().join(format!("bench-json-{}", std::process::id()));
-        let path = dir.join("nested/summary.json");
-        let mut report = Report::new();
-        report.meta("experiment", "smoke");
-        report.write_json(&path).expect("write json");
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert!(text.starts_with('{') && text.trim_end().ends_with('}'));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

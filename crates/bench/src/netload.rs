@@ -1,27 +1,23 @@
-//! Closed- and open-loop load generators for the network serving
-//! front-end (`crates/net`), reporting tail latency per query class.
+//! Closed-loop load generator for the network serving front-end
+//! (`crates/net`), reporting tail latency per query class.
 //!
-//! * **Closed loop** — each connection runs one request at a time; latency
-//!   is pure service time and the offered load adapts to the server.  This
-//!   is the shape the perf gate tracks (stable on shared runners).
-//! * **Open loop** — each connection *schedules* sends at a fixed rate and
-//!   pipelines them without waiting; latency is measured from the
-//!   **scheduled** send time, so queueing delay under overload is charged
-//!   to the request (the standard coordinated-omission correction).  Shed
-//!   responses (typed `OVERLOAD`) are counted, not timed.
+//! Each connection runs one request at a time, so latency is pure service
+//! time, the offered load adapts to the server, and every response is
+//! matched to its request — which is what lets [`reconcile_stats`] hold the
+//! server's per-class counters to the client's counts exactly.  Shed
+//! responses (typed `OVERLOAD`) are counted, not timed.  (Wire latency
+//! at scale is the `wire-read-200k` workload of `benchmark/`.)
 //!
-//! Both generators are deterministic for a `(data, seed)` pair; the
-//! workload covers all five query classes plus insert/delete writes.
+//! The generator is deterministic for a `(data, seed)` pair; the workload
+//! covers all five query classes plus insert/delete writes.
 
-use crate::Report;
+use crate::print_table;
 use datagen::queries::{
     join_points, range_query_centers, read_write_workload, MixedQuery, ServeOp, WindowSpec,
 };
 use geom::{Point, Rect};
-use net::wire::{self, Request, Response};
-use net::{ErrorCode, NetClient, NetError};
+use net::{NetClient, NetError};
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Number of probe points carried by one distance-join probe request.
@@ -58,18 +54,6 @@ impl NetOp {
             NetOp::Join(..) => "join-probe",
             NetOp::Insert(_) => "insert",
             NetOp::Delete(_) => "delete",
-        }
-    }
-
-    fn to_request(&self) -> Request {
-        match self {
-            NetOp::Point(p) => Request::Point(*p),
-            NetOp::Window(w) => Request::Window(*w),
-            NetOp::Knn(p, k) => Request::Knn(*p, *k),
-            NetOp::Range(p, r) => Request::Range(*p, *r),
-            NetOp::Join(probes, r) => Request::JoinProbes(probes.clone(), *r),
-            NetOp::Insert(p) => Request::Insert(*p),
-            NetOp::Delete(p) => Request::Delete(*p),
         }
     }
 }
@@ -255,95 +239,10 @@ pub fn run_closed_loop(addr: &str, streams: &[Vec<NetOp>]) -> Result<NetLoadOutc
     Ok(merged)
 }
 
-/// Runs one open-loop client per op stream: a sender half paces one
-/// request every `interval` (pipelining without waiting, at most
-/// `max_inflight` outstanding) while a receiver half times responses
-/// against the **scheduled** send instants.
-pub fn run_open_loop(
-    addr: &str,
-    streams: &[Vec<NetOp>],
-    interval: Duration,
-    max_inflight: usize,
-) -> Result<NetLoadOutcome, String> {
-    let started = Instant::now();
-    let results: Vec<Result<NetLoadOutcome, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = streams
-            .iter()
-            .map(|ops| {
-                scope.spawn(move || {
-                    let client = NetClient::connect_retry(addr, Duration::from_secs(10))
-                        .map_err(|e| format!("connect {addr}: {e}"))?;
-                    let mut recv_stream = client.into_stream();
-                    let mut send_stream = recv_stream
-                        .try_clone()
-                        .map_err(|e| format!("clone stream: {e}"))?;
-                    let (tx, rx) =
-                        mpsc::sync_channel::<(&'static str, Instant)>(max_inflight.max(1));
-                    let sender = scope.spawn(move || -> Result<(), String> {
-                        let t0 = Instant::now();
-                        for (i, op) in ops.iter().enumerate() {
-                            let scheduled = t0 + interval.mul_f64(i as f64);
-                            let now = Instant::now();
-                            if scheduled > now {
-                                std::thread::sleep(scheduled - now);
-                            }
-                            // Blocks when max_inflight requests are
-                            // outstanding — bounds client memory without
-                            // hiding queueing delay (latency is measured
-                            // from `scheduled`).
-                            tx.send((op.class(), scheduled))
-                                .map_err(|_| "receiver hung up".to_string())?;
-                            wire::write_frame(&mut send_stream, &op.to_request().encode())
-                                .map_err(|e| format!("send: {e}"))?;
-                        }
-                        Ok(())
-                    });
-                    let mut out = NetLoadOutcome::default();
-                    while let Ok((class, scheduled)) = rx.recv() {
-                        let payload = wire::read_frame(&mut recv_stream)
-                            .map_err(|e| format!("recv: {e}"))?
-                            .ok_or("server closed mid-run")?;
-                        match Response::decode(&payload).map_err(|e| e.to_string())? {
-                            Response::Error {
-                                code: ErrorCode::Overload,
-                                ..
-                            } => out.record_shed(class),
-                            Response::Error { code, message } => {
-                                return Err(format!("server refused ({code:?}): {message}"))
-                            }
-                            _ => {
-                                let us = scheduled.elapsed().as_secs_f64() * 1e6;
-                                out.latencies.entry(class).or_default().push(us);
-                                out.ok += 1;
-                            }
-                        }
-                    }
-                    sender
-                        .join()
-                        .unwrap_or_else(|_| Err("sender panicked".into()))?;
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("client panicked".into())))
-            .collect()
-    });
-    let mut merged = NetLoadOutcome::default();
-    for r in results {
-        merged.absorb(r?);
-    }
-    merged.wall = started.elapsed();
-    Ok(merged)
-}
-
-/// Emits the per-class tail-latency table.  The `p50 time (us)` and
-/// `p99 time (us)` columns are perf-gate metrics (their headers contain
-/// "time"); `p999 (us)` and `max (us)` are deliberately reported outside
-/// the gate — the last permille of a few hundred samples is noise on
-/// shared CI runners.
-pub fn emit_latency_table(report: &mut Report, title: &str, outcome: &NetLoadOutcome) {
+/// Prints the per-class tail-latency table.  Read `p999 (us)` and
+/// `max (us)` with care: the last permille of a few hundred samples is
+/// noise on a shared machine.
+pub fn emit_latency_table(title: &str, outcome: &NetLoadOutcome) {
     let rows: Vec<Vec<String>> = outcome
         .latencies
         .iter()
@@ -360,7 +259,7 @@ pub fn emit_latency_table(report: &mut Report, title: &str, outcome: &NetLoadOut
             ]
         })
         .collect();
-    report.table(
+    print_table(
         title,
         &[
             "class",
@@ -370,13 +269,13 @@ pub fn emit_latency_table(report: &mut Report, title: &str, outcome: &NetLoadOut
             "p999 (us)",
             "max (us)",
         ],
-        rows,
+        &rows,
     );
 }
 
-/// Emits the one-row load summary (throughput, shed counts) for one mode.
-pub fn emit_summary_table(report: &mut Report, title: &str, mode: &str, outcome: &NetLoadOutcome) {
-    report.table(
+/// Prints the one-row load summary (throughput, shed counts) for one mode.
+pub fn emit_summary_table(title: &str, mode: &str, outcome: &NetLoadOutcome) {
+    print_table(
         title,
         &[
             "mode",
@@ -386,7 +285,7 @@ pub fn emit_summary_table(report: &mut Report, title: &str, mode: &str, outcome:
             "wall (s)",
             "throughput (req/s)",
         ],
-        vec![vec![
+        &[vec![
             mode.to_string(),
             outcome.total().to_string(),
             outcome.ok.to_string(),
@@ -447,8 +346,7 @@ pub fn reconcile_stats(
     (rows, discrepancies)
 }
 
-/// Column headers for the [`reconcile_stats`] table.  Deliberately free of
-/// the word "time": reconciliation counts are not perf-gate metrics.
+/// Column headers for the [`reconcile_stats`] table.
 pub const RECONCILE_HEADER: [&str; 6] = [
     "class",
     "client completed",

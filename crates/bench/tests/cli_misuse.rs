@@ -37,6 +37,8 @@ fn bad_flag_values_exit_2() {
         &["net-load", "--rate", "NaN"],
         &["net-serve", "--port", "70000"],
         &["net-load", "--connections"], // missing value
+        // 50 000 points x 0.00001 rounds to an empty data set.
+        &["table3", "--scale", "0.00001"],
     ] {
         let out = run(args);
         assert_eq!(
@@ -46,6 +48,87 @@ fn bad_flag_values_exit_2() {
             args,
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+}
+
+#[test]
+fn undeclared_and_missing_required_flags_exit_2_naming_flag_and_subcommand() {
+    // A flag another subcommand declares is still an error here, a removed
+    // flag or subcommand is unknown, and a required flag is demanded before
+    // the snapshot is even opened (`x` does not exist).
+    for (args, flag, subcommand) in [
+        (&["fig6", "--port", "99"][..], "--port", "fig6"),
+        (&["table3", "--verify-stats"], "--verify-stats", "table3"),
+        (&["net-stats", "--scale", "2"], "--scale", "net-stats"),
+        (&["net-load", "--rate", "10"], "--rate", "net-load"),
+        (
+            &["route-serve", "--path", "x"],
+            "--shard-addrs",
+            "route-serve",
+        ),
+        (&["shard-serve"], "--path", "shard-serve"),
+        // A switch takes no value: the argument after it is still checked.
+        (
+            &["net-stats", "--shutdown-server", "--port", "1"],
+            "--port",
+            "net-stats",
+        ),
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: stderr {stderr}");
+        let error = stderr.lines().next().unwrap_or_default();
+        assert!(
+            error.contains(flag) && error.contains(subcommand),
+            "args {args:?}: {error}"
+        );
+    }
+    let out = run(&["scan"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment 'scan'"));
+}
+
+/// The subcommand names the top-level usage text lists: the lines of its
+/// `subcommands:` section that are indented by exactly two spaces, up to
+/// the two-space gap before the description.
+fn names_in_usage() -> Vec<String> {
+    let out = run(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let section = stderr
+        .split_once("subcommands:\n")
+        .expect("usage has a subcommands section")
+        .1;
+    section
+        .lines()
+        .take_while(|line| !line.is_empty())
+        .filter_map(|line| line.strip_prefix("  "))
+        .filter(|line| !line.starts_with(' '))
+        .flat_map(|line| {
+            let names = line.split("  ").next().unwrap_or_default();
+            names.split_whitespace().map(str::to_string)
+        })
+        .collect()
+}
+
+#[test]
+fn every_listed_subcommand_dispatches_and_rejects_undeclared_flags() {
+    // The table is the CLI: a name that is listed but not dispatchable
+    // answers "unknown experiment" here; argument validation runs before
+    // any work, so each probe costs milliseconds.
+    let names = names_in_usage();
+    for expected in ["table3", "fig7", "fig19", "route-serve", "all"] {
+        assert!(
+            names.iter().any(|n| n == expected),
+            "{expected} not in {names:?}"
+        );
+    }
+    assert_eq!(names.len(), 31, "{names:?}");
+    for name in &names {
+        let out = run(&[name, "--no-such-flag"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{name}: {stderr}");
+        assert!(!stderr.contains("unknown experiment"), "{name}: {stderr}");
     }
 }
 

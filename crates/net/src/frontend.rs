@@ -92,8 +92,8 @@ struct StatCounters {
 
 /// Pre-registered telemetry handles for the serving hot paths.  Recording
 /// through these is a handful of relaxed atomic ops per request; nothing
-/// here takes a lock after registration, which is how the perf gate's p99
-/// holds with telemetry always-on.
+/// here takes a lock after registration, which is how the wire latency
+/// bounds of `BENCHMARK.json` hold with telemetry always-on.
 struct FrontMetrics {
     /// `net.requests.<class>`: responses delivered successfully, per class.
     completed: [Counter; 7],
