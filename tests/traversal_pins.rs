@@ -60,6 +60,7 @@ const PINS: &[Pin] = &[
     ("RSMI", "join", 0xCE510C3A9AACB975, (921, 3, 33058)),
     ("ZM", "point", 0x5F549D4ECFF7CBC5, (451, 600, 16871)),
     ("ZM", "window", 0xB1AD270DAFB04FC3, (1694, 282, 55413)),
+    ("ZM", "knn", 0xF9E28D3731AD1F68, (425, 282, 13833)),
     ("ZM", "range", 0xBDE0B66FAE2885F4, (464, 0, 16358)),
     ("ZM", "join", 0xBB9ADE19327CDD89, (984, 0, 32244)),
 ];
@@ -166,30 +167,18 @@ fn run_class(
 fn visit_order_and_accounting_match_the_pinned_table() {
     let (data, inserts, deletes) = dataset();
     let rsmi = Rsmi::build(data.clone(), RsmiConfig::fast());
-    let mut families: Vec<(Box<dyn SpatialIndex>, &[&'static str])> = vec![
-        (
-            Box::new(HilbertRTree::build(data.clone(), BLOCK_CAPACITY)),
-            ALL_CLASSES,
-        ),
-        (
-            Box::new(KdbTree::build(data.clone(), BLOCK_CAPACITY)),
-            ALL_CLASSES,
-        ),
-        (
-            Box::new(RStarTree::build(data.clone(), BLOCK_CAPACITY)),
-            ALL_CLASSES,
-        ),
-        (Box::new(RsmiExact::from_rsmi(rsmi.clone())), ALL_CLASSES),
+    let mut families: Vec<Box<dyn SpatialIndex>> = vec![
+        Box::new(HilbertRTree::build(data.clone(), BLOCK_CAPACITY)),
+        Box::new(KdbTree::build(data.clone(), BLOCK_CAPACITY)),
+        Box::new(RStarTree::build(data.clone(), BLOCK_CAPACITY)),
+        Box::new(RsmiExact::from_rsmi(rsmi.clone())),
         // Plain RSMI answers range and join through the exact traversal.
-        (Box::new(rsmi), ALL_CLASSES),
-        // ZM's kNN is its window scan under an expanding region.
-        (
-            Box::new(ZOrderModel::build(data.clone(), ZmConfig::fast())),
-            &["point", "window", "range", "join"],
-        ),
+        Box::new(rsmi),
+        // ZM's kNN is its window scan under `common::knn::expand`.
+        Box::new(ZOrderModel::build(data.clone(), ZmConfig::fast())),
     ];
     let mut observed: Vec<Pin> = Vec::new();
-    for (index, classes) in &mut families {
+    for index in &mut families {
         for p in &inserts {
             index.insert(*p);
         }
@@ -197,7 +186,7 @@ fn visit_order_and_accounting_match_the_pinned_table() {
             assert!(index.delete(p), "{} lost {p:?}", index.name());
         }
         assert_eq!(index.len(), data.len() + inserts.len() - deletes.len());
-        for &class in classes.iter() {
+        for &class in ALL_CLASSES {
             let (hash, stats) = run_class(index.as_ref(), class, &data);
             observed.push((index.name(), class, hash, stats));
         }
