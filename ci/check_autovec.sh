@@ -5,7 +5,7 @@
 # `kernels::asm_probes::*` symbols (non-inlined instantiations of the chunked
 # scan kernels) contain packed SIMD instructions.  If a refactor silently
 # turns the kernels scalar — an indexed loop reintroducing bounds checks is
-# the classic cause — this fails CI before the perf gate has to notice the
+# the classic cause — this fails CI before `benchmark/` has to notice the
 # throughput drop.
 #
 # Expected instruction families (see crates/storage/src/kernels.rs):

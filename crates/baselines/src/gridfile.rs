@@ -3,6 +3,7 @@
 //! worth of points per cell under a uniform distribution.  A cell table maps
 //! every cell to the list of blocks storing its points.
 
+use common::knn::KBest;
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
@@ -176,57 +177,32 @@ impl SpatialIndex for GridFile {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        if k == 0 || self.n_points == 0 {
-            return;
-        }
-        let k_eff = k.min(self.n_points);
-        let mut best: Vec<(f64, Point)> = Vec::with_capacity(k_eff + 1);
+        let mut best = KBest::new(k.min(self.n_points));
         let qcell = Self::cell_of(self.side, q);
         let (qcol, qrow) = (qcell % self.side, qcell / self.side);
         let cell_width = 1.0 / self.side as f64;
 
         // Expand ring by ring around the query cell; stop when the closest
         // possible point in the next unexplored ring cannot improve the k-th
-        // distance.
+        // distance (infinite until k are held).
         let max_ring = self.side; // enough to cover the whole grid
         for ring in 0..=max_ring {
-            if best.len() >= k_eff {
-                // Minimum distance to any cell in this ring.
-                let ring_dist = (ring.saturating_sub(1)) as f64 * cell_width;
-                if ring_dist > best[k_eff - 1].0 {
-                    break;
-                }
+            // Minimum distance to any cell in this ring.
+            let ring_dist = (ring.saturating_sub(1)) as f64 * cell_width;
+            if ring_dist * ring_dist > best.bound() {
+                break;
             }
             let mut visit_cell = |col: isize, row: isize, cx: &mut QueryContext| {
                 if col < 0 || row < 0 || col >= self.side as isize || row >= self.side as isize {
                     return;
                 }
                 let cell = row as usize * self.side + col as usize;
-                if best.len() >= k_eff && self.cell_rect(cell).min_dist(q) > best[k_eff - 1].0 {
+                if self.cell_rect(cell).min_dist_sq(q) > best.bound() {
                     return;
                 }
                 for &b in &self.cells[cell] {
-                    self.read_block(b, cx).for_each_dist_sq(q, |p, d_sq| {
-                        let d = d_sq.sqrt();
-                        // (distance, id) acceptance so distance ties resolve
-                        // to the smaller id, matching brute force and the
-                        // sharded engine's k-way merge.
-                        if best.len() < k_eff
-                            || (d, p.id) < (best[k_eff - 1].0, best[k_eff - 1].1.id)
-                        {
-                            let pos = best
-                                .binary_search_by(|(bd, bp)| {
-                                    bd.partial_cmp(&d)
-                                        .unwrap_or(std::cmp::Ordering::Equal)
-                                        .then(bp.id.cmp(&p.id))
-                                })
-                                .unwrap_or_else(|e| e);
-                            best.insert(pos, (d, p));
-                            if best.len() > k_eff {
-                                best.pop();
-                            }
-                        }
-                    });
+                    self.read_block(b, cx)
+                        .for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
                 }
             };
             if ring == 0 {
@@ -244,9 +220,7 @@ impl SpatialIndex for GridFile {
                 }
             }
         }
-        for (_, p) in &best {
-            visit(p);
-        }
+        best.iter().for_each(visit);
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {

@@ -8,7 +8,7 @@
 //! the rank of the point among all points sorted by Z-value.  The rank
 //! determines the data block (`rank / B`).
 
-use common::{QueryContext, SpatialIndex};
+use common::{knn, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use mlp::{MlpConfig, ScaledRegressor};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
@@ -396,77 +396,26 @@ impl SpatialIndex for ZOrderModel {
     ) {
         // The ZM paper has no kNN algorithm; the RSMI authors run their own
         // search-region-expansion algorithm on top of ZM (§6.2.4).  The skew
-        // parameters default to 1 since ZM learns no marginal CDFs.
-        if k == 0 || self.n_points == 0 {
-            return;
-        }
-        let k_eff = k.min(self.n_points);
-        let base = (k_eff as f64 / self.n_points as f64).sqrt();
-        let mut width = base;
-        let mut height = base;
-        let mut best: Vec<(f64, Point)> = Vec::with_capacity(k_eff + 1);
-        loop {
-            let window = Rect::centered(q.x, q.y, width, height);
-            best.clear();
-            let mut candidates = Vec::new();
-            self.window_query_visit(&window, cx, &mut |p| candidates.push(*p));
-            for p in candidates {
-                let d = p.dist(q);
-                let pos = best
-                    .binary_search_by(|(bd, bp)| {
-                        bd.partial_cmp(&d)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(bp.id.cmp(&p.id))
-                    })
-                    .unwrap_or_else(|e| e);
-                if pos < k_eff {
-                    best.insert(pos, (d, p));
-                    if best.len() > k_eff {
-                        best.pop();
-                    }
+        // parameters are 1 since ZM learns no marginal CDFs, and each round
+        // is a fresh window query, so the list starts over with it.
+        let best = knn::expand(
+            q,
+            k,
+            self.n_points,
+            (1.0, 1.0),
+            cx,
+            |region, best, cx| {
+                best.clear();
+                self.window_query_visit(region, cx, &mut |p| best.offer(*p, p.dist_sq(q)));
+            },
+            |best, cx| {
+                for (_, block) in self.store.iter() {
+                    cx.count_block_scan(block.len());
+                    block.for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
                 }
-            }
-            let covers_space = width >= 2.0 && height >= 2.0;
-            if best.len() < k_eff {
-                if covers_space {
-                    // Guarantee k results: fall back to scanning all blocks.
-                    best.clear();
-                    for (_, block) in self.store.iter() {
-                        cx.count_block_scan(block.len());
-                        block.for_each_dist_sq(q, |p, d_sq| {
-                            let d = d_sq.sqrt();
-                            let pos = best
-                                .binary_search_by(|(bd, bp)| {
-                                    bd.partial_cmp(&d)
-                                        .unwrap_or(std::cmp::Ordering::Equal)
-                                        .then(bp.id.cmp(&p.id))
-                                })
-                                .unwrap_or_else(|e| e);
-                            if pos < k_eff {
-                                best.insert(pos, (d, p));
-                                if best.len() > k_eff {
-                                    best.pop();
-                                }
-                            }
-                        });
-                    }
-                    break;
-                }
-                width = (width * 2.0).min(2.0);
-                height = (height * 2.0).min(2.0);
-                continue;
-            }
-            let dk = best[k_eff - 1].0;
-            if dk > (width * width + height * height).sqrt() / 2.0 && !covers_space {
-                width = (2.0 * dk).min(2.0);
-                height = (2.0 * dk).min(2.0);
-                continue;
-            }
-            break;
-        }
-        for (_, p) in &best {
-            visit(p);
-        }
+            },
+        );
+        best.iter().for_each(visit);
     }
 
     fn range_query_visit(

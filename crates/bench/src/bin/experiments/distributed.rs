@@ -85,8 +85,7 @@ fn shard_serve(args: &Args) -> bool {
         }
     };
     let serve = serve_config(args);
-    let server = match registry::serve_snapshot_bytes(&bytes, &config(args), serve.server_config())
-    {
+    let server = match registry::serve_snapshot_bytes(&bytes, &config(args), serve.server) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("shard-serve: cannot serve shard {shard}: {e}");

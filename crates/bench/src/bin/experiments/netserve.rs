@@ -155,10 +155,11 @@ pub fn bind_config(args: &Args) -> server::ServeConfig {
 /// [`bind_config`] of a subcommand that also declares
 /// `--compact-threshold`.
 pub fn serve_config(args: &Args) -> server::ServeConfig {
-    match args.opt("--compact-threshold") {
-        Some(t) => bind_config(args).with_compact_threshold(t),
-        None => bind_config(args),
+    let mut cfg = bind_config(args);
+    if let Some(t) = args.opt("--compact-threshold") {
+        cfg.server = cfg.server.with_compact_threshold(t);
     }
+    cfg
 }
 
 /// `net-serve`: builds (or warm-starts from `--path` snapshot) a
@@ -463,7 +464,7 @@ impl StatsVerifier {
                 return false;
             }
         };
-        let (rows, discrepancies) = netload::reconcile_stats(&self.baseline, &after, &[outcome]);
+        let (rows, discrepancies) = netload::reconcile_stats(&self.baseline, &after, outcome);
         print_table(
             "Telemetry reconciliation — server counters vs load generator",
             &netload::RECONCILE_HEADER,

@@ -189,11 +189,11 @@ fn serve_live(args: &Args) -> bool {
         }
     }
     let worst_pause = pause_us.iter().copied().max().unwrap_or(0);
-    if worst_pause >= policy.pause_budget_us {
+    if worst_pause >= server::PAUSE_BUDGET_US {
         eprintln!(
             "serve-live FAILED: swap pause {worst_pause}us exceeded the \
-             {}us policy budget",
-            policy.pause_budget_us
+             {}us pause budget",
+            server::PAUSE_BUDGET_US
         );
         maint_ok = false;
     }

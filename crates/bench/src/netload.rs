@@ -308,7 +308,7 @@ pub fn emit_summary_table(title: &str, mode: &str, outcome: &NetLoadOutcome) {
 pub fn reconcile_stats(
     baseline: &obs::MetricsSnapshot,
     after: &obs::MetricsSnapshot,
-    outcomes: &[&NetLoadOutcome],
+    outcome: &NetLoadOutcome,
 ) -> (Vec<Vec<String>>, Vec<String>) {
     let delta = |name: &str| -> u64 {
         after
@@ -319,8 +319,8 @@ pub fn reconcile_stats(
     let mut rows = Vec::new();
     let mut discrepancies = Vec::new();
     for class in net::REQUEST_CLASSES {
-        let client_ok: usize = outcomes.iter().map(|o| o.ok_of(class)).sum();
-        let client_shed: usize = outcomes.iter().map(|o| o.shed_of(class)).sum();
+        let client_ok = outcome.ok_of(class);
+        let client_shed = outcome.shed_of(class);
         let server_ok = delta(&format!("net.requests.{class}"));
         let server_shed = delta(&format!("net.shed.{class}"));
         let matches = server_ok == client_ok as u64 && server_shed == client_shed as u64;
@@ -420,7 +420,7 @@ mod tests {
         out.record_shed("window");
         out.ok = 9;
 
-        let (rows, bad) = reconcile_stats(&baseline, &after, &[&out]);
+        let (rows, bad) = reconcile_stats(&baseline, &after, &out);
         assert!(bad.is_empty(), "{bad:?}");
         assert_eq!(rows.len(), net::REQUEST_CLASSES.len());
         assert!(rows.iter().all(|r| r[5] == "yes"), "{rows:?}");
@@ -428,7 +428,7 @@ mod tests {
         // A lost response shows up as a per-class discrepancy.
         registry.counter("net.requests.point").inc();
         let drifted = registry.snapshot();
-        let (rows, bad) = reconcile_stats(&baseline, &drifted, &[&out]);
+        let (rows, bad) = reconcile_stats(&baseline, &drifted, &out);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].contains("point"), "{bad:?}");
         assert!(rows.iter().any(|r| r[5] == "NO"));

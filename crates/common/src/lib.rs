@@ -13,12 +13,15 @@
 //!   own context.
 //! * [`brute_force`] — reference implementations of every query type,
 //!   used as ground truth for recall measurements and correctness tests.
+//! * [`knn`] — the k-nearest rule every family and merge layer shares: the
+//!   `(distance², id)` best-k list and Algorithm 3's region expansion.
 //! * [`metrics`] — recall computation and small measurement helpers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod brute_force;
+pub mod knn;
 pub mod metrics;
 
 use geom::{Point, Rect};

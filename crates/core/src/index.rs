@@ -4,7 +4,7 @@ use crate::build::Builder;
 use crate::node::{InternalNode, LeafNode, Node, NodeId};
 use crate::pmf::PiecewiseCdf;
 use crate::RsmiConfig;
-use common::{QueryContext, SpatialIndex};
+use common::{knn, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use mlp::ScaledRegressor;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
@@ -340,10 +340,10 @@ impl Rsmi {
     // kNN queries (§4.3)
     // ------------------------------------------------------------------
 
-    /// Approximate kNN query (Algorithm 3), visitor form: search-region
-    /// expansion around the query point, with the initial region sized by
-    /// the learned marginal CDFs (Equation 6).  Visits results closest
-    /// first.
+    /// Approximate kNN query (Algorithm 3), visitor form:
+    /// [`common::knn::expand`] around the query point, with the initial
+    /// region sized by the learned marginal CDFs (Equation 6).  Visits
+    /// results closest first.
     pub fn knn_query_visit(
         &self,
         q: &Point,
@@ -351,115 +351,46 @@ impl Rsmi {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        if k == 0 || self.n_points == 0 || self.root.is_none() {
-            return;
-        }
-        let k_eff = k.min(self.n_points);
         let delta = 0.01;
-        let alpha_x = self.cdf_x.alpha(q.x, delta);
-        let alpha_y = self.cdf_y.alpha(q.y, delta);
-        let base = (k_eff as f64 / self.n_points as f64).sqrt();
-        let mut width = (alpha_x * base).min(2.0);
-        let mut height = (alpha_y * base).min(2.0);
-
-        // Best-k list kept sorted by distance (k is small; linear insertion
-        // is cheaper than a heap for the paper's k ≤ 625).
-        let mut best: Vec<(f64, Point)> = Vec::with_capacity(k_eff + 1);
-
-        loop {
-            let window = Rect::centered(q.x, q.y, width, height);
-            if let Some((begin, end)) = self.window_block_range(&window, cx) {
-                let kth = |best: &Vec<(f64, Point)>| {
-                    if best.len() < k_eff {
-                        f64::INFINITY
-                    } else {
-                        best[k_eff - 1].0
-                    }
+        let skew = (self.cdf_x.alpha(q.x, delta), self.cdf_y.alpha(q.y, delta));
+        // One bit per block opened by this query.  A later, larger region
+        // does not open a block again: every point of it has been offered,
+        // and the k-th bound only tightens, so what was rejected stays
+        // rejected (likewise a block skipped on its MBR stays skipped).
+        let mut opened = vec![0u64; self.store.len().div_ceil(64)];
+        let best = knn::expand(
+            q,
+            k,
+            self.n_points,
+            skew,
+            cx,
+            |region, best, cx| {
+                let Some((begin, end)) = self.window_block_range(region, cx) else {
+                    return;
                 };
-                for (_, block) in self.store.chain_range(begin, end) {
+                for (id, block) in self.store.chain_range(begin, end) {
+                    let (word, bit) = (id / 64, 1u64 << (id % 64));
                     // Opened only if it can beat the running k-th distance
                     // (infinite until k points are held: only an empty
                     // block is skipped then).
-                    if block.mbr().min_dist(q) >= kth(&best) {
+                    if opened[word] & bit != 0 || block.mbr().min_dist_sq(q) >= best.bound() {
                         continue;
                     }
+                    opened[word] |= bit;
                     cx.count_block_scan(block.len());
-                    block.for_each_dist_sq(q, |p, d_sq| {
-                        let d = d_sq.sqrt();
-                        if best.len() < k_eff || d < kth(&best) {
-                            // Expansion rounds re-scan earlier blocks: an
-                            // exact (distance, id) hit means this point was
-                            // already collected — inserting it again would
-                            // evict a genuine neighbour.
-                            if let Err(pos) = best.binary_search_by(|(bd, bp)| {
-                                bd.partial_cmp(&d)
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                                    .then(bp.id.cmp(&p.id))
-                            }) {
-                                best.insert(pos, (d, p));
-                                if best.len() > k_eff {
-                                    best.pop();
-                                }
-                            }
-                        }
-                    });
+                    block.for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
                 }
-            }
-
-            let covers_space = width >= 2.0 && height >= 2.0;
-            if best.len() < k_eff {
-                if covers_space {
-                    // The learned routing missed some blocks even for a
-                    // space-covering window; fall back to a full scan so the
-                    // result is always k points.
-                    self.full_scan_knn(q, k_eff, cx, &mut best);
-                    break;
+            },
+            // The learned routing missed some blocks even for a
+            // space-covering region: scan everything.
+            |best, cx| {
+                for (_, block) in self.store.iter() {
+                    cx.count_block_scan(block.len());
+                    block.for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
                 }
-                width = (width * 2.0).min(2.0);
-                height = (height * 2.0).min(2.0);
-                continue;
-            }
-            let dk = best[k_eff - 1].0;
-            let half_diag = (width * width + height * height).sqrt() / 2.0;
-            if dk > half_diag && !covers_space {
-                width = (2.0 * dk).min(2.0);
-                height = (2.0 * dk).min(2.0);
-                continue;
-            }
-            break;
-        }
-        for (_, p) in &best {
-            visit(p);
-        }
-    }
-
-    fn full_scan_knn(
-        &self,
-        q: &Point,
-        k: usize,
-        cx: &mut QueryContext,
-        best: &mut Vec<(f64, Point)>,
-    ) {
-        best.clear();
-        for (_, block) in self.store.iter() {
-            cx.count_block_scan(block.len());
-            block.for_each_dist_sq(q, |p, d_sq| {
-                let d = d_sq.sqrt();
-                let pos = best
-                    .binary_search_by(|(bd, bp)| {
-                        bd.partial_cmp(&d)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(bp.id.cmp(&p.id))
-                    })
-                    .unwrap_or_else(|e| e);
-                if pos < k {
-                    best.insert(pos, (d, p));
-                    if best.len() > k {
-                        best.pop();
-                    }
-                }
-            });
-        }
+            },
+        );
+        best.iter().for_each(visit);
     }
 
     // ------------------------------------------------------------------
@@ -1259,10 +1190,10 @@ mod tests {
 
     #[test]
     fn approximate_knn_returns_distinct_points_across_expansion_rounds() {
-        // Regression: the search-region expansion re-scans blocks from
-        // earlier rounds; already-collected points must not be inserted
-        // into the best-k list a second time (each duplicate would evict a
-        // genuine neighbour).
+        // Regression: a later expansion round's region covers the blocks
+        // of the earlier ones; a block must be opened once per query, or
+        // its points enter the best-k list a second time (each duplicate
+        // would evict a genuine neighbour).
         let pts = pseudo_random_points(300, 99);
         let index = Rsmi::build(pts.clone(), small_config());
         let mut c = cx();

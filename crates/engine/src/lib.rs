@@ -388,7 +388,7 @@ impl SpatialIndex for ShardedIndex {
         }
         let (best, fan) = merge.finish();
         charge(cx, fan);
-        best.for_each(|p| visit(&p));
+        best.iter().for_each(visit);
     }
 
     fn range_query_visit(

@@ -20,6 +20,7 @@
 //! [`ShardedIndex`]: crate::ShardedIndex
 
 use crate::partition::Partitioner;
+use common::knn::KBest;
 use geom::{Point, Rect};
 use std::convert::Infallible;
 
@@ -184,12 +185,11 @@ pub fn join<E>(
 /// [`finish`](Self::finish) yields the merged answer.
 pub struct KnnMerge {
     q: Point,
-    k_eff: usize,
     /// Non-empty shards as `(MINDIST², shard)`, nearest first, ties by shard
     /// position for determinism.
     order: Vec<(f64, usize)>,
-    /// The `k_eff` best candidates so far, ascending by `(distance², id)`.
-    best: Vec<(f64, Point)>,
+    /// The `k_eff` best candidates so far.
+    best: KBest,
     fanout: Fanout,
 }
 
@@ -220,16 +220,15 @@ impl KnnMerge {
         }
         Self {
             q: *q,
-            k_eff,
             order,
-            best: Vec::with_capacity(k_eff + 1),
+            best: KBest::new(k_eff),
             fanout,
         }
     }
 
     /// The `k` to ask each visited shard for.
     pub fn k_eff(&self) -> usize {
-        self.k_eff
+        self.best.k()
     }
 
     /// The next shard to query, or `None` when the answer is complete: with
@@ -238,7 +237,7 @@ impl KnnMerge {
     /// (farther) shard, so all of them are pruned at once.
     pub fn next_shard(&mut self) -> Option<usize> {
         let &(mindist_sq, shard) = self.order.get(self.fanout.visited)?;
-        if self.best.len() >= self.k_eff && mindist_sq > self.best[self.k_eff - 1].0 {
+        if mindist_sq > self.best.bound() {
             self.fanout.pruned += self.order.len() - self.fanout.visited;
             self.order.truncate(self.fanout.visited);
             return None;
@@ -247,27 +246,15 @@ impl KnnMerge {
         Some(shard)
     }
 
-    /// Merges one candidate, keeping the `k_eff` best by `(distance, id)` —
-    /// the deterministic tie-break shared with `brute_force::knn_query`.
+    /// Merges one candidate — one stored copy on the shard that returned it
+    /// (shards partition the data, so no copy arrives twice).
     pub fn offer(&mut self, p: Point) {
-        let (k, d_sq) = (self.k_eff, p.dist_sq(&self.q));
-        let worse = |&(kd, kp): &(f64, Point)| (d_sq, p.id) >= (kd, kp.id);
-        if self.best.len() >= k && self.best.last().is_none_or(worse) {
-            return;
-        }
-        if let Err(pos) = self.best.binary_search_by(|(bd, bp)| {
-            bd.partial_cmp(&d_sq)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(bp.id.cmp(&p.id))
-        }) {
-            self.best.insert(pos, (d_sq, p));
-            self.best.truncate(k);
-        }
+        self.best.offer(p, p.dist_sq(&self.q));
     }
 
     /// The merged neighbours, nearest first, and the query's fan-out.
-    pub fn finish(self) -> (impl Iterator<Item = Point>, Fanout) {
-        (self.best.into_iter().map(|(_, p)| p), self.fanout)
+    pub fn finish(self) -> (KBest, Fanout) {
+        (self.best, self.fanout)
     }
 }
 
@@ -466,7 +453,7 @@ mod tests {
         assert_eq!(merge.next_shard(), None);
         assert_eq!(merge.next_shard(), None, "the cutoff is final");
         let (best, fan) = merge.finish();
-        assert_eq!(best.map(|p| p.id).collect::<Vec<_>>(), [4]);
+        assert_eq!(best.iter().map(|p| p.id).collect::<Vec<_>>(), [4]);
         let (visited, pruned) = (2, 2);
         assert_eq!(fan, Fanout { visited, pruned });
     }

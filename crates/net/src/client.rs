@@ -44,8 +44,10 @@ impl NetClient {
         }
     }
 
-    /// The underlying stream (for splitting into an open-loop sender /
-    /// receiver pair via [`TcpStream::try_clone`]).
+    /// The underlying stream, for a caller that frames its own requests on
+    /// a connection this client opened: the benchmark's
+    /// `benchmark/src/workloads/{wire_read,routed_mixed}.rs` time raw frames
+    /// through it.
     pub fn into_stream(self) -> TcpStream {
         self.stream
     }

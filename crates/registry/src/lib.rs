@@ -603,8 +603,8 @@ pub fn serve_config(
     serve: &ServeConfig,
 ) -> Result<SpatialServer, PersistError> {
     match &serve.warm_start {
-        Some(path) if path.exists() => serve_snapshot(path, cfg, serve.server_config()),
-        _ => Ok(serve_index(kind, points, cfg, serve.server_config())),
+        Some(path) if path.exists() => serve_snapshot(path, cfg, serve.server),
+        _ => Ok(serve_index(kind, points, cfg, serve.server)),
     }
 }
 

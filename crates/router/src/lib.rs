@@ -348,7 +348,7 @@ impl Core {
         self.note_fanout(fan);
         Ok(Response::Knn {
             seq,
-            points: best.collect(),
+            points: best.iter().copied().collect(),
         })
     }
 

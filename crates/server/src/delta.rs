@@ -313,22 +313,13 @@ impl DeltaState {
         }
     }
 
-    /// How many base copies of `p`'s key have been deleted: 0 for a live
-    /// base point, otherwise every copy the base holds.
-    #[inline]
-    pub(crate) fn masked_copies(&self, p: &Point) -> u32 {
-        let key = key_of(p);
-        if !self.filter.may_contain(key.0, key.1) {
-            return 0;
-        }
-        self.entries.get(&key).map_or(0, |e| e.base_masked)
-    }
-
-    /// Whether the base copy of `p` has been deleted (base query results with
-    /// this key must be filtered out).
+    /// Whether the base copies of `p`'s key have been deleted (base query
+    /// results with this key must be filtered out).
     #[inline]
     pub(crate) fn masks(&self, p: &Point) -> bool {
-        self.masked_copies(p) > 0
+        let key = key_of(p);
+        self.filter.may_contain(key.0, key.1)
+            && self.entries.get(&key).is_some_and(|e| e.base_masked > 0)
     }
 
     /// The earliest-inserted live copy at exactly the query's location, if

@@ -88,6 +88,7 @@ mod delta;
 
 pub use delta::{SequencedOp, WriteOp};
 
+use common::knn::KBest;
 use common::{MaintenanceBudget, QueryContext, SpatialIndex};
 use delta::{key_of, DeltaState, Key};
 use geom::{Point, Rect};
@@ -103,11 +104,12 @@ use std::time::{Duration, Instant};
 /// server without a dependency cycle.
 pub type RebuildFn = Box<dyn Fn(&[Point]) -> Box<dyn SpatialIndex> + Send + Sync>;
 
-/// When and how the server compacts: the trigger for folding the delta,
-/// and the decision between a full rebuild and an incremental (partial)
-/// one.  The policy is plain data, so experiments sweep it and tests pin
-/// it; [`SpatialServer`] consults it on every policy-driven compaction
-/// ([`SpatialServer::maintain_now`] and the background thread).
+/// When the server compacts and when a partial pass retrains: the two
+/// values experiments sweep and tests pin.  Whether a pass *can* be partial
+/// is decided from the base index (see [`CompactionMode`]), and the bounds
+/// on a partial pass ([`PAUSE_BUDGET_US`] and the constants beside it) are
+/// fixed.  [`SpatialServer`] consults the policy on every policy-driven
+/// compaction ([`SpatialServer::maintain_now`] and the background thread).
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionPolicy {
     /// Number of buffered delta ops that triggers a compaction.
@@ -117,27 +119,6 @@ pub struct CompactionPolicy {
     /// the drift metric in `docs/ARCHITECTURE.md`).  Subtrees below it
     /// keep their (possibly widened) models.
     pub drift_trigger: f64,
-    /// Max-to-mean per-shard point-count ratio at or above which a sharded
-    /// base is considered skewed enough to force a full rebuild (partial
-    /// retraining cannot move points between shards).
-    pub skew_trigger: f64,
-    /// Budget, in microseconds, for the off-lock partial-rebuild work of
-    /// one pass.  The server keeps a running estimate of per-subtree
-    /// retrain cost and caps the number of subtrees per pass so the pass
-    /// fits the budget; the remainder is deferred to the next pass.
-    pub pause_budget_us: u64,
-    /// Hard cap on subtrees retrained per partial pass, independent of the
-    /// cost estimate.
-    pub max_subtrees: usize,
-    /// Whether partial compaction is attempted at all.  With `false` every
-    /// policy-driven compaction is a full rebuild (the pre-maintenance
-    /// behaviour).
-    pub incremental: bool,
-    /// Force a full rebuild every Nth compaction (0 = never force).  A
-    /// periodic full pass bounds long-run structural decay that per-subtree
-    /// retraining cannot repair (overflow chains, shard skew below the
-    /// trigger).
-    pub full_every: u64,
 }
 
 impl Default for CompactionPolicy {
@@ -145,11 +126,6 @@ impl Default for CompactionPolicy {
         Self {
             ops_trigger: 1_024,
             drift_trigger: 1.0,
-            skew_trigger: 4.0,
-            pause_budget_us: 50_000,
-            max_subtrees: 64,
-            incremental: true,
-            full_every: 0,
         }
     }
 }
@@ -166,36 +142,27 @@ impl CompactionPolicy {
         self.drift_trigger = drift;
         self
     }
-
-    /// Returns a copy with the given pause budget in microseconds.
-    pub fn with_pause_budget_us(mut self, us: u64) -> Self {
-        self.pause_budget_us = us;
-        self
-    }
-
-    /// Returns a copy with the given per-pass subtree cap (at least 1).
-    pub fn with_max_subtrees(mut self, n: usize) -> Self {
-        self.max_subtrees = n.max(1);
-        self
-    }
-
-    /// Returns a copy with partial compaction enabled or disabled.
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
-    /// Returns a copy forcing a full rebuild every `n`th compaction.
-    pub fn with_full_every(mut self, n: u64) -> Self {
-        self.full_every = n;
-        self
-    }
 }
+
+/// Budget, in microseconds, for the off-lock partial-rebuild work of one
+/// pass.  The server keeps a running estimate of per-subtree retrain cost
+/// and caps the number of subtrees per pass so the pass fits the budget; the
+/// remainder is deferred to the next pass.
+pub const PAUSE_BUDGET_US: u64 = 50_000;
+
+/// Hard cap on subtrees retrained per partial pass, independent of the cost
+/// estimate.
+pub const MAX_SUBTREES: usize = 64;
+
+/// Max-to-mean per-shard point-count ratio at or above which a sharded base
+/// is skewed enough to force a full rebuild (partial retraining cannot move
+/// points between shards).
+const SKEW_TRIGGER: f64 = 4.0;
 
 /// Tuning knobs of a [`SpatialServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// When to compact and whether to do it incrementally.
+    /// When to compact and when a partial pass retrains a subtree.
     pub policy: CompactionPolicy,
     /// Whether the background compaction thread runs at all.  With `false`
     /// the delta only ever shrinks through explicit
@@ -296,24 +263,6 @@ impl ServeConfig {
         self
     }
 
-    /// Returns a copy with the given compaction (ops) threshold.
-    pub fn with_compact_threshold(mut self, ops: usize) -> Self {
-        self.server = self.server.with_compact_threshold(ops);
-        self
-    }
-
-    /// Returns a copy with the given compaction policy.
-    pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.server = self.server.with_policy(policy);
-        self
-    }
-
-    /// Returns a copy with background compaction enabled or disabled.
-    pub fn with_auto_compact(mut self, on: bool) -> Self {
-        self.server = self.server.with_auto_compact(on);
-        self
-    }
-
     /// Returns a copy with the given acceptor pool size (at least 1).
     pub fn with_acceptors(mut self, n: usize) -> Self {
         self.acceptors = n.max(1);
@@ -345,12 +294,6 @@ impl ServeConfig {
         self.global_inflight = n;
         self
     }
-
-    /// The compaction subset of the configuration, for constructing the
-    /// wrapped [`SpatialServer`].
-    pub fn server_config(&self) -> ServerConfig {
-        self.server
-    }
 }
 
 /// What a compaction pass does to the base index.
@@ -364,7 +307,8 @@ pub enum CompactionMode {
     /// the captured log contains a wildcard delete a clone cannot replay
     /// faithfully.
     Partial,
-    /// Let the [`CompactionPolicy`] decide per pass.
+    /// Decided per pass from the base index: partial when it supports
+    /// maintenance and its shards are not skewed, otherwise full.
     Auto,
 }
 
@@ -546,8 +490,8 @@ struct Core {
     /// Subtrees retrained across all partial passes.
     subtree_rebuilds: AtomicU64,
     /// Running estimate of per-subtree retrain cost in microseconds
-    /// (exponential moving average, 0 = no estimate yet).  Divides the
-    /// policy's pause budget into a per-pass subtree cap.
+    /// (exponential moving average, 0 = no estimate yet).  Divides
+    /// [`PAUSE_BUDGET_US`] into a per-pass subtree cap.
     partial_cost_ema_us: AtomicU64,
     /// Wake-up signal for the compaction thread.
     signal: Mutex<CompactorSignal>,
@@ -609,22 +553,12 @@ impl Core {
         result
     }
 
-    /// Picks the mode a policy-driven compaction of `base` should run in.
-    /// Partial is chosen only when the policy allows it, it is not a forced
-    /// full round, the base reports maintenance state, and (for sharded
-    /// bases) the per-shard point counts are not skewed past the trigger —
-    /// per-subtree retraining cannot move points between shards, so a
-    /// skewed sharding needs the full repartitioning rebuild.
-    fn decide_mode(&self, base: &dyn SpatialIndex) -> CompactionMode {
-        let p = &self.cfg.policy;
-        if !p.incremental {
-            return CompactionMode::Full;
-        }
-        if p.full_every > 0
-            && (self.compactions.load(Ordering::Relaxed) + 1).is_multiple_of(p.full_every)
-        {
-            return CompactionMode::Full;
-        }
+    /// Picks the mode a policy-driven compaction of `base` should run in:
+    /// partial when the base reports maintenance state and (for sharded
+    /// bases) the per-shard point counts are not skewed past
+    /// [`SKEW_TRIGGER`] — per-subtree retraining cannot move points between
+    /// shards, so a skewed sharding needs the full repartitioning rebuild.
+    fn decide_mode(base: &dyn SpatialIndex) -> CompactionMode {
         if base.maintenance_stats().is_none() {
             return CompactionMode::Full;
         }
@@ -633,7 +567,7 @@ impl Core {
                 let total: usize = counts.iter().sum();
                 let mean = total as f64 / counts.len() as f64;
                 let max = counts.iter().copied().max().unwrap_or(0) as f64;
-                if mean > 0.0 && max / mean >= p.skew_trigger {
+                if mean > 0.0 && max / mean >= SKEW_TRIGGER {
                     return CompactionMode::Full;
                 }
             }
@@ -641,20 +575,19 @@ impl Core {
         CompactionMode::Partial
     }
 
-    /// How many subtrees the next partial pass may retrain: the policy's
-    /// hard cap, shrunk so that `subtrees x estimated per-subtree cost`
-    /// fits the pause budget once a cost estimate exists.
+    /// How many subtrees the next partial pass may retrain:
+    /// [`MAX_SUBTREES`], shrunk so that `subtrees x estimated per-subtree
+    /// cost` fits [`PAUSE_BUDGET_US`] once a cost estimate exists.
     fn partial_budget(&self) -> MaintenanceBudget {
-        let p = &self.cfg.policy;
-        let mut max_subtrees = p.max_subtrees.max(1);
+        let mut max_subtrees = MAX_SUBTREES;
         let ema = self.partial_cost_ema_us.load(Ordering::Relaxed);
-        if let Some(affordable) = p.pause_budget_us.checked_div(ema) {
+        if let Some(affordable) = PAUSE_BUDGET_US.checked_div(ema) {
             let affordable = affordable.max(1);
             max_subtrees = max_subtrees.min(affordable.min(usize::MAX as u64) as usize);
         }
         MaintenanceBudget {
             max_subtrees,
-            drift_threshold: p.drift_trigger,
+            drift_threshold: self.cfg.policy.drift_trigger,
         }
     }
 
@@ -684,7 +617,7 @@ impl Core {
         }
         let fold_seq = captured.seq();
         let mode = match mode {
-            CompactionMode::Auto => self.decide_mode(epoch.base.as_ref()),
+            CompactionMode::Auto => Self::decide_mode(epoch.base.as_ref()),
             m => m,
         };
         self.telemetry.journal.record(EventKind::CompactionStart {
@@ -920,9 +853,10 @@ impl SpatialServer {
         self.core.apply(op)
     }
 
-    /// Synchronously runs one policy-driven compaction: the
-    /// [`CompactionPolicy`] decides between a partial pass (retrain only
-    /// drifted subtrees in a clone of the base) and a full rebuild, and the
+    /// Synchronously runs one policy-driven compaction
+    /// ([`CompactionMode::Auto`]): a partial pass (retrain only the subtrees
+    /// drifted past the [`CompactionPolicy`]'s trigger, in a clone of the
+    /// base) where the base supports one, a full rebuild otherwise; the
     /// resulting epoch swaps in atomically either way.  Returns whether a
     /// swap happened (`false` if the delta was empty).  This is what the
     /// background thread runs on every trigger.
@@ -1040,54 +974,6 @@ fn compactor_loop(core: &Core) {
 // ---------------------------------------------------------------------
 // Snapshot: the reader-side merged view
 // ---------------------------------------------------------------------
-
-/// The running `k` nearest of a merged kNN, ascending by `(distance, id)` —
-/// the order of [`common::brute_force::knn_query`].
-struct Nearest {
-    q: Point,
-    k: usize,
-    best: Vec<(f64, Point)>,
-}
-
-impl Nearest {
-    fn new(q: Point, k: usize) -> Self {
-        Self {
-            q,
-            k,
-            best: Vec::with_capacity(k + 1),
-        }
-    }
-
-    /// The squared distance beyond which no candidate can enter: the k-th
-    /// held distance, infinite while fewer than `k` are held.
-    fn bound(&self) -> f64 {
-        if self.best.len() >= self.k {
-            self.best[self.k - 1].0
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn push(&mut self, p: &Point) {
-        let d = p.dist_sq(&self.q);
-        if self.best.len() >= self.k {
-            let (wd, wp) = self.best[self.k - 1];
-            if (d, p.id) >= (wd, wp.id) {
-                return;
-            }
-        }
-        let pos = self
-            .best
-            .binary_search_by(|(bd, bp)| {
-                bd.partial_cmp(&d)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(bp.id.cmp(&p.id))
-            })
-            .unwrap_or_else(|e| e);
-        self.best.insert(pos, (d, *p));
-        self.best.truncate(self.k);
-    }
-}
 
 /// A frozen, consistent view of a [`SpatialServer`]: one epoch's base index
 /// plus the delta overlay as of the moment the snapshot was taken.
@@ -1217,23 +1103,22 @@ impl Snapshot {
             return;
         }
         // Ask the base for the `k` that was asked for, and widen only on a
-        // shortfall: when masked neighbours came back that the request had
-        // not allowed for and the base had more to give, ask again for `k`
-        // plus what they stand for.  A masked neighbour stands for every
-        // base copy of its key (a sharded base reports a duplicated key once
-        // but spends one slot of a shard's quota per copy).  The request
-        // grows every round and stops at `k + masked_base` at the latest.
+        // shortfall: when more masked neighbours came back than the request
+        // allowed for and the base had more to give, ask again for `k` plus
+        // the masked ones seen.  The request grows every round and stops at
+        // `k + masked_base` at the latest.
         let cap = k.saturating_add(self.delta.masked_base());
-        let mut nearest = Nearest::new(*q, k);
+        let mut best = KBest::new(k);
         let mut k_base = k;
         loop {
-            nearest.best.clear();
+            best.clear();
             let (mut returned, mut masked) = (0usize, 0usize);
             self.epoch.base.knn_query_visit(q, k_base, cx, &mut |p| {
                 returned += 1;
-                match self.delta.masked_copies(p) {
-                    0 => nearest.push(p),
-                    copies => masked += copies as usize,
+                if self.delta.masks(p) {
+                    masked += 1;
+                } else {
+                    best.offer(*p, p.dist_sq(q));
                 }
             });
             let widened = k.saturating_add(masked).min(cap);
@@ -1244,14 +1129,12 @@ impl Snapshot {
         }
         // Only inserts no farther than the running k-th distance can enter,
         // and the bound tightens as they do.
-        let examined = self.delta.visit_inserts_near(q, nearest.bound(), &mut |p| {
-            nearest.push(p);
-            nearest.bound()
+        let examined = self.delta.visit_inserts_near(q, best.bound(), &mut |p| {
+            best.offer(*p, p.dist_sq(q));
+            best.bound()
         });
         cx.count_candidates(examined);
-        for (_, p) in &nearest.best {
-            visit(p);
-        }
+        best.iter().for_each(visit);
     }
 
     /// Returns (up to) the `k` live nearest neighbours of `q` as a fresh
@@ -2148,30 +2031,6 @@ mod tests {
         assert_eq!(stats.compactions, 1);
         assert_eq!(stats.partial_compactions, 0, "wildcard delete went partial");
         assert_eq!(server.len(), 2, "exact-id fold must keep both points");
-    }
-
-    #[test]
-    fn policy_full_every_and_incremental_off_force_full_rebuilds() {
-        let cfg = ServerConfig::default()
-            .with_auto_compact(false)
-            .with_policy(CompactionPolicy::default().with_full_every(2));
-        let server = SpatialServer::new(Vec::new(), maint_rebuild(), cfg);
-        for round in 0..4u64 {
-            server.insert(Point::with_id(0.1 * round as f64, 0.2, round));
-            assert!(server.maintain_now());
-        }
-        let stats = server.stats();
-        assert_eq!(stats.compactions, 4);
-        // Rounds 2 and 4 were forced full; rounds 1 and 3 ran partial.
-        assert_eq!(stats.partial_compactions, 2);
-
-        let cfg = ServerConfig::default()
-            .with_auto_compact(false)
-            .with_policy(CompactionPolicy::default().with_incremental(false));
-        let server = SpatialServer::new(Vec::new(), maint_rebuild(), cfg);
-        server.insert(Point::with_id(0.5, 0.5, 1));
-        assert!(server.maintain_now());
-        assert_eq!(server.stats().partial_compactions, 0);
     }
 
     #[test]

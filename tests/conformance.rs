@@ -309,6 +309,127 @@ conformance_tests! {
     conformance_sharded_zm => BaseKind::Zm.sharded(),
 }
 
+/// A point's full value as a sortable key: multisets of results compare by
+/// it, so a stored copy too few or too many shows.
+fn value_key(p: &Point) -> (u64, u64, u64) {
+    (p.id, p.x.to_bits(), p.y.to_bits())
+}
+
+fn multiset(points: &[Point]) -> Vec<(u64, u64, u64)> {
+    let mut keys: Vec<_> = points.iter().map(value_key).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Whether `got` holds no point value more often than `stored` does.
+fn within_stored(got: &[Point], stored: &[Point]) -> bool {
+    let (got, stored) = (multiset(got), multiset(stored));
+    got.chunk_by(|a, b| a == b).all(|run| {
+        let held =
+            stored.partition_point(|k| k <= &run[0]) - stored.partition_point(|k| k < &run[0]);
+        run.len() <= held
+    })
+}
+
+/// The duplicate-heavy case (ROADMAP 6): real spatial data is full of exact
+/// duplicates, and the answer to them is a multiset — a point stored `c`
+/// times is `c` results, in every query class, on every kind.  Around one
+/// spot the data holds five co-located points under different ids and one
+/// `(x, y, id)` stored three times; kNN asks for fewer, exactly as many and
+/// more than the copies, and window, range and join look at the same spot.
+/// Failures are collected and reported together, by kind and class.
+#[test]
+fn duplicate_heavy_data_answers_as_a_multiset_on_every_kind() {
+    let spot = Point::new(0.4, 0.6);
+    let mut data = generate(Distribution::skewed_default(), 900, 83);
+    data.extend((0..5).map(|i| Point::with_id(spot.x, spot.y, 5_001 + i)));
+    let triple = Point::with_id(0.4004, 0.6, 7_000);
+    data.extend([triple; 3]);
+    let n = data.len();
+    let window = Rect::centered(spot.x, spot.y, 0.002, 0.002);
+    let radius = 0.001;
+    let probes = [spot, triple, Point::with_id(0.9, 0.9, 1)];
+
+    let mut failures: Vec<String> = Vec::new();
+    for kind in IndexKind::all_with_sharded() {
+        let mut fail =
+            |class: &str, what: String| failures.push(format!("{kind} / {class}: {what}"));
+        let index = build_index(kind, &data, &cfg());
+        let mut cx = QueryContext::new();
+        if index.len() != n {
+            fail("build", format!("holds {} of {n} points", index.len()));
+        }
+
+        // kNN at the triple and at the co-located spot; k below, at and
+        // above each copy count, across both groups, and beyond n.
+        for q in [triple, spot] {
+            for k in [1usize, 2, 3, 4, 5, 6, 8, 9, n + 5] {
+                let got = index.knn_query(&q, k, &mut cx);
+                let truth = brute_force::knn_query(&data, &q, k);
+                if kind.exact_knn() {
+                    if let Some(i) = (0..truth.len()).find(|&i| got.get(i) != Some(&truth[i])) {
+                        let (g, t) = (got.get(i), truth[i]);
+                        fail(
+                            "knn",
+                            format!("k={k} at {q:?}: result {i} is {g:?}, oracle {t:?}"),
+                        );
+                    } else if got.len() != truth.len() {
+                        fail("knn", format!("k={k} at {q:?}: {} results", got.len()));
+                    }
+                    continue;
+                }
+                if got.len() != k.min(n) {
+                    fail("knn", format!("k={k} at {q:?}: {} results", got.len()));
+                }
+                if got.windows(2).any(|w| w[0].dist_sq(&q) > w[1].dist_sq(&q)) {
+                    fail("knn", format!("k={k} at {q:?}: not closest first"));
+                }
+                if !within_stored(&got, &data) {
+                    fail(
+                        "knn",
+                        format!("k={k} at {q:?}: a copy more often than stored"),
+                    );
+                }
+            }
+        }
+
+        // Window: never more copies than stored; all of them when exact.
+        let got = index.window_query(&window, &mut cx);
+        let truth = brute_force::window_query(&data, &window);
+        assert_eq!(truth.len(), 8, "the window holds both groups");
+        if kind.exact_windows() && multiset(&got) != multiset(&truth) {
+            fail("window", format!("{got:?} != {truth:?}"));
+        }
+        if got.iter().any(|p| !window.contains(p)) || !within_stored(&got, &data) {
+            fail("window", format!("false positive or doubled copy: {got:?}"));
+        }
+
+        // Range and join are exact for every kind.
+        let got = index.range_query(&spot, radius, &mut cx);
+        let truth = brute_force::range_query(&data, &spot, radius);
+        assert_eq!(truth.len(), 8, "the circle holds both groups");
+        if multiset(&got) != multiset(&truth) {
+            fail("range", format!("{got:?} != {truth:?}"));
+        }
+        let pair_keys = |pairs: &[(Point, Point)]| {
+            let mut keys: Vec<_> = pairs.iter().map(|(p, q)| (value_key(p), q.id)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let other = brute_force::ScanIndex::new(probes.to_vec());
+        let got = index.distance_join(&other, radius, &mut cx);
+        let truth = brute_force::distance_join(&data, &probes, radius);
+        assert_eq!(truth.len(), 16, "two probes see both groups");
+        if pair_keys(&got) != pair_keys(&truth) {
+            fail(
+                "join",
+                format!("{} pairs, oracle {}", got.len(), truth.len()),
+            );
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
 #[test]
 fn registry_covers_every_kind_exactly_once() {
     let all = IndexKind::all();

@@ -6,13 +6,15 @@
 //! * every recorded answer replays exactly against the `Vec`-scan oracle
 //!   (the same record-and-replay harness the `serve-live` CI gate uses),
 //! * the obs counters show **partial** passes carried the entire load —
-//!   zero full rebuilds across the whole soak,
-//! * every writer-visible swap pause stays under the policy's pause
-//!   budget, and
-//! * the pause/rebuild p99 of the post-warmup window stays within 25% of
-//!   the first-10-swap window (plus a small absolute allowance for
-//!   scheduler noise at the microsecond scale) — steady-state maintenance
-//!   does not degrade as churn accumulates.
+//!   zero full rebuilds across the whole soak, and
+//! * the journal's per-pass counts show every pass stayed small: it folded
+//!   at most `TRIGGER` ops and retrained at most `MAX_SUBTREES` subtrees,
+//!   and the passes together folded exactly the ops written.
+//!
+//! Counts, not clocks: three soaks share two cores under `cargo test`, so a
+//! pause or rebuild *duration* says more about the neighbours than about the
+//! pass.  What a pass costs is measured in `benchmark/` (`mem-churn-200k`:
+//! `server.swap_pause_p99_us`, `server.rebuild_p50_ms`).
 //!
 //! The writer thread folds the delta synchronously every `TRIGGER` writes
 //! (`maintain_now`, the policy-driven path), which pins the swap count
@@ -26,7 +28,7 @@ use datagen::{generate, Distribution};
 use geom::Point;
 use obs::EventKind;
 use registry::{serve_index, CompactionPolicy, IndexConfig, IndexKind, ServerConfig};
-use server::{SpatialServer, WriteOp};
+use server::{SpatialServer, WriteOp, MAX_SUBTREES};
 
 const READERS: usize = 3;
 /// Writes per epoch swap: small so ~900 writes yield 100+ swaps.
@@ -109,12 +111,6 @@ fn run_soak(server: &SpatialServer, reads: &[MixedQuery], writes: &[WriteOp]) ->
     observations
 }
 
-fn p99(samples: &[u64]) -> u64 {
-    let mut v = samples.to_vec();
-    v.sort_unstable();
-    v[((v.len() - 1) * 99) / 100]
-}
-
 /// The full soak for one learned kind.  `verify_windows`/`verify_knn`
 /// follow the kind's exactness contract (point answers are always exact
 /// and always verified).
@@ -174,21 +170,29 @@ fn churn_soak(kind: IndexKind, verify_windows: bool, verify_knn: bool) {
         Some(stats.subtree_rebuilds)
     );
 
-    // Pause-budget contract: every writer-visible swap pause fits the
-    // budget, and the journal retains the full per-swap series.
+    // Every pass stayed small, by the journal's own counts (it retains the
+    // full per-pass series): what went in was at most one trigger's worth
+    // of ops, what was retrained at most the per-pass cap, and nothing was
+    // folded twice or left behind.
     let journal = server.telemetry().journal.snapshot();
     assert_eq!(journal.dropped, 0, "journal dropped soak events");
-    let mut pauses: Vec<u64> = Vec::new();
-    let mut rebuilds: Vec<u64> = Vec::new();
+    let (mut passes, mut folded, mut retrained) = (0u64, 0u64, 0u64);
     for e in &journal.events {
         match e.kind {
-            EventKind::PartialCompactionEnd {
-                pause_us,
-                rebuild_us,
-                ..
-            } => {
-                pauses.push(pause_us);
-                rebuilds.push(rebuild_us);
+            EventKind::CompactionStart { delta_ops, .. } => {
+                assert!(
+                    delta_ops <= TRIGGER as u64,
+                    "a pass folded {delta_ops} ops, trigger is {TRIGGER}"
+                );
+                folded += delta_ops;
+            }
+            EventKind::PartialCompactionEnd { subtrees, .. } => {
+                assert!(
+                    subtrees <= MAX_SUBTREES as u64,
+                    "a pass retrained {subtrees} subtrees, cap is {MAX_SUBTREES}"
+                );
+                passes += 1;
+                retrained += subtrees;
             }
             EventKind::CompactionEnd { .. } => {
                 panic!("full-compaction event in an all-partial soak: {:?}", e.kind)
@@ -196,28 +200,10 @@ fn churn_soak(kind: IndexKind, verify_windows: bool, verify_knn: bool) {
             _ => {}
         }
     }
-    assert_eq!(pauses.len() as u64, stats.partial_compactions);
-    let budget = policy.pause_budget_us;
-    let worst = *pauses.iter().max().unwrap();
-    assert!(
-        worst < budget,
-        "swap pause {worst}us exceeded the {budget}us budget"
-    );
-
-    // Steady-state latency: the post-warmup p99 stays within 25% of the
-    // first-10-swap window.  The absolute allowance absorbs scheduler
-    // noise on microsecond-scale samples; an accidental full rebuild or a
-    // leak-driven slowdown is orders of magnitude larger.
-    const SLACK_US: f64 = 5_000.0;
-    for (name, series) in [("pause", &pauses), ("rebuild", &rebuilds)] {
-        let (warmup, rest) = series.split_at(10);
-        let baseline = p99(warmup);
-        let late = p99(rest);
-        assert!(
-            late as f64 <= baseline as f64 * 1.25 + SLACK_US,
-            "{name} p99 degraded over the soak: first-10 window {baseline}us, later {late}us"
-        );
-    }
+    assert_eq!(passes, stats.partial_compactions);
+    assert_eq!(folded, writes.len() as u64, "ops folded != ops written");
+    assert_eq!(retrained, stats.subtree_rebuilds);
+    assert_eq!(stats.delta_ops, 0, "ops left unfolded");
 
     // Every recorded answer replays exactly against the Vec-scan oracle.
     let outcome = replay_against_oracle(
