@@ -6,7 +6,7 @@
 use common::brute_force::ScanIndex;
 use common::QueryContext;
 use geom::{Point, Rect};
-use net::{NetClient, NetError};
+use net::{NetClient, NetError, Request, Response};
 use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
 use std::sync::Arc;
@@ -211,6 +211,127 @@ fn live_stats_and_events_reconcile_with_traffic() {
     let (_, tail) = client.events(last).unwrap();
     assert!(tail.events.iter().all(|e| e.seq > last));
 
+    handle.shutdown();
+    handle.join();
+}
+
+/// 26 distinct reads cycling through the five read classes.
+fn pipelined_reads(points: &[Point]) -> Vec<Request> {
+    (0..26)
+        .map(|i| {
+            let q = points[i * 17];
+            match i % 5 {
+                0 => Request::Point(q),
+                1 => Request::Window(Rect::new(q.x - 0.1, q.y - 0.1, q.x + 0.1, q.y + 0.1)),
+                2 => Request::Knn(q, 3 + i as u32),
+                3 => Request::Range(q, 0.05),
+                _ => Request::JoinProbes(points[i..i + 4].to_vec(), 0.05),
+            }
+        })
+        .collect()
+}
+
+/// The in-process answer to a read, as the wire would carry it.
+fn in_process(snap: &server::Snapshot, req: &Request) -> Response {
+    let mut cx = QueryContext::new();
+    let seq = snap.seq();
+    match req {
+        Request::Point(q) => Response::Point {
+            seq,
+            hit: snap.point_query(q, &mut cx),
+        },
+        Request::Window(w) => Response::Points {
+            seq,
+            points: snap.window_query(w, &mut cx),
+        },
+        Request::Knn(q, k) => Response::Knn {
+            seq,
+            points: snap.knn_query(q, *k as usize, &mut cx),
+        },
+        Request::Range(q, r) => Response::Points {
+            seq,
+            points: snap.range_query(q, *r, &mut cx),
+        },
+        Request::JoinProbes(probes, r) => {
+            let mut pairs = Vec::new();
+            snap.distance_join_probes(probes, *r, &mut cx, &mut |a, b| pairs.push((*a, *b)));
+            Response::Pairs { seq, pairs }
+        }
+        other => panic!("not a read: {other:?}"),
+    }
+}
+
+/// The per-connection contract on a raw stream: 32 frames written back to
+/// back before any reply is read come back one reply per frame, in request
+/// order, and the connection reads its own writes.
+#[test]
+fn pipelined_frames_are_answered_in_order_and_read_their_own_writes() {
+    let points = test_points(500);
+    // One worker, one request per batch: a micro-batch pins its snapshot
+    // before it applies its writes, so with the default batch cap the
+    // lookup batched together with the insert before it misses.
+    let cfg = ServeConfig::default().with_workers(1).with_batch_max(1);
+    let (engine, handle) = spawn_server(points.clone(), cfg);
+    let snap = engine.snapshot();
+    let fresh = Point::with_id(0.333, 0.444, 9_000_002);
+    let reads = pipelined_reads(&points);
+    let mut frames = reads.clone();
+    frames.extend([
+        Request::Insert(fresh),
+        Request::Point(fresh),
+        Request::Delete(fresh),
+        Request::Point(fresh),
+        Request::Ping,
+        Request::Stats,
+    ]);
+    assert_eq!(frames.len(), 32);
+
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    let bytes: Vec<u8> = frames
+        .iter()
+        .flat_map(|r| net::wire::frame_bytes(&r.encode()))
+        .collect();
+    stream.write_all(&bytes).unwrap();
+    let replies: Vec<Response> = (0..frames.len())
+        .map(|_| {
+            let payload = net::wire::read_frame(&mut stream).unwrap().unwrap();
+            Response::decode(&payload).unwrap()
+        })
+        .collect();
+
+    for (i, (req, got)) in reads.iter().zip(&replies).enumerate() {
+        assert_eq!(*got, in_process(&snap, req), "reply {i} to {req:?}");
+    }
+    let tail = &replies[reads.len()..];
+    let Response::Written {
+        seq: inserted,
+        removed: false,
+    } = tail[0]
+    else {
+        panic!("insert reply: {:?}", tail[0]);
+    };
+    assert!(
+        matches!(tail[1], Response::Point { hit: Some(p), .. } if p == fresh),
+        "lookup after the insert: {:?}",
+        tail[1]
+    );
+    assert_eq!(
+        tail[2],
+        Response::Written {
+            seq: inserted + 1,
+            removed: true
+        }
+    );
+    assert!(
+        matches!(tail[3], Response::Point { hit: None, .. }),
+        "lookup after the delete: {:?}",
+        tail[3]
+    );
+    assert!(matches!(tail[4], Response::Pong { .. }), "{:?}", tail[4]);
+    assert!(matches!(tail[5], Response::Stats { .. }), "{:?}", tail[5]);
+    assert_eq!(handle.stats().shed, 0);
+
+    drop(stream);
     handle.shutdown();
     handle.join();
 }

@@ -9,10 +9,11 @@
 
 use common::{QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
-use geom::Point;
-use net::{NetClient, RemoteIndex};
+use geom::{Point, Rect};
+use net::{NetClient, RemoteIndex, Request, Response};
 use registry::{BaseKind, IndexConfig};
 use server::{ServeConfig, ServerConfig, SpatialServer};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -179,6 +180,123 @@ fn router_matches_local_sharded_index_for_all_five_classes() {
     assert_eq!(remote.last_seq(), 65);
 
     compare(&remote, local.as_ref());
+}
+
+/// `index`'s in-process answer to a read, as the wire would carry it, with
+/// set-valued answers in id order (the router concatenates shard answers).
+fn in_process(index: &dyn SpatialIndex, req: &Request) -> Response {
+    let mut cx = QueryContext::new();
+    match req {
+        Request::Point(q) => Response::Point {
+            seq: 0,
+            hit: index.point_query(q, &mut cx),
+        },
+        Request::Window(w) => Response::Points {
+            seq: 0,
+            points: by_id(index.window_query(w, &mut cx)),
+        },
+        Request::Knn(q, k) => Response::Knn {
+            seq: 0,
+            points: index.knn_query(q, *k as usize, &mut cx),
+        },
+        Request::Range(q, r) => Response::Points {
+            seq: 0,
+            points: by_id(index.range_query(q, *r, &mut cx)),
+        },
+        Request::JoinProbes(probes, r) => {
+            let mut pairs = Vec::new();
+            index.distance_join_probes(probes, *r, &mut cx, &mut |a, b| pairs.push((*a, *b)));
+            pairs.sort_by_key(|(a, b)| (a.id, b.id));
+            Response::Pairs { seq: 0, pairs }
+        }
+        other => panic!("not a read: {other:?}"),
+    }
+}
+
+/// The per-connection contract on a raw stream: 32 frames written back to
+/// back before any reply is read come back one reply per frame, in request
+/// order, and the connection reads its own writes.
+#[test]
+fn pipelined_frames_are_answered_in_order_and_read_their_own_writes() {
+    let data = generate(Distribution::Uniform, 2_000, 103);
+    let (cluster, local) = spawn_cluster(&data, 1, "pipelined", None);
+    let reads: Vec<Request> = (0..26)
+        .map(|i| {
+            let q = data[i * 61];
+            match i % 5 {
+                0 => Request::Point(q),
+                1 => Request::Window(Rect::new(q.x - 0.1, q.y - 0.1, q.x + 0.1, q.y + 0.1)),
+                2 => Request::Knn(q, 3 + i as u32),
+                3 => Request::Range(q, 0.05),
+                _ => Request::JoinProbes(data[i..i + 4].to_vec(), 0.05),
+            }
+        })
+        .collect();
+    let fresh = Point::with_id(0.333, 0.444, 9_000_002);
+    let mut frames = reads.clone();
+    frames.extend([
+        Request::Insert(fresh),
+        Request::Point(fresh),
+        Request::Delete(fresh),
+        Request::Point(fresh),
+        Request::Ping,
+        Request::Stats,
+    ]);
+    assert_eq!(frames.len(), 32);
+
+    let mut stream = std::net::TcpStream::connect(cluster.router_addr()).unwrap();
+    let bytes: Vec<u8> = frames
+        .iter()
+        .flat_map(|r| net::wire::frame_bytes(&r.encode()))
+        .collect();
+    stream.write_all(&bytes).unwrap();
+    let mut replies: Vec<Response> = (0..frames.len())
+        .map(|_| {
+            let payload = net::wire::read_frame(&mut stream).unwrap().unwrap();
+            Response::decode(&payload).unwrap()
+        })
+        .collect();
+
+    for (i, (req, got)) in reads.iter().zip(&mut replies).enumerate() {
+        match got {
+            Response::Points { points, .. } => points.sort_by_key(|p| p.id),
+            Response::Pairs { pairs, .. } => pairs.sort_by_key(|(a, b)| (a.id, b.id)),
+            _ => {}
+        }
+        assert_eq!(
+            *got,
+            in_process(local.as_ref(), req),
+            "reply {i} to {req:?}"
+        );
+    }
+    let tail = &replies[reads.len()..];
+    let Response::Written {
+        seq: inserted,
+        removed: false,
+    } = tail[0]
+    else {
+        panic!("insert reply: {:?}", tail[0]);
+    };
+    assert!(
+        matches!(tail[1], Response::Point { hit: Some(p), .. } if p == fresh),
+        "lookup after the insert: {:?}",
+        tail[1]
+    );
+    assert_eq!(
+        tail[2],
+        Response::Written {
+            seq: inserted + 1,
+            removed: true
+        }
+    );
+    assert!(
+        matches!(tail[3], Response::Point { hit: None, .. }),
+        "lookup after the delete: {:?}",
+        tail[3]
+    );
+    assert!(matches!(tail[4], Response::Pong { .. }), "{:?}", tail[4]);
+    assert!(matches!(tail[5], Response::Stats { .. }), "{:?}", tail[5]);
+    assert_eq!(cluster.router.as_ref().unwrap().stats().shed, 0);
 }
 
 #[test]
