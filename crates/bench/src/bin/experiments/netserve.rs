@@ -166,9 +166,9 @@ pub fn serve_config(args: &Args) -> server::ServeConfig {
 /// `SpatialServer` and serves it over the wire protocol on
 /// `127.0.0.1:--port` until a wire `Shutdown` request arrives (or
 /// `--duration` elapses), then drains in-flight work, refuses new
-/// requests, joins every listener/worker thread, and reports the session
-/// counters.  A client disconnecting mid-request only drops that
-/// connection.
+/// requests, joins the acceptor and every connection thread, and reports
+/// the session counters.  A client disconnecting mid-request only drops
+/// that connection.
 fn net_serve(args: &Args) -> bool {
     let kind: IndexKind = args.get("--kind");
     let cfg = sharded_config(args);
@@ -225,7 +225,8 @@ fn net_serve(args: &Args) -> bool {
 
     // Shutdown summary: the session's telemetry registry and event
     // journal outlive the serve loop on the engine Arc, so the per-class
-    // totals here are final (every worker has delivered and counted).
+    // totals here are final (every connection thread has counted and
+    // written its last reply).
     let telemetry = engine.telemetry();
     let metrics = telemetry.metrics.snapshot();
     let events = telemetry.journal.snapshot();
@@ -290,8 +291,6 @@ fn net_serve(args: &Args) -> bool {
             "connections",
             "requests",
             "shed",
-            "batches",
-            "mean batch size",
         ],
         &[vec![
             kind.name().to_string(),
@@ -300,8 +299,6 @@ fn net_serve(args: &Args) -> bool {
             stats.connections.to_string(),
             stats.requests.to_string(),
             stats.shed.to_string(),
-            stats.batches.to_string(),
-            fmt(stats.batched as f64 / (stats.batches as f64).max(1.0)),
         ]],
     );
     true
@@ -357,7 +354,7 @@ fn net_load(args: &Args) -> bool {
         "Networked serving — closed-loop tail latency per class",
         &closed,
     );
-    netload::emit_summary_table("Networked serving — closed-loop summary", "closed", &closed);
+    netload::emit_summary_table("Networked serving — closed-loop summary", &closed);
     let mut ok = closed.ok > 0;
     if !ok {
         eprintln!("net-load: no request was answered (all shed or none sent)");

@@ -273,12 +273,11 @@ pub fn emit_latency_table(title: &str, outcome: &NetLoadOutcome) {
     );
 }
 
-/// Prints the one-row load summary (throughput, shed counts) for one mode.
-pub fn emit_summary_table(title: &str, mode: &str, outcome: &NetLoadOutcome) {
+/// Prints the one-row load summary (throughput, shed counts).
+pub fn emit_summary_table(title: &str, outcome: &NetLoadOutcome) {
     print_table(
         title,
         &[
-            "mode",
             "requests",
             "answered",
             "shed",
@@ -286,7 +285,6 @@ pub fn emit_summary_table(title: &str, mode: &str, outcome: &NetLoadOutcome) {
             "throughput (req/s)",
         ],
         &[vec![
-            mode.to_string(),
             outcome.total().to_string(),
             outcome.ok.to_string(),
             outcome.shed.to_string(),

@@ -1,8 +1,9 @@
 //! Bounded-in-flight admission control, the gate of the shared listener
 //! front-end ([`crate::frontend`]).
 //!
-//! The mechanism is two bounded counters: a global in-flight window and a
-//! per-connection window.  When either is exhausted the request must be
+//! The mechanism is one bounded counter, the global in-flight window (a
+//! connection has at most one request in flight, since it is read, answered
+//! and written on one thread).  When it is exhausted the request must be
 //! shed immediately with a typed `OVERLOAD` response instead of queueing
 //! unboundedly — the connection stays healthy and later requests are
 //! admitted again as soon as in-flight work drains.  Both front-ends speak
@@ -12,62 +13,42 @@
 use obs::Gauge;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The two-window admission gate.  `try_admit` / `release` are a handful
-/// of atomic ops; nothing here takes a lock.
+/// The admission gate.  `try_admit` / `release` are a handful of atomic
+/// ops; nothing here takes a lock.
 pub struct AdmissionGate {
     /// Remaining global admission tokens.
     global_tokens: AtomicUsize,
     global_cap: usize,
-    per_conn_cap: usize,
     /// `*.inflight`: admission tokens currently held.
     inflight_gauge: Gauge,
 }
 
-/// One connection's admission window (its in-flight count).
-#[derive(Default)]
-pub struct ConnSlots {
-    inflight: AtomicUsize,
-}
-
 impl AdmissionGate {
-    /// A gate with the given global and per-connection windows, reporting
-    /// held tokens through `inflight_gauge`.
-    pub fn new(global_cap: usize, per_conn_cap: usize, inflight_gauge: Gauge) -> Self {
+    /// A gate with the given global window, reporting held tokens through
+    /// `inflight_gauge`.
+    pub fn new(global_cap: usize, inflight_gauge: Gauge) -> Self {
         Self {
             global_tokens: AtomicUsize::new(global_cap),
             global_cap,
-            per_conn_cap,
             inflight_gauge,
         }
     }
 
-    /// Tries to admit one request on `conn`; `false` means the request
-    /// must be shed with an `OVERLOAD` response.
-    pub fn try_admit(&self, conn: &ConnSlots) -> bool {
-        if self
+    /// Tries to admit one request; `false` means the request must be shed
+    /// with an `OVERLOAD` response.
+    pub fn try_admit(&self) -> bool {
+        let admitted = self
             .global_tokens
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| t.checked_sub(1))
-            .is_err()
-        {
-            return false;
-        }
-        let admitted = conn
-            .inflight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                (n < self.per_conn_cap).then_some(n + 1)
-            })
             .is_ok();
-        if !admitted {
-            self.global_tokens.fetch_add(1, Ordering::AcqRel);
-        } else {
+        if admitted {
             self.inflight_gauge.add(1);
         }
         admitted
     }
 
-    /// Returns one admitted request's tokens.
-    pub fn release(&self, conn: &ConnSlots) {
-        conn.inflight.fetch_sub(1, Ordering::AcqRel);
+    /// Returns one admitted request's token.
+    pub fn release(&self) {
         self.global_tokens.fetch_add(1, Ordering::AcqRel);
         self.inflight_gauge.add(-1);
     }
@@ -91,22 +72,17 @@ mod tests {
     #[test]
     fn windows_bound_admission_and_release_reopens_them() {
         let t = Telemetry::new();
-        let gate = AdmissionGate::new(2, 1, t.metrics.gauge("test.inflight"));
-        let a = ConnSlots::default();
-        let b = ConnSlots::default();
-        assert!(gate.try_admit(&a));
-        // Per-connection window of 1 is exhausted for `a`...
-        assert!(!gate.try_admit(&a));
-        // ...but other connections still fit under the global window.
-        assert!(gate.try_admit(&b));
-        // Global window of 2 is now exhausted for everyone.
-        let c = ConnSlots::default();
-        assert!(!gate.try_admit(&c));
+        let gate = AdmissionGate::new(2, t.metrics.gauge("test.inflight"));
+        assert!(gate.try_admit());
+        assert!(gate.try_admit());
+        // The global window of 2 is exhausted...
+        assert!(!gate.try_admit());
         assert_eq!(gate.inflight(), 2);
-        gate.release(&a);
-        assert!(gate.try_admit(&c));
-        gate.release(&b);
-        gate.release(&c);
+        // ...and a release reopens it.
+        gate.release();
+        assert!(gate.try_admit());
+        gate.release();
+        gate.release();
         assert_eq!(gate.inflight(), 0);
         assert_eq!(t.metrics.snapshot().gauge("test.inflight"), Some(0));
     }

@@ -1,11 +1,11 @@
 //! Blocking client for the wire protocol.
 //!
 //! One [`NetClient`] owns one TCP connection and runs one request at a
-//! time (send, then block for the response) — the closed-loop shape.  An
-//! open-loop load generator can instead pipeline raw frames itself through
-//! [`crate::wire`] over a [`std::net::TcpStream`] pair (see
-//! `bench::netload`); the server guarantees responses arrive in request
-//! order per connection.
+//! time (send, then block for the response) — the closed-loop shape.  A
+//! caller that frames its own requests takes the stream with
+//! [`NetClient::into_stream`] and writes raw frames through [`crate::wire`]
+//! (the benchmark's `wire_read` and `routed_mixed` workloads do); the server
+//! answers a connection's frames one at a time, in request order.
 
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;

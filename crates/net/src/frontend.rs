@@ -2,16 +2,17 @@
 //! ([`crate::server_loop`]) and the distributed router (`crates/router`).
 //!
 //! A [`FrontEnd`] owns everything about serving the wire protocol that does
-//! not depend on *what* answers a request: the acceptor pool and the
-//! connection registry, the stop flag and the drain choreography, two-window
-//! admission control, the `net.*` telemetry, and the per-request triage.
-//! What happens to an admitted request is the per-connection handler's
-//! business: the serving loop queues it for its worker pool and writes
-//! replies from a per-connection writer thread, the router plans and
-//! scatters it on the connection's own thread.
+//! not depend on *what* answers a request: the acceptor and the connection
+//! registry, the per-connection loop, the stop flag and the drain
+//! choreography, admission control, the `net.*` telemetry, and the
+//! per-request triage.  Every connection is served on its own thread: read
+//! a frame, triage it, execute an admitted request, write the reply, so
+//! replies leave in request order and a connection reads its own writes.
+//! The caller supplies only what answers a request: the write sequence
+//! control replies report, and the executor of an admitted request.
 
-use crate::admission::{AdmissionGate, ConnSlots};
-use crate::wire::{ErrorCode, Request, Response};
+use crate::admission::AdmissionGate;
+use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
 use std::collections::HashMap;
@@ -79,7 +80,7 @@ pub struct FrontStats {
     pub connections: u64,
     /// Requests fully decoded (including ones later shed).
     pub requests: u64,
-    /// Requests shed (by admission control, or by the handler).
+    /// Requests shed (by admission control, or by the executor).
     pub shed: u64,
 }
 
@@ -123,16 +124,18 @@ impl FrontMetrics {
     }
 }
 
-/// What serves one accepted connection, start to finish.
-type Handler = dyn Fn(TcpStream) + Send + Sync;
+/// What answers a request: the write sequence control replies report, and
+/// the executor of an admitted request.
+struct Service {
+    seq: Box<dyn Fn() -> u64 + Send + Sync>,
+    exec: Box<dyn Fn(Request) -> Response + Send + Sync>,
+}
 
 /// What [`FrontEnd::triage`] made of one frame.
-pub enum Triage {
+enum Triage {
     /// Answered (or refused) on the spot; send this and move on.
     Reply(Response),
-    /// Admitted: the handler owes the request an answer, a
-    /// [`FrontEnd::complete`] when that answer is a success, and a
-    /// [`FrontEnd::release`] of the connection's admission slot.
+    /// Admitted: execute it, then return its admission token.
     Admitted {
         /// The decoded, validated request.
         req: Request,
@@ -144,7 +147,6 @@ pub enum Triage {
 /// The shared listener front-end; see the module docs.
 pub struct FrontEnd {
     addr: SocketAddr,
-    acceptor_count: usize,
     stop: AtomicBool,
     admission: AdmissionGate,
     stats: StatCounters,
@@ -152,7 +154,7 @@ pub struct FrontEnd {
     /// Read-half handles of live connections, poked on shutdown so blocked
     /// readers wake immediately.
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
-    acceptors: Mutex<Vec<JoinHandle<()>>>,
+    acceptor: Mutex<Option<JoinHandle<()>>>,
     /// Connection thread handles, joined at shutdown (finished ones are
     /// swept opportunistically on accept).
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -165,54 +167,48 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Binds `cfg.bind_addr` (port 0 = ephemeral) and registers the `net.*`
-    /// metrics on `telemetry`; [`start`](Self::start) takes the listener.
-    pub fn bind(
+    /// Binds `cfg.bind_addr` (port 0 = ephemeral), registers the `net.*`
+    /// metrics on `telemetry` and starts accepting.  Every accepted
+    /// connection gets its own thread, which answers control messages with
+    /// the sequence number `seq` reports and every admitted request with
+    /// `exec`.  An `exec` reply of `Error { code: Overload, .. }` counts as
+    /// a shed, any other error as neither shed nor completed.
+    pub fn serve(
         cfg: &server::ServeConfig,
         telemetry: Arc<Telemetry>,
-    ) -> Result<(Arc<Self>, TcpListener), NetError> {
+        seq: impl Fn() -> u64 + Send + Sync + 'static,
+        exec: impl Fn(Request) -> Response + Send + Sync + 'static,
+    ) -> Result<Arc<Self>, NetError> {
         let listener = TcpListener::bind(&cfg.bind_addr)?;
         let front = Arc::new(Self {
             addr: listener.local_addr()?,
-            acceptor_count: cfg.acceptors.max(1),
             stop: AtomicBool::new(false),
             admission: AdmissionGate::new(
                 cfg.global_inflight,
-                cfg.per_conn_inflight,
                 telemetry.metrics.gauge("net.inflight"),
             ),
             stats: StatCounters::default(),
             next_conn_id: AtomicU64::new(0),
             conn_streams: Mutex::new(HashMap::new()),
-            acceptors: Mutex::new(Vec::new()),
+            acceptor: Mutex::new(None),
             conn_threads: Mutex::new(Vec::new()),
             metrics: FrontMetrics::register(&telemetry),
             telemetry,
             last_shed_event_us: AtomicU64::new(0),
         });
-        Ok((front, listener))
+        let service = Arc::new(Service {
+            seq: Box::new(seq),
+            exec: Box::new(exec),
+        });
+        let acceptor = {
+            let front = Arc::clone(&front);
+            std::thread::spawn(move || front.acceptor_loop(&listener, &service))
+        };
+        *front.acceptor.lock().unwrap() = Some(acceptor);
+        Ok(front)
     }
 
-    /// Starts the acceptor pool.  Every accepted connection gets its own
-    /// thread running `handler(stream)` until the connection is done.
-    pub fn start(
-        self: &Arc<Self>,
-        listener: TcpListener,
-        handler: impl Fn(TcpStream) + Send + Sync + 'static,
-    ) -> Result<(), NetError> {
-        let handler: Arc<Handler> = Arc::new(handler);
-        let mut acceptors = self.acceptors.lock().unwrap();
-        for _ in 0..self.acceptor_count {
-            let (front, handler) = (Arc::clone(self), Arc::clone(&handler));
-            let listener = listener.try_clone()?;
-            acceptors.push(std::thread::spawn(move || {
-                front.acceptor_loop(&listener, &handler)
-            }));
-        }
-        Ok(())
-    }
-
-    fn acceptor_loop(self: &Arc<Self>, listener: &TcpListener, handler: &Arc<Handler>) {
+    fn acceptor_loop(self: &Arc<Self>, listener: &TcpListener, service: &Arc<Service>) {
         loop {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
@@ -227,7 +223,7 @@ impl FrontEnd {
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
             self.metrics.connections_total.inc();
             let _ = stream.set_nodelay(true);
-            // A peer that stops reading must not pin a writing thread
+            // A peer that stops reading must not pin its connection thread
             // forever (it would stall the drain at shutdown); a stuck send
             // errors out and the connection is dropped.
             let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
@@ -236,8 +232,8 @@ impl FrontEnd {
                 continue;
             };
             self.conn_streams.lock().unwrap().insert(id, read_poke);
-            let (front, handler) = (Arc::clone(self), Arc::clone(handler));
-            let handle = std::thread::spawn(move || front.run_connection(id, stream, &*handler));
+            let (front, service) = (Arc::clone(self), Arc::clone(service));
+            let handle = std::thread::spawn(move || front.run_connection(id, stream, &service));
             let mut threads = self.conn_threads.lock().unwrap();
             threads.retain(|h| !h.is_finished());
             threads.push(handle);
@@ -254,12 +250,12 @@ impl FrontEnd {
         }
     }
 
-    fn run_connection(&self, id: u64, stream: TcpStream, handler: &Handler) {
+    fn run_connection(&self, id: u64, stream: TcpStream, service: &Service) {
         self.metrics.connections_open.add(1);
         self.telemetry
             .journal
             .record(EventKind::ConnOpen { conn: id });
-        handler(stream);
+        self.connection_loop(stream, service);
         self.conn_streams.lock().unwrap().remove(&id);
         self.metrics.connections_open.add(-1);
         self.telemetry
@@ -267,14 +263,48 @@ impl FrontEnd {
             .record(EventKind::ConnClose { conn: id });
     }
 
+    /// One connection, one request at a time: a request is answered and
+    /// its reply written before the next frame is read.
+    fn connection_loop(&self, mut stream: TcpStream, service: &Service) {
+        // Clean EOF between frames (client done, or our read half was shut
+        // down by the drain) ends the loop; so does framing broken
+        // mid-stream (client disconnected mid-request, or garbage), where
+        // resynchronisation is impossible.
+        while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
+            let t0 = Instant::now();
+            let resp = match self.triage(&payload, &service.seq) {
+                Triage::Reply(resp) => resp,
+                Triage::Admitted { req, class } => {
+                    let resp = (service.exec)(req);
+                    self.admission.release();
+                    // Count before writing: a closed-loop client that sees
+                    // this reply and immediately scrapes `Stats` must find
+                    // it reflected.
+                    match &resp {
+                        Response::Error {
+                            code: ErrorCode::Overload,
+                            ..
+                        } => self.note_shed(class),
+                        Response::Error { .. } => {}
+                        _ => self.complete(class, t0),
+                    }
+                    resp
+                }
+            };
+            if wire::write_frame(&mut stream, &resp.encode()).is_err() {
+                break;
+            }
+        }
+    }
+
     /// Sorts one received frame: decodes it, answers control messages
     /// inline with the sequence number `seq` reports, and refuses, sheds or
-    /// admits everything else against `slots`.
+    /// admits everything else.
     ///
     /// Telemetry scrapes are answered like `Ping` and bypass admission
     /// control: an overloaded (or draining) server must still be observable
     /// — that is the point of the telemetry.
-    pub fn triage(&self, payload: &[u8], slots: &ConnSlots, seq: impl FnOnce() -> u64) -> Triage {
+    fn triage(&self, payload: &[u8], seq: impl FnOnce() -> u64) -> Triage {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         let refuse = |code, message: String| Triage::Reply(Response::Error { code, message });
         let req = match Request::decode(payload) {
@@ -312,7 +342,7 @@ impl FrontEnd {
         } else if let Err(msg) = validate(&req) {
             self.metrics.bad_request.inc();
             refuse(ErrorCode::BadRequest, msg)
-        } else if !self.admission.try_admit(slots) {
+        } else if !self.admission.try_admit() {
             self.note_shed(class);
             refuse(ErrorCode::Overload, "in-flight queue full".into())
         } else {
@@ -321,23 +351,16 @@ impl FrontEnd {
     }
 
     /// Counts one successfully answered request of `class`, decoded at
-    /// `t0`.  Call it *before* handing the response to the peer: a
-    /// closed-loop client that sees the response and immediately scrapes
-    /// `Stats` must find it reflected.
-    pub fn complete(&self, class: usize, t0: Instant) {
+    /// `t0`.
+    fn complete(&self, class: usize, t0: Instant) {
         self.metrics.completed[class].inc();
         self.metrics.latency[class].record(t0.elapsed().as_micros() as u64);
-    }
-
-    /// Returns an admitted request's admission tokens.
-    pub fn release(&self, slots: &ConnSlots) {
-        self.admission.release(slots);
     }
 
     /// Counts one shed and journals an `OverloadShed` event, rate-limited
     /// to one per second so a shed storm cannot evict rarer lifecycle
     /// events from the bounded journal.
-    pub fn note_shed(&self, class: usize) {
+    fn note_shed(&self, class: usize) {
         self.stats.shed.fetch_add(1, Ordering::Relaxed);
         self.metrics.shed[class].inc();
         let now_us = self.telemetry.journal.uptime_us();
@@ -380,8 +403,9 @@ impl FrontEnd {
     }
 
     /// Sets the stop flag and unblocks everything that might be waiting on
-    /// a socket: acceptors get poke connections, connection readers get
-    /// their read half shut down.  In-flight work keeps draining.
+    /// a socket: the acceptor gets a poke connection, connection readers
+    /// get their read half shut down.  In-flight requests keep running and
+    /// their replies are written.
     pub fn begin_shutdown(&self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
@@ -390,22 +414,19 @@ impl FrontEnd {
             uptime_us: self.telemetry.journal.uptime_us(),
             drained: self.admission.inflight(),
         });
-        for _ in 0..self.acceptor_count {
-            // A throwaway connection unblocks one blocked accept(); the
-            // acceptor sees the stop flag and exits.
-            let _ = TcpStream::connect(self.addr);
-        }
+        // A throwaway connection unblocks the blocked accept(); the
+        // acceptor sees the stop flag and exits.
+        let _ = TcpStream::connect(self.addr);
         for stream in self.conn_streams.lock().unwrap().values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
     }
 
-    /// Begins the shutdown if nobody has, then waits until every acceptor
-    /// and every connection handler has returned.
+    /// Begins the shutdown if nobody has, then waits until the acceptor
+    /// and every connection thread have returned.
     pub fn join(&self) {
         self.begin_shutdown();
-        let acceptors: Vec<_> = self.acceptors.lock().unwrap().drain(..).collect();
-        for h in acceptors {
+        if let Some(h) = self.acceptor.lock().unwrap().take() {
             let _ = h.join();
         }
         // Connections registered concurrently with begin_shutdown's poke

@@ -3,11 +3,11 @@
 //! Everything is hand-rolled over `std::net` (the offline vendor policy
 //! rules out tokio/hyper/serde): a length-prefixed binary protocol whose
 //! framing mirrors the `persist` snapshot conventions ([`wire`]), a
-//! listener front-end — acceptors, admission control, drain, `net.*`
-//! telemetry — shared with the distributed router ([`frontend`]), an
-//! admission-controlled TCP server that coalesces concurrently-arriving
-//! requests into snapshot-sharing micro-batches ([`serve_config`]), and a
-//! blocking [`NetClient`].
+//! listener front-end — acceptor, one thread per connection, admission
+//! control, drain, `net.*` telemetry — shared with the distributed router
+//! ([`frontend`]), an admission-controlled TCP server that answers each
+//! request against one pinned snapshot on its connection's thread
+//! ([`serve_config`]), and a blocking [`NetClient`].
 //!
 //! The serving contract is the same one the in-process engine makes:
 //! every data-bearing response carries the write sequence number
@@ -48,16 +48,15 @@
 
 use std::fmt;
 
-pub mod admission;
+mod admission;
 pub mod client;
 pub mod frontend;
 pub mod remote;
 pub mod server_loop;
 pub mod wire;
 
-pub use admission::{AdmissionGate, ConnSlots};
 pub use client::NetClient;
-pub use frontend::{FrontEnd, FrontStats, Triage, REQUEST_CLASSES};
+pub use frontend::{FrontEnd, FrontStats, REQUEST_CLASSES};
 pub use remote::RemoteIndex;
 pub use server_loop::{serve_config, NetHandle, NetStats};
 pub use wire::{ErrorCode, Request, Response};

@@ -267,11 +267,7 @@ fn in_process(snap: &server::Snapshot, req: &Request) -> Response {
 #[test]
 fn pipelined_frames_are_answered_in_order_and_read_their_own_writes() {
     let points = test_points(500);
-    // One worker, one request per batch: a micro-batch pins its snapshot
-    // before it applies its writes, so with the default batch cap the
-    // lookup batched together with the insert before it misses.
-    let cfg = ServeConfig::default().with_workers(1).with_batch_max(1);
-    let (engine, handle) = spawn_server(points.clone(), cfg);
+    let (engine, handle) = spawn_server(points.clone(), ServeConfig::default());
     let snap = engine.snapshot();
     let fresh = Point::with_id(0.333, 0.444, 9_000_002);
     let reads = pipelined_reads(&points);
@@ -337,10 +333,9 @@ fn pipelined_frames_are_answered_in_order_and_read_their_own_writes() {
 }
 
 #[test]
-fn concurrent_clients_coalesce_into_micro_batches() {
+fn concurrent_closed_loop_clients_each_get_their_own_answers() {
     let points = test_points(2000);
-    let cfg = ServeConfig::default().with_workers(2).with_batch_max(16);
-    let (_engine, handle) = spawn_server(points.clone(), cfg);
+    let (_engine, handle) = spawn_server(points.clone(), ServeConfig::default());
     let addr = handle.local_addr().to_string();
     let threads = 8;
     let per_thread = 50;
@@ -360,8 +355,9 @@ fn concurrent_clients_coalesce_into_micro_batches() {
     });
     let stats = handle.stats();
     assert_eq!(stats.requests, (threads * per_thread) as u64);
+    // Every request is executed on its own connection's thread.
     assert_eq!(stats.batched, stats.requests);
-    assert!(stats.batches <= stats.batched);
+    assert_eq!(stats.batches, stats.batched);
     handle.shutdown();
     handle.join();
 }

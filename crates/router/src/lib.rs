@@ -18,11 +18,12 @@
 //! index built from the same snapshot.  The router only supplies the
 //! executor: where the engine calls a shard's inner index, it calls the
 //! shard's replica set over the wire and turns an unreachable shard into a
-//! typed refusal.  Likewise the listener — acceptors, admission, drain,
-//! control messages, `net.*` telemetry — is [`net::FrontEnd`], the one the
-//! single-process serving loop uses.  What is left here is what is
-//! actually distributed: replica choice and failover, write fan-out, the
-//! router-level write sequence, and shutdown propagation.
+//! typed refusal.  Likewise the listener — acceptor, one thread per
+//! connection, admission, drain, control messages, `net.*` telemetry — is
+//! [`net::FrontEnd`], the one the single-process serving loop uses; the
+//! router hands it `exec` and its write sequence.  What is left here is
+//! what is actually distributed: replica choice and failover, write
+//! fan-out, the router-level write sequence, and shutdown propagation.
 //!
 //! Each shard may be served by N **replicas**.  Reads round-robin across
 //! live replicas and fail over on connection errors (a killed replica
@@ -45,9 +46,9 @@ use engine::partition::Partitioner;
 use engine::plan::{self, Fanout, ShardError, ShardView};
 use engine::ShardManifest;
 use geom::{Point, Rect};
-use net::{ConnSlots, ErrorCode, FrontEnd, NetClient, NetError, Request, Response, Triage};
+use net::{ErrorCode, FrontEnd, NetClient, NetError, Request, Response};
 use obs::{Counter, EventKind, Histogram, Telemetry};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -157,7 +158,8 @@ impl ShardState {
 type Planned = Result<Response, ShardError<NetError>>;
 
 struct Core {
-    front: Arc<FrontEnd>,
+    /// The router's telemetry sink, shared with its [`FrontEnd`].
+    telemetry: Arc<Telemetry>,
     partitioner: Partitioner,
     shards: Vec<ShardState>,
     /// Serializes writes: the fan-out to a shard's replicas must not
@@ -201,13 +203,10 @@ impl Core {
             .swap(true, Ordering::AcqRel)
         {
             self.replica_failovers.inc();
-            self.front
-                .telemetry()
-                .journal
-                .record(EventKind::ReplicaFailover {
-                    shard: shard as u64,
-                    replica: replica as u64,
-                });
+            self.telemetry.journal.record(EventKind::ReplicaFailover {
+                shard: shard as u64,
+                replica: replica as u64,
+            });
         }
     }
 
@@ -413,68 +412,39 @@ impl Core {
             removed: removed_in.is_some(),
         })
     }
-
-    /// One client connection, processed serially on its own thread: the
-    /// router is a scatter point, not a compute node, so a request's
-    /// latency is its upstream fan-out — responses are naturally in request
-    /// order and no reorder buffer is needed.
-    fn connection_loop(&self, mut stream: TcpStream) {
-        let slots = ConnSlots::default();
-        while let Ok(Some(payload)) = net::wire::read_frame(&mut stream) {
-            let t0 = Instant::now();
-            let resp = match self.front.triage(&payload, &slots, || self.current_seq()) {
-                Triage::Reply(resp) => resp,
-                Triage::Admitted { req, class } => {
-                    let resp = self.exec(req);
-                    self.front.release(&slots);
-                    match &resp {
-                        Response::Error {
-                            code: ErrorCode::Overload,
-                            ..
-                        } => self.front.note_shed(class),
-                        Response::Error { .. } => {}
-                        _ => self.front.complete(class, t0),
-                    }
-                    resp
-                }
-            };
-            if net::wire::write_frame(&mut stream, &resp.encode()).is_err() {
-                break;
-            }
-        }
-    }
 }
 
-/// Running router: owns the acceptor pool and every per-connection thread.
+/// Running router: owns the acceptor and every per-connection thread.
 ///
 /// Dropping the handle shuts the router down, drains client connections,
 /// propagates a graceful shutdown to every live shard replica, and joins
 /// all threads; call [`RouterHandle::shutdown`] + [`RouterHandle::join`]
 /// to do it explicitly.
 pub struct RouterHandle {
+    front: Arc<FrontEnd>,
     core: Arc<Core>,
 }
 
 impl RouterHandle {
     /// The bound address (resolves the actual port when served on port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.core.front.local_addr()
+        self.front.local_addr()
     }
 
     /// Point-in-time serving counters.
     pub fn stats(&self) -> RouterStats {
-        self.core.front.stats()
+        self.front.stats()
     }
 
     /// The router's telemetry sink (scraped over the wire via `Stats`).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.core.front.telemetry()
+        self.front.telemetry()
     }
 
     /// Whether a shutdown (local or via a wire `Shutdown` request) has
     /// begun.
     pub fn is_stopped(&self) -> bool {
-        self.core.front.is_stopped()
+        self.front.is_stopped()
     }
 
     /// Begins a graceful shutdown: stop accepting, refuse new requests,
@@ -482,7 +452,7 @@ impl RouterHandle {
     /// call [`RouterHandle::join`] to wait for the drain and the upstream
     /// propagation.
     pub fn shutdown(&self) {
-        self.core.front.begin_shutdown();
+        self.front.begin_shutdown();
     }
 
     /// Waits for the full drain, then propagates a graceful shutdown to
@@ -496,7 +466,7 @@ impl RouterHandle {
     fn join_inner(&self) {
         // Upstream propagation waits for the client-side drain, so
         // in-flight fan-outs complete against live shard servers first.
-        self.core.front.join();
+        self.front.join();
         // Each shard server acks the shutdown before draining, so this
         // returns quickly; their own handles (in their own processes)
         // finish the drain.
@@ -519,7 +489,7 @@ impl Drop for RouterHandle {
 /// Starts a router over `manifest`'s routing table, with
 /// `replicas[shard]` listing the shard server addresses serving each
 /// shard (every shard needs at least one).  Network knobs — bind address,
-/// acceptor pool, admission windows — come from the unified `cfg`; the
+/// admission window — come from the unified `cfg`; the
 /// compaction subset is ignored (compaction happens in the shard server
 /// processes).
 ///
@@ -568,9 +538,8 @@ pub fn serve(
     telemetry.journal.record(EventKind::ServerStart {
         points: total_points,
     });
-    let (front, listener) = FrontEnd::bind(cfg, Arc::clone(&telemetry))?;
     let core = Arc::new(Core {
-        front: Arc::clone(&front),
+        telemetry: Arc::clone(&telemetry),
         partitioner: manifest.partitioner,
         shards,
         write_gate: Mutex::new(()),
@@ -580,11 +549,16 @@ pub fn serve(
         replica_failovers: telemetry.metrics.counter("router.replica_failovers"),
         propagated: AtomicBool::new(false),
     });
-    let handle = RouterHandle {
-        core: Arc::clone(&core),
+    let seq = {
+        let core = Arc::clone(&core);
+        move || core.current_seq()
     };
-    front.start(listener, move |stream| core.connection_loop(stream))?;
-    Ok(handle)
+    let exec = {
+        let core = Arc::clone(&core);
+        move |req| core.exec(req)
+    };
+    let front = FrontEnd::serve(cfg, telemetry, seq, exec)?;
+    Ok(RouterHandle { front, core })
 }
 
 /// Scrapes a shard's live point count from the first replica that answers

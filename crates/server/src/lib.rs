@@ -201,7 +201,7 @@ impl ServerConfig {
 }
 
 /// The unified serving configuration: every knob a serving process needs —
-/// compaction ([`ServerConfig`]), network admission/batching, the bind
+/// compaction ([`ServerConfig`]), the network admission window, the bind
 /// address, and an optional snapshot warm-start path — behind one builder.
 ///
 /// This is the front door for `registry::serve_config`, `net::serve_config`,
@@ -219,32 +219,17 @@ pub struct ServeConfig {
     pub warm_start: Option<std::path::PathBuf>,
     /// Compaction knobs of the wrapped [`SpatialServer`].
     pub server: ServerConfig,
-    /// Acceptor threads blocking on the listener (thread-per-core capped
-    /// at 4 by default — accepting is cheap).
-    pub acceptors: usize,
-    /// Worker threads draining the batch queue (thread-per-core capped at
-    /// 8 by default).
-    pub workers: usize,
-    /// Maximum requests coalesced into one micro-batch (one pinned
-    /// snapshot).
-    pub batch_max: usize,
-    /// Bounded per-connection in-flight admission window.
-    pub per_conn_inflight: usize,
-    /// Bounded global in-flight admission window.
+    /// Bounded global in-flight admission window (a connection has at most
+    /// one request in flight).
     pub global_inflight: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
         Self {
             bind_addr: "127.0.0.1:0".to_string(),
             warm_start: None,
             server: ServerConfig::default(),
-            acceptors: cores.clamp(1, 4),
-            workers: cores.clamp(1, 8),
-            batch_max: 32,
-            per_conn_inflight: 64,
             global_inflight: 1024,
         }
     }
@@ -263,28 +248,12 @@ impl ServeConfig {
         self
     }
 
-    /// Returns a copy with the given acceptor pool size (at least 1).
-    pub fn with_acceptors(mut self, n: usize) -> Self {
-        self.acceptors = n.max(1);
-        self
-    }
-
-    /// Returns a copy with the given worker pool size (at least 1).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
-
-    /// Returns a copy with the given micro-batch cap (at least 1).
-    pub fn with_batch_max(mut self, n: usize) -> Self {
-        self.batch_max = n.max(1);
-        self
-    }
-
-    /// Returns a copy with the given per-connection in-flight window (0
-    /// sheds everything — useful in tests).
-    pub fn with_per_conn_inflight(mut self, n: usize) -> Self {
-        self.per_conn_inflight = n;
+    /// Returns the configuration unchanged: every request is answered on
+    /// its connection's own thread, so there is no worker pool to size.
+    /// Kept only because the benchmark harness
+    /// (`benchmark/src/workloads/wire_read.rs`) still calls it; it goes
+    /// when that call does.
+    pub fn with_workers(self, _n: usize) -> Self {
         self
     }
 
@@ -1236,44 +1205,6 @@ impl Snapshot {
             }
         });
         self.delta.visit_inserts(visit);
-    }
-
-    // -----------------------------------------------------------------
-    // Micro-batch entry points.  The [`SpatialIndex`] batch defaults take
-    // one snapshot *per query*; these run a whole batch against this one
-    // pinned view, so every answer in the batch observes the same write
-    // prefix ([`Snapshot::seq`]) — which is what a network worker that
-    // coalesces concurrently-arriving requests needs to report a single
-    // sequence number per batch.
-    // -----------------------------------------------------------------
-
-    /// Answers every point query against this one view.
-    pub fn point_queries(&self, qs: &[Point], cx: &mut QueryContext) -> Vec<Option<Point>> {
-        qs.iter().map(|q| self.point_query(q, cx)).collect()
-    }
-
-    /// Answers every window query against this one view.
-    pub fn window_queries(&self, windows: &[Rect], cx: &mut QueryContext) -> Vec<Vec<Point>> {
-        windows.iter().map(|w| self.window_query(w, cx)).collect()
-    }
-
-    /// Answers every kNN query (same `k`) against this one view.
-    pub fn knn_queries(&self, qs: &[Point], k: usize, cx: &mut QueryContext) -> Vec<Vec<Point>> {
-        qs.iter().map(|q| self.knn_query(q, k, cx)).collect()
-    }
-
-    /// Answers every distance-range query (same `radius`) against this one
-    /// view.
-    pub fn range_queries(
-        &self,
-        centers: &[Point],
-        radius: f64,
-        cx: &mut QueryContext,
-    ) -> Vec<Vec<Point>> {
-        centers
-            .iter()
-            .map(|c| self.range_query(c, radius, cx))
-            .collect()
     }
 }
 

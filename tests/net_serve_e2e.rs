@@ -4,16 +4,18 @@
 //! [`ScanIndex`](common::brute_force::ScanIndex) oracle — the same
 //! verification the in-process serving gate uses
 //! (`bench::live::replay_against_oracle`), now crossing a real TCP socket
-//! and the request-coalescing worker pool.
+//! and the server's per-connection threads, which run the readers' queries
+//! concurrently with the writer's inserts and deletes.
 //!
 //! The mechanism carries over unchanged because every data-bearing response
 //! carries the write sequence its snapshot observed: replaying the write
 //! stream up to that sequence into the oracle reproduces exactly the state
-//! the networked query saw, no matter how connections, micro-batches, and
-//! worker threads interleaved.  There is no per-transport glue left in this
-//! test: [`net::RemoteIndex`] exposes the uniform `common::SpatialIndex`
-//! surface, so the shared `bench::live` observers drive the remote server
-//! exactly like a local index, across all five query classes.
+//! the networked query saw, no matter how the connection threads and the
+//! background compactor interleaved.  There is no per-transport glue left
+//! in this test: [`net::RemoteIndex`] exposes the uniform
+//! `common::SpatialIndex` surface, so the shared `bench::live` observers
+//! drive the remote server exactly like a local index, across all five
+//! query classes.
 
 use bench::live::{
     observe_range_join, observe_reads, replay_against_oracle, replay_range_join_against_oracle,
