@@ -65,11 +65,23 @@ const PINS: &[Pin] = &[
     ("ZM", "join", 0xBB9ADE19327CDD89, (984, 0, 32244)),
 ];
 
+/// `(build, fnv64 of its snapshot bytes without build_seconds)`: every
+/// weight, bound, MBR, block and chain link a bulk-load writes.
+const BUILD_FINGERPRINTS: &[(&str, u64)] = &[
+    ("RSMI fast", 0x70BF2750493217A8),
+    ("RSMI 3 levels", 0x2E163488383C0C37),
+    ("ZM fast", 0x2DA9AB049DB32E1B),
+];
+
 fn fnv64(hash: &mut u64, value: u64) {
     for byte in value.to_le_bytes() {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        fnv64_byte(hash, byte);
     }
+}
+
+fn fnv64_byte(hash: &mut u64, byte: u8) {
+    *hash ^= u64::from(byte);
+    *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
 }
 
 /// The data set plus the update stream every family replays: scattered
@@ -199,5 +211,71 @@ fn visit_order_and_accounting_match_the_pinned_table() {
             })
             .collect();
         panic!("traversal pins differ; observed table:\n{table}");
+    }
+}
+
+/// FNV-64 over a snapshot's bytes.  With `skip_build_seconds` the last 8
+/// payload bytes of the first section (RSMI's metadata ends with its
+/// wall-clock `build_seconds`) and that section's CRC are left out: they
+/// are the only bytes two builds of the same data may differ in.
+fn snapshot_fnv64(bytes: &[u8], skip_build_seconds: bool) -> u64 {
+    // Header: 8 magic + 4 version + 2 name length + name; a section is
+    // 4 tag + 8 length + payload + 4 CRC.
+    let name_len = usize::from(u16::from_le_bytes([bytes[12], bytes[13]]));
+    let section = 14 + name_len;
+    let len = u64::from_le_bytes(bytes[section + 4..section + 12].try_into().unwrap());
+    let payload_end = section + 12 + len as usize;
+    let skip = if skip_build_seconds {
+        payload_end - 8..payload_end + 4
+    } else {
+        0..0
+    };
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for (i, &byte) in bytes.iter().enumerate() {
+        if !skip.contains(&i) {
+            fnv64_byte(&mut hash, byte);
+        }
+    }
+    hash
+}
+
+#[test]
+fn bulk_loads_match_the_pinned_fingerprints() {
+    let (data, _, _) = dataset();
+    // N = 500, B = 20: a 4 x 4 grid, so the 20 k points split at the root
+    // and again at depth 1.
+    let deep = RsmiConfig {
+        partition_threshold: 500,
+        block_capacity: 20,
+        ..RsmiConfig::fast()
+    };
+    let deep_rsmi = Rsmi::build(data.clone(), deep);
+    assert!(deep_rsmi.stats().height >= 3, "two internal levels");
+    let builds: [(&str, Box<dyn SpatialIndex>, bool); 3] = [
+        (
+            "RSMI fast",
+            Box::new(Rsmi::build(data.clone(), RsmiConfig::fast())),
+            true,
+        ),
+        ("RSMI 3 levels", Box::new(deep_rsmi), true),
+        (
+            "ZM fast",
+            Box::new(ZOrderModel::build(data, ZmConfig::fast())),
+            false,
+        ),
+    ];
+    let observed: Vec<(&str, u64)> = builds
+        .iter()
+        .map(|(name, index, skip)| {
+            let bytes = registry::snapshot_bytes(index.as_ref()).unwrap();
+            (*name, snapshot_fnv64(&bytes, *skip))
+        })
+        .collect();
+    if observed != BUILD_FINGERPRINTS {
+        let table: String = observed
+            .iter()
+            .map(|(name, hash)| format!("    ({name:?}, {hash:#018X}),\n"))
+            .collect();
+        panic!("build fingerprints differ; observed table:\n{table}");
     }
 }
