@@ -104,7 +104,7 @@ impl ZOrderModel {
         let ordered: Vec<Point> = keyed.iter().map(|(_, p)| *p).collect();
         store.pack(&ordered);
 
-        let keys: Vec<Vec<f64>> = keyed.iter().map(|(z, _)| vec![*z as f64]).collect();
+        let keys: Vec<[f64; 1]> = keyed.iter().map(|(z, _)| [*z as f64]).collect();
         let ranks: Vec<u64> = (0..n as u64).collect();
 
         let b2 = (config.block_capacity * config.block_capacity) as f64;
@@ -138,7 +138,7 @@ impl ZOrderModel {
                 level1.push(None);
                 continue;
             }
-            let sub_keys: Vec<Vec<f64>> = idxs.iter().map(|&i| keys[i].clone()).collect();
+            let sub_keys: Vec<[f64; 1]> = idxs.iter().map(|&i| keys[i]).collect();
             let sub_ranks: Vec<u64> = idxs.iter().map(|&i| ranks[i]).collect();
             level1.push(Some(ScaledRegressor::fit(
                 mlp_config(1 + g as u64),
@@ -164,7 +164,7 @@ impl ZOrderModel {
                 level2.push(None);
                 continue;
             }
-            let sub_keys: Vec<Vec<f64>> = idxs.iter().map(|&i| keys[i].clone()).collect();
+            let sub_keys: Vec<[f64; 1]> = idxs.iter().map(|&i| keys[i]).collect();
             let sub_ranks: Vec<u64> = idxs.iter().map(|&i| ranks[i]).collect();
             level2.push(Some(ScaledRegressor::fit(
                 mlp_config(1000 + g as u64),

@@ -109,7 +109,7 @@ impl Builder {
         let first_block = range.start;
         let n_blocks = range.len().max(1);
 
-        let inputs: Vec<Vec<f64>> = ordered.iter().map(|p| vec![p.x, p.y]).collect();
+        let inputs: Vec<[f64; 2]> = ordered.iter().map(|p| [p.x, p.y]).collect();
         let targets: Vec<u64> = (0..ordered.len())
             .map(|rank| (rank / capacity) as u64)
             .collect();
@@ -160,16 +160,17 @@ impl Builder {
         }
 
         // Step 2: learn the partitioning function M_{i,j}.
-        let inputs: Vec<Vec<f64>> = points.iter().map(|p| vec![p.x, p.y]).collect();
+        let inputs: Vec<[f64; 2]> = points.iter().map(|p| [p.x, p.y]).collect();
         let model = ScaledRegressor::fit(self.mlp_config(cells), &inputs, &true_cell);
+        drop(inputs);
         self.model_count += 1;
 
         // Step 3: group the points by the model's predictions (the learned
         // grouping of Fig. 4) or by the true cell (ablation).
         let mut groups: Vec<Vec<Point>> = vec![Vec::new(); cells];
         if self.config.group_by_prediction {
-            for (i, p) in points.iter().enumerate() {
-                let j = (model.predict(&inputs[i]) as usize).min(cells - 1);
+            for p in &points {
+                let j = (model.predict_xy(p.x, p.y) as usize).min(cells - 1);
                 groups[j].push(*p);
             }
         } else {
@@ -191,7 +192,6 @@ impl Builder {
         let mbr = bounding_rect(&points).unwrap_or_else(Rect::empty);
         // `points` is no longer needed; free it before recursing.
         drop(points);
-        drop(inputs);
 
         for (cell, group) in groups.into_iter().enumerate() {
             if group.is_empty() {

@@ -628,12 +628,12 @@ impl Rsmi {
             let leaf = self.leaf(leaf_id);
             (leaf.first_block, leaf.n_blocks)
         };
-        let mut inputs: Vec<Vec<f64>> = Vec::new();
+        let mut inputs: Vec<[f64; 2]> = Vec::new();
         let mut targets: Vec<u64> = Vec::new();
         for i in 0..n_blocks {
             for (_, block) in self.store.overflow_chain(first + i) {
                 for p in block.iter_points() {
-                    inputs.push(vec![p.x, p.y]);
+                    inputs.push([p.x, p.y]);
                     targets.push(i as u64);
                 }
             }

@@ -139,7 +139,7 @@ impl Mlp {
     }
 
     /// Mean squared error over a data set.
-    pub fn mse(&self, inputs: &[Vec<f64>], targets: &[f64]) -> f64 {
+    pub fn mse<R: AsRef<[f64]>>(&self, inputs: &[R], targets: &[f64]) -> f64 {
         assert_eq!(inputs.len(), targets.len());
         if inputs.is_empty() {
             return 0.0;
@@ -148,7 +148,7 @@ impl Mlp {
             .iter()
             .zip(targets)
             .map(|(x, &t)| {
-                let e = self.predict(x) - t;
+                let e = self.predict(x.as_ref()) - t;
                 e * e
             })
             .sum();
@@ -158,77 +158,91 @@ impl Mlp {
     /// Trains the network in place with mini-batch SGD, minimising the L2
     /// loss between predictions and `targets` (Equation 3 of the paper).
     ///
-    /// Returns the final training MSE.
-    // Index-based loops keep the forward and backward passes symmetric and
-    // allocation-free; clippy's iterator suggestion obscures the math here.
-    #[allow(clippy::needless_range_loop)]
-    pub fn train(&mut self, inputs: &[Vec<f64>], targets: &[f64]) -> f64 {
+    /// `rows` is one flat lane: sample `i`'s `input_dim` inputs sit at
+    /// `rows[i * input_dim..]`.  Each epoch's Fisher–Yates swaps move the
+    /// rows and targets themselves, so a batch is read front to back from
+    /// contiguous memory; both slices are left in the last epoch's order.
+    pub fn train(&mut self, rows: &mut [f64], targets: &mut [f64]) {
+        let d = self.config.input_dim;
+        let n = targets.len();
         assert_eq!(
-            inputs.len(),
-            targets.len(),
+            rows.len(),
+            n * d,
             "inputs and targets must have the same length"
         );
-        let n = inputs.len();
         if n == 0 {
-            return 0.0;
+            return;
         }
-        let d = self.config.input_dim;
         let h_count = self.config.hidden;
         let batch = self.config.batch_size.max(1);
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9E37_79B9_7F4A_7C15);
-        let mut order: Vec<usize> = (0..n).collect();
 
-        // Per-batch gradient accumulators, reused across iterations to avoid
-        // reallocating in the hot loop.
-        let mut g_w1 = vec![0.0; h_count * d];
+        // Input weights transposed into one lane of `hidden` per input, so
+        // every pass of a sample below runs along the hidden units.
+        let mut w1t = vec![0.0; h_count * d];
+        for (h, row) in self.w1.chunks_exact(d).enumerate() {
+            for (k, &w) in row.iter().enumerate() {
+                w1t[k * h_count + h] = w;
+            }
+        }
+        // Per-batch gradient accumulators and per-sample activations,
+        // reused across iterations to avoid reallocating in the hot loop.
+        let mut g_w1t = vec![0.0; h_count * d];
         let mut g_b1 = vec![0.0; h_count];
         let mut g_w2 = vec![0.0; h_count];
-        let mut hidden = vec![0.0; h_count];
+        let mut act = vec![0.0; h_count];
+        let mut dz = vec![0.0; h_count];
 
         for _epoch in 0..self.config.epochs {
             // Fisher-Yates shuffle with the seeded RNG.
             for i in (1..n).rev() {
                 let j = rng.gen_range(0..=i);
-                order.swap(i, j);
+                targets.swap(i, j);
+                for k in 0..d {
+                    rows.swap(i * d + k, j * d + k);
+                }
             }
-            for chunk in order.chunks(batch) {
-                g_w1.iter_mut().for_each(|g| *g = 0.0);
-                g_b1.iter_mut().for_each(|g| *g = 0.0);
-                g_w2.iter_mut().for_each(|g| *g = 0.0);
+            for (xs, ts) in rows.chunks(batch * d).zip(targets.chunks(batch)) {
+                g_w1t.fill(0.0);
+                g_b1.fill(0.0);
+                g_w2.fill(0.0);
                 let mut g_b2 = 0.0;
 
-                for &idx in chunk {
-                    let x = &inputs[idx];
-                    // Forward, caching hidden activations.
-                    let mut out = self.b2;
-                    for h in 0..h_count {
-                        let mut z = self.b1[h];
-                        let row = &self.w1[h * d..(h + 1) * d];
-                        for (w, xv) in row.iter().zip(x) {
-                            z += w * xv;
+                for (x, &t) in xs.chunks_exact(d).zip(ts) {
+                    // Forward: every z, then every activation, then the
+                    // output summed in hidden-unit order.
+                    act.copy_from_slice(&self.b1);
+                    for (&xv, w_k) in x.iter().zip(w1t.chunks_exact(h_count)) {
+                        for (z, &w) in act.iter_mut().zip(w_k) {
+                            *z += w * xv;
                         }
-                        let a = sigmoid(z);
-                        hidden[h] = a;
-                        out += self.w2[h] * a;
+                    }
+                    for a in act.iter_mut() {
+                        *a = sigmoid(*a);
+                    }
+                    let mut out = self.b2;
+                    for (&w, &a) in self.w2.iter().zip(&act) {
+                        out += w * a;
                     }
                     // Backward: dL/dout for L = (out - t)^2 is 2 * (out - t);
                     // the constant 2 is folded into the learning rate.
-                    let delta = out - targets[idx];
+                    let delta = out - t;
                     g_b2 += delta;
-                    for h in 0..h_count {
-                        let a = hidden[h];
-                        g_w2[h] += delta * a;
-                        let dz = delta * self.w2[h] * a * (1.0 - a);
-                        g_b1[h] += dz;
-                        let row = &mut g_w1[h * d..(h + 1) * d];
-                        for (g, xv) in row.iter_mut().zip(x) {
+                    let units = act.iter().zip(&self.w2).zip(&mut g_w2);
+                    for (((&a, &w), g_w), (dz, g_b)) in units.zip(dz.iter_mut().zip(&mut g_b1)) {
+                        *g_w += delta * a;
+                        *dz = delta * w * a * (1.0 - a);
+                        *g_b += *dz;
+                    }
+                    for (&xv, g_k) in x.iter().zip(g_w1t.chunks_exact_mut(h_count)) {
+                        for (g, &dz) in g_k.iter_mut().zip(&dz) {
                             *g += dz * xv;
                         }
                     }
                 }
 
-                let scale = self.config.learning_rate / chunk.len() as f64;
-                for (w, g) in self.w1.iter_mut().zip(&g_w1) {
+                let scale = self.config.learning_rate / ts.len() as f64;
+                for (w, g) in w1t.iter_mut().zip(&g_w1t) {
                     *w -= scale * g;
                 }
                 for (b, g) in self.b1.iter_mut().zip(&g_b1) {
@@ -240,7 +254,11 @@ impl Mlp {
                 self.b2 -= scale * g_b2;
             }
         }
-        self.mse(inputs, targets)
+        for (h, row) in self.w1.chunks_exact_mut(d).enumerate() {
+            for (k, w) in row.iter_mut().enumerate() {
+                *w = w1t[k * h_count + h];
+            }
+        }
     }
 
     /// Size of the model parameters in bytes (used for index-size reporting).
@@ -389,7 +407,8 @@ mod tests {
         }
         let mut mlp = Mlp::new(toy_config());
         let before = mlp.mse(&inputs, &targets);
-        let after = mlp.train(&inputs, &targets);
+        mlp.train(&mut inputs.concat(), &mut targets.clone());
+        let after = mlp.mse(&inputs, &targets);
         assert!(after < before, "training must reduce the loss");
         assert!(after < 1e-3, "final MSE too high: {after}");
     }
@@ -409,7 +428,8 @@ mod tests {
             seed: 3,
         };
         let mut mlp = Mlp::new(cfg);
-        let mse = mlp.train(&inputs, &targets);
+        mlp.train(&mut inputs.concat(), &mut targets.clone());
+        let mse = mlp.mse(&inputs, &targets);
         assert!(mse < 3e-3, "MSE {mse} too high for a smooth CDF");
         // Predictions should be roughly monotone.
         let preds: Vec<f64> = inputs.iter().map(|x| mlp.predict(x)).collect();
@@ -462,8 +482,8 @@ mod tests {
         let targets: Vec<f64> = (0..50).map(|i| i as f64 / 49.0).collect();
         let mut a = Mlp::new(toy_config());
         let mut b = Mlp::new(toy_config());
-        a.train(&inputs, &targets);
-        b.train(&inputs, &targets);
+        a.train(&mut inputs.concat(), &mut targets.clone());
+        b.train(&mut inputs.concat(), &mut targets.clone());
         assert_eq!(a.parameters(), b.parameters());
     }
 
@@ -471,8 +491,7 @@ mod tests {
     fn empty_training_set_is_a_noop() {
         let mut mlp = Mlp::new(toy_config());
         let before = mlp.parameters();
-        let mse = mlp.train(&[], &[]);
-        assert_eq!(mse, 0.0);
+        mlp.train(&mut [], &mut []);
         assert_eq!(mlp.parameters(), before);
     }
 
@@ -491,7 +510,7 @@ mod tests {
     #[should_panic(expected = "same length")]
     fn mismatched_lengths_panic() {
         let mut mlp = Mlp::new(toy_config());
-        mlp.train(&[vec![0.0, 0.0]], &[]);
+        mlp.train(&mut [0.0, 0.0], &mut []);
     }
 
     #[test]

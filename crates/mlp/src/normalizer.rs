@@ -17,11 +17,12 @@ impl Normalizer {
     /// `i`-th row, every row must have the same dimensionality.
     ///
     /// Returns an identity-like normaliser for an empty sample set.
-    pub fn fit(samples: &[Vec<f64>]) -> Self {
-        let dim = samples.first().map_or(0, Vec::len);
+    pub fn fit<R: AsRef<[f64]>>(samples: &[R]) -> Self {
+        let dim = samples.first().map_or(0, |row| row.as_ref().len());
         let mut lo = vec![f64::INFINITY; dim];
         let mut hi = vec![f64::NEG_INFINITY; dim];
         for row in samples {
+            let row = row.as_ref();
             assert_eq!(row.len(), dim, "inconsistent sample dimensionality");
             for (d, &v) in row.iter().enumerate() {
                 lo[d] = lo[d].min(v);
@@ -161,7 +162,7 @@ mod tests {
 
     #[test]
     fn empty_fit_produces_zero_dim() {
-        let norm = Normalizer::fit(&[]);
+        let norm = Normalizer::fit::<[f64; 2]>(&[]);
         assert_eq!(norm.dim(), 0);
     }
 }

@@ -36,7 +36,7 @@ impl ScaledRegressor {
     /// # Panics
     /// Panics when `inputs` and `targets` lengths differ or when `inputs` is
     /// empty.
-    pub fn fit(config: MlpConfig, inputs: &[Vec<f64>], targets: &[u64]) -> Self {
+    pub fn fit<R: AsRef<[f64]>>(config: MlpConfig, inputs: &[R], targets: &[u64]) -> Self {
         assert_eq!(
             inputs.len(),
             targets.len(),
@@ -48,11 +48,16 @@ impl ScaledRegressor {
         let max_target = *targets.iter().max().expect("non-empty");
         let scale = max_target.max(1) as f64;
 
-        let norm_inputs: Vec<Vec<f64>> = inputs.iter().map(|r| input_norm.transform(r)).collect();
-        let norm_targets: Vec<f64> = targets.iter().map(|&t| t as f64 / scale).collect();
+        // The rows are normalised once, into the one flat lane training
+        // shuffles in place.
+        let mut lane = vec![0.0; inputs.len() * input_norm.dim()];
+        for (row, out) in inputs.iter().zip(lane.chunks_exact_mut(input_norm.dim())) {
+            input_norm.transform_into(row.as_ref(), out);
+        }
+        let mut norm_targets: Vec<f64> = targets.iter().map(|&t| t as f64 / scale).collect();
 
         let mut mlp = Mlp::new(config);
-        mlp.train(&norm_inputs, &norm_targets);
+        mlp.train(&mut lane, &mut norm_targets);
 
         let mut model = Self {
             mlp,
@@ -69,11 +74,11 @@ impl ScaledRegressor {
     ///
     /// Used by the indices after bulk-loading and by the rebuild variant
     /// after retraining.
-    pub fn compute_error_bounds(&mut self, inputs: &[Vec<f64>], targets: &[u64]) {
+    pub fn compute_error_bounds<R: AsRef<[f64]>>(&mut self, inputs: &[R], targets: &[u64]) {
         let mut below = 0i64;
         let mut above = 0i64;
         for (row, &t) in inputs.iter().zip(targets) {
-            let pred = self.predict(row) as i64;
+            let pred = self.predict(row.as_ref()) as i64;
             let diff = pred - t as i64;
             if diff < 0 {
                 below = below.max(-diff);
@@ -89,8 +94,15 @@ impl ScaledRegressor {
     /// `[0, max_target]`.
     #[inline]
     pub fn predict(&self, row: &[f64]) -> u64 {
-        let normed = self.input_norm.transform(row);
-        let raw = self.mlp.predict(&normed);
+        // The indices' rows (1-D keys, 2-D points) normalise on the stack.
+        let mut buf = [0.0f64; 2];
+        let raw = match buf.get_mut(..row.len()) {
+            Some(normed) => {
+                self.input_norm.transform_into(row, normed);
+                self.mlp.predict(normed)
+            }
+            None => self.mlp.predict(&self.input_norm.transform(row)),
+        };
         let scaled = raw * self.max_target.max(1) as f64;
         scaled.round().clamp(0.0, self.max_target as f64) as u64
     }
@@ -301,7 +313,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn fitting_an_empty_set_panics() {
-        let _ = ScaledRegressor::fit(fast_config(2), &[], &[]);
+        let _ = ScaledRegressor::fit::<[f64; 2]>(fast_config(2), &[], &[]);
     }
 
     #[test]
