@@ -101,15 +101,24 @@ const WIDEN_CAP_PER_INSERT: u64 = 4;
 const WIDEN_CAP_PER_LEAF: u64 = 32;
 
 impl Rsmi {
-    /// Bulk-loads an RSMI from a point set.
+    /// Bulk-loads an RSMI from a point set.  The root's subtrees are built
+    /// on every available core; the index is the same on any number.
     pub fn build(points: Vec<Point>, config: RsmiConfig) -> Self {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::build_on(points, config, threads)
+    }
+
+    /// [`Rsmi::build`] on `threads` workers.
+    pub(crate) fn build_on(points: Vec<Point>, config: RsmiConfig, threads: usize) -> Self {
         let start = std::time::Instant::now();
         let n_points = points.len();
-        let xs: Vec<f64> = points.iter().map(|p| p.x).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.y).collect();
-        let cdf_x = PiecewiseCdf::fit(&xs, config.cdf_pieces);
-        let cdf_y = PiecewiseCdf::fit(&ys, config.cdf_pieces);
-        let out = Builder::run(config, points);
+        let marginal_cdf = |coord: fn(&Point) -> f64| {
+            let values: Vec<f64> = points.iter().map(coord).collect();
+            PiecewiseCdf::fit(&values, config.cdf_pieces)
+        };
+        let cdf_x = marginal_cdf(|p| p.x);
+        let cdf_y = marginal_cdf(|p| p.y);
+        let out = Builder::run(config, points, threads);
         let maint = vec![LeafMaint::default(); out.nodes.len()];
         Self {
             config,
@@ -199,8 +208,8 @@ impl Rsmi {
     /// This realises the paper's **RSMIr** variant: a periodic rebuild (the
     /// paper retrains the sub-models that exceeded the partition threshold
     /// after every 10 % of insertions; the reproduction rebuilds the whole
-    /// structure, which restores optimal layout at a coarser granularity —
-    /// see DESIGN.md §2).
+    /// structure, which restores optimal layout at a coarser granularity;
+    /// [`Rsmi::rebuild_partial`] is the per-leaf path).
     pub fn rebuild(&mut self) {
         let points = self.collect_points();
         let rebuilt = Rsmi::build(points, self.config);
@@ -1061,6 +1070,28 @@ mod tests {
 
     fn cx() -> QueryContext {
         QueryContext::new()
+    }
+
+    #[test]
+    fn one_two_and_four_build_threads_write_the_same_snapshot() {
+        // 8 000 points under N = 300: the root's subtrees split again.
+        let pts = pseudo_random_points(8_000, 11);
+        let config = RsmiConfig {
+            epochs: 5,
+            ..small_config()
+        };
+        let snapshot = |threads| {
+            let mut index = Rsmi::build_on(pts.clone(), config, threads);
+            assert!(index.height >= 3, "two internal levels");
+            assert_eq!(index.bounds_violations(), 0);
+            index.build_seconds = 0.0;
+            let mut w = SnapshotWriter::new("RSMI");
+            index.encode_snapshot(&mut w);
+            w.finish()
+        };
+        let one = snapshot(1);
+        assert!(one == snapshot(2), "2 threads differ from 1");
+        assert!(one == snapshot(4), "4 threads differ from 1");
     }
 
     #[test]

@@ -164,6 +164,27 @@ impl BlockStore {
         start..end
     }
 
+    /// Moves every block of `other` to the end of this store and returns
+    /// the id its first block now has.  `other`'s links move with it and its
+    /// first block is linked after this store's last, as [`Self::pack`]
+    /// links consecutive ranges: ranges packed into separate stores and
+    /// appended in order chain exactly as if packed into one.
+    pub fn append(&mut self, other: BlockStore) -> BlockId {
+        assert_eq!(self.capacity, other.capacity, "block capacities differ");
+        let offset = self.blocks.len();
+        self.blocks
+            .extend(other.blocks.into_iter().map(|mut block| {
+                block.set_prev(block.prev().map(|id| id + offset));
+                block.set_next(block.next().map(|id| id + offset));
+                block
+            }));
+        if offset > 0 && self.blocks.len() > offset {
+            self.blocks[offset].set_prev(Some(offset - 1));
+            self.blocks[offset - 1].set_next(Some(offset));
+        }
+        offset
+    }
+
     /// Creates a new overflow block and splices it into the chain directly
     /// after `after` (the insertion strategy of §5).  Returns its ID.
     pub fn insert_overflow_after(&mut self, after: BlockId) -> BlockId {
@@ -275,6 +296,25 @@ mod tests {
         assert_eq!(second, 2..3);
         assert_eq!(store.block(1).next(), Some(2));
         assert_eq!(store.block(2).prev(), Some(1));
+    }
+
+    #[test]
+    fn appended_stores_chain_as_one_packed_store() {
+        let (a, b) = (pts(9), pts(6));
+        let mut one = BlockStore::new(4);
+        one.pack(&a);
+        one.pack(&b);
+        let mut first = BlockStore::new(4);
+        first.pack(&a);
+        let mut second = BlockStore::new(4);
+        second.pack(&b);
+        assert_eq!(first.append(second), 3);
+        assert_eq!(first.append(BlockStore::new(4)), 5);
+        assert_eq!(first.len(), one.len());
+        for ((_, x), (_, y)) in first.iter().zip(one.iter()) {
+            assert_eq!((x.prev(), x.next()), (y.prev(), y.next()));
+            assert_eq!(x.ids(), y.ids());
+        }
     }
 
     #[test]

@@ -329,7 +329,7 @@ fn widened_bounds_stay_sound_under_adversarial_duplicate_inserts() {
         .with_partition_threshold(300);
 
     let mut any_widened = false;
-    for seed in [31u64, 47, 59] {
+    for seed in [31u64, 47, 59, 2, 62] {
         let mut index = Rsmi::build(grid.clone(), cfg);
         let mut cx = QueryContext::new();
         let mut state = seed;
