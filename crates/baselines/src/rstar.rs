@@ -5,10 +5,10 @@
 //! redistributable, so this module provides a faithful classic R\*-tree
 //! (Beckmann et al., 1990) built by dynamic insertion: `ChooseSubtree` with
 //! overlap-minimising leaf selection and the R\*-axis/distribution split.
-//! Forced reinsertion is omitted (see DESIGN.md §2); its main effect is a
-//! modest quality improvement that does not change the comparison's shape —
-//! the role of RR\* in the evaluation is "strong dynamic R-tree baseline
-//! with slow, insertion-based construction".
+//! Forced reinsertion is omitted; its main effect is a modest quality
+//! improvement that does not change the comparison's shape — the role of
+//! RR\* in the evaluation is "strong dynamic R-tree baseline with slow,
+//! insertion-based construction".
 //!
 //! The family supplies layout, insertion/split and deletion.  All five query
 //! classes run through [`storage::directory`] over `View`, which charges a

@@ -1,5 +1,6 @@
-//! The paper's evaluation (§6): Tables 3–4, Figures 6–19, and the three
-//! ablations of DESIGN.md §5.
+//! The paper's evaluation (§6): Tables 3–4, Figures 6–19, and three
+//! ablations of RSMI's design choices (rank-space ordering, the curve,
+//! grouping by prediction).
 //!
 //! Every index is constructed through the dynamic registry and measured
 //! through the uniform `common::SpatialIndex` API.  The only concrete-type
@@ -605,7 +606,7 @@ fn fig17_18_19(args: &Args) {
     );
 }
 // ---------------------------------------------------------------------
-// Ablations (DESIGN.md §5)
+// Ablations: each turns off one of RSMI's design choices
 // ---------------------------------------------------------------------
 fn ablation_rank(args: &Args) {
     // Error bounds are internal model diagnostics (see `table4`), so the

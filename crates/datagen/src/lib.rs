@@ -8,7 +8,7 @@
 //!   cannot be redistributed, so `TigerLike` and `OsmLike` are synthetic
 //!   surrogates that reproduce the properties the experiments exercise
 //!   (strong clustering along linear features for Tiger, heavy-tailed
-//!   multi-modal population clusters for OSM); see DESIGN.md §2.
+//!   multi-modal population clusters for OSM).
 //! * [`generate`] — deterministic, seeded point generation,
 //! * [`queries`] — point-, window- and kNN-query workload generators with the
 //!   paper's parameters (window area fraction, aspect ratio, k).
