@@ -7,15 +7,18 @@
 //! (The cross-*process* suite — subprocess shard servers, SIGKILL chaos —
 //! lives in the workspace-level `tests/sharded_determinism.rs`.)
 
-use common::{QueryContext, SpatialIndex};
+use common::{QueryContext, QueryStats, SpatialIndex};
 use datagen::{generate, queries, Distribution};
+use engine::ShardManifest;
 use geom::{Point, Rect};
 use net::{NetClient, RemoteIndex, Request, Response};
 use registry::{BaseKind, IndexConfig};
 use server::{ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 3;
 
@@ -35,6 +38,8 @@ struct Cluster {
     router: Option<router::RouterHandle>,
     shard_handles: Vec<net::NetHandle>,
     _servers: Vec<Arc<SpatialServer>>,
+    /// The routing table the router was started with.
+    manifest: ShardManifest,
 }
 
 impl Cluster {
@@ -80,12 +85,14 @@ fn spawn_cluster(
     }
     let local = registry::load_index(&path).expect("load reference index");
     let _ = std::fs::remove_file(&path);
-    let router = router::serve(manifest, addrs, &ServeConfig::default()).expect("start router");
+    let router =
+        router::serve(manifest.clone(), addrs, &ServeConfig::default()).expect("start router");
     (
         Cluster {
             router: Some(router),
             shard_handles,
             _servers: servers,
+            manifest,
         },
         local,
     )
@@ -184,28 +191,28 @@ fn router_matches_local_sharded_index_for_all_five_classes() {
 
 /// `index`'s in-process answer to a read, as the wire would carry it, with
 /// set-valued answers in id order (the router concatenates shard answers).
-fn in_process(index: &dyn SpatialIndex, req: &Request) -> Response {
-    let mut cx = QueryContext::new();
+/// The read's cost is charged to `cx`.
+fn in_process(index: &dyn SpatialIndex, req: &Request, cx: &mut QueryContext) -> Response {
     match req {
         Request::Point(q) => Response::Point {
             seq: 0,
-            hit: index.point_query(q, &mut cx),
+            hit: index.point_query(q, cx),
         },
         Request::Window(w) => Response::Points {
             seq: 0,
-            points: by_id(index.window_query(w, &mut cx)),
+            points: by_id(index.window_query(w, cx)),
         },
         Request::Knn(q, k) => Response::Knn {
             seq: 0,
-            points: index.knn_query(q, *k as usize, &mut cx),
+            points: index.knn_query(q, *k as usize, cx),
         },
         Request::Range(q, r) => Response::Points {
             seq: 0,
-            points: by_id(index.range_query(q, *r, &mut cx)),
+            points: by_id(index.range_query(q, *r, cx)),
         },
         Request::JoinProbes(probes, r) => {
             let mut pairs = Vec::new();
-            index.distance_join_probes(probes, *r, &mut cx, &mut |a, b| pairs.push((*a, *b)));
+            index.distance_join_probes(probes, *r, cx, &mut |a, b| pairs.push((*a, *b)));
             pairs.sort_by_key(|(a, b)| (a.id, b.id));
             Response::Pairs { seq: 0, pairs }
         }
@@ -265,7 +272,7 @@ fn pipelined_frames_are_answered_in_order_and_read_their_own_writes() {
         }
         assert_eq!(
             *got,
-            in_process(local.as_ref(), req),
+            in_process(local.as_ref(), req, &mut QueryContext::new()),
             "reply {i} to {req:?}"
         );
     }
@@ -349,6 +356,191 @@ fn router_fanout_accounting_matches_the_engine_planner() {
         stats.shards_pruned,
         "router pruned a different shard set than the engine planner"
     );
+}
+
+/// `client`'s routed answer to a read, in the form [`in_process`] gives it.
+fn routed(client: &mut NetClient, req: &Request) -> Result<Response, net::NetError> {
+    Ok(match req {
+        Request::Point(q) => Response::Point {
+            seq: 0,
+            hit: client.point(q)?.1,
+        },
+        Request::Window(w) => Response::Points {
+            seq: 0,
+            points: by_id(client.window(w)?.1),
+        },
+        Request::Knn(q, k) => Response::Knn {
+            seq: 0,
+            points: client.knn(q, *k)?.1,
+        },
+        Request::Range(q, r) => Response::Points {
+            seq: 0,
+            points: by_id(client.range(q, *r)?.1),
+        },
+        Request::JoinProbes(probes, r) => {
+            let mut pairs = client.join_probes(probes, *r)?.1;
+            pairs.sort_by_key(|(a, b)| (a.id, b.id));
+            Response::Pairs { seq: 0, pairs }
+        }
+        other => panic!("not a read: {other:?}"),
+    })
+}
+
+fn fanout_counters(client: &mut NetClient) -> (u64, u64) {
+    let (_, snap) = client.stats().expect("stats");
+    (
+        snap.counter("router.shards_visited").unwrap_or(0),
+        snap.counter("router.shards_pruned").unwrap_or(0),
+    )
+}
+
+/// Four connections issue the same multi-shard windows, ranges, joins and
+/// kNNs at once, each starting at another quarter of the list, so scatters
+/// over the same shards overlap in time.  Every answer must be the
+/// in-process one and the router's fan-out the engine planner's; a
+/// deadline turns a lock-order deadlock into a failure instead of a hang.
+#[test]
+fn concurrent_multi_shard_reads_match_the_local_index_and_its_fanout() {
+    const CLIENTS: usize = 4;
+    let data = generate(Distribution::skewed_default(), 4_000, 111);
+    let (cluster, local) = spawn_cluster(&data, 1, "scatter", None);
+
+    let mut expected = Vec::new();
+    let mut fanout = QueryStats::default();
+    for (i, q) in data.iter().enumerate().step_by(53) {
+        let probes = data.iter().cycle().skip(i).step_by(331).take(5);
+        let reads = [
+            Request::Window(Rect::centered(q.x, q.y, 0.25, 0.25)),
+            Request::Range(*q, 0.12),
+            Request::JoinProbes(probes.copied().collect(), 0.05),
+            Request::Knn(*q, 60),
+        ];
+        for req in reads {
+            let mut cx = QueryContext::new();
+            let answer = in_process(local.as_ref(), &req, &mut cx);
+            if cx.stats.shards_visited >= 2 {
+                fanout.shards_visited += cx.stats.shards_visited;
+                fanout.shards_pruned += cx.stats.shards_pruned;
+                expected.push((req, answer));
+            }
+        }
+    }
+    for (class, wanted) in [(0x02u8, 10), (0x03, 10), (0x04, 10), (0x05, 3)] {
+        let spanning = expected.iter().filter(|(r, _)| r.encode()[0] == class);
+        assert!(
+            spanning.count() >= wanted,
+            "too few multi-shard reads of tag {class:#04x}"
+        );
+    }
+
+    let mut control = NetClient::connect(&cluster.router_addr()).expect("connect");
+    let (v0, p0) = fanout_counters(&mut control);
+    let expected = Arc::new(expected);
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let (done, finished) = mpsc::channel::<()>();
+            let expected = Arc::clone(&expected);
+            let addr = cluster.router_addr();
+            let handle = std::thread::spawn(move || {
+                // Dropped when the thread ends, whether it returns or panics.
+                let _done = done;
+                let mut client = NetClient::connect(&addr).expect("connect");
+                let n = expected.len();
+                for i in 0..n {
+                    let (req, want) = &expected[(i + t * n / CLIENTS) % n];
+                    let got = routed(&mut client, req).expect("routed read");
+                    assert_eq!(&got, want, "client {t}: answer to {req:?}");
+                }
+            });
+            (finished, handle)
+        })
+        .collect();
+    for (finished, handle) in clients {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(left) {
+            // A stuck connection cannot drain: leak the cluster rather than
+            // hang in its drop.
+            std::mem::forget(cluster);
+            panic!("routed reads still running at the deadline (lock-order deadlock?)");
+        }
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    let (v1, p1) = fanout_counters(&mut control);
+    let rounds = CLIENTS as u64;
+    assert_eq!(v1 - v0, rounds * fanout.shards_visited, "shards visited");
+    assert_eq!(p1 - p0, rounds * fanout.shards_pruned, "shards pruned");
+}
+
+/// A window that spans a dead shard and a healthy one fails; the healthy
+/// shard's reply to it must not stay unread on the pooled connection, or it
+/// would answer the next request sent there.
+#[test]
+fn a_failed_scatter_leaves_no_reply_behind_on_a_pooled_connection() {
+    let data = generate(Distribution::Uniform, 3_000, 113);
+    let (mut cluster, local) = spawn_cluster(&data, 1, "desync", None);
+    let mbrs: Vec<Rect> = cluster.manifest.shards.iter().map(|s| s.mbr).collect();
+    let spans = |w: &Rect| {
+        (0..SHARDS)
+            .filter(|&s| mbrs[s].intersects(w))
+            .collect::<Vec<_>>()
+    };
+    // The shard with the smallest MBR goes down, leaving the most room for
+    // windows that miss it.  One replica per shard: handle i is shard i.
+    let dead = (0..SHARDS)
+        .min_by(|&a, &b| mbrs[a].area().total_cmp(&mbrs[b].area()))
+        .unwrap();
+    let victim = cluster.shard_handles.remove(dead);
+    victim.shutdown();
+    victim.join();
+
+    // Failing windows: one whose healthy shard comes before the dead one in
+    // shard order and one whose healthy shard comes after it, where they
+    // exist.
+    let around = |q: &Point, side| Rect::centered(q.x, q.y, side, side);
+    let mut failing: Vec<Rect> = Vec::new();
+    for below in [true, false] {
+        let found = data.iter().map(|q| around(q, 0.2)).find(|w| {
+            let s = spans(w);
+            s.len() == 2 && s.contains(&dead) && (s[0] < dead) == below
+        });
+        failing.extend(found);
+    }
+    assert!(
+        !failing.is_empty(),
+        "no window spans the dead shard and one other"
+    );
+    // Healthy reads: windows off the dead shard's MBR, and point lookups
+    // whose home shard is alive.
+    let mut healthy: Vec<Request> = data
+        .iter()
+        .map(|q| around(q, 0.05))
+        .filter(|w| !spans(w).contains(&dead))
+        .take(12)
+        .map(Request::Window)
+        .collect();
+    assert!(healthy.len() >= 6, "too few windows miss the dead shard");
+    let home = |p: &Point| cluster.manifest.partitioner.route(p.x, p.y);
+    let alive_points = data.iter().filter(|p| home(p) != dead).step_by(7).take(6);
+    healthy.extend(alive_points.copied().map(Request::Point));
+
+    let mut client = NetClient::connect(&cluster.router_addr()).expect("connect");
+    for round in 0..3 {
+        for w in &failing {
+            assert!(
+                client.window(w).is_err(),
+                "round {round}: a window over the dead shard answered"
+            );
+            for req in &healthy {
+                let want = in_process(local.as_ref(), req, &mut QueryContext::new());
+                let got = routed(&mut client, req).expect("healthy read");
+                assert_eq!(got, want, "round {round}: answer to {req:?} after {w:?}");
+            }
+        }
+    }
 }
 
 #[test]
