@@ -381,10 +381,10 @@ impl SpatialIndex for ShardedIndex {
     ) {
         let mut merge = plan::KnnMerge::new(self.views(), q, k);
         let k_eff = merge.k_eff();
-        while let Some(shard) = merge.next_shard() {
-            self.shards[shard]
+        while let Some(mut next) = merge.next_shard() {
+            self.shards[next.shard()]
                 .index
-                .knn_query_visit(q, k_eff, cx, &mut |p| merge.offer(*p));
+                .knn_query_visit(q, k_eff, cx, &mut |p| next.offer(*p));
         }
         let (best, fan) = merge.finish();
         charge(cx, fan);

@@ -180,9 +180,10 @@ pub fn join<E>(
 
 /// Pull-style best-first kNN over shards.  The executor asks
 /// [`next_shard`](Self::next_shard) where to go, queries that shard for its
-/// [`k_eff`](Self::k_eff) nearest and [`offer`](Self::offer)s every
-/// candidate back, until the plan runs out of shards worth visiting; then
-/// [`finish`](Self::finish) yields the merged answer.
+/// [`k_eff`](Self::k_eff) nearest and [`offer`](ShardVisit::offer)s every
+/// candidate back through the returned [`ShardVisit`], until the plan runs
+/// out of shards worth visiting; then [`finish`](Self::finish) yields the
+/// merged answer.
 pub struct KnnMerge {
     q: Point,
     /// Non-empty shards as `(MINDIST², shard)`, nearest first, ties by shard
@@ -235,7 +236,7 @@ impl KnnMerge {
     /// `k_eff` candidates in hand, a shard whose MBR lies strictly beyond
     /// the k-th distance cannot contribute — and neither can any later
     /// (farther) shard, so all of them are pruned at once.
-    pub fn next_shard(&mut self) -> Option<usize> {
+    pub fn next_shard(&mut self) -> Option<ShardVisit<'_>> {
         let &(mindist_sq, shard) = self.order.get(self.fanout.visited)?;
         if mindist_sq > self.best.bound() {
             self.fanout.pruned += self.order.len() - self.fanout.visited;
@@ -243,18 +244,51 @@ impl KnnMerge {
             return None;
         }
         self.fanout.visited += 1;
-        Some(shard)
-    }
-
-    /// Merges one candidate — one stored copy on the shard that returned it
-    /// (shards partition the data, so no copy arrives twice).
-    pub fn offer(&mut self, p: Point) {
-        self.best.offer(p, p.dist_sq(&self.q));
+        Some(ShardVisit { merge: self, shard })
     }
 
     /// The merged neighbours, nearest first, and the query's fan-out.
     pub fn finish(self) -> (KBest, Fanout) {
         (self.best, self.fanout)
+    }
+}
+
+/// A shard [`KnnMerge::next_shard`] selected, and the only way to merge
+/// candidates.  A shard the plan prunes never yields one, so a reply an
+/// executor fetched from it ahead of the plan (the router asks the two
+/// nearest shards at once) cannot be offered:
+///
+/// ```compile_fail
+/// fn offer_anyway(merge: &mut engine::plan::KnnMerge, p: geom::Point) {
+///     engine::plan::ShardVisit { merge, shard: 1 }.offer(p);
+/// }
+/// ```
+pub struct ShardVisit<'a> {
+    merge: &'a mut KnnMerge,
+    shard: usize,
+}
+
+impl ShardVisit<'_> {
+    /// Position of the selected shard.
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+
+    /// The shard after this one in MINDIST order: the one the next
+    /// [`KnnMerge::next_shard`] selects unless the k-th distance prunes it.
+    /// Read-only — it changes neither what is selected nor what is counted.
+    pub fn peek_next(&self) -> Option<usize> {
+        let merge = &self.merge;
+        merge
+            .order
+            .get(merge.fanout.visited)
+            .map(|&(_, shard)| shard)
+    }
+
+    /// Merges one candidate — one stored copy on this shard (shards
+    /// partition the data, so no copy arrives twice).
+    pub fn offer(&mut self, p: Point) {
+        self.merge.best.offer(p, p.dist_sq(&self.merge.q));
     }
 }
 
@@ -329,11 +363,13 @@ mod tests {
             }),
             _ => {
                 let mut merge = KnnMerge::new(views(), q, K);
-                while let Some(shard) = merge.next_shard() {
+                let k_eff = merge.k_eff();
+                while let Some(mut next) = merge.next_shard() {
+                    let shard = next.shard();
                     let inner = script
                         .visit(shard)
                         .map_err(|error| ShardError { shard, error })?;
-                    inner.knn_query_visit(q, merge.k_eff(), cx, &mut |p| merge.offer(*p));
+                    inner.knn_query_visit(q, k_eff, cx, &mut |p| next.offer(*p));
                 }
                 Ok(merge.finish().1)
             }
@@ -443,18 +479,78 @@ mod tests {
         ];
         let q = Point::new(0.5, 0.5);
         let mut merge = KnnMerge::new(views, &q, 1);
-        assert_eq!(merge.next_shard(), Some(0), "ties go to the lower shard");
-        merge.offer(Point::with_id(0.25, 0.5, 9));
+        let mut next = merge.next_shard().expect("shard 0");
+        assert_eq!(next.shard(), 0, "ties go to the lower shard");
+        next.offer(Point::with_id(0.25, 0.5, 9));
         // The k-th distance now equals shard 1's MINDIST: not *beyond* it,
         // so shard 1 must still be asked — and its equally distant
         // candidate with the smaller id wins.
-        assert_eq!(merge.next_shard(), Some(1));
-        merge.offer(Point::with_id(0.75, 0.5, 4));
-        assert_eq!(merge.next_shard(), None);
-        assert_eq!(merge.next_shard(), None, "the cutoff is final");
+        let mut next = merge.next_shard().expect("shard 1");
+        assert_eq!(next.shard(), 1);
+        next.offer(Point::with_id(0.75, 0.5, 4));
+        // The peek names shard 3 (shard 2 is empty), which the bound prunes.
+        assert_eq!(next.peek_next(), Some(3));
+        assert!(merge.next_shard().is_none());
+        assert!(merge.next_shard().is_none(), "the cutoff is final");
         let (best, fan) = merge.finish();
         assert_eq!(best.iter().map(|p| p.id).collect::<Vec<_>>(), [4]);
         let (visited, pruned) = (2, 2);
         assert_eq!(fan, Fanout { visited, pruned });
+    }
+
+    /// kNN the way the router runs it: the nearest shard and the one
+    /// [`ShardVisit::peek_next`] names are fetched together, and the second
+    /// one's candidates are offered only if the plan then selects it.
+    fn knn_two_ahead(script: &mut Script<'_>, q: &Point, k: usize) -> (Vec<Point>, Fanout) {
+        let mut merge = KnnMerge::new(script.index.views(), q, k);
+        let k_eff = merge.k_eff();
+        let mut fetch = |shard| {
+            let mut got = Vec::new();
+            let inner = script.visit(shard).expect("no scripted failure");
+            inner.knn_query_visit(q, k_eff, &mut QueryContext::new(), &mut |p| got.push(*p));
+            got
+        };
+        let mut ahead = None;
+        if let Some(mut next) = merge.next_shard() {
+            let second = next.peek_next();
+            fetch(next.shard()).into_iter().for_each(|p| next.offer(p));
+            ahead = second.map(|shard| (shard, fetch(shard)));
+        }
+        if let Some((second, fetched)) = ahead {
+            if let Some(mut next) = merge.next_shard() {
+                assert_eq!(next.shard(), second, "the peek named another shard");
+                fetched.into_iter().for_each(|p| next.offer(p));
+            }
+        }
+        while let Some(mut next) = merge.next_shard() {
+            fetch(next.shard()).into_iter().for_each(|p| next.offer(p));
+        }
+        let (best, fan) = merge.finish();
+        (best.iter().copied().collect(), fan)
+    }
+
+    #[test]
+    fn fetching_the_second_nearest_shard_ahead_changes_neither_answer_nor_fanout() {
+        let mut discarded = 0;
+        for (seed, shards) in [(3, 2), (5, 5), (7, 8)] {
+            let (data, index) = sharded(seed, shards);
+            let mut qs = queries::point_queries(&data, 30, seed);
+            qs.extend(queries::negative_point_queries(&data, 10, seed));
+            for (q, k) in qs.iter().flat_map(|q| [1, 10, K].map(|k| (q, k))) {
+                let mut script = script(&index, usize::MAX);
+                let (got, fan) = knn_two_ahead(&mut script, q, k);
+                let cx = &mut QueryContext::new();
+                assert_eq!(got, index.knn_query(q, k, cx), "k = {k} at {q:?}");
+                let visited = cx.stats.shards_visited as usize;
+                let pruned = cx.stats.shards_pruned as usize;
+                assert_eq!(fan, Fanout { visited, pruned }, "k = {k} at {q:?}");
+                // The one fetch the plan did not count: a second-nearest
+                // shard it pruned, whose candidates were never offered.
+                let extra = script.log.len() - visited;
+                assert!(extra <= 1, "k = {k} at {q:?}: {extra} extra fetches");
+                discarded += extra;
+            }
+        }
+        assert!(discarded > 0, "no case pruned the second-nearest shard");
     }
 }

@@ -1,11 +1,17 @@
 //! Blocking client for the wire protocol.
 //!
-//! One [`NetClient`] owns one TCP connection and runs one request at a
-//! time (send, then block for the response) — the closed-loop shape.  A
-//! caller that frames its own requests takes the stream with
-//! [`NetClient::into_stream`] and writes raw frames through [`crate::wire`]
-//! (the benchmark's `wire_read` and `routed_mixed` workloads do); the server
-//! answers a connection's frames one at a time, in request order.
+//! One [`NetClient`] owns one TCP connection.  The typed methods run one
+//! request at a time ([`NetClient::call`]: send, then block for the
+//! response) — the closed-loop shape.  The two halves are public too:
+//! [`NetClient::send`] writes a request without waiting, and
+//! [`NetClient::recv`] blocks for the next reply, so a caller holding
+//! several connections (the router's scatter) can put a request on each
+//! before it reads any reply.  The server answers a connection's frames one
+//! at a time, in request order, so every `send` owes exactly one `recv`
+//! before that connection carries anything else.  A caller that frames its
+//! own requests takes the stream with [`NetClient::into_stream`] and writes
+//! raw frames through [`crate::wire`] (the benchmark's `wire_read` and
+//! `routed_mixed` workloads do).
 
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
@@ -52,8 +58,14 @@ impl NetClient {
         self.stream
     }
 
-    fn call(&mut self, req: &Request) -> Result<Response, NetError> {
-        wire::write_frame(&mut self.stream, &req.encode())?;
+    /// Writes one request frame and returns without waiting for the reply.
+    pub fn send(&mut self, req: &Request) -> Result<(), NetError> {
+        wire::write_frame(&mut self.stream, &req.encode())
+    }
+
+    /// Blocks for the next reply on this connection.  A refusal
+    /// ([`Response::Error`]) comes back as the matching [`NetError`].
+    pub fn recv(&mut self) -> Result<Response, NetError> {
         let payload = wire::read_frame(&mut self.stream)?.ok_or(NetError::Closed)?;
         match Response::decode(&payload)? {
             Response::Error { code, message } => Err(match code {
@@ -63,6 +75,13 @@ impl NetClient {
             }),
             resp => Ok(resp),
         }
+    }
+
+    /// One request, closed-loop: [`send`](Self::send), then
+    /// [`recv`](Self::recv).
+    pub fn call(&mut self, req: &Request) -> Result<Response, NetError> {
+        self.send(req)?;
+        self.recv()
     }
 
     /// Point lookup; returns the observed write sequence and the hit.
@@ -75,26 +94,17 @@ impl NetClient {
 
     /// Window query; returns the observed write sequence and the matches.
     pub fn window(&mut self, w: &Rect) -> Result<(u64, Vec<Point>), NetError> {
-        match self.call(&Request::Window(*w))? {
-            Response::Points { seq, points } => Ok((seq, points)),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::Window(*w))?.into_points()
     }
 
     /// kNN query; the result is closest first, distance ties by id.
     pub fn knn(&mut self, q: &Point, k: u32) -> Result<(u64, Vec<Point>), NetError> {
-        match self.call(&Request::Knn(*q, k))? {
-            Response::Knn { seq, points } => Ok((seq, points)),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::Knn(*q, k))?.into_knn()
     }
 
     /// Distance-range query around `center`.
     pub fn range(&mut self, center: &Point, radius: f64) -> Result<(u64, Vec<Point>), NetError> {
-        match self.call(&Request::Range(*center, radius))? {
-            Response::Points { seq, points } => Ok((seq, points)),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::Range(*center, radius))?.into_points()
     }
 
     /// Distance-join probe batch: every (probe, match) pair within
@@ -104,10 +114,8 @@ impl NetClient {
         probes: &[Point],
         radius: f64,
     ) -> Result<(u64, Vec<(Point, Point)>), NetError> {
-        match self.call(&Request::JoinProbes(probes.to_vec(), radius))? {
-            Response::Pairs { seq, pairs } => Ok((seq, pairs)),
-            other => Err(unexpected(&other)),
-        }
+        self.call(&Request::JoinProbes(probes.to_vec(), radius))?
+            .into_pairs()
     }
 
     /// Inserts `p` through the server's delta overlay; returns the write's
@@ -161,6 +169,32 @@ impl NetClient {
     pub fn events(&mut self, since: u64) -> Result<(u64, obs::EventsSnapshot), NetError> {
         match self.call(&Request::Events { since })? {
             Response::Events { seq, events } => Ok((seq, events)),
+            other => Err(unexpected(&other)),
+        }
+    }
+}
+
+impl Response {
+    /// The write sequence and matches of a window or range reply.
+    pub fn into_points(self) -> Result<(u64, Vec<Point>), NetError> {
+        match self {
+            Response::Points { seq, points } => Ok((seq, points)),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// The write sequence and neighbours of a kNN reply, closest first.
+    pub fn into_knn(self) -> Result<(u64, Vec<Point>), NetError> {
+        match self {
+            Response::Knn { seq, points } => Ok((seq, points)),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// The write sequence and pairs of a join reply.
+    pub fn into_pairs(self) -> Result<(u64, Vec<(Point, Point)>), NetError> {
+        match self {
+            Response::Pairs { seq, pairs } => Ok((seq, pairs)),
             other => Err(unexpected(&other)),
         }
     }

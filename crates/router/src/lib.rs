@@ -22,8 +22,15 @@
 //! connection, admission, drain, control messages, `net.*` telemetry — is
 //! [`net::FrontEnd`], the one the single-process serving loop uses; the
 //! router hands it `exec` and its write sequence.  What is left here is
-//! what is actually distributed: replica choice and failover, write
-//! fan-out, the router-level write sequence, and shutdown propagation.
+//! what is actually distributed: the scatter of multi-shard reads, replica
+//! choice and failover, write fan-out, the router-level write sequence,
+//! and shutdown propagation.
+//!
+//! Window, range and join reads **scatter, then gather**: the request goes
+//! out to every planned shard before any reply is read, all on the client
+//! connection's own thread; kNN asks its two nearest shards together.  The
+//! pooled connections a scatter holds are taken in ascending shard order,
+//! and none goes back to the pool with its reply unread.
 //!
 //! Each shard may be served by N **replicas**.  Reads round-robin across
 //! live replicas and fail over on connection errors (a killed replica
@@ -37,7 +44,7 @@
 //! --verify-stats` and `net-stats` work against a router unmodified), plus
 //! `router.shards_visited` / `router.shards_pruned` (the planner's
 //! fan-out accounting), `router.replica_failovers`, and a
-//! `router.upstream_us.shard<i>` latency histogram per shard.
+//! `router.upstream_us.shard<i>` send → reply histogram per shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,9 +55,10 @@ use engine::ShardManifest;
 use geom::{Point, Rect};
 use net::{ErrorCode, FrontEnd, NetClient, NetError, Request, Response};
 use obs::{Counter, EventKind, Histogram, Telemetry};
+use std::convert::Infallible;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 /// How long the router keeps retrying each shard's first reachable replica
@@ -91,6 +99,10 @@ impl Replica {
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, Option<NetClient>> {
+        self.client.lock().expect("replica client lock poisoned")
+    }
+
     /// Runs `f` against this replica's pooled connection, connecting
     /// lazily.  With `retry` set, one connection error triggers a single
     /// reconnect-and-retry — safe for reads, **never** used for writes (a
@@ -101,7 +113,7 @@ impl Replica {
         retry: bool,
         f: &dyn Fn(&mut NetClient) -> Result<T, NetError>,
     ) -> Result<T, NetError> {
-        let mut slot = self.client.lock().expect("replica client lock poisoned");
+        let mut slot = self.lock();
         let attempts = if retry { 2 } else { 1 };
         let mut last = None;
         for _ in 0..attempts {
@@ -124,7 +136,80 @@ impl Replica {
         }
         Err(last.expect("loop ran at least once"))
     }
+
+    /// Sends `req` on the pooled connection, connecting lazily, and keeps
+    /// the connection locked until its reply is read ([`Sent::recv`]).  A
+    /// failed send drops the connection.
+    fn send(&self, req: &Request) -> Result<Sent<'_>, NetError> {
+        let mut conn = self.lock();
+        if conn.is_none() {
+            *conn = Some(NetClient::connect(&self.addr)?);
+        }
+        let at = Instant::now();
+        let mut sent = Sent {
+            conn,
+            at,
+            close: true,
+        };
+        sent.conn.as_mut().expect("connected above").send(req)?;
+        Ok(sent)
+    }
 }
+
+/// A request on a replica's pooled connection whose reply is owed.  The
+/// connection stays locked until [`recv`](Self::recv) reads the reply.
+/// Dropped with the reply unread — or after a connection error — the
+/// connection is closed, so no later request on it can be answered with
+/// this request's reply.
+struct Sent<'a> {
+    conn: MutexGuard<'a, Option<NetClient>>,
+    /// When the request went out.
+    at: Instant,
+    /// Close the connection on drop: the reply is unread, or reading it
+    /// failed and left the stream at an unknown position.
+    close: bool,
+}
+
+impl Sent<'_> {
+    /// Reads the reply, recording the send → reply time in `upstream_us`.
+    fn recv(mut self, upstream_us: &Histogram) -> Result<Response, NetError> {
+        let got = self.conn.as_mut().expect("sent on a connection").recv();
+        self.close = matches!(&got, Err(e) if is_conn_error(e));
+        if got.is_ok() {
+            upstream_us.record(self.at.elapsed().as_micros() as u64);
+        }
+        got
+    }
+}
+
+impl Drop for Sent<'_> {
+    fn drop(&mut self) {
+        if self.close {
+            *self.conn = None;
+        }
+    }
+}
+
+/// Where one read of a scatter went: the shard, the replica and the
+/// request, kept to re-run the read if its connection fails.
+struct Target {
+    shard: usize,
+    replica: usize,
+    req: Request,
+}
+
+/// A scattered read between send and gather.
+type Pending<'a> = (Target, Result<Sent<'a>, NetError>);
+
+/// A gathered reply; `Err` when the send or the read failed.
+type Reply = (Target, Result<Response, NetError>);
+
+/// Turns a shard's reply into its payload (`Response::into_points`, ...).
+type Unpack<T> = fn(Response) -> Result<T, NetError>;
+
+/// The executor a scatter hands its plan: sends one shard its request.
+/// Sending cannot fail the plan; a failed send surfaces at the gather.
+type SendFn<'a> = dyn FnMut(usize, Request) -> Result<(), Infallible> + 'a;
 
 /// Router-side view of one shard: live routing state the planner reads on
 /// every query, plus the shard's replica set.
@@ -140,7 +225,7 @@ struct ShardState {
     replicas: Vec<Replica>,
     /// Round-robin cursor for read distribution.
     rr: AtomicUsize,
-    /// `router.upstream_us.shard<i>`: per-shard upstream read latency.
+    /// `router.upstream_us.shard<i>`: per-shard read send → reply time.
     upstream_us: Histogram,
 }
 
@@ -210,18 +295,24 @@ impl Core {
         }
     }
 
-    /// One read against `shard`: round-robin over live replicas, failing
+    /// The replica the next read of `shard` starts at: round-robin.
+    fn next_replica(&self, shard: usize) -> usize {
+        let st = &self.shards[shard];
+        st.rr.fetch_add(1, Ordering::Relaxed) % st.replicas.len()
+    }
+
+    /// One read against `shard`: the live replicas from `start` on, failing
     /// over on connection errors.  Semantic refusals (overload, drain)
     /// propagate; `Err(Overload)` with no live replica means the shard is
     /// gone.
     fn read_shard<T>(
         &self,
         shard: usize,
-        f: impl Fn(&mut NetClient) -> Result<(u64, T), NetError>,
+        start: usize,
+        f: impl Fn(&mut NetClient) -> Result<T, NetError>,
     ) -> Result<T, NetError> {
         let st = &self.shards[shard];
         let n = st.replicas.len();
-        let start = st.rr.fetch_add(1, Ordering::Relaxed) % n;
         let mut conn_err = None;
         for off in 0..n {
             let i = (start + off) % n;
@@ -231,7 +322,7 @@ impl Core {
             }
             let t0 = Instant::now();
             match rep.call(true, &f) {
-                Ok((_, v)) => {
+                Ok(v) => {
                     st.upstream_us.record(t0.elapsed().as_micros() as u64);
                     return Ok(v);
                 }
@@ -243,6 +334,78 @@ impl Core {
             }
         }
         Err(conn_err.unwrap_or(NetError::Overload))
+    }
+
+    /// The send half of a scattered read: `req` goes out to a live replica
+    /// of `shard`, picked round-robin, on its pooled connection, which stays
+    /// locked until [`gather`](Self::gather) reads the reply.  A scatter
+    /// sends in ascending shard order, so two scatters never wait on each
+    /// other's connections in a cycle.
+    fn send(&self, shard: usize, req: Request) -> Pending<'_> {
+        let st = &self.shards[shard];
+        let n = st.replicas.len();
+        let start = self.next_replica(shard);
+        let live = (0..n)
+            .map(|off| (start + off) % n)
+            .find(|&i| !st.replicas[i].dead.load(Ordering::Acquire));
+        let sent = live.map_or(Err(NetError::Overload), |i| st.replicas[i].send(&req));
+        let replica = live.unwrap_or(start);
+        (
+            Target {
+                shard,
+                replica,
+                req,
+            },
+            sent,
+        )
+    }
+
+    /// The gather half: reads every pending reply in send order, releasing
+    /// each connection as soon as its reply is in — so when this returns, no
+    /// connection is held and none is left with a reply unread.
+    fn gather(&self, pending: Vec<Pending<'_>>) -> Vec<Reply> {
+        let gathered = pending.into_iter().map(|(to, sent)| {
+            let got = sent.and_then(|sent| sent.recv(&self.shards[to.shard].upstream_us));
+            (to, got)
+        });
+        gathered.collect()
+    }
+
+    /// Unpacks a gathered reply.  A connection error re-runs the shard
+    /// through [`read_shard`](Self::read_shard) from the same replica
+    /// (reconnect once, then fail over), so failover stays per shard.
+    fn settle<T>(&self, (to, got): Reply, unpack: Unpack<T>) -> Result<T, ShardError<NetError>> {
+        match got.and_then(unpack) {
+            Err(e) if is_conn_error(&e) => {
+                self.read_shard(to.shard, to.replica, |c| unpack(c.call(&to.req)?))
+            }
+            settled => settled,
+        }
+        .map_err(|error| ShardError {
+            shard: to.shard,
+            error,
+        })
+    }
+
+    /// A scattered read: `plan` hands every shard it targets, in shard
+    /// order, to its send callback, and every request goes out before any
+    /// reply is read.  The replies are then gathered and concatenated in
+    /// the same order.
+    fn scatter<T>(
+        &self,
+        plan: impl FnOnce(&mut SendFn<'_>) -> Result<Fanout, ShardError<Infallible>>,
+        unpack: Unpack<(u64, Vec<T>)>,
+    ) -> Result<(Vec<T>, Fanout), ShardError<NetError>> {
+        let mut pending = Vec::new();
+        let fan = plan::infallible(plan(&mut |shard, req| {
+            pending.push(self.send(shard, req));
+            Ok(())
+        }));
+        let mut all = Vec::new();
+        for reply in self.gather(pending) {
+            all.extend(self.settle(reply, unpack)?.1);
+        }
+        Ok((all, fan))
     }
 
     /// One write against `shard`, fanned out to **every** live replica so
@@ -294,7 +457,8 @@ impl Core {
     }
 
     /// Executes one admitted request: [`engine::plan`] decides the targets,
-    /// the closures here reach them through `read_shard` / `write_shard`.
+    /// the closures here reach them through a scatter, `read_shard` or
+    /// `write_shard`.
     fn exec(&self, req: Request) -> Response {
         let planned = match req {
             Request::Point(p) => self.exec_point(p),
@@ -316,7 +480,8 @@ impl Core {
 
     fn exec_point(&self, q: Point) -> Planned {
         let seq = self.current_seq();
-        let probe = |shard| self.read_shard(shard, |c| c.point(&q));
+        let probe =
+            |shard| self.read_shard(shard, self.next_replica(shard), |c| Ok(c.point(&q)?.1));
         let (hit, fan) = plan::first_hit(&self.partitioner, self.views(), &q, probe)?;
         self.note_fanout(fan);
         Ok(Response::Point { seq, hit })
@@ -324,24 +489,57 @@ impl Core {
 
     fn exec_window(&self, w: Rect) -> Planned {
         let seq = self.current_seq();
-        let mut points = Vec::new();
-        let fan = plan::window(self.views(), &w, |shard| {
-            points.extend(self.read_shard(shard, |c| c.window(&w))?);
-            Ok(())
-        })?;
+        let (points, fan) = self.scatter(
+            |send| plan::window(self.views(), &w, |shard| send(shard, Request::Window(w))),
+            Response::into_points,
+        )?;
         self.note_fanout(fan);
         Ok(Response::Points { seq, points })
     }
 
+    /// The nearest shard is asked together with the second-nearest, whose
+    /// reply is offered only if the plan then selects that shard (and
+    /// dropped, already read, if the k-th distance prunes it).  Later shards
+    /// are asked one at a time under the planner's bound.
     fn exec_knn(&self, q: Point, k: u32) -> Planned {
         let seq = self.current_seq();
         let mut merge = plan::KnnMerge::new(self.views(), &q, k as usize);
-        let k_eff = merge.k_eff() as u32;
-        while let Some(shard) = merge.next_shard() {
-            self.read_shard(shard, |c| c.knn(&q, k_eff))
-                .map_err(|error| ShardError { shard, error })?
+        let req = Request::Knn(q, merge.k_eff() as u32);
+        let mut second = None;
+        if let Some(mut nearest) = merge.next_shard() {
+            let mut targets = [Some(nearest.shard()), nearest.peek_next()];
+            // Connections are taken in ascending shard order (see `send`).
+            targets.sort_unstable();
+            let pending = targets
                 .into_iter()
-                .for_each(|p| merge.offer(p));
+                .flatten()
+                .map(|shard| self.send(shard, req.clone()))
+                .collect();
+            let mut replies = self.gather(pending);
+            let at = replies
+                .iter()
+                .position(|(to, _)| to.shard == nearest.shard());
+            let first = replies.remove(at.expect("the nearest shard was sent to"));
+            second = replies.pop();
+            for p in self.settle(first, Response::into_knn)?.1 {
+                nearest.offer(p);
+            }
+        }
+        if let Some(reply) = second {
+            if let Some(mut next) = merge.next_shard() {
+                assert_eq!(next.shard(), reply.0.shard, "the peek named another shard");
+                for p in self.settle(reply, Response::into_knn)?.1 {
+                    next.offer(p);
+                }
+            }
+        }
+        while let Some(mut next) = merge.next_shard() {
+            let shard = next.shard();
+            let start = self.next_replica(shard);
+            let points = self.read_shard(shard, start, |c| c.call(&req)?.into_knn());
+            for p in points.map_err(|error| ShardError { shard, error })?.1 {
+                next.offer(p);
+            }
         }
         let (best, fan) = merge.finish();
         self.note_fanout(fan);
@@ -353,22 +551,28 @@ impl Core {
 
     fn exec_range(&self, center: Point, radius: f64) -> Planned {
         let seq = self.current_seq();
-        let mut points = Vec::new();
-        let fan = plan::range(self.views(), &center, radius, |shard| {
-            points.extend(self.read_shard(shard, |c| c.range(&center, radius))?);
-            Ok(())
-        })?;
+        let (points, fan) = self.scatter(
+            |send| {
+                plan::range(self.views(), &center, radius, |shard| {
+                    send(shard, Request::Range(center, radius))
+                })
+            },
+            Response::into_points,
+        )?;
         self.note_fanout(fan);
         Ok(Response::Points { seq, points })
     }
 
     fn exec_join(&self, probes: &[Point], radius: f64) -> Planned {
         let seq = self.current_seq();
-        let mut pairs = Vec::new();
-        let fan = plan::join(self.views(), probes, radius, |shard, kept| {
-            pairs.extend(self.read_shard(shard, |c| c.join_probes(kept, radius))?);
-            Ok(())
-        })?;
+        let (pairs, fan) = self.scatter(
+            |send| {
+                plan::join(self.views(), probes, radius, |shard, kept| {
+                    send(shard, Request::JoinProbes(kept.to_vec(), radius))
+                })
+            },
+            Response::into_pairs,
+        )?;
         self.note_fanout(fan);
         Ok(Response::Pairs { seq, pairs })
     }
@@ -582,7 +786,7 @@ fn scrape_shard_len(shard: usize, replicas: &[Replica]) -> Result<u64, NetError>
             });
         match scraped {
             Ok((client, points)) => {
-                *rep.client.lock().expect("replica client lock poisoned") = Some(client);
+                *rep.lock() = Some(client);
                 return Ok(points.max(0) as u64);
             }
             Err(e) => last = e,
