@@ -1714,6 +1714,26 @@ mod tests {
     }
 
     #[test]
+    fn leaf_bounds_are_sound_after_a_build_and_after_a_snapshot_round_trip() {
+        // The bounds are measured with the same `predict` that serves them,
+        // and a loaded index predicts with the code that loads it.
+        let pts = pseudo_random_points(6_000, 83);
+        let index = Rsmi::build(pts.clone(), small_config());
+        assert!(index.height >= 2);
+        assert_eq!(index.bounds_violations(), 0);
+        let mut w = SnapshotWriter::new("RSMI");
+        index.encode_snapshot(&mut w);
+        let bytes = w.finish();
+        let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
+        let restored = Rsmi::read_snapshot(&mut r).unwrap();
+        assert_eq!(restored.bounds_violations(), 0);
+        let mut c = cx();
+        for p in &pts {
+            assert_eq!(restored.point_query(p, &mut c).map(|q| q.id), Some(p.id));
+        }
+    }
+
+    #[test]
     fn exact_variant_delegates_maintenance_to_the_inner_index() {
         let pts = pseudo_random_points(800, 71);
         let mut exact = RsmiExact::build(pts.clone(), small_config());

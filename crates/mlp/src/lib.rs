@@ -38,9 +38,62 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
+/// The libm logistic sigmoid: the reference the production sigmoid is held
+/// to.
+#[cfg(test)]
+pub(crate) fn libm_sigmoid(x: f64) -> f64 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sigmoid_matches_libm_to_1e_15_relative() {
+        // A dense grid over the whole range where libm's sigmoid is neither
+        // 0 nor subnormal-rounded-to-nothing, plus a fine grid near 0.
+        let grid = (-745_000..=745_000)
+            .map(|i| i as f64 * 1e-3)
+            .chain((-100_000..=100_000).map(|i| i as f64 * 1e-7));
+        let mut worst = (0.0f64, 0.0f64);
+        for x in grid {
+            let (got, want) = (sigmoid(x), libm_sigmoid(x));
+            if x < -700.0 {
+                // Below the clamp the value saturates at sigmoid(-700)
+                // ≈ 9.9e-305; libm's value there is as small or subnormal.
+                assert!(got <= 1e-304 && got >= want, "x = {x}: {got} vs {want}");
+                continue;
+            }
+            let rel = (got - want).abs() / want;
+            if rel > worst.0 {
+                worst = (rel, x);
+            }
+        }
+        assert!(
+            worst.0 <= 1e-15,
+            "relative error {:e} at x = {}",
+            worst.0,
+            worst.1
+        );
+    }
+
+    #[test]
+    fn sigmoid_is_exactly_one_half_at_zero_and_monotone_on_a_dense_grid() {
+        assert_eq!(sigmoid(0.0), 0.5);
+        assert_eq!(sigmoid(-0.0), 0.5);
+        let mut prev = sigmoid(-800.0);
+        for i in -800_000..=800_000 {
+            let s = sigmoid(i as f64 * 1e-3);
+            assert!(s >= prev, "not monotone at x = {}", i as f64 * 1e-3);
+            prev = s;
+        }
+    }
 
     #[test]
     fn sigmoid_basic_values() {
@@ -66,5 +119,7 @@ mod tests {
     fn sigmoid_does_not_overflow_for_extreme_inputs() {
         assert!(sigmoid(-1e6).is_finite());
         assert!(sigmoid(1e6).is_finite());
+        assert_eq!(sigmoid(1e6), 1.0);
+        assert!((0.0..1e-300).contains(&sigmoid(-1e6)));
     }
 }

@@ -392,6 +392,54 @@ mod tests {
         }
     }
 
+    /// The scalar forward pass with the libm sigmoid: one unit at a time,
+    /// the output summed in unit order.
+    fn reference_predict(mlp: &Mlp, input: &[f64]) -> f64 {
+        let d = mlp.config.input_dim;
+        let mut out = mlp.b2;
+        for h in 0..mlp.config.hidden {
+            let mut z = mlp.b1[h];
+            for (w, x) in mlp.w1[h * d..(h + 1) * d].iter().zip(input) {
+                z += w * x;
+            }
+            out += mlp.w2[h] * crate::libm_sigmoid(z);
+        }
+        out
+    }
+
+    #[test]
+    fn predict_matches_the_scalar_reference_to_1e_12_relative() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for input_dim in 1..=3 {
+            // 65 spills one unit past a full strip.
+            for hidden in [4, 33, 51, 64, 65] {
+                let cfg = MlpConfig {
+                    input_dim,
+                    hidden,
+                    seed: rng.gen(),
+                    ..MlpConfig::default()
+                };
+                let mut mlp = Mlp::new(cfg);
+                // Trained models carry biases and steep units; spread the
+                // weights so some units saturate.
+                let params: Vec<f64> = mlp
+                    .parameters()
+                    .iter()
+                    .map(|&p| p * rng.gen_range(1.0..40.0) + rng.gen_range(-2.0..2.0))
+                    .collect();
+                mlp.set_parameters(&params);
+                for _ in 0..500 {
+                    let x: Vec<f64> = (0..input_dim).map(|_| rng.gen_range(-0.5..1.5)).collect();
+                    let (got, want) = (mlp.predict(&x), reference_predict(&mlp, &x));
+                    assert!(
+                        (got - want).abs() <= 1e-12 * want.abs(),
+                        "input_dim {input_dim}, hidden {hidden}, x {x:?}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn learns_a_linear_function() {
         // f(x, y) = 0.3 x + 0.5 y + 0.1 on the unit square.
