@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Autovectorization guard for the storage scan kernels.
+# Autovectorization guard for the storage scan kernels and the mlp sigmoid.
 #
-# Compiles the `storage` crate to assembly and checks that the bodies of the
-# `kernels::asm_probes::*` symbols (non-inlined instantiations of the chunked
-# scan kernels) contain packed SIMD instructions.  If a refactor silently
-# turns the kernels scalar — an indexed loop reintroducing bounds checks is
-# the classic cause — this fails CI before `benchmark/` has to notice the
+# Compiles the `storage` and `mlp` crates to assembly and checks that the
+# bodies of their `asm_probes::*` symbols (non-inlined instantiations of the
+# chunked scan kernels and of the sigmoid strip pass) contain packed SIMD
+# instructions.  If a refactor silently turns a kernel scalar — an indexed
+# loop reintroducing bounds checks, or a branch in the sigmoid, is the
+# classic cause — this fails CI before `benchmark/` has to notice the
 # throughput drop.
 #
 # Expected instruction families (see crates/storage/src/kernels.rs):
@@ -16,6 +17,9 @@
 #                         vfmadd*pd if FMA contraction is ever enabled
 #   aarch64 NEON:         fmul/fsub/fadd v*.2d, fcmge/fcmle v*.2d,
 #                         fmin/fmax v*.2d
+# The sigmoid strip (crates/mlp/src/lib.rs) must contain all three of a
+# packed divide (divpd / fdiv v*.2d) and the packed integer add and shift
+# that build 2^k (paddq, psllq / add, shl v*.2d).
 #
 # The build sets CARGO_PROFILE_RELEASE_LTO=false: under the workspace's thin
 # LTO, rustc passes -C linker-plugin-lto and `--emit asm` shows pre-LTO
@@ -24,21 +28,31 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "checking scan-kernel autovectorization..."
-CARGO_PROFILE_RELEASE_LTO=false cargo rustc --release -p storage -- --emit asm >/dev/null
+# Prints the body of the first symbol in assembly file $1 matching $2.
+probe_body() {
+    awk -v s="asm_probes.*${2}.*:\$" \
+        '$0 ~ s {on=1} on {print} on && /cfi_endproc/ {on=0}' "$1"
+}
 
-asm=$(ls -t target/release/deps/storage-*.s | head -1)
-if [ -z "$asm" ]; then
-    echo "FAIL: no assembly emitted (expected target/release/deps/storage-*.s)" >&2
-    exit 1
-fi
-
-packed='(v?(mul|sub|add|min|max|cmp[a-z]*|movu)p[ds]|vfmadd[0-9]*pd|(fmul|fsub|fadd|fcmge|fcmle|fmin|fmax)[[:space:]]+v[0-9]+\.2d)'
+# Emits crate $1's assembly and prints its path.
+emit_asm() {
+    CARGO_PROFILE_RELEASE_LTO=false cargo rustc --release -p "$1" -- --emit asm >/dev/null
+    local asm
+    asm=$(ls -t target/release/deps/"$1"-*.s | head -1)
+    if [ -z "$asm" ]; then
+        echo "FAIL: no assembly emitted (expected target/release/deps/$1-*.s)" >&2
+        exit 1
+    fi
+    echo "$asm"
+}
 
 fail=0
+
+echo "checking scan-kernel autovectorization..."
+asm=$(emit_asm storage)
+packed='(v?(mul|sub|add|min|max|cmp[a-z]*|movu)p[ds]|vfmadd[0-9]*pd|(fmul|fsub|fadd|fcmge|fcmle|fmin|fmax)[[:space:]]+v[0-9]+\.2d)'
 for probe in rect_mask within_mask dist_sq_into mbr_of; do
-    body=$(awk -v s="asm_probes.*${probe}.*:\$" \
-        '$0 ~ s {on=1} on {print} on && /cfi_endproc/ {on=0}' "$asm")
+    body=$(probe_body "$asm" "$probe")
     if [ -z "$body" ]; then
         echo "FAIL: kernel probe symbol asm_probes::${probe} not found in $asm" >&2
         fail=1
@@ -55,6 +69,29 @@ for probe in rect_mask within_mask dist_sq_into mbr_of; do
         echo "  kernels::${probe}: $n packed SIMD instruction(s) — OK"
     fi
 done
+
+echo "checking sigmoid autovectorization..."
+asm=$(emit_asm mlp)
+body=$(probe_body "$asm" sigmoid_strip)
+if [ -z "$body" ]; then
+    echo "FAIL: probe symbol asm_probes::sigmoid_strip not found in $asm" >&2
+    fail=1
+else
+    for op in 'v?divpd|fdiv[[:space:]]+v[0-9]+\.2d' \
+              'v?paddq|add[[:space:]]+v[0-9]+\.2d' \
+              'v?psllq|shl[[:space:]]+v[0-9]+\.2d'; do
+        n=$(printf '%s\n' "$body" | grep -cE "[[:space:]]($op)" || true)
+        if [ "$n" -eq 0 ]; then
+            echo "FAIL: mlp sigmoid_strip has no packed '$op'." >&2
+            echo "      The sigmoid must stay branch-free so the strip pass" >&2
+            echo "      autovectorizes.  Inspect:" >&2
+            echo "      CARGO_PROFILE_RELEASE_LTO=false cargo rustc --release -p mlp -- --emit asm" >&2
+            fail=1
+        else
+            echo "  mlp::sigmoid_strip '$op': $n instruction(s) — OK"
+        fi
+    done
+fi
 
 if [ "$fail" -ne 0 ]; then
     exit 1

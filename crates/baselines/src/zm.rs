@@ -23,7 +23,9 @@ const Z_ORDER: u32 = 20;
 /// Section tag of the ZM metadata (config and counts).
 const SECTION_ZM_META: u32 = 0x5A01;
 /// Section tag of the ZM model levels (trained weights, no retraining).
-const SECTION_ZM_MODELS: u32 = 0x5A02;
+/// The retired `0x5A02` held error bounds measured under the libm sigmoid
+/// and is refused.
+const SECTION_ZM_MODELS: u32 = 0x5A03;
 
 /// Configuration of the ZM baseline.
 #[derive(Debug, Clone, Copy)]

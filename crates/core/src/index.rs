@@ -13,8 +13,11 @@ use storage::{BlockId, BlockStore};
 
 /// Section tag of the RSMI metadata (config and counts).
 const SECTION_RSMI_META: u32 = 0x5101;
-/// Section tag of the RSMI node arena (models, MBRs, block ranges).
-const SECTION_RSMI_NODES: u32 = 0x5102;
+/// Section tag of the RSMI node arena (models, MBRs, block ranges).  The
+/// retired `0x5102` held the same record with leaf error bounds measured
+/// under the libm sigmoid; today's `predict` can move a prediction across
+/// them, so that tag is refused rather than loaded unsound.
+const SECTION_RSMI_NODES: u32 = 0x5105;
 /// Section tag of the marginal CDFs used by the kNN search region.
 const SECTION_RSMI_CDF: u32 = 0x5103;
 /// Section tag of the per-leaf maintenance state (drift counters).  The

@@ -1,8 +1,30 @@
 //! The feed-forward network and its SGD trainer.
 
-use crate::sigmoid;
+use crate::{sigmoid, sigmoid_in_place};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Hidden units per stack strip of [`Mlp::predict`]: every model the
+/// indices build has at most 64, so one strip holds them all.
+const STRIP: usize = 64;
+
+/// `Σ w·a` in four partial sums, combined in the order written here, so a
+/// prediction is the same number wherever this is inlined.
+#[inline(always)]
+fn dot(w: &[f64], a: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let (w4, w_tail) = w.as_chunks::<4>();
+    let (a4, a_tail) = a.as_chunks::<4>();
+    for (w, a) in w4.iter().zip(a4) {
+        for i in 0..4 {
+            acc[i] += w[i] * a[i];
+        }
+    }
+    for (i, (w, a)) in w_tail.iter().zip(a_tail).enumerate() {
+        acc[i] += w * a;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
 
 /// Architecture and training hyper-parameters of a sub-model.
 ///
@@ -123,17 +145,30 @@ impl Mlp {
 
     /// Forward pass for a single sample; `input.len()` must equal
     /// `config.input_dim`.
+    ///
+    /// The hidden units run in strips of up to [`STRIP`] on the stack, in
+    /// three passes that each autovectorise: every `z`, every sigmoid, then
+    /// the output dot product.
     pub fn predict(&self, input: &[f64]) -> f64 {
         debug_assert_eq!(input.len(), self.config.input_dim);
-        let mut out = self.b2;
         let d = self.config.input_dim;
-        for h in 0..self.config.hidden {
-            let mut z = self.b1[h];
-            let row = &self.w1[h * d..(h + 1) * d];
-            for (w, x) in row.iter().zip(input) {
-                z += w * x;
+        let mut strip = [0.0f64; STRIP];
+        let mut out = self.b2;
+        let units = self.b1.chunks(STRIP).zip(self.w2.chunks(STRIP));
+        for ((b1, w2), w1) in units.zip(self.w1.chunks(STRIP * d)) {
+            let act = &mut strip[..b1.len()];
+            if d == 2 {
+                let (x0, x1) = (input[0], input[1]);
+                for ((z, &b), w) in act.iter_mut().zip(b1).zip(w1.chunks_exact(2)) {
+                    *z = b + w[0] * x0 + w[1] * x1;
+                }
+            } else {
+                for ((z, &b), row) in act.iter_mut().zip(b1).zip(w1.chunks_exact(d)) {
+                    *z = row.iter().zip(input).fold(b, |z, (w, x)| z + w * x);
+                }
             }
-            out += self.w2[h] * sigmoid(z);
+            sigmoid_in_place(act);
+            out += dot(w2, act);
         }
         out
     }
@@ -217,9 +252,7 @@ impl Mlp {
                             *z += w * xv;
                         }
                     }
-                    for a in act.iter_mut() {
-                        *a = sigmoid(*a);
-                    }
+                    sigmoid_in_place(&mut act);
                     let mut out = self.b2;
                     for (&w, &a) in self.w2.iter().zip(&act) {
                         out += w * a;

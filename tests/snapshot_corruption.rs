@@ -147,6 +147,49 @@ fn retired_aos_store_section_is_a_typed_error_not_a_panic() {
     }
 }
 
+/// Rewrites the tag of the top-level section tagged `from` to `to`.  The
+/// CRC covers only the payload, so the file stays well-framed.
+fn retag_section(bytes: &mut [u8], from: u32, to: u32) {
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    // Header: 8-byte magic, u32 version, u16 kind-tag length, kind tag.
+    let mut at = 14 + word(12, 2);
+    while at < bytes.len() {
+        if word(at, 4) == from as usize {
+            bytes[at..at + 4].copy_from_slice(&to.to_le_bytes());
+            return;
+        }
+        at += 4 + 8 + word(at + 4, 8) + 4;
+    }
+    panic!("no section 0x{from:04x}");
+}
+
+#[test]
+fn learned_model_sections_with_libm_sigmoid_bounds_are_typed_errors_not_panics() {
+    // 0x5102 (RSMI nodes) and 0x5A02 (ZM models) hold error bounds
+    // measured under the libm sigmoid, which today's `predict` can step
+    // across.  A well-framed snapshot still carrying either tag must be
+    // refused by the tag check, naming the tag.
+    for (kind, current, retired) in [
+        (IndexKind::Rsmi, 0x5105, 0x5102),
+        (IndexKind::Zm, 0x5A03, 0x5A02),
+    ] {
+        let mut bytes = snapshot_of(kind);
+        assert!(load_index_bytes(&bytes).is_ok(), "{kind}: fresh snapshot");
+        retag_section(&mut bytes, current, retired);
+        match load_index_bytes(&bytes) {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("0x{retired:04x}")), "{kind}: {msg}")
+            }
+            Ok(_) => panic!("{kind}: a 0x{retired:04x} section loaded successfully"),
+            Err(other) => panic!("{kind}: expected Corrupt, got {other}"),
+        }
+    }
+}
+
 #[test]
 fn disagreeing_soa_lanes_are_corrupt_not_a_panic() {
     // A v2 section whose coordinate and id lanes disagree in length must be
