@@ -76,9 +76,9 @@ const PINS: &[Pin] = &[
 /// `(build, fnv64 of its snapshot bytes without build_seconds)`: every
 /// weight, bound, MBR, block and chain link a bulk-load writes.
 const BUILD_FINGERPRINTS: &[(&str, u64)] = &[
-    ("RSMI fast", 0x507D9E685AA5CAEC),
-    ("RSMI 3 levels", 0x86412BC0F28A8A10),
-    ("ZM fast", 0x2DA9AB049DB32E1B),
+    ("RSMI fast", 0x3AA96229DBFDF4D7),
+    ("RSMI 3 levels", 0x5FC6D034802B625E),
+    ("ZM fast", 0x29BA111DE20C3D85),
 ];
 
 fn fnv64(hash: &mut u64, value: u64) {
