@@ -10,6 +10,10 @@
 //!
 //! * [`Mlp`] — the network itself (forward pass, SGD backward pass),
 //! * [`MlpConfig`] — architecture and training hyper-parameters,
+//! * [`sigmoid`] — the hidden activation: branch-free and within 1e-15 of
+//!   libm (relative) inside its `[-700, 700]` clamp, so that `predict` and
+//!   `train` run it over a strip of hidden units as one autovectorised
+//!   loop,
 //! * [`Normalizer`] — min-max scaling of inputs/outputs into `[0, 1]`, as the
 //!   paper does before training,
 //! * [`ScaledRegressor`] — the convenience wrapper used by the indices: it
@@ -152,34 +156,23 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_exactly_one_half_at_zero_and_monotone_on_a_dense_grid() {
+    fn sigmoid_basic_values() {
         assert_eq!(sigmoid(0.0), 0.5);
         assert_eq!(sigmoid(-0.0), 0.5);
-        let mut prev = sigmoid(-800.0);
-        for i in -800_000..=800_000 {
-            let s = sigmoid(i as f64 * 1e-3);
-            assert!(s >= prev, "not monotone at x = {}", i as f64 * 1e-3);
-            prev = s;
-        }
-    }
-
-    #[test]
-    fn sigmoid_basic_values() {
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
         assert!(sigmoid(10.0) > 0.9999);
         assert!(sigmoid(-10.0) < 0.0001);
     }
 
     #[test]
     fn sigmoid_is_monotone_and_bounded() {
-        let mut prev = sigmoid(-50.0);
-        let mut x = -50.0;
-        while x <= 50.0 {
+        // Steps of 1e-3 across both ends of the clamp.
+        let mut prev = sigmoid(-800.0);
+        for i in -800_000..=800_000 {
+            let x = i as f64 * 1e-3;
             let s = sigmoid(x);
-            assert!((0.0..=1.0).contains(&s));
-            assert!(s >= prev);
+            assert!((0.0..=1.0).contains(&s), "x = {x}");
+            assert!(s >= prev, "not monotone at x = {x}");
             prev = s;
-            x += 0.5;
         }
     }
 
