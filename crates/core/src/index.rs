@@ -363,8 +363,7 @@ impl Rsmi {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        let delta = 0.01;
-        let skew = (self.cdf_x.alpha(q.x, delta), self.cdf_y.alpha(q.y, delta));
+        let skew = self.knn_skew(q);
         // One bit per block opened by this query.  A later, larger region
         // does not open a block again: every point of it has been offered,
         // and the k-th bound only tightens, so what was rejected stays
@@ -382,10 +381,14 @@ impl Rsmi {
                 };
                 for (id, block) in self.store.chain_range(begin, end) {
                     let (word, bit) = (id / 64, 1u64 << (id % 64));
-                    // Opened only if it can beat the running k-th distance
-                    // (infinite until k points are held: only an empty
-                    // block is skipped then).
-                    if opened[word] & bit != 0 || block.mbr().min_dist_sq(q) >= best.bound() {
+                    // Opened only if it can hold a point at or inside the
+                    // running k-th distance (infinite until k points are
+                    // held).  A point exactly at that distance still enters
+                    // on a smaller id, so the prune is strict.
+                    if opened[word] & bit != 0
+                        || block.is_empty()
+                        || block.mbr().min_dist_sq(q) > best.bound()
+                    {
                         continue;
                     }
                     opened[word] |= bit;
@@ -403,6 +406,13 @@ impl Rsmi {
             },
         );
         best.iter().for_each(visit);
+    }
+
+    /// Per-axis density correction of the first kNN region (Equation 6),
+    /// from the learned marginal CDFs.
+    fn knn_skew(&self, q: &Point) -> (f64, f64) {
+        let delta = 0.01;
+        (self.cdf_x.alpha(q.x, delta), self.cdf_y.alpha(q.y, delta))
     }
 
     // ------------------------------------------------------------------
@@ -1565,6 +1575,71 @@ mod tests {
                 live.remove(pos);
             }
         }
+    }
+
+    /// `knn_query_visit` without the block-MBR test: for each region
+    /// `knn::expand` asks for, every point of every block in the region's
+    /// chain range is offered, each block once per query.  Its answer is the
+    /// exact top-k over the blocks of the predicted ranges, so it does not
+    /// depend on the order blocks are opened in.
+    fn knn_reference(index: &Rsmi, q: &Point, k: usize) -> Vec<Point> {
+        let mut offered = vec![false; index.store.len()];
+        let best = knn::expand(
+            q,
+            k,
+            index.n_points,
+            index.knn_skew(q),
+            &mut cx(),
+            |region, best, cx| {
+                let Some((begin, end)) = index.window_block_range(region, cx) else {
+                    return;
+                };
+                for (id, block) in index.store.chain_range(begin, end) {
+                    if !std::mem::replace(&mut offered[id], true) {
+                        block.for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
+                    }
+                }
+            },
+            |best, _| {
+                for (_, block) in index.store.iter() {
+                    block.for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
+                }
+            },
+        );
+        best.iter().copied().collect()
+    }
+
+    #[test]
+    fn knn_equals_the_unpruned_reference_on_fresh_and_churned_indexes() {
+        let mut pts = pseudo_random_points(2_000, 19);
+        // Co-located copies of one stored point, in blocks of their own:
+        // ids fall in input order, so the chain's first copy is the
+        // largest id and every distance-zero tie is decided by id.
+        let home = pts[777];
+        let copies = |base: u64| (0..40u64).map(move |i| Point::with_id(home.x, home.y, base - i));
+        pts.extend(copies(900_000));
+        let mut index = Rsmi::build(pts.clone(), small_config());
+        let queries: Vec<Point> = pseudo_random_points(12, 5)
+            .into_iter()
+            .chain([home, pts[3]])
+            .collect();
+        let check = |index: &Rsmi, stage: &str| {
+            for q in &queries {
+                for k in [1, 25, 100] {
+                    let mut got = Vec::new();
+                    index.knn_query_visit(q, k, &mut cx(), &mut |p| got.push(p.id));
+                    let want: Vec<u64> = knn_reference(index, q, k).iter().map(|p| p.id).collect();
+                    assert_eq!(got, want, "{stage}: q {q:?} k {k}");
+                }
+            }
+        };
+        check(&index, "fresh");
+        let mut live = pts;
+        churn(&mut index, &mut live, 600, 3);
+        for p in copies(950_000) {
+            index.insert(p);
+        }
+        check(&index, "churned");
     }
 
     #[test]
