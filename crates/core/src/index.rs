@@ -354,8 +354,10 @@ impl Rsmi {
 
     /// Approximate kNN query (Algorithm 3), visitor form:
     /// [`common::knn::expand`] around the query point, with the initial
-    /// region sized by the learned marginal CDFs (Equation 6).  Visits
-    /// results closest first.
+    /// region sized by the learned marginal CDFs (Equation 6).  Each region
+    /// opens the blocks of its predicted chain range nearest first, by
+    /// header-MBR distance, and stops at the first that lies beyond the
+    /// running k-th distance.  Visits results closest first.
     pub fn knn_query_visit(
         &self,
         q: &Point,
@@ -369,6 +371,8 @@ impl Rsmi {
         // and the k-th bound only tightens, so what was rejected stays
         // rejected (likewise a block skipped on its MBR stays skipped).
         let mut opened = vec![0u64; self.store.len().div_ceil(64)];
+        // `(MINDIST², id)` of a region's unopened, non-empty blocks.
+        let mut order: Vec<(f64, BlockId)> = Vec::new();
         let best = knn::expand(
             q,
             k,
@@ -379,19 +383,26 @@ impl Rsmi {
                 let Some((begin, end)) = self.window_block_range(region, cx) else {
                     return;
                 };
-                for (id, block) in self.store.chain_range(begin, end) {
-                    let (word, bit) = (id / 64, 1u64 << (id % 64));
-                    // Opened only if it can hold a point at or inside the
-                    // running k-th distance (infinite until k points are
-                    // held).  A point exactly at that distance still enters
-                    // on a smaller id, so the prune is strict.
-                    if opened[word] & bit != 0
-                        || block.is_empty()
-                        || block.mbr().min_dist_sq(q) > best.bound()
-                    {
-                        continue;
+                order.clear();
+                order.extend(
+                    self.store
+                        .chain_range(begin, end)
+                        .filter(|&(id, block)| {
+                            opened[id / 64] & (1u64 << (id % 64)) == 0 && !block.is_empty()
+                        })
+                        .map(|(id, block)| (block.mbr().min_dist_sq(q), id)),
+                );
+                order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                for &(d_sq, id) in &order {
+                    // Every later block is at least as far.  A point exactly
+                    // at the k-th distance still enters on a smaller id, so
+                    // the stop is strict and the answer is the exact top-k
+                    // over the range's blocks, whatever the open order.
+                    if d_sq > best.bound() {
+                        break;
                     }
-                    opened[word] |= bit;
+                    opened[id / 64] |= 1u64 << (id % 64);
+                    let block = self.store.block(id);
                     cx.count_block_scan(block.len());
                     block.for_each_dist_sq(q, |p, d_sq| best.offer(p, d_sq));
                 }
@@ -491,8 +502,11 @@ impl Rsmi {
     /// A non-full bulk block of `leaf_id` that can absorb `p` for at most
     /// [`WIDEN_CAP_PER_INSERT`] blocks of error-bound widening (zero if the
     /// block is already inside the predicted range), or `None` if no such
-    /// slot exists or the leaf has exhausted [`WIDEN_CAP_PER_LEAF`].
-    /// Applies the widening and charges it to the leaf's drift counters.
+    /// slot exists or the leaf has exhausted [`WIDEN_CAP_PER_LEAF`].  Among
+    /// those, the block whose MBR area grows least takes `p` (ties: fewer
+    /// blocks of widening, then the lower id), so reused slots keep block
+    /// MBRs tight for the reads' header tests.  Applies the widening and
+    /// charges it to the leaf's drift counters.
     fn reusable_leaf_slot(&mut self, leaf_id: NodeId, p: &Point) -> Option<BlockId> {
         if self.maint[leaf_id].widened_total() >= WIDEN_CAP_PER_LEAF {
             return None;
@@ -502,11 +516,12 @@ impl Rsmi {
             let (lo, hi) = leaf.predicted_range(p.x, p.y);
             (leaf.first_block, leaf.n_blocks, lo, hi)
         };
-        // Nearest free bulk block, measured in blocks of widening required.
-        let mut best: Option<(u64, BlockId)> = None;
+        let key = Rect::from_point(*p);
+        let mut best: Option<(f64, u64, BlockId)> = None;
         for i in 0..n_blocks {
             let base = first + i;
-            if self.store.block(base).is_full() {
+            let block = self.store.block(base);
+            if block.is_full() {
                 continue;
             }
             let dist = if base < pred_lo {
@@ -519,11 +534,13 @@ impl Rsmi {
             if dist > WIDEN_CAP_PER_INSERT {
                 continue;
             }
-            if best.is_none_or(|(d, _)| dist < d) {
-                best = Some((dist, base));
+            let growth = block.mbr().enlargement(&key);
+            // Ascending ids: a strict win keeps the lower id on a tie.
+            if best.is_none_or(|(g, d, _)| growth.total_cmp(&g).then(dist.cmp(&d)).is_lt()) {
+                best = Some((growth, dist, base));
             }
         }
-        let (_, base) = best?;
+        let (_, _, base) = best?;
         let offset = (base - first) as u64;
         if let Node::Leaf(leaf) = &mut self.nodes[leaf_id] {
             let (extra_below, extra_above) = leaf.model.widen_to_cover_xy(p.x, p.y, offset);
@@ -1554,7 +1571,8 @@ mod tests {
     }
 
     /// Seeded churn against `index`, mirrored into `live`: inserts clustered
-    /// to stress a few leaves, deletes spread across the survivors.
+    /// to stress a few leaves, deletes spread across the survivors.  The
+    /// error-bound soundness invariant is checked after every round.
     fn churn(index: &mut Rsmi, live: &mut Vec<Point>, rounds: usize, seed: u64) {
         let mut state = seed | 1;
         for i in 0..rounds {
@@ -1574,6 +1592,7 @@ mod tests {
                     .unwrap();
                 live.remove(pos);
             }
+            assert_eq!(index.bounds_violations(), 0, "round {i} broke the bounds");
         }
     }
 
@@ -1742,6 +1761,66 @@ mod tests {
         for p in &live {
             assert!(index.point_query(p, &mut c).is_some());
         }
+    }
+
+    #[test]
+    fn a_reused_slot_goes_to_the_free_block_whose_mbr_grows_least() {
+        let pts = pseudo_random_points(1_500, 37);
+        let mut index = Rsmi::build(pts.clone(), small_config());
+        let mut home = vec![0; pts.len()];
+        for (id, block) in index.store.iter() {
+            for p in block.iter_points() {
+                home[p.id as usize] = id;
+            }
+        }
+        // A stored point `a` whose predicted block is full and whose home
+        // block `near` is another block of the predicted range, plus a
+        // lower-numbered bulk block `far` of that range whose MBR misses
+        // `a`.  No block of the leaf with room within reach holds `a`'s
+        // location in its MBR.
+        let found = pts.iter().find_map(|a| {
+            let leaf = index.leaf(index.descend(a.x, a.y, &mut cx())?);
+            let predicted = leaf.global_block(leaf.model.predict_xy(a.x, a.y));
+            let (lo, hi) = leaf.predicted_range(a.x, a.y);
+            let near = home[a.id as usize];
+            let bulk = leaf.first_block..leaf.first_block + leaf.n_blocks;
+            let reach = lo.saturating_sub(4)..=hi + 4;
+            let free_slot_around_a = bulk.clone().any(|b| {
+                let block = index.store.block(b);
+                reach.contains(&b) && !block.is_full() && block.mbr().contains(a)
+            });
+            if near == predicted
+                || !(lo..=hi).contains(&near)
+                || !index.store.block(predicted).is_full()
+                || free_slot_around_a
+            {
+                return None;
+            }
+            let far = (lo..near).find(|&b| {
+                b != predicted && bulk.contains(&b) && !index.store.block(b).mbr().contains(a)
+            })?;
+            Some((*a, near, far))
+        });
+        let (a, near, far) = found.expect("no leaf offers the two free slots");
+        // Free one slot in each, keeping `a` in `near`.
+        for block in [near, far] {
+            let victim = index
+                .store
+                .block(block)
+                .iter_points()
+                .find(|p| p.id != a.id)
+                .unwrap();
+            assert!(index.delete(&victim));
+        }
+        let far_mbr = index.store.block(far).mbr();
+        let copy = Point::with_id(a.x, a.y, 900_000);
+        index.insert(copy);
+        assert!(index.store.block(near).is_full(), "the copy missed `near`");
+        assert!(!index.store.block(far).is_full(), "the copy went to `far`");
+        assert_eq!(index.store.block(far).mbr(), far_mbr);
+        assert_eq!(index.bounds_violations(), 0);
+        assert_eq!(index.maintenance_stats().widened_below, 0);
+        assert_eq!(index.maintenance_stats().widened_above, 0);
     }
 
     #[test]
