@@ -502,7 +502,7 @@ pub fn load_index(path: &Path) -> Result<Box<dyn SpatialIndex>, PersistError> {
 // Live serving: wrap any registered kind in a SpatialServer
 // ---------------------------------------------------------------------
 
-pub use server::{CompactionMode, CompactionPolicy, ServeConfig, ServerConfig, SpatialServer};
+pub use server::{CompactionPolicy, ServeConfig, ServerConfig, SpatialServer};
 
 /// The compaction rebuild closure for one registered kind: the registry's
 /// own [`build_index`] with the kind and configuration captured, which is

@@ -106,10 +106,10 @@ pub type RebuildFn = Box<dyn Fn(&[Point]) -> Box<dyn SpatialIndex> + Send + Sync
 
 /// When the server compacts and when a partial pass retrains: the two
 /// values experiments sweep and tests pin.  Whether a pass *can* be partial
-/// is decided from the base index (see [`CompactionMode`]), and the bounds
-/// on a partial pass ([`PAUSE_BUDGET_US`] and the constants beside it) are
-/// fixed.  [`SpatialServer`] consults the policy on every policy-driven
-/// compaction ([`SpatialServer::maintain_now`] and the background thread).
+/// is decided per pass from the base index, and the bounds on a partial
+/// pass ([`PAUSE_BUDGET_US`] and the constants beside it) are fixed.
+/// [`SpatialServer`] consults the policy on every policy-driven compaction
+/// ([`SpatialServer::maintain_now`] and the background thread).
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionPolicy {
     /// Number of buffered delta ops that triggers a compaction.
@@ -267,7 +267,7 @@ impl ServeConfig {
 
 /// What a compaction pass does to the base index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionMode {
+pub(crate) enum CompactionMode {
     /// Rebuild the base from scratch through the rebuild closure.
     Full,
     /// Clone the base, replay the captured delta into the clone, and
@@ -822,21 +822,14 @@ impl SpatialServer {
         self.core.apply(op)
     }
 
-    /// Synchronously runs one policy-driven compaction
-    /// ([`CompactionMode::Auto`]): a partial pass (retrain only the subtrees
-    /// drifted past the [`CompactionPolicy`]'s trigger, in a clone of the
-    /// base) where the base supports one, a full rebuild otherwise; the
-    /// resulting epoch swaps in atomically either way.  Returns whether a
-    /// swap happened (`false` if the delta was empty).  This is what the
-    /// background thread runs on every trigger.
+    /// Synchronously runs one policy-driven compaction: a partial pass
+    /// (retrain only the subtrees drifted past the [`CompactionPolicy`]'s
+    /// trigger, in a clone of the base) where the base supports one, a full
+    /// rebuild otherwise; the resulting epoch swaps in atomically either
+    /// way.  Returns whether a swap happened (`false` if the delta was
+    /// empty).  This is what the background thread runs on every trigger.
     pub fn maintain_now(&self) -> bool {
         self.core.compact_with(CompactionMode::Auto)
-    }
-
-    /// Synchronously compacts in an explicit [`CompactionMode`].  Partial
-    /// falls back to full when the base cannot support it.
-    pub fn compact_in(&self, mode: CompactionMode) -> bool {
-        self.core.compact_with(mode)
     }
 
     /// Synchronously folds the buffered delta into a fresh base and swaps
