@@ -58,8 +58,9 @@ impl KBest {
     /// The squared distance a candidate must not exceed to enter: the k-th
     /// held one, infinite while fewer than `k` are held.  It never rises
     /// between [`clear`](Self::clear)s.  A scanner prunes a container on
-    /// `MINDIST² > bound()`; `>=` is sound only where losing an id tie at
-    /// exactly the k-th distance is acceptable.
+    /// `MINDIST² > bound()`, never `>=`: a point at exactly the k-th distance
+    /// still enters on a smaller id, so the strict test keeps the answer
+    /// independent of the order containers are opened in.
     #[inline]
     pub fn bound(&self) -> f64 {
         if self.held.len() < self.k {
