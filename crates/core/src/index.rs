@@ -1631,9 +1631,10 @@ mod tests {
     #[test]
     fn knn_equals_the_unpruned_reference_on_fresh_and_churned_indexes() {
         let mut pts = pseudo_random_points(2_000, 19);
-        // Co-located copies of one stored point, in blocks of their own:
-        // ids fall in input order, so the chain's first copy is the
-        // largest id and every distance-zero tie is decided by id.
+        // Forty co-located copies of one stored point, spread over several
+        // blocks, with ids falling in input order: the copies in the chain's
+        // first block hold the largest ids, and every tie at a copy's
+        // distance is decided by id.
         let home = pts[777];
         let copies = |base: u64| (0..40u64).map(move |i| Point::with_id(home.x, home.y, base - i));
         pts.extend(copies(900_000));
@@ -1784,7 +1785,8 @@ mod tests {
             let (lo, hi) = leaf.predicted_range(a.x, a.y);
             let near = home[a.id as usize];
             let bulk = leaf.first_block..leaf.first_block + leaf.n_blocks;
-            let reach = lo.saturating_sub(4)..=hi + 4;
+            let cap = WIDEN_CAP_PER_INSERT as usize;
+            let reach = lo.saturating_sub(cap)..=hi + cap;
             let free_slot_around_a = bulk.clone().any(|b| {
                 let block = index.store.block(b);
                 reach.contains(&b) && !block.is_full() && block.mbr().contains(a)

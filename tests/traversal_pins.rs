@@ -15,10 +15,9 @@
 //! mix of its parent's seed and its cell instead of its place in the build
 //! order, so the root's subtrees can be built in parallel.  RSMI's kNN
 //! counts fell once more, with the same hash, when its scan began opening
-//! a region's blocks nearest-first.  On a
-//! mismatch the test prints the whole observed table in source form, so an
-//! intended change (new data generator, retrained models) regenerates it by
-//! copy and paste.
+//! a region's blocks nearest-first.  On a mismatch the test prints the whole
+//! observed table in source form, so an intended change (new data
+//! generator, retrained models) regenerates it by copy and paste.
 //!
 //! Beside the query pins, `BUILD_FINGERPRINTS` pins the bulk-loads
 //! themselves: an FNV-64 over the snapshot bytes of fresh RSMI and ZM
