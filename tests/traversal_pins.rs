@@ -23,13 +23,23 @@
 //! themselves: an FNV-64 over the snapshot bytes of fresh RSMI and ZM
 //! builds.  A training-kernel change that claims bit-identical models must
 //! leave it alone.
+//!
+//! `CODEC_FINGERPRINTS` pins the encoders: an FNV-64 over the snapshot
+//! bytes of every registered kind, and over the frame of every wire
+//! request and response.  A codec refactor that claims unchanged bytes
+//! must leave it alone.
 
 use baselines::zm::ZmConfig;
 use baselines::{HilbertRTree, KdbTree, RStarTree, ZOrderModel};
 use common::{QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use geom::{Point, Rect};
+use net::wire::frame_bytes;
+use net::{ErrorCode, Request, Response};
+use obs::{Event, EventKind, EventsSnapshot, HistogramSnapshot, MetricsSnapshot};
+use registry::{build_index, IndexConfig, IndexKind};
 use rsmi::{Rsmi, RsmiConfig, RsmiExact};
+use std::ops::Range;
 
 const BLOCK_CAPACITY: usize = 50;
 
@@ -80,6 +90,49 @@ const BUILD_FINGERPRINTS: &[(&str, u64)] = &[
     ("RSMI fast", 0x3AA96229DBFDF4D7),
     ("RSMI 3 levels", 0x5FC6D034802B625E),
     ("ZM fast", 0x29BA111DE20C3D85),
+];
+
+/// `(snapshot kind or wire message, fnv64 of its bytes)`.  RSMI's
+/// wall-clock `build_seconds`, and the CRCs that cover it, are left out.
+const CODEC_FINGERPRINTS: &[(&str, u64)] = &[
+    ("Grid", 0xAB39D1C4B0076541),
+    ("HRR", 0x43A337650173B13E),
+    ("KDB", 0x630A7756AA9A9A3F),
+    ("RR*", 0x1A87E1346C8D5570),
+    ("RSMI", 0xA340D30A01D16D28),
+    ("RSMIa", 0xBEC935E1B1A0A4E0),
+    ("ZM", 0xAE1CE18EF56C5037),
+    ("Sharded-Grid", 0x8271D9CF1EB682FD),
+    ("Sharded-HRR", 0x50B2BAE209ED3469),
+    ("Sharded-KDB", 0x0F17AF29A2345ABA),
+    ("Sharded-RR*", 0x7F916DF92BE3E374),
+    ("Sharded-RSMI", 0x3895EC9AE239A4E3),
+    ("Sharded-RSMIa", 0x2712AABA83561401),
+    ("Sharded-ZM", 0xC75DF6A511183559),
+    ("Request::Point", 0xEA6A384580E615B6),
+    ("Request::Window", 0xAB607F982D144D8D),
+    ("Request::Knn", 0x4D382CB2AB0F1A93),
+    ("Request::Range", 0x1BD0910BF1067DB4),
+    ("Request::JoinProbes", 0x956B15563D72F6AE),
+    ("Request::Insert", 0x7F11B926BFAF5081),
+    ("Request::Delete", 0xA3E180569B8C7090),
+    ("Request::Ping", 0x9BDF31611A6AE19A),
+    ("Request::Shutdown", 0x3CA937DE57E23591),
+    ("Request::Stats", 0xB766ACABCED43117),
+    ("Request::Events", 0x79968558CB0A741D),
+    ("Response::Point hit", 0x637909C35E9AFC9C),
+    ("Response::Point miss", 0x196933E293D1A9A9),
+    ("Response::Points", 0x702ED104B6079534),
+    ("Response::Knn", 0x47EE0C406BE00F79),
+    ("Response::Pairs", 0x2CB47E8BD354B1AD),
+    ("Response::Written removed", 0x1F0A77989CE7E5E9),
+    ("Response::Written absent", 0xD62D40F9916E955C),
+    ("Response::Pong", 0xA70D9CCB109B61E3),
+    ("Response::Error overload", 0x79AF2E096CEACD84),
+    ("Response::Error bad request", 0xBEA722998D95DFBF),
+    ("Response::Error shutting down", 0x3FC0A6F170BCA730),
+    ("Response::Stats", 0x86C60068C5EC7A08),
+    ("Response::Events", 0x56E9F6C17C556110),
 ];
 
 fn fnv64(hash: &mut u64, value: u64) {
@@ -286,5 +339,259 @@ fn bulk_loads_match_the_pinned_fingerprints() {
             .map(|(name, hash)| format!("    ({name:?}, {hash:#018X}),\n"))
             .collect();
         panic!("build fingerprints differ; observed table:\n{table}");
+    }
+}
+
+/// FNV-64 over `bytes` outside the `skip` ranges.
+fn fnv64_skipping(bytes: &[u8], skip: &[Range<usize>]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for (i, &byte) in bytes.iter().enumerate() {
+        if !skip.iter().any(|r| r.contains(&i)) {
+            fnv64_byte(&mut hash, byte);
+        }
+    }
+    hash
+}
+
+/// Collects, for the snapshot at `bytes[at..]`, the byte ranges two builds
+/// of the same data may differ in: the `build_seconds` that ends every RSMI
+/// metadata section, and the CRC of each section holding one, embedded
+/// shard snapshots included.  Walks the framing by hand, independent of
+/// `persist`'s reader.  Returns whether anything was skipped.
+fn skip_build_seconds(bytes: &[u8], at: usize, skip: &mut Vec<Range<usize>>) -> bool {
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    const SECTION_RSMI_META: usize = 0x5101;
+    const SECTION_SHARD: usize = 0x5403;
+    // Header: 8-byte magic, u32 version, u16 kind-tag length, kind tag;
+    // then sections of u32 tag, u64 length, payload, u32 CRC.
+    let end = bytes.len();
+    let mut section = at + 14 + word(at + 12, 2);
+    let mut any = false;
+    while section < end && bytes[section..].len() >= 12 {
+        let tag = word(section, 4);
+        let payload = section + 12;
+        let payload_end = payload + word(section + 4, 8);
+        let mut masked = false;
+        if tag == SECTION_RSMI_META {
+            skip.push(payload_end - 8..payload_end);
+            masked = true;
+        } else if tag == SECTION_SHARD {
+            // MBR (32), low key (8), has-high-key flag (1) and high key (8).
+            let flag = payload + 32 + 8;
+            let blob_len_at = flag + 1 + 8 * usize::from(bytes[flag]);
+            let blob = blob_len_at + 8;
+            let blob_end = blob + word(blob_len_at, 8);
+            masked = skip_build_seconds(&bytes[..blob_end], blob, skip);
+        }
+        if masked {
+            skip.push(payload_end..payload_end + 4);
+            any = true;
+        }
+        section = payload_end + 4;
+    }
+    any
+}
+
+/// Every `Request` and `Response` variant, telemetry payloads built from
+/// literals (journal timestamps are not deterministic).
+fn wire_messages() -> Vec<(&'static str, Vec<u8>)> {
+    let p = Point::with_id(0.25, -1.5, 7);
+    let q = Point::with_id(0.1 + 0.2, 1e300, u64::MAX);
+    let metrics = MetricsSnapshot {
+        counters: vec![
+            ("net.requests.point".into(), 42),
+            ("router.failovers".into(), 0),
+        ],
+        gauges: vec![
+            ("server.delta_ops".into(), -7),
+            ("net.inflight".into(), i64::MAX),
+        ],
+        histograms: vec![
+            ("empty".into(), HistogramSnapshot::default()),
+            (
+                "net.latency_us.window".into(),
+                HistogramSnapshot {
+                    count: 3,
+                    sum: 80_806,
+                    min: 5,
+                    max: 80_000,
+                    buckets: vec![(3, 1), (40, 1), (120, 1)],
+                },
+            ),
+        ],
+    };
+    let kinds = [
+        EventKind::ServerStart { points: 100 },
+        EventKind::SnapshotLoad { points: 200 },
+        EventKind::CompactionStart {
+            epoch: 1,
+            delta_ops: 50,
+        },
+        EventKind::CompactionEnd {
+            epoch: 2,
+            pause_us: 120,
+            rebuild_us: 9_000,
+            points: 150,
+        },
+        EventKind::EpochSwap { epoch: 2, seq: 150 },
+        EventKind::OverloadShed { shed_total: 12 },
+        EventKind::ConnOpen { conn: 3 },
+        EventKind::ConnClose { conn: 3 },
+        EventKind::Shutdown {
+            uptime_us: 1_000_000,
+            drained: 4,
+        },
+        EventKind::ReplicaFailover {
+            shard: 1,
+            replica: 0,
+        },
+        EventKind::PartialCompactionEnd {
+            epoch: 3,
+            pause_us: 80,
+            rebuild_us: 700,
+            subtrees: 2,
+        },
+    ];
+    let events = EventsSnapshot {
+        dropped: 5,
+        events: kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| Event {
+                seq: 6 + i as u64,
+                at_us: 1_000 * i as u64,
+                kind,
+            })
+            .collect(),
+    };
+    let requests = [
+        ("Request::Point", Request::Point(p)),
+        (
+            "Request::Window",
+            Request::Window(Rect::new(0.0, 0.1, 0.5, 1.0)),
+        ),
+        ("Request::Knn", Request::Knn(q, 25)),
+        ("Request::Range", Request::Range(p, 0.02)),
+        ("Request::JoinProbes", Request::JoinProbes(vec![p, q], 0.05)),
+        ("Request::Insert", Request::Insert(q)),
+        ("Request::Delete", Request::Delete(p)),
+        ("Request::Ping", Request::Ping),
+        ("Request::Shutdown", Request::Shutdown),
+        ("Request::Stats", Request::Stats),
+        ("Request::Events", Request::Events { since: 42 }),
+    ];
+    let responses = [
+        (
+            "Response::Point hit",
+            Response::Point {
+                seq: 42,
+                hit: Some(q),
+            },
+        ),
+        (
+            "Response::Point miss",
+            Response::Point { seq: 0, hit: None },
+        ),
+        (
+            "Response::Points",
+            Response::Points {
+                seq: 7,
+                points: vec![p, q],
+            },
+        ),
+        (
+            "Response::Knn",
+            Response::Knn {
+                seq: 8,
+                points: vec![q, p],
+            },
+        ),
+        (
+            "Response::Pairs",
+            Response::Pairs {
+                seq: 9,
+                pairs: vec![(p, q), (q, p)],
+            },
+        ),
+        (
+            "Response::Written removed",
+            Response::Written {
+                seq: 11,
+                removed: true,
+            },
+        ),
+        (
+            "Response::Written absent",
+            Response::Written {
+                seq: 12,
+                removed: false,
+            },
+        ),
+        ("Response::Pong", Response::Pong { seq: 13 }),
+        (
+            "Response::Error overload",
+            Response::Error {
+                code: ErrorCode::Overload,
+                message: "queue full".into(),
+            },
+        ),
+        (
+            "Response::Error bad request",
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "radius −1".into(),
+            },
+        ),
+        (
+            "Response::Error shutting down",
+            Response::Error {
+                code: ErrorCode::ShuttingDown,
+                message: String::new(),
+            },
+        ),
+        ("Response::Stats", Response::Stats { seq: 14, metrics }),
+        ("Response::Events", Response::Events { seq: 15, events }),
+    ];
+    let mut out: Vec<(&str, Vec<u8>)> = requests
+        .iter()
+        .map(|(name, req)| (*name, frame_bytes(&req.encode())))
+        .collect();
+    out.extend(
+        responses
+            .iter()
+            .map(|(name, resp)| (*name, frame_bytes(&resp.encode()))),
+    );
+    out
+}
+
+#[test]
+fn snapshot_and_frame_bytes_match_the_pinned_fingerprints() {
+    let data = generate(Distribution::skewed_default(), 1_000, 23);
+    let cfg = IndexConfig::fast().with_shards(2);
+    let mut observed: Vec<(&str, u64)> = IndexKind::all_with_sharded()
+        .into_iter()
+        .map(|kind| {
+            let index = build_index(kind, &data, &cfg);
+            let bytes = registry::snapshot_bytes(index.as_ref()).unwrap();
+            let mut skip = Vec::new();
+            skip_build_seconds(&bytes, 0, &mut skip);
+            (kind.name(), fnv64_skipping(&bytes, &skip))
+        })
+        .collect();
+    observed.extend(
+        wire_messages()
+            .iter()
+            .map(|(name, frame)| (*name, fnv64_skipping(frame, &[]))),
+    );
+    if observed != CODEC_FINGERPRINTS {
+        let table: String = observed
+            .iter()
+            .map(|(name, hash)| format!("    ({name:?}, {hash:#018X}),\n"))
+            .collect();
+        panic!("codec fingerprints differ; observed table:\n{table}");
     }
 }
