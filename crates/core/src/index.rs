@@ -20,9 +20,7 @@ const SECTION_RSMI_META: u32 = 0x5101;
 const SECTION_RSMI_NODES: u32 = 0x5105;
 /// Section tag of the marginal CDFs used by the kNN search region.
 const SECTION_RSMI_CDF: u32 = 0x5103;
-/// Section tag of the per-leaf maintenance state (drift counters).  The
-/// section is optional on read: snapshots written before incremental
-/// maintenance existed load with zeroed counters.
+/// Section tag of the per-leaf maintenance state (drift counters).
 const SECTION_RSMI_MAINT: u32 = 0x5104;
 
 /// Summary statistics of a built RSMI (Tables 3 and 4 of the paper).
@@ -779,9 +777,6 @@ impl Rsmi {
         self.cdf_y.encode(w);
         w.end_section();
 
-        // Drift state: written last so pre-maintenance readers (and the
-        // reader below, for pre-maintenance snapshots) can treat it as
-        // optional.
         w.begin_section(SECTION_RSMI_MAINT);
         w.put_usize(self.maint.len());
         for m in &self.maint {
@@ -885,31 +880,22 @@ impl Rsmi {
         let cdf_y = PiecewiseCdf::decode(r)?;
         r.end_section()?;
 
-        // Optional trailing drift state: snapshots written before
-        // incremental maintenance existed (or truncated right after the CDF
-        // section) load with zeroed counters — maintenance state defaults
-        // sanely.
-        let maint = if r.remaining() >= 4 && r.peek_section_tag()? == SECTION_RSMI_MAINT {
-            r.begin_section(SECTION_RSMI_MAINT)?;
-            let len = r.get_len(24)?;
-            if len != nodes.len() {
-                return Err(PersistError::Corrupt(
-                    "RSMI maintenance table length mismatch".into(),
-                ));
-            }
-            let mut maint = Vec::with_capacity(len);
-            for _ in 0..len {
-                maint.push(LeafMaint {
-                    ops_since_train: r.get_u64()?,
-                    widened_below: r.get_u64()?,
-                    widened_above: r.get_u64()?,
-                });
-            }
-            r.end_section()?;
-            maint
-        } else {
-            vec![LeafMaint::default(); nodes.len()]
-        };
+        r.begin_section(SECTION_RSMI_MAINT)?;
+        let len = r.get_len(24)?;
+        if len != nodes.len() {
+            return Err(PersistError::Corrupt(
+                "RSMI maintenance table length mismatch".into(),
+            ));
+        }
+        let mut maint = Vec::with_capacity(len);
+        for _ in 0..len {
+            maint.push(LeafMaint {
+                ops_since_train: r.get_u64()?,
+                widened_below: r.get_u64()?,
+                widened_above: r.get_u64()?,
+            });
+        }
+        r.end_section()?;
 
         Ok(Self {
             config,

@@ -1,8 +1,8 @@
 //! Network serving front-end for the learned-index serving engine.
 //!
 //! Everything is hand-rolled over `std::net` (the offline vendor policy
-//! rules out tokio/hyper/serde): a length-prefixed binary protocol whose
-//! framing mirrors the `persist` snapshot conventions ([`wire`]), a
+//! rules out tokio/hyper/serde): a length-prefixed binary protocol encoded
+//! with `persist`'s byte codec ([`wire`]), a
 //! listener front-end — acceptor, one thread per connection, admission
 //! control, drain, `net.*` telemetry — shared with the distributed router
 //! ([`frontend`]), an admission-controlled TCP server that answers each
@@ -50,6 +50,7 @@ use std::fmt;
 
 mod admission;
 pub mod client;
+mod codec;
 pub mod frontend;
 pub mod remote;
 pub mod server_loop;
@@ -130,6 +131,15 @@ impl std::error::Error for NetError {
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
         NetError::Io(e)
+    }
+}
+
+impl From<persist::DecodeError> for NetError {
+    fn from(e: persist::DecodeError) -> Self {
+        match e {
+            persist::DecodeError::Truncated => NetError::Truncated,
+            persist::DecodeError::Corrupt(msg) => NetError::Corrupt(msg),
+        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! The wire protocol: length-prefixed binary frames carrying one request or
 //! one response each, little-endian throughout, CRC-protected.
 //!
-//! The encoding deliberately mirrors the `persist` snapshot format (same
-//! little-endian scalar layout, same length-prefix-then-validate discipline,
-//! same IEEE CRC via [`persist::crc32`]) so there is exactly one set of
-//! framing conventions in the codebase.  One frame looks like:
+//! Payloads are written and read with `persist`'s [`ByteWriter`] and
+//! [`ByteReader`], the one little-endian codec of the workspace, with `u32`
+//! element counts and string lengths; frames carry the same IEEE CRC as
+//! snapshot sections ([`persist::crc32`]).  One frame looks like:
 //!
 //! ```text
 //! offset  size  field
@@ -15,14 +15,21 @@
 //! 10+len  4     CRC32 (IEEE) of the payload bytes, u32 LE
 //! ```
 //!
-//! Decoding is defensive in the same way `persist::SnapshotReader` is: the
-//! length prefix is validated against [`MAX_FRAME_LEN`] **before** any
-//! allocation, element counts inside the payload are validated against the
-//! bytes actually present (`get_len`-style), and every malformed input maps
-//! to a typed [`NetError`] — never a panic, never an unbounded allocation.
+//! The `STATS` and `EVENTS` responses embed a versioned telemetry payload
+//! (`obs::MetricsSnapshot` / `obs::EventsSnapshot`), encoded by the
+//! crate-private `codec` module, whose only caller is this one.
+//!
+//! Decoding is defensive: the length prefix is validated against
+//! [`MAX_FRAME_LEN`] **before** any allocation, element counts inside the
+//! payload are validated against the bytes actually present
+//! ([`ByteReader::get_len`]), discriminants accept only the bytes the
+//! encoder writes, trailing bytes are refused, and every malformed input
+//! maps to a typed [`NetError`] — never a panic, never an unbounded
+//! allocation.
 
-use crate::NetError;
+use crate::{codec, NetError};
 use geom::{Point, Rect};
+use persist::{ByteReader, ByteWriter, DecodeError, LenWidth};
 use std::io::{Read, Write};
 
 /// Magic bytes opening every frame in either direction.
@@ -208,165 +215,33 @@ pub enum Response {
     },
 }
 
-/// Maps a telemetry-codec failure onto the wire error taxonomy.
-fn obs_err(e: obs::ObsError) -> NetError {
-    match e {
-        obs::ObsError::Truncated => NetError::Truncated,
-        other => NetError::Corrupt(format!("telemetry payload: {other}")),
-    }
-}
-
-/// Little-endian payload writer, mirroring `persist::SnapshotWriter`'s
-/// scalar conventions.
-#[derive(Default)]
-struct WireWriter {
-    buf: Vec<u8>,
-}
-
-impl WireWriter {
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_point(&mut self, p: &Point) {
-        self.put_f64(p.x);
-        self.put_f64(p.y);
-        self.put_u64(p.id);
-    }
-
-    fn put_rect(&mut self, r: &Rect) {
-        self.put_f64(r.min_x);
-        self.put_f64(r.min_y);
-        self.put_f64(r.max_x);
-        self.put_f64(r.max_y);
-    }
-
-    fn put_str(&mut self, s: &str) {
-        self.put_u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Bounds-checked payload reader, mirroring `persist::SnapshotReader`'s
-/// `take`/`get_len` discipline: every read is validated against the bytes
-/// actually present, and element counts are rejected when the claimed
-/// elements cannot fit in the remaining payload.
-struct WireReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], NetError> {
-        if self
-            .pos
-            .checked_add(n)
-            .is_none_or(|end| end > self.data.len())
-        {
-            return Err(NetError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn get_u8(&mut self) -> Result<u8, NetError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn get_u32(&mut self) -> Result<u32, NetError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn get_u64(&mut self) -> Result<u64, NetError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn get_f64(&mut self) -> Result<f64, NetError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an element count and rejects it when `count * min_elem_bytes`
-    /// exceeds the bytes still present — a corrupt count cannot drive an
-    /// allocation larger than the payload that carried it.
-    fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, NetError> {
-        let n = self.get_u32()? as usize;
-        if n.checked_mul(min_elem_bytes.max(1))
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
-            return Err(NetError::Corrupt(format!(
-                "element count {n} exceeds remaining payload ({} bytes)",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-
-    fn get_point(&mut self) -> Result<Point, NetError> {
-        let x = self.get_f64()?;
-        let y = self.get_f64()?;
-        let id = self.get_u64()?;
-        Ok(Point::with_id(x, y, id))
-    }
-
-    fn get_rect(&mut self) -> Result<Rect, NetError> {
-        let min_x = self.get_f64()?;
-        let min_y = self.get_f64()?;
-        let max_x = self.get_f64()?;
-        let max_y = self.get_f64()?;
-        Ok(Rect {
-            min_x,
-            min_y,
-            max_x,
-            max_y,
-        })
-    }
-
-    fn get_str(&mut self) -> Result<String, NetError> {
-        let n = self.get_len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| NetError::Corrupt("error message is not UTF-8".into()))
-    }
-
-    /// Rejects trailing bytes — a well-formed payload is consumed exactly.
-    fn finish(self) -> Result<(), NetError> {
-        if self.remaining() != 0 {
-            return Err(NetError::Corrupt(format!(
-                "{} trailing bytes after message",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
+/// Width of every element count and string length in a payload.
+const COUNTS: LenWidth = LenWidth::U32;
 
 const POINT_BYTES: usize = 24;
+
+/// Appends a count-prefixed point list.
+fn put_points(w: &mut ByteWriter, points: &[Point]) {
+    w.put_len(points.len());
+    for p in points {
+        w.put_point(p);
+    }
+}
+
+/// Reads a count-prefixed point list, the count checked before allocating.
+fn get_points(r: &mut ByteReader<'_>) -> Result<Vec<Point>, DecodeError> {
+    let n = r.get_len(POINT_BYTES)?;
+    let mut points = Vec::with_capacity(n);
+    for _ in 0..n {
+        points.push(r.get_point()?);
+    }
+    Ok(points)
+}
 
 impl Request {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::default();
+        let mut w = ByteWriter::new(COUNTS);
         match self {
             Request::Point(p) => {
                 w.put_u8(TAG_POINT);
@@ -389,10 +264,7 @@ impl Request {
             Request::JoinProbes(probes, radius) => {
                 w.put_u8(TAG_JOIN_PROBES);
                 w.put_f64(*radius);
-                w.put_u32(probes.len() as u32);
-                for p in probes {
-                    w.put_point(p);
-                }
+                put_points(&mut w, probes);
             }
             Request::Insert(p) => {
                 w.put_u8(TAG_INSERT);
@@ -410,12 +282,12 @@ impl Request {
                 w.put_u64(*since);
             }
         }
-        w.buf
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a request, consuming it exactly.
     pub fn decode(payload: &[u8]) -> Result<Request, NetError> {
-        let mut r = WireReader::new(payload);
+        let mut r = ByteReader::new(payload, COUNTS);
         let req = match r.get_u8()? {
             TAG_POINT => Request::Point(r.get_point()?),
             TAG_WINDOW => Request::Window(r.get_rect()?),
@@ -431,12 +303,7 @@ impl Request {
             }
             TAG_JOIN_PROBES => {
                 let radius = r.get_f64()?;
-                let n = r.get_len(POINT_BYTES)?;
-                let mut probes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    probes.push(r.get_point()?);
-                }
-                Request::JoinProbes(probes, radius)
+                Request::JoinProbes(get_points(&mut r)?, radius)
             }
             TAG_INSERT => Request::Insert(r.get_point()?),
             TAG_DELETE => Request::Delete(r.get_point()?),
@@ -460,39 +327,30 @@ impl Request {
 impl Response {
     /// Encodes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::default();
+        let mut w = ByteWriter::new(COUNTS);
         match self {
             Response::Point { seq, hit } => {
                 w.put_u8(TAG_RESP_POINT);
                 w.put_u64(*seq);
-                match hit {
-                    Some(p) => {
-                        w.put_u8(1);
-                        w.put_point(p);
-                    }
-                    None => w.put_u8(0),
+                w.put_bool(hit.is_some());
+                if let Some(p) = hit {
+                    w.put_point(p);
                 }
             }
             Response::Points { seq, points } => {
                 w.put_u8(TAG_RESP_POINTS);
                 w.put_u64(*seq);
-                w.put_u32(points.len() as u32);
-                for p in points {
-                    w.put_point(p);
-                }
+                put_points(&mut w, points);
             }
             Response::Knn { seq, points } => {
                 w.put_u8(TAG_RESP_KNN);
                 w.put_u64(*seq);
-                w.put_u32(points.len() as u32);
-                for p in points {
-                    w.put_point(p);
-                }
+                put_points(&mut w, points);
             }
             Response::Pairs { seq, pairs } => {
                 w.put_u8(TAG_RESP_PAIRS);
                 w.put_u64(*seq);
-                w.put_u32(pairs.len() as u32);
+                w.put_len(pairs.len());
                 for (a, b) in pairs {
                     w.put_point(a);
                     w.put_point(b);
@@ -501,7 +359,7 @@ impl Response {
             Response::Written { seq, removed } => {
                 w.put_u8(TAG_RESP_WRITTEN);
                 w.put_u64(*seq);
-                w.put_u8(u8::from(*removed));
+                w.put_bool(*removed);
             }
             Response::Pong { seq } => {
                 w.put_u8(TAG_RESP_PONG);
@@ -515,54 +373,38 @@ impl Response {
             Response::Stats { seq, metrics } => {
                 w.put_u8(TAG_RESP_STATS);
                 w.put_u64(*seq);
-                let inner = metrics.encode();
-                w.put_u32(inner.len() as u32);
-                w.buf.extend_from_slice(&inner);
+                w.put_bytes(&codec::encode_metrics(metrics));
             }
             Response::Events { seq, events } => {
                 w.put_u8(TAG_RESP_EVENTS);
                 w.put_u64(*seq);
-                let inner = events.encode();
-                w.put_u32(inner.len() as u32);
-                w.buf.extend_from_slice(&inner);
+                w.put_bytes(&codec::encode_events(events));
             }
         }
-        w.buf
+        w.into_bytes()
     }
 
     /// Decodes a frame payload into a response, consuming it exactly.
     pub fn decode(payload: &[u8]) -> Result<Response, NetError> {
-        let mut r = WireReader::new(payload);
+        let mut r = ByteReader::new(payload, COUNTS);
         let resp = match r.get_u8()? {
             TAG_RESP_POINT => {
                 let seq = r.get_u64()?;
-                let hit = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_point()?),
-                    other => {
-                        return Err(NetError::Corrupt(format!(
-                            "bad option discriminant {other}"
-                        )))
-                    }
+                let hit = if r.get_bool()? {
+                    Some(r.get_point()?)
+                } else {
+                    None
                 };
                 Response::Point { seq, hit }
             }
             TAG_RESP_POINTS => {
                 let seq = r.get_u64()?;
-                let n = r.get_len(POINT_BYTES)?;
-                let mut points = Vec::with_capacity(n);
-                for _ in 0..n {
-                    points.push(r.get_point()?);
-                }
+                let points = get_points(&mut r)?;
                 Response::Points { seq, points }
             }
             TAG_RESP_KNN => {
                 let seq = r.get_u64()?;
-                let n = r.get_len(POINT_BYTES)?;
-                let mut points = Vec::with_capacity(n);
-                for _ in 0..n {
-                    points.push(r.get_point()?);
-                }
+                let points = get_points(&mut r)?;
                 Response::Knn { seq, points }
             }
             TAG_RESP_PAIRS => {
@@ -578,7 +420,7 @@ impl Response {
             }
             TAG_RESP_WRITTEN => {
                 let seq = r.get_u64()?;
-                let removed = r.get_u8()? != 0;
+                let removed = r.get_bool()?;
                 Response::Written { seq, removed }
             }
             TAG_RESP_PONG => Response::Pong { seq: r.get_u64()? },
@@ -589,14 +431,12 @@ impl Response {
             }
             TAG_RESP_STATS => {
                 let seq = r.get_u64()?;
-                let n = r.get_len(1)?;
-                let metrics = obs::MetricsSnapshot::decode(r.take(n)?).map_err(obs_err)?;
+                let metrics = codec::decode_metrics(r.get_bytes()?)?;
                 Response::Stats { seq, metrics }
             }
             TAG_RESP_EVENTS => {
                 let seq = r.get_u64()?;
-                let n = r.get_len(1)?;
-                let events = obs::EventsSnapshot::decode(r.take(n)?).map_err(obs_err)?;
+                let events = codec::decode_events(r.get_bytes()?)?;
                 Response::Events { seq, events }
             }
             other => {
@@ -616,13 +456,12 @@ impl Response {
 /// this module are far below the cap.
 pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_FRAME_LEN as usize, "frame too large");
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&persist::crc32(payload).to_le_bytes());
-    buf
+    let mut w = ByteWriter::with_capacity(COUNTS, HEADER_LEN + payload.len() + 4);
+    w.put_raw(&MAGIC);
+    w.put_u16(PROTOCOL_VERSION);
+    w.put_bytes(payload);
+    w.put_u32(persist::crc32(payload));
+    w.into_bytes()
 }
 
 /// Writes one frame to `w`.
@@ -666,14 +505,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, NetError> {
     if !read_exact_or_eof(r, &mut header, true)? {
         return Ok(None);
     }
-    if header[..4] != MAGIC {
+    let mut h = ByteReader::new(&header, COUNTS);
+    if h.take(MAGIC.len())? != MAGIC {
         return Err(NetError::BadMagic);
     }
-    let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
+    let version = h.get_u16()?;
     if version != PROTOCOL_VERSION {
         return Err(NetError::UnsupportedVersion(version));
     }
-    let len = u32::from_le_bytes(header[6..10].try_into().unwrap());
+    let len = h.get_u32()?;
     if len > MAX_FRAME_LEN {
         return Err(NetError::FrameTooLarge(len));
     }
@@ -814,6 +654,26 @@ mod tests {
             Request::decode(&payload),
             Err(NetError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn discriminants_accept_only_what_the_encoder_writes() {
+        // A `removed` or `hit` byte other than 0 or 1 would decode to a
+        // value whose re-encoding differs from the bytes received.
+        for resp in [
+            Response::Written {
+                seq: 3,
+                removed: true,
+            },
+            Response::Point { seq: 3, hit: None },
+        ] {
+            let mut payload = resp.encode();
+            payload[9] = 2; // after the tag and the u64 sequence number
+            assert!(matches!(
+                Response::decode(&payload),
+                Err(NetError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

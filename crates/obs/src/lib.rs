@@ -2,7 +2,7 @@
 //!
 //! The serving layers (`server`, `net`, `engine` via the batch executor's
 //! `common::QueryStats` — see the crates that depend on this one) record
-//! into three primitives, all designed so the hot path touches only
+//! into two primitives, both designed so the hot path touches only
 //! atomics:
 //!
 //! * [`MetricsRegistry`] — named monotone counters, gauges, and
@@ -16,12 +16,10 @@
 //!   overload sheds, connection open/close, snapshot loads).  Lifecycle
 //!   events are rare, so a plain mutex-guarded ring is honest and cheap;
 //!   when the ring overflows, the oldest events are dropped and counted.
-//! * A versioned binary codec ([`MetricsSnapshot::encode`] /
-//!   [`MetricsSnapshot::decode`], and the same pair on
-//!   [`EventsSnapshot`]) so snapshots travel over the `net` wire protocol
-//!   (`STATS` / `EVENTS` request tags) and decode defensively: element
-//!   counts are validated against the bytes present before any allocation,
-//!   and every malformed input maps to a typed [`ObsError`].
+//!
+//! A [`MetricsSnapshot`] or [`EventsSnapshot`] travels over the `net` wire
+//! protocol (`STATS` / `EVENTS` request tags); `net::wire` encodes and
+//! decodes it, so this crate holds only the telemetry itself.
 //!
 //! Percentile extraction ([`HistogramSnapshot::percentile`]) follows the
 //! same nearest-rank convention as the load generator in
@@ -36,11 +34,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codec;
 mod journal;
 mod metrics;
 
-pub use codec::{ObsError, OBS_SNAPSHOT_VERSION};
 pub use journal::{Event, EventJournal, EventKind, EventsSnapshot};
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,

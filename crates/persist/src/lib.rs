@@ -19,7 +19,15 @@
 //!
 //! Index families serialise themselves through [`SnapshotWriter`] /
 //! [`SnapshotReader`]; the dispatch by kind tag lives in the `registry`
-//! crate, which owns the mapping from tag to concrete type.
+//! crate, which owns the mapping from tag to concrete type.  A loader reads
+//! every section and then [`SnapshotReader::finish`]es, so a cut file and a
+//! padded one are both refused.
+//!
+//! The field primitives underneath are the one little-endian codec of the
+//! workspace: [`ByteWriter`] and [`ByteReader`], whose failures are a
+//! [`DecodeError`].  The snapshot framing adds only the header, the
+//! sections and their CRCs on top; the `net` wire protocol encodes its
+//! frames, and the telemetry payloads inside them, with the same pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -171,106 +179,154 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Writer
+// The byte codec: every format's little-endian primitives
 // ---------------------------------------------------------------------
 
-/// Serialises one snapshot: header first, then any number of checksummed
-/// sections.  All integers are little-endian; floats are stored as their
-/// IEEE-754 bit patterns, so values (including infinities in empty MBRs)
-/// round-trip exactly.
-#[derive(Debug)]
-pub struct SnapshotWriter {
-    buf: Vec<u8>,
-    /// `(tag, payload start offset)` of the currently open section.
-    open: Option<(u32, usize)>,
+/// Width of the element counts and string lengths a format writes:
+/// snapshots use `u64`, wire frames and their telemetry payloads `u32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LenWidth {
+    /// Four-byte counts.
+    U32,
+    /// Eight-byte counts.
+    U64,
 }
 
-impl SnapshotWriter {
-    /// Starts a snapshot for the index family with the given display name
-    /// (the kind tag the loader dispatches on).
-    pub fn new(kind: &str) -> Self {
-        let mut buf = Vec::with_capacity(4096);
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        let name = kind.as_bytes();
-        assert!(name.len() <= u16::MAX as usize, "kind tag too long");
-        buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
-        buf.extend_from_slice(name);
-        Self { buf, open: None }
+/// A decode failure of [`ByteReader`]; [`PersistError`] and the wire's
+/// error type convert from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The bytes end before the announced data does.
+    Truncated,
+    /// The bytes decode but describe an impossible value.
+    Corrupt(String),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => write!(f, "truncated"),
+            DecodeError::Corrupt(msg) => write!(f, "corrupt: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<DecodeError> for PersistError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Truncated => PersistError::Truncated,
+            DecodeError::Corrupt(msg) => PersistError::Corrupt(msg),
+        }
+    }
+}
+
+/// Little-endian byte writer shared by snapshots, wire frames and
+/// telemetry payloads.  Floats are stored as their IEEE-754 bit patterns,
+/// so values (including infinities in empty MBRs) round-trip exactly.
+#[derive(Debug)]
+pub struct ByteWriter {
+    buf: Vec<u8>,
+    width: LenWidth,
+}
+
+impl ByteWriter {
+    /// An empty writer whose counts and lengths are `width` wide.
+    pub fn new(width: LenWidth) -> Self {
+        Self::with_capacity(width, 0)
     }
 
-    /// Opens a section.  Sections do not nest: composite formats (the
-    /// sharded container) embed inner snapshots as opaque byte strings.
-    pub fn begin_section(&mut self, tag: u32) {
-        assert!(self.open.is_none(), "sections do not nest");
-        self.buf.extend_from_slice(&tag.to_le_bytes());
-        self.buf.extend_from_slice(&0u64.to_le_bytes()); // patched in end_section
-        self.open = Some((tag, self.buf.len()));
+    /// An empty writer with room for `capacity` bytes.
+    pub fn with_capacity(width: LenWidth, capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+            width,
+        }
     }
 
-    /// Closes the open section, patching its length and appending the CRC32
-    /// of its payload.
-    pub fn end_section(&mut self) {
-        let (_, start) = self.open.take().expect("no open section");
-        let len = (self.buf.len() - start) as u64;
-        let len_at = start - 8;
-        self.buf[len_at..start].copy_from_slice(&len.to_le_bytes());
-        let crc = crc32(&self.buf[start..]);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-    }
-
-    /// Finishes the snapshot and returns the serialised bytes.
-    pub fn finish(self) -> Vec<u8> {
-        assert!(self.open.is_none(), "unclosed section");
+    /// Returns the written bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 
+    /// Appends bytes as they are, with no length prefix.
+    #[inline]
+    pub fn put_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends a `u8`.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a `bool` as one byte.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
+    /// Appends a `u16`, little-endian.
+    #[inline]
+    pub fn put_u16(&mut self, v: u16) {
+        self.put_raw(&v.to_le_bytes());
+    }
+
     /// Appends a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_raw(&v.to_le_bytes());
+    }
+
+    /// Appends an `i64`, little-endian.
+    #[inline]
+    pub fn put_i64(&mut self, v: i64) {
+        self.put_raw(&v.to_le_bytes());
     }
 
     /// Appends a `usize` as a `u64`.
+    #[inline]
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
     }
 
+    /// Appends an element count or byte length at the writer's width.
+    ///
+    /// # Panics
+    /// Panics if `n` does not fit a `u32` under [`LenWidth::U32`].
+    #[inline]
+    pub fn put_len(&mut self, n: usize) {
+        match self.width {
+            LenWidth::U32 => self.put_u32(u32::try_from(n).expect("count fits a u32")),
+            LenWidth::U64 => self.put_usize(n),
+        }
+    }
+
     /// Appends an `Option<usize>` as a presence byte plus a `u64`.
     pub fn put_opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            Some(v) => {
-                self.put_bool(true);
-                self.put_usize(v);
-            }
-            None => {
-                self.put_bool(false);
-            }
+        self.put_bool(v.is_some());
+        if let Some(v) = v {
+            self.put_usize(v);
         }
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern (exact round-trip).
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Appends a length-prefixed slice of `f64`s.
     pub fn put_f64s(&mut self, vs: &[f64]) {
-        self.put_usize(vs.len());
+        self.put_len(vs.len());
         for &v in vs {
             self.put_f64(v);
         }
@@ -278,7 +334,7 @@ impl SnapshotWriter {
 
     /// Appends a length-prefixed slice of `u64`s.
     pub fn put_u64s(&mut self, vs: &[u64]) {
-        self.put_usize(vs.len());
+        self.put_len(vs.len());
         for &v in vs {
             self.put_u64(v);
         }
@@ -286,18 +342,18 @@ impl SnapshotWriter {
 
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
-    /// Appends a length-prefixed raw byte string (used for embedded inner
-    /// snapshots).
+    /// Appends a length-prefixed raw byte string (embedded inner snapshots,
+    /// telemetry payloads).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_usize(bytes.len());
-        self.buf.extend_from_slice(bytes);
+        self.put_len(bytes.len());
+        self.put_raw(bytes);
     }
 
     /// Appends a [`Point`] (`x`, `y`, `id`).
+    #[inline]
     pub fn put_point(&mut self, p: &Point) {
         self.put_f64(p.x);
         self.put_f64(p.y);
@@ -305,6 +361,7 @@ impl SnapshotWriter {
     }
 
     /// Appends a [`Rect`] (`min_x`, `min_y`, `max_x`, `max_y`).
+    #[inline]
     pub fn put_rect(&mut self, r: &Rect) {
         self.put_f64(r.min_x);
         self.put_f64(r.min_y);
@@ -313,21 +370,299 @@ impl SnapshotWriter {
     }
 }
 
+/// Bounds-checked little-endian reader, the inverse of [`ByteWriter`].
+/// Every read is checked against the bytes present, and every element
+/// count against the bytes remaining before the caller allocates, so
+/// malformed input is a [`DecodeError`], never a panic or a huge reserve.
+#[derive(Debug)]
+pub struct ByteReader<'a> {
+    data: &'a [u8],
+    pos: usize,
+    width: LenWidth,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader over `data` whose counts and lengths are `width` wide.
+    pub fn new(data: &'a [u8], width: LenWidth) -> Self {
+        Self {
+            data,
+            pos: 0,
+            width,
+        }
+    }
+
+    /// Bytes left to read.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// Rejects trailing bytes: a well-formed message is consumed exactly.
+    pub fn finish(self) -> Result<(), DecodeError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(DecodeError::Corrupt(format!("{n} trailing bytes"))),
+        }
+    }
+
+    /// Reads the next `n` bytes as they are.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        if n > self.remaining() {
+            return Err(DecodeError::Truncated);
+        }
+        let s = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    /// Reads a `u8`.
+    #[inline]
+    pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a `bool`, rejecting anything but 0 or 1.
+    #[inline]
+    pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
+        match self.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(DecodeError::Corrupt(format!("invalid bool byte {other}"))),
+        }
+    }
+
+    /// Reads a `u16`.
+    #[inline]
+    pub fn get_u16(&mut self) -> Result<u16, DecodeError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a `u32`.
+    #[inline]
+    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a `u64`.
+    #[inline]
+    pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads an `i64`.
+    #[inline]
+    pub fn get_i64(&mut self) -> Result<i64, DecodeError> {
+        Ok(i64::from_le_bytes(self.array()?))
+    }
+
+    /// Reads a `usize` stored as `u64`.
+    #[inline]
+    pub fn get_usize(&mut self) -> Result<usize, DecodeError> {
+        usize::try_from(self.get_u64()?)
+            .map_err(|_| DecodeError::Corrupt("count exceeds address space".into()))
+    }
+
+    /// Reads an element count at the reader's width and validates it
+    /// against the bytes actually remaining (each element occupying at
+    /// least `min_elem_bytes`), so a corrupt length cannot trigger a huge
+    /// allocation.
+    #[inline]
+    pub fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, DecodeError> {
+        let n = match self.width {
+            LenWidth::U32 => self.get_u32()? as usize,
+            LenWidth::U64 => self.get_usize()?,
+        };
+        if n.checked_mul(min_elem_bytes.max(1))
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
+            return Err(DecodeError::Corrupt(format!(
+                "element count {n} overruns the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
+    /// Reads an `Option<usize>`.
+    pub fn get_opt_usize(&mut self) -> Result<Option<usize>, DecodeError> {
+        if self.get_bool()? {
+            Ok(Some(self.get_usize()?))
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Reads an `f64` from its bit pattern.
+    #[inline]
+    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
+        Ok(f64::from_bits(self.get_u64()?))
+    }
+
+    /// Reads a length-prefixed `f64` vector.
+    pub fn get_f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
+        let n = self.get_len(8)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.get_f64()?);
+        }
+        Ok(out)
+    }
+
+    /// Reads a length-prefixed `u64` vector.
+    pub fn get_u64s(&mut self) -> Result<Vec<u64>, DecodeError> {
+        let n = self.get_len(8)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.get_u64()?);
+        }
+        Ok(out)
+    }
+
+    /// Reads the next `n` bytes as a UTF-8 string.
+    pub fn get_utf8(&mut self, n: usize) -> Result<String, DecodeError> {
+        std::str::from_utf8(self.take(n)?)
+            .map(str::to_string)
+            .map_err(|_| DecodeError::Corrupt("string is not UTF-8".into()))
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn get_str(&mut self) -> Result<String, DecodeError> {
+        let n = self.get_len(1)?;
+        self.get_utf8(n)
+    }
+
+    /// Reads a length-prefixed raw byte string.
+    pub fn get_bytes(&mut self) -> Result<&'a [u8], DecodeError> {
+        let n = self.get_len(1)?;
+        self.take(n)
+    }
+
+    /// Reads a [`Point`].
+    #[inline]
+    pub fn get_point(&mut self) -> Result<Point, DecodeError> {
+        let x = self.get_f64()?;
+        let y = self.get_f64()?;
+        let id = self.get_u64()?;
+        Ok(Point::with_id(x, y, id))
+    }
+
+    /// Reads a [`Rect`] (exact bit patterns; corners are not re-ordered so
+    /// the "impossible" empty rectangle round-trips unchanged).
+    #[inline]
+    pub fn get_rect(&mut self) -> Result<Rect, DecodeError> {
+        Ok(Rect {
+            min_x: self.get_f64()?,
+            min_y: self.get_f64()?,
+            max_x: self.get_f64()?,
+            max_y: self.get_f64()?,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------
-// Reader
+// Snapshot framing
 // ---------------------------------------------------------------------
+
+/// Serialises one snapshot: header first, then any number of checksummed
+/// sections.  The field primitives are [`ByteWriter`]'s (through `Deref`),
+/// with `u64` counts and lengths.
+#[derive(Debug)]
+pub struct SnapshotWriter {
+    out: ByteWriter,
+    /// `(tag, payload start offset)` of the currently open section.
+    open: Option<(u32, usize)>,
+}
+
+impl std::ops::Deref for SnapshotWriter {
+    type Target = ByteWriter;
+
+    #[inline]
+    fn deref(&self) -> &ByteWriter {
+        &self.out
+    }
+}
+
+impl std::ops::DerefMut for SnapshotWriter {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut ByteWriter {
+        &mut self.out
+    }
+}
+
+impl SnapshotWriter {
+    /// Starts a snapshot for the index family with the given display name
+    /// (the kind tag the loader dispatches on).
+    pub fn new(kind: &str) -> Self {
+        let mut out = ByteWriter::with_capacity(LenWidth::U64, 4096);
+        out.put_raw(&MAGIC);
+        out.put_u32(FORMAT_VERSION);
+        let name = kind.as_bytes();
+        out.put_u16(u16::try_from(name.len()).expect("kind tag too long"));
+        out.put_raw(name);
+        Self { out, open: None }
+    }
+
+    /// Opens a section.  Sections do not nest: composite formats (the
+    /// sharded container) embed inner snapshots as opaque byte strings.
+    pub fn begin_section(&mut self, tag: u32) {
+        assert!(self.open.is_none(), "sections do not nest");
+        self.out.put_u32(tag);
+        self.out.put_u64(0); // patched in end_section
+        self.open = Some((tag, self.out.buf.len()));
+    }
+
+    /// Closes the open section, patching its length and appending the CRC32
+    /// of its payload.
+    pub fn end_section(&mut self) {
+        let (_, start) = self.open.take().expect("no open section");
+        let buf = &mut self.out.buf;
+        let len = (buf.len() - start) as u64;
+        buf[start - 8..start].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&buf[start..]);
+        self.out.put_u32(crc);
+    }
+
+    /// Finishes the snapshot and returns the serialised bytes.
+    pub fn finish(self) -> Vec<u8> {
+        assert!(self.open.is_none(), "unclosed section");
+        self.out.into_bytes()
+    }
+}
 
 /// Deserialises one snapshot.  [`SnapshotReader::open`] validates magic and
 /// version and returns the kind tag; sections are then read in the order they
 /// were written, each verified against its checksum before any field is
-/// decoded.
+/// decoded.  Inside a section the field primitives are [`ByteReader`]'s
+/// (through `Deref`), bounded by the section's payload.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// End of the open section's payload (`data.len()` outside sections).
-    limit: usize,
+    /// The file, positioned at the next section header.
+    file: ByteReader<'a>,
+    /// The open section's payload (empty outside sections).
+    section: ByteReader<'a>,
     in_section: bool,
+}
+
+impl<'a> std::ops::Deref for SnapshotReader<'a> {
+    type Target = ByteReader<'a>;
+
+    #[inline]
+    fn deref(&self) -> &ByteReader<'a> {
+        &self.section
+    }
+}
+
+impl<'a> std::ops::DerefMut for SnapshotReader<'a> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut ByteReader<'a> {
+        &mut self.section
+    }
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -345,22 +680,22 @@ impl<'a> SnapshotReader<'a> {
         if data[..MAGIC.len()] != MAGIC {
             return Err(PersistError::BadMagic);
         }
-        let mut r = Self {
-            data,
-            pos: MAGIC.len(),
-            limit: data.len(),
-            in_section: false,
-        };
-        let version = r.get_u32()?;
+        let mut file = ByteReader::new(&data[MAGIC.len()..], LenWidth::U64);
+        let version = file.get_u32()?;
         if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
-        let name_len = r.get_u16()? as usize;
-        let name_bytes = r.take(name_len)?;
-        let kind = std::str::from_utf8(name_bytes)
-            .map_err(|_| PersistError::Corrupt("kind tag is not UTF-8".into()))?
-            .to_string();
-        Ok((kind, r))
+        let name_len = usize::from(file.get_u16()?);
+        let kind = file.get_utf8(name_len)?;
+        let section = ByteReader::new(&[], LenWidth::U64);
+        Ok((
+            kind,
+            Self {
+                file,
+                section,
+                in_section: false,
+            },
+        ))
     }
 
     /// Opens the next section, verifying its tag and checksum.  Returns
@@ -370,192 +705,38 @@ impl<'a> SnapshotReader<'a> {
     /// verification.
     pub fn begin_section(&mut self, expected: u32) -> Result<(), PersistError> {
         assert!(!self.in_section, "sections do not nest");
-        let tag = self.get_u32()?;
+        let tag = self.file.get_u32()?;
         if tag != expected {
             return Err(PersistError::Corrupt(format!(
                 "expected section 0x{expected:04x}, found 0x{tag:04x}"
             )));
         }
-        let len = self.get_u64()? as usize;
-        if self
-            .pos
-            .checked_add(len)
-            .and_then(|end| end.checked_add(4))
-            .is_none_or(|end| end > self.data.len())
-        {
+        let len = usize::try_from(self.file.get_u64()?).map_err(|_| PersistError::Truncated)?;
+        if len.checked_add(4).is_none_or(|n| n > self.file.remaining()) {
             return Err(PersistError::Truncated);
         }
-        let payload = &self.data[self.pos..self.pos + len];
-        let stored = u32::from_le_bytes(
-            self.data[self.pos + len..self.pos + len + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        if crc32(payload) != stored {
+        let payload = self.file.take(len)?;
+        if crc32(payload) != self.file.get_u32()? {
             return Err(PersistError::ChecksumMismatch { tag });
         }
-        self.limit = self.pos + len;
+        self.section = ByteReader::new(payload, LenWidth::U64);
         self.in_section = true;
         Ok(())
     }
 
-    /// Returns the tag of the next section without consuming it, so callers
-    /// can dispatch on versioned section layouts (e.g. the block store's
-    /// v1/v2 formats) before committing to [`SnapshotReader::begin_section`].
-    ///
-    /// # Panics
-    /// Panics if called while a section is open (sections do not nest).
-    pub fn peek_section_tag(&self) -> Result<u32, PersistError> {
-        assert!(!self.in_section, "peek_section_tag inside a section");
-        if self.pos.checked_add(4).is_none_or(|end| end > self.limit) {
-            return Err(PersistError::Truncated);
-        }
-        Ok(u32::from_le_bytes(
-            self.data[self.pos..self.pos + 4]
-                .try_into()
-                .expect("4 bytes"),
-        ))
-    }
-
-    /// Closes the open section, skipping any unread payload and the CRC.
+    /// Closes the open section, skipping any unread payload.
     pub fn end_section(&mut self) -> Result<(), PersistError> {
         assert!(self.in_section, "no open section");
-        self.pos = self.limit + 4; // checksum already verified in begin_section
-        self.limit = self.data.len();
+        self.section = ByteReader::new(&[], LenWidth::U64);
         self.in_section = false;
         Ok(())
     }
 
-    /// Bytes left in the current section (or file).
-    pub fn remaining(&self) -> usize {
-        self.limit - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.pos.checked_add(n).is_none_or(|end| end > self.limit) {
-            return Err(PersistError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Reads a `u8`.
-    pub fn get_u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `bool`, rejecting anything but 0 or 1.
-    pub fn get_bool(&mut self) -> Result<bool, PersistError> {
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(PersistError::Corrupt(format!("invalid bool byte {other}"))),
-        }
-    }
-
-    /// Reads a `u16`.
-    pub fn get_u16(&mut self) -> Result<u16, PersistError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, PersistError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    /// Reads a `u64`.
-    pub fn get_u64(&mut self) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads a `usize` stored as `u64`.
-    pub fn get_usize(&mut self) -> Result<usize, PersistError> {
-        usize::try_from(self.get_u64()?)
-            .map_err(|_| PersistError::Corrupt("count exceeds address space".into()))
-    }
-
-    /// Reads an element count and validates it against the bytes actually
-    /// remaining (each element occupying at least `min_elem_bytes`), so a
-    /// corrupt length cannot trigger a huge allocation.
-    pub fn get_len(&mut self, min_elem_bytes: usize) -> Result<usize, PersistError> {
-        let n = self.get_usize()?;
-        if n.checked_mul(min_elem_bytes.max(1))
-            .is_none_or(|bytes| bytes > self.remaining())
-        {
-            return Err(PersistError::Corrupt(format!(
-                "element count {n} overruns its section"
-            )));
-        }
-        Ok(n)
-    }
-
-    /// Reads an `Option<usize>`.
-    pub fn get_opt_usize(&mut self) -> Result<Option<usize>, PersistError> {
-        if self.get_bool()? {
-            Ok(Some(self.get_usize()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads a length-prefixed `f64` vector.
-    pub fn get_f64s(&mut self) -> Result<Vec<f64>, PersistError> {
-        let n = self.get_len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    pub fn get_u64s(&mut self) -> Result<Vec<u64>, PersistError> {
-        let n = self.get_len(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.get_u64()?);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String, PersistError> {
-        let n = self.get_len(1)?;
-        let bytes = self.take(n)?;
-        Ok(std::str::from_utf8(bytes)
-            .map_err(|_| PersistError::Corrupt("string is not UTF-8".into()))?
-            .to_string())
-    }
-
-    /// Reads a length-prefixed raw byte string.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], PersistError> {
-        let n = self.get_len(1)?;
-        self.take(n)
-    }
-
-    /// Reads a [`Point`].
-    pub fn get_point(&mut self) -> Result<Point, PersistError> {
-        let x = self.get_f64()?;
-        let y = self.get_f64()?;
-        let id = self.get_u64()?;
-        Ok(Point::with_id(x, y, id))
-    }
-
-    /// Reads a [`Rect`] (exact bit patterns; corners are not re-ordered so
-    /// the "impossible" empty rectangle round-trips unchanged).
-    pub fn get_rect(&mut self) -> Result<Rect, PersistError> {
-        let mut r = Rect::empty();
-        r.min_x = self.get_f64()?;
-        r.min_y = self.get_f64()?;
-        r.max_x = self.get_f64()?;
-        r.max_y = self.get_f64()?;
-        Ok(r)
+    /// Checks that the snapshot ends after the last section read: a file
+    /// with bytes appended is refused, not loaded with them ignored.
+    pub fn finish(self) -> Result<(), PersistError> {
+        assert!(!self.in_section, "unclosed section");
+        Ok(self.file.finish()?)
     }
 }
 
@@ -715,7 +896,51 @@ mod tests {
         let bytes = w.finish();
         let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
         r.begin_section(TAG).unwrap();
-        assert!(matches!(r.get_f64s(), Err(PersistError::Corrupt(_))));
+        assert!(matches!(r.get_f64s(), Err(DecodeError::Corrupt(_))));
+    }
+
+    #[test]
+    fn trailing_bytes_after_the_last_section_are_refused() {
+        let mut bytes = sample();
+        let read_all = |bytes: &[u8]| -> Result<(), PersistError> {
+            let (_, mut r) = SnapshotReader::open(bytes)?;
+            for tag in [TAG, TAG + 1] {
+                r.begin_section(tag)?;
+                r.end_section()?;
+            }
+            r.finish()
+        };
+        read_all(&bytes).unwrap();
+        bytes.push(0);
+        assert!(
+            matches!(read_all(&bytes), Err(PersistError::Corrupt(m)) if m.contains("trailing"))
+        );
+    }
+
+    #[test]
+    fn counts_and_lengths_take_the_codec_width() {
+        for (width, count_bytes) in [(LenWidth::U32, 4), (LenWidth::U64, 8)] {
+            let mut w = ByteWriter::new(width);
+            w.put_str("ab");
+            w.put_u64s(&[7]);
+            w.put_i64(-3);
+            w.put_u16(0xBEEF);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), 2 * count_bytes + 2 + 8 + 8 + 2);
+            let mut r = ByteReader::new(&bytes, width);
+            assert_eq!(r.get_str().unwrap(), "ab");
+            assert_eq!(r.get_u64s().unwrap(), [7]);
+            assert_eq!(r.get_i64().unwrap(), -3);
+            assert_eq!(r.get_u16().unwrap(), 0xBEEF);
+            r.finish().unwrap();
+        }
+        let mut r = ByteReader::new(&[2], LenWidth::U32);
+        assert!(matches!(r.get_bool(), Err(DecodeError::Corrupt(_))));
+        let r = ByteReader::new(&[0], LenWidth::U32);
+        assert!(matches!(r.finish(), Err(DecodeError::Corrupt(m)) if m.contains("trailing")));
+        let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF], LenWidth::U32);
+        assert!(matches!(r.get_len(1), Err(DecodeError::Corrupt(_))));
+        assert!(matches!(r.get_u8(), Err(DecodeError::Truncated)));
     }
 
     #[test]

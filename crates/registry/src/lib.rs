@@ -453,7 +453,7 @@ pub fn save_index(index: &dyn SpatialIndex, path: &Path) -> Result<(), PersistEr
 /// Loads an index from snapshot bytes, dispatching on the kind tag embedded
 /// in the header.  The loaded index answers every query with byte-identical
 /// results and statistics to the index that was saved — nothing is rebuilt
-/// or retrained.
+/// or retrained.  Bytes after the last section are refused.
 pub fn load_index_bytes(bytes: &[u8]) -> Result<Box<dyn SpatialIndex>, PersistError> {
     let (kind_tag, mut r) = persist::SnapshotReader::open(bytes)?;
     let kind: IndexKind = kind_tag
@@ -490,6 +490,7 @@ pub fn load_index_bytes(bytes: &[u8]) -> Result<Box<dyn SpatialIndex>, PersistEr
             Box::new(loaded)
         }
     };
+    r.finish()?;
     Ok(index)
 }
 

@@ -3,15 +3,40 @@
 //! snapshots continuously — snapshots must always decode, counters must
 //! never go backwards, and the final totals must equal the sum of every
 //! thread's contribution exactly (nothing lost, nothing double-counted).
-//! The wire side mirrors `tests/snapshot_roundtrip.rs`: every snapshot
-//! must survive encode → decode → re-encode byte-identically.
+//! The wire side mirrors `tests/snapshot_roundtrip.rs`: every snapshot,
+//! carried in a `STATS` or `EVENTS` response, must survive encode → decode
+//! → re-encode byte-identically.
 
+use net::Response;
 use obs::{EventKind, EventsSnapshot, MetricsRegistry, MetricsSnapshot, Telemetry};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const WRITERS: usize = 8;
 const OPS_PER_WRITER: u64 = 20_000;
+
+/// Sends `metrics` through a `STATS` response's codec: it must decode, and
+/// re-encode byte-identically.  Returns the decoded snapshot.
+fn stats_roundtrip(metrics: MetricsSnapshot, what: &str) -> MetricsSnapshot {
+    let bytes = Response::Stats { seq: 0, metrics }.encode();
+    let decoded = Response::decode(&bytes).unwrap_or_else(|e| panic!("{what} decodes: {e}"));
+    assert_eq!(decoded.encode(), bytes, "re-encode is byte-identical");
+    match decoded {
+        Response::Stats { metrics, .. } => metrics,
+        other => panic!("{what} decoded as {other:?}"),
+    }
+}
+
+/// The same for `events` through an `EVENTS` response.
+fn events_roundtrip(events: EventsSnapshot) -> EventsSnapshot {
+    let bytes = Response::Events { seq: 0, events }.encode();
+    let decoded = Response::decode(&bytes).expect("events decode");
+    assert_eq!(decoded.encode(), bytes, "re-encode is byte-identical");
+    match decoded {
+        Response::Events { events, .. } => events,
+        other => panic!("events decoded as {other:?}"),
+    }
+}
 
 #[test]
 fn concurrent_hammering_loses_nothing_and_snapshots_stay_decodable() {
@@ -29,9 +54,7 @@ fn concurrent_hammering_loses_nothing_and_snapshots_stay_decodable() {
             let mut last_shared = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snap = registry.snapshot();
-                let bytes = snap.encode();
-                let decoded = MetricsSnapshot::decode(&bytes).expect("mid-run snapshot decodes");
-                assert_eq!(decoded.encode(), bytes, "re-encode is byte-identical");
+                stats_roundtrip(snap.clone(), "mid-run snapshot");
                 let shared = snap.counter("shared.ops").unwrap_or(0);
                 assert!(
                     shared >= last_shared,
@@ -87,10 +110,8 @@ fn concurrent_hammering_loses_nothing_and_snapshots_stay_decodable() {
     assert_eq!(hist.max, 999);
 
     // The final snapshot round-trips byte-identically too.
-    let bytes = finale.encode();
-    let decoded = MetricsSnapshot::decode(&bytes).expect("final snapshot decodes");
+    let decoded = stats_roundtrip(finale.clone(), "final snapshot");
     assert_eq!(decoded, finale);
-    assert_eq!(decoded.encode(), bytes);
 }
 
 #[test]
@@ -116,7 +137,5 @@ fn concurrent_journal_keeps_sequence_contiguous_and_round_trips() {
     for (i, e) in snap.events.iter().enumerate() {
         assert_eq!(e.seq, i as u64 + 1);
     }
-    let bytes = snap.encode();
-    let decoded = EventsSnapshot::decode(&bytes).expect("events decode");
-    assert_eq!(decoded.encode(), bytes);
+    events_roundtrip(snap);
 }

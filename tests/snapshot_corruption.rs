@@ -43,16 +43,56 @@ fn unsupported_version_is_rejected() {
     ));
 }
 
+/// Offsets at which each top-level section of `bytes` begins.
+fn section_starts(bytes: &[u8]) -> Vec<usize> {
+    let word = |at: usize, n: usize| {
+        let mut le = [0u8; 8];
+        le[..n].copy_from_slice(&bytes[at..at + n]);
+        u64::from_le_bytes(le) as usize
+    };
+    // Header: 8-byte magic, u32 version, u16 kind-tag length, kind tag;
+    // a section is u32 tag, u64 length, payload, u32 CRC.
+    let mut starts = vec![14 + word(12, 2)];
+    loop {
+        let at = *starts.last().unwrap();
+        let next = at + 4 + 8 + word(at + 4, 8) + 4;
+        if next >= bytes.len() {
+            return starts;
+        }
+        starts.push(next);
+    }
+}
+
 #[test]
 fn truncated_files_are_rejected_at_every_cut() {
-    let bytes = snapshot_of(IndexKind::Hrr);
-    // Cut the file at several depths: mid-header, mid-section, mid-checksum.
-    for keep in [10, bytes.len() / 3, bytes.len() - 3] {
-        let cut = &bytes[..keep];
-        match load_index_bytes(cut) {
-            Err(PersistError::Truncated) => {}
-            Ok(_) => panic!("cut at {keep} loaded successfully"),
-            Err(other) => panic!("cut at {keep}: expected Truncated, got {other}"),
+    for kind in IndexKind::all_with_sharded() {
+        let bytes = snapshot_of(kind);
+        // Cut the file at several depths: mid-header, mid-section,
+        // mid-checksum, and just before every section (the last one too:
+        // no section is optional).
+        let mut cuts = vec![10, bytes.len() / 3, bytes.len() - 3];
+        cuts.extend(section_starts(&bytes));
+        for keep in cuts {
+            let cut = &bytes[..keep];
+            match load_index_bytes(cut) {
+                Err(PersistError::Truncated) => {}
+                Ok(_) => panic!("{kind}: cut at {keep} loaded successfully"),
+                Err(other) => panic!("{kind}: cut at {keep}: expected Truncated, got {other}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn padded_files_are_rejected() {
+    for kind in IndexKind::all_with_sharded() {
+        let mut bytes = snapshot_of(kind);
+        assert!(load_index_bytes(&bytes).is_ok(), "{kind}: fresh snapshot");
+        bytes.extend_from_slice(&[0; 5]);
+        match load_index_bytes(&bytes) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("trailing"), "{kind}: {msg}"),
+            Ok(_) => panic!("{kind}: a padded snapshot loaded successfully"),
+            Err(other) => panic!("{kind}: expected Corrupt, got {other}"),
         }
     }
 }
