@@ -229,6 +229,8 @@ fn put_points(w: &mut ByteWriter, points: &[Point]) {
 }
 
 /// Reads a count-prefixed point list, the count checked before allocating.
+/// Inlined so the reader stays in registers through the loop.
+#[inline(always)]
 fn get_points(r: &mut ByteReader<'_>) -> Result<Vec<Point>, DecodeError> {
     let n = r.get_len(POINT_BYTES)?;
     let mut points = Vec::with_capacity(n);

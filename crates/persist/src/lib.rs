@@ -376,25 +376,21 @@ impl ByteWriter {
 /// malformed input is a [`DecodeError`], never a panic or a huge reserve.
 #[derive(Debug)]
 pub struct ByteReader<'a> {
-    data: &'a [u8],
-    pos: usize,
+    /// The bytes not yet read.
+    rest: &'a [u8],
     width: LenWidth,
 }
 
 impl<'a> ByteReader<'a> {
     /// A reader over `data` whose counts and lengths are `width` wide.
     pub fn new(data: &'a [u8], width: LenWidth) -> Self {
-        Self {
-            data,
-            pos: 0,
-            width,
-        }
+        Self { rest: data, width }
     }
 
     /// Bytes left to read.
     #[inline]
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.rest.len()
     }
 
     /// Rejects trailing bytes: a well-formed message is consumed exactly.
@@ -408,23 +404,28 @@ impl<'a> ByteReader<'a> {
     /// Reads the next `n` bytes as they are.
     #[inline]
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if n > self.remaining() {
-            return Err(DecodeError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, tail) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(DecodeError::Truncated)?;
+        self.rest = tail;
+        Ok(head)
     }
 
     #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        Ok(self.take(N)?.try_into().expect("N bytes"))
+        let (head, tail) = self
+            .rest
+            .split_first_chunk()
+            .ok_or(DecodeError::Truncated)?;
+        self.rest = tail;
+        Ok(*head)
     }
 
     /// Reads a `u8`.
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     /// Reads a `bool`, rejecting anything but 0 or 1.
@@ -481,12 +482,19 @@ impl<'a> ByteReader<'a> {
         if n.checked_mul(min_elem_bytes.max(1))
             .is_none_or(|bytes| bytes > self.remaining())
         {
-            return Err(DecodeError::Corrupt(format!(
-                "element count {n} overruns the {} bytes left",
-                self.remaining()
-            )));
+            return Err(self.overrun(n));
         }
         Ok(n)
+    }
+
+    /// The error of a count the remaining bytes cannot hold; kept out of
+    /// line so [`ByteReader::get_len`] inlines into every decoder.
+    #[cold]
+    fn overrun(&self, n: usize) -> DecodeError {
+        DecodeError::Corrupt(format!(
+            "element count {n} overruns the {} bytes left",
+            self.remaining()
+        ))
     }
 
     /// Reads an `Option<usize>`.
