@@ -494,6 +494,41 @@ mod tests {
         assert!(after < 1e-3, "final MSE too high: {after}");
     }
 
+    /// FNV-1a over the bits of every parameter, in [`Mlp::parameters`] order.
+    fn fingerprint(mlp: &Mlp) -> u64 {
+        mlp.parameters()
+            .iter()
+            .flat_map(|p| p.to_bits().to_le_bytes())
+            .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+            })
+    }
+
+    /// The linear target of `learns_a_linear_function`, as one flat lane.
+    fn linear_lane() -> (Vec<f64>, Vec<f64>) {
+        let mut rows = Vec::new();
+        let mut targets = Vec::new();
+        for i in 0..20 {
+            for j in 0..20 {
+                let (x, y) = (i as f64 / 19.0, j as f64 / 19.0);
+                rows.extend([x, y]);
+                targets.push(0.3 * x + 0.5 * y + 0.1);
+            }
+        }
+        (rows, targets)
+    }
+
+    /// A fit whose loss is still falling steeply at its cap: pins the
+    /// trainer's arithmetic bit for bit.
+    #[test]
+    fn a_fit_still_improving_at_its_cap_keeps_its_exact_weights() {
+        let cap = 12;
+        let mut mlp = Mlp::new(toy_config().with_epochs(cap));
+        let (mut rows, mut targets) = linear_lane();
+        mlp.train(&mut rows, &mut targets);
+        assert_eq!(fingerprint(&mlp), 0xD3EB_C930_0CC5_8660);
+    }
+
     #[test]
     fn learns_a_monotone_cdf_like_function() {
         // A CDF-shaped 1-D target, the kind of function learned indices fit.
