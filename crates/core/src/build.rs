@@ -215,22 +215,22 @@ impl Builder {
 
         // Step 2: learn the partitioning function M_{i,j}.
         let inputs: Vec<[f64; 2]> = points.iter().map(|p| [p.x, p.y]).collect();
-        let model = ScaledRegressor::fit(self.mlp_config(cells, seed), &inputs, &true_cell);
+        let (model, predicted_cell) =
+            ScaledRegressor::fit_predicting(self.mlp_config(cells, seed), &inputs, &true_cell);
         drop(inputs);
 
         // Step 3: group the points by the model's predictions (the learned
         // grouping of Fig. 4) or by the true cell (ablation).
-        let mut groups: Vec<Vec<Point>> = vec![Vec::new(); cells];
-        if self.config.group_by_prediction {
-            for p in &points {
-                let j = (model.predict_xy(p.x, p.y) as usize).min(cells - 1);
-                groups[j].push(*p);
-            }
+        let cell_of = if self.config.group_by_prediction {
+            predicted_cell
         } else {
-            for (i, p) in points.iter().enumerate() {
-                groups[true_cell[i] as usize].push(*p);
-            }
+            true_cell
+        };
+        let mut groups: Vec<Vec<Point>> = vec![Vec::new(); cells];
+        for (p, &j) in points.iter().zip(&cell_of) {
+            groups[(j as usize).min(cells - 1)].push(*p);
         }
+        drop(cell_of);
 
         // Note: if the model collapses all points into one predicted group,
         // recursion makes no progress; the per-group guard below turns such a

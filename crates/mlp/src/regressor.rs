@@ -37,6 +37,18 @@ impl ScaledRegressor {
     /// Panics when `inputs` and `targets` lengths differ or when `inputs` is
     /// empty.
     pub fn fit<R: AsRef<[f64]>>(config: MlpConfig, inputs: &[R], targets: &[u64]) -> Self {
+        Self::fit_predicting(config, inputs, targets).0
+    }
+
+    /// [`ScaledRegressor::fit`], also returning the fitted model's
+    /// prediction for every row of `inputs`, in order.  The error-bound pass
+    /// computes them anyway, so a caller that routes its rows by the model
+    /// reads them here instead of predicting every row a second time.
+    pub fn fit_predicting<R: AsRef<[f64]>>(
+        config: MlpConfig,
+        inputs: &[R],
+        targets: &[u64],
+    ) -> (Self, Vec<u64>) {
         assert_eq!(
             inputs.len(),
             targets.len(),
@@ -49,7 +61,9 @@ impl ScaledRegressor {
         let scale = max_target.max(1) as f64;
 
         // The rows are normalised once, into the one flat lane training
-        // shuffles in place.
+        // shuffles in place.  Both buffers are freed before the error-bound
+        // pass allocates the predictions, so the fit's peak memory is the
+        // training step's.
         let mut lane = vec![0.0; inputs.len() * input_norm.dim()];
         for (row, out) in inputs.iter().zip(lane.chunks_exact_mut(input_norm.dim())) {
             input_norm.transform_into(row.as_ref(), out);
@@ -58,6 +72,7 @@ impl ScaledRegressor {
 
         let mut mlp = Mlp::new(config);
         mlp.train(&mut lane, &mut norm_targets);
+        drop((lane, norm_targets));
 
         let mut model = Self {
             mlp,
@@ -66,28 +81,18 @@ impl ScaledRegressor {
             err_below: 0,
             err_above: 0,
         };
-        model.compute_error_bounds(inputs, targets);
-        model
-    }
-
-    /// Recomputes the error bounds against a (possibly different) data set.
-    ///
-    /// Used by the indices after bulk-loading and by the rebuild variant
-    /// after retraining.
-    pub fn compute_error_bounds<R: AsRef<[f64]>>(&mut self, inputs: &[R], targets: &[u64]) {
-        let mut below = 0i64;
-        let mut above = 0i64;
-        for (row, &t) in inputs.iter().zip(targets) {
-            let pred = self.predict(row.as_ref()) as i64;
-            let diff = pred - t as i64;
-            if diff < 0 {
-                below = below.max(-diff);
+        let predictions: Vec<u64> = inputs
+            .iter()
+            .map(|row| model.predict(row.as_ref()))
+            .collect();
+        for (&pred, &t) in predictions.iter().zip(targets) {
+            if pred < t {
+                model.err_below = model.err_below.max(t - pred);
             } else {
-                above = above.max(diff);
+                model.err_above = model.err_above.max(pred - t);
             }
         }
-        self.err_below = below as u64;
-        self.err_above = above as u64;
+        (model, predictions)
     }
 
     /// Predicts the integer ID for a raw feature row, clamped to
@@ -262,9 +267,12 @@ mod tests {
             .map(|i| vec![(i % 20) as f64 / 20.0, (i / 20) as f64 / 10.0])
             .collect();
         let targets: Vec<u64> = (0..200).map(|i| (i / 10) as u64).collect();
-        let model = ScaledRegressor::fit(fast_config(2), &inputs, &targets);
-        for (row, &t) in inputs.iter().zip(&targets) {
-            let p = model.predict(row) as i64;
+        let (model, predictions) =
+            ScaledRegressor::fit_predicting(fast_config(2), &inputs, &targets);
+        assert_eq!(predictions.len(), inputs.len());
+        for ((row, &t), &predicted) in inputs.iter().zip(&targets).zip(&predictions) {
+            assert_eq!(predicted, model.predict(row));
+            let p = predicted as i64;
             assert!(p - t as i64 <= model.err_above() as i64);
             assert!(t as i64 - p <= model.err_below() as i64);
         }
