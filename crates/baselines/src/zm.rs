@@ -32,7 +32,8 @@ const SECTION_ZM_MODELS: u32 = 0x5A03;
 pub struct ZmConfig {
     /// Block capacity `B`.
     pub block_capacity: usize,
-    /// Training epochs per sub-model.
+    /// Most training epochs per sub-model; a fit stops sooner once its loss
+    /// stops improving (`mlp::Mlp::train`).
     pub epochs: usize,
     /// SGD learning rate.
     pub learning_rate: f64,

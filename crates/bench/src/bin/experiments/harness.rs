@@ -40,7 +40,7 @@ pub const EPOCHS: Flag = Flag::value(
     "--epochs",
     "E",
     check::parses::<usize>,
-    "training epochs for the learned indices",
+    "epoch cap per model of the learned indices",
 )
 .default("30");
 

@@ -24,9 +24,9 @@
 //! The paper's experiments run on up to 128 million points and train each
 //! sub-model for 500 epochs (16 h of training for the largest data set).
 //! The defaults reproduce the *shape* of every experiment at laptop scale:
-//! data sizes are tens of thousands of points and epochs are reduced.
+//! data sizes are tens of thousands of points and the epoch cap is reduced.
 //! `--scale` multiplies a subcommand's data-set sizes and `--epochs`
-//! restores any epoch count, so the experiments can be pushed back toward
+//! restores any epoch cap, so the experiments can be pushed back toward
 //! paper scale on bigger machines.
 
 mod cli;

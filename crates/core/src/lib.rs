@@ -94,9 +94,10 @@ pub struct RsmiConfig {
     pub partition_threshold: usize,
     /// Space-filling curve used for ordering (§6.1: Hilbert by default).
     pub curve: CurveKind,
-    /// Training epochs per sub-model.  The paper uses 500; the default here
-    /// is smaller so that experiments run at laptop scale — the harness can
-    /// raise it.
+    /// Most training epochs per sub-model; a fit stops sooner once its loss
+    /// stops improving (`mlp::Mlp::train`).  The paper uses 500; the default
+    /// cap here is smaller so that experiments run at laptop scale — the
+    /// harness can raise it.
     pub epochs: usize,
     /// SGD learning rate (paper: 0.01; a larger rate compensates for the
     /// reduced epoch count).

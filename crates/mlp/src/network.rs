@@ -8,6 +8,25 @@ use rand::{Rng, SeedableRng};
 /// indices build has at most 64, so one strip holds them all.
 const STRIP: usize = 64;
 
+/// The stop rule of [`Mlp::train`]: a fit stops once the best epoch loss of
+/// its last [`STOP_WINDOW`] epochs is not more than [`STOP_TOLERANCE`]
+/// (relative) below the best of all its earlier epochs.
+const STOP_TOLERANCE: f64 = 0.005;
+/// See [`STOP_TOLERANCE`].
+const STOP_WINDOW: usize = 3;
+
+/// Whether a fit with these per-epoch losses, oldest first, has stopped
+/// improving (see [`STOP_TOLERANCE`]).
+fn stopped_improving(losses: &[f64]) -> bool {
+    if losses.len() <= STOP_WINDOW {
+        return false;
+    }
+    let best = |l: &[f64]| l.iter().copied().fold(f64::INFINITY, f64::min);
+    let (earlier, recent) = losses.split_at(losses.len() - STOP_WINDOW);
+    let improving = best(recent) < best(earlier) * (1.0 - STOP_TOLERANCE);
+    !improving
+}
+
 /// `Σ w·a` in four partial sums, combined in the order written here, so a
 /// prediction is the same number wherever this is inlined.
 #[inline(always)]
@@ -30,9 +49,10 @@ fn dot(w: &[f64], a: &[f64]) -> f64 {
 ///
 /// Paper defaults (§6.1): hidden size = (#inputs + #output classes) / 2,
 /// sigmoid hidden activation, learning rate 0.01, 500 epochs, L2 loss.  The
-/// reproduction keeps the architecture but uses a smaller default epoch count
-/// so the full experiment suite runs on a laptop; the harness can restore the
-/// paper's value with [`MlpConfig::epochs`].
+/// reproduction keeps the architecture but caps training at a smaller epoch
+/// count so the full experiment suite runs on a laptop; the harness can
+/// restore the paper's value with [`MlpConfig::epochs`].  A fit stops before
+/// the cap once its loss stops improving (see [`Mlp::train`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MlpConfig {
     /// Number of input features (2 for RSMI coordinates, 1 for ZM Z-values).
@@ -41,7 +61,8 @@ pub struct MlpConfig {
     pub hidden: usize,
     /// SGD learning rate.
     pub learning_rate: f64,
-    /// Number of passes over the training set.
+    /// Most passes over the training set; a fit whose loss has stopped
+    /// improving stops sooner (see [`Mlp::train`]).
     pub epochs: usize,
     /// Mini-batch size (1 = pure SGD).
     pub batch_size: usize,
@@ -75,7 +96,7 @@ impl MlpConfig {
         self
     }
 
-    /// Returns a copy with a different epoch count.
+    /// Returns a copy with a different epoch cap.
     pub fn with_epochs(mut self, epochs: usize) -> Self {
         self.epochs = epochs;
         self
@@ -197,7 +218,15 @@ impl Mlp {
     /// `rows[i * input_dim..]`.  Each epoch's Fisher–Yates swaps move the
     /// rows and targets themselves, so a batch is read front to back from
     /// contiguous memory; both slices are left in the last epoch's order.
-    pub fn train(&mut self, rows: &mut [f64], targets: &mut [f64]) {
+    ///
+    /// `config.epochs` is a cap.  Each epoch sums the squared error of every
+    /// sample as the SGD pass meets it, and the fit stops once the best sum
+    /// of its last [`STOP_WINDOW`] epochs is not more than a relative
+    /// [`STOP_TOLERANCE`] below the best of all earlier epochs.  The sum
+    /// reads the errors the backward pass computes anyway, so a fit that
+    /// runs to the cap has the weights it had without the rule.  Returns the
+    /// number of epochs run.
+    pub fn train(&mut self, rows: &mut [f64], targets: &mut [f64]) -> usize {
         let d = self.config.input_dim;
         let n = targets.len();
         assert_eq!(
@@ -206,7 +235,7 @@ impl Mlp {
             "inputs and targets must have the same length"
         );
         if n == 0 {
-            return;
+            return 0;
         }
         let h_count = self.config.hidden;
         let batch = self.config.batch_size.max(1);
@@ -227,8 +256,10 @@ impl Mlp {
         let mut g_w2 = vec![0.0; h_count];
         let mut act = vec![0.0; h_count];
         let mut dz = vec![0.0; h_count];
+        let mut losses = Vec::with_capacity(self.config.epochs);
 
-        for _epoch in 0..self.config.epochs {
+        while losses.len() < self.config.epochs && !stopped_improving(&losses) {
+            let mut loss = 0.0;
             // Fisher-Yates shuffle with the seeded RNG.
             for i in (1..n).rev() {
                 let j = rng.gen_range(0..=i);
@@ -260,6 +291,7 @@ impl Mlp {
                     // Backward: dL/dout for L = (out - t)^2 is 2 * (out - t);
                     // the constant 2 is folded into the learning rate.
                     let delta = out - t;
+                    loss += delta * delta;
                     g_b2 += delta;
                     let units = act.iter().zip(&self.w2).zip(&mut g_w2);
                     for (((&a, &w), g_w), (dz, g_b)) in units.zip(dz.iter_mut().zip(&mut g_b1)) {
@@ -286,12 +318,14 @@ impl Mlp {
                 }
                 self.b2 -= scale * g_b2;
             }
+            losses.push(loss);
         }
         for (h, row) in self.w1.chunks_exact_mut(d).enumerate() {
             for (k, w) in row.iter_mut().enumerate() {
                 *w = w1t[k * h_count + h];
             }
         }
+        losses.len()
     }
 
     /// Size of the model parameters in bytes (used for index-size reporting).
@@ -525,8 +559,20 @@ mod tests {
         let cap = 12;
         let mut mlp = Mlp::new(toy_config().with_epochs(cap));
         let (mut rows, mut targets) = linear_lane();
-        mlp.train(&mut rows, &mut targets);
+        assert_eq!(mlp.train(&mut rows, &mut targets), cap);
         assert_eq!(fingerprint(&mlp), 0xD3EB_C930_0CC5_8660);
+    }
+
+    /// Targets with no relation to the inputs: nothing is left to learn
+    /// after the first epochs, so the loss is flat and the fit stops.
+    #[test]
+    fn a_fit_on_a_flat_loss_stops_well_before_its_cap() {
+        let (mut rows, _) = linear_lane();
+        let mut rng = StdRng::seed_from_u64(0xF1A7);
+        let mut targets: Vec<f64> = (0..rows.len() / 2).map(|_| rng.gen()).collect();
+        let mut mlp = Mlp::new(toy_config());
+        let epochs = mlp.train(&mut rows, &mut targets);
+        assert!(epochs <= 20, "ran {epochs} epochs");
     }
 
     #[test]
@@ -598,8 +644,10 @@ mod tests {
         let targets: Vec<f64> = (0..50).map(|i| i as f64 / 49.0).collect();
         let mut a = Mlp::new(toy_config());
         let mut b = Mlp::new(toy_config());
-        a.train(&mut inputs.concat(), &mut targets.clone());
-        b.train(&mut inputs.concat(), &mut targets.clone());
+        let ran_a = a.train(&mut inputs.concat(), &mut targets.clone());
+        let ran_b = b.train(&mut inputs.concat(), &mut targets.clone());
+        assert!(ran_a < toy_config().epochs, "the rule must stop this fit");
+        assert_eq!(ran_a, ran_b);
         assert_eq!(a.parameters(), b.parameters());
     }
 

@@ -266,7 +266,8 @@ pub struct IndexConfig {
     pub block_capacity: usize,
     /// RSMI partition threshold `N`.
     pub partition_threshold: usize,
-    /// Training epochs for the learned indices.
+    /// Most training epochs per model of the learned indices; a fit stops
+    /// sooner once its loss stops improving (`mlp::Mlp::train`).
     pub epochs: usize,
     /// SGD learning rate for the learned indices.
     pub learning_rate: f64,

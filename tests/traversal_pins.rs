@@ -15,14 +15,16 @@
 //! mix of its parent's seed and its cell instead of its place in the build
 //! order, so the root's subtrees can be built in parallel.  RSMI's kNN
 //! counts fell once more, with the same hash, when its scan began opening
-//! a region's blocks nearest-first.  On a mismatch the test prints the whole
+//! a region's blocks nearest-first.  The RSMI, RSMIa and ZM rows moved
+//! again when each fit began stopping once its loss stopped improving, so
+//! fewer epochs train most sub-models.  On a mismatch the test prints the whole
 //! observed table in source form, so an intended change (new data
 //! generator, retrained models) regenerates it by copy and paste.
 //!
 //! Beside the query pins, `BUILD_FINGERPRINTS` pins the bulk-loads
 //! themselves: an FNV-64 over the snapshot bytes of fresh RSMI and ZM
 //! builds.  A training-kernel change that claims bit-identical models must
-//! leave it alone.
+//! leave it alone; the epoch-loss stop rule moved it.
 //!
 //! `CODEC_FINGERPRINTS` pins the encoders: an FNV-64 over the snapshot
 //! bytes of every registered kind, and over the frame of every wire
@@ -67,29 +69,29 @@ const PINS: &[Pin] = &[
     // One accounting rule for every family: a block is charged, with its
     // candidates, when its lanes are read; testing an MBR that sits in a
     // directory node or a block header is free.
-    ("RSMIa", "point", 0x5F549D4ECFF7CBC5, (434, 200, 16634)),
-    ("RSMIa", "window", 0x03A30773B21DA9AF, (1804, 47, 64366)),
-    ("RSMIa", "knn", 0x45BC8FB6B33712F8, (383, 37, 14974)),
-    ("RSMIa", "range", 0x646AE2DB258BD994, (561, 37, 20605)),
-    ("RSMIa", "join", 0x0943D814DDF94DF1, (924, 3, 32999)),
-    ("RSMI", "point", 0x5F549D4ECFF7CBC5, (434, 200, 16634)),
-    ("RSMI", "window", 0xC6F9A2A1D144C68F, (1685, 188, 59244)),
-    ("RSMI", "knn", 0x45BC8FB6B33712F8, (307, 148, 11594)),
-    ("RSMI", "range", 0x646AE2DB258BD994, (561, 37, 20605)),
-    ("RSMI", "join", 0x0943D814DDF94DF1, (924, 3, 32999)),
-    ("ZM", "point", 0x5F549D4ECFF7CBC5, (451, 600, 16871)),
-    ("ZM", "window", 0xB1AD270DAFB04FC3, (1694, 282, 55413)),
-    ("ZM", "knn", 0xF9E28D3731AD1F68, (425, 282, 13833)),
-    ("ZM", "range", 0xBDE0B66FAE2885F4, (464, 0, 16358)),
-    ("ZM", "join", 0xBB9ADE19327CDD89, (984, 0, 32244)),
+    ("RSMIa", "point", 0x5F549D4ECFF7CBC5, (425, 200, 16818)),
+    ("RSMIa", "window", 0x88CA6AA8DB009417, (1732, 47, 64241)),
+    ("RSMIa", "knn", 0x45BC8FB6B33712F8, (376, 37, 15196)),
+    ("RSMIa", "range", 0x05FF32F04FB4D1A8, (525, 37, 20339)),
+    ("RSMIa", "join", 0xD38E35D62FA41ADD, (900, 3, 32969)),
+    ("RSMI", "point", 0x5F549D4ECFF7CBC5, (425, 200, 16818)),
+    ("RSMI", "window", 0xBF39F610D14FEFBF, (1612, 188, 59003)),
+    ("RSMI", "knn", 0x45BC8FB6B33712F8, (292, 148, 11486)),
+    ("RSMI", "range", 0x05FF32F04FB4D1A8, (525, 37, 20339)),
+    ("RSMI", "join", 0xD38E35D62FA41ADD, (900, 3, 32969)),
+    ("ZM", "point", 0x5F549D4ECFF7CBC5, (450, 600, 17398)),
+    ("ZM", "window", 0xAFE4FA3BA2D31C27, (1673, 282, 55708)),
+    ("ZM", "knn", 0xF9E28D3731AD1F68, (424, 282, 14179)),
+    ("ZM", "range", 0xFC9A4652115AC190, (446, 0, 16642)),
+    ("ZM", "join", 0xA80F0D8122E2A95D, (947, 0, 32266)),
 ];
 
 /// `(build, fnv64 of its snapshot bytes without build_seconds)`: every
 /// weight, bound, MBR, block and chain link a bulk-load writes.
 const BUILD_FINGERPRINTS: &[(&str, u64)] = &[
-    ("RSMI fast", 0x3AA96229DBFDF4D7),
-    ("RSMI 3 levels", 0x5FC6D034802B625E),
-    ("ZM fast", 0x29BA111DE20C3D85),
+    ("RSMI fast", 0x8D9B798EEDDDB142),
+    ("RSMI 3 levels", 0x1A43B1FD1D75AC9F),
+    ("ZM fast", 0x7806013BB6029A02),
 ];
 
 /// `(snapshot kind or wire message, fnv64 of its bytes)`.  RSMI's
@@ -99,16 +101,16 @@ const CODEC_FINGERPRINTS: &[(&str, u64)] = &[
     ("HRR", 0x43A337650173B13E),
     ("KDB", 0x630A7756AA9A9A3F),
     ("RR*", 0x1A87E1346C8D5570),
-    ("RSMI", 0xA340D30A01D16D28),
-    ("RSMIa", 0xBEC935E1B1A0A4E0),
-    ("ZM", 0xAE1CE18EF56C5037),
+    ("RSMI", 0x93F19756DEF720C7),
+    ("RSMIa", 0xFC0516866C434EEF),
+    ("ZM", 0x9B5BA028D16D8E1E),
     ("Sharded-Grid", 0x8271D9CF1EB682FD),
     ("Sharded-HRR", 0x50B2BAE209ED3469),
     ("Sharded-KDB", 0x0F17AF29A2345ABA),
     ("Sharded-RR*", 0x7F916DF92BE3E374),
     ("Sharded-RSMI", 0x3895EC9AE239A4E3),
     ("Sharded-RSMIa", 0x2712AABA83561401),
-    ("Sharded-ZM", 0xC75DF6A511183559),
+    ("Sharded-ZM", 0xFA557CFC9BA7B4EE),
     ("Request::Point", 0xEA6A384580E615B6),
     ("Request::Window", 0xAB607F982D144D8D),
     ("Request::Knn", 0x4D382CB2AB0F1A93),
