@@ -167,7 +167,7 @@ impl Mlp {
     /// Forward pass for a single sample; `input.len()` must equal
     /// `config.input_dim`.
     ///
-    /// The hidden units run in strips of up to [`STRIP`] on the stack, in
+    /// The hidden units run in strips of up to 64 (`STRIP`) on the stack, in
     /// three passes that each autovectorise: every `z`, every sigmoid, then
     /// the output dot product.
     pub fn predict(&self, input: &[f64]) -> f64 {
@@ -221,8 +221,8 @@ impl Mlp {
     ///
     /// `config.epochs` is a cap.  Each epoch sums the squared error of every
     /// sample as the SGD pass meets it, and the fit stops once the best sum
-    /// of its last [`STOP_WINDOW`] epochs is not more than a relative
-    /// [`STOP_TOLERANCE`] below the best of all earlier epochs.  The sum
+    /// of its last 3 epochs is not more than 0.5 % below the best of all
+    /// earlier epochs (`STOP_WINDOW` and `STOP_TOLERANCE`).  The sum
     /// reads the errors the backward pass computes anyway, so a fit that
     /// runs to the cap has the weights it had without the rule.  Returns the
     /// number of epochs run.
