@@ -563,6 +563,53 @@ mod tests {
         assert_eq!(fingerprint(&mlp), 0xD3EB_C930_0CC5_8660);
     }
 
+    /// `n` rows shaped like an index's root fit, as one flat lane: for two
+    /// inputs, points skewed towards `x = 0` with their cell of an 8 × 8 grid
+    /// as the target; for one input, skewed keys with their rank.  Targets
+    /// are scaled into `[0, 1]`.
+    fn root_shaped_lane(input_dim: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(0x2007);
+        let mut rows = Vec::with_capacity(n * input_dim);
+        let mut targets = Vec::with_capacity(n);
+        for i in 0..n {
+            let (u, v): (f64, f64) = (rng.gen(), rng.gen());
+            if input_dim == 2 {
+                let x = u * u;
+                rows.extend([x, v]);
+                let cell = (x * 8.0).floor() * 8.0 + (v * 8.0).floor();
+                targets.push(cell / 63.0);
+            } else {
+                rows.push(i as f64 / n as f64 * (0.5 + 0.5 * u));
+                targets.push(i as f64 / (n - 1) as f64);
+            }
+        }
+        (rows, targets)
+    }
+
+    /// Root-shaped fits — RSMI's root (2 inputs, 33 units) and ZM's (1
+    /// input, 16 units) — over 5 000 rows, so the last batch of 32 is
+    /// short: pins their epoch counts and weights bit for bit.
+    #[test]
+    fn root_shaped_fits_keep_their_exact_weights() {
+        for (input_dim, hidden, want) in [
+            (2, 33, (6, 0x2EF2_16AF_4BD8_E1C7)),
+            (1, 16, (6, 0x5E78_6F2C_567A_3CF2)),
+        ] {
+            let cfg = MlpConfig {
+                input_dim,
+                hidden,
+                learning_rate: 0.15,
+                epochs: 6,
+                batch_size: 32,
+                seed: 42,
+            };
+            let mut mlp = Mlp::new(cfg);
+            let (mut rows, mut targets) = root_shaped_lane(input_dim, 5_000);
+            let ran = mlp.train(&mut rows, &mut targets);
+            assert_eq!((ran, fingerprint(&mlp)), want, "input_dim {input_dim}");
+        }
+    }
+
     /// Targets with no relation to the inputs: nothing is left to learn
     /// after the first epochs, so the loss is flat and the fit stops.
     #[test]
