@@ -215,8 +215,12 @@ impl Builder {
 
         // Step 2: learn the partitioning function M_{i,j}.
         let inputs: Vec<[f64; 2]> = points.iter().map(|p| [p.x, p.y]).collect();
-        let (model, predicted_cell) =
-            ScaledRegressor::fit_predicting(self.mlp_config(cells, seed), &inputs, &true_cell);
+        let (model, predicted_cell) = ScaledRegressor::fit_predicting(
+            self.mlp_config(cells, seed),
+            &inputs,
+            &true_cell,
+            threads,
+        );
         drop(inputs);
 
         // Step 3: group the points by the model's predictions (the learned

@@ -36,18 +36,24 @@ impl ScaledRegressor {
     /// # Panics
     /// Panics when `inputs` and `targets` lengths differ or when `inputs` is
     /// empty.
-    pub fn fit<R: AsRef<[f64]>>(config: MlpConfig, inputs: &[R], targets: &[u64]) -> Self {
-        Self::fit_predicting(config, inputs, targets).0
+    pub fn fit<R: AsRef<[f64]> + Sync>(config: MlpConfig, inputs: &[R], targets: &[u64]) -> Self {
+        Self::fit_predicting(config, inputs, targets, 1).0
     }
 
-    /// [`ScaledRegressor::fit`], also returning the fitted model's
-    /// prediction for every row of `inputs`, in order.  The error-bound pass
-    /// computes them anyway, so a caller that routes its rows by the model
-    /// reads them here instead of predicting every row a second time.
-    pub fn fit_predicting<R: AsRef<[f64]>>(
+    /// [`ScaledRegressor::fit`] on `threads` threads, also returning the
+    /// fitted model's prediction for every row of `inputs`, in order.  The
+    /// error-bound pass computes them anyway, so a caller that routes its
+    /// rows by the model reads them here instead of predicting every row a
+    /// second time.
+    ///
+    /// With `threads ≥ 2` the training splits the hidden units over two
+    /// threads (see [`Mlp::train`]) and the error-bound pass splits the
+    /// rows over `threads`; the model is the same for every count.
+    pub fn fit_predicting<R: AsRef<[f64]> + Sync>(
         config: MlpConfig,
         inputs: &[R],
         targets: &[u64],
+        threads: usize,
     ) -> (Self, Vec<u64>) {
         assert_eq!(
             inputs.len(),
@@ -71,7 +77,7 @@ impl ScaledRegressor {
         let mut norm_targets: Vec<f64> = targets.iter().map(|&t| t as f64 / scale).collect();
 
         let mut mlp = Mlp::new(config);
-        mlp.train(&mut lane, &mut norm_targets);
+        mlp.train(&mut lane, &mut norm_targets, threads);
         drop((lane, norm_targets));
 
         let mut model = Self {
@@ -81,18 +87,57 @@ impl ScaledRegressor {
             err_below: 0,
             err_above: 0,
         };
-        let predictions: Vec<u64> = inputs
-            .iter()
-            .map(|row| model.predict(row.as_ref()))
-            .collect();
-        for (&pred, &t) in predictions.iter().zip(targets) {
-            if pred < t {
-                model.err_below = model.err_below.max(t - pred);
-            } else {
-                model.err_above = model.err_above.max(pred - t);
+        // The bounds are maxima, so they do not depend on how the rows are
+        // split.
+        let mut predictions = vec![0; inputs.len()];
+        let chunk = inputs.len().div_ceil(threads.max(1));
+        let bounds: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let model = &model;
+            let mut jobs = inputs
+                .chunks(chunk)
+                .zip(targets.chunks(chunk))
+                .zip(predictions.chunks_mut(chunk));
+            let ((rows, targets), out) = jobs.next().expect("non-empty");
+            let helpers: Vec<_> = jobs
+                .map(|((rows, targets), out)| {
+                    s.spawn(move || model.predict_into(rows, targets, out))
+                })
+                .collect();
+            let mut bounds = vec![model.predict_into(rows, targets, out)];
+            for helper in helpers {
+                bounds.push(
+                    helper
+                        .join()
+                        .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+                );
             }
+            bounds
+        });
+        for (below, above) in bounds {
+            model.err_below = model.err_below.max(below);
+            model.err_above = model.err_above.max(above);
         }
         (model, predictions)
+    }
+
+    /// Predicts every row of `inputs` into `out` and returns the largest
+    /// under- and over-prediction against `targets`.
+    fn predict_into<R: AsRef<[f64]>>(
+        &self,
+        inputs: &[R],
+        targets: &[u64],
+        out: &mut [u64],
+    ) -> (u64, u64) {
+        let (mut below, mut above) = (0, 0);
+        for ((row, &t), pred) in inputs.iter().zip(targets).zip(out) {
+            *pred = self.predict(row.as_ref());
+            if *pred < t {
+                below = below.max(t - *pred);
+            } else {
+                above = above.max(*pred - t);
+            }
+        }
+        (below, above)
     }
 
     /// Predicts the integer ID for a raw feature row, clamped to
@@ -268,7 +313,7 @@ mod tests {
             .collect();
         let targets: Vec<u64> = (0..200).map(|i| (i / 10) as u64).collect();
         let (model, predictions) =
-            ScaledRegressor::fit_predicting(fast_config(2), &inputs, &targets);
+            ScaledRegressor::fit_predicting(fast_config(2), &inputs, &targets, 1);
         assert_eq!(predictions.len(), inputs.len());
         for ((row, &t), &predicted) in inputs.iter().zip(&targets).zip(&predictions) {
             assert_eq!(predicted, model.predict(row));
