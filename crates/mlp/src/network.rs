@@ -265,7 +265,7 @@ impl Mlp {
             let loss = match &mut follower {
                 None => {
                     shuffle(n, &mut [(&mut *rows, d), (&mut *targets, 1)], &mut rng);
-                    leader.lead_epoch(rows, targets, batch, rate, &mut b2, None)
+                    leader.lead_epoch(rows, targets, rate, &mut b2, None)
                 }
                 Some(follower) => {
                     let mut rows_rng = rng.clone();
@@ -280,11 +280,10 @@ impl Mlp {
                     std::thread::scope(|s| {
                         let helper = s.spawn(|| {
                             let _abandon = mailbox.abandon_on_unwind();
-                            follower.follow_epoch(rows, targets, batch, rate, &mailbox);
+                            follower.follow_epoch(rows, targets, rate, &mailbox);
                         });
                         let _abandon = mailbox.abandon_on_unwind();
-                        let loss =
-                            leader.lead_epoch(rows, targets, batch, rate, &mut b2, Some(&mailbox));
+                        let loss = leader.lead_epoch(rows, targets, rate, &mut b2, Some(&mailbox));
                         join(helper);
                         loss
                     })
@@ -473,6 +472,9 @@ struct Units {
     act: Vec<f64>,
     /// One sample's `dL/dz` per unit.
     dz: Vec<f64>,
+    /// The batch's output sums, then its errors.  Allocated with the
+    /// range, so the thread that trains it allocates nothing.
+    sums: Vec<f64>,
 }
 
 impl Units {
@@ -501,6 +503,7 @@ impl Units {
             g_w2: vec![0.0; len],
             act: vec![0.0; batch * len],
             dz: vec![0.0; len],
+            sums: vec![0.0; batch],
         }
     }
 
@@ -583,13 +586,13 @@ impl Units {
         &mut self,
         rows: &[f64],
         targets: &[f64],
-        batch: usize,
         rate: f64,
         b2: &mut f64,
         follower: Option<&Mailbox>,
     ) -> f64 {
         let mut loss = 0.0;
-        let mut sums = vec![0.0; batch];
+        let mut sums = std::mem::take(&mut self.sums);
+        let batch = sums.len();
         for (xs, ts) in rows.chunks(batch * self.d).zip(targets.chunks(batch)) {
             let deltas = &mut sums[..ts.len()];
             self.forward(xs);
@@ -613,20 +616,15 @@ impl Units {
             self.backward(xs, deltas, scale);
             *b2 -= scale * g_b2;
         }
+        self.sums = sums;
         loss
     }
 
     /// One epoch of the second range: it continues the output sums the
     /// leader posts over its own units and posts back the errors.
-    fn follow_epoch(
-        &mut self,
-        rows: &[f64],
-        targets: &[f64],
-        batch: usize,
-        rate: f64,
-        leader: &Mailbox,
-    ) {
-        let mut sums = vec![0.0; batch];
+    fn follow_epoch(&mut self, rows: &[f64], targets: &[f64], rate: f64, leader: &Mailbox) {
+        let mut sums = std::mem::take(&mut self.sums);
+        let batch = sums.len();
         for (xs, ts) in rows.chunks(batch * self.d).zip(targets.chunks(batch)) {
             let deltas = &mut sums[..ts.len()];
             self.forward(xs);
@@ -636,6 +634,7 @@ impl Units {
             leader.post(deltas, Side::Leader);
             self.backward(xs, deltas, rate / ts.len() as f64);
         }
+        self.sums = sums;
     }
 }
 
