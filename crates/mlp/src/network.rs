@@ -229,10 +229,10 @@ impl Mlp {
     /// number of epochs run.
     ///
     /// With `threads ≥ 2` the hidden units are split into two ranges
-    /// trained on two threads (more threads are not used).  Within a batch the weights are fixed and
-    /// only the output sum crosses units, so per batch the first range
-    /// hands the second its running output sums and gets the errors back
-    /// (see [`Mailbox`]); every floating-point operation is the one a
+    /// trained on two threads (more threads are not used).  Within a batch
+    /// the weights are fixed and only the output sum crosses units, so per
+    /// batch the first range hands the second its running output sums and
+    /// gets the errors back; every floating-point operation is the one a
     /// single range runs, and the weights are the same bit for bit.  The
     /// two threads also split each epoch's shuffle: both draw the same
     /// swaps, one applies them to the rows and the other to the targets.
@@ -444,7 +444,7 @@ fn shuffle(n: usize, lanes: &mut [(&mut [f64], usize)], rng: &mut StdRng) {
 const SHUFFLE_BLOCK: usize = 32;
 
 /// Joins a scoped helper, re-raising its panic on the calling thread.
-fn join<T>(helper: std::thread::ScopedJoinHandle<'_, T>) -> T {
+pub(crate) fn join<T>(helper: std::thread::ScopedJoinHandle<'_, T>) -> T {
     helper
         .join()
         .unwrap_or_else(|e| std::panic::resume_unwind(e))
@@ -864,8 +864,8 @@ mod tests {
 
     /// `n` rows shaped like an index's root fit, as one flat lane: for two
     /// inputs, points skewed towards `x = 0` with their cell of an 8 × 8 grid
-    /// as the target; for one input, skewed keys with their rank.  Targets
-    /// are scaled into `[0, 1]`.
+    /// as the target; for one input, the noisy keys `i / n · (0.5 + 0.5 u)`
+    /// with the target `i / (n − 1)`.  Targets are scaled into `[0, 1]`.
     fn root_shaped_lane(input_dim: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(0x2007);
         let mut rows = Vec::with_capacity(n * input_dim);

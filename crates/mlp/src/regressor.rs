@@ -1,6 +1,7 @@
 //! A wrapper turning the raw MLP into the "indexing function" used by the
 //! learned indices: raw coordinates in, integer block/partition IDs out.
 
+use crate::network::join;
 use crate::{Mlp, MlpConfig, Normalizer};
 
 /// A regression model over integer targets.
@@ -104,13 +105,7 @@ impl ScaledRegressor {
                 })
                 .collect();
             let mut bounds = vec![model.predict_into(rows, targets, out)];
-            for helper in helpers {
-                bounds.push(
-                    helper
-                        .join()
-                        .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-                );
-            }
+            bounds.extend(helpers.into_iter().map(join));
             bounds
         });
         for (below, above) in bounds {
@@ -312,14 +307,24 @@ mod tests {
             .map(|i| vec![(i % 20) as f64 / 20.0, (i / 20) as f64 / 10.0])
             .collect();
         let targets: Vec<u64> = (0..200).map(|i| (i / 10) as u64).collect();
-        let (model, predictions) =
-            ScaledRegressor::fit_predicting(fast_config(2), &inputs, &targets, 1);
+        let fit =
+            |threads| ScaledRegressor::fit_predicting(fast_config(2), &inputs, &targets, threads);
+        let (model, predictions) = fit(1);
         assert_eq!(predictions.len(), inputs.len());
         for ((row, &t), &predicted) in inputs.iter().zip(&targets).zip(&predictions) {
             assert_eq!(predicted, model.predict(row));
             let p = predicted as i64;
             assert!(p - t as i64 <= model.err_above() as i64);
             assert!(t as i64 - p <= model.err_below() as i64);
+        }
+        // More threads split the training and the bound pass, and change
+        // nothing.
+        for threads in [2, 3] {
+            let (split, split_predictions) = fit(threads);
+            assert_eq!(split_predictions, predictions, "{threads} threads");
+            assert_eq!(split.mlp.parameters(), model.mlp.parameters());
+            let bounds = |m: &ScaledRegressor| (m.err_below(), m.err_above());
+            assert_eq!(bounds(&split), bounds(&model), "{threads} threads");
         }
     }
 
