@@ -647,12 +647,15 @@ fn subtract(sums: &mut [f64], targets: &[f64]) {
 
 /// Busy-wait rounds before a range waiting on the other yields its core
 /// between checks.  32 rounds of `spin_loop` take ≈ 0.6 µs on a 2-vCPU
-/// Xeon host, about one batch's usual wait for the other range.  When more
+/// Xeon host, where a wait within a batch averages 1–2 µs on a free core;
+/// past the spin, a yield returns at once when no other thread wants the
+/// core.  When more
 /// threads are busy than there are cores (two RSMI shards built side by
 /// side, each splitting its root fit) the other range may not be running;
 /// spinning 1 024 rounds first made a 200 k two-shard build 24 % slower
-/// than the one-thread trainer (medians of 5 runs), while with 32 rounds
-/// it is within 2 % (10 runs).
+/// than the one-thread trainer.  With 32 rounds its median stays inside
+/// the one-thread trainer's quartiles, and yielding at once is no faster
+/// there while it slows an unsharded root fit by ≈ 4 %.
 const SPINS_BEFORE_YIELD: u32 = 32;
 
 /// The two sides of a two-range fit.
