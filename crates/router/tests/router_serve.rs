@@ -189,6 +189,40 @@ fn router_matches_local_sharded_index_for_all_five_classes() {
     compare(&remote, local.as_ref());
 }
 
+/// The duplicate-heavy delete phase of the workspace conformance suite,
+/// through the router: one of five co-located ids, a point stored three
+/// times, an id-0 point where no copy has id 0, and the stored id-0 point.
+/// Each delete removes every copy whose `(x, y, id)` matches and no other;
+/// the returned bool, `len()` and the survivors are the `Vec` oracle's.
+#[test]
+fn routed_deletes_remove_every_copy_of_the_triple_they_name() {
+    let spot = Point::new(0.4, 0.6);
+    let mut data = generate(Distribution::skewed_default(), 900, 83);
+    data.extend((0..5).map(|i| Point::with_id(spot.x, spot.y, 5_001 + i)));
+    let triple = Point::with_id(0.4004, 0.6, 7_000);
+    data.extend([triple; 3]);
+    assert_eq!(data[0].id, 0);
+    let (cluster, _) = spawn_cluster(&data, 1, "dupdel", None);
+    let mut remote = RemoteIndex::connect(&cluster.router_addr()).expect("connect");
+
+    let key = |p: &Point| (p.id, p.x.to_bits(), p.y.to_bits());
+    let mut oracle = data.clone();
+    let victims = [Point::with_id(spot.x, spot.y, 5_003), triple, spot, data[0]];
+    for victim in victims {
+        let before = oracle.len();
+        oracle.retain(|p| !(p.same_location(&victim) && p.id == victim.id));
+        let removed = remote.delete(&victim);
+        assert_eq!(removed, oracle.len() < before, "delete {victim:?}");
+        assert_eq!(remote.len(), oracle.len(), "len after {victim:?}");
+        let mut held = Vec::new();
+        remote.for_each_point(&mut |p| held.push(key(p)));
+        let mut want: Vec<_> = oracle.iter().map(key).collect();
+        held.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(held, want, "survivors after {victim:?}");
+    }
+}
+
 /// `index`'s in-process answer to a read, as the wire would carry it, with
 /// set-valued answers in id order (the router concatenates shard answers).
 /// The read's cost is charged to `cx`.

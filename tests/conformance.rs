@@ -6,7 +6,7 @@
 use common::{brute_force, QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use geom::{Point, Rect};
-use registry::{build_index, BaseKind, IndexConfig, IndexKind};
+use registry::{build_index, serve_index, BaseKind, IndexConfig, IndexKind, ServerConfig};
 
 fn cfg() -> IndexConfig {
     IndexConfig::fast()
@@ -331,6 +331,70 @@ fn within_stored(got: &[Point], stored: &[Point]) -> bool {
     })
 }
 
+/// The duplicate-heavy data: 900 skewed points (the first carries id 0),
+/// five co-located points at `spot` under ids 5 001..=5 005, and `triple`
+/// stored three times.  Returns the data, `spot` (id 0, stored under no
+/// id 0) and `triple`.
+fn duplicate_heavy_data() -> (Vec<Point>, Point, Point) {
+    let spot = Point::new(0.4, 0.6);
+    let mut data = generate(Distribution::skewed_default(), 900, 83);
+    data.extend((0..5).map(|i| Point::with_id(spot.x, spot.y, 5_001 + i)));
+    let triple = Point::with_id(0.4004, 0.6, 7_000);
+    data.extend([triple; 3]);
+    (data, spot, triple)
+}
+
+/// Every stored copy, as a multiset.
+fn survivors(index: &dyn SpatialIndex) -> Vec<(u64, u64, u64)> {
+    let mut held = Vec::with_capacity(index.len());
+    index.for_each_point(&mut |p| held.push(*p));
+    multiset(&held)
+}
+
+/// The delete phase on the duplicate-heavy data, held to the one delete
+/// rule: `delete(p)` removes every stored copy whose `(x, y, id)` equals
+/// `p`'s, and id 0 is an ordinary id.  It deletes one of the five spot ids,
+/// the triple (all three copies), `spot` itself (id 0, which no copy there
+/// carries) and `data[0]` (id 0, stored once).  After each delete the
+/// returned bool, `len()` and the survivors must be the `Vec` oracle's;
+/// a disagreement goes to `fail`.  Returns the oracle's survivors.
+fn delete_phase(
+    index: &mut dyn SpatialIndex,
+    data: &[Point],
+    fail: &mut dyn FnMut(String),
+) -> Vec<Point> {
+    let (spot, triple) = (data[900], data[905]);
+    assert_eq!((spot.id, triple.id, data[0].id), (5_001, 7_000, 0));
+    let mut oracle = data.to_vec();
+    let victims = [
+        Point::with_id(spot.x, spot.y, 5_003),
+        triple,
+        Point::new(spot.x, spot.y),
+        data[0],
+    ];
+    for victim in victims {
+        let before = oracle.len();
+        oracle.retain(|p| !(p.same_location(&victim) && p.id == victim.id));
+        let removed = index.delete(&victim);
+        if removed != (oracle.len() < before) {
+            fail(format!("delete {victim:?} returned {removed}"));
+        }
+        if index.len() != oracle.len() {
+            let len = index.len();
+            fail(format!(
+                "after {victim:?}: len {len}, oracle {}",
+                oracle.len()
+            ));
+        }
+        if survivors(index) != multiset(&oracle) {
+            fail(format!(
+                "after {victim:?}: survivors differ from the oracle"
+            ));
+        }
+    }
+    oracle
+}
+
 /// The duplicate-heavy case (ROADMAP 6): real spatial data is full of exact
 /// duplicates, and the answer to them is a multiset — a point stored `c`
 /// times is `c` results, in every query class, on every kind.  Around one
@@ -340,11 +404,7 @@ fn within_stored(got: &[Point], stored: &[Point]) -> bool {
 /// Failures are collected and reported together, by kind and class.
 #[test]
 fn duplicate_heavy_data_answers_as_a_multiset_on_every_kind() {
-    let spot = Point::new(0.4, 0.6);
-    let mut data = generate(Distribution::skewed_default(), 900, 83);
-    data.extend((0..5).map(|i| Point::with_id(spot.x, spot.y, 5_001 + i)));
-    let triple = Point::with_id(0.4004, 0.6, 7_000);
-    data.extend([triple; 3]);
+    let (data, spot, triple) = duplicate_heavy_data();
     let n = data.len();
     let window = Rect::centered(spot.x, spot.y, 0.002, 0.002);
     let radius = 0.001;
@@ -425,6 +485,39 @@ fn duplicate_heavy_data_answers_as_a_multiset_on_every_kind() {
                 "join",
                 format!("{} pairs, oracle {}", got.len(), truth.len()),
             );
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The delete phase on the scan oracle and on a served index across one
+/// partial and one full compaction pass: the survivors a pass folds are the
+/// ones the overlay answered with before it.
+#[test]
+fn duplicate_heavy_deletes_agree_with_the_oracle_on_the_scan_and_the_server() {
+    let (data, _, _) = duplicate_heavy_data();
+    let mut failures: Vec<String> = Vec::new();
+    let mut scan = brute_force::ScanIndex::new(data.clone());
+    delete_phase(&mut scan, &data, &mut |what| {
+        failures.push(format!("scan: {what}"))
+    });
+    for kind in [IndexKind::Rsmi, IndexKind::Rsmia] {
+        for full in [false, true] {
+            let pass = if full { "full" } else { "partial" };
+            let scfg = ServerConfig::default().with_auto_compact(false);
+            let mut server = serve_index(kind, &data, &cfg(), scfg);
+            let mut fail =
+                |what: String| failures.push(format!("{kind} server, {pass} pass: {what}"));
+            let oracle = delete_phase(&mut server, &data, &mut fail);
+            let swapped = if full {
+                server.compact_now()
+            } else {
+                server.maintain_now()
+            };
+            assert!(swapped, "{kind}: the {pass} pass folded nothing");
+            if server.len() != oracle.len() || survivors(&server) != multiset(&oracle) {
+                fail(format!("the folded base holds {} points", server.len()));
+            }
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
