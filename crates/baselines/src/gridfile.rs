@@ -281,13 +281,12 @@ impl SpatialIndex for GridFile {
 
     fn delete(&mut self, p: &Point) -> bool {
         let cell = Self::cell_of(self.side, p);
+        let mut removed = 0;
         for &b in &self.cells[cell] {
-            if self.store.block_mut(b).remove_at(p.x, p.y, p.id).is_some() {
-                self.n_points -= 1;
-                return true;
-            }
+            removed += self.store.block_mut(b).remove_at(p.x, p.y, p.id);
         }
-        false
+        self.n_points -= removed;
+        removed > 0
     }
 
     fn size_bytes(&self) -> usize {

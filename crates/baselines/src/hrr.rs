@@ -426,12 +426,13 @@ impl SpatialIndex for HilbertRTree {
 
     fn delete(&mut self, p: &Point) -> bool {
         let Some(root) = self.root else { return false };
-        // MBR-guided search for the block holding p; `path` is the chain of
-        // ancestors of the node on top of the stack.
+        // MBR-guided search for every block holding a copy of p; `path` is
+        // the chain of ancestors of the node on top of the stack.
         let mut stack = vec![(root, 0)];
         let mut path = Vec::new();
-        let mut hit = None;
-        'search: while let Some((id, depth)) = stack.pop() {
+        let mut hits = Vec::new();
+        let mut removed = 0;
+        while let Some((id, depth)) = stack.pop() {
             if !self.nodes[id].mbr.contains(p) {
                 continue;
             }
@@ -443,19 +444,23 @@ impl SpatialIndex for HilbertRTree {
                 }
                 NodeKind::LeafParent(blocks) => {
                     for &b in blocks {
-                        if self.store.block_mut(b).remove_at(p.x, p.y, p.id).is_some() {
-                            hit = Some(b);
-                            break 'search;
+                        let n = self.store.block_mut(b).remove_at(p.x, p.y, p.id);
+                        if n > 0 {
+                            removed += n;
+                            hits.push(b);
                         }
                     }
                 }
             }
+            if !hits.is_empty() {
+                for b in hits.drain(..) {
+                    self.update_block_mbr(b);
+                }
+                self.refresh_mbrs(&path);
+            }
         }
-        let Some(block) = hit else { return false };
-        self.update_block_mbr(block);
-        self.refresh_mbrs(&path);
-        self.n_points -= 1;
-        true
+        self.n_points -= removed;
+        removed > 0
     }
 
     fn size_bytes(&self) -> usize {

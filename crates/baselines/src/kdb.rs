@@ -392,6 +392,7 @@ impl SpatialIndex for KdbTree {
     fn delete(&mut self, p: &Point) -> bool {
         let Some(root) = self.root else { return false };
         let mut stack = vec![root];
+        let mut removed = 0;
         while let Some(id) = stack.pop() {
             if !self.nodes[id].region.contains(p) {
                 continue;
@@ -399,15 +400,12 @@ impl SpatialIndex for KdbTree {
             match &self.nodes[id].kind {
                 NodeKind::Internal(children) => stack.extend(children),
                 NodeKind::Leaf(block) => {
-                    let removed = self.store.block_mut(*block).remove_at(p.x, p.y, p.id);
-                    if removed.is_some() {
-                        self.n_points -= 1;
-                        return true;
-                    }
+                    removed += self.store.block_mut(*block).remove_at(p.x, p.y, p.id);
                 }
             }
         }
-        false
+        self.n_points -= removed;
+        removed > 0
     }
 
     fn size_bytes(&self) -> usize {

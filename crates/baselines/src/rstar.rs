@@ -309,43 +309,51 @@ impl RStarTree {
         }
     }
 
-    /// Removes `p` from the subtree under `node`, refreshing the MBRs on
-    /// the way back up.  Returns whether anything was removed.
-    fn remove_below(&mut self, node: usize, p: &Point) -> bool {
+    /// Removes every copy of `p` (same location and id) from the subtree
+    /// under `node`, refreshing the MBRs on the way back up.  Returns how
+    /// many copies went.
+    fn remove_below(&mut self, node: usize, p: &Point) -> usize {
         if !self.nodes[node].mbr.contains(p) {
-            return false;
+            return 0;
         }
         let n_children = match &mut self.nodes[node].kind {
             NodeKind::Leaf(page) => {
                 // Order-preserving, so the page's scan order is stable.
                 let kept: Vec<Point> = page
                     .iter_points()
-                    .filter(|q| !(q.x == p.x && q.y == p.y && (q.id == p.id || p.id == 0)))
+                    .filter(|q| !(q.same_location(p) && q.id == p.id))
                     .collect();
-                if kept.len() == page.len() {
-                    return false;
+                let removed = page.len() - kept.len();
+                if removed > 0 {
+                    self.nodes[node].kind = Self::leaf_page(&kept);
+                    self.nodes[node].recompute_mbr();
                 }
-                self.nodes[node].kind = Self::leaf_page(&kept);
-                self.nodes[node].recompute_mbr();
-                return true;
+                return removed;
             }
             NodeKind::Internal(children) => children.len(),
         };
+        let mut removed = 0;
         for i in 0..n_children {
             let NodeKind::Internal(children) = &self.nodes[node].kind else {
                 unreachable!("node kinds do not change during a delete");
             };
             let (rect, child) = children[i];
-            if rect.contains(p) && self.remove_below(child, p) {
+            if !rect.contains(p) {
+                continue;
+            }
+            let n = self.remove_below(child, p);
+            if n > 0 {
+                removed += n;
                 let child_mbr = self.nodes[child].mbr;
                 if let NodeKind::Internal(children) = &mut self.nodes[node].kind {
                     children[i].0 = child_mbr;
                 }
-                self.nodes[node].recompute_mbr();
-                return true;
             }
         }
-        false
+        if removed > 0 {
+            self.nodes[node].recompute_mbr();
+        }
+        removed
     }
 
     /// Reads an R*-tree snapshot written by
@@ -542,17 +550,14 @@ impl SpatialIndex for RStarTree {
     }
 
     fn delete(&mut self, p: &Point) -> bool {
-        // Locate the leaf containing p via an MBR-guided search, remove it,
-        // and tighten ancestor MBRs.  Underflow handling (entry reinsertion)
-        // is omitted: the paper's deletion experiments only flag points as
-        // deleted as well.
+        // Locate every leaf holding a copy of p via an MBR-guided search,
+        // remove the copies, and tighten ancestor MBRs.  Underflow handling
+        // (entry reinsertion) is omitted: the paper's deletion experiments
+        // only flag points as deleted as well.
         let Some(root) = self.root else { return false };
-        if self.remove_below(root, p) {
-            self.n_points -= 1;
-            true
-        } else {
-            false
-        }
+        let removed = self.remove_below(root, p);
+        self.n_points -= removed;
+        removed > 0
     }
 
     fn size_bytes(&self) -> usize {

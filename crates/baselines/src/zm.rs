@@ -523,11 +523,9 @@ impl SpatialIndex for ZOrderModel {
         let Some((lo, hi)) = self.predicted_block_range(z, &mut scratch) else {
             return false;
         };
-        if self.store.remove_in_chain_range(lo, hi, p).is_none() {
-            return false;
-        }
-        self.n_points -= 1;
-        true
+        let removed = self.store.remove_in_chain_range(lo, hi, p);
+        self.n_points -= removed;
+        removed > 0
     }
 
     fn size_bytes(&self) -> usize {

@@ -64,19 +64,7 @@ fn serve_live(args: &Args) -> bool {
         write_ratio,
         SEED ^ 0xA11E,
     );
-    let (reads, mut writes) = bench::live::split_stream(&ops);
-    // `Rsmi::delete` treats id 0 as a location wildcard, which the serving
-    // layer must answer with a full-rebuild pass; redirect the rare delete
-    // of the id-0 point so the learned kinds exercise the partial path for
-    // the whole run (for exact-id kinds the redirect is just a different,
-    // equally valid victim).
-    for w in writes.iter_mut() {
-        if let server::WriteOp::Delete(p) = w {
-            if p.id == 0 {
-                *w = server::WriteOp::Delete(data[1]);
-            }
-        }
-    }
+    let (reads, writes) = bench::live::split_stream(&ops);
 
     let cfg = sharded_config(args);
     let threshold = (writes.len() / 4).max(16);

@@ -309,8 +309,10 @@ pub trait SpatialIndex: Send + Sync {
     /// Inserts a point.
     fn insert(&mut self, p: Point);
 
-    /// Deletes the point with the given coordinates and id; returns whether
-    /// a point was removed.
+    /// Deletes, in one call, every stored copy whose `(x, y, id)` equals
+    /// `p`'s — id 0 is an ordinary id, never "any id here" — and returns
+    /// whether any copy was removed.  Copies at the same location under
+    /// other ids stay.
     fn delete(&mut self, p: &Point) -> bool;
 
     /// Rebuilds the structure from its current contents, restoring optimal

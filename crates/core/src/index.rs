@@ -548,19 +548,21 @@ impl Rsmi {
         Some(base)
     }
 
-    /// Deletes the point with the given coordinates and id.  Returns whether
-    /// a point was removed.  Blocks are never shrunk (§5), so error bounds
-    /// remain valid; the freed slot is reused by later insertions.
+    /// Deletes every stored copy with the given coordinates and id.
+    /// Returns whether any was removed.  Blocks are never shrunk (§5), so
+    /// error bounds remain valid; the freed slots are reused by later
+    /// insertions.
     pub fn delete(&mut self, p: &Point) -> bool {
         let mut scratch = QueryContext::new();
         let Some(leaf_id) = self.descend(p.x, p.y, &mut scratch) else {
             return false;
         };
         let (lo, hi) = self.leaf(leaf_id).predicted_range(p.x, p.y);
-        if self.store.remove_in_chain_range(lo, hi, p).is_none() {
+        let removed = self.store.remove_in_chain_range(lo, hi, p);
+        if removed == 0 {
             return false;
         }
-        self.n_points -= 1;
+        self.n_points -= removed;
         self.maint[leaf_id].ops_since_train += 1;
         true
     }

@@ -919,8 +919,7 @@ mod tests {
                 server.insert(p);
                 inserted.push(p);
                 if i % 5 == 0 {
-                    // Skip index 0: its id is 0, the trait-level wildcard.
-                    let victim = data[1 + (i as usize * 11) % (data.len() - 1)];
+                    let victim = data[(i as usize * 11) % data.len()];
                     if server.delete(&victim).0 {
                         deleted.push(victim);
                     }

@@ -272,9 +272,7 @@ pub(crate) enum CompactionMode {
     Full,
     /// Clone the base, replay the captured delta into the clone, and
     /// retrain only drifted subtrees.  Falls back to
-    /// [`Full`](CompactionMode::Full) when the base does not support cloning or
-    /// the captured log contains a wildcard delete a clone cannot replay
-    /// faithfully.
+    /// [`Full`](CompactionMode::Full) when the base does not support cloning.
     Partial,
     /// Decided per pass from the base index: partial when it supports
     /// maintenance and its shards are not skewed, otherwise full.
@@ -572,10 +570,7 @@ impl Core {
     /// retrained under [`Core::partial_budget`].  The canonical point
     /// vector is folded identically in both modes, so a later full rebuild
     /// always starts from the same ground truth.  Partial silently falls
-    /// back to full when the base cannot be cloned or the captured log
-    /// contains a wildcard delete (`id == 0` matches any id in
-    /// [`SpatialIndex::delete`], which an index replay cannot reproduce
-    /// faithfully against `Vec` fold semantics).
+    /// back to full when the base cannot be cloned.
     fn compact_with(&self, mode: CompactionMode) -> bool {
         let mut points = self.compact_state.lock().expect("compact lock poisoned");
         let pass_t0 = Instant::now();
@@ -595,21 +590,17 @@ impl Core {
         });
         delta::apply_log_to_points(&mut points, captured.log(), fold_seq);
 
-        let wildcard_delete = captured
-            .log()
-            .iter()
-            .any(|o| matches!(o.op, WriteOp::Delete(p) if p.id == 0));
         let rebuild_t0 = Instant::now();
         let mut partial_outcome = None;
-        let new_base = if mode == CompactionMode::Partial && !wildcard_delete {
+        let new_base = if mode == CompactionMode::Partial {
             match epoch.base.clone_index() {
                 Some(mut clone) => {
                     for op in captured.log().iter().filter(|o| o.seq <= fold_seq) {
                         match op.op {
                             WriteOp::Insert(p) => clone.insert(p),
-                            // Vec fold semantics remove every matching
-                            // copy; `SpatialIndex::delete` removes one.
-                            WriteOp::Delete(p) => while clone.delete(&p) {},
+                            WriteOp::Delete(p) => {
+                                clone.delete(&p);
+                            }
                         }
                     }
                     partial_outcome = Some(clone.rebuild_partial(&self.partial_budget()));
@@ -1942,19 +1933,26 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_deletes_force_a_full_pass() {
-        // `SpatialIndex::delete` treats id 0 as "match any id", which a
-        // clone replay cannot reconcile with the Vec fold's exact-id
-        // semantics — the pass must fall back to a full rebuild.
+    fn an_id_0_delete_goes_partial_and_removes_only_that_id() {
+        // Id 0 is an ordinary id: the replay removes the copies that carry
+        // it and leaves the other ids at the same location alone.
         let server = SpatialServer::new(Vec::new(), maint_rebuild(), manual_cfg());
-        server.insert(Point::with_id(0.3, 0.3, 7));
+        let zero = Point::with_id(0.3, 0.3, 0);
+        let seven = Point::with_id(0.3, 0.3, 7);
         server.insert(Point::with_id(0.6, 0.6, 8));
-        server.delete(&Point::with_id(0.3, 0.3, 0));
+        server.insert(seven);
+        server.insert(zero);
+        server.insert(zero);
+        assert!(server.maintain_now());
+        assert_eq!(server.delete(&zero), (true, 5));
         assert!(server.maintain_now());
         let stats = server.stats();
-        assert_eq!(stats.compactions, 1);
-        assert_eq!(stats.partial_compactions, 0, "wildcard delete went partial");
-        assert_eq!(server.len(), 2, "exact-id fold must keep both points");
+        assert_eq!(stats.compactions, 2);
+        assert_eq!(stats.partial_compactions, 2, "an id-0 delete went full");
+        assert_eq!(server.len(), 2);
+        let mut cx = QueryContext::new();
+        assert_eq!(server.point_query(&zero, &mut cx), Some(seven));
+        assert!(!server.delete(&zero).0);
     }
 
     #[test]

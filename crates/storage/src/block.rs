@@ -228,16 +228,21 @@ impl Block {
         Some(self.swap_remove(pos))
     }
 
-    /// Removes the first point at exactly `(x, y)` whose id is `id` — the
-    /// delete of every block-backed family.  `id == 0` is the wildcard: any
-    /// point at the location matches.  Co-located duplicates are legal, so
-    /// the id is tested per point, not on the first coordinate match only.
-    /// Swaps in the last entry like [`Block::remove_by_id`].
-    pub fn remove_at(&mut self, x: f64, y: f64, id: u64) -> Option<Point> {
-        let (xs, ys) = (self.xs(), self.ys());
-        let pos =
-            (0..xs.len()).find(|&i| xs[i] == x && ys[i] == y && (id == 0 || self.ids[i] == id))?;
-        Some(self.swap_remove(pos))
+    /// Removes every point at exactly `(x, y)` whose id is `id` — the
+    /// delete of every block-backed family — and returns how many went.
+    /// Co-located duplicates are legal, so the id is tested per point.
+    /// Each removal swaps in the last entry like [`Block::remove_by_id`].
+    pub fn remove_at(&mut self, x: f64, y: f64, id: u64) -> usize {
+        let (mut i, mut removed) = (0, 0);
+        while i < self.ids.len() {
+            if self.xs()[i] == x && self.ys()[i] == y && self.ids[i] == id {
+                self.swap_remove(i);
+                removed += 1;
+            } else {
+                i += 1;
+            }
+        }
+        removed
     }
 
     fn swap_remove(&mut self, pos: usize) -> Point {
@@ -331,17 +336,26 @@ mod tests {
 
     #[test]
     fn remove_at_tests_the_id_of_every_co_located_point() {
-        let mut b = Block::new(4);
+        let mut b = Block::new(6);
         b.push(Point::with_id(0.3, 0.7, 1001));
         b.push(Point::with_id(0.3, 0.7, 1002));
         b.push(Point::with_id(0.5, 0.5, 7));
-        assert!(b.remove_at(0.3, 0.7, 9).is_none());
-        assert!(b.remove_at(0.5, 0.7, 1002).is_none());
-        assert_eq!(b.remove_at(0.3, 0.7, 1002).unwrap().id, 1002);
+        assert_eq!(b.remove_at(0.3, 0.7, 9), 0);
+        assert_eq!(b.remove_at(0.5, 0.7, 1002), 0);
+        assert_eq!(b.remove_at(0.3, 0.7, 1002), 1);
         // The survivor of the swap keeps its lanes; the first duplicate is
-        // still there and the wildcard takes it.
+        // still there, and id 0 is an ordinary id that matches neither.
         assert_eq!(b.to_points()[1], Point::with_id(0.5, 0.5, 7));
-        assert_eq!(b.remove_at(0.3, 0.7, 0).unwrap().id, 1001);
+        assert_eq!(b.remove_at(0.3, 0.7, 0), 0);
+        assert_eq!(b.find_at(0.3, 0.7).unwrap().id, 1001);
+        // Every copy of one `(x, y, id)` goes in one call, swapped-in
+        // copies included.
+        b.push(Point::with_id(0.3, 0.7, 1001));
+        b.push(Point::with_id(0.3, 0.7, 0));
+        b.push(Point::with_id(0.3, 0.7, 1001));
+        assert_eq!(b.remove_at(0.3, 0.7, 1001), 3);
+        assert_eq!(b.ids(), &[0, 7]);
+        assert_eq!(b.remove_at(0.3, 0.7, 0), 1);
         assert!(b.find_at(0.3, 0.7).is_none());
         assert_eq!(b.len(), 1);
     }

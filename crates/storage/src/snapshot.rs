@@ -217,12 +217,11 @@ mod tests {
                     filled += usize::from(block.is_full());
                 } else {
                     let victim = block.point(rand(block.len()));
-                    let removed = match rand(3) {
-                        0 => block.remove_by_id(victim.id),
-                        1 => block.remove_at(victim.x, victim.y, victim.id),
-                        _ => block.remove_at(victim.x, victim.y, 0),
-                    };
-                    assert!(removed.is_some_and(|p| p.same_location(&victim)));
+                    if rand(3) == 0 {
+                        assert_eq!(block.remove_by_id(victim.id), Some(victim));
+                    } else {
+                        assert_eq!(block.remove_at(victim.x, victim.y, victim.id), 1);
+                    }
                     emptied += usize::from(block.is_empty());
                 }
                 assert_mbrs_are_the_fold(&store, "after an operation");

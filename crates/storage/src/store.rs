@@ -219,25 +219,20 @@ impl BlockStore {
         self.chain_range(id, id)
     }
 
-    /// Removes the first point matching `p` ([`Block::remove_at`]: exact
-    /// location, id `0` the wildcard) from the blocks of
-    /// [`chain_range(begin, end)`](Self::chain_range), in chain order.
-    pub fn remove_in_chain_range(
-        &mut self,
-        begin: BlockId,
-        end: BlockId,
-        p: &Point,
-    ) -> Option<Point> {
+    /// Removes every point whose `(x, y, id)` equals `p`'s
+    /// ([`Block::remove_at`]) from the blocks of
+    /// [`chain_range(begin, end)`](Self::chain_range), and returns how many
+    /// went.
+    pub fn remove_in_chain_range(&mut self, begin: BlockId, end: BlockId, p: &Point) -> usize {
         let mut cursor = ChainCursor::new(begin, end, self.blocks.len());
+        let mut removed = 0;
         while let Some(id) = cursor.advance(&self.blocks) {
             let block = &mut self.blocks[id];
             if block.mbr().contains(p) {
-                if let Some(removed) = block.remove_at(p.x, p.y, p.id) {
-                    return Some(removed);
-                }
+                removed += block.remove_at(p.x, p.y, p.id);
             }
         }
-        None
+        removed
     }
 
     /// Iterates over all blocks (used by rebuild and verification code).
@@ -366,23 +361,26 @@ mod tests {
     }
 
     #[test]
-    fn remove_in_chain_range_takes_the_first_match_in_chain_order() {
+    fn remove_in_chain_range_takes_every_match_in_the_range() {
         let mut store = BlockStore::new(2);
         store.pack(&pts(4)); // blocks 0 and 1
         let ov = store.insert_overflow_after(0);
         let dup = Point::with_id(0.9, 0.9, 77);
         store.block_mut(ov).push(dup);
-        let twin = Point::with_id(0.9, 0.9, 78);
         store.block_mut(1).remove_by_id(3).unwrap();
-        store.block_mut(1).push(twin);
-        // Outside the range: block 1 alone does not hold id 77.
-        assert!(store.remove_in_chain_range(1, 1, &dup).is_none());
-        // The wildcard takes the overflow block's copy first (chain order).
-        let wild = Point::new(0.9, 0.9);
-        assert_eq!(store.remove_in_chain_range(0, 1, &wild).unwrap().id, 77);
-        assert_eq!(store.remove_in_chain_range(0, 1, &wild).unwrap().id, 78);
-        assert!(store.remove_in_chain_range(0, 1, &wild).is_none());
-        assert_eq!(store.total_points(), 3);
+        store.block_mut(1).push(dup);
+        let twin = Point::with_id(0.9, 0.9, 78);
+        store.block_mut(ov).push(twin);
+        // Outside the range: block 1 alone holds one copy of id 77.
+        assert_eq!(store.remove_in_chain_range(1, 1, &dup), 1);
+        store.block_mut(1).push(dup);
+        // Id 0 is an ordinary id: nothing at the location carries it.
+        assert_eq!(store.remove_in_chain_range(0, 1, &Point::new(0.9, 0.9)), 0);
+        // Both copies of id 77 go in one call, across blocks; id 78 stays.
+        assert_eq!(store.remove_in_chain_range(0, 1, &dup), 2);
+        assert_eq!(store.remove_in_chain_range(0, 1, &dup), 0);
+        assert_eq!(store.total_points(), 4);
+        assert_eq!(store.block(ov).ids(), &[78]);
     }
 
     #[test]

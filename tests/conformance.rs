@@ -401,7 +401,8 @@ fn delete_phase(
 /// spot the data holds five co-located points under different ids and one
 /// `(x, y, id)` stored three times; kNN asks for fewer, exactly as many and
 /// more than the copies, and window, range and join look at the same spot.
-/// Failures are collected and reported together, by kind and class.
+/// Then the kind runs the [`delete_phase`].  Failures are collected and
+/// reported together, by kind and class.
 #[test]
 fn duplicate_heavy_data_answers_as_a_multiset_on_every_kind() {
     let (data, spot, triple) = duplicate_heavy_data();
@@ -414,7 +415,7 @@ fn duplicate_heavy_data_answers_as_a_multiset_on_every_kind() {
     for kind in IndexKind::all_with_sharded() {
         let mut fail =
             |class: &str, what: String| failures.push(format!("{kind} / {class}: {what}"));
-        let index = build_index(kind, &data, &cfg());
+        let mut index = build_index(kind, &data, &cfg());
         let mut cx = QueryContext::new();
         if index.len() != n {
             fail("build", format!("holds {} of {n} points", index.len()));
@@ -486,6 +487,8 @@ fn duplicate_heavy_data_answers_as_a_multiset_on_every_kind() {
                 format!("{} pairs, oracle {}", got.len(), truth.len()),
             );
         }
+
+        delete_phase(index.as_mut(), &data, &mut |what| fail("delete", what));
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
@@ -515,6 +518,9 @@ fn duplicate_heavy_deletes_agree_with_the_oracle_on_the_scan_and_the_server() {
                 server.maintain_now()
             };
             assert!(swapped, "{kind}: the {pass} pass folded nothing");
+            if !full && server.stats().partial_compactions != 1 {
+                fail("an id-0 delete forced a full rebuild".into());
+            }
             if server.len() != oracle.len() || survivors(&server) != multiset(&oracle) {
                 fail(format!("the folded base holds {} points", server.len()));
             }

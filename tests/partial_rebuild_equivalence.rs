@@ -39,8 +39,6 @@ enum Op {
 
 /// Generates a seeded 60/40 insert/delete sequence against an evolving
 /// live set and returns (ops, final live set, first few deleted points).
-/// Deletes never pick id 0: that id is the location-wildcard delete, a
-/// separate contract with its own server-side fallback.
 fn churn_ops(data: &[Point], n_ops: usize, seed: u64) -> (Vec<Op>, Vec<Point>, Vec<Point>) {
     let mut live: Vec<Point> = data.to_vec();
     let mut ops = Vec::with_capacity(n_ops);
@@ -61,9 +59,6 @@ fn churn_ops(data: &[Point], n_ops: usize, seed: u64) -> (Vec<Op>, Vec<Point>, V
             ops.push(Op::Ins(p));
         } else {
             let i = (lcg(&mut state) as usize) % live.len();
-            if live[i].id == 0 {
-                continue;
-            }
             let victim = live.swap_remove(i);
             if dead.len() < 16 {
                 dead.push(victim);

@@ -93,17 +93,11 @@ fn background_partial_compaction_serves_a_learned_kind_verifiably() {
     let data = generate(Distribution::skewed_default(), 3_000, 83);
     let ops = queries::read_write_workload(&data, WindowSpec::default(), 10, 1_200, 0.3, 19);
     let (reads, mut writes) = split_stream(&ops);
-    // `Rsmi::delete` treats id 0 as a location wildcard, which the server
-    // answers with a full-rebuild pass; redirect the rare delete of
-    // data[0] so this run exercises the partial path throughout.
-    for w in writes.iter_mut() {
-        if let WriteOp::Delete(p) = w {
-            if p.id == 0 {
-                *w = WriteOp::Delete(data[1]);
-            }
-        }
-    }
     assert!(!writes.is_empty() && !reads.is_empty());
+    // The first delete takes the id-0 point: an ordinary delete, folded by
+    // a partial pass like the rest.
+    let first_delete = writes.iter_mut().find(|w| matches!(w, WriteOp::Delete(_)));
+    *first_delete.expect("the stream deletes") = WriteOp::Delete(data[0]);
 
     let threshold = (writes.len() / 6).max(8);
     let policy = CompactionPolicy::default()
