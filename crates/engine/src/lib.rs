@@ -347,12 +347,9 @@ impl SpatialIndex for ShardedIndex {
     }
 
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        let (hit, fan) = infallible(plan::first_hit(
-            &self.partitioner,
-            self.views(),
-            q,
-            |shard| Ok(self.shards[shard].index.point_query(q, cx)),
-        ));
+        let (hit, fan) = infallible(plan::point(&self.partitioner, q, |shard| {
+            Ok(self.shards[shard].index.point_query(q, cx))
+        }));
         charge(cx, fan);
         hit
     }
@@ -438,12 +435,9 @@ impl SpatialIndex for ShardedIndex {
     }
 
     fn delete(&mut self, p: &Point) -> bool {
-        let views: Vec<ShardView> = self.views().collect();
         let shards = &mut self.shards;
-        let probe = |shard: usize| Ok(shards[shard].index.delete(p).then_some(()));
-        infallible(plan::first_hit(&self.partitioner, views, p, probe))
-            .0
-            .is_some()
+        let probe = |shard: usize| Ok(shards[shard].index.delete(p));
+        infallible(plan::point(&self.partitioner, p, probe)).0
     }
 
     fn rebuild(&mut self) {
@@ -941,6 +935,20 @@ mod tests {
         index.rebuild();
         assert_eq!(index.len(), 1_000);
         assert!(index.point_query(&data[11], &mut cx).is_some());
+    }
+
+    #[test]
+    fn one_delete_removes_every_copy_of_a_point_stored_four_times() {
+        // Two shards: the near-equal cut alone would put two copies in each.
+        let four = Point::with_id(0.5, 0.5, 9);
+        let mut index = build(&[four; 4], 2, 1);
+        assert_eq!(index.shard_count(), 2);
+        let mut cx = QueryContext::new();
+        assert_eq!(index.point_query(&four, &mut cx), Some(four));
+        assert_eq!(cx.take_stats().shards_visited, 1);
+        assert!(index.delete(&four));
+        assert_eq!(index.len(), 0);
+        assert!(!index.delete(&four));
     }
 
     #[test]

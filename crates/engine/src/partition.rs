@@ -45,7 +45,12 @@ impl Partitioner {
     /// rank-space curve key, returning the partitioner and the slices.
     ///
     /// The slice count is `min(shards, n)` but at least one, so empty and
-    /// tiny data sets degrade gracefully.
+    /// tiny data sets degrade gracefully.  Every copy of a location stored
+    /// more than once goes to the shard its location [routes](Self::route)
+    /// to: the copies hold consecutive ranks, so the near-equal cut could
+    /// split them, and a lookup or delete must find them all in one shard.
+    /// Data with unique locations is cut exactly at the near-equal
+    /// boundaries.
     pub fn partition(points: &[Point], shards: usize, curve: CurveKind) -> (Self, Vec<ShardSlice>) {
         let n = points.len();
         let s = shards.max(1).min(n.max(1));
@@ -59,38 +64,46 @@ impl Partitioner {
         let mut by_y: Vec<(f64, f64)> = points.iter().map(|p| (p.y, p.x)).collect();
         by_y.sort_by(cmp_pair);
 
-        // Near-equal cut: the first `n % s` shards get one extra point.
-        let base = n / s;
-        let extra = n % s;
-        let mut slices = Vec::with_capacity(s);
+        // Near-equal cut: the first `n % s` shards get one extra point;
+        // `cut[pos]` is the shard of the `pos`-th point in curve order.
+        let mut cut = Vec::with_capacity(n);
         let mut shard_key_lo = Vec::with_capacity(s);
-        let mut pos = 0usize;
         for i in 0..s {
-            let len = base + usize::from(i < extra);
-            let run = &perm[pos..pos + len];
-            let mut mbr = Rect::empty();
-            let pts: Vec<Point> = run
-                .iter()
-                .map(|&idx| {
-                    mbr.expand_to_point(points[idx]);
-                    points[idx]
-                })
-                .collect();
-            shard_key_lo.push(run.first().map_or(0, |&idx| keys[idx]));
-            slices.push(ShardSlice { points: pts, mbr });
-            pos += len;
+            shard_key_lo.push(perm.get(cut.len()).map_or(0, |&idx| keys[idx]));
+            cut.resize(cut.len() + n / s + usize::from(i < n % s), i);
         }
+        let partitioner = Self {
+            curve,
+            order: rank_space_order(n.max(1)),
+            by_x,
+            by_y,
+            shard_key_lo,
+        };
 
-        (
-            Self {
-                curve,
-                order: rank_space_order(n.max(1)),
-                by_x,
-                by_y,
-                shard_key_lo,
-            },
-            slices,
-        )
+        // A copy's x-rank is its position in `by_x`, where the other copies
+        // of its location sit next to it.
+        let shared = |idx: usize| {
+            let (rank, at) = (rs.rank(idx).0 as usize, (points[idx].x, points[idx].y));
+            (rank > 0 && partitioner.by_x[rank - 1] == at)
+                || partitioner.by_x.get(rank + 1) == Some(&at)
+        };
+        let mut slices: Vec<ShardSlice> = (0..s)
+            .map(|_| ShardSlice {
+                points: Vec::with_capacity(n / s + 1),
+                mbr: Rect::empty(),
+            })
+            .collect();
+        for (&idx, &i) in perm.iter().zip(&cut) {
+            let p = points[idx];
+            let home = if shared(idx) {
+                partitioner.route(p.x, p.y)
+            } else {
+                i
+            };
+            slices[home].mbr.expand_to_point(p);
+            slices[home].points.push(p);
+        }
+        (partitioner, slices)
     }
 
     /// Number of shards this partitioner routes to.
@@ -102,11 +115,11 @@ impl Partitioner {
     /// The shard a location belongs to under the frozen build-time key
     /// function.
     ///
-    /// For any build point with a unique location this is exactly the shard
-    /// the point was placed in; for locations unseen at build time (negative
-    /// lookups, inserts) it is the shard whose key range the location's
-    /// frozen-rank curve key falls into, so inserts and later lookups of the
-    /// same location always agree.
+    /// For any build point this is exactly the shard the point was placed
+    /// in, every copy of a shared location included; for locations unseen at
+    /// build time (negative lookups, inserts) it is the shard whose key
+    /// range the location's frozen-rank curve key falls into, so inserts and
+    /// later lookups of the same location always agree.
     pub fn route(&self, x: f64, y: f64) -> usize {
         let key = self.key_of(x, y);
         self.shard_key_lo
@@ -243,12 +256,30 @@ mod tests {
 
     #[test]
     fn every_build_point_routes_to_its_own_shard() {
-        for dist in [Distribution::Uniform, Distribution::OsmLike] {
-            let data = generate(dist, 2_000, 11);
-            let (p, slices) = Partitioner::partition(&data, 8, CurveKind::Hilbert);
+        // 50 locations stored 40 times each, and 4 identical points on 2
+        // shards: the near-equal cut alone would split copies of a location
+        // across shards.
+        let shared: Vec<Point> = (0..2_000)
+            .map(|i| Point::with_id((i % 50) as f64 / 50.0, 0.3, i as u64))
+            .collect();
+        let four = vec![Point::with_id(0.5, 0.5, 9); 4];
+        let mut inputs: Vec<(String, Vec<Point>, usize)> =
+            [Distribution::Uniform, Distribution::OsmLike]
+                .into_iter()
+                .map(|dist| (format!("{dist:?}"), generate(dist, 2_000, 11), 8))
+                .collect();
+        inputs.push(("50 x 40 copies".into(), shared, 8));
+        inputs.push(("4 identical".into(), four, 2));
+        for (what, data, shards) in inputs {
+            let (p, slices) = Partitioner::partition(&data, shards, CurveKind::Hilbert);
+            assert_eq!(
+                slices.iter().map(|s| s.points.len()).sum::<usize>(),
+                data.len()
+            );
             for (i, s) in slices.iter().enumerate() {
                 for pt in &s.points {
-                    assert_eq!(p.route(pt.x, pt.y), i, "{dist:?} misrouted {pt:?}");
+                    assert_eq!(p.route(pt.x, pt.y), i, "{what} misrouted {pt:?}");
+                    assert!(s.mbr.contains(pt), "{what}: shard {i}'s MBR misses {pt:?}");
                 }
             }
         }

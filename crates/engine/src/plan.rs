@@ -11,11 +11,13 @@
 //! wire.  Both therefore return the same answers and the same fan-out
 //! counts because the same code produced them.
 //!
-//! One function per decision: [`home_shard`] (insert), [`first_hit`] (point
+//! One function per decision: [`home_shard`] (insert), [`point`] (point
 //! lookup, delete), [`window`], [`range`], [`join`], and the pull-style
-//! [`KnnMerge`].  An executor error stops the scatter at that shard and
-//! comes back as a [`ShardError`] naming it; nothing is counted for an
-//! abandoned query.
+//! [`KnnMerge`].  The partitioner places every copy of a location in that
+//! location's home shard, and an insert goes there too, so a point lookup
+//! or delete asks that one shard and no other.  An executor error stops
+//! the scatter at that shard and comes back as a [`ShardError`] naming it;
+//! nothing is counted for an abandoned query.
 //!
 //! [`ShardedIndex`]: crate::ShardedIndex
 
@@ -61,41 +63,22 @@ pub fn infallible<T>(planned: Result<T, ShardError<Infallible>>) -> T {
     }
 }
 
-/// Insert: the one shard a new point belongs to under the frozen key
-/// function — where [`first_hit`] will look for it first.
+/// Insert: the one shard a point belongs to under the frozen key function,
+/// which holds every copy of its location.
 pub fn home_shard(partitioner: &Partitioner, p: &Point) -> usize {
     partitioner.route(p.x, p.y)
 }
 
-/// Point lookup / delete: probes the [`home_shard`] of `p`, then —
-/// only on a miss, which happens for locations not indexed under the frozen
-/// keys (negative lookups, duplicate locations) — each other shard whose
-/// MBR contains `p`, stopping at the first `Some`.
-pub fn first_hit<T, E>(
+/// Point lookup / delete: probes the [`home_shard`] of `p` and no other.
+pub fn point<T, E>(
     partitioner: &Partitioner,
-    shards: impl IntoIterator<Item = ShardView>,
     p: &Point,
-    mut probe: impl FnMut(usize) -> Result<Option<T>, E>,
-) -> Result<(Option<T>, Fanout), ShardError<E>> {
-    let mut visited = 0;
-    let mut probe = |shard| {
-        visited += 1;
-        probe(shard).map_err(|error| ShardError { shard, error })
-    };
-    let primary = home_shard(partitioner, p);
-    let mut hit = probe(primary)?;
-    if hit.is_none() {
-        for (shard, s) in shards.into_iter().enumerate() {
-            if shard != primary && s.mbr.contains(p) {
-                hit = probe(shard)?;
-                if hit.is_some() {
-                    break;
-                }
-            }
-        }
-    }
-    let pruned = partitioner.shard_count() - visited;
-    Ok((hit, Fanout { visited, pruned }))
+    probe: impl FnOnce(usize) -> Result<T, E>,
+) -> Result<(T, Fanout), ShardError<E>> {
+    let shard = home_shard(partitioner, p);
+    let answer = probe(shard).map_err(|error| ShardError { shard, error })?;
+    let pruned = partitioner.shard_count() - 1;
+    Ok((answer, Fanout { visited: 1, pruned }))
 }
 
 /// Sends `exec` to every shard `targeted` selects, in shard order.
@@ -341,7 +324,7 @@ mod tests {
         let views = || script.index.views();
         let cx = &mut QueryContext::new();
         match which {
-            0 => first_hit(&script.index.partitioner, views(), q, |s| {
+            0 => point(&script.index.partitioner, q, |s| {
                 Ok(script.visit(s)?.point_query(q, cx))
             })
             .map(|(_, fan)| fan),
@@ -437,7 +420,7 @@ mod tests {
                     inner.point_query(q, &mut QueryContext::new())
                 };
                 let probe = |s| Ok(held(s).filter(|p| p.id == q.id));
-                let (found, _) = infallible(first_hit(&index.partitioner, index.views(), q, probe));
+                let (found, _) = infallible(point(&index.partitioner, q, probe));
                 assert_eq!(found.is_some(), index.delete(q), "delete at {q:?}");
             }
         }
@@ -446,14 +429,18 @@ mod tests {
     #[test]
     fn an_executor_error_stops_the_scatter_and_names_the_shard() {
         let (_, index) = sharded(11, 6);
-        // A negative lookup in the middle of the data walks the fallback
-        // chain; the window, circle and probes around it span shards.
+        // The window, circle and probes around a location in the middle of
+        // the data span shards; a lookup there asks its home shard alone.
         let q = Point::new(0.31, 0.29);
         for which in 0..CLASSES {
             let mut clean = script(&index, usize::MAX);
             run(which, &mut clean, &q).expect("no scripted failure");
             let targets = clean.log;
-            assert!(targets.len() >= 2, "class {which} targets one shard only");
+            if which == 0 {
+                assert_eq!(targets, [home_shard(&index.partitioner, &q)]);
+            } else {
+                assert!(targets.len() >= 2, "class {which} targets one shard only");
+            }
             for (i, &shard) in targets.iter().enumerate() {
                 let mut failing = script(&index, i);
                 let err = run(which, &mut failing, &q).expect_err("scripted failure");

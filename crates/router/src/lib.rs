@@ -482,7 +482,7 @@ impl Core {
         let seq = self.current_seq();
         let probe =
             |shard| self.read_shard(shard, self.next_replica(shard), |c| Ok(c.point(&q)?.1));
-        let (hit, fan) = plan::first_hit(&self.partitioner, self.views(), &q, probe)?;
+        let (hit, fan) = plan::point(&self.partitioner, &q, probe)?;
         self.note_fanout(fan);
         Ok(Response::Point { seq, hit })
     }
@@ -593,17 +593,17 @@ impl Core {
 
     fn exec_delete(&self, p: Point) -> Planned {
         let _gate = self.write_gate.lock().expect("write gate poisoned");
-        // Every attempted shard's delete goes to all of its live replicas
-        // (the shard server sequences even a delete-miss, so replicas must
-        // see the same op stream).
+        // The delete goes to all of the home shard's live replicas (the
+        // shard server sequences even a delete-miss, so replicas must see
+        // the same op stream).
         let probe = |shard| {
             let (removed, _) = self.write_shard(shard, |c| c.delete(&p))?;
             Ok(removed.then_some(shard))
         };
-        let (removed_in, _) = plan::first_hit(&self.partitioner, self.views(), &p, probe)?;
+        let (removed_in, _) = plan::point(&self.partitioner, &p, probe)?;
         if let Some(shard) = removed_in {
-            // Saturating: duplicate locations can make the maintained count
-            // an approximation; it must never underflow.
+            // A delete that removes several copies still counts one, so
+            // the count can read high, never low; saturating is a guard.
             let _ = self.shards[shard]
                 .len
                 .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| {

@@ -194,6 +194,7 @@ fn router_matches_local_sharded_index_for_all_five_classes() {
 /// times, an id-0 point where no copy has id 0, and the stored id-0 point.
 /// Each delete removes every copy whose `(x, y, id)` matches and no other;
 /// the returned bool, `len()` and the survivors are the `Vec` oracle's.
+/// Then a point lookup of each victim visits exactly one shard.
 #[test]
 fn routed_deletes_remove_every_copy_of_the_triple_they_name() {
     let spot = Point::new(0.4, 0.6);
@@ -221,6 +222,16 @@ fn routed_deletes_remove_every_copy_of_the_triple_they_name() {
         want.sort_unstable();
         assert_eq!(held, want, "survivors after {victim:?}");
     }
+
+    // A lookup asks the home shard alone, whether it finds a copy or not.
+    let mut client = NetClient::connect(&cluster.router_addr()).expect("connect");
+    let (v0, p0) = fanout_counters(&mut client);
+    for victim in victims {
+        client.point(&victim).expect("point");
+    }
+    let (v1, p1) = fanout_counters(&mut client);
+    let n = victims.len() as u64;
+    assert_eq!((v1 - v0, p1 - p0), (n, n * (SHARDS as u64 - 1)));
 }
 
 /// `index`'s in-process answer to a read, as the wire would carry it, with

@@ -1978,8 +1978,8 @@ mod tests {
         server.insert(ghost);
         let (removed, _) = server.delete(&ghost);
         assert!(removed);
-        // Duplicate copies of one key must also die together (Vec fold
-        // deletes every matching copy; the replay must loop `delete`).
+        // Duplicate copies of one key must also die together: the Vec fold
+        // and the one replayed `delete` both remove every matching copy.
         let twin = Point::with_id(0.222, 0.333, 70_002);
         server.insert(twin);
         server.insert(twin);
