@@ -333,8 +333,8 @@ fn within_stored(got: &[Point], stored: &[Point]) -> bool {
 
 /// The duplicate-heavy data: 900 skewed points (the first carries id 0),
 /// five co-located points at `spot` under ids 5 001..=5 005, and `triple`
-/// stored three times.  Returns the data, `spot` (id 0, stored under no
-/// id 0) and `triple`.
+/// stored three times.  Returns the data, `spot` (its id, 0, is carried by
+/// no copy at the spot) and `triple`.
 fn duplicate_heavy_data() -> (Vec<Point>, Point, Point) {
     let spot = Point::new(0.4, 0.6);
     let mut data = generate(Distribution::skewed_default(), 900, 83);
