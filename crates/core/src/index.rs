@@ -1047,7 +1047,7 @@ impl SpatialIndex for Rsmi {
 mod tests {
     use super::*;
     use crate::RsmiExact;
-    use common::{brute_force, metrics};
+    use common::{brute_force, metrics, QueryStats};
 
     fn grid_points(side: usize) -> Vec<Point> {
         let mut pts = Vec::with_capacity(side * side);
@@ -1648,6 +1648,89 @@ mod tests {
             index.insert(p);
         }
         check(&index, "churned");
+        index.rebuild_partial(&common::MaintenanceBudget {
+            max_subtrees: usize::MAX,
+            drift_threshold: 0.0,
+        });
+        assert_eq!(index.bounds_violations(), 0);
+        check(&index, "maintained");
+    }
+
+    /// Every answer of the five query classes, with the `QueryStats` each
+    /// class charged, over a fixed battery.
+    fn answers_and_stats(index: &Rsmi, probes: &[Point]) -> Vec<(Vec<u64>, QueryStats)> {
+        let ids = |pts: Vec<Point>| pts.iter().map(|p| p.id).collect::<Vec<u64>>();
+        let mut c = cx();
+        let mut out = Vec::new();
+        for q in probes {
+            let hit = index.point_query(q, &mut c).into_iter().collect();
+            out.push((ids(hit), c.take_stats()));
+            let w = Rect::centered(q.x, q.y, 0.08, 0.05);
+            let window = SpatialIndex::window_query(index, &w, &mut c);
+            out.push((ids(window), c.take_stats()));
+            let knn = SpatialIndex::knn_query(index, q, 25, &mut c);
+            out.push((ids(knn), c.take_stats()));
+            let range = SpatialIndex::range_query(index, q, 0.03, &mut c);
+            out.push((ids(range), c.take_stats()));
+        }
+        let mut pairs = Vec::new();
+        index.distance_join_probes_visit(probes, 0.02, &mut c, &mut |l, r| {
+            pairs.extend([l.id, r.id]);
+        });
+        out.push((pairs, c.take_stats()));
+        out
+    }
+
+    #[test]
+    fn a_maintained_index_reloads_with_the_same_answers_and_keeps_its_bounds() {
+        let pts = pseudo_random_points(2_500, 83);
+        let mut index = Rsmi::build(pts.clone(), small_config());
+        let mut live = pts;
+        churn(&mut index, &mut live, 900, 41);
+        index.rebuild_partial(&common::MaintenanceBudget {
+            max_subtrees: usize::MAX,
+            drift_threshold: 1.0,
+        });
+        churn(&mut index, &mut live, 300, 43);
+        assert_eq!(index.bounds_violations(), 0);
+
+        let mut w = SnapshotWriter::new("RSMI");
+        index.encode_snapshot(&mut w);
+        let bytes = w.finish();
+        let (_, mut r) = SnapshotReader::open(&bytes).unwrap();
+        let mut loaded = Rsmi::read_snapshot(&mut r).unwrap();
+        let probes: Vec<Point> = live
+            .iter()
+            .step_by(97)
+            .copied()
+            .chain(pseudo_random_points(20, 9))
+            .collect();
+        assert_eq!(
+            answers_and_stats(&loaded, &probes),
+            answers_and_stats(&index, &probes)
+        );
+
+        let extra = pseudo_random_points(500, 61);
+        for (i, p) in extra.iter().enumerate() {
+            let p = Point::with_id(p.x, p.y, 800_000 + i as u64);
+            loaded.insert(p);
+            live.push(p);
+        }
+        loaded.rebuild_partial(&common::MaintenanceBudget {
+            max_subtrees: usize::MAX,
+            drift_threshold: 1.0,
+        });
+        assert_eq!(loaded.bounds_violations(), 0);
+        assert_eq!(loaded.len(), live.len());
+        let mut c = cx();
+        for p in &live {
+            assert!(
+                loaded
+                    .point_query(p, &mut c)
+                    .is_some_and(|f| f.same_location(p)),
+                "live point {p:?} lost after the pass on the loaded copy"
+            );
+        }
     }
 
     #[test]
