@@ -146,9 +146,9 @@ impl QueryContext {
     }
 }
 
-/// Budget handed to [`SpatialIndex::rebuild_partial`]: how much retraining
-/// work one maintenance pass may do, and how stale a subtree must be before
-/// it qualifies.
+/// Budget handed to [`SpatialIndex::rebuild_partial`]: how much
+/// maintenance work one pass may do, and how stale a subtree must be before
+/// its model is retrained.
 ///
 /// The drift of a subtree is measured as the sum of error-bound widening
 /// (in native position units) plus mutations since its model was last
@@ -156,12 +156,12 @@ impl QueryContext {
 /// section of `ARCHITECTURE.md` for the exact formula each family uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceBudget {
-    /// Maximum number of subtrees (leaf models for RSMI) to retrain in this
-    /// pass.  `usize::MAX` means "all stale subtrees".
+    /// Maximum number of subtrees (leaves for RSMI) to maintain in this
+    /// pass.  `usize::MAX` means "all due subtrees".
     pub max_subtrees: usize,
-    /// Minimum drift score a subtree must reach to be retrained.  Subtrees
-    /// below the threshold are left untouched even if the pass has budget
-    /// remaining.
+    /// Minimum drift score a subtree must reach to be retrained.  Below it
+    /// a subtree keeps its model; an index may still repair its layout
+    /// (RSMI re-packs leaves whose blocks wore, see `Rsmi::rebuild_partial`).
     pub drift_threshold: f64,
 }
 
@@ -201,7 +201,8 @@ pub struct MaintenanceOutcome {
     /// because it does not support partial maintenance or because it decided
     /// drift was structural).
     pub full_rebuild: bool,
-    /// Subtrees retrained in place by this pass.
+    /// Subtrees maintained in place by this pass (for RSMI: leaves
+    /// repaired, refitted or not).
     pub subtrees_rebuilt: usize,
     /// Stale subtrees left for a later pass because the budget ran out.
     pub subtrees_deferred: usize,
@@ -351,12 +352,13 @@ pub trait SpatialIndex: Send + Sync {
         None
     }
 
-    /// Retrains only the subtrees whose drift exceeds
-    /// `budget.drift_threshold`, at most `budget.max_subtrees` of them —
-    /// the incremental realisation of the paper's RSMIr maintenance hook.
-    /// Answers after a partial rebuild must be identical to answers after a
-    /// full [`rebuild`](Self::rebuild) on the same live set (test-enforced
-    /// for every family that overrides this).
+    /// Maintains only the subtrees that drifted or wore, retraining those
+    /// whose drift meets `budget.drift_threshold`, at most
+    /// `budget.max_subtrees` of them — the incremental realisation of the
+    /// paper's RSMIr maintenance hook.  Exact answers after a partial
+    /// rebuild must be identical to answers after a full
+    /// [`rebuild`](Self::rebuild) on the same live set (test-enforced for
+    /// every family that overrides this).
     ///
     /// The default falls back to a full rebuild and reports it as such, so
     /// callers can always invoke this method and observe what happened.

@@ -71,15 +71,19 @@ pub struct Rsmi {
     maint: Vec<LeafMaint>,
 }
 
-/// Drift counters of one leaf model: how far it has degraded since its
-/// weights were last trained.
+/// Drift counters of one leaf: how far its model has degraded since its
+/// weights were last trained, and its block layout since it was last packed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LeafMaint {
     /// Inserts + deletes routed through this leaf since its model was
     /// (re)trained.
     ops_since_train: u64,
+    /// Inserts + deletes routed through this leaf since its blocks were
+    /// last packed (by the build or a repair).  Not persisted: a loaded
+    /// index starts it at `ops_since_train`.
+    ops_since_pack: u64,
     /// Error-bound widening below predictions (blocks) applied by in-place
-    /// inserts since training.
+    /// inserts since the last packing.
     widened_below: u64,
     /// Error-bound widening above predictions (blocks).
     widened_above: u64,
@@ -90,6 +94,12 @@ impl LeafMaint {
     fn widened_total(&self) -> u64 {
         self.widened_below + self.widened_above
     }
+
+    #[inline]
+    fn count_op(&mut self) {
+        self.ops_since_train += 1;
+        self.ops_since_pack += 1;
+    }
 }
 
 /// Per-insert cap on error-bound widening, in blocks: a free slot farther
@@ -98,8 +108,12 @@ impl LeafMaint {
 const WIDEN_CAP_PER_INSERT: u64 = 4;
 /// Per-leaf cap on accumulated widening, in blocks.  Once a leaf has
 /// widened this much, the slot-reuse path shuts off (every further insert
-/// overflows) until a retrain resets the bounds.
+/// overflows) until a repair resets the bounds.
 const WIDEN_CAP_PER_LEAF: u64 = 32;
+/// Drift since the last packing (see `leaf_drift`) at which a partial pass
+/// re-packs a leaf's blocks: a twentieth of the default refit trigger, so a
+/// leaf's layout is repaired many times between refits of its model.
+const REPAIR_DRIFT: f64 = 0.08;
 
 impl Rsmi {
     /// Bulk-loads an RSMI from a point set.  The root's subtrees are built
@@ -494,7 +508,7 @@ impl Rsmi {
         };
         self.store.block_mut(target).push(p);
         self.n_points += 1;
-        self.maint[leaf_id].ops_since_train += 1;
+        self.maint[leaf_id].count_op();
     }
 
     /// A non-full bulk block of `leaf_id` that can absorb `p` for at most
@@ -563,14 +577,16 @@ impl Rsmi {
             return false;
         }
         self.n_points -= removed;
-        self.maint[leaf_id].ops_since_train += 1;
+        self.maint[leaf_id].count_op();
         true
     }
 
-    /// Number of overflow blocks created by insertions since the last
-    /// (re)build — the `I` of the paper's update cost analysis.
+    /// Number of overflow blocks linked into the chain — the `I` of the
+    /// paper's update cost analysis.  Blocks a repair emptied and the store
+    /// keeps for reuse do not count.
     pub fn overflow_block_count(&self) -> usize {
-        self.store.iter().filter(|(_, b)| b.is_overflow()).count()
+        let all = self.store.iter().filter(|(_, b)| b.is_overflow()).count();
+        all - self.store.free_len()
     }
 
     /// Read access to the underlying block store.
@@ -582,24 +598,28 @@ impl Rsmi {
     // Incremental maintenance (drift-triggered partial rebuilds)
     // ------------------------------------------------------------------
 
-    /// Drift score of one leaf: `ops / (n_blocks · B) + widened / n_blocks`
-    /// — mutations normalised by the leaf's bulk capacity, plus error-bound
-    /// widening normalised by its block count.  A score of 1.0 means the
-    /// leaf has absorbed as many mutations as it holds points, or its scan
-    /// range has doubled; either way its model is due for a retrain.
-    fn leaf_drift(&self, leaf_id: NodeId) -> f64 {
+    /// Drift score of one leaf over `ops` mutations,
+    /// `ops / (n_blocks · B) + widened / n_blocks`: mutations normalised by
+    /// the leaf's bulk capacity, plus error-bound widening normalised by its
+    /// block count.
+    /// Over the ops since training, a score of 1.0 means the leaf has
+    /// absorbed as many mutations as it holds points, or its scan range has
+    /// doubled; either way its model is due for a refit.  Over the ops since
+    /// the last packing it measures the wear of the block layout.
+    fn leaf_drift(&self, leaf_id: NodeId, ops: u64) -> f64 {
         let m = &self.maint[leaf_id];
-        if m.ops_since_train == 0 && m.widened_total() == 0 {
+        if ops == 0 && m.widened_total() == 0 {
             return 0.0;
         }
         let leaf = self.leaf(leaf_id);
         let n_blocks = leaf.n_blocks.max(1) as f64;
         let capacity_points = n_blocks * self.store.capacity().max(1) as f64;
-        m.ops_since_train as f64 / capacity_points + m.widened_total() as f64 / n_blocks
+        ops as f64 / capacity_points + m.widened_total() as f64 / n_blocks
     }
 
     /// Aggregate maintenance state over all leaf models.  `stale_subtrees`
-    /// counts leaves whose drift (see `leaf_drift`) has reached 1.0.
+    /// counts leaves whose drift since training (see `leaf_drift`) has
+    /// reached 1.0.
     pub fn maintenance_stats(&self) -> common::MaintenanceStats {
         let mut s = common::MaintenanceStats::default();
         for (id, node) in self.nodes.iter().enumerate() {
@@ -611,87 +631,176 @@ impl Rsmi {
             s.ops_since_train += m.ops_since_train;
             s.widened_below += m.widened_below;
             s.widened_above += m.widened_above;
-            if self.leaf_drift(id) >= 1.0 {
+            if self.leaf_drift(id, m.ops_since_train) >= 1.0 {
                 s.stale_subtrees += 1;
             }
         }
         s
     }
 
-    /// Retrains the leaf models whose drift meets `budget.drift_threshold`,
-    /// most-drifted first (ties by node id), retraining at most
+    /// Repairs worn leaves, most worn first (ties by node id), at most
     /// `budget.max_subtrees` of them — the incremental realisation of the
-    /// paper's RSMIr hook (§5: retrain the sub-models that degraded, not the
-    /// whole structure).
+    /// paper's RSMIr hook (§5: maintain the sub-models that degraded, not
+    /// the whole structure).
     ///
-    /// A retrain fits a fresh model on each point's *actual* home block, so
-    /// the new error bounds cover every stored point by construction and all
-    /// accumulated widening is reclaimed.  The structure (routing models,
-    /// MBRs, block chains) is untouched: answers are identical before and
-    /// after, only scan ranges tighten.  Overflow blocks are not reclaimed —
-    /// only a full [`rebuild`](Self::rebuild) repacks storage.
+    /// A leaf is due when its drift since the last packing reaches
+    /// [`REPAIR_DRIFT`], or its drift since training is positive and meets
+    /// `budget.drift_threshold`.  A repair re-packs the leaf's blocks (see
+    /// `repair_leaf`); only a leaf at the drift threshold also refits its
+    /// model.  Every stored point stays reachable and the answers of the
+    /// exact query paths do not change; the approximate ones see tighter
+    /// scan ranges and block MBRs.
     pub fn rebuild_partial(
         &mut self,
         budget: &common::MaintenanceBudget,
     ) -> common::MaintenanceOutcome {
-        let mut stale: Vec<(NodeId, f64)> = (0..self.nodes.len())
+        let mut due: Vec<(NodeId, f64, bool)> = (0..self.nodes.len())
             .filter(|&id| matches!(self.nodes[id], Node::Leaf(_)))
             .filter_map(|id| {
-                let drift = self.leaf_drift(id);
-                (drift > 0.0 && drift >= budget.drift_threshold).then_some((id, drift))
+                let m = self.maint[id];
+                let drift = self.leaf_drift(id, m.ops_since_train);
+                let wear = self.leaf_drift(id, m.ops_since_pack);
+                let refit = drift > 0.0 && drift >= budget.drift_threshold;
+                (refit || wear >= REPAIR_DRIFT).then_some((id, wear, refit))
             })
             .collect();
-        stale.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let take = budget.max_subtrees.min(stale.len());
-        for &(id, _) in &stale[..take] {
-            self.retrain_leaf(id);
+        due.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let take = budget.max_subtrees.min(due.len());
+        for &(id, _, refit) in &due[..take] {
+            self.repair_leaf(id, refit);
         }
         common::MaintenanceOutcome {
             full_rebuild: false,
             subtrees_rebuilt: take,
-            subtrees_deferred: stale.len() - take,
+            subtrees_deferred: due.len() - take,
         }
     }
 
-    /// Refits one leaf's model on the `(coordinates → home block offset)`
-    /// pairs of every point currently stored under the leaf (bulk blocks and
-    /// their overflow chains), then resets its drift counters.  Deterministic
-    /// for a given store state: the fit seed derives from the build seed and
-    /// the leaf id.
-    fn retrain_leaf(&mut self, leaf_id: NodeId) {
+    /// Re-packs one leaf: gathers the points of its bulk blocks and their
+    /// overflow chains and spreads them evenly over the bulk blocks, the
+    /// excess over as few overflow blocks as it needs, placed evenly along
+    /// the leaf.  The points go in the leaf model's order (prediction, ties
+    /// by curve key inside the leaf MBR), so later inserts land in blocks
+    /// that hold their neighbours — unless plain curve order packs blocks
+    /// with a smaller total MBR margin, as it does where the model cannot
+    /// resolve the leaf's two dimensions.  The emptied overflow blocks go
+    /// back to the store.  The error bounds become the exact maximum
+    /// deviation of the new layout; with `refit`, the model is first
+    /// refitted to it (the fit seed derives from the build seed and the leaf
+    /// id) and its drift clock restarts.  Deterministic for a given store
+    /// state.
+    fn repair_leaf(&mut self, leaf_id: NodeId, refit: bool) {
         let (first, n_blocks) = {
             let leaf = self.leaf(leaf_id);
             (leaf.first_block, leaf.n_blocks)
         };
-        let mut inputs: Vec<[f64; 2]> = Vec::new();
-        let mut targets: Vec<u64> = Vec::new();
+        let mut points = Vec::new();
         for i in 0..n_blocks {
-            for (_, block) in self.store.overflow_chain(first + i) {
-                for p in block.iter_points() {
-                    inputs.push([p.x, p.y]);
-                    targets.push(i as u64);
-                }
+            self.store.drain_chain(first + i, &mut points);
+        }
+        let mbr = geom::bounding_rect(&points).unwrap_or_else(Rect::empty);
+        let leaf = self.leaf(leaf_id);
+        let curve = self.config.curve;
+        let mut by_model: Vec<(u64, u64, Point)> = points
+            .iter()
+            .map(|p| {
+                (
+                    leaf.model.predict_xy(p.x, p.y),
+                    curve_key(curve, &mbr, p),
+                    *p,
+                )
+            })
+            .collect();
+        let mut by_curve = by_model.clone();
+        let tie = |a: &Point, b: &Point| {
+            a.id.cmp(&b.id)
+                .then(a.x.total_cmp(&b.x))
+                .then(a.y.total_cmp(&b.y))
+        };
+        by_model.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(tie(&a.2, &b.2)));
+        by_curve.sort_unstable_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)).then(tie(&a.2, &b.2)));
+
+        // Block `i` takes a share of the points proportional to its
+        // capacity: `B`, plus `B` per overflow block placed after it.  Each
+        // chunk is one block's contents, `(local block, range)`.
+        let b = self.store.capacity();
+        let n = points.len();
+        let spill = n.saturating_sub(n_blocks * b).div_ceil(b);
+        let mut extra = vec![0usize; n_blocks];
+        for j in 0..spill {
+            extra[(2 * j + 1) * n_blocks / (2 * spill)] += 1;
+        }
+        let total = b * (n_blocks + spill);
+        let mut chunks = Vec::with_capacity(n_blocks + spill);
+        let (mut start, mut cum) = (0, 0);
+        for (i, extra) in extra.into_iter().enumerate() {
+            cum += b * (1 + extra);
+            let end = (cum * n).div_ceil(total);
+            chunks.extend((start..end).step_by(b).map(|a| (i, a..end.min(a + b))));
+            start = end;
+        }
+        let margin = |order: &[(u64, u64, Point)]| -> f64 {
+            let mbr_of = |c: &[(u64, u64, Point)]| {
+                c.iter().fold(Rect::empty(), |mut r, t| {
+                    r.expand_to_point(t.2);
+                    r
+                })
+            };
+            chunks
+                .iter()
+                .map(|(_, r)| mbr_of(&order[r.clone()]).margin())
+                .sum()
+        };
+        let ordered = if margin(&by_curve) < margin(&by_model) {
+            by_curve
+        } else {
+            by_model
+        };
+
+        let (mut below, mut above) = (0u64, 0u64);
+        // The chunks cover `ordered` front to back: a point's home offset.
+        let mut homes = Vec::with_capacity(n);
+        // `(local block, block)` the previous chunk went into.
+        let mut tail = None;
+        for (i, range) in chunks {
+            let block = match tail {
+                Some((prev, t)) if prev == i => self.store.insert_overflow_after(t),
+                _ => first + i,
+            };
+            tail = Some((i, block));
+            for &(pred, _, p) in &ordered[range] {
+                self.store.block_mut(block).push(p);
+                let offset = i as u64;
+                below = below.max(offset.saturating_sub(pred));
+                above = above.max(pred.saturating_sub(offset));
+                homes.push(offset);
             }
         }
-        self.maint[leaf_id] = LeafMaint::default();
-        if inputs.is_empty() {
-            return;
-        }
-        let mut cfg = mlp::MlpConfig::for_coordinates(n_blocks.max(1));
-        cfg.epochs = self.config.epochs;
-        cfg.learning_rate = self.config.learning_rate;
-        cfg.seed = self
+
+        let m = &mut self.maint[leaf_id];
+        *m = LeafMaint {
+            ops_since_train: if refit { 0 } else { m.ops_since_train },
+            ..LeafMaint::default()
+        };
+        let seed = self
             .config
             .seed
             .wrapping_add(leaf_id as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let model = ScaledRegressor::fit(cfg, &inputs, &targets);
-        if let Node::Leaf(leaf) = &mut self.nodes[leaf_id] {
-            leaf.model = model;
+        let (epochs, learning_rate) = (self.config.epochs, self.config.learning_rate);
+        let Node::Leaf(leaf) = &mut self.nodes[leaf_id] else {
+            unreachable!("repair_leaf takes a leaf");
+        };
+        leaf.mbr = mbr;
+        if refit && n > 0 {
+            let mut cfg = mlp::MlpConfig::for_coordinates(n_blocks.max(1));
+            cfg.epochs = epochs;
+            cfg.learning_rate = learning_rate;
+            cfg.seed = seed;
+            let inputs: Vec<[f64; 2]> = ordered.iter().map(|(_, _, p)| [p.x, p.y]).collect();
+            leaf.model = ScaledRegressor::fit(cfg, &inputs, &homes);
+        } else {
+            leaf.model.set_error_bounds(below, above);
         }
     }
 
@@ -891,8 +1000,10 @@ impl Rsmi {
         }
         let mut maint = Vec::with_capacity(len);
         for _ in 0..len {
+            let ops_since_train = r.get_u64()?;
             maint.push(LeafMaint {
-                ops_since_train: r.get_u64()?,
+                ops_since_train,
+                ops_since_pack: ops_since_train,
                 widened_below: r.get_u64()?,
                 widened_above: r.get_u64()?,
             });
@@ -913,6 +1024,24 @@ impl Rsmi {
             maint,
         })
     }
+}
+
+/// The curve value of `p` on a 2^16 × 2^16 grid over `mbr`.
+fn curve_key(curve: CurveKind, mbr: &Rect, p: &Point) -> u64 {
+    const ORDER: u32 = 16;
+    let cell = |v: f64, lo: f64, extent: f64| {
+        let max = ((1u32 << ORDER) - 1) as f64;
+        if extent > 0.0 {
+            ((v - lo) / extent * max).clamp(0.0, max) as u32
+        } else {
+            0
+        }
+    };
+    curve.encode(
+        cell(p.x, mbr.min_x, mbr.width()),
+        cell(p.y, mbr.min_y, mbr.height()),
+        ORDER,
+    )
 }
 
 fn curve_tag(curve: CurveKind) -> u8 {
@@ -1734,6 +1863,92 @@ mod tests {
     }
 
     #[test]
+    fn partial_passes_keep_a_churned_index_near_its_fresh_block_counts() {
+        use datagen::queries::{self, ServeOp, WindowSpec};
+        // 4 000 points under N = 400, B = 8: leaves of 30–50 bulk blocks,
+        // the leaf shape of the default config at 200 k.
+        let data = datagen::generate(datagen::Distribution::skewed_default(), 4_000, 42);
+        let config = RsmiConfig {
+            block_capacity: 8,
+            partition_threshold: 400,
+            ..RsmiConfig::default()
+        };
+        let mut index = Rsmi::build(data.clone(), config);
+        let leaf_blocks: Vec<usize> = index
+            .nodes
+            .iter()
+            .filter_map(|n| match n {
+                Node::Leaf(leaf) => Some(leaf.n_blocks),
+                Node::Internal(_) => None,
+            })
+            .collect();
+        let in_wide_leaves: usize = leaf_blocks.iter().filter(|&&n| n >= 24).sum();
+        assert!(leaf_blocks.len() >= 8, "{leaf_blocks:?}");
+        assert!(
+            10 * in_wide_leaves >= 9 * leaf_blocks.iter().sum::<usize>(),
+            "{leaf_blocks:?}"
+        );
+
+        // The result sizes of the benchmark's 0.01 % windows at 200 k.
+        let spec = WindowSpec {
+            area_percent: 0.5,
+            aspect_ratio: 1.0,
+        };
+        let windows = queries::window_queries(&data, spec, 300, 7);
+        let knn = queries::knn_queries(&data, 300, 8);
+        let blocks_per_query = |index: &Rsmi| {
+            let mut c = cx();
+            for q in &knn {
+                index.knn_query_visit(q, 25, &mut c, &mut |_| {});
+            }
+            let knn_blocks = c.take_stats().blocks_touched as f64 / knn.len() as f64;
+            for w in &windows {
+                index.window_query_visit(w, &mut c, &mut |_| {});
+            }
+            let window_blocks = c.take_stats().blocks_touched as f64 / windows.len() as f64;
+            (knn_blocks, window_blocks)
+        };
+        let (fresh_knn, fresh_window) = blocks_per_query(&index);
+        let fresh_len = index.block_store().len();
+
+        // Writes for 56 % of the points, half inserts near stored points and
+        // half deletes, with a pass every 20 writes (1 024 at 200 k).
+        let budget = common::MaintenanceBudget {
+            max_subtrees: 64,
+            drift_threshold: 1.0,
+        };
+        let (mut inserted, mut deleted) = (0usize, 0usize);
+        let writes = queries::read_write_workload(&data, spec, 25, 2_240, 1.0, 5);
+        for (i, op) in writes.iter().enumerate() {
+            match op {
+                ServeOp::Insert(p) => {
+                    index.insert(*p);
+                    inserted += 1;
+                }
+                ServeOp::Delete(p) => deleted += usize::from(index.delete(p)),
+                ServeOp::Read(_) => unreachable!("a write-only stream"),
+            }
+            if i % 20 == 19 {
+                index.rebuild_partial(&budget);
+                assert_eq!(index.bounds_violations(), 0, "after write {i}");
+            }
+        }
+        let (worn_knn, worn_window) = blocks_per_query(&index);
+        assert!(
+            worn_knn <= 1.5 * fresh_knn && worn_window <= 1.5 * fresh_window,
+            "kNN {worn_knn:.2} blocks (fresh {fresh_knn:.2}), \
+             window {worn_window:.2} (fresh {fresh_window:.2})"
+        );
+        // Each leaf may round its spill up to a whole block.
+        let net = inserted.saturating_sub(deleted);
+        let grown = index.block_store().len() - fresh_len;
+        assert!(
+            grown <= net.div_ceil(config.block_capacity) + leaf_blocks.len(),
+            "the arena grew by {grown} blocks for {net} net inserted points"
+        );
+    }
+
+    #[test]
     fn maintenance_stats_track_churn_and_partial_rebuild_resets_them() {
         let pts = pseudo_random_points(1200, 21);
         let mut index = Rsmi::build(pts.clone(), small_config());
@@ -1774,7 +1989,7 @@ mod tests {
         churn(&mut index, &mut live, 600, 91);
         let stale_before: usize = (0..index.nodes.len())
             .filter(|&id| matches!(index.nodes[id], Node::Leaf(_)))
-            .filter(|&id| index.leaf_drift(id) > 0.0)
+            .filter(|&id| index.leaf_drift(id, index.maint[id].ops_since_train) > 0.0)
             .count();
         assert!(stale_before >= 2, "need at least two drifted leaves");
         let budget = common::MaintenanceBudget {

@@ -174,11 +174,11 @@ impl ScaledRegressor {
         self.err_above
     }
 
-    /// Widens the error bounds; used by the update algorithms when insertions
-    /// shift data without retraining.
-    pub fn widen_error_bounds(&mut self, extra_below: u64, extra_above: u64) {
-        self.err_below += extra_below;
-        self.err_above += extra_above;
+    /// Replaces the error bounds; used when stored data is re-packed under
+    /// the same model and the bounds are measured over the new layout.
+    pub fn set_error_bounds(&mut self, below: u64, above: u64) {
+        self.err_below = below;
+        self.err_above = above;
     }
 
     /// Widens the error bounds by exactly as much as needed for the
@@ -329,14 +329,14 @@ mod tests {
     }
 
     #[test]
-    fn widen_error_bounds_adds_slack() {
+    fn set_error_bounds_replaces_both_bounds() {
         let inputs = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
         let targets = vec![0u64, 1];
         let mut model = ScaledRegressor::fit(fast_config(2), &inputs, &targets);
-        let (b, a) = (model.err_below(), model.err_above());
-        model.widen_error_bounds(2, 3);
-        assert_eq!(model.err_below(), b + 2);
-        assert_eq!(model.err_above(), a + 3);
+        model.set_error_bounds(2, 3);
+        assert_eq!((model.err_below(), model.err_above()), (2, 3));
+        model.set_error_bounds(0, 1);
+        assert_eq!((model.err_below(), model.err_above()), (0, 1));
     }
 
     #[test]

@@ -34,10 +34,10 @@
 //!   composes) is the fallback.  When the base supports it
 //!   ([`SpatialIndex::clone_index`] + [`SpatialIndex::rebuild_partial`]),
 //!   the [`CompactionPolicy`] instead clones the base, replays the captured
-//!   delta into the clone, and retrains only the subtrees whose model drift
-//!   crossed [`CompactionPolicy::drift_trigger`] — bounded per pass by a
-//!   pause budget so compaction cost stays proportional to churn, not to
-//!   data size.  The epoch swap discipline is identical either way.
+//!   delta into the clone, and repairs only the worn subtrees (refitting
+//!   those whose model drift crossed [`CompactionPolicy::drift_trigger`]) —
+//!   bounded per pass by a pause budget so compaction cost stays
+//!   proportional to churn, not to data size.  The epoch swap discipline is identical either way.
 //!
 //! # Example: serve and write concurrently
 //!
@@ -104,7 +104,7 @@ use std::time::{Duration, Instant};
 /// server without a dependency cycle.
 pub type RebuildFn = Box<dyn Fn(&[Point]) -> Box<dyn SpatialIndex> + Send + Sync>;
 
-/// When the server compacts and when a partial pass retrains: the two
+/// When the server compacts and when a partial pass refits: the two
 /// values experiments sweep and tests pin.  Whether a pass *can* be partial
 /// is decided per pass from the base index, and the bounds on a partial
 /// pass ([`PAUSE_BUDGET_US`] and the constants beside it) are fixed.
@@ -114,10 +114,10 @@ pub type RebuildFn = Box<dyn Fn(&[Point]) -> Box<dyn SpatialIndex> + Send + Sync
 pub struct CompactionPolicy {
     /// Number of buffered delta ops that triggers a compaction.
     pub ops_trigger: usize,
-    /// Per-subtree drift at or above which a partial pass retrains the
-    /// subtree (the unit is "fractions of a retrain's worth of churn"; see
-    /// the drift metric in `docs/ARCHITECTURE.md`).  Subtrees below it
-    /// keep their (possibly widened) models.
+    /// Per-subtree model drift at or above which a partial pass refits the
+    /// subtree's model as well as repairing its layout (the unit is
+    /// "fractions of a refit's worth of churn"; see the drift metric in
+    /// `docs/ARCHITECTURE.md`).  Subtrees below it keep their models.
     pub drift_trigger: f64,
 }
 
@@ -145,12 +145,12 @@ impl CompactionPolicy {
 }
 
 /// Budget, in microseconds, for the off-lock partial-rebuild work of one
-/// pass.  The server keeps a running estimate of per-subtree retrain cost
+/// pass.  The server keeps a running estimate of per-subtree repair cost
 /// and caps the number of subtrees per pass so the pass fits the budget; the
 /// remainder is deferred to the next pass.
 pub const PAUSE_BUDGET_US: u64 = 50_000;
 
-/// Hard cap on subtrees retrained per partial pass, independent of the cost
+/// Hard cap on subtrees repaired per partial pass, independent of the cost
 /// estimate.
 pub const MAX_SUBTREES: usize = 64;
 
@@ -162,7 +162,7 @@ const SKEW_TRIGGER: f64 = 4.0;
 /// Tuning knobs of a [`SpatialServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// When to compact and when a partial pass retrains a subtree.
+    /// When to compact and when a partial pass refits a subtree.
     pub policy: CompactionPolicy,
     /// Whether the background compaction thread runs at all.  With `false`
     /// the delta only ever shrinks through explicit
@@ -271,7 +271,7 @@ pub(crate) enum CompactionMode {
     /// Rebuild the base from scratch through the rebuild closure.
     Full,
     /// Clone the base, replay the captured delta into the clone, and
-    /// retrain only drifted subtrees.  Falls back to
+    /// repair only worn subtrees.  Falls back to
     /// [`Full`](CompactionMode::Full) when the base does not support cloning.
     Partial,
     /// Decided per pass from the base index: partial when it supports
@@ -340,7 +340,7 @@ pub struct ServerStats {
     pub compactions: u64,
     /// Compactions that ran as partial (incremental) passes.
     pub partial_compactions: u64,
-    /// Subtrees retrained across all partial passes.
+    /// Subtrees repaired across all partial passes.
     pub subtree_rebuilds: u64,
     /// Live points (base minus masked deletes plus live inserts).
     pub len: usize,
@@ -380,7 +380,7 @@ struct ServerMetrics {
     /// the steady-state load.
     compactions_full: Counter,
     compactions_partial: Counter,
-    /// `server.subtree_rebuilds`: subtrees retrained across all partial
+    /// `server.subtree_rebuilds`: subtrees repaired across all partial
     /// passes.
     subtree_rebuilds: Counter,
     /// `server.partial_rebuild_us`: off-lock duration of partial passes
@@ -454,11 +454,12 @@ struct Core {
     compactions: AtomicU64,
     /// Epoch swaps produced by partial (incremental) passes.
     partial_compactions: AtomicU64,
-    /// Subtrees retrained across all partial passes.
+    /// Subtrees repaired across all partial passes.
     subtree_rebuilds: AtomicU64,
-    /// Running estimate of per-subtree retrain cost in microseconds
-    /// (exponential moving average, 0 = no estimate yet).  Divides
-    /// [`PAUSE_BUDGET_US`] into a per-pass subtree cap.
+    /// Running estimate of per-subtree repair cost in microseconds
+    /// (exponential moving average over `rebuild_partial` alone, 0 = no
+    /// estimate yet).  Divides [`PAUSE_BUDGET_US`] into a per-pass subtree
+    /// cap.
     partial_cost_ema_us: AtomicU64,
     /// Wake-up signal for the compaction thread.
     signal: Mutex<CompactorSignal>,
@@ -542,7 +543,7 @@ impl Core {
         CompactionMode::Partial
     }
 
-    /// How many subtrees the next partial pass may retrain:
+    /// How many subtrees the next partial pass may repair:
     /// [`MAX_SUBTREES`], shrunk so that `subtrees x estimated per-subtree
     /// cost` fits [`PAUSE_BUDGET_US`] once a cost estimate exists.
     fn partial_budget(&self) -> MaintenanceBudget {
@@ -566,8 +567,8 @@ impl Core {
     ///
     /// With [`CompactionMode::Partial`] (or [`CompactionMode::Auto`]
     /// resolving to it) the base is cloned, the captured ops are replayed
-    /// into the clone in sequence order, and only drifted subtrees are
-    /// retrained under [`Core::partial_budget`].  The canonical point
+    /// into the clone in sequence order, and only worn subtrees are
+    /// repaired under [`Core::partial_budget`].  The canonical point
     /// vector is folded identically in both modes, so a later full rebuild
     /// always starts from the same ground truth.  Partial silently falls
     /// back to full when the base cannot be cloned.
@@ -591,6 +592,8 @@ impl Core {
         delta::apply_log_to_points(&mut points, captured.log(), fold_seq);
 
         let rebuild_t0 = Instant::now();
+        // `(outcome, µs)` of the clone's `rebuild_partial` alone: the clone
+        // and the replay are not per-subtree work.
         let mut partial_outcome = None;
         let new_base = if mode == CompactionMode::Partial {
             match epoch.base.clone_index() {
@@ -603,7 +606,10 @@ impl Core {
                             }
                         }
                     }
-                    partial_outcome = Some(clone.rebuild_partial(&self.partial_budget()));
+                    let budget = self.partial_budget();
+                    let t0 = Instant::now();
+                    let outcome = clone.rebuild_partial(&budget);
+                    partial_outcome = Some((outcome, t0.elapsed().as_micros() as u64));
                     clone
                 }
                 None => (self.rebuild)(&points),
@@ -661,14 +667,14 @@ impl Core {
         match partial_outcome {
             // A clone whose `rebuild_partial` fell back to a full rebuild
             // still counts as a full pass: the whole structure was redone.
-            Some(outcome) if !outcome.full_rebuild => {
+            Some((outcome, partial_us)) if !outcome.full_rebuild => {
                 let subtrees = outcome.subtrees_rebuilt as u64;
                 self.partial_compactions.fetch_add(1, Ordering::Relaxed);
                 self.subtree_rebuilds.fetch_add(subtrees, Ordering::Relaxed);
                 self.metrics.compactions_partial.inc();
                 self.metrics.subtree_rebuilds.add(subtrees);
                 self.metrics.partial_rebuild_us.record(rebuild_us);
-                if let Some(per) = rebuild_us.checked_div(subtrees) {
+                if let Some(per) = partial_us.checked_div(subtrees) {
                     let per = per.max(1);
                     let ema = self.partial_cost_ema_us.load(Ordering::Relaxed);
                     let next = if ema == 0 { per } else { (3 * ema + per) / 4 };
@@ -814,8 +820,9 @@ impl SpatialServer {
     }
 
     /// Synchronously runs one policy-driven compaction: a partial pass
-    /// (retrain only the subtrees drifted past the [`CompactionPolicy`]'s
-    /// trigger, in a clone of the base) where the base supports one, a full
+    /// (repair only the worn subtrees, refitting those drifted past the
+    /// [`CompactionPolicy`]'s trigger, in a clone of the base) where the
+    /// base supports one, a full
     /// rebuild otherwise; the resulting epoch swaps in atomically either
     /// way.  Returns whether a swap happened (`false` if the delta was
     /// empty).  This is what the background thread runs on every trigger.

@@ -245,6 +245,12 @@ impl Block {
         removed
     }
 
+    /// Removes every point; links and the overflow flag stay.
+    pub fn clear(&mut self) {
+        self.ids.clear();
+        self.mbr = Rect::empty();
+    }
+
     fn swap_remove(&mut self, pos: usize) -> Point {
         let p = self.point(pos);
         let last = self.ids.len() - 1;

@@ -79,6 +79,7 @@ impl BlockStore {
             block.set_overflow(r.get_bool()?);
         }
         r.end_section()?;
+        store.find_free_blocks();
         Ok(store)
     }
 }
@@ -162,6 +163,25 @@ mod tests {
         assert_eq!(ids(&loaded), vec![0, ov]);
         assert_eq!(ids(&loaded), ids(&store));
         assert!(loaded.block(ov).is_overflow());
+    }
+
+    #[test]
+    fn kept_free_blocks_are_found_again_on_load() {
+        let mut store = BlockStore::new(2);
+        store.pack(&pts(6)); // blocks 0..=2
+        let ov = store.insert_overflow_after(1);
+        let ov2 = store.insert_overflow_after(ov);
+        store.block_mut(ov).push(Point::with_id(0.5, 0.5, 99));
+        store.drain_chain(1, &mut Vec::new());
+        // A linked overflow block that is empty is not free.
+        let linked = store.insert_overflow_after(2);
+        assert_eq!(linked, ov);
+        let loaded = roundtrip(&store);
+        assert_stores_equal(&store, &loaded);
+        assert_eq!((store.free_len(), loaded.free_len()), (1, 1));
+        let mut loaded = loaded;
+        assert_eq!(loaded.insert_overflow_after(0), ov2);
+        assert_eq!(loaded.free_len(), 0);
     }
 
     /// The header MBR against the fold it caches, bit for bit.

@@ -2,13 +2,19 @@
 
 use crate::block::{Block, BlockId};
 use geom::Point;
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// An arena of fixed-capacity blocks.
 ///
-/// Blocks are addressed by [`BlockId`]; the store never reuses IDs, so a
-/// block ID handed out during bulk-loading stays valid across insertions and
-/// deletions (deleted points simply leave free slots, as in §5 of the paper).
+/// Blocks are addressed by [`BlockId`].  A block ID handed out during
+/// bulk-loading stays valid across insertions and deletions (deleted points
+/// simply leave free slots, as in §5 of the paper).  Overflow blocks emptied
+/// by [`BlockStore::drain_chain`] are unlinked and kept: the next
+/// [`BlockStore::insert_overflow_after`] takes the lowest such ID before it
+/// allocates, so the arena stops growing under churn.  A kept block is an
+/// empty, unlinked overflow block, which is how a loaded snapshot finds them
+/// again.
 ///
 /// The store itself does **no** access accounting: query code charges block
 /// reads to its `QueryContext` (`common::QueryContext`), which keeps the
@@ -17,6 +23,8 @@ use std::ops::Range;
 pub struct BlockStore {
     blocks: Vec<Block>,
     capacity: usize,
+    /// Unlinked, empty overflow blocks waiting for reuse.
+    free: BTreeSet<BlockId>,
 }
 
 /// Position of a walk over `begin..=end` of the block chain plus the
@@ -82,6 +90,7 @@ impl BlockStore {
         Self {
             blocks: Vec::new(),
             capacity,
+            free: BTreeSet::new(),
         }
     }
 
@@ -91,10 +100,16 @@ impl BlockStore {
         self.capacity
     }
 
-    /// Number of blocks allocated so far.
+    /// Number of blocks allocated so far, kept free ones included.
     #[inline]
     pub fn len(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// Number of overflow blocks kept free for reuse.
+    #[inline]
+    pub fn free_len(&self) -> usize {
+        self.free.len()
     }
 
     /// Whether no blocks have been allocated.
@@ -185,10 +200,11 @@ impl BlockStore {
         offset
     }
 
-    /// Creates a new overflow block and splices it into the chain directly
-    /// after `after` (the insertion strategy of §5).  Returns its ID.
+    /// Splices an overflow block into the chain directly after `after` (the
+    /// insertion strategy of §5): the lowest kept free block, or a new one.
+    /// Returns its ID.
     pub fn insert_overflow_after(&mut self, after: BlockId) -> BlockId {
-        let id = self.allocate();
+        let id = self.free.pop_first().unwrap_or_else(|| self.allocate());
         let old_next = self.blocks[after].next();
         self.blocks[id].set_overflow(true);
         self.blocks[id].set_prev(Some(after));
@@ -217,6 +233,42 @@ impl BlockStore {
     /// `id` plus all *overflow* blocks chained immediately after it.
     pub fn overflow_chain(&self, id: BlockId) -> ChainRange<'_> {
         self.chain_range(id, id)
+    }
+
+    /// Moves the points of `base` and of every overflow block chained
+    /// after it into `out`, in chain order, and leaves `base` empty and
+    /// linked to the block that followed its chain.  The overflow blocks
+    /// are unlinked and kept for [`Self::insert_overflow_after`].
+    pub fn drain_chain(&mut self, base: BlockId, out: &mut Vec<Point>) {
+        let chain: Vec<BlockId> = self.overflow_chain(base).map(|(id, _)| id).collect();
+        let after = chain.last().and_then(|&id| self.blocks[id].next());
+        for &id in &chain {
+            let block = &mut self.blocks[id];
+            out.extend(block.iter_points());
+            block.clear();
+        }
+        for &id in &chain[1..] {
+            self.blocks[id].set_prev(None);
+            self.blocks[id].set_next(None);
+            self.free.insert(id);
+        }
+        self.blocks[base].set_next(after);
+        if let Some(n) = after {
+            self.blocks[n].set_prev(Some(base));
+        }
+    }
+
+    /// Rebuilds the free list from the blocks themselves: every empty,
+    /// unlinked overflow block is free (a linked overflow block always has
+    /// a predecessor).
+    pub(crate) fn find_free_blocks(&mut self) {
+        self.free = self
+            .iter()
+            .filter(|(_, b)| {
+                b.is_overflow() && b.is_empty() && b.prev().is_none() && b.next().is_none()
+            })
+            .map(|(id, _)| id)
+            .collect();
     }
 
     /// Removes every point whose `(x, y, id)` equals `p`'s
@@ -381,6 +433,32 @@ mod tests {
         assert_eq!(store.remove_in_chain_range(0, 1, &dup), 0);
         assert_eq!(store.total_points(), 4);
         assert_eq!(store.block(ov).ids(), &[78]);
+    }
+
+    #[test]
+    fn drained_overflow_blocks_are_reused_before_the_arena_grows() {
+        let mut store = BlockStore::new(2);
+        store.pack(&pts(4)); // blocks 0 and 1
+        let ov1 = store.insert_overflow_after(0);
+        let ov2 = store.insert_overflow_after(ov1);
+        store.block_mut(ov1).push(Point::with_id(0.1, 0.2, 7));
+        store.block_mut(ov2).push(Point::with_id(0.3, 0.4, 8));
+        let mut out = Vec::new();
+        store.drain_chain(0, &mut out);
+        let drained: Vec<u64> = out.iter().map(|p| p.id).collect();
+        assert_eq!(drained, vec![0, 1, 7, 8], "chain order");
+        assert!(store.block(0).is_empty());
+        assert_eq!(ids(store.chain_range(0, 1)), vec![0, 1]);
+        assert_eq!(store.block(1).prev(), Some(0));
+        assert_eq!(store.free_len(), 2);
+        // The lowest kept id goes first; only then does the arena grow.
+        let len = store.len();
+        assert_eq!(store.insert_overflow_after(1), ov1);
+        assert_eq!(store.insert_overflow_after(0), ov2);
+        assert_eq!(ids(store.chain_range(0, 1)), vec![0, ov2, 1, ov1]);
+        assert_eq!(store.len(), len);
+        assert_eq!(store.insert_overflow_after(0), len);
+        assert_eq!(store.free_len(), 0);
     }
 
     #[test]
