@@ -701,24 +701,27 @@ impl Rsmi {
         let mbr = geom::bounding_rect(&points).unwrap_or_else(Rect::empty);
         let leaf = self.leaf(leaf_id);
         let curve = self.config.curve;
-        let mut by_model: Vec<(u64, u64, Point)> = points
+        let keys: Vec<(u64, u64)> = points
             .iter()
-            .map(|p| {
-                (
-                    leaf.model.predict_xy(p.x, p.y),
-                    curve_key(curve, &mbr, p),
-                    *p,
-                )
-            })
+            .map(|p| (leaf.model.predict_xy(p.x, p.y), curve_key(curve, &mbr, p)))
             .collect();
-        let mut by_curve = by_model.clone();
-        let tie = |a: &Point, b: &Point| {
-            a.id.cmp(&b.id)
-                .then(a.x.total_cmp(&b.x))
-                .then(a.y.total_cmp(&b.y))
+        // Indices into `points` by `(major, minor)` key, ties in drain order.
+        // A curve key has 32 bits and a prediction is a block offset, so
+        // each pair packs into one `u64`.
+        let order_by = |key: fn(u64, u64) -> u64| {
+            let mut idx: Vec<(u64, u32)> = (0..keys.len() as u32)
+                .map(|i| {
+                    let (pred, curve) = keys[i as usize];
+                    (key(pred.min(u32::MAX as u64), curve), i)
+                })
+                .collect();
+            idx.sort_unstable();
+            idx.into_iter()
+                .map(|(_, i)| i as usize)
+                .collect::<Vec<usize>>()
         };
-        by_model.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(tie(&a.2, &b.2)));
-        by_curve.sort_unstable_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)).then(tie(&a.2, &b.2)));
+        let by_model = order_by(|pred, curve| pred << 32 | curve);
+        let by_curve = order_by(|pred, curve| curve << 32 | pred);
 
         // Block `i` takes a share of the points proportional to its
         // capacity: `B`, plus `B` per overflow block placed after it.  Each
@@ -739,10 +742,10 @@ impl Rsmi {
             chunks.extend((start..end).step_by(b).map(|a| (i, a..end.min(a + b))));
             start = end;
         }
-        let margin = |order: &[(u64, u64, Point)]| -> f64 {
-            let mbr_of = |c: &[(u64, u64, Point)]| {
-                c.iter().fold(Rect::empty(), |mut r, t| {
-                    r.expand_to_point(t.2);
+        let margin = |order: &[usize]| -> f64 {
+            let mbr_of = |c: &[usize]| {
+                c.iter().fold(Rect::empty(), |mut r, &k| {
+                    r.expand_to_point(points[k]);
                     r
                 })
             };
@@ -768,8 +771,9 @@ impl Rsmi {
                 _ => first + i,
             };
             tail = Some((i, block));
-            for &(pred, _, p) in &ordered[range] {
-                self.store.block_mut(block).push(p);
+            for &k in &ordered[range] {
+                self.store.block_mut(block).push(points[k]);
+                let pred = keys[k].0;
                 let offset = i as u64;
                 below = below.max(offset.saturating_sub(pred));
                 above = above.max(pred.saturating_sub(offset));
@@ -797,7 +801,10 @@ impl Rsmi {
             cfg.epochs = epochs;
             cfg.learning_rate = learning_rate;
             cfg.seed = seed;
-            let inputs: Vec<[f64; 2]> = ordered.iter().map(|(_, _, p)| [p.x, p.y]).collect();
+            let inputs: Vec<[f64; 2]> = ordered
+                .iter()
+                .map(|&k| [points[k].x, points[k].y])
+                .collect();
             leaf.model = ScaledRegressor::fit(cfg, &inputs, &homes);
         } else {
             leaf.model.set_error_bounds(below, above);
