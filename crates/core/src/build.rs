@@ -75,6 +75,22 @@ fn child_seed(parent: u64, cell: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Training rows an internal node's fit may read over all its epochs.  An
+/// internal model only routes (§3.2): points are grouped by its own
+/// predictions, so every point is found whatever its loss.  Passes beyond
+/// this budget fit the curve's step function more closely, which at 1 M
+/// points moved windows' extreme chain positions off their corners and
+/// opened more blocks per window and kNN, not fewer.  6 M rows are 30
+/// epochs over 200 k, so no node of up to 200 k points loses an epoch of a
+/// 30-epoch cap.
+const ROUTING_ROWS: usize = 6_000_000;
+
+/// The epoch cap of an internal node's fit over `rows` training rows:
+/// `min(cap, ⌈ROUTING_ROWS / rows⌉)`.  Every epoch still reads every row.
+fn routing_epochs(cap: usize, rows: usize) -> usize {
+    cap.min(ROUTING_ROWS.div_ceil(rows.max(1)))
+}
+
 /// Recursive builder.
 pub(crate) struct Builder {
     config: RsmiConfig,
@@ -107,9 +123,9 @@ impl Builder {
         (1usize << log4).max(2)
     }
 
-    fn mlp_config(&self, classes: usize, seed: u64) -> MlpConfig {
+    fn mlp_config(&self, classes: usize, epochs: usize, seed: u64) -> MlpConfig {
         let mut cfg = MlpConfig::for_coordinates(classes.max(1));
-        cfg.epochs = self.config.epochs;
+        cfg.epochs = epochs;
         cfg.learning_rate = self.config.learning_rate;
         cfg.seed = seed;
         cfg
@@ -160,7 +176,11 @@ impl Builder {
         let targets: Vec<u64> = (0..ordered.len())
             .map(|rank| (rank / capacity) as u64)
             .collect();
-        let model = ScaledRegressor::fit(self.mlp_config(n_blocks, seed), &inputs, &targets);
+        let model = ScaledRegressor::fit(
+            self.mlp_config(n_blocks, self.config.epochs, seed),
+            &inputs,
+            &targets,
+        );
 
         let mbr = bounding_rect(&ordered).unwrap_or_else(Rect::empty);
         Subtree {
@@ -216,7 +236,7 @@ impl Builder {
         // Step 2: learn the partitioning function M_{i,j}.
         let inputs: Vec<[f64; 2]> = points.iter().map(|p| [p.x, p.y]).collect();
         let (model, predicted_cell) = ScaledRegressor::fit_predicting(
-            self.mlp_config(cells, seed),
+            self.mlp_config(cells, routing_epochs(self.config.epochs, n), seed),
             &inputs,
             &true_cell,
             threads,
@@ -408,6 +428,16 @@ mod tests {
             },
         };
         assert_eq!(builder2.grid_side(), 2);
+    }
+
+    #[test]
+    fn internal_fits_share_a_budget_of_routing_rows() {
+        // 30 x 200 000 = ROUTING_ROWS: up to 200 k rows keep the cap.
+        assert_eq!(routing_epochs(30, 200_000), 30);
+        assert_eq!(routing_epochs(30, 200_001), 30);
+        assert_eq!(routing_epochs(30, 1_000_000), 6);
+        assert_eq!(routing_epochs(30, ROUTING_ROWS + 1), 1);
+        assert_eq!(routing_epochs(0, 1_000_000), 0);
     }
 
     #[test]
