@@ -77,18 +77,17 @@ fn child_seed(parent: u64, cell: usize) -> u64 {
 
 /// Training rows an internal node's fit may read over all its epochs.  An
 /// internal model only routes (§3.2): points are grouped by its own
-/// predictions, so every point is found whatever its loss.  Passes beyond
-/// this budget fit the curve's step function more closely, which at 1 M
-/// points moved windows' extreme chain positions off their corners and
-/// opened more blocks per window and kNN, not fewer.  6 M rows are 30
-/// epochs over 200 k, so no node of up to 200 k points loses an epoch of a
-/// 30-epoch cap.
+/// predictions, so every point is found whatever its loss.  At 1 M points,
+/// passes beyond this budget lowered the loss but lengthened the chain
+/// ranges windows walk and opened more blocks per window and kNN, not
+/// fewer.  6 M rows are 30 epochs over 200 k, so no node of up to 200 k
+/// points loses an epoch of a 30-epoch cap.
 const ROUTING_ROWS: usize = 6_000_000;
 
 /// The epoch cap of an internal node's fit over `rows` training rows:
 /// `min(cap, ⌈ROUTING_ROWS / rows⌉)`.  Every epoch still reads every row.
 fn routing_epochs(cap: usize, rows: usize) -> usize {
-    cap.min(ROUTING_ROWS.div_ceil(rows.max(1)))
+    cap.min(ROUTING_ROWS.div_ceil(rows))
 }
 
 /// Recursive builder.
@@ -123,9 +122,9 @@ impl Builder {
         (1usize << log4).max(2)
     }
 
-    fn mlp_config(&self, classes: usize, epochs: usize, seed: u64) -> MlpConfig {
+    fn mlp_config(&self, classes: usize, seed: u64) -> MlpConfig {
         let mut cfg = MlpConfig::for_coordinates(classes.max(1));
-        cfg.epochs = epochs;
+        cfg.epochs = self.config.epochs;
         cfg.learning_rate = self.config.learning_rate;
         cfg.seed = seed;
         cfg
@@ -176,11 +175,7 @@ impl Builder {
         let targets: Vec<u64> = (0..ordered.len())
             .map(|rank| (rank / capacity) as u64)
             .collect();
-        let model = ScaledRegressor::fit(
-            self.mlp_config(n_blocks, self.config.epochs, seed),
-            &inputs,
-            &targets,
-        );
+        let model = ScaledRegressor::fit(self.mlp_config(n_blocks, seed), &inputs, &targets);
 
         let mbr = bounding_rect(&ordered).unwrap_or_else(Rect::empty);
         Subtree {
@@ -235,12 +230,10 @@ impl Builder {
 
         // Step 2: learn the partitioning function M_{i,j}.
         let inputs: Vec<[f64; 2]> = points.iter().map(|p| [p.x, p.y]).collect();
-        let (model, predicted_cell) = ScaledRegressor::fit_predicting(
-            self.mlp_config(cells, routing_epochs(self.config.epochs, n), seed),
-            &inputs,
-            &true_cell,
-            threads,
-        );
+        let mut cfg = self.mlp_config(cells, seed);
+        cfg.epochs = routing_epochs(cfg.epochs, n);
+        let (model, predicted_cell) =
+            ScaledRegressor::fit_predicting(cfg, &inputs, &true_cell, threads);
         drop(inputs);
 
         // Step 3: group the points by the model's predictions (the learned
