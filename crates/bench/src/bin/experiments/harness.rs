@@ -40,7 +40,7 @@ pub const EPOCHS: Flag = Flag::value(
     "--epochs",
     "E",
     check::parses::<usize>,
-    "epoch cap per model of the learned indices",
+    "epoch cap per model of the learned indices (an RSMI internal model over n points runs at most ceil(6M / n))",
 )
 .default("30");
 

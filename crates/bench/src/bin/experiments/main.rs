@@ -27,7 +27,10 @@
 //! data sizes are tens of thousands of points and the epoch cap is reduced.
 //! `--scale` multiplies a subcommand's data-set sizes and `--epochs`
 //! restores any epoch cap, so the experiments can be pushed back toward
-//! paper scale on bigger machines.
+//! paper scale on bigger machines.  The cap binds every leaf model; an RSMI
+//! internal model over `n` points trains at most `⌈6 M / n⌉` epochs whatever
+//! the cap (a fixed budget of training rows), so at the default cap of 30,
+//! only internal models over 200 k points train fewer.
 
 mod cli;
 mod distributed;

@@ -95,9 +95,11 @@ pub struct RsmiConfig {
     /// Space-filling curve used for ordering (§6.1: Hilbert by default).
     pub curve: CurveKind,
     /// Most training epochs per sub-model; a fit stops sooner once its loss
-    /// stops improving (`mlp::Mlp::train`).  The paper uses 500; the default
-    /// cap here is smaller so that experiments run at laptop scale — the
-    /// harness can raise it.
+    /// stops improving (`mlp::Mlp::train`).  An internal model over `n`
+    /// points also stops after `⌈6 M / n⌉` epochs, a fixed budget of
+    /// training rows (at a cap of 30, only nodes over 200 k points train
+    /// fewer).  The paper uses 500; the default cap here is smaller so that
+    /// experiments run at laptop scale — the harness can raise it.
     pub epochs: usize,
     /// SGD learning rate (paper: 0.01; a larger rate compensates for the
     /// reduced epoch count).

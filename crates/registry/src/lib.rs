@@ -267,7 +267,9 @@ pub struct IndexConfig {
     /// RSMI partition threshold `N`.
     pub partition_threshold: usize,
     /// Most training epochs per model of the learned indices; a fit stops
-    /// sooner once its loss stops improving (`mlp::Mlp::train`).
+    /// sooner once its loss stops improving (`mlp::Mlp::train`).  An RSMI
+    /// internal model over `n` points runs at most `⌈6 M / n⌉` epochs, so at
+    /// the default 30 only internal models over 200 k points train fewer.
     pub epochs: usize,
     /// SGD learning rate for the learned indices.
     pub learning_rate: f64,
