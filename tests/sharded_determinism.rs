@@ -10,6 +10,7 @@
 
 use common::{QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
+use engine::executor::run_batch;
 use geom::Point;
 use registry::{build_index, BaseKind, IndexConfig, IndexKind};
 
@@ -161,26 +162,33 @@ fn batch_thread_count_never_changes_results() {
     let windows = queries::window_queries(&data, queries::WindowSpec::default(), 60, 47);
     let point_qs = queries::point_queries(&data, 300, 49);
     let knn_qs = queries::knn_queries(&data, 60, 51);
+    let centers = queries::knn_queries(&data, 60, 53);
+    let index = build_index(BaseKind::Kdb.sharded(), &data, &cfg());
 
-    let seq = build_index(BaseKind::Kdb.sharded(), &data, &cfg().with_threads(1));
-    let par = build_index(BaseKind::Kdb.sharded(), &data, &cfg().with_threads(4));
-
-    let (mut cx1, mut cx4) = (QueryContext::new(), QueryContext::new());
+    // Every index is `Sync`: a parallel batch is the caller's loop, split
+    // over workers by `run_batch`, one context per worker.
+    let batches = |workers| {
+        let (points, point_stats) = run_batch(&point_qs, workers, |qs, cx| {
+            qs.iter().map(|q| index.point_query(q, cx)).collect()
+        });
+        let (windows, window_stats) = run_batch(&windows, workers, |ws, cx| {
+            ws.iter().map(|w| index.window_query(w, cx)).collect()
+        });
+        let (knn, knn_stats) = run_batch(&knn_qs, workers, |qs, cx| {
+            qs.iter().map(|q| index.knn_query(q, 15, cx)).collect()
+        });
+        let (ranges, range_stats) = run_batch(&centers, workers, |cs, cx| {
+            cs.iter().map(|c| index.range_query(c, 0.02, cx)).collect()
+        });
+        (
+            (points, windows, knn, ranges),
+            [point_stats, window_stats, knn_stats, range_stats],
+        )
+    };
     assert_eq!(
-        seq.point_queries(&point_qs, &mut cx1),
-        par.point_queries(&point_qs, &mut cx4)
-    );
-    assert_eq!(
-        seq.window_queries(&windows, &mut cx1),
-        par.window_queries(&windows, &mut cx4)
-    );
-    assert_eq!(
-        seq.knn_queries(&knn_qs, 15, &mut cx1),
-        par.knn_queries(&knn_qs, 15, &mut cx4)
-    );
-    assert_eq!(
-        cx1.stats, cx4.stats,
-        "merged batch statistics must not depend on the thread count"
+        batches(1),
+        batches(4),
+        "batch answers and merged statistics must not depend on the worker count"
     );
 }
 
