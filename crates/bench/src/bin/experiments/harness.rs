@@ -63,7 +63,7 @@ pub const THREADS: Flag = Flag::value(
     "--threads",
     "N",
     check::positive_count,
-    "worker threads of the sharded kinds' batch execution",
+    "worker threads of the sharded kinds' per-shard rebuild and of `sharded`'s parallel batch",
 )
 .default("4");
 

@@ -566,17 +566,12 @@ fn fig17_18_19(args: &Args) {
             insert_rows.push(vec![format!("{pct}%"), "RSMIr".to_string(), fmt(amortised)]);
 
             let point_qs = queries::point_queries(&all_points, POINT_QUERIES, 13);
-            let mut cx = QueryContext::new();
-            let qstart = std::time::Instant::now();
-            let _ = built.index.point_queries(&point_qs, &mut cx);
-            let us = qstart.elapsed().as_secs_f64() * 1e6 / point_qs.len() as f64;
-            let stats = cx.take_stats();
-            let blocks = stats.total_accesses() as f64 / point_qs.len() as f64;
+            let pm = measure_point_queries(&built, &point_qs);
             point_rows.push(vec![
                 format!("{pct}%"),
                 "RSMIr".to_string(),
-                fmt(us),
-                fmt(blocks),
+                fmt(pm.avg_time_us),
+                fmt(pm.avg_block_accesses),
             ]);
         }
     }
@@ -610,8 +605,7 @@ fn fig17_18_19(args: &Args) {
 // ---------------------------------------------------------------------
 fn ablation_rank(args: &Args) {
     // Error bounds are internal model diagnostics (see `table4`), so the
-    // concrete RSMI type is used here; the query measurement itself goes
-    // through the uniform API.
+    // concrete RSMI type is used here, its point queries included.
     let data = dataset(Distribution::skewed_default(), n_default(args));
     let mut rows = Vec::new();
     for (label, use_rank) in [("rank-space (paper)", true), ("raw coordinates", false)] {
@@ -620,8 +614,9 @@ fn ablation_rank(args: &Args) {
         let stats = index.stats();
         let point_qs = queries::point_queries(&data, POINT_QUERIES, 1);
         let mut cx = QueryContext::new();
-        use common::SpatialIndex;
-        let _ = index.point_queries(&point_qs, &mut cx);
+        for q in &point_qs {
+            let _ = index.point_query(q, &mut cx);
+        }
         let blocks = cx.take_stats().total_accesses() as f64 / point_qs.len() as f64;
         rows.push(vec![
             label.to_string(),
@@ -677,18 +672,15 @@ fn ablation_grouping(args: &Args) {
         ("true grid cells", false),
     ] {
         // `group_by_prediction` is an RSMI-internal ablation knob, not a
-        // registry parameter; the measurement still goes through the
-        // uniform API.
+        // registry parameter, so the concrete RSMI type is queried.
         let cfg = config(args)
             .rsmi_config()
             .with_group_by_prediction(by_prediction);
         let index = rsmi::Rsmi::build(data.clone(), cfg);
         let mut cx = QueryContext::new();
-        use common::SpatialIndex;
-        let hits = index
-            .point_queries(&point_qs, &mut cx)
+        let hits = point_qs
             .iter()
-            .filter(|a| a.is_some())
+            .filter(|q| index.point_query(q, &mut cx).is_some())
             .count();
         rows.push(vec![
             label.to_string(),

@@ -1,7 +1,7 @@
 //! `range` and `join` measure the distance-predicate query classes across
 //! **all 14 registered kinds** (leaf families and their sharded
-//! compositions): `range` runs a batch of distance-range queries of
-//! `--radius` and verifies every answer against the brute-force oracle;
+//! compositions): `range` runs distance-range queries of `--radius` and
+//! verifies every answer against the brute-force oracle;
 //! `join` builds a second (inner) index of `--join-ratio` times the data
 //! size per kind and runs the index-nested `distance_join`, verifying the
 //! pair set against the nested-loop oracle.  Both exit 1 on any oracle
@@ -60,9 +60,11 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
     },
 ];
 
-/// `range`: a batch of distance-range queries per kind, every answer
-/// verified against the brute-force oracle (distance-range queries are
-/// exact for every family).  Returns whether every kind verified.
+/// `range`: distance-range queries per kind, every answer verified against
+/// the brute-force oracle (distance-range queries are exact for every
+/// family).  Every row, sharded kinds included, is timed one call at a time
+/// on one thread, so the per-query times compare.  Returns whether every
+/// kind verified.
 fn range(args: &Args) -> bool {
     let n = n_default(args);
     let data = dataset(Distribution::skewed_default(), n);

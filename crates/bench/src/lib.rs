@@ -70,12 +70,15 @@ fn per_query(v: u64, n: usize) -> f64 {
     v as f64 / n.max(1) as f64
 }
 
-/// Measures point queries (as one batch): average latency, accesses, hit
-/// rate.
+/// Measures point queries, one call at a time through one context: average
+/// latency, accesses, hit rate.
 pub fn measure_point_queries(built: &BuiltIndex, queries: &[Point]) -> Measurement {
     let mut cx = QueryContext::new();
     let start = std::time::Instant::now();
-    let answers = built.index.point_queries(queries, &mut cx);
+    let answers: Vec<_> = queries
+        .iter()
+        .map(|q| built.index.point_query(q, &mut cx))
+        .collect();
     let elapsed = start.elapsed().as_secs_f64();
     let hits = answers.iter().filter(|a| a.is_some()).count();
     let stats = cx.take_stats();
@@ -88,12 +91,15 @@ pub fn measure_point_queries(built: &BuiltIndex, queries: &[Point]) -> Measureme
     }
 }
 
-/// Measures window queries (as one batch): average latency, accesses and
-/// recall against the brute-force ground truth.
+/// Measures window queries, one call at a time through one context: average
+/// latency, accesses and recall against the brute-force ground truth.
 pub fn measure_window_queries(built: &BuiltIndex, data: &[Point], windows: &[Rect]) -> Measurement {
     let mut cx = QueryContext::new();
     let start = std::time::Instant::now();
-    let results = built.index.window_queries(windows, &mut cx);
+    let results: Vec<_> = windows
+        .iter()
+        .map(|w| built.index.window_query(w, &mut cx))
+        .collect();
     let elapsed = start.elapsed().as_secs_f64();
     let stats = cx.take_stats();
     let mut recalls = Vec::with_capacity(windows.len());
@@ -110,8 +116,8 @@ pub fn measure_window_queries(built: &BuiltIndex, data: &[Point], windows: &[Rec
     }
 }
 
-/// Measures kNN queries (as one batch): average latency, accesses and
-/// recall.
+/// Measures kNN queries, one call at a time through one context: average
+/// latency, accesses and recall.
 pub fn measure_knn_queries(
     built: &BuiltIndex,
     data: &[Point],
@@ -120,7 +126,10 @@ pub fn measure_knn_queries(
 ) -> Measurement {
     let mut cx = QueryContext::new();
     let start = std::time::Instant::now();
-    let results = built.index.knn_queries(queries, k, &mut cx);
+    let results: Vec<_> = queries
+        .iter()
+        .map(|q| built.index.knn_query(q, k, &mut cx))
+        .collect();
     let elapsed = start.elapsed().as_secs_f64();
     let stats = cx.take_stats();
     let mut recalls = Vec::with_capacity(queries.len());
@@ -137,8 +146,8 @@ pub fn measure_knn_queries(
     }
 }
 
-/// Measures distance-range queries (as one batch): average latency,
-/// accesses and recall against the brute-force oracle (every family answers
+/// Measures distance-range queries, one call at a time through one context:
+/// average latency, accesses and recall against the brute-force oracle (every family answers
 /// distance-range queries exactly, so recall below 1 is a bug the `range`
 /// experiment fails on).
 pub fn measure_range_queries(
@@ -149,7 +158,10 @@ pub fn measure_range_queries(
 ) -> Measurement {
     let mut cx = QueryContext::new();
     let start = std::time::Instant::now();
-    let results = built.index.range_queries(centers, radius, &mut cx);
+    let results: Vec<_> = centers
+        .iter()
+        .map(|c| built.index.range_query(c, radius, &mut cx))
+        .collect();
     let elapsed = start.elapsed().as_secs_f64();
     let stats = cx.take_stats();
     let mut recalls = Vec::with_capacity(centers.len());
@@ -303,9 +315,18 @@ pub fn replay_workload(
     let window_qs = queries::window_queries(data, WindowSpec::default(), spec.window_queries, 17);
     let knn_qs = queries::knn_queries(data, spec.knn_queries, 19);
     let mut cx = QueryContext::new();
-    let points = index.point_queries(&point_qs, &mut cx);
-    let windows = index.window_queries(&window_qs, &mut cx);
-    let knn = index.knn_queries(&knn_qs, spec.k, &mut cx);
+    let points = point_qs
+        .iter()
+        .map(|q| index.point_query(q, &mut cx))
+        .collect();
+    let windows = window_qs
+        .iter()
+        .map(|w| index.window_query(w, &mut cx))
+        .collect();
+    let knn = knn_qs
+        .iter()
+        .map(|q| index.knn_query(q, spec.k, &mut cx))
+        .collect();
     WorkloadAnswers {
         points,
         windows,
@@ -461,22 +482,6 @@ mod tests {
         let m = measure_insertions(&mut built, &ins);
         assert!(m.avg_time_us >= 0.0);
         assert_eq!(built.index.len(), 600);
-    }
-
-    #[test]
-    fn batch_and_per_call_point_queries_agree() {
-        let data = generate(Distribution::Uniform, 900, 31);
-        let qs = queries::point_queries(&data, 64, 33);
-        let built = build_timed(IndexKind::Hrr, &data, &tiny_cfg());
-        let mut batch_cx = QueryContext::new();
-        let batch = built.index.point_queries(&qs, &mut batch_cx);
-        let mut single_cx = QueryContext::new();
-        let single: Vec<_> = qs
-            .iter()
-            .map(|q| built.index.point_query(q, &mut single_cx))
-            .collect();
-        assert_eq!(batch, single);
-        assert_eq!(batch_cx.stats, single_cx.stats);
     }
 
     #[test]

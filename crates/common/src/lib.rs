@@ -3,9 +3,8 @@
 //! * [`SpatialIndex`] — the trait all indices (RSMI and the five baselines)
 //!   implement so that the experiment harness, examples, and integration
 //!   tests can treat them uniformly.  Five query classes (point, window,
-//!   kNN, distance-range, distance-join) come in three forms: zero-copy
-//!   visitor methods (the required core), `Vec`-returning adapters, and
-//!   batch entry points that amortise per-call overhead.
+//!   kNN, distance-range, distance-join) come in two forms: zero-copy
+//!   visitor methods (the required core) and `Vec`-returning adapters.
 //! * [`QueryContext`] / [`QueryStats`] — explicit per-query cost accounting
 //!   (blocks touched, nodes visited, candidates scanned).  Indices never
 //!   count accesses through interior mutability, so every index is
@@ -30,7 +29,7 @@ use geom::{Point, Rect};
 /// its components so that learned and traditional indices stay comparable.
 ///
 /// All counters accumulate: running several queries through the same
-/// [`QueryContext`] sums their costs, which is what the batch entry points
+/// [`QueryContext`] sums their costs, which is what a caller's query loop
 /// and the experiment harness rely on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
@@ -246,12 +245,11 @@ pub struct MaintenanceOutcome {
 ///   [`knn_query`](Self::knn_query), [`range_query`](Self::range_query),
 ///   [`distance_join`](Self::distance_join)) are provided for ergonomics and
 ///   copy results into a fresh vector.
-/// * **Batch entry points** ([`point_queries`](Self::point_queries),
-///   [`window_queries`](Self::window_queries),
-///   [`knn_queries`](Self::knn_queries),
-///   [`range_queries`](Self::range_queries)) run a whole workload through
-///   one context.  They are the unit sharding/parallel execution applies
-///   to; implementations may override them with cache-friendlier schedules.
+///
+/// A workload is the caller's loop over these one-query methods.  Because
+/// every index is `Sync`, a caller that wants a parallel batch splits that
+/// loop over workers itself (the `engine` crate's `executor::run_batch`
+/// does this, one context per worker).
 ///
 /// # Statistics
 ///
@@ -447,20 +445,6 @@ pub trait SpatialIndex: Send + Sync {
         out
     }
 
-    /// Runs a batch of distance-range queries (same radius) through one
-    /// context, returning one result set per centre.
-    fn range_queries(
-        &self,
-        centers: &[Point],
-        radius: f64,
-        cx: &mut QueryContext,
-    ) -> Vec<Vec<Point>> {
-        centers
-            .iter()
-            .map(|c| self.range_query(c, radius, cx))
-            .collect()
-    }
-
     // ------------------------------------------------------------------
     // Provided: index-nested distance joins
     // ------------------------------------------------------------------
@@ -539,27 +523,6 @@ pub trait SpatialIndex: Send + Sync {
         let mut out = Vec::with_capacity(k);
         self.knn_query_visit(q, k, cx, &mut |p| out.push(*p));
         out
-    }
-
-    // ------------------------------------------------------------------
-    // Provided: batch entry points
-    // ------------------------------------------------------------------
-
-    /// Runs a batch of point queries through one context, returning one
-    /// answer per query.  Costs accumulate in `cx`.
-    fn point_queries(&self, qs: &[Point], cx: &mut QueryContext) -> Vec<Option<Point>> {
-        qs.iter().map(|q| self.point_query(q, cx)).collect()
-    }
-
-    /// Runs a batch of window queries through one context, returning one
-    /// result set per window.
-    fn window_queries(&self, windows: &[Rect], cx: &mut QueryContext) -> Vec<Vec<Point>> {
-        windows.iter().map(|w| self.window_query(w, cx)).collect()
-    }
-
-    /// Runs a batch of kNN queries (same `k`) through one context.
-    fn knn_queries(&self, qs: &[Point], k: usize, cx: &mut QueryContext) -> Vec<Vec<Point>> {
-        qs.iter().map(|q| self.knn_query(q, k, cx)).collect()
     }
 }
 
@@ -711,27 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_entry_points_answer_every_query() {
-        let pts: Vec<Point> = (0..10)
-            .map(|i| Point::with_id(i as f64 / 10.0, i as f64 / 10.0, i))
-            .collect();
-        let d = Dummy(pts.clone());
-        let mut cx = QueryContext::new();
-        let answers = d.point_queries(&pts[..5], &mut cx);
-        assert_eq!(answers.len(), 5);
-        assert!(answers.iter().all(|a| a.is_some()));
-        assert_eq!(cx.stats.blocks_touched, 5);
-
-        let windows = [Rect::new(0.0, 0.0, 0.5, 0.5), Rect::unit()];
-        let results = d.window_queries(&windows, &mut cx);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[1].len(), 10);
-
-        let knn = d.knn_queries(&pts[..3], 2, &mut cx);
-        assert!(knn.iter().all(|r| r.len() == 2));
-    }
-
-    #[test]
     fn default_range_query_filters_the_bbox_window() {
         let d = Dummy(vec![
             Point::with_id(0.5, 0.5, 1),
@@ -755,11 +697,6 @@ mod tests {
         assert!(d.range_query(&c, -1.0, &mut cx).is_empty());
         assert!(d.range_query(&c, f64::NAN, &mut cx).is_empty());
         assert!(d.range_query(&c, f64::INFINITY, &mut cx).is_empty());
-        // Batch form answers every centre.
-        let batches = d.range_queries(&[c, Point::new(0.9, 0.9)], 0.05, &mut cx);
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].len(), 1);
-        assert_eq!(batches[1].len(), 1);
     }
 
     #[test]

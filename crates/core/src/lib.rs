@@ -62,9 +62,8 @@
 //! let nn = SpatialIndex::knn_query(&index, &Point::new(0.5, 0.5), 5, &mut cx);
 //! assert_eq!(nn.len(), 5);
 //!
-//! // Batch point queries amortise per-call overhead and aggregate stats.
-//! let answers = index.point_queries(&points[..64], &mut cx);
-//! assert!(answers.iter().all(|a| a.is_some()));
+//! // A workload is a loop of calls; the context aggregates their stats.
+//! assert!(points[..64].iter().all(|q| index.point_query(q, &mut cx).is_some()));
 //! let stats = cx.take_stats();
 //! assert!(stats.blocks_touched > 0);
 //! ```

@@ -46,9 +46,9 @@ where
 /// fresh [`QueryContext`] per worker, and returns the per-query results in
 /// input order together with the merged statistics.
 ///
-/// This is what makes the batch entry points of a sharded index actually
-/// parallel: the index is `Sync`, so every worker queries it concurrently
-/// while charging costs to its own context.
+/// Any caller's parallel batch runs through this: every index is `Sync`, so
+/// every worker queries it concurrently while charging costs to its own
+/// context.
 pub fn run_batch<Q, R, F>(queries: &[Q], workers: usize, run: F) -> (Vec<R>, QueryStats)
 where
     Q: Sync,

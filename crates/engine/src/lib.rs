@@ -20,10 +20,10 @@
 //!   `MINDIST` with a distance-bound cutoff and a `(distance, id)` k-way
 //!   merge.  [`ShardedIndex`] is its in-process executor; skipped shards
 //!   are charged to [`QueryStats::shards_pruned`](common::QueryStats).
-//! * [`executor`] — the batch executor: the trait's batch entry points split
-//!   a workload over a scoped worker pool, one [`QueryContext`] per worker,
-//!   and merge the per-worker statistics, making batch serving actually
-//!   parallel.
+//! * [`executor`] — scoped worker pools: `parallel_map` runs the per-shard
+//!   builds and rebuilds, and `run_batch` lets any caller split a query
+//!   workload over workers, one [`QueryContext`] per worker, merging their
+//!   statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +53,8 @@ pub struct ShardedConfig {
     /// Number of shards to cut the data into (clamped to at least 1 and at
     /// most the point count).
     pub shards: usize,
-    /// Worker threads used by the batch entry points (1 = sequential).
+    /// Worker threads of the per-shard [`rebuild`](SpatialIndex::rebuild)
+    /// (1 = sequential).
     pub threads: usize,
     /// Space-filling curve ordering the rank-space partitioning keys.
     pub curve: CurveKind,
@@ -118,8 +119,6 @@ pub struct ShardMeta {
 /// meta sections and skips every embedded inner snapshot.
 #[derive(Debug, Clone)]
 pub struct ShardManifest {
-    /// Worker threads the snapshot was configured with (ignored by routers).
-    pub threads: usize,
     /// The frozen rank-space routing table.
     pub partitioner: Partitioner,
     /// Per-shard routing metadata, in shard order.
@@ -131,7 +130,7 @@ impl ShardManifest {
     /// the embedded per-shard snapshots (their bytes are never parsed).
     pub fn read(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         r.begin_section(SECTION_SHARDED_META)?;
-        let threads = r.get_usize()?.max(1);
+        let _threads = r.get_usize()?;
         let n_shards = r.get_usize()?;
         r.end_section()?;
 
@@ -154,7 +153,6 @@ impl ShardManifest {
             shards.push(meta);
         }
         Ok(Self {
-            threads,
             partitioner,
             shards,
         })
@@ -202,7 +200,7 @@ pub fn read_shard_snapshot_bytes(
     shard: usize,
 ) -> Result<Vec<u8>, PersistError> {
     r.begin_section(SECTION_SHARDED_META)?;
-    let _threads = r.get_usize()?.max(1);
+    let _threads = r.get_usize()?;
     let n_shards = r.get_usize()?;
     r.end_section()?;
     if shard >= n_shards {
@@ -228,8 +226,7 @@ pub fn read_shard_snapshot_bytes(
 }
 
 /// A sharded spatial index: `S` inner indices behind one [`SpatialIndex`]
-/// facade, with routed point queries, pruned window/kNN fan-out, and
-/// multi-threaded batch execution.
+/// facade, with routed point queries and pruned window/kNN fan-out.
 pub struct ShardedIndex {
     name: &'static str,
     partitioner: Partitioner,
@@ -274,11 +271,6 @@ impl ShardedIndex {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Worker threads used by the batch entry points.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Reads a sharded snapshot written by
@@ -441,26 +433,10 @@ impl SpatialIndex for ShardedIndex {
     }
 
     fn rebuild(&mut self) {
-        // Per-shard maintenance rebuild, parallel across the worker pool.
-        // The partitioning itself is frozen; only inner layouts are
-        // restored.
-        let w = self.threads.min(self.shards.len()).max(1);
-        if w <= 1 {
-            for s in &mut self.shards {
-                s.index.rebuild();
-            }
-            return;
-        }
-        let chunk = self.shards.len().div_ceil(w);
-        std::thread::scope(|scope| {
-            for shards in self.shards.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for s in shards {
-                        s.index.rebuild();
-                    }
-                });
-            }
-        });
+        // Per-shard maintenance rebuild on the configured workers.  The
+        // partitioning itself is frozen; only inner layouts are restored.
+        let shards: Vec<&mut Shard> = self.shards.iter_mut().collect();
+        executor::parallel_map(shards, self.threads, |s| s.index.rebuild());
     }
 
     fn size_bytes(&self) -> usize {
@@ -609,50 +585,6 @@ impl SpatialIndex for ShardedIndex {
             w.end_section();
         }
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Batch entry points: the parallel serving path
-    // ------------------------------------------------------------------
-
-    fn point_queries(&self, qs: &[Point], cx: &mut QueryContext) -> Vec<Option<Point>> {
-        let (out, stats) = executor::run_batch(qs, self.threads, |chunk, wcx| {
-            chunk.iter().map(|q| self.point_query(q, wcx)).collect()
-        });
-        cx.stats += stats;
-        out
-    }
-
-    fn window_queries(&self, windows: &[Rect], cx: &mut QueryContext) -> Vec<Vec<Point>> {
-        let (out, stats) = executor::run_batch(windows, self.threads, |chunk, wcx| {
-            chunk.iter().map(|w| self.window_query(w, wcx)).collect()
-        });
-        cx.stats += stats;
-        out
-    }
-
-    fn knn_queries(&self, qs: &[Point], k: usize, cx: &mut QueryContext) -> Vec<Vec<Point>> {
-        let (out, stats) = executor::run_batch(qs, self.threads, |chunk, wcx| {
-            chunk.iter().map(|q| self.knn_query(q, k, wcx)).collect()
-        });
-        cx.stats += stats;
-        out
-    }
-
-    fn range_queries(
-        &self,
-        centers: &[Point],
-        radius: f64,
-        cx: &mut QueryContext,
-    ) -> Vec<Vec<Point>> {
-        let (out, stats) = executor::run_batch(centers, self.threads, |chunk, wcx| {
-            chunk
-                .iter()
-                .map(|c| self.range_query(c, radius, wcx))
-                .collect()
-        });
-        cx.stats += stats;
-        out
     }
 }
 
@@ -815,34 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_execution_is_identical_across_thread_counts() {
-        let data = generate(Distribution::TigerLike, 2_000, 15);
-        let qs = queries::point_queries(&data, 200, 17);
-        let ws = queries::window_queries(&data, queries::WindowSpec::default(), 40, 19);
-        let knn = queries::knn_queries(&data, 40, 21);
-
-        let seq = build(&data, 4, 1);
-        let par = build(&data, 4, 4);
-        let (mut cx1, mut cx4) = (QueryContext::new(), QueryContext::new());
-        assert_eq!(
-            seq.point_queries(&qs, &mut cx1),
-            par.point_queries(&qs, &mut cx4)
-        );
-        assert_eq!(
-            seq.window_queries(&ws, &mut cx1),
-            par.window_queries(&ws, &mut cx4)
-        );
-        assert_eq!(
-            seq.knn_queries(&knn, 10, &mut cx1),
-            par.knn_queries(&knn, 10, &mut cx4)
-        );
-        assert_eq!(
-            cx1.stats, cx4.stats,
-            "merged stats must not depend on threading"
-        );
-    }
-
-    #[test]
     fn range_queries_prune_shards_and_match_brute_force() {
         let data = generate(Distribution::Uniform, 3_000, 27);
         let index = build(&data, 8, 1);
@@ -868,14 +772,6 @@ mod tests {
             stats.shards_visited + stats.shards_pruned,
             8 * centers.len() as u64
         );
-        // The parallel batch entry point returns identical answers.
-        let par = build(&data, 8, 4);
-        let (mut cx1, mut cx4) = (QueryContext::new(), QueryContext::new());
-        assert_eq!(
-            index.range_queries(&centers, 0.05, &mut cx1),
-            par.range_queries(&centers, 0.05, &mut cx4)
-        );
-        assert_eq!(cx1.stats, cx4.stats);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Always-on runtime telemetry for the serving stack.
 //!
-//! The serving layers (`server`, `net`, `engine` via the batch executor's
-//! `common::QueryStats` — see the crates that depend on this one) record
-//! into two primitives, both designed so the hot path touches only
-//! atomics:
+//! The serving layers (`server`, `net`, `router`; the engine's costs arrive
+//! as the `common::QueryStats` its queries charge) record into two
+//! primitives, both designed so the hot path touches only atomics:
 //!
 //! * [`MetricsRegistry`] — named monotone counters, gauges, and
 //!   fixed-bucket log-scale latency [`Histogram`]s.  Registration takes a

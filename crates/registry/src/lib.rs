@@ -280,8 +280,8 @@ pub struct IndexConfig {
     pub curve: CurveKind,
     /// Shard count for the `Sharded(_)` kinds (ignored by leaf families).
     pub shards: usize,
-    /// Worker threads used by the batch entry points of the `Sharded(_)`
-    /// kinds (1 = sequential; ignored by leaf families).
+    /// Worker threads of the `Sharded(_)` kinds' per-shard rebuild
+    /// (1 = sequential; ignored by leaf families).
     pub threads: usize,
 }
 
@@ -343,7 +343,7 @@ impl IndexConfig {
         self
     }
 
-    /// Returns a copy with the given batch-executor thread count (for
+    /// Returns a copy with the given per-shard rebuild thread count (for
     /// `Sharded(_)` kinds).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

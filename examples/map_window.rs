@@ -36,7 +36,10 @@ fn main() {
         for index in &indices {
             let mut cx = QueryContext::new();
             let start = std::time::Instant::now();
-            let answers = index.window_queries(&windows, &mut cx);
+            let answers: Vec<_> = windows
+                .iter()
+                .map(|w| index.window_query(w, &mut cx))
+                .collect();
             let avg_ms = start.elapsed().as_secs_f64() * 1e3 / windows.len() as f64;
 
             let mut recalls = Vec::new();

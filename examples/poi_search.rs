@@ -31,7 +31,10 @@ fn main() {
         let index = build_index(kind, &pois, &config);
         let mut cx = QueryContext::new();
         let start = std::time::Instant::now();
-        let answers = index.knn_queries(&users, k, &mut cx);
+        let answers: Vec<_> = users
+            .iter()
+            .map(|u| index.knn_query(u, k, &mut cx))
+            .collect();
         let avg_ms = start.elapsed().as_secs_f64() * 1e3 / users.len() as f64;
         let stats = cx.take_stats();
 

@@ -77,17 +77,20 @@ fn main() {
         );
     }
 
-    // 5. Batch queries amortise per-call overhead and aggregate statistics.
-    // Drop the charges accumulated by steps 3-4 so the printed average
-    // covers the batch alone.
+    // 5. A workload is a loop of calls through one context, which
+    // aggregates their statistics.  Drop the charges accumulated by steps
+    // 3-4 so the printed average covers the batch alone.
     let _ = cx.take_stats();
     let batch = &points[..1000];
-    let answers = index.point_queries(batch, &mut cx);
+    let hits = batch
+        .iter()
+        .filter(|q| index.point_query(q, &mut cx).is_some())
+        .count();
     let stats = cx.take_stats();
     println!(
         "batch of {} point queries: {} hits, {:.2} blocks/query on average",
         batch.len(),
-        answers.iter().filter(|a| a.is_some()).count(),
+        hits,
         stats.blocks_touched as f64 / batch.len() as f64
     );
 

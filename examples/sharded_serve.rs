@@ -1,11 +1,12 @@
 //! Sharded serving: build a `sharded-rsmi` through the registry, watch the
-//! query planner route and prune, and run a hotspot batch through the
-//! multi-threaded executor.
+//! query planner route and prune, and split a hotspot batch over worker
+//! threads with `engine::executor::run_batch`.
 //!
 //! Run with `cargo run --release --example sharded_serve`.
 
 use common::QueryContext;
 use datagen::{generate, queries, Distribution};
+use engine::executor::run_batch;
 use geom::Point;
 use registry::{build_index, IndexConfig, IndexKind};
 
@@ -16,8 +17,7 @@ fn main() {
     let kind: IndexKind = "sharded-rsmi".parse().expect("registered kind");
     let config = IndexConfig::default()
         .with_partition_threshold(5_000)
-        .with_shards(8)
-        .with_threads(4);
+        .with_shards(8);
     let start = std::time::Instant::now();
     let index = build_index(kind, &points, &config);
     println!(
@@ -44,14 +44,16 @@ fn main() {
 
     // 3. A hotspot window workload (all queries piled onto one region, the
     //    shape real serving traffic has): the planner fans out only to the
-    //    shards whose MBR intersects each window.
+    //    shards whose MBR intersects each window.  The index is `Sync`, so
+    //    the batch splits over worker threads, one context per worker.
     let windows = queries::hotspot_window_queries(&points, queries::WindowSpec::default(), 200, 7);
-    let results = index.window_queries(&windows, &mut cx);
-    let stats = cx.take_stats();
+    let workers = 4;
+    let (results, stats) = run_batch(&windows, workers, |ws, cx| {
+        ws.iter().map(|w| index.window_query(w, cx)).collect()
+    });
     println!(
-        "hotspot batch of {} windows ({} worker threads): {:.2} shards visited and {:.2} pruned per query, {} total results",
+        "hotspot batch of {} windows ({workers} worker threads): {:.2} shards visited and {:.2} pruned per query, {} total results",
         windows.len(),
-        config.threads,
         stats.shards_visited as f64 / windows.len() as f64,
         stats.shards_pruned as f64 / windows.len() as f64,
         results.iter().map(Vec::len).sum::<usize>(),

@@ -32,7 +32,10 @@ fn main() {
     // 2. Run a reference workload and keep its answers and cost counters.
     let windows = queries::window_queries(&points, queries::WindowSpec::default(), 50, 7);
     let mut cx = QueryContext::new();
-    let reference = index.window_queries(&windows, &mut cx);
+    let reference: Vec<_> = windows
+        .iter()
+        .map(|w| index.window_query(w, &mut cx))
+        .collect();
     let reference_stats = cx.take_stats();
 
     // 3. Save the snapshot and drop the in-memory index — simulating a
@@ -63,7 +66,10 @@ fn main() {
     // 5. Replay the workload: answers and per-query statistics must be
     //    byte-identical to the pre-restart run.
     let mut cx = QueryContext::new();
-    let replayed = restored.window_queries(&windows, &mut cx);
+    let replayed: Vec<_> = windows
+        .iter()
+        .map(|w| restored.window_query(w, &mut cx))
+        .collect();
     let replayed_stats = cx.take_stats();
     assert_eq!(reference, replayed, "answers changed across the restart");
     assert_eq!(

@@ -40,7 +40,9 @@ fn main() {
         let measure = |index: &dyn SpatialIndex| {
             let mut cx = QueryContext::new();
             let start = std::time::Instant::now();
-            let _ = index.point_queries(&qs, &mut cx);
+            for q in &qs {
+                let _ = index.point_query(q, &mut cx);
+            }
             let us = start.elapsed().as_secs_f64() * 1e6 / qs.len() as f64;
             (cx.take_stats().blocks_touched as f64 / qs.len() as f64, us)
         };

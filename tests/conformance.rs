@@ -178,26 +178,6 @@ fn conformance_body(kind: IndexKind) {
     );
     assert_eq!(pairs, pair_truth, "{} join answer differs", kind.name());
 
-    // Batch entry points agree with per-call queries.
-    let probe: Vec<Point> = data.iter().step_by(29).copied().collect();
-    let batch = index.point_queries(&probe, &mut cx);
-    let single: Vec<_> = probe
-        .iter()
-        .map(|q| index.point_query(q, &mut cx))
-        .collect();
-    assert_eq!(batch, single, "{} batch/single mismatch", kind.name());
-    let range_batch = index.range_queries(&centers, 0.03, &mut cx);
-    let range_single: Vec<_> = centers
-        .iter()
-        .map(|c| index.range_query(c, 0.03, &mut cx))
-        .collect();
-    assert_eq!(
-        range_batch,
-        range_single,
-        "{} range batch/single mismatch",
-        kind.name()
-    );
-
     // Insert: findable afterwards, count grows.
     let extra = Point::with_id(0.42421, 0.13137, 900_001);
     index.insert(extra);

@@ -97,11 +97,15 @@ fn rsmi_rebuild_after_heavy_insertion_restores_point_query_cost() {
 
     let qs = queries::point_queries(&data, 500, 29);
     let mut cx = QueryContext::new();
-    let _ = index.point_queries(&qs, &mut cx);
+    for q in &qs {
+        let _ = index.point_query(q, &mut cx);
+    }
     let accesses_before = cx.take_stats().total_accesses();
 
     index.rebuild();
-    let _ = index.point_queries(&qs, &mut cx);
+    for q in &qs {
+        let _ = index.point_query(q, &mut cx);
+    }
     let accesses_after = cx.take_stats().total_accesses();
     assert!(
         accesses_after <= accesses_before,

@@ -2,11 +2,11 @@
 //! sharded composition must return **identical** answers to the unsharded
 //! index on the same data — window result sets, kNN sequences under the
 //! `(distance, id)` tie-break, and point lookups — regardless of shard
-//! count or batch thread count.
+//! count or of the worker count of a parallel batch
+//! (`engine::executor::run_batch`).
 //!
-//! CI runs this suite in debug *and* release mode, because the batch
-//! executor's threaded paths only get real interleaving under optimised
-//! builds.
+//! CI runs this suite in debug *and* release mode, because `run_batch`'s
+//! threaded paths only get real interleaving under optimised builds.
 
 use common::{QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
@@ -22,11 +22,14 @@ fn cfg() -> IndexConfig {
 /// (unspecified) visit order of the trait.
 fn window_sets(index: &dyn SpatialIndex, windows: &[geom::Rect]) -> Vec<Vec<Point>> {
     let mut cx = QueryContext::new();
-    let mut out = index.window_queries(windows, &mut cx);
-    for set in &mut out {
-        set.sort_by_key(|p| p.id);
-    }
-    out
+    windows
+        .iter()
+        .map(|w| {
+            let mut set = index.window_query(w, &mut cx);
+            set.sort_by_key(|p| p.id);
+            set
+        })
+        .collect()
 }
 
 #[test]
@@ -211,7 +214,9 @@ fn large_scale_window_workload_prunes_and_stays_identical() {
         );
 
         let mut cx = QueryContext::new();
-        let _ = sharded.window_queries(&windows, &mut cx);
+        for w in &windows {
+            let _ = sharded.window_query(w, &mut cx);
+        }
         let stats = cx.take_stats();
         assert!(
             stats.shards_pruned > 0,
