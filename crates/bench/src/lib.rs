@@ -75,12 +75,11 @@ fn per_query(v: u64, n: usize) -> f64 {
 pub fn measure_point_queries(built: &BuiltIndex, queries: &[Point]) -> Measurement {
     let mut cx = QueryContext::new();
     let start = std::time::Instant::now();
-    let answers: Vec<_> = queries
+    let hits = queries
         .iter()
-        .map(|q| built.index.point_query(q, &mut cx))
-        .collect();
+        .filter(|q| built.index.point_query(q, &mut cx).is_some())
+        .count();
     let elapsed = start.elapsed().as_secs_f64();
-    let hits = answers.iter().filter(|a| a.is_some()).count();
     let stats = cx.take_stats();
     Measurement {
         index: built.kind.name().to_string(),
@@ -147,9 +146,9 @@ pub fn measure_knn_queries(
 }
 
 /// Measures distance-range queries, one call at a time through one context:
-/// average latency, accesses and recall against the brute-force oracle (every family answers
-/// distance-range queries exactly, so recall below 1 is a bug the `range`
-/// experiment fails on).
+/// average latency, accesses and recall against the brute-force oracle
+/// (every family answers distance-range queries exactly, so recall below 1
+/// is a bug the `range` experiment fails on).
 pub fn measure_range_queries(
     built: &BuiltIndex,
     data: &[Point],
