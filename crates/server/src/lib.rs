@@ -1902,6 +1902,30 @@ mod tests {
         // Drift gauges were refreshed from the post-pass base.
         assert_eq!(m.gauge("server.maint_ops_since_train"), Some(0));
         assert_eq!(m.gauge("server.maint_stale_subtrees"), Some(0));
+
+        // A forced full pass next: `stats()` agrees with the counters
+        // across one pass of each kind.
+        server.insert(Point::with_id(0.5, 0.5, 70_000));
+        assert!(server.compact_now());
+        let stats = server.stats();
+        let m = t.metrics.snapshot();
+        assert_eq!(
+            (
+                stats.compactions,
+                stats.partial_compactions,
+                stats.subtree_rebuilds
+            ),
+            (2, 1, 1)
+        );
+        assert_eq!(m.counter("server.compactions_full"), Some(1));
+        assert_eq!(
+            m.counter("server.compactions_partial"),
+            Some(stats.partial_compactions)
+        );
+        assert_eq!(
+            m.counter("server.subtree_rebuilds"),
+            Some(stats.subtree_rebuilds)
+        );
     }
 
     #[test]

@@ -291,6 +291,41 @@ fn ghost_delta_delete_stays_dead_across_partial_epochs() {
     }
 }
 
+/// Skew rule: a sharded base whose largest shard holds at least four times
+/// the mean is repartitioned by a full pass, since a partial pass cannot
+/// move points between shards; an even one keeps getting partial passes.
+/// The rule reads the base as it was before the pass's own writes, so the
+/// pass that folds the skewing inserts is still partial and the skew shows
+/// one pass late.  With 8 shards of 250 points, 200 inserts into one
+/// corner shard leave max/mean at 450 / 275 ≈ 1.6; 3 000 leave it at
+/// 3 250 / 625 = 5.2.
+#[test]
+fn a_skewed_sharded_base_compacts_fully_and_an_even_one_partially() {
+    let data = generate(Distribution::Uniform, 2_000, 71);
+    for (inserts, partial) in [(200u64, 2u64), (3_000, 1)] {
+        let server = serve_index(
+            IndexKind::Sharded(registry::BaseKind::Rsmi),
+            &data,
+            &IndexConfig::fast().with_shards(8),
+            ServerConfig::default().with_auto_compact(false),
+        );
+        for i in 0..inserts {
+            let (x, y) = ((i % 50) as f64 * 1e-4, (i / 50) as f64 * 1e-4);
+            server.insert(Point::with_id(x, y, 5_000_000 + i));
+        }
+        assert!(server.maintain_now());
+        server.insert(Point::with_id(0.5, 0.5, 6_000_000));
+        assert!(server.maintain_now());
+        let stats = server.stats();
+        assert_eq!(
+            (stats.partial_compactions, stats.compactions),
+            (partial, 2),
+            "{inserts} corner inserts"
+        );
+        assert_eq!(stats.len, data.len() + inserts as usize + 1);
+    }
+}
+
 /// Regression (compaction keeps up): a backlog of 4 096 buffered ops, half
 /// of them deletes, folds in one policy-driven pass — the fold walks the
 /// canonical points once, not once per delete — and what the server then
