@@ -174,8 +174,8 @@ impl Default for MaintenanceBudget {
 }
 
 /// Aggregate maintenance state of an index, reported by
-/// [`SpatialIndex::maintenance_stats`].  The serving layer's compaction
-/// policy consumes these to decide between partial and full rebuilds.
+/// [`SpatialIndex::maintenance_stats`].  The serving layer reports these as
+/// drift gauges; they do not pick a compaction's mode.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Mutations (inserts + deletes) applied since the last (partial or
@@ -191,20 +191,6 @@ pub struct MaintenanceStats {
     pub stale_subtrees: usize,
     /// Total retrainable subtrees (leaf models for RSMI).
     pub subtrees: usize,
-}
-
-/// What a [`SpatialIndex::rebuild_partial`] call actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceOutcome {
-    /// The index fell back to a full [`SpatialIndex::rebuild`] (either
-    /// because it does not support partial maintenance or because it decided
-    /// drift was structural).
-    pub full_rebuild: bool,
-    /// Subtrees maintained in place by this pass (for RSMI: leaves
-    /// repaired, refitted or not).
-    pub subtrees_rebuilt: usize,
-    /// Stale subtrees left for a later pass because the budget ran out.
-    pub subtrees_deferred: usize,
 }
 
 /// The interface shared by every spatial index in this repository.
@@ -344,8 +330,8 @@ pub trait SpatialIndex: Send + Sync {
 
     /// Reports the index's accumulated maintenance state (ops since train,
     /// error-bound widening, stale-subtree counts).  `None` for structures
-    /// with no incremental-maintenance support; the serving layer treats
-    /// those as always requiring a full rebuild.
+    /// with no incremental-maintenance support.  The serving layer reports
+    /// it as drift gauges.
     fn maintenance_stats(&self) -> Option<MaintenanceStats> {
         None
     }
@@ -353,36 +339,25 @@ pub trait SpatialIndex: Send + Sync {
     /// Maintains only the subtrees that drifted or wore, retraining those
     /// whose drift meets `budget.drift_threshold`, at most
     /// `budget.max_subtrees` of them — the incremental realisation of the
-    /// paper's RSMIr maintenance hook.  Exact answers after a partial
-    /// rebuild must be identical to answers after a full
-    /// [`rebuild`](Self::rebuild) on the same live set (test-enforced for
-    /// every family that overrides this).
+    /// paper's RSMIr maintenance hook — and returns how many it maintained.
+    /// Exact answers after a partial rebuild must be identical to answers
+    /// after a full [`rebuild`](Self::rebuild) on the same live set
+    /// (test-enforced for every family that overrides this).
     ///
-    /// The default falls back to a full rebuild and reports it as such, so
-    /// callers can always invoke this method and observe what happened.
-    fn rebuild_partial(&mut self, budget: &MaintenanceBudget) -> MaintenanceOutcome {
+    /// The default falls back to a full rebuild and returns 0.
+    fn rebuild_partial(&mut self, budget: &MaintenanceBudget) -> usize {
         let _ = budget;
         self.rebuild();
-        MaintenanceOutcome {
-            full_rebuild: true,
-            subtrees_rebuilt: 0,
-            subtrees_deferred: 0,
-        }
+        0
     }
 
-    /// Clones the index behind the trait object, if the concrete type
-    /// supports it.  The serving layer uses this to run partial compactions
-    /// on a copy while readers keep the current epoch; `None` forces the
-    /// fold-and-rebuild path.
+    /// Clones the index behind the trait object when a partial pass may
+    /// maintain the copy — the one question a policy-driven compaction
+    /// asks.  `Some`: the serving layer replays the pass's writes into the
+    /// copy and calls [`rebuild_partial`](Self::rebuild_partial) on it while
+    /// readers keep the current epoch.  `None` (no such support, or a
+    /// sharded index with skewed shard sizes): it rebuilds fully.
     fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
-        None
-    }
-
-    /// Per-shard live point counts for sharded structures (`None` for
-    /// unsharded ones).  The compaction policy uses the skew between shards
-    /// as a full-rebuild trigger: partial maintenance cannot move points
-    /// between shards.
-    fn shard_point_counts(&self) -> Option<Vec<usize>> {
         None
     }
 

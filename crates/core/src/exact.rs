@@ -267,10 +267,7 @@ impl SpatialIndex for RsmiExact {
         Some(Rsmi::maintenance_stats(&self.0))
     }
 
-    fn rebuild_partial(
-        &mut self,
-        budget: &common::MaintenanceBudget,
-    ) -> common::MaintenanceOutcome {
+    fn rebuild_partial(&mut self, budget: &common::MaintenanceBudget) -> usize {
         Rsmi::rebuild_partial(&mut self.0, budget)
     }
 

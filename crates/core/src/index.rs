@@ -644,19 +644,17 @@ impl Rsmi {
     /// Repairs worn leaves, most worn first (ties by node id), at most
     /// `budget.max_subtrees` of them — the incremental realisation of the
     /// paper's RSMIr hook (§5: maintain the sub-models that degraded, not
-    /// the whole structure).
+    /// the whole structure).  Returns the number of leaves repaired; the
+    /// due leaves beyond the budget wait for a later call.
     ///
     /// A leaf is due when its drift since the last packing reaches
-    /// [`REPAIR_DRIFT`], or its drift since training is positive and meets
+    /// `REPAIR_DRIFT`, or its drift since training is positive and meets
     /// `budget.drift_threshold`.  A repair re-packs the leaf's blocks (see
     /// `repair_leaf`); only a leaf at the drift threshold also refits its
     /// model.  Every stored point stays reachable and the answers of the
     /// exact query paths do not change; the approximate ones see tighter
     /// scan ranges and block MBRs.
-    pub fn rebuild_partial(
-        &mut self,
-        budget: &common::MaintenanceBudget,
-    ) -> common::MaintenanceOutcome {
+    pub fn rebuild_partial(&mut self, budget: &common::MaintenanceBudget) -> usize {
         let mut due: Vec<(NodeId, f64, bool)> = (0..self.nodes.len())
             .filter(|&id| matches!(self.nodes[id], Node::Leaf(_)))
             .filter_map(|id| {
@@ -672,11 +670,7 @@ impl Rsmi {
         for &(id, _, refit) in &due[..take] {
             self.repair_leaf(id, refit);
         }
-        common::MaintenanceOutcome {
-            full_rebuild: false,
-            subtrees_rebuilt: take,
-            subtrees_deferred: due.len() - take,
-        }
+        take
     }
 
     /// Re-packs one leaf: gathers the points of its bulk blocks and their
@@ -1165,10 +1159,7 @@ impl SpatialIndex for Rsmi {
         Some(Rsmi::maintenance_stats(self))
     }
 
-    fn rebuild_partial(
-        &mut self,
-        budget: &common::MaintenanceBudget,
-    ) -> common::MaintenanceOutcome {
+    fn rebuild_partial(&mut self, budget: &common::MaintenanceBudget) -> usize {
         Rsmi::rebuild_partial(self, budget)
     }
 
@@ -1974,10 +1965,7 @@ mod tests {
         assert!(dirty.ops_since_train > 0, "churn left no drift");
         assert_eq!(index.bounds_violations(), 0, "churn broke the bounds");
 
-        let outcome = index.rebuild_partial(&common::MaintenanceBudget::default());
-        assert!(!outcome.full_rebuild);
-        assert!(outcome.subtrees_rebuilt >= 1);
-        assert_eq!(outcome.subtrees_deferred, 0);
+        assert!(index.rebuild_partial(&common::MaintenanceBudget::default()) >= 1);
         let clean = index.maintenance_stats();
         assert_eq!(clean.ops_since_train, 0);
         assert_eq!(clean.widened_below + clean.widened_above, 0);
@@ -2006,15 +1994,14 @@ mod tests {
             max_subtrees: 1,
             drift_threshold: 0.0,
         };
-        let outcome = index.rebuild_partial(&budget);
-        assert_eq!(outcome.subtrees_rebuilt, 1);
-        assert_eq!(outcome.subtrees_deferred, stale_before - 1);
-        // Repeated bounded passes drain the backlog.
-        let mut guard = 0;
-        while index.rebuild_partial(&budget).subtrees_rebuilt > 0 {
-            guard += 1;
-            assert!(guard < 10_000);
+        // One leaf a pass: the passes that repair anything number exactly
+        // the drifted leaves, so each deferred the rest.
+        let mut passes = 0;
+        while index.rebuild_partial(&budget) > 0 {
+            passes += 1;
+            assert!(passes <= stale_before, "a repaired leaf came due again");
         }
+        assert_eq!(passes, stale_before);
         assert_eq!(index.maintenance_stats().ops_since_train, 0);
     }
 
@@ -2185,10 +2172,9 @@ mod tests {
         assert_eq!(stats.ops_since_train, 120);
         let clone = SpatialIndex::clone_index(&exact).expect("RsmiExact clones");
         assert_eq!(clone.len(), exact.inner().len());
-        let outcome =
-            SpatialIndex::rebuild_partial(&mut exact, &common::MaintenanceBudget::default());
-        assert!(!outcome.full_rebuild);
-        assert!(outcome.subtrees_rebuilt >= 1);
+        assert!(
+            SpatialIndex::rebuild_partial(&mut exact, &common::MaintenanceBudget::default()) >= 1
+        );
         assert_eq!(
             SpatialIndex::maintenance_stats(&exact)
                 .unwrap()

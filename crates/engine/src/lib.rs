@@ -47,6 +47,12 @@ const SECTION_SHARDED_PARTITIONER: u32 = 0x5402;
 /// repeated once per shard.
 const SECTION_SHARD: u32 = 0x5403;
 
+/// Max-to-mean shard size ratio at or above which
+/// [`ShardedIndex::clone_index`](SpatialIndex::clone_index) declines, so
+/// the serving layer rebuilds and repartitions the index fully.  The ratio
+/// cannot exceed the shard count.
+const SKEW_TRIGGER: f64 = 4.0;
+
 /// Configuration of the sharded serving layer.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
@@ -487,15 +493,12 @@ impl SpatialIndex for ShardedIndex {
             })
     }
 
-    fn rebuild_partial(
-        &mut self,
-        budget: &common::MaintenanceBudget,
-    ) -> common::MaintenanceOutcome {
+    fn rebuild_partial(&mut self, budget: &common::MaintenanceBudget) -> usize {
         // Distribute the subtree budget across shards, most-drifted shard
         // first, charging each shard's spend against the remainder.  The
         // partitioning is frozen — partial maintenance never moves points
-        // between shards (the policy layer falls back to a full rebuild on
-        // skew).
+        // between shards (`clone_index` declines a skewed index, so the
+        // serving layer rebuilds it fully).
         // Shards without maintenance support are skipped: the trait default
         // would turn a "partial" pass into a per-shard full rebuild.
         let mut order: Vec<(usize, u64)> = self
@@ -509,32 +512,29 @@ impl SpatialIndex for ShardedIndex {
             })
             .collect();
         order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let mut remaining = budget.max_subtrees;
-        let mut out = common::MaintenanceOutcome::default();
+        let mut done = 0;
         for (i, _) in order {
-            if remaining == 0 {
-                // Out of budget: everything still stale in the remaining
-                // shards is deferred to the next pass.
-                if let Some(m) = self.shards[i].index.maintenance_stats() {
-                    out.subtrees_deferred += m.stale_subtrees;
-                }
-                continue;
+            if done >= budget.max_subtrees {
+                break;
             }
             let shard_budget = common::MaintenanceBudget {
-                max_subtrees: remaining,
+                max_subtrees: budget.max_subtrees - done,
                 drift_threshold: budget.drift_threshold,
             };
-            let r = self.shards[i].index.rebuild_partial(&shard_budget);
-            out.full_rebuild |= r.full_rebuild;
-            out.subtrees_rebuilt += r.subtrees_rebuilt;
-            out.subtrees_deferred += r.subtrees_deferred;
-            remaining = remaining.saturating_sub(r.subtrees_rebuilt);
+            done += self.shards[i].index.rebuild_partial(&shard_budget);
         }
-        out
+        done
     }
 
     fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
-        // Cloneable iff every inner index is.
+        // Cloneable iff the shard sizes are not skewed and every inner index
+        // is: a partial pass cannot move points between shards, so a skewed
+        // index takes the full, repartitioning rebuild.
+        let max = self.shards.iter().map(|s| s.index.len()).max().unwrap_or(0);
+        let mean = self.len() as f64 / self.shards.len() as f64;
+        if mean > 0.0 && max as f64 / mean >= SKEW_TRIGGER {
+            return None;
+        }
         let mut shards = Vec::with_capacity(self.shards.len());
         for s in &self.shards {
             shards.push(Shard {
@@ -548,10 +548,6 @@ impl SpatialIndex for ShardedIndex {
             shards,
             threads: self.threads,
         }))
-    }
-
-    fn shard_point_counts(&self) -> Option<Vec<usize>> {
-        Some(self.shards.iter().map(|s| s.index.len()).collect())
     }
 
     fn write_snapshot(&self, w: &mut SnapshotWriter) -> Result<(), PersistError> {
@@ -949,20 +945,12 @@ mod tests {
                 subtrees: 1,
             })
         }
-        fn rebuild_partial(
-            &mut self,
-            budget: &common::MaintenanceBudget,
-        ) -> common::MaintenanceOutcome {
-            let stale = self.ops > 0;
-            let retrain = stale && budget.max_subtrees >= 1;
+        fn rebuild_partial(&mut self, budget: &common::MaintenanceBudget) -> usize {
+            let retrain = self.ops > 0 && budget.max_subtrees >= 1;
             if retrain {
                 self.ops = 0;
             }
-            common::MaintenanceOutcome {
-                full_rebuild: false,
-                subtrees_rebuilt: usize::from(retrain),
-                subtrees_deferred: usize::from(stale && !retrain),
-            }
+            usize::from(retrain)
         }
         fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
             Some(Box::new(self.clone()))
@@ -1005,25 +993,20 @@ mod tests {
         let dirty = index.maintenance_stats().unwrap();
         assert_eq!(dirty.ops_since_train, 80);
         assert!(dirty.stale_subtrees >= 2, "writes all landed in one shard");
-        let counts = index.shard_point_counts().expect("sharded counts");
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<usize>(), index.len());
 
         // A budget of one subtree retrains only the most-drifted shard and
-        // defers the rest; repeated passes drain the backlog.
+        // defers the rest: the passes that retrain anything number exactly
+        // the stale subtrees.
         let tight = common::MaintenanceBudget {
             max_subtrees: 1,
             drift_threshold: 0.0,
         };
-        let first = index.rebuild_partial(&tight);
-        assert!(!first.full_rebuild);
-        assert_eq!(first.subtrees_rebuilt, 1);
-        assert_eq!(first.subtrees_deferred, dirty.stale_subtrees - 1);
-        let mut guard = 0;
-        while index.rebuild_partial(&tight).subtrees_rebuilt > 0 {
-            guard += 1;
-            assert!(guard < 100);
+        let mut passes = 0;
+        while index.rebuild_partial(&tight) > 0 {
+            passes += 1;
+            assert!(passes <= dirty.stale_subtrees, "a pass overspent");
         }
+        assert_eq!(passes, dirty.stale_subtrees);
         assert_eq!(index.maintenance_stats().unwrap().ops_since_train, 0);
     }
 

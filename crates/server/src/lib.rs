@@ -29,15 +29,18 @@
 //!   new epoch.  Readers holding the old epoch keep getting correct answers
 //!   from it; the swap itself is one `Arc` store.  Rebuilds happen entirely
 //!   outside the read path.
-//! * **Incremental maintenance.**  A full rebuild (the caller's rebuild
-//!   closure — the registry passes `build_index`, so any registered family
-//!   composes) is the fallback.  When the base supports it
-//!   ([`SpatialIndex::clone_index`] + [`SpatialIndex::rebuild_partial`]),
-//!   the [`CompactionPolicy`] instead clones the base, replays the captured
-//!   delta into the clone, and repairs only the worn subtrees (refitting
-//!   those whose model drift crossed [`CompactionPolicy::drift_trigger`]) —
-//!   bounded per pass by a pause budget so compaction cost stays
-//!   proportional to churn, not to data size.  The epoch swap discipline is identical either way.
+//! * **Incremental maintenance.**  A policy-driven pass asks the base one
+//!   question, [`SpatialIndex::clone_index`].  When it offers a copy, the
+//!   pass replays the captured delta into the copy and calls
+//!   [`SpatialIndex::rebuild_partial`] on it, which repairs only the worn
+//!   subtrees (refitting those whose model drift crossed
+//!   [`CompactionPolicy::drift_trigger`]) — bounded per pass by a pause
+//!   budget so compaction cost stays proportional to churn, not to data
+//!   size.  When it offers none (a family without maintenance, or a
+//!   sharded base whose shard sizes are skewed), the caller's rebuild
+//!   closure builds a fresh base — the registry passes `build_index`, so
+//!   any registered family composes.  The epoch swap discipline is
+//!   identical either way.
 //!
 //! # Example: serve and write concurrently
 //!
@@ -154,11 +157,6 @@ pub const PAUSE_BUDGET_US: u64 = 50_000;
 /// estimate.
 pub const MAX_SUBTREES: usize = 64;
 
-/// Max-to-mean per-shard point-count ratio at or above which a sharded base
-/// is skewed enough to force a full rebuild (partial retraining cannot move
-/// points between shards).
-const SKEW_TRIGGER: f64 = 4.0;
-
 /// Tuning knobs of a [`SpatialServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
@@ -263,20 +261,6 @@ impl ServeConfig {
         self.global_inflight = n;
         self
     }
-}
-
-/// What a compaction pass does to the base index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CompactionMode {
-    /// Rebuild the base from scratch through the rebuild closure.
-    Full,
-    /// Clone the base, replay the captured delta into the clone, and
-    /// repair only worn subtrees.  Falls back to
-    /// [`Full`](CompactionMode::Full) when the base does not support cloning.
-    Partial,
-    /// Decided per pass from the base index: partial when it supports
-    /// maintenance and its shards are not skewed, otherwise full.
-    Auto,
 }
 
 /// One immutable generation of the server: a frozen base index plus the
@@ -450,12 +434,6 @@ struct Core {
     /// Builds a fresh base from the canonical points.
     rebuild: RebuildFn,
     cfg: ServerConfig,
-    /// Completed epoch swaps (full + partial).
-    compactions: AtomicU64,
-    /// Epoch swaps produced by partial (incremental) passes.
-    partial_compactions: AtomicU64,
-    /// Subtrees repaired across all partial passes.
-    subtree_rebuilds: AtomicU64,
     /// Running estimate of per-subtree repair cost in microseconds
     /// (exponential moving average over `rebuild_partial` alone, 0 = no
     /// estimate yet).  Divides [`PAUSE_BUDGET_US`] into a per-pass subtree
@@ -521,28 +499,6 @@ impl Core {
         result
     }
 
-    /// Picks the mode a policy-driven compaction of `base` should run in:
-    /// partial when the base reports maintenance state and (for sharded
-    /// bases) the per-shard point counts are not skewed past
-    /// [`SKEW_TRIGGER`] — per-subtree retraining cannot move points between
-    /// shards, so a skewed sharding needs the full repartitioning rebuild.
-    fn decide_mode(base: &dyn SpatialIndex) -> CompactionMode {
-        if base.maintenance_stats().is_none() {
-            return CompactionMode::Full;
-        }
-        if let Some(counts) = base.shard_point_counts() {
-            if counts.len() > 1 {
-                let total: usize = counts.iter().sum();
-                let mean = total as f64 / counts.len() as f64;
-                let max = counts.iter().copied().max().unwrap_or(0) as f64;
-                if mean > 0.0 && max / mean >= SKEW_TRIGGER {
-                    return CompactionMode::Full;
-                }
-            }
-        }
-        CompactionMode::Partial
-    }
-
     /// How many subtrees the next partial pass may repair:
     /// [`MAX_SUBTREES`], shrunk so that `subtrees x estimated per-subtree
     /// cost` fits [`PAUSE_BUDGET_US`] once a cost estimate exists.
@@ -565,14 +521,14 @@ impl Core {
     /// or write paths use; only the final pointer swap takes the write
     /// gate.
     ///
-    /// With [`CompactionMode::Partial`] (or [`CompactionMode::Auto`]
-    /// resolving to it) the base is cloned, the captured ops are replayed
-    /// into the clone in sequence order, and only worn subtrees are
-    /// repaired under [`Core::partial_budget`].  The canonical point
-    /// vector is folded identically in both modes, so a later full rebuild
-    /// always starts from the same ground truth.  Partial silently falls
-    /// back to full when the base cannot be cloned.
-    fn compact_with(&self, mode: CompactionMode) -> bool {
+    /// A `policy` pass asks the base for [`SpatialIndex::clone_index`]:
+    /// when it gets a copy, the captured ops are replayed into it in
+    /// sequence order and only worn subtrees are repaired under
+    /// [`Core::partial_budget`]; otherwise, and always without `policy`,
+    /// the rebuild closure builds a fresh base.  The canonical point
+    /// vector is folded identically either way, so a later full rebuild
+    /// always starts from the same ground truth.
+    fn compact_with(&self, policy: bool) -> bool {
         let mut points = self.compact_state.lock().expect("compact lock poisoned");
         let pass_t0 = Instant::now();
         let epoch = self.current_epoch();
@@ -581,10 +537,6 @@ impl Core {
             return false;
         }
         let fold_seq = captured.seq();
-        let mode = match mode {
-            CompactionMode::Auto => Self::decide_mode(epoch.base.as_ref()),
-            m => m,
-        };
         self.telemetry.journal.record(EventKind::CompactionStart {
             epoch: epoch.id,
             delta_ops: captured.op_count() as u64,
@@ -592,30 +544,26 @@ impl Core {
         delta::apply_log_to_points(&mut points, captured.log(), fold_seq);
 
         let rebuild_t0 = Instant::now();
-        // `(outcome, µs)` of the clone's `rebuild_partial` alone: the clone
+        // `(subtrees, µs)` of the clone's `rebuild_partial` alone: the clone
         // and the replay are not per-subtree work.
-        let mut partial_outcome = None;
-        let new_base = if mode == CompactionMode::Partial {
-            match epoch.base.clone_index() {
-                Some(mut clone) => {
-                    for op in captured.log().iter().filter(|o| o.seq <= fold_seq) {
-                        match op.op {
-                            WriteOp::Insert(p) => clone.insert(p),
-                            WriteOp::Delete(p) => {
-                                clone.delete(&p);
-                            }
+        let mut partial = None;
+        let new_base = match policy.then(|| epoch.base.clone_index()).flatten() {
+            Some(mut clone) => {
+                for op in captured.log().iter().filter(|o| o.seq <= fold_seq) {
+                    match op.op {
+                        WriteOp::Insert(p) => clone.insert(p),
+                        WriteOp::Delete(p) => {
+                            clone.delete(&p);
                         }
                     }
-                    let budget = self.partial_budget();
-                    let t0 = Instant::now();
-                    let outcome = clone.rebuild_partial(&budget);
-                    partial_outcome = Some((outcome, t0.elapsed().as_micros() as u64));
-                    clone
                 }
-                None => (self.rebuild)(&points),
+                let budget = self.partial_budget();
+                let t0 = Instant::now();
+                let subtrees = clone.rebuild_partial(&budget) as u64;
+                partial = Some((subtrees, t0.elapsed().as_micros() as u64));
+                clone
             }
-        } else {
-            (self.rebuild)(&points)
+            None => (self.rebuild)(&points),
         };
         let rebuild_us = rebuild_t0.elapsed().as_micros() as u64;
         let new_points = points.len() as u64;
@@ -656,7 +604,6 @@ impl Core {
             *self.epoch.write().expect("epoch lock poisoned") = next;
             pause_us = pause_t0.elapsed().as_micros() as u64;
         }
-        self.compactions.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .epoch
             .set(new_epoch_id.min(i64::MAX as u64) as i64);
@@ -664,13 +611,8 @@ impl Core {
         self.metrics
             .compaction_pass_us
             .record(pass_t0.elapsed().as_micros() as u64);
-        match partial_outcome {
-            // A clone whose `rebuild_partial` fell back to a full rebuild
-            // still counts as a full pass: the whole structure was redone.
-            Some((outcome, partial_us)) if !outcome.full_rebuild => {
-                let subtrees = outcome.subtrees_rebuilt as u64;
-                self.partial_compactions.fetch_add(1, Ordering::Relaxed);
-                self.subtree_rebuilds.fetch_add(subtrees, Ordering::Relaxed);
+        match partial {
+            Some((subtrees, partial_us)) => {
                 self.metrics.compactions_partial.inc();
                 self.metrics.subtree_rebuilds.add(subtrees);
                 self.metrics.partial_rebuild_us.record(rebuild_us);
@@ -689,7 +631,7 @@ impl Core {
                         subtrees,
                     });
             }
-            _ => {
+            None => {
                 self.metrics.compactions_full.inc();
                 self.metrics.compaction_rebuild_us.record(rebuild_us);
                 self.telemetry.journal.record(EventKind::CompactionEnd {
@@ -768,9 +710,6 @@ impl SpatialServer {
             compact_state: Mutex::new(points),
             rebuild,
             cfg,
-            compactions: AtomicU64::new(0),
-            partial_compactions: AtomicU64::new(0),
-            subtree_rebuilds: AtomicU64::new(0),
             partial_cost_ema_us: AtomicU64::new(0),
             signal: Mutex::new(CompactorSignal::default()),
             signal_cv: Condvar::new(),
@@ -821,36 +760,41 @@ impl SpatialServer {
 
     /// Synchronously runs one policy-driven compaction: a partial pass
     /// (repair only the worn subtrees, refitting those drifted past the
-    /// [`CompactionPolicy`]'s trigger, in a clone of the base) where the
-    /// base supports one, a full
-    /// rebuild otherwise; the resulting epoch swaps in atomically either
-    /// way.  Returns whether a swap happened (`false` if the delta was
-    /// empty).  This is what the background thread runs on every trigger.
+    /// [`CompactionPolicy`]'s trigger, in a clone of the base) when the
+    /// base's [`SpatialIndex::clone_index`] offers a copy, a full rebuild
+    /// otherwise; the resulting epoch swaps in atomically either way.
+    /// Returns whether a swap happened (`false` if the delta was empty).
+    /// This is what the background thread runs on every trigger.
     pub fn maintain_now(&self) -> bool {
-        self.core.compact_with(CompactionMode::Auto)
+        self.core.compact_with(true)
     }
 
     /// Synchronously folds the buffered delta into a fresh base and swaps
-    /// epochs, always as a **full** rebuild — the deterministic baseline
+    /// epochs, always as a **full** rebuild through the rebuild closure,
+    /// without asking the base for a clone — the deterministic baseline
     /// (and what trait-level `rebuild` / `write_snapshot` use).  Returns
     /// whether a swap happened (`false` if the delta was empty).  Safe to
     /// call while the background thread is running — the two serialise on
     /// the compaction lock.  See [`maintain_now`](Self::maintain_now) for
     /// the policy-driven (possibly partial) variant.
     pub fn compact_now(&self) -> bool {
-        self.core.compact_with(CompactionMode::Full)
+        self.core.compact_with(false)
     }
 
-    /// Current server counters (epoch, sequence, delta size, live points).
+    /// Current server counters (epoch, sequence, delta size, live points);
+    /// the pass counts are read from the `server.compactions_*` and
+    /// `server.subtree_rebuilds` telemetry counters.
     pub fn stats(&self) -> ServerStats {
         let snap = self.snapshot();
+        let m = &self.core.metrics;
+        let partial_compactions = m.compactions_partial.get();
         ServerStats {
             epoch: snap.epoch_id(),
             seq: snap.seq(),
             delta_ops: snap.delta.op_count(),
-            compactions: self.core.compactions.load(Ordering::Relaxed),
-            partial_compactions: self.core.partial_compactions.load(Ordering::Relaxed),
-            subtree_rebuilds: self.core.subtree_rebuilds.load(Ordering::Relaxed),
+            compactions: m.compactions_full.get() + partial_compactions,
+            partial_compactions,
+            subtree_rebuilds: m.subtree_rebuilds.get(),
             len: snap.len(),
         }
     }
@@ -926,7 +870,7 @@ fn compactor_loop(core: &Core) {
         let buffered = epoch.delta.read().expect("delta lock poisoned").op_count();
         drop(epoch);
         if buffered >= core.cfg.policy.ops_trigger {
-            core.compact_with(CompactionMode::Auto);
+            core.compact_with(true);
         }
     }
 }
@@ -1840,17 +1784,12 @@ mod tests {
                 subtrees: 1,
             })
         }
-        fn rebuild_partial(&mut self, budget: &MaintenanceBudget) -> common::MaintenanceOutcome {
-            let stale = self.ops > 0;
-            let retrain = stale && budget.max_subtrees >= 1;
+        fn rebuild_partial(&mut self, budget: &MaintenanceBudget) -> usize {
+            let retrain = self.ops > 0 && budget.max_subtrees >= 1;
             if retrain {
                 self.ops = 0;
             }
-            common::MaintenanceOutcome {
-                full_rebuild: false,
-                subtrees_rebuilt: usize::from(retrain),
-                subtrees_deferred: usize::from(stale && !retrain),
-            }
+            usize::from(retrain)
         }
         fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
             Some(Box::new(self.clone()))

@@ -125,9 +125,10 @@ fn todays_writer_still_produces_the_fixture_bytes() {
 
 /// Fixtures predate the incremental-maintenance layer: loading them must
 /// leave maintenance state at its sane defaults — the model-free kinds
-/// report no maintenance stats, a partial-rebuild request is answered by
-/// a (correct) full rebuild, and a policy-driven server detects the
-/// missing support and serves them with full compaction passes.
+/// report no maintenance stats and offer no clone, a partial-rebuild
+/// request is answered by a (correct) full rebuild that maintains no
+/// subtree, and a policy-driven server serves them with full compaction
+/// passes.
 #[test]
 fn fixtures_default_maintenance_state_sanely() {
     for &(name, kind, n, seed) in FIXTURES {
@@ -137,12 +138,11 @@ fn fixtures_default_maintenance_state_sanely() {
             loaded.maintenance_stats().is_none(),
             "fixture {name}: a model-free kind grew maintenance stats"
         );
-        let outcome = loaded.rebuild_partial(&MaintenanceBudget::default());
         assert!(
-            outcome.full_rebuild,
-            "fixture {name}: partial rebuild did not report its full fallback"
+            loaded.clone_index().is_none(),
+            "fixture {name}: a model-free kind offers a partial pass"
         );
-        assert_eq!(outcome.subtrees_rebuilt, 0);
+        assert_eq!(loaded.rebuild_partial(&MaintenanceBudget::default()), 0);
         let data = generate(Distribution::skewed_default(), n, seed);
         assert_eq!(
             loaded.len(),
