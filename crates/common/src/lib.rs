@@ -175,7 +175,7 @@ impl Default for MaintenanceBudget {
 
 /// Aggregate maintenance state of an index, reported by
 /// [`SpatialIndex::maintenance_stats`].  The serving layer reports these as
-/// drift gauges; they do not pick a compaction's mode.
+/// drift gauges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Mutations (inserts + deletes) applied since the last (partial or
