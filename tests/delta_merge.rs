@@ -186,21 +186,55 @@ fn bases_and_live_sets_smaller_than_k() {
 fn a_key_folded_to_three_copies_then_deleted() {
     let data = generate(Distribution::skewed_default(), 300, 19);
     let twin = Point::with_id(0.41, 0.43, FRESH);
-    for kind in exact_kinds() {
+    // One location under two ids: deleting one must leave the other found.
+    let shared = Point::with_id(0.57, 0.29, FRESH + 1);
+    let kept = Point::with_id(0.57, 0.29, FRESH + 2);
+    for kind in IndexKind::all_with_sharded() {
         let server = serve(kind, &data);
         let mut oracle = data.clone();
         for _ in 0..3 {
             insert(&server, &mut oracle, twin);
         }
-        assert_knn(kind, &server, &oracle, &twin, 4);
+        insert(&server, &mut oracle, shared);
+        insert(&server, &mut oracle, kept);
+        if kind.exact_knn() {
+            assert_knn(kind, &server, &oracle, &twin, 4);
+        }
         // Fold the three copies into the base; one delete masks all three.
         assert!(server.compact_now());
-        assert_eq!(server.len(), data.len() + 3);
+        assert_eq!(server.len(), data.len() + 5, "{}", kind.name());
         delete(&server, &mut oracle, &twin);
-        assert_eq!(server.len(), data.len());
-        for k in [1, 2, 3, 4, 25] {
-            assert_knn(kind, &server, &oracle, &twin, k);
-        }
+        assert_eq!(server.len(), data.len() + 2, "{}", kind.name());
+        delete(&server, &mut oracle, &shared);
+        let check = |stage: &str, oracle: &[Point]| {
+            let mut cx = QueryContext::new();
+            assert_eq!(server.len(), data.len() + 1, "{}: {stage}", kind.name());
+            assert_eq!(
+                server.point_query(&twin, &mut cx),
+                None,
+                "{}: {stage}",
+                kind.name()
+            );
+            assert_eq!(
+                server.point_query(&shared, &mut cx).map(|p| p.id),
+                Some(kept.id),
+                "{}: {stage}",
+                kind.name()
+            );
+            if kind.exact_knn() {
+                for k in [1, 2, 3, 4, 25] {
+                    assert_knn(kind, &server, oracle, &twin, k);
+                }
+            }
+        };
+        check("in the delta", &oracle);
+        assert!(server.maintain_now());
+        check("after maintain_now", &oracle);
+        // A second delete of the folded key removes nothing, and gives the
+        // full pass something to fold.
+        delete(&server, &mut oracle, &twin);
+        assert!(server.compact_now());
+        check("after compact_now", &oracle);
     }
 }
 
