@@ -61,8 +61,10 @@ impl KdbTree {
             height: 0,
             n_points: points.len(),
         };
-        if !points.is_empty() {
-            let root = tree.build_node(points, Rect::unit(), 1);
+        // The root tiles the unit data square, widened to hold any point
+        // outside it, so every point lies in its leaf's region.
+        if let Some(mbr) = geom::bounding_rect(&points) {
+            let root = tree.build_node(points, Rect::unit().union(&mbr), 1);
             tree.root = Some(root);
         }
         tree
@@ -130,10 +132,13 @@ impl KdbTree {
         id
     }
 
-    /// Descends to the leaf whose region contains the point.
-    fn locate_leaf(&self, p: &Point) -> Option<usize> {
+    /// Descends to the leaf whose region contains the point, widening every
+    /// region on the way that does not (a point outside the tree's space),
+    /// so the point stays inside its leaf's and its ancestors' regions.
+    fn locate_leaf(&mut self, p: &Point) -> Option<usize> {
         let mut cur = self.root?;
         loop {
+            self.nodes[cur].region.expand_to_point(*p);
             match &self.nodes[cur].kind {
                 NodeKind::Leaf(_) => return Some(cur),
                 NodeKind::Internal(children) => {
@@ -556,6 +561,33 @@ mod tests {
         for p in extra.iter().chain(pts.iter().step_by(7)) {
             assert_eq!(tree.point_query(p, &mut cx()).map(|f| f.id), Some(p.id));
         }
+    }
+
+    #[test]
+    fn points_outside_the_unit_square_are_found() {
+        // Built with points outside the unit square, then written more of
+        // them: every one stays inside its leaf's region, so point, window
+        // and delete find it.
+        let mut pts = generate(Distribution::Uniform, 300, 31);
+        pts.push(Point::with_id(3.5, 0.5, 1_001));
+        pts.push(Point::with_id(-1.5, -2.0, 1_002));
+        let mut tree = KdbTree::build(pts.clone(), 20);
+        let late = [
+            Point::with_id(0.5, 1.5, 1_003),
+            Point::with_id(-4.0, 0.25, 1_004),
+        ];
+        for p in late {
+            tree.insert(p);
+        }
+        let space = Rect::new(-10.0, -10.0, 10.0, 10.0);
+        assert_eq!(tree.window_query(&space, &mut cx()).len(), 304);
+        for p in pts[300..].iter().chain(&late) {
+            assert_eq!(tree.point_query(p, &mut cx()).map(|f| f.id), Some(p.id));
+            let hits = tree.window_query(&Rect::from_point(*p), &mut cx());
+            assert_eq!(hits.iter().map(|f| f.id).collect::<Vec<_>>(), vec![p.id]);
+            assert!(tree.delete(p));
+        }
+        assert_eq!(tree.len(), 300);
     }
 
     #[test]
