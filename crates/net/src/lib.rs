@@ -31,7 +31,7 @@
 //! ];
 //! let rebuild: server::RebuildFn =
 //!     Box::new(|pts| Box::new(common::brute_force::ScanIndex::new(pts.to_vec())));
-//! let engine = Arc::new(SpatialServer::new(points, rebuild, ServerConfig::default()));
+//! let engine = Arc::new(SpatialServer::new(&points, rebuild, ServerConfig::default()));
 //! let handle = net::serve_config(engine, &ServeConfig::default()).unwrap();
 //!
 //! let mut client = net::NetClient::connect(&handle.local_addr().to_string()).unwrap();

@@ -25,7 +25,7 @@ fn test_points(n: usize) -> Vec<Point> {
 
 fn spawn_server(points: Vec<Point>, cfg: ServeConfig) -> (Arc<SpatialServer>, net::NetHandle) {
     let rebuild: RebuildFn = Box::new(|pts| Box::new(ScanIndex::new(pts.to_vec())));
-    let engine = Arc::new(SpatialServer::new(points, rebuild, ServerConfig::default()));
+    let engine = Arc::new(SpatialServer::new(&points, rebuild, ServerConfig::default()));
     let handle = net::serve_config(Arc::clone(&engine), &cfg).unwrap();
     (engine, handle)
 }

@@ -545,18 +545,14 @@ pub fn serve_index(
     cfg: &IndexConfig,
     server_cfg: ServerConfig,
 ) -> SpatialServer {
-    SpatialServer::new(points.to_vec(), rebuild_fn(kind, cfg), server_cfg)
+    SpatialServer::new(points, rebuild_fn(kind, cfg), server_cfg)
 }
 
 /// Warm start: loads a snapshot (see [`load_index_bytes`]) and starts a live
 /// [`SpatialServer`] around the loaded index, skipping the initial build.
-///
-/// The server needs the canonical point set for compaction; it is recovered
-/// from the loaded index with a full-space window scan over the unit data
-/// square (the repository's data convention).  Kinds whose window queries
-/// are approximate (RSMI, ZM) may scan back fewer points than the index
-/// holds — that is reported as [`PersistError::Corrupt`] rather than served
-/// with silent point loss, so warm starts are for exact kinds.
+/// Every kind the registry can load warm-starts: the loaded index is the
+/// server's only copy of its points, and later full compactions rebuild
+/// through the registry (with `cfg`) from the points it holds.
 pub fn serve_snapshot_bytes(
     bytes: &[u8],
     cfg: &IndexConfig,
@@ -567,18 +563,8 @@ pub fn serve_snapshot_bytes(
         .name()
         .parse()
         .map_err(|_| PersistError::UnknownKind(index.name().to_string()))?;
-    let mut cx = common::QueryContext::new();
-    let points = index.window_query(&geom::Rect::unit(), &mut cx);
-    if points.len() != index.len() {
-        return Err(PersistError::Corrupt(format!(
-            "canonical scan recovered {} of {} points — warm start requires a kind whose \
-             full-space window scan is exact",
-            points.len(),
-            index.len()
-        )));
-    }
-    let n_points = points.len() as u64;
-    let server = SpatialServer::from_parts(index, points, rebuild_fn(kind, cfg), server_cfg);
+    let n_points = index.len() as u64;
+    let server = SpatialServer::from_parts(index, rebuild_fn(kind, cfg), server_cfg);
     server
         .telemetry()
         .journal
@@ -944,24 +930,42 @@ mod tests {
     }
 
     #[test]
-    fn serve_snapshot_bytes_warm_starts_exact_kinds() {
-        let data = generate(Distribution::Normal, 400, 35);
-        let cfg = IndexConfig::fast();
-        let index = build_index(IndexKind::Kdb, &data, &cfg);
-        let bytes = snapshot_bytes(index.as_ref()).expect("serialise");
+    fn serve_snapshot_bytes_warm_starts_every_kind() {
+        // Two points outside the unit square: the server accepts such
+        // points, so a snapshot holding them must warm-start too.
+        let mut data = generate(Distribution::Normal, 400, 35);
+        data.push(Point::with_id(3.5, 0.5, 400_001));
+        data.push(Point::with_id(-1.5, -2.0, 400_002));
+        let cfg = IndexConfig::fast().with_shards(3);
         let scfg = ServerConfig::default().with_auto_compact(false);
-        let server = serve_snapshot_bytes(&bytes, &cfg, scfg).expect("warm start");
-        assert_eq!(server.len(), data.len());
-        let mut cx = QueryContext::new();
-        assert_eq!(
-            server.point_query(&data[9], &mut cx).map(|p| p.id),
-            Some(data[9].id)
-        );
-        // The warm-started server still compacts: writes fold into a fresh
-        // base built by the registry.
-        server.insert(Point::with_id(0.4321, 0.1234, 900_000));
-        assert!(server.compact_now());
-        assert_eq!(server.len(), data.len() + 1);
+        for kind in IndexKind::all_with_sharded() {
+            let index = build_index(kind, &data, &cfg);
+            let bytes = snapshot_bytes(index.as_ref()).expect("serialise");
+            let server = serve_snapshot_bytes(&bytes, &cfg, scfg)
+                .unwrap_or_else(|e| panic!("{}: warm start failed: {e}", kind.name()));
+            assert_eq!(server.len(), data.len(), "{}", kind.name());
+            let mut cx = QueryContext::new();
+            assert_eq!(
+                server.point_query(&data[9], &mut cx).map(|p| p.id),
+                Some(data[9].id),
+                "{}",
+                kind.name()
+            );
+            // The warm-started server still takes writes and maintains
+            // them into its base.
+            let extra = Point::with_id(0.4321, 0.1234, 900_000);
+            server.insert(extra);
+            assert!(server.delete(&data[401]).0, "{}", kind.name());
+            assert!(server.maintain_now());
+            assert_eq!(server.len(), data.len(), "{}", kind.name());
+            assert_eq!(
+                server.point_query(&extra, &mut cx).map(|p| p.id),
+                Some(extra.id),
+                "{}",
+                kind.name()
+            );
+            assert!(server.point_query(&data[401], &mut cx).is_none());
+        }
 
         // Garbage bytes surface the persist error, not a panic.
         assert!(matches!(

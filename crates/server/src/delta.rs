@@ -3,33 +3,30 @@
 //!
 //! The overlay stores two coupled representations of the same ops:
 //!
-//! * a **log** of [`SequencedOp`]s in application order — what compaction
-//!   replays into the canonical point set, and what carries leftover ops
-//!   into the next epoch, and
-//! * a **net per-key state** ([`DeltaState::entries`]) — what queries merge
-//!   with the base index: live inserted copies (unioned into results) and
-//!   masked base keys (filtered out of base results).
+//! * a **log** of [`SequencedOp`]s in application order — what a compaction
+//!   pass replays into a copy of the base (or folds into the base's points
+//!   for a full rebuild), and what carries leftover ops into the next
+//!   epoch, and
+//! * a **net per-key state** — what queries merge with the base index: live
+//!   inserted copies (unioned into results) and masked base keys (filtered
+//!   out of base results).
 //!
 //! Keys identify a point exactly the way [`common::SpatialIndex::delete`]
-//! matches one: by bit-exact location plus id.  The net state has a write
-//! side and a read side:
-//!
-//! * the `BTreeMap` is the **write side's** structure — [`DeltaState::apply`]
-//!   updates it, and the two by-key reads (`masks`, `point_lookup`) probe it
-//!   behind a small location filter that answers "no entry here" without
-//!   touching the map;
-//! * the struct-of-arrays **lanes** mirror it in key order and are the
-//!   **read side's** only enumeration: every union (window, range, kNN,
-//!   join, `for_each_point`) walks them.  Key order is numeric `x` order
-//!   (see `coord_bits`), so a query binary-searches the `x` lane for the
-//!   slab that can match and runs the scan kernel over that slab alone.
+//! matches one: by bit-exact location plus id.  The net state is one set of
+//! struct-of-arrays **lanes** sorted by key: [`DeltaState::apply`] edits
+//! them in place, the two by-key reads (`masks`, `point_lookup`)
+//! binary-search them behind a small location filter that answers "no
+//! entry here" without a search, and every union (window, range, kNN, join,
+//! `for_each_point`) walks them.  Key order is numeric `x` order (see
+//! `coord_bits`), so a query binary-searches the `x` lane for the slab that
+//! can match and runs the scan kernel over that slab alone.
 //!
 //! One accounting rule: a visit returns the number of overlay entries it
-//! actually examined (the slab handed to the kernel, or the map entries at
-//! a location) and the caller charges exactly that to its `QueryContext`.
+//! actually examined (the slab handed to the kernel, or the entries at a
+//! location) and the caller charges exactly that to its `QueryContext`.
 
 use geom::{Point, Rect};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 use storage::kernels;
 
@@ -82,11 +79,10 @@ pub struct SequencedOp {
     pub op: WriteOp,
 }
 
-/// Net effect of the delta ops on one key.
-#[derive(Debug, Clone, Copy)]
+/// Net effect of the delta ops on one key, beside the key's coordinates in
+/// the lanes.
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
-    /// The point (identical for every copy of the key).
-    point: Point,
     /// Live inserted copies of the key.
     copies: u32,
     /// Sequence number of the earliest still-live insert; orders duplicate
@@ -100,18 +96,18 @@ struct Entry {
 
 /// Bits in the [`LocationFilter`] — a constant, not a knob: 2 KiB keep the
 /// false-positive rate near 6 % at the default compaction trigger (1 024
-/// ops; a window pays one map probe per false positive among its base
+/// ops; a window pays one binary search per false positive among its base
 /// results) and under 20 % with compaction three passes behind.  A miss
 /// costs one multiply and one load.
 const FILTER_BITS: usize = 16_384;
 
 /// A one-hash Bloom filter over the *locations* (not ids) that have ever had
 /// an entry in this epoch's overlay.  `masks` and `point_lookup` ask it
-/// before probing the map; base results almost never sit on a written
+/// before searching the lanes; base results almost never sit on a written
 /// location, so almost every probe ends here.  Bits are only ever set: an
 /// entry's `base_masked` never reverts within an epoch and every epoch
 /// starts from a fresh `DeltaState`, so there is nothing to clear — false
-/// positives fall through to the map, false negatives cannot occur.
+/// positives fall through to the search, false negatives cannot occur.
 #[derive(Debug, Clone)]
 struct LocationFilter([u64; FILTER_BITS / 64]);
 
@@ -156,20 +152,17 @@ pub(crate) struct DeltaState {
     /// Raw ops in application order, for compaction replay and epoch
     /// hand-over.
     log: Vec<SequencedOp>,
-    /// Net per-key state: the write side's structure, probed by key.
-    entries: BTreeMap<Key, Entry>,
-    /// Every location that has had an entry, consulted before `entries`.
+    /// Every location that has had an entry, consulted before a search.
     filter: LocationFilter,
-    /// Sorted-lane mirror of `entries`, the read side's enumeration:
-    /// `lane_keys` repeats the map's key order — numeric `x` order first —
-    /// and the coordinate, id and copy-count lanes are parallel to it.  The
-    /// coordinate lanes hold the *raw* point values (keys fold `-0.0` onto
-    /// `+0.0`; visited points must reproduce the inserted bits exactly).
+    /// The net per-key state: `lane_keys` in key order — numeric `x` order
+    /// first — with the coordinate and entry lanes parallel to it (a key's
+    /// id is its last component).  The coordinate lanes hold the *raw*
+    /// point values of the op that created the entry (keys fold `-0.0`
+    /// onto `+0.0`; visited points must reproduce those bits exactly).
     lane_keys: Vec<Key>,
     lane_xs: Vec<f64>,
     lane_ys: Vec<f64>,
-    lane_ids: Vec<u64>,
-    lane_copies: Vec<u32>,
+    lane_entries: Vec<Entry>,
     /// Sum of `base_masked` over all keys: base copies masked by deletes.
     masked_base: usize,
     /// Total live inserted copies across all keys.
@@ -221,44 +214,31 @@ impl DeltaState {
     /// Approximate memory footprint of the overlay.
     pub(crate) fn size_bytes(&self) -> usize {
         self.log.len() * std::mem::size_of::<SequencedOp>()
-            + self.entries.len()
-                * (2 * std::mem::size_of::<Key>()
-                    + std::mem::size_of::<Entry>()
+            + self.lane_keys.len()
+                * (std::mem::size_of::<Key>()
                     + 2 * std::mem::size_of::<f64>()
-                    + std::mem::size_of::<u64>()
-                    + std::mem::size_of::<u32>())
+                    + std::mem::size_of::<Entry>())
     }
 
-    /// Reconciles the lane mirror with `entries` for one key after `apply`
-    /// mutated it (insert, copy-count change, or removal).
-    fn sync_lanes(&mut self, key: Key) {
-        let entry = self.entries.get(&key).copied();
-        match (entry, self.lane_keys.binary_search(&key)) {
-            (Some(e), Ok(pos)) => self.lane_copies[pos] = e.copies,
-            (Some(e), Err(pos)) => {
-                self.lane_keys.insert(pos, key);
-                self.lane_xs.insert(pos, e.point.x);
-                self.lane_ys.insert(pos, e.point.y);
-                self.lane_ids.insert(pos, e.point.id);
-                self.lane_copies.insert(pos, e.copies);
-            }
-            (None, Ok(pos)) => {
-                self.lane_keys.remove(pos);
-                self.lane_xs.remove(pos);
-                self.lane_ys.remove(pos);
-                self.lane_ids.remove(pos);
-                self.lane_copies.remove(pos);
-            }
-            (None, Err(_)) => {}
-        }
+    /// Opens lane slot `i` for `key`'s `entry`, at `p`'s raw coordinates.
+    fn open_lane(&mut self, i: usize, key: Key, p: &Point, entry: Entry) {
+        self.lane_keys.insert(i, key);
+        self.lane_xs.insert(i, p.x);
+        self.lane_ys.insert(i, p.y);
+        self.lane_entries.insert(i, entry);
     }
 
     /// Applies one op under sequence number `op.seq`.  `base_copies_of`
-    /// reports how many copies of a key the epoch's base index holds (>1
-    /// only when identical points were inserted repeatedly and then folded
-    /// by compaction).  Returns whether a delete removed anything (`true`
-    /// for every insert).
-    pub(crate) fn apply(&mut self, op: SequencedOp, base_copies_of: &dyn Fn(&Key) -> u32) -> bool {
+    /// reports how many copies of a point (same location and id) the
+    /// epoch's base index holds (>1 only when identical points were
+    /// inserted repeatedly and then folded by compaction); only a delete
+    /// whose key masks no base copy yet asks it.  Returns whether a delete
+    /// removed anything (`true` for every insert).
+    pub(crate) fn apply(
+        &mut self,
+        op: SequencedOp,
+        base_copies_of: &dyn Fn(&Point) -> u32,
+    ) -> bool {
         debug_assert!(op.seq > self.seq, "ops must arrive in sequence order");
         self.seq = op.seq;
         self.log.push(op);
@@ -266,49 +246,52 @@ impl DeltaState {
             WriteOp::Insert(p) => {
                 let key = key_of(&p);
                 self.filter.insert(key.0, key.1);
-                let e = self.entries.entry(key).or_insert(Entry {
-                    point: p,
-                    copies: 0,
-                    first_seq: op.seq,
-                    base_masked: 0,
+                let i = self.lane_keys.binary_search(&key).unwrap_or_else(|i| {
+                    self.open_lane(i, key, &p, Entry::default());
+                    i
                 });
+                let e = &mut self.lane_entries[i];
                 if e.copies == 0 {
                     e.first_seq = op.seq;
                 }
                 e.copies += 1;
                 self.live_inserts += 1;
-                self.sync_lanes(key);
                 true
             }
             WriteOp::Delete(p) => {
                 let key = key_of(&p);
-                let e = self.entries.entry(key).or_insert(Entry {
-                    point: p,
-                    copies: 0,
-                    first_seq: 0,
-                    base_masked: 0,
-                });
-                let mut removed = e.copies > 0;
+                let slot = self.lane_keys.binary_search(&key);
+                let e = slot.map_or(Entry::default(), |i| self.lane_entries[i]);
+                let base_masked = match e.base_masked {
+                    0 => base_copies_of(&p),
+                    masked => masked,
+                };
                 self.live_inserts -= e.copies as usize;
-                e.copies = 0;
-                if e.base_masked == 0 {
-                    e.base_masked = base_copies_of(&key);
-                    if e.base_masked > 0 {
-                        self.masked_base += e.base_masked as usize;
-                        removed = true;
-                    }
-                }
-                if e.base_masked == 0 {
+                self.masked_base += (base_masked - e.base_masked) as usize;
+                let entry = Entry {
+                    copies: 0,
+                    base_masked,
+                    ..e
+                };
+                match slot {
                     // The delete neither masked a base copy nor killed a
                     // delta copy: drop the entry so queries don't scan a
                     // dead key until compaction (the log still records the
                     // op — sequence numbers stay dense and replays agree).
-                    self.entries.remove(&key);
-                } else {
+                    Ok(i) if base_masked == 0 => {
+                        self.lane_keys.remove(i);
+                        self.lane_xs.remove(i);
+                        self.lane_ys.remove(i);
+                        self.lane_entries.remove(i);
+                    }
+                    Ok(i) => self.lane_entries[i] = entry,
+                    Err(i) if base_masked > 0 => self.open_lane(i, key, &p, entry),
+                    Err(_) => {}
+                }
+                if base_masked > 0 {
                     self.filter.insert(key.0, key.1);
                 }
-                self.sync_lanes(key);
-                removed
+                e.copies > 0 || base_masked > e.base_masked
             }
         }
     }
@@ -319,7 +302,10 @@ impl DeltaState {
     pub(crate) fn masks(&self, p: &Point) -> bool {
         let key = key_of(p);
         self.filter.may_contain(key.0, key.1)
-            && self.entries.get(&key).is_some_and(|e| e.base_masked > 0)
+            && self
+                .lane_keys
+                .binary_search(&key)
+                .is_ok_and(|i| self.lane_entries[i].base_masked > 0)
     }
 
     /// The earliest-inserted live copy at exactly the query's location, if
@@ -330,27 +316,30 @@ impl DeltaState {
         if !self.filter.may_contain(xb, yb) {
             return (None, 0);
         }
-        let mut best: Option<(u64, Point)> = None;
-        let mut examined = 0;
-        for e in self
-            .entries
-            .range((xb, yb, u64::MIN)..=(xb, yb, u64::MAX))
-            .map(|(_, e)| e)
-        {
-            examined += 1;
+        let start = self.lane_keys.partition_point(|k| (k.0, k.1) < (xb, yb));
+        let end = start + self.lane_keys[start..].partition_point(|k| (k.0, k.1) == (xb, yb));
+        let mut best: Option<(u64, usize)> = None;
+        for (i, e) in self.lane_entries[start..end].iter().enumerate() {
             if e.copies > 0 && best.is_none_or(|(fs, _)| e.first_seq < fs) {
-                best = Some((e.first_seq, e.point));
+                best = Some((e.first_seq, start + i));
             }
         }
-        (best.map(|(_, p)| p), examined)
+        (best.map(|(_, i)| self.lane_point(i)), end - start)
+    }
+
+    /// The point of lane entry `i`.
+    #[inline]
+    fn lane_point(&self, i: usize) -> Point {
+        Point::with_id(self.lane_xs[i], self.lane_ys[i], self.lane_keys[i].2)
     }
 
     /// Visits lane entry `i` once per live copy.
     #[inline]
     fn visit_copies(&self, i: usize, visit: &mut dyn FnMut(&Point)) {
-        if self.lane_copies[i] > 0 {
-            let p = Point::with_id(self.lane_xs[i], self.lane_ys[i], self.lane_ids[i]);
-            for _ in 0..self.lane_copies[i] {
+        let copies = self.lane_entries[i].copies;
+        if copies > 0 {
+            let p = self.lane_point(i);
+            for _ in 0..copies {
                 visit(&p);
             }
         }
@@ -461,7 +450,7 @@ impl DeltaState {
     }
 }
 
-/// Folds a log of ops into a canonical point vector with exact `Vec`
+/// Folds a log of ops into a point vector with exact `Vec`
 /// semantics — inserts append, a delete removes every copy of its key
 /// present *at that seq* and nothing inserted later — in one pass: the
 /// inserts are appended with their seq remembered, the last delete seq of
@@ -469,8 +458,8 @@ impl DeltaState {
 /// key was deleted and every appended insert whose key was deleted at a
 /// later seq.  O(points + ops); the survivors and their order are those of
 /// replaying the log op by op.  This is the reference the delta merge must
-/// agree with, used by compaction to fold an epoch's delta into the next
-/// base.
+/// agree with, used by a full compaction pass to fold an epoch's delta into
+/// the base's points before rebuilding.
 pub(crate) fn apply_log_to_points(points: &mut Vec<Point>, log: &[SequencedOp], up_to_seq: u64) {
     let base_len = points.len();
     let mut insert_seqs: Vec<u64> = Vec::new();
@@ -503,16 +492,42 @@ pub(crate) fn apply_log_to_points(points: &mut Vec<Point>, log: &[SequencedOp], 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn p(x: f64, y: f64, id: u64) -> Point {
         Point::with_id(x, y, id)
     }
 
     fn apply(d: &mut DeltaState, seq: u64, op: WriteOp, base: &[Point]) -> bool {
-        let keys: Vec<Key> = base.iter().map(key_of).collect();
-        d.apply(SequencedOp { seq, op }, &|k| {
-            keys.iter().filter(|bk| *bk == k).count() as u32
+        d.apply(SequencedOp { seq, op }, &|q| {
+            base.iter().filter(|b| key_of(b) == key_of(q)).count() as u32
         })
+    }
+
+    /// The net per-key state a log leaves — `(point, live copies, masked
+    /// base copies)` by key — replayed op by op into a map: the reference
+    /// the lanes are checked against, built without reading them.
+    fn net_state(
+        log: &[SequencedOp],
+        base_copies_of: &dyn Fn(&Point) -> u32,
+    ) -> BTreeMap<Key, (Point, u32, u32)> {
+        let mut net = BTreeMap::new();
+        for op in log {
+            match op.op {
+                WriteOp::Insert(q) => net.entry(key_of(&q)).or_insert((q, 0, 0)).1 += 1,
+                WriteOp::Delete(q) => {
+                    let e = net.entry(key_of(&q)).or_insert((q, 0, 0));
+                    e.1 = 0;
+                    if e.2 == 0 {
+                        e.2 = base_copies_of(&q);
+                    }
+                    if e.2 == 0 {
+                        net.remove(&key_of(&q));
+                    }
+                }
+            }
+        }
+        net
     }
 
     #[test]
@@ -659,8 +674,8 @@ mod tests {
             }
         }
         let mut naive: Vec<(Key, Point, u32)> = Vec::new();
-        for (k, e) in &d.entries {
-            naive.push((*k, e.point, e.copies));
+        for (k, (pt, copies, _)) in net_state(d.log(), &|_| 0) {
+            naive.push((k, pt, copies));
         }
 
         let w = Rect::new(0.2, 0.1, 0.8, 0.9);
@@ -818,9 +833,9 @@ mod tests {
     #[test]
     fn the_location_filter_never_hides_an_entry() {
         // Enough written locations to saturate the filter well past half:
-        // `masks` and `point_lookup` must still answer what the map alone
-        // answers, for keys that are present, absent, and spelled with
-        // either zero.
+        // `masks` and `point_lookup` must still answer what the net state
+        // alone answers, for keys that are present, absent, and spelled
+        // with either zero.
         let mut rng = 0xF117E5u64;
         let unit = |rng: &mut u64| (next(rng) >> 11) as f64 / (1u64 << 53) as f64;
         let mut base: Vec<Point> = (0..3_000u64)
@@ -830,14 +845,13 @@ mod tests {
             base.push(p(0.0, 0.01 * i as f64, 10_000 + i));
         }
         let base_copies: HashMap<Key, u32> = base.iter().map(|q| (key_of(q), 1)).collect();
+        let base_copies_of = |q: &Point| base_copies.get(&key_of(q)).copied().unwrap_or(0);
         let mut d = DeltaState::default();
         let mut written: Vec<Point> = Vec::new();
         let mut seq = 0;
         let mut write = |d: &mut DeltaState, op: WriteOp| {
             seq += 1;
-            d.apply(SequencedOp { seq, op }, &|k| {
-                base_copies.get(k).copied().unwrap_or(0)
-            });
+            d.apply(SequencedOp { seq, op }, &base_copies_of);
         };
         for (i, q) in base.iter().enumerate() {
             if i % 2 == 0 {
@@ -858,6 +872,7 @@ mod tests {
         write(&mut d, WriteOp::Insert(p(-0.0, 0.123, 7)));
         written.push(p(0.0, 0.123, 7));
 
+        let net = net_state(d.log(), &base_copies_of);
         let (mut absent, mut false_positives) = (0, 0);
         for i in 0..10_000usize {
             let probe = match i % 4 {
@@ -872,10 +887,9 @@ mod tests {
             };
             for probe in [probe, p(-probe.x, probe.y, probe.id)] {
                 let key = key_of(&probe);
-                let in_map = d.entries.get(&key).is_some_and(|e| e.base_masked > 0);
+                let in_map = net.get(&key).is_some_and(|e| e.2 > 0);
                 assert_eq!(d.masks(&probe), in_map, "{probe:?}");
-                let at_location = d
-                    .entries
+                let at_location = net
                     .range((key.0, key.1, u64::MIN)..=(key.0, key.1, u64::MAX))
                     .count();
                 assert_eq!(d.point_lookup(&probe).1, at_location, "{probe:?}");

@@ -24,11 +24,12 @@
 //!   the write stream it observes, which is what makes concurrent runs
 //!   verifiable against a single-threaded replay oracle.
 //! * **Background compaction.**  When the delta grows past
-//!   [`CompactionPolicy::ops_trigger`], a background thread folds it into
-//!   the canonical point set, refreshes the base, and atomically swaps in a
-//!   new epoch.  Readers holding the old epoch keep getting correct answers
-//!   from it; the swap itself is one `Arc` store.  Rebuilds happen entirely
-//!   outside the read path.
+//!   [`CompactionPolicy::ops_trigger`], a background thread absorbs it into
+//!   a refreshed base and atomically swaps in a new epoch.  Readers holding
+//!   the old epoch keep getting correct answers from it; the swap itself is
+//!   one `Arc` store.  Rebuilds happen entirely outside the read path.  The
+//!   epoch's base index is the only copy of the data: no point vector or
+//!   key map is kept beside it.
 //! * **Incremental maintenance.**  A policy-driven pass asks the base one
 //!   question, [`SpatialIndex::clone_index`].  When it offers a copy, the
 //!   pass replays the captured delta into the copy and calls
@@ -38,9 +39,9 @@
 //!   budget so compaction cost stays proportional to churn, not to data
 //!   size.  When it offers none (a family without maintenance, or a
 //!   sharded base whose shard sizes are skewed), the caller's rebuild
-//!   closure builds a fresh base — the registry passes `build_index`, so
-//!   any registered family composes.  The epoch swap discipline is
-//!   identical either way.
+//!   closure builds a fresh base from the base's points with the delta
+//!   folded in — the registry passes `build_index`, so any registered
+//!   family composes.  The epoch swap discipline is identical either way.
 //!
 //! # Example: serve and write concurrently
 //!
@@ -53,7 +54,7 @@
 //!     .map(|i| Point::with_id(i as f64 / 100.0, (i as f64 * 0.37) % 1.0, i))
 //!     .collect();
 //! let server = SpatialServer::new(
-//!     points,
+//!     &points,
 //!     Box::new(|pts| Box::new(ScanIndex::new(pts.to_vec()))),
 //!     ServerConfig::default(),
 //! );
@@ -93,18 +94,18 @@ pub use delta::{SequencedOp, WriteOp};
 
 use common::knn::KBest;
 use common::{MaintenanceBudget, QueryContext, SpatialIndex};
-use delta::{key_of, DeltaState, Key};
+use delta::DeltaState;
 use geom::{Point, Rect};
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// The closure that rebuilds the base index from the canonical point set
-/// during compaction.  The registry passes its own `build_index` (with the
-/// kind and config captured), so every registered family composes with the
-/// server without a dependency cycle.
+/// The closure that builds a base index from a point set: the initial build
+/// of [`SpatialServer::new`], and a full compaction pass over the old base's
+/// points with the delta folded in.  The registry passes its own
+/// `build_index` (with the kind and config captured), so every registered
+/// family composes with the server without a dependency cycle.
 pub type RebuildFn = Box<dyn Fn(&[Point]) -> Box<dyn SpatialIndex> + Send + Sync>;
 
 /// When the server compacts and when a partial pass refits: the two
@@ -268,47 +269,29 @@ impl ServeConfig {
 /// built.  Readers hold an `Arc<Epoch>`; compaction replaces the server's
 /// current epoch but never mutates an existing one, so in-flight readers
 /// stay correct.
-/// Per-key bookkeeping of one epoch's base contents.
-#[derive(Debug, Clone, Copy)]
-struct BaseKeyInfo {
-    /// Copies of the key in the base (>1 only when identical points were
-    /// inserted repeatedly and folded by compaction).
-    copies: u32,
-    /// Position of the key's first occurrence in the canonical point
-    /// vector, so duplicate-location lookups can honour `Vec` first-match
-    /// order without asking the base.
-    first_pos: u32,
-}
-
 struct Epoch {
     /// Monotone epoch counter (0 = the initial build).
     id: u64,
-    /// The frozen base index.
+    /// The frozen base index: the only copy of the epoch's base points.
     base: Box<dyn SpatialIndex>,
-    /// Copy counts and canonical positions of every key the base contains,
-    /// so deletes can decide in O(1) how many base copies they mask (keeps
-    /// `len()`, the kNN widening cap, and delete results exact without
-    /// querying the base) and duplicate-location point queries resolve in
-    /// `Vec` order.
-    base_keys: HashMap<Key, BaseKeyInfo>,
     /// Writes since this epoch's base was built.  Readers clone the `Arc`
     /// under a momentary read lock; the (single) writer appends through
     /// `Arc::make_mut` under the write lock.
     delta: RwLock<Arc<DeltaState>>,
 }
 
-/// Builds the per-key bookkeeping from the canonical point vector.
-fn index_base_keys(points: &[Point]) -> HashMap<Key, BaseKeyInfo> {
-    let mut keys: HashMap<Key, BaseKeyInfo> = HashMap::with_capacity(points.len());
-    for (pos, p) in points.iter().enumerate() {
-        keys.entry(key_of(p))
-            .or_insert(BaseKeyInfo {
-                copies: 0,
-                first_pos: pos as u32,
-            })
-            .copies += 1;
-    }
-    keys
+/// How many copies of `p` (same location and id) `base` holds: a probe of
+/// the degenerate window at `p`, which scans exactly the range a point
+/// query at `p` scans, so it finds every stored copy of the location for
+/// every kind (point queries are exact throughout the repository).  A
+/// delete asks it once per key, so `len()`, the kNN widening cap and the
+/// delete's result stay exact.  Its cost is not charged to any query.
+fn base_copies(base: &dyn SpatialIndex, p: &Point) -> u32 {
+    let mut copies = 0;
+    base.window_query_visit(&Rect::from_point(*p), &mut QueryContext::new(), &mut |q| {
+        copies += u32::from(q.same_location(p) && q.id == p.id);
+    });
+    copies
 }
 
 /// Counters describing a server's current state, for experiments and logs.
@@ -356,8 +339,9 @@ struct ServerMetrics {
     /// `server.compaction_rebuild_us`: off-lock rebuild duration.
     compaction_rebuild_us: Histogram,
     /// `server.compaction_pass_us`: a whole pass, full or partial — delta
-    /// capture, fold into the canonical points, rebuild, key map and swap.
-    /// The rebuild and pause clocks above time two of those five phases.
+    /// capture, rebuild (for a full pass, collecting the base's points and
+    /// folding the delta into them first) and swap.  The rebuild and pause
+    /// clocks above time the last two phases.
     compaction_pass_us: Histogram,
     /// `server.compactions_full` / `server.compactions_partial`: how the
     /// swaps were produced — the soak suite asserts partial passes carried
@@ -428,10 +412,9 @@ struct Core {
     /// Serialises writers against each other and against the epoch swap.
     /// Readers never touch it.
     write_gate: Mutex<()>,
-    /// Serialises compactions and owns the canonical point set (the base's
-    /// contents as a plain `Vec`, maintained fold-by-fold).
-    compact_state: Mutex<Vec<Point>>,
-    /// Builds a fresh base from the canonical points.
+    /// Serialises compactions.
+    compact_state: Mutex<()>,
+    /// Builds a fresh base from a point set.
     rebuild: RebuildFn,
     cfg: ServerConfig,
     /// Running estimate of per-subtree repair cost in microseconds
@@ -481,8 +464,8 @@ impl Core {
             let mut guard = epoch.delta.write().expect("delta lock poisoned");
             let state = Arc::make_mut(&mut guard);
             let seq = state.seq() + 1;
-            let removed = state.apply(SequencedOp { seq, op }, &|k| {
-                epoch.base_keys.get(k).map_or(0, |i| i.copies)
+            let removed = state.apply(SequencedOp { seq, op }, &|p| {
+                base_copies(epoch.base.as_ref(), p)
             });
             buffered = state.op_count();
             result = (removed, seq);
@@ -525,11 +508,11 @@ impl Core {
     /// when it gets a copy, the captured ops are replayed into it in
     /// sequence order and only worn subtrees are repaired under
     /// [`Core::partial_budget`]; otherwise, and always without `policy`,
-    /// the rebuild closure builds a fresh base.  The canonical point
-    /// vector is folded identically either way, so a later full rebuild
-    /// always starts from the same ground truth.
+    /// the base's points are collected, the captured ops folded into them
+    /// with [`delta::apply_log_to_points`], and the rebuild closure builds
+    /// a fresh base from the result.
     fn compact_with(&self, policy: bool) -> bool {
-        let mut points = self.compact_state.lock().expect("compact lock poisoned");
+        let _pass = self.compact_state.lock().expect("compact lock poisoned");
         let pass_t0 = Instant::now();
         let epoch = self.current_epoch();
         let captured = epoch.delta.read().expect("delta lock poisoned").clone();
@@ -541,7 +524,6 @@ impl Core {
             epoch: epoch.id,
             delta_ops: captured.op_count() as u64,
         });
-        delta::apply_log_to_points(&mut points, captured.log(), fold_seq);
 
         let rebuild_t0 = Instant::now();
         // `(subtrees, µs)` of the clone's `rebuild_partial` alone: the clone
@@ -563,15 +545,19 @@ impl Core {
                 partial = Some((subtrees, t0.elapsed().as_micros() as u64));
                 clone
             }
-            None => (self.rebuild)(&points),
+            None => {
+                let mut points = Vec::with_capacity(epoch.base.len() + captured.op_count());
+                epoch.base.for_each_point(&mut |p| points.push(*p));
+                delta::apply_log_to_points(&mut points, captured.log(), fold_seq);
+                (self.rebuild)(&points)
+            }
         };
         let rebuild_us = rebuild_t0.elapsed().as_micros() as u64;
-        let new_points = points.len() as u64;
-        let new_keys = index_base_keys(&points);
+        let new_points = new_base.len() as u64;
         debug_assert_eq!(
             new_base.len(),
-            points.len(),
-            "partial replay must reproduce the canonical fold"
+            epoch.base.len() - captured.masked_base() + captured.live_inserts(),
+            "the new base must hold the captured view's live points"
         );
         self.metrics.set_model_error(new_base.as_ref());
         self.metrics.set_maintenance(new_base.as_ref());
@@ -589,7 +575,7 @@ impl Core {
             let current_delta = current.delta.read().expect("delta lock poisoned").clone();
             let mut leftover = DeltaState::resume_at(fold_seq);
             for op in current_delta.log().iter().filter(|o| o.seq > fold_seq) {
-                leftover.apply(*op, &|k| new_keys.get(k).map_or(0, |i| i.copies));
+                leftover.apply(*op, &|p| base_copies(new_base.as_ref(), p));
             }
             new_epoch_id = current.id + 1;
             self.metrics.delta_ops.set(leftover.op_count() as i64);
@@ -598,7 +584,6 @@ impl Core {
             let next = Arc::new(Epoch {
                 id: new_epoch_id,
                 base: new_base,
-                base_keys: new_keys,
                 delta: RwLock::new(Arc::new(leftover)),
             });
             *self.epoch.write().expect("epoch lock poisoned") = next;
@@ -671,43 +656,30 @@ pub struct SpatialServer {
 
 impl SpatialServer {
     /// Builds the base index over `points` with `rebuild` and starts serving.
-    pub fn new(points: Vec<Point>, rebuild: RebuildFn, cfg: ServerConfig) -> Self {
-        let base = rebuild(&points);
-        Self::from_parts(base, points, rebuild, cfg)
+    pub fn new(points: &[Point], rebuild: RebuildFn, cfg: ServerConfig) -> Self {
+        let base = rebuild(points);
+        Self::from_parts(base, rebuild, cfg)
     }
 
     /// Starts serving an already-built base index (e.g. one loaded from a
-    /// snapshot) whose contents are exactly `points` — the canonical set
-    /// compaction folds writes into.
-    pub fn from_parts(
-        base: Box<dyn SpatialIndex>,
-        points: Vec<Point>,
-        rebuild: RebuildFn,
-        cfg: ServerConfig,
-    ) -> Self {
-        debug_assert_eq!(
-            base.len(),
-            points.len(),
-            "canonical points must match the base index contents"
-        );
-        let base_keys = index_base_keys(&points);
+    /// snapshot); `rebuild` builds the bases of later full compactions.
+    pub fn from_parts(base: Box<dyn SpatialIndex>, rebuild: RebuildFn, cfg: ServerConfig) -> Self {
         let telemetry = Arc::new(Telemetry::new());
         let metrics = ServerMetrics::register(&telemetry);
         metrics.set_model_error(base.as_ref());
         metrics.set_maintenance(base.as_ref());
-        metrics.points.set(points.len() as i64);
+        metrics.points.set(base.len() as i64);
         telemetry.journal.record(EventKind::ServerStart {
-            points: points.len() as u64,
+            points: base.len() as u64,
         });
         let core = Arc::new(Core {
             epoch: RwLock::new(Arc::new(Epoch {
                 id: 0,
                 base,
-                base_keys,
                 delta: RwLock::new(Arc::new(DeltaState::default())),
             })),
             write_gate: Mutex::new(()),
-            compact_state: Mutex::new(points),
+            compact_state: Mutex::new(()),
             rebuild,
             cfg,
             partial_cost_ema_us: AtomicU64::new(0),
@@ -934,27 +906,18 @@ impl Snapshot {
             Some(_) => {
                 // The base's answer at this location is deleted.  Another
                 // base copy can only exist if the data had duplicate
-                // locations under different ids; recover it with an
-                // exhaustive degenerate-window probe, resolving ties by the
-                // copies' canonical (`Vec`) positions so the answer matches
-                // a plain scan's first match.
-                let mut alt: Option<(u32, Point)> = None;
+                // locations under different ids; recover the first live
+                // one in the base's own order with an exhaustive
+                // degenerate-window probe (for a plain scan, `Vec` order).
+                let mut alt = None;
                 self.epoch
                     .base
                     .window_query_visit(&Rect::from_point(*q), cx, &mut |p| {
-                        if self.delta.masks(p) {
-                            return;
-                        }
-                        let pos = self
-                            .epoch
-                            .base_keys
-                            .get(&key_of(p))
-                            .map_or(u32::MAX, |i| i.first_pos);
-                        if alt.is_none_or(|(best, _)| pos < best) {
-                            alt = Some((pos, *p));
+                        if alt.is_none() && !self.delta.masks(p) {
+                            alt = Some(*p);
                         }
                     });
-                alt.map(|(_, p)| p)
+                alt
             }
             None => None,
         };
@@ -1263,7 +1226,7 @@ mod tests {
 
     fn serve(n: usize, seed: u64) -> (Vec<Point>, SpatialServer) {
         let data = generate(Distribution::skewed_default(), n, seed);
-        let server = SpatialServer::new(data.clone(), scan_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&data, scan_rebuild(), manual_cfg());
         (data, server)
     }
 
@@ -1526,7 +1489,7 @@ mod tests {
     fn background_compaction_triggers_on_threshold() {
         let data = generate(Distribution::Uniform, 400, 19);
         let server = SpatialServer::new(
-            data.clone(),
+            &data,
             scan_rebuild(),
             ServerConfig::default().with_compact_threshold(32),
         );
@@ -1630,7 +1593,7 @@ mod tests {
             Point::with_id(0.5, 0.5, 20),
             Point::with_id(0.5, 0.5, 10),
         ];
-        let server = SpatialServer::new(pts, scan_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&pts, scan_rebuild(), manual_cfg());
         let mut cx = QueryContext::new();
         let q = Point::new(0.5, 0.5);
         assert_eq!(server.point_query(&q, &mut cx).map(|p| p.id), Some(30));
@@ -1649,7 +1612,7 @@ mod tests {
 
     #[test]
     fn duplicate_identical_inserts_survive_compaction_and_delete_fully() {
-        let server = SpatialServer::new(Vec::new(), scan_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&[], scan_rebuild(), manual_cfg());
         let p = Point::with_id(0.5, 0.5, 1);
         server.insert(p);
         server.insert(p);
@@ -1804,7 +1767,7 @@ mod tests {
     fn policy_driven_compaction_runs_partial_passes() {
         let data = generate(Distribution::skewed_default(), 400, 37);
         let mut oracle = data.clone();
-        let server = SpatialServer::new(data, maint_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&data, maint_rebuild(), manual_cfg());
         for i in 0..50u64 {
             let p = Point::with_id(0.001 * i as f64, 0.77, 60_000 + i);
             server.insert(p);
@@ -1869,15 +1832,16 @@ mod tests {
 
     #[test]
     fn the_pass_clock_covers_the_fold_the_rebuild_and_the_swap() {
-        // `rebuild_us` starts after the fold and `pause_us` times the swap
-        // alone; `server.compaction_pass_us` is the whole pass, for full
-        // and partial passes alike.
+        // `rebuild_us` times the rebuild (a full pass's fold into the base's
+        // points included) and `pause_us` the swap alone;
+        // `server.compaction_pass_us` is the whole pass, for full and
+        // partial passes alike.
         for (rebuild, rebuild_clock) in [
             (scan_rebuild(), "server.compaction_rebuild_us"),
             (maint_rebuild(), "server.partial_rebuild_us"),
         ] {
             let data = generate(Distribution::skewed_default(), 2_000, 53);
-            let server = SpatialServer::new(data.clone(), rebuild, manual_cfg());
+            let server = SpatialServer::new(&data, rebuild, manual_cfg());
             for (i, victim) in data.iter().enumerate().skip(1).step_by(4) {
                 server.delete(victim);
                 server.insert(Point::with_id(victim.y, victim.x, 80_000 + i as u64));
@@ -1906,7 +1870,7 @@ mod tests {
     fn an_id_0_delete_goes_partial_and_removes_only_that_id() {
         // Id 0 is an ordinary id: the replay removes the copies that carry
         // it and leaves the other ids at the same location alone.
-        let server = SpatialServer::new(Vec::new(), maint_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&[], maint_rebuild(), manual_cfg());
         let zero = Point::with_id(0.3, 0.3, 0);
         let seven = Point::with_id(0.3, 0.3, 7);
         server.insert(Point::with_id(0.6, 0.6, 8));
@@ -1941,9 +1905,9 @@ mod tests {
         // Regression: a point that lived only in the delta overlay (insert
         // + delete both buffered, never folded) must stay dead through a
         // *partial* pass, which replays the log into a clone instead of
-        // rebuilding from the canonical fold.
+        // rebuilding from the folded points.
         let data = generate(Distribution::Uniform, 200, 47);
-        let server = SpatialServer::new(data.clone(), maint_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&data, maint_rebuild(), manual_cfg());
         let ghost = Point::with_id(0.123, 0.987, 70_001);
         server.insert(ghost);
         let (removed, _) = server.delete(&ghost);
@@ -1972,7 +1936,7 @@ mod tests {
 
     #[test]
     fn empty_server_answers_gracefully() {
-        let server = SpatialServer::new(Vec::new(), scan_rebuild(), manual_cfg());
+        let server = SpatialServer::new(&[], scan_rebuild(), manual_cfg());
         let mut cx = QueryContext::new();
         assert!(server.is_empty());
         assert!(server.point_query(&Point::new(0.5, 0.5), &mut cx).is_none());
