@@ -50,9 +50,9 @@ impl PiecewiseCdf {
         Self { xs, fracs }
     }
 
-    /// Estimated fraction of values `<= x`.
+    /// Estimated fraction of values `<= x`; a NaN reads as 0.
     pub fn eval(&self, x: f64) -> f64 {
-        if x <= self.xs[0] {
+        if x.is_nan() || x <= self.xs[0] {
             return 0.0;
         }
         if x >= *self.xs.last().expect("non-empty") {
@@ -124,6 +124,16 @@ mod tests {
         }
         assert_eq!(cdf.eval(-1.0), 0.0);
         assert_eq!(cdf.eval(2.0), 1.0);
+    }
+
+    #[test]
+    fn nan_evaluates_to_zero() {
+        // Every comparison with NaN is false, so no segment holds it: it
+        // must not reach the segment search.
+        let values: Vec<f64> = (0..1_000).map(|i| i as f64 / 1_000.0).collect();
+        let cdf = PiecewiseCdf::fit(&values, 100);
+        assert_eq!(cdf.eval(f64::NAN), 0.0);
+        assert_eq!(cdf.eval(-f64::NAN), 0.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::admission::AdmissionGate;
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
+use geom::Point;
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -56,8 +57,12 @@ fn class_index(req: &Request) -> Option<usize> {
 }
 
 /// Semantic validation of a decoded request; framing-level corruption is
-/// already excluded by the frame CRC and the decoder.
+/// already excluded by the frame CRC and the decoder.  Every coordinate a
+/// request carries must be finite: a NaN has no place in any index's order
+/// (a learned model cannot route it), and a point stored with one could
+/// never be found again.
 fn validate(req: &Request) -> Result<(), String> {
+    let finite = |p: &Point| p.x.is_finite() && p.y.is_finite();
     match req {
         Request::Knn(_, k) if *k > MAX_KNN_K => {
             Err(format!("k {k} exceeds the cap of {MAX_KNN_K}"))
@@ -68,6 +73,25 @@ fn validate(req: &Request) -> Result<(), String> {
             Err(format!(
                 "radius {radius} is not a finite non-negative value"
             ))
+        }
+        Request::Point(p)
+        | Request::Knn(p, _)
+        | Request::Range(p, _)
+        | Request::Insert(p)
+        | Request::Delete(p)
+            if !finite(p) =>
+        {
+            Err(format!("point ({}, {}) is not finite", p.x, p.y))
+        }
+        Request::Window(w)
+            if ![w.min_x, w.min_y, w.max_x, w.max_y]
+                .iter()
+                .all(|v| v.is_finite()) =>
+        {
+            Err(format!("window {w:?} is not finite"))
+        }
+        Request::JoinProbes(probes, _) if !probes.iter().all(finite) => {
+            Err("a join probe is not finite".to_string())
         }
         _ => Ok(()),
     }

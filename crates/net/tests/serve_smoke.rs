@@ -25,7 +25,11 @@ fn test_points(n: usize) -> Vec<Point> {
 
 fn spawn_server(points: Vec<Point>, cfg: ServeConfig) -> (Arc<SpatialServer>, net::NetHandle) {
     let rebuild: RebuildFn = Box::new(|pts| Box::new(ScanIndex::new(pts.to_vec())));
-    let engine = Arc::new(SpatialServer::new(&points, rebuild, ServerConfig::default()));
+    let engine = Arc::new(SpatialServer::new(
+        &points,
+        rebuild,
+        ServerConfig::default(),
+    ));
     let handle = net::serve_config(Arc::clone(&engine), &cfg).unwrap();
     (engine, handle)
 }
@@ -358,6 +362,41 @@ fn concurrent_closed_loop_clients_each_get_their_own_answers() {
     // Every request is executed on its own connection's thread.
     assert_eq!(stats.batched, stats.requests);
     assert_eq!(stats.batches, stats.batched);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn invalid_requests_get_bad_request_and_the_connection_lives_on() {
+    // A learned base: a NaN coordinate reaching its model would panic the
+    // connection's thread instead of being answered.
+    let points = test_points(500);
+    let engine = Arc::new(registry::serve_index(
+        registry::IndexKind::Rsmi,
+        &points,
+        &registry::IndexConfig::fast(),
+        ServerConfig::default(),
+    ));
+    let handle = net::serve_config(Arc::clone(&engine), &ServeConfig::default()).unwrap();
+    let mut client = NetClient::connect(&handle.local_addr().to_string()).unwrap();
+    let nan = Point::with_id(f64::NAN, 0.5, 9_000_003);
+    for req in [
+        Request::Knn(nan, 5),
+        Request::Insert(nan),
+        Request::Knn(points[0], net::frontend::MAX_KNN_K + 1),
+        Request::Range(points[0], -1.0),
+    ] {
+        match client.call(&req) {
+            Err(NetError::Remote(_)) => {}
+            other => panic!("{req:?}: expected BadRequest, got {other:?}"),
+        }
+    }
+    let (_, metrics) = client.stats().unwrap();
+    assert_eq!(metrics.counter("net.bad_request"), Some(4));
+    assert_eq!(engine.stats().seq, 0, "a refused insert was applied");
+    // The next valid request is answered on the same connection.
+    let (_, got) = client.knn(&points[0], 5).unwrap();
+    assert_eq!(got.len(), 5);
     handle.shutdown();
     handle.join();
 }
