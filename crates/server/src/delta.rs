@@ -274,10 +274,10 @@ impl DeltaState {
                     ..e
                 };
                 match slot {
-                    // The delete neither masked a base copy nor killed a
-                    // delta copy: drop the entry so queries don't scan a
-                    // dead key until compaction (the log still records the
-                    // op — sequence numbers stay dense and replays agree).
+                    // The key masks no base copy and has no live copy
+                    // left: drop the entry so queries don't scan a dead
+                    // key until compaction (the log still records the op —
+                    // sequence numbers stay dense and replays agree).
                     Ok(i) if base_masked == 0 => {
                         self.lane_keys.remove(i);
                         self.lane_xs.remove(i);

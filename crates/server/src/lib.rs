@@ -413,7 +413,7 @@ struct Core {
     /// Readers never touch it.
     write_gate: Mutex<()>,
     /// Serialises compactions.
-    compact_state: Mutex<()>,
+    pass_gate: Mutex<()>,
     /// Builds a fresh base from a point set.
     rebuild: RebuildFn,
     cfg: ServerConfig,
@@ -512,7 +512,7 @@ impl Core {
     /// with [`delta::apply_log_to_points`], and the rebuild closure builds
     /// a fresh base from the result.
     fn compact_with(&self, policy: bool) -> bool {
-        let _pass = self.compact_state.lock().expect("compact lock poisoned");
+        let _pass = self.pass_gate.lock().expect("compact lock poisoned");
         let pass_t0 = Instant::now();
         let epoch = self.current_epoch();
         let captured = epoch.delta.read().expect("delta lock poisoned").clone();
@@ -562,22 +562,30 @@ impl Core {
         self.metrics.set_model_error(new_base.as_ref());
         self.metrics.set_maintenance(new_base.as_ref());
 
-        // Swap: with the write gate held no new ops can land, so the ops
-        // beyond the fold point are exactly the leftover the new epoch's
-        // delta must start from.  Readers are not blocked: they only take
-        // the epoch read lock for the duration of an `Arc` clone.
+        // Swap: the ops beyond the fold point are the leftover the new
+        // epoch's delta starts from, and each leftover delete asks the new
+        // base for its copies.  Only passes swap epochs and they run one at
+        // a time, so `epoch` is still current and its delta only grows: the
+        // ops that landed during the pass are replayed before the write gate
+        // is taken, and under it, where no new op can land, only those that
+        // landed meanwhile.  Readers are not blocked: they only take the
+        // epoch read lock for the duration of an `Arc` clone.
+        let mut leftover = DeltaState::resume_at(fold_seq);
+        let catch_up = |leftover: &mut DeltaState| {
+            let delta = epoch.delta.read().expect("delta lock poisoned").clone();
+            let done = leftover.seq();
+            for op in delta.log().iter().filter(|o| o.seq > done) {
+                leftover.apply(*op, &|p| base_copies(new_base.as_ref(), p));
+            }
+        };
+        catch_up(&mut leftover);
         let new_epoch_id;
         let pause_us;
         {
             let pause_t0 = Instant::now();
             let _gate = self.write_gate.lock().expect("write gate poisoned");
-            let current = self.current_epoch();
-            let current_delta = current.delta.read().expect("delta lock poisoned").clone();
-            let mut leftover = DeltaState::resume_at(fold_seq);
-            for op in current_delta.log().iter().filter(|o| o.seq > fold_seq) {
-                leftover.apply(*op, &|p| base_copies(new_base.as_ref(), p));
-            }
-            new_epoch_id = current.id + 1;
+            catch_up(&mut leftover);
+            new_epoch_id = epoch.id + 1;
             self.metrics.delta_ops.set(leftover.op_count() as i64);
             let live = new_base.len() - leftover.masked_base() + leftover.live_inserts();
             self.metrics.points.set(live as i64);
@@ -679,7 +687,7 @@ impl SpatialServer {
                 delta: RwLock::new(Arc::new(DeltaState::default())),
             })),
             write_gate: Mutex::new(()),
-            compact_state: Mutex::new(()),
+            pass_gate: Mutex::new(()),
             rebuild,
             cfg,
             partial_cost_ema_us: AtomicU64::new(0),
