@@ -7,7 +7,11 @@
 //! every column), mirroring the alternating-dimension splits of a kd-tree
 //! while keeping the fan-out of a disk-based K-D-B-tree.  Regions tile their
 //! parent region exactly, so every location belongs to exactly one leaf —
-//! the property that makes K-D-B window queries overlap-free.
+//! the property that makes K-D-B window queries overlap-free.  The root
+//! covers the unit square and every bulk-loaded point; an insert outside
+//! the tree's space widens the regions on its path to hold it, and those
+//! may then overlap their siblings, which the traversal (it follows every
+//! region that holds a location) already allows.
 //!
 //! The family supplies layout, bulk-load and updates.  All five query
 //! classes run through [`storage::directory`] over `View`, which charges a
@@ -146,7 +150,8 @@ impl KdbTree {
                         .iter()
                         .copied()
                         .find(|&c| self.nodes[c].region.contains(p))
-                        // Numerical edge: fall back to the nearest region.
+                        // In no child (outside the tree's space, or a numerical
+                        // edge): the nearest one, which the next step widens.
                         .or_else(|| {
                             children.iter().copied().min_by(|&a, &b| {
                                 self.nodes[a]
