@@ -368,8 +368,8 @@ fn concurrent_closed_loop_clients_each_get_their_own_answers() {
 
 #[test]
 fn invalid_requests_get_bad_request_and_the_connection_lives_on() {
-    // A learned base: a NaN coordinate reaching its model would panic the
-    // connection's thread instead of being answered.
+    // A learned base: its kNN routes the query point through a model,
+    // which a NaN coordinate must never reach.
     let points = test_points(500);
     let engine = Arc::new(registry::serve_index(
         registry::IndexKind::Rsmi,

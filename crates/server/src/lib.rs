@@ -901,8 +901,10 @@ impl Snapshot {
 
     /// Looks up a live point with exactly the query's coordinates.
     ///
-    /// Matches `Vec` semantics: a live base copy wins over inserted copies,
-    /// and among inserted copies the earliest still-live insert wins.
+    /// Matches `Vec` semantics: a live base copy wins over inserted copies
+    /// (the base's own answer, else its first live copy in the base's
+    /// order), and among inserted copies the earliest still-live insert
+    /// wins.
     pub fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
         if self.delta.is_empty() {
             return self.epoch.base.point_query(q, cx);
