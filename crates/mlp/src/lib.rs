@@ -20,9 +20,12 @@
 //!   owns the normalisers and predicts *integer* targets (block IDs or
 //!   partition IDs) from raw coordinates.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the dispatchers of `network` call the AVX2
+// instances of the hot loops under `#[allow(unsafe_code)]` (see `isa`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod isa;
 mod network;
 mod normalizer;
 mod regressor;
@@ -101,7 +104,8 @@ pub(crate) fn sigmoid_in_place(zs: &mut [f64]) {
 /// `--emit asm` and greps this symbol's body for packed `divpd` and the
 /// integer `paddq`/`psllq` that build `2^k`.  The `#[inline(always)]` pass
 /// is otherwise only codegen'd inside `predict` and `train`; no model calls
-/// this wrapper.
+/// this wrapper.  It is the baseline instance; the guard reads the AVX2
+/// instances of `predict` and the epoch bodies by their own symbols.
 #[doc(hidden)]
 pub mod asm_probes {
     #[inline(never)]

@@ -1,5 +1,6 @@
 //! The feed-forward network and its SGD trainer.
 
+use crate::isa::Isa;
 use crate::{sigmoid, sigmoid_in_place};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,8 +171,32 @@ impl Mlp {
     ///
     /// The hidden units run in strips of up to 64 (`STRIP`) on the stack, in
     /// three passes that each autovectorise: every `z`, every sigmoid, then
-    /// the output dot product.
+    /// the output dot product.  On an x86 host with AVX2 they run four
+    /// lanes wide, to the same bits (see `isa`).
     pub fn predict(&self, input: &[f64]) -> f64 {
+        self.predict_on(Isa::host(), input)
+    }
+
+    /// [`Mlp::predict`] on the instance `isa` picks.
+    #[allow(unsafe_code)]
+    fn predict_on(&self, isa: Isa, input: &[f64]) -> f64 {
+        match isa {
+            // SAFETY: the host has AVX2.
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            isa if isa.avx2() => unsafe { self.predict_avx2(input) },
+            _ => self.predict_body(input),
+        }
+    }
+
+    /// [`Mlp::predict`] compiled for AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn predict_avx2(&self, input: &[f64]) -> f64 {
+        self.predict_body(input)
+    }
+
+    #[inline(always)]
+    fn predict_body(&self, input: &[f64]) -> f64 {
         debug_assert_eq!(input.len(), self.config.input_dim);
         let d = self.config.input_dim;
         let mut strip = [0.0f64; STRIP];
@@ -236,7 +261,14 @@ impl Mlp {
     /// single range runs, and the weights are the same bit for bit.  The
     /// two threads also split each epoch's shuffle: both draw the same
     /// swaps, one applies them to the rows and the other to the targets.
+    /// On an x86 host with AVX2 the epochs run four lanes wide, to the same
+    /// bits (see `isa`).
     pub fn train(&mut self, rows: &mut [f64], targets: &mut [f64], threads: usize) -> usize {
+        self.train_on(Isa::host(), rows, targets, threads)
+    }
+
+    /// [`Mlp::train`] with its epochs on the instance `isa` picks.
+    fn train_on(&mut self, isa: Isa, rows: &mut [f64], targets: &mut [f64], threads: usize) -> usize {
         let d = self.config.input_dim;
         let n = targets.len();
         assert_eq!(
@@ -265,7 +297,7 @@ impl Mlp {
             let loss = match &mut follower {
                 None => {
                     shuffle(n, &mut [(&mut *rows, d), (&mut *targets, 1)], &mut rng);
-                    leader.lead_epoch(rows, targets, rate, &mut b2, None)
+                    leader.lead_epoch(isa, rows, targets, rate, &mut b2, None)
                 }
                 Some(follower) => {
                     let mut rows_rng = rng.clone();
@@ -280,10 +312,10 @@ impl Mlp {
                     std::thread::scope(|s| {
                         let helper = s.spawn(|| {
                             let _abandon = mailbox.abandon_on_unwind();
-                            follower.follow_epoch(rows, targets, rate, &mailbox);
+                            follower.follow_epoch(isa, rows, targets, rate, &mailbox);
                         });
                         let _abandon = mailbox.abandon_on_unwind();
-                        let loss = leader.lead_epoch(rows, targets, rate, &mut b2, Some(&mailbox));
+                        let loss = leader.lead_epoch(isa, rows, targets, rate, &mut b2, Some(&mailbox));
                         join(helper);
                         loss
                     })
@@ -522,6 +554,7 @@ impl Units {
 
     /// Forward pass over the batch `xs`: every `z` of every sample, then
     /// every activation.
+    #[inline(always)]
     fn forward(&mut self, xs: &[f64]) {
         let len = self.b1.len();
         let act = &mut self.act[..xs.len() / self.d * len];
@@ -537,6 +570,7 @@ impl Units {
     }
 
     /// Continues each sample's output sum over the range, in unit order.
+    #[inline(always)]
     fn add_outputs(&self, sums: &mut [f64]) {
         for (out, act) in sums.iter_mut().zip(self.act.chunks_exact(self.b1.len())) {
             for (&w, &a) in self.w2.iter().zip(act) {
@@ -548,6 +582,7 @@ impl Units {
     /// Backward pass over the batch `xs` with the errors `deltas`: the
     /// range's gradients summed in sample order, then one SGD step of
     /// `scale` per gradient.
+    #[inline(always)]
     fn backward(&mut self, xs: &[f64], deltas: &[f64], scale: f64) {
         let len = self.b1.len();
         self.g_w1t.fill(0.0);
@@ -581,8 +616,42 @@ impl Units {
     /// One epoch of the first range, which also owns the output bias `b2`
     /// and the loss.  Its output sums start at `b2`; with a `follower` it
     /// posts them there and reads the errors back, alone it finishes them
-    /// itself.  Returns the epoch's summed squared error.
+    /// itself.  Returns the epoch's summed squared error.  Runs on the
+    /// instance `isa` picks.
+    #[allow(unsafe_code)]
     fn lead_epoch(
+        &mut self,
+        isa: Isa,
+        rows: &[f64],
+        targets: &[f64],
+        rate: f64,
+        b2: &mut f64,
+        follower: Option<&Mailbox>,
+    ) -> f64 {
+        match isa {
+            // SAFETY: the host has AVX2.
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            isa if isa.avx2() => unsafe { self.lead_epoch_avx2(rows, targets, rate, b2, follower) },
+            _ => self.lead_epoch_body(rows, targets, rate, b2, follower),
+        }
+    }
+
+    /// [`Units::lead_epoch`] compiled for AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn lead_epoch_avx2(
+        &mut self,
+        rows: &[f64],
+        targets: &[f64],
+        rate: f64,
+        b2: &mut f64,
+        follower: Option<&Mailbox>,
+    ) -> f64 {
+        self.lead_epoch_body(rows, targets, rate, b2, follower)
+    }
+
+    #[inline(always)]
+    fn lead_epoch_body(
         &mut self,
         rows: &[f64],
         targets: &[f64],
@@ -621,8 +690,27 @@ impl Units {
     }
 
     /// One epoch of the second range: it continues the output sums the
-    /// leader posts over its own units and posts back the errors.
-    fn follow_epoch(&mut self, rows: &[f64], targets: &[f64], rate: f64, leader: &Mailbox) {
+    /// leader posts over its own units and posts back the errors.  Runs on
+    /// the instance `isa` picks.
+    #[allow(unsafe_code)]
+    fn follow_epoch(&mut self, isa: Isa, rows: &[f64], targets: &[f64], rate: f64, leader: &Mailbox) {
+        match isa {
+            // SAFETY: the host has AVX2.
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            isa if isa.avx2() => unsafe { self.follow_epoch_avx2(rows, targets, rate, leader) },
+            _ => self.follow_epoch_body(rows, targets, rate, leader),
+        }
+    }
+
+    /// [`Units::follow_epoch`] compiled for AVX2.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn follow_epoch_avx2(&mut self, rows: &[f64], targets: &[f64], rate: f64, leader: &Mailbox) {
+        self.follow_epoch_body(rows, targets, rate, leader)
+    }
+
+    #[inline(always)]
+    fn follow_epoch_body(&mut self, rows: &[f64], targets: &[f64], rate: f64, leader: &Mailbox) {
         let mut sums = std::mem::take(&mut self.sums);
         let batch = sums.len();
         for (xs, ts) in rows.chunks(batch * self.d).zip(targets.chunks(batch)) {
@@ -639,6 +727,7 @@ impl Units {
 }
 
 /// Turns each finished output sum into its error `out - t`.
+#[inline(always)]
 fn subtract(sums: &mut [f64], targets: &[f64]) {
     for (out, &t) in sums.iter_mut().zip(targets) {
         *out -= t;
@@ -889,9 +978,10 @@ mod tests {
     }
 
     /// A root-shaped fit of `hidden` units over `rows` rows, batches of 32,
-    /// at most `epochs` epochs, on `threads` threads: its epoch count and
-    /// parameter fingerprint.
+    /// at most `epochs` epochs, on `threads` threads, with its epochs on the
+    /// instance `isa` picks: its epoch count and parameter fingerprint.
     fn root_shaped_fit(
+        isa: Isa,
         input_dim: usize,
         hidden: usize,
         rows: usize,
@@ -908,7 +998,7 @@ mod tests {
         };
         let mut mlp = Mlp::new(cfg);
         let (mut rows, mut targets) = root_shaped_lane(input_dim, rows);
-        let ran = mlp.train(&mut rows, &mut targets, threads);
+        let ran = mlp.train_on(isa, &mut rows, &mut targets, threads);
         (ran, fingerprint(&mlp))
     }
 
@@ -923,8 +1013,71 @@ mod tests {
             (1, 16, (6, 0x5E78_6F2C_567A_3CF2)),
         ] {
             for threads in [1, 2] {
-                let got = root_shaped_fit(input_dim, hidden, 5_000, 6, threads);
+                let got = root_shaped_fit(Isa::host(), input_dim, hidden, 5_000, 6, threads);
                 assert_eq!(got, want, "input_dim {input_dim}, {threads} threads");
+            }
+        }
+    }
+
+    /// The AVX2 instance of the epoch bodies trains the root-shaped fits to
+    /// the baseline's epoch counts and weights, bit for bit, on one thread
+    /// and with the units split over two.
+    #[test]
+    fn the_avx2_epochs_train_the_baseline_weights_bit_for_bit() {
+        let wide = Isa::host();
+        if wide == Isa::BASE {
+            println!("skipped: this host has no AVX2");
+            return;
+        }
+        for (input_dim, hidden) in [(2, 33), (1, 16)] {
+            for threads in [1, 2] {
+                let fit = |isa| root_shaped_fit(isa, input_dim, hidden, 5_000, 6, threads);
+                assert_eq!(
+                    fit(wide),
+                    fit(Isa::BASE),
+                    "input_dim {input_dim}, {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// The AVX2 instance of `predict` returns the baseline's bits over a
+    /// grid of inputs, for strips that end short of, at and past 64 units.
+    #[test]
+    fn the_avx2_predict_returns_the_baseline_bits() {
+        let wide = Isa::host();
+        if wide == Isa::BASE {
+            println!("skipped: this host has no AVX2");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0xA7C2);
+        for input_dim in 1..=3 {
+            for hidden in [4, 16, 33, 64, 65] {
+                let cfg = MlpConfig {
+                    input_dim,
+                    hidden,
+                    seed: rng.gen(),
+                    ..MlpConfig::default()
+                };
+                let mut mlp = Mlp::new(cfg);
+                // Steep units and biases, so some units saturate.
+                let params: Vec<f64> = mlp
+                    .parameters()
+                    .iter()
+                    .map(|&p| p * rng.gen_range(1.0..40.0) + rng.gen_range(-2.0..2.0))
+                    .collect();
+                mlp.set_parameters(&params);
+                // 21 steps over [-0.5, 1.5] per input.
+                for i in 0..21usize.pow(input_dim as u32) {
+                    let x: Vec<f64> = (0..input_dim)
+                        .map(|k| (i / 21usize.pow(k as u32) % 21) as f64 * 0.1 - 0.5)
+                        .collect();
+                    assert_eq!(
+                        mlp.predict_on(wide, &x).to_bits(),
+                        mlp.predict_on(Isa::BASE, &x).to_bits(),
+                        "input_dim {input_dim}, hidden {hidden}, x {x:?}"
+                    );
+                }
             }
         }
     }
@@ -937,8 +1090,8 @@ mod tests {
         for input_dim in [1, 2] {
             for hidden in [4, 5, 33, 64] {
                 for epochs in [3, 40] {
-                    let one = root_shaped_fit(input_dim, hidden, 1_000, epochs, 1);
-                    let two = root_shaped_fit(input_dim, hidden, 1_000, epochs, 2);
+                    let one = root_shaped_fit(Isa::host(), input_dim, hidden, 1_000, epochs, 1);
+                    let two = root_shaped_fit(Isa::host(), input_dim, hidden, 1_000, epochs, 2);
                     assert_eq!(one, two, "input_dim {input_dim}, hidden {hidden}");
                 }
             }
