@@ -4,7 +4,7 @@
 //! never takes the server down.
 
 use common::brute_force::ScanIndex;
-use common::QueryContext;
+use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use net::{NetClient, NetError, Request, Response};
 use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
@@ -397,6 +397,78 @@ fn invalid_requests_get_bad_request_and_the_connection_lives_on() {
     // The next valid request is answered on the same connection.
     let (_, got) = client.knn(&points[0], 5).unwrap();
     assert_eq!(got.len(), 5);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A scan whose kNN panics: a stand-in for any executor defect.
+struct PanickingKnn(ScanIndex);
+
+impl SpatialIndex for PanickingKnn {
+    fn name(&self) -> &'static str {
+        "PanickingKnn"
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        self.0.point_query(q, cx)
+    }
+    fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {
+        self.0.window_query_visit(w, cx, visit)
+    }
+    fn knn_query_visit(&self, _: &Point, _: usize, _: &mut QueryContext, _: &mut dyn FnMut(&Point)) {
+        panic!("this index's kNN panics");
+    }
+    fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
+        self.0.for_each_point(visit)
+    }
+    fn insert(&mut self, p: Point) {
+        self.0.insert(p)
+    }
+    fn delete(&mut self, p: &Point) -> bool {
+        self.0.delete(p)
+    }
+    fn size_bytes(&self) -> usize {
+        self.0.size_bytes()
+    }
+    fn height(&self) -> usize {
+        self.0.height()
+    }
+}
+
+#[test]
+fn a_panicking_executor_answers_and_returns_its_admission_token() {
+    let rebuild: RebuildFn = Box::new(|pts| Box::new(PanickingKnn(ScanIndex::new(pts.to_vec()))));
+    let points = test_points(50);
+    let engine = Arc::new(SpatialServer::new(&points, rebuild, ServerConfig::default()));
+    let handle = net::serve_config(Arc::clone(&engine), &ServeConfig::default()).unwrap();
+    let addr = handle.local_addr().to_string();
+    // The call runs on its own thread, so a server that never answers
+    // fails the test instead of hanging it.
+    let (done, reply) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let mut client = NetClient::connect(&addr).unwrap();
+        let got = client.knn(&Point::new(0.5, 0.5), 3);
+        done.send(format!("{got:?}")).unwrap();
+        client
+    });
+    let got = reply.recv_timeout(Duration::from_secs(30));
+    let inflight = || engine.telemetry().metrics.snapshot().gauge("net.inflight");
+    let Ok(got) = got else {
+        panic!(
+            "no reply within 30 s, net.inflight {:?}: the panicking request wedged its connection",
+            inflight()
+        );
+    };
+    assert!(got.starts_with("Err("), "a panicked kNN answered {got}");
+    let mut client = caller.join().unwrap();
+    assert_eq!(inflight(), Some(0), "the admission token leaked");
+    // The connection keeps serving.
+    client.ping().unwrap();
+    let (_, hit) = client.point(&points[7]).unwrap();
+    assert_eq!(hit, Some(points[7]));
+    assert_eq!(inflight(), Some(0));
     handle.shutdown();
     handle.join();
 }
