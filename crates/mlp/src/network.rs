@@ -268,7 +268,13 @@ impl Mlp {
     }
 
     /// [`Mlp::train`] with its epochs on the instance `isa` picks.
-    fn train_on(&mut self, isa: Isa, rows: &mut [f64], targets: &mut [f64], threads: usize) -> usize {
+    fn train_on(
+        &mut self,
+        isa: Isa,
+        rows: &mut [f64],
+        targets: &mut [f64],
+        threads: usize,
+    ) -> usize {
         let d = self.config.input_dim;
         let n = targets.len();
         assert_eq!(
@@ -315,7 +321,8 @@ impl Mlp {
                             follower.follow_epoch(isa, rows, targets, rate, &mailbox);
                         });
                         let _abandon = mailbox.abandon_on_unwind();
-                        let loss = leader.lead_epoch(isa, rows, targets, rate, &mut b2, Some(&mailbox));
+                        let loss =
+                            leader.lead_epoch(isa, rows, targets, rate, &mut b2, Some(&mailbox));
                         join(helper);
                         loss
                     })
@@ -693,7 +700,14 @@ impl Units {
     /// leader posts over its own units and posts back the errors.  Runs on
     /// the instance `isa` picks.
     #[allow(unsafe_code)]
-    fn follow_epoch(&mut self, isa: Isa, rows: &[f64], targets: &[f64], rate: f64, leader: &Mailbox) {
+    fn follow_epoch(
+        &mut self,
+        isa: Isa,
+        rows: &[f64],
+        targets: &[f64],
+        rate: f64,
+        leader: &Mailbox,
+    ) {
         match isa {
             // SAFETY: the host has AVX2.
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
