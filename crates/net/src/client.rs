@@ -16,12 +16,15 @@
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
 use geom::{Point, Rect};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// A blocking connection to a serving front-end.
+/// A blocking connection to a serving front-end.  Replies are read through
+/// a buffer, so a small frame takes one `read` call, not three (header,
+/// payload, CRC); requests are written to the stream itself.
 pub struct NetClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl NetClient {
@@ -29,7 +32,9 @@ impl NetClient {
     pub fn connect(addr: &str) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Self { stream })
+        Ok(Self {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// Connects, retrying until `deadline` elapses — for racing a server
@@ -53,14 +58,19 @@ impl NetClient {
     /// The underlying stream, for a caller that frames its own requests on
     /// a connection this client opened: the benchmark's
     /// `benchmark/src/workloads/{wire_read,routed_mixed}.rs` time raw frames
-    /// through it.
+    /// through it.  The read buffer is empty here: every reply this client
+    /// was owed has been read, and the server sends nothing unasked.
     pub fn into_stream(self) -> TcpStream {
-        self.stream
+        debug_assert!(
+            self.stream.buffer().is_empty(),
+            "bytes past the last reply were buffered"
+        );
+        self.stream.into_inner()
     }
 
     /// Writes one request frame and returns without waiting for the reply.
     pub fn send(&mut self, req: &Request) -> Result<(), NetError> {
-        wire::write_frame(&mut self.stream, &req.encode())
+        wire::write_frame(self.stream.get_mut(), &req.encode())
     }
 
     /// Blocks for the next reply on this connection.  A refusal
@@ -72,6 +82,7 @@ impl NetClient {
                 ErrorCode::Overload => NetError::Overload,
                 ErrorCode::ShuttingDown => NetError::ShuttingDown,
                 ErrorCode::BadRequest => NetError::Remote(message),
+                ErrorCode::Internal => NetError::Internal(message),
             }),
             resp => Ok(resp),
         }

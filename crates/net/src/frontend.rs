@@ -17,7 +17,9 @@ use crate::NetError;
 use geom::Point;
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
 use std::collections::HashMap;
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -129,6 +131,8 @@ struct FrontMetrics {
     /// `net.bad_request`: frames that decoded but failed validation (plus
     /// undecodable payloads on an intact stream).
     bad_request: Counter,
+    /// `net.exec_panics`: admitted requests whose executor panicked.
+    exec_panics: Counter,
     /// `net.connections_open` / `net.connections_total`.
     connections_open: Gauge,
     connections_total: Counter,
@@ -142,17 +146,31 @@ impl FrontMetrics {
             shed: std::array::from_fn(|i| t.metrics.counter(&per_class("shed", i))),
             latency: std::array::from_fn(|i| t.metrics.histogram(&per_class("latency_us", i))),
             bad_request: t.metrics.counter("net.bad_request"),
+            exec_panics: t.metrics.counter("net.exec_panics"),
             connections_open: t.metrics.gauge("net.connections_open"),
             connections_total: t.metrics.counter("net.connections_total"),
         }
     }
 }
 
+/// The executor of an admitted request.
+type Exec = dyn Fn(Request) -> Response + Send + Sync;
+
 /// What answers a request: the write sequence control replies report, and
 /// the executor of an admitted request.
 struct Service {
     seq: Box<dyn Fn() -> u64 + Send + Sync>,
-    exec: Box<dyn Fn(Request) -> Response + Send + Sync>,
+    exec: Box<Exec>,
+}
+
+/// An admitted request's admission token, returned when dropped: also
+/// when its executor unwinds.
+struct Token<'a>(&'a AdmissionGate);
+
+impl Drop for Token<'_> {
+    fn drop(&mut self) {
+        self.0.release();
+    }
 }
 
 /// What [`FrontEnd::triage`] made of one frame.
@@ -288,19 +306,21 @@ impl FrontEnd {
     }
 
     /// One connection, one request at a time: a request is answered and
-    /// its reply written before the next frame is read.
-    fn connection_loop(&self, mut stream: TcpStream, service: &Service) {
+    /// its reply written before the next frame is read.  Frames are read
+    /// through a buffer, so a small frame takes one `read` call, not three
+    /// (header, payload, CRC); replies are written to the stream itself.
+    fn connection_loop(&self, stream: TcpStream, service: &Service) {
+        let mut conn = BufReader::new(stream);
         // Clean EOF between frames (client done, or our read half was shut
         // down by the drain) ends the loop; so does framing broken
         // mid-stream (client disconnected mid-request, or garbage), where
         // resynchronisation is impossible.
-        while let Ok(Some(payload)) = wire::read_frame(&mut stream) {
+        while let Ok(Some(payload)) = wire::read_frame(&mut conn) {
             let t0 = Instant::now();
             let resp = match self.triage(&payload, &service.seq) {
                 Triage::Reply(resp) => resp,
                 Triage::Admitted { req, class } => {
-                    let resp = (service.exec)(req);
-                    self.admission.release();
+                    let resp = self.execute(req, &service.exec);
                     // Count before writing: a closed-loop client that sees
                     // this reply and immediately scrapes `Stats` must find
                     // it reflected.
@@ -315,10 +335,30 @@ impl FrontEnd {
                     resp
                 }
             };
-            if wire::write_frame(&mut stream, &resp.encode()).is_err() {
+            if wire::write_frame(conn.get_mut(), &resp.encode()).is_err() {
                 break;
             }
         }
+    }
+
+    /// Runs an admitted request and returns its admission token, however
+    /// the executor ends.  An executor that panics is answered with
+    /// [`ErrorCode::Internal`] and counted in `net.exec_panics`, and the
+    /// connection keeps serving.
+    fn execute(&self, req: Request, exec: &Exec) -> Response {
+        let _token = Token(&self.admission);
+        std::panic::catch_unwind(AssertUnwindSafe(|| exec(req))).unwrap_or_else(|panic| {
+            self.metrics.exec_panics.inc();
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a non-string payload");
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: format!("the request's executor panicked: {what}"),
+            }
+        })
     }
 
     /// Sorts one received frame: decodes it, answers control messages

@@ -91,6 +91,8 @@ pub enum NetError {
     ShuttingDown,
     /// The server refused the request as semantically invalid.
     Remote(String),
+    /// The server failed executing the request (its executor panicked).
+    Internal(String),
 }
 
 impl fmt::Display for NetError {
@@ -115,6 +117,7 @@ impl fmt::Display for NetError {
             NetError::Overload => write!(f, "server overloaded (request shed)"),
             NetError::ShuttingDown => write!(f, "server shutting down"),
             NetError::Remote(msg) => write!(f, "server refused request: {msg}"),
+            NetError::Internal(msg) => write!(f, "server failed the request: {msg}"),
         }
     }
 }

@@ -86,6 +86,9 @@ pub enum ErrorCode {
     /// The server is draining: in-flight requests finish, new ones are
     /// refused.
     ShuttingDown,
+    /// The request's executor panicked.  The server answered it anyway
+    /// and the connection keeps serving.
+    Internal,
 }
 
 impl ErrorCode {
@@ -94,6 +97,7 @@ impl ErrorCode {
             ErrorCode::Overload => 1,
             ErrorCode::BadRequest => 2,
             ErrorCode::ShuttingDown => 3,
+            ErrorCode::Internal => 4,
         }
     }
 
@@ -102,6 +106,7 @@ impl ErrorCode {
             1 => Ok(ErrorCode::Overload),
             2 => Ok(ErrorCode::BadRequest),
             3 => Ok(ErrorCode::ShuttingDown),
+            4 => Ok(ErrorCode::Internal),
             other => Err(NetError::Corrupt(format!(
                 "unknown error code {other:#04x}"
             ))),

@@ -417,7 +417,13 @@ impl SpatialIndex for PanickingKnn {
     fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {
         self.0.window_query_visit(w, cx, visit)
     }
-    fn knn_query_visit(&self, _: &Point, _: usize, _: &mut QueryContext, _: &mut dyn FnMut(&Point)) {
+    fn knn_query_visit(
+        &self,
+        _: &Point,
+        _: usize,
+        _: &mut QueryContext,
+        _: &mut dyn FnMut(&Point),
+    ) {
         panic!("this index's kNN panics");
     }
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
@@ -438,10 +444,14 @@ impl SpatialIndex for PanickingKnn {
 }
 
 #[test]
-fn a_panicking_executor_answers_and_returns_its_admission_token() {
+fn a_panicking_executor_answers_internal_and_returns_its_admission_token() {
     let rebuild: RebuildFn = Box::new(|pts| Box::new(PanickingKnn(ScanIndex::new(pts.to_vec()))));
     let points = test_points(50);
-    let engine = Arc::new(SpatialServer::new(&points, rebuild, ServerConfig::default()));
+    let engine = Arc::new(SpatialServer::new(
+        &points,
+        rebuild,
+        ServerConfig::default(),
+    ));
     let handle = net::serve_config(Arc::clone(&engine), &ServeConfig::default()).unwrap();
     let addr = handle.local_addr().to_string();
     // The call runs on its own thread, so a server that never answers
@@ -461,9 +471,15 @@ fn a_panicking_executor_answers_and_returns_its_admission_token() {
             inflight()
         );
     };
-    assert!(got.starts_with("Err("), "a panicked kNN answered {got}");
+    assert!(
+        got.starts_with("Err(Internal("),
+        "a panicked kNN answered {got}"
+    );
+    assert!(got.contains("this index's kNN panics"), "{got}");
     let mut client = caller.join().unwrap();
     assert_eq!(inflight(), Some(0), "the admission token leaked");
+    let (_, metrics) = client.stats().unwrap();
+    assert_eq!(metrics.counter("net.exec_panics"), Some(1));
     // The connection keeps serving.
     client.ping().unwrap();
     let (_, hit) = client.point(&points[7]).unwrap();

@@ -71,12 +71,14 @@ pub use net::FrontStats as RouterStats;
 
 /// Whether an upstream error means the connection (or replica) is unusable,
 /// as opposed to a semantic refusal the router should relay.  Overload,
-/// drain, and remote refusals travel back to the client; everything else —
-/// socket errors, truncation, framing corruption — is grounds for failover.
+/// drain, remote refusals and executor failures travel back to the client
+/// (the shard answered, and its connection keeps serving); everything
+/// else — socket errors, truncation, framing corruption — is grounds for
+/// failover.
 fn is_conn_error(e: &NetError) -> bool {
     !matches!(
         e,
-        NetError::Overload | NetError::ShuttingDown | NetError::Remote(_)
+        NetError::Overload | NetError::ShuttingDown | NetError::Remote(_) | NetError::Internal(_)
     )
 }
 
@@ -444,6 +446,9 @@ impl Core {
                 ErrorCode::BadRequest,
                 format!("shard {shard} refused: {msg}"),
             ),
+            NetError::Internal(msg) => {
+                (ErrorCode::Internal, format!("shard {shard} failed: {msg}"))
+            }
             NetError::Overload => (
                 ErrorCode::Overload,
                 format!("shard {shard} overloaded or has no live replicas"),

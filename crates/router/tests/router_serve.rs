@@ -706,3 +706,91 @@ fn mismatched_replica_sets_are_rejected() {
     let err = router::serve(manifest, vec![Vec::new(); n], &ServeConfig::default());
     assert!(err.is_err(), "an empty replica set must be rejected");
 }
+
+/// A scan whose kNN panics: a stand-in for any executor defect on a shard.
+struct PanickingKnn(common::brute_force::ScanIndex);
+
+impl SpatialIndex for PanickingKnn {
+    fn name(&self) -> &'static str {
+        "PanickingKnn"
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        self.0.point_query(q, cx)
+    }
+    fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {
+        self.0.window_query_visit(w, cx, visit)
+    }
+    fn knn_query_visit(
+        &self,
+        _: &Point,
+        _: usize,
+        _: &mut QueryContext,
+        _: &mut dyn FnMut(&Point),
+    ) {
+        panic!("this shard's kNN panics");
+    }
+    fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
+        self.0.for_each_point(visit)
+    }
+    fn insert(&mut self, p: Point) {
+        self.0.insert(p)
+    }
+    fn delete(&mut self, p: &Point) -> bool {
+        self.0.delete(p)
+    }
+    fn size_bytes(&self) -> usize {
+        self.0.size_bytes()
+    }
+    fn height(&self) -> usize {
+        self.0.height()
+    }
+}
+
+#[test]
+fn a_shard_whose_executor_panics_is_relayed_as_internal_and_stays_in_rotation() {
+    let data = generate(Distribution::Uniform, 1_000, 71);
+    let path = snapshot_path("panic");
+    let index = registry::build_index(BaseKind::Grid.sharded(), &data, &cfg());
+    registry::save_index(index.as_ref(), &path).expect("save sharded snapshot");
+    let (_, manifest) = registry::load_shard_manifest(&path).expect("read manifest");
+    let _ = std::fs::remove_file(&path);
+    // Every shard serves its own points through a scan whose kNN panics.
+    let mut shard_handles = Vec::new();
+    let mut addrs = Vec::new();
+    for shard in 0..manifest.shard_count() {
+        let home = |p: &&Point| manifest.partitioner.route(p.x, p.y) == shard;
+        let points: Vec<Point> = data.iter().filter(home).copied().collect();
+        let rebuild: server::RebuildFn = Box::new(|pts| {
+            Box::new(PanickingKnn(common::brute_force::ScanIndex::new(
+                pts.to_vec(),
+            )))
+        });
+        let server = Arc::new(SpatialServer::new(
+            &points,
+            rebuild,
+            ServerConfig::default(),
+        ));
+        let handle = net::serve_config(server, &ServeConfig::default()).expect("serve shard");
+        addrs.push(vec![handle.local_addr().to_string()]);
+        shard_handles.push(handle);
+    }
+    let router = router::serve(manifest, addrs, &ServeConfig::default()).expect("start router");
+    let mut client = NetClient::connect(&router.local_addr().to_string()).expect("connect");
+    match client.knn(&data[0], 5) {
+        Err(net::NetError::Internal(msg)) => {
+            assert!(msg.contains("this shard's kNN panics"), "{msg}")
+        }
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    // The shard answered, so it stays in rotation and the router serves on.
+    let (_, hit) = client.point(&data[0]).expect("point after the panic");
+    assert_eq!(hit, Some(data[0]));
+    let (_, snap) = client.stats().expect("stats");
+    assert_eq!(snap.counter("router.replica_failovers").unwrap_or(0), 0);
+    assert_eq!(snap.gauge("net.inflight"), Some(0));
+    drop(router);
+    drop(shard_handles);
+}

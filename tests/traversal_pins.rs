@@ -133,6 +133,7 @@ const CODEC_FINGERPRINTS: &[(&str, u64)] = &[
     ("Response::Error overload", 0x79AF2E096CEACD84),
     ("Response::Error bad request", 0xBEA722998D95DFBF),
     ("Response::Error shutting down", 0x3FC0A6F170BCA730),
+    ("Response::Error internal", 0x455D6322CB798D70),
     ("Response::Stats", 0x86C60068C5EC7A08),
     ("Response::Events", 0x56E9F6C17C556110),
 ];
@@ -553,6 +554,13 @@ fn wire_messages() -> Vec<(&'static str, Vec<u8>)> {
             Response::Error {
                 code: ErrorCode::ShuttingDown,
                 message: String::new(),
+            },
+        ),
+        (
+            "Response::Error internal",
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: "kNN panicked".into(),
             },
         ),
         ("Response::Stats", Response::Stats { seq: 14, metrics }),
