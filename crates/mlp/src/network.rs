@@ -181,7 +181,7 @@ impl Mlp {
     #[allow(unsafe_code)]
     fn predict_on(&self, isa: Isa, input: &[f64]) -> f64 {
         match isa {
-            // SAFETY: the host has AVX2.
+            // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             isa if isa.avx2() => unsafe { self.predict_avx2(input) },
             _ => self.predict_body(input),
@@ -636,7 +636,7 @@ impl Units {
         follower: Option<&Mailbox>,
     ) -> f64 {
         match isa {
-            // SAFETY: the host has AVX2.
+            // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             isa if isa.avx2() => unsafe { self.lead_epoch_avx2(rows, targets, rate, b2, follower) },
             _ => self.lead_epoch_body(rows, targets, rate, b2, follower),
@@ -709,7 +709,7 @@ impl Units {
         leader: &Mailbox,
     ) {
         match isa {
-            // SAFETY: the host has AVX2.
+            // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             isa if isa.avx2() => unsafe { self.follow_epoch_avx2(rows, targets, rate, leader) },
             _ => self.follow_epoch_body(rows, targets, rate, leader),

@@ -214,7 +214,8 @@ impl FrontEnd {
     /// connection gets its own thread, which answers control messages with
     /// the sequence number `seq` reports and every admitted request with
     /// `exec`.  An `exec` reply of `Error { code: Overload, .. }` counts as
-    /// a shed, any other error as neither shed nor completed.
+    /// a shed, any other error as neither shed nor completed.  An `exec`
+    /// that panics is answered with `Error { code: Internal, .. }`.
     pub fn serve(
         cfg: &server::ServeConfig,
         telemetry: Arc<Telemetry>,

@@ -54,7 +54,7 @@ pub fn rect_mask(xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
 #[inline]
 fn rect_mask_on(isa: Isa, xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
     match isa {
-        // SAFETY: the host has AVX2.
+        // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         isa if isa.avx2() => unsafe { rect_mask_avx2(xs, ys, rect) },
         _ => rect_mask_body(xs, ys, rect),
@@ -98,7 +98,7 @@ pub fn dist_sq_into(xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
 #[inline]
 fn dist_sq_into_on(isa: Isa, xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
     match isa {
-        // SAFETY: the host has AVX2.
+        // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         isa if isa.avx2() => unsafe { dist_sq_into_avx2(xs, ys, cx, cy, out) },
         _ => dist_sq_into_body(xs, ys, cx, cy, out),
@@ -136,7 +136,7 @@ pub fn within_mask(xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
 #[inline]
 fn within_mask_on(isa: Isa, xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
     match isa {
-        // SAFETY: the host has AVX2.
+        // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         isa if isa.avx2() => unsafe { within_mask_avx2(xs, ys, cx, cy, r_sq) },
         _ => within_mask_body(xs, ys, cx, cy, r_sq),
