@@ -19,19 +19,19 @@
 #                         fmin/fmax v*.2d
 # The sigmoid strip (crates/mlp/src/lib.rs) must contain all three of a
 # packed divide (divpd / fdiv v*.2d) and the packed integer add and shift
-# that build 2^k (paddq, psllq / add, shl v*.2d).  The `asm_probes` symbols
-# are the baseline (SSE2 / NEON) instances, which a host without AVX2 runs.
+# that build 2^k (paddq, psllq / add, shl v*.2d).  Its `asm_probes` symbol is
+# the baseline (SSE2 / NEON) instance, which a host without AVX2 runs.
 #
-# On x86-64 the hot loops also have an AVX2 instance, picked at run time
-# (crates/{mlp,storage}/src/isa.rs).  Their own symbols are checked for
-# 256-bit packed ops (a %ymm operand): vdivpd / vpaddq / vpsllq in
+# On x86-64 the MLP's hot loops also have an AVX2 instance, picked at run
+# time (crates/mlp/src/isa.rs).  Their own symbols are checked for 256-bit
+# packed ops (a %ymm operand): vdivpd / vpaddq / vpsllq in
 # `Mlp::predict_avx2` and the two epoch bodies, whose sigmoid strip must run
-# four lanes wide, and vcmppd / vmulpd / vsubpd in the kernels' instances.
-# A `#[target_feature]` function is never inlined into a baseline caller, so
-# the symbols always exist; one that lost its `#[target_feature]` either
-# disappears into its dispatcher or has no %ymm operand, and fails.  No
-# instance may hold an FMA (vfmadd*): the two instances agree bit for bit
-# only while every lane rounds the product and the sum separately.
+# four lanes wide.  A `#[target_feature]` function is never inlined into a
+# baseline caller, so the symbols always exist; one that lost its
+# `#[target_feature]` either disappears into its dispatcher or has no %ymm
+# operand, and fails.  No instance may hold an FMA (vfmadd*): the two
+# instances agree bit for bit only while every lane rounds the product and
+# the sum separately.
 #
 # The build sets CARGO_PROFILE_RELEASE_LTO=false: under the workspace's thin
 # LTO, rustc passes -C linker-plugin-lto and `--emit asm` shows pre-LTO
@@ -61,12 +61,12 @@ emit_asm() {
 fail=0
 
 echo "checking scan-kernel autovectorization..."
-storage_asm=$(emit_asm storage)
+asm=$(emit_asm storage)
 packed='(v?(mul|sub|add|min|max|cmp[a-z]*|movu)p[ds]|vfmadd[0-9]*pd|(fmul|fsub|fadd|fcmge|fcmle|fmin|fmax)[[:space:]]+v[0-9]+\.2d)'
 for probe in rect_mask within_mask dist_sq_into mbr_of; do
-    body=$(probe_body "$storage_asm" "asm_probes.*${probe}")
+    body=$(probe_body "$asm" "asm_probes.*${probe}")
     if [ -z "$body" ]; then
-        echo "FAIL: kernel probe symbol asm_probes::${probe} not found in $storage_asm" >&2
+        echo "FAIL: kernel probe symbol asm_probes::${probe} not found in $asm" >&2
         fail=1
         continue
     fi
@@ -83,10 +83,10 @@ for probe in rect_mask within_mask dist_sq_into mbr_of; do
 done
 
 echo "checking sigmoid autovectorization..."
-mlp_asm=$(emit_asm mlp)
-body=$(probe_body "$mlp_asm" "asm_probes.*sigmoid_strip")
+asm=$(emit_asm mlp)
+body=$(probe_body "$asm" "asm_probes.*sigmoid_strip")
 if [ -z "$body" ]; then
-    echo "FAIL: probe symbol asm_probes::sigmoid_strip not found in $mlp_asm" >&2
+    echo "FAIL: probe symbol asm_probes::sigmoid_strip not found in $asm" >&2
     fail=1
 else
     for op in 'v?divpd|fdiv[[:space:]]+v[0-9]+\.2d' \
@@ -105,30 +105,30 @@ else
     done
 fi
 
-# Checks that symbol $2 of assembly file $1 (crate $3) is an AVX2 instance:
-# every op in $4 (space-separated) with a %ymm operand, and no FMA.
+# Checks that symbol $1 of the mlp assembly is an AVX2 instance: every op in
+# $2 (space-separated) with a %ymm operand, and no FMA.
 check_avx2() {
     local body n op
-    body=$(probe_body "$1" "$2")
+    body=$(probe_body "$asm" "$1")
     if [ -z "$body" ]; then
-        echo "FAIL: AVX2 instance $2 not found in $1." >&2
+        echo "FAIL: AVX2 instance $1 not found in $asm." >&2
         echo "      Was its #[target_feature(enable = \"avx2\")] removed?" >&2
         fail=1
         return
     fi
-    for op in $4; do
+    for op in $2; do
         n=$(printf '%s\n' "$body" | grep -cE "[[:space:]]${op}[[:space:]].*%ymm" || true)
         if [ "$n" -eq 0 ]; then
-            echo "FAIL: $3::$2 has no 256-bit '$op' (no %ymm operand)." >&2
+            echo "FAIL: mlp::$1 has no 256-bit '$op' (no %ymm operand)." >&2
             echo "      The AVX2 instance must run four lanes wide.  Inspect:" >&2
-            echo "      CARGO_PROFILE_RELEASE_LTO=false cargo rustc --release -p $3 -- --emit asm" >&2
+            echo "      CARGO_PROFILE_RELEASE_LTO=false cargo rustc --release -p mlp -- --emit asm" >&2
             fail=1
         else
-            echo "  $3::$2 '$op': $n 256-bit instruction(s) — OK"
+            echo "  mlp::$1 '$op': $n 256-bit instruction(s) — OK"
         fi
     done
     if printf '%s\n' "$body" | grep -qE '[[:space:]]vfn?m(add|sub)[0-9]*[ps][ds]'; then
-        echo "FAIL: $3::$2 contains an FMA; the instances must agree bit for bit." >&2
+        echo "FAIL: mlp::$1 contains an FMA; the instances must agree bit for bit." >&2
         fail=1
     fi
 }
@@ -136,11 +136,8 @@ check_avx2() {
 if [ "$(uname -m)" = x86_64 ]; then
     echo "checking the AVX2 instances..."
     for f in predict_avx2 lead_epoch_avx2 follow_epoch_avx2; do
-        check_avx2 "$mlp_asm" "$f" mlp 'vdivpd vpaddq vpsllq'
+        check_avx2 "$f" 'vdivpd vpaddq vpsllq'
     done
-    check_avx2 "$storage_asm" rect_mask_avx2 storage 'vcmp[a-z]*pd'
-    check_avx2 "$storage_asm" within_mask_avx2 storage 'vcmp[a-z]*pd vmulpd vsubpd'
-    check_avx2 "$storage_asm" dist_sq_into_avx2 storage 'vmulpd vsubpd'
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -26,13 +26,7 @@
 //! snapshot-replay fixtures — are bit-identical.  Rust never contracts
 //! `a*a + b*b` into an FMA on its own, so vectorized and scalar results
 //! agree to the last ulp.
-//!
-//! [`rect_mask`], [`within_mask`] and [`dist_sq_into`] have a second
-//! instance compiled for AVX2 (four `f64` lanes), which an x86 host that
-//! has AVX2 runs in place of the baseline one (see `isa`); both run the
-//! same body, so they return the same bits.
 
-use crate::isa::Isa;
 use geom::{Point, Rect};
 
 /// Points per kernel chunk: one bitmask word's worth.
@@ -46,30 +40,6 @@ pub const CHUNK: usize = 64;
 /// Panics (debug) if the lanes disagree in length or exceed [`CHUNK`].
 #[inline]
 pub fn rect_mask(xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
-    rect_mask_on(Isa::host(), xs, ys, rect)
-}
-
-/// [`rect_mask`] on the instance `isa` picks.
-#[allow(unsafe_code)]
-#[inline]
-fn rect_mask_on(isa: Isa, xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
-    match isa {
-        // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        isa if isa.avx2() => unsafe { rect_mask_avx2(xs, ys, rect) },
-        _ => rect_mask_body(xs, ys, rect),
-    }
-}
-
-/// [`rect_mask`] compiled for AVX2.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn rect_mask_avx2(xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
-    rect_mask_body(xs, ys, rect)
-}
-
-#[inline(always)]
-fn rect_mask_body(xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
     debug_assert_eq!(xs.len(), ys.len());
     debug_assert!(xs.len() <= CHUNK);
     let mut flags = [false; CHUNK];
@@ -90,30 +60,6 @@ fn rect_mask_body(xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
 /// Panics (debug) if `out` is shorter than the lanes.
 #[inline]
 pub fn dist_sq_into(xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
-    dist_sq_into_on(Isa::host(), xs, ys, cx, cy, out)
-}
-
-/// [`dist_sq_into`] on the instance `isa` picks.
-#[allow(unsafe_code)]
-#[inline]
-fn dist_sq_into_on(isa: Isa, xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
-    match isa {
-        // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        isa if isa.avx2() => unsafe { dist_sq_into_avx2(xs, ys, cx, cy, out) },
-        _ => dist_sq_into_body(xs, ys, cx, cy, out),
-    }
-}
-
-/// [`dist_sq_into`] compiled for AVX2.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn dist_sq_into_avx2(xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
-    dist_sq_into_body(xs, ys, cx, cy, out)
-}
-
-#[inline(always)]
-fn dist_sq_into_body(xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
     debug_assert_eq!(xs.len(), ys.len());
     debug_assert!(out.len() >= xs.len());
     for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
@@ -128,30 +74,6 @@ fn dist_sq_into_body(xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) 
 /// `<= r_sq`.
 #[inline]
 pub fn within_mask(xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
-    within_mask_on(Isa::host(), xs, ys, cx, cy, r_sq)
-}
-
-/// [`within_mask`] on the instance `isa` picks.
-#[allow(unsafe_code)]
-#[inline]
-fn within_mask_on(isa: Isa, xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
-    match isa {
-        // SAFETY: the host has AVX2: `Isa::host` alone sets `avx2`, after detecting it.
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        isa if isa.avx2() => unsafe { within_mask_avx2(xs, ys, cx, cy, r_sq) },
-        _ => within_mask_body(xs, ys, cx, cy, r_sq),
-    }
-}
-
-/// [`within_mask`] compiled for AVX2.
-#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn within_mask_avx2(xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
-    within_mask_body(xs, ys, cx, cy, r_sq)
-}
-
-#[inline(always)]
-fn within_mask_body(xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
     debug_assert_eq!(xs.len(), ys.len());
     debug_assert!(xs.len() <= CHUNK);
     let mut flags = [false; CHUNK];
@@ -170,7 +92,7 @@ fn within_mask_body(xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 
 /// `i` on bit `56 + i` (the cross terms hit 64 distinct lower bit
 /// positions, so no carries corrupt the top byte) — 8 multiply-shift steps
 /// instead of 64 shift-or steps.
-#[inline(always)]
+#[inline]
 fn pack_mask(flags: &[bool; CHUNK], n: usize) -> u64 {
     let mut mask = 0u64;
     for (g, group) in flags.chunks_exact(8).enumerate() {
@@ -314,31 +236,30 @@ pub fn probes_within(probes: &[Point], rect: &Rect, r_sq: f64, out: &mut Vec<Poi
     );
 }
 
-/// Non-inlined baseline instantiations of the hot kernels for the CI
+/// Non-inlined instantiations of the hot kernels for the CI
 /// autovectorization guard: `ci/check_autovec.sh` compiles this crate with
 /// `--emit asm` and greps these symbols' bodies for packed SIMD ops
 /// (`mulpd`/`minpd`/`maxpd`/`cmp*pd`/`movupd` on x86-64, their `v`-prefixed
 /// AVX forms, `fmul v*`/`fcmge v*` on aarch64).  The `#[inline]` kernels
 /// above are otherwise only codegen'd inside their callers, where the guard
-/// could not find them; query paths never call these wrappers.  The AVX2
-/// instances are never inlined, so the guard reads their own symbols.
+/// could not find them; query paths never call these wrappers.
 #[doc(hidden)]
 pub mod asm_probes {
     use geom::Rect;
 
     #[inline(never)]
     pub fn rect_mask(xs: &[f64], ys: &[f64], rect: &Rect) -> u64 {
-        super::rect_mask_body(xs, ys, rect)
+        super::rect_mask(xs, ys, rect)
     }
 
     #[inline(never)]
     pub fn within_mask(xs: &[f64], ys: &[f64], cx: f64, cy: f64, r_sq: f64) -> u64 {
-        super::within_mask_body(xs, ys, cx, cy, r_sq)
+        super::within_mask(xs, ys, cx, cy, r_sq)
     }
 
     #[inline(never)]
     pub fn dist_sq_into(xs: &[f64], ys: &[f64], cx: f64, cy: f64, out: &mut [f64]) {
-        super::dist_sq_into_body(xs, ys, cx, cy, out)
+        super::dist_sq_into(xs, ys, cx, cy, out)
     }
 
     #[inline(never)]
@@ -397,73 +318,6 @@ mod tests {
             for i in 0..64 {
                 let inside = Point::new(xs[i], ys[i]).dist_sq(&q) <= r_sq;
                 assert_eq!(mask >> i & 1 == 1, inside, "lane {i} r_sq {r_sq}");
-            }
-        }
-    }
-
-    /// The AVX2 instances of the dispatched kernels return the baseline's
-    /// masks and distance bits over seeded lanes of 0, 1, 63, 64 and 65
-    /// points (the masks chunk by chunk), with duplicate points, rectangles
-    /// whose edges touch points, and zero radii.
-    #[test]
-    fn the_avx2_kernels_return_the_baseline_bits() {
-        let wide = Isa::host();
-        if wide == Isa::BASE {
-            println!("skipped: this host has no AVX2");
-            return;
-        }
-        let mut state = 0x5CA7_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for n in [0, 1, 63, 64, 65] {
-            let (mut xs, mut ys) = (Vec::new(), Vec::new());
-            for i in 0..n {
-                // Every fifth point repeats the one before it.
-                let (x, y) = if i % 5 == 4 {
-                    (xs[i - 1], ys[i - 1])
-                } else {
-                    (next(), next())
-                };
-                xs.push(x);
-                ys.push(y);
-            }
-            let mut rects = vec![Rect::new(0.2, 0.3, 0.7, 0.9), Rect::new(0.0, 0.0, 1.0, 1.0)];
-            let mut centers = vec![(0.5, 0.5)];
-            if n > 0 {
-                // Edges through points, and a degenerate rectangle on one.
-                let (a, b) = (n / 3, n - 1);
-                rects.push(Rect::new(xs[a], ys[a], xs[b], ys[b]));
-                rects.push(Rect::new(xs[a], ys[a], xs[a], ys[a]));
-                centers.push((xs[a], ys[a]));
-            }
-            for (x_chunk, y_chunk) in xs.chunks(CHUNK).zip(ys.chunks(CHUNK)) {
-                for rect in &rects {
-                    assert_eq!(
-                        rect_mask_on(wide, x_chunk, y_chunk, rect),
-                        rect_mask_on(Isa::BASE, x_chunk, y_chunk, rect),
-                        "n {n}, rect {rect:?}"
-                    );
-                }
-                for &(cx, cy) in &centers {
-                    for r_sq in [0.0, 0.01, 0.25, 4.0] {
-                        assert_eq!(
-                            within_mask_on(wide, x_chunk, y_chunk, cx, cy, r_sq),
-                            within_mask_on(Isa::BASE, x_chunk, y_chunk, cx, cy, r_sq),
-                            "n {n}, center ({cx}, {cy}), r_sq {r_sq}"
-                        );
-                    }
-                }
-            }
-            for &(cx, cy) in &centers {
-                let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
-                dist_sq_into_on(wide, &xs, &ys, cx, cy, &mut got);
-                dist_sq_into_on(Isa::BASE, &xs, &ys, cx, cy, &mut want);
-                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "n {n}, center ({cx}, {cy})");
             }
         }
     }

@@ -24,14 +24,11 @@
 //! charges each modelled I/O to its `common::QueryContext`, so the store
 //! stays free of interior mutability and indices built on it are `Sync`.
 
-// `deny`, not `forbid`: the dispatchers of `kernels` call the AVX2
-// instances of the scan kernels under `#[allow(unsafe_code)]` (see `isa`).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod block;
 pub mod directory;
-mod isa;
 pub mod kernels;
 mod snapshot;
 mod store;
