@@ -25,6 +25,8 @@
 //! themselves: an FNV-64 over the snapshot bytes of fresh RSMI and ZM
 //! builds.  A training-kernel change that claims bit-identical models must
 //! leave it alone; the epoch-loss stop rule moved it.
+//! `SCALE_FINGERPRINTS` does the same for the benchmark's own builds (1 M
+//! RSMI points, 200 k `Sharded-HRR` points); it runs under `--release` only.
 //!
 //! `CODEC_FINGERPRINTS` pins the encoders: an FNV-64 over the snapshot
 //! bytes of every registered kind, and over the frame of every wire
@@ -39,7 +41,7 @@ use geom::{Point, Rect};
 use net::wire::frame_bytes;
 use net::{ErrorCode, Request, Response};
 use obs::{Event, EventKind, EventsSnapshot, HistogramSnapshot, MetricsSnapshot};
-use registry::{build_index, IndexConfig, IndexKind};
+use registry::{build_index, BaseKind, IndexConfig, IndexKind};
 use rsmi::{Rsmi, RsmiConfig, RsmiExact};
 use std::ops::Range;
 
@@ -342,6 +344,49 @@ fn bulk_loads_match_the_pinned_fingerprints() {
             .map(|(name, hash)| format!("    ({name:?}, {hash:#018X}),\n"))
             .collect();
         panic!("build fingerprints differ; observed table:\n{table}");
+    }
+}
+
+/// `(build, fnv64 of its snapshot bytes without build_seconds)` at the
+/// benchmark's scale: `mem-read-1m`'s RSMI and `routed-mixed-200k`'s
+/// `Sharded-HRR`, both over the skewed data at seed 42.
+const SCALE_FINGERPRINTS: &[(&str, u64)] = &[
+    ("RSMI 1 M", 0x5D1A04A9CF2B5C7E),
+    ("Sharded-HRR 200 k", 0x4C35CB05233BABD9),
+];
+
+#[test]
+fn scale_builds_match_the_pinned_fingerprints() {
+    if cfg!(debug_assertions) {
+        println!("skipped: the 1 M build runs under --release only");
+        return;
+    }
+    let rsmi = build_index(
+        IndexKind::Rsmi,
+        &generate(Distribution::skewed_default(), 1_000_000, 42),
+        &IndexConfig::default(),
+    );
+    let sharded = build_index(
+        IndexKind::Sharded(BaseKind::Hrr),
+        &generate(Distribution::skewed_default(), 200_000, 42),
+        &IndexConfig::default().with_shards(2).with_threads(2),
+    );
+    let observed: Vec<(&str, u64)> = [
+        ("RSMI 1 M", rsmi, true),
+        ("Sharded-HRR 200 k", sharded, false),
+    ]
+    .iter()
+    .map(|(name, index, skip)| {
+        let bytes = registry::snapshot_bytes(index.as_ref()).unwrap();
+        (*name, snapshot_fnv64(&bytes, *skip))
+    })
+    .collect();
+    if observed != SCALE_FINGERPRINTS {
+        let table: String = observed
+            .iter()
+            .map(|(name, hash)| format!("    ({name:?}, {hash:#018X}),\n"))
+            .collect();
+        panic!("scale build fingerprints differ; observed table:\n{table}");
     }
 }
 
