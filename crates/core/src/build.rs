@@ -12,7 +12,7 @@ use crate::RsmiConfig;
 use geom::{bounding_rect, Point, Rect};
 use mlp::{MlpConfig, ScaledRegressor};
 use sfc::rank_space::{point_cmp_x, point_cmp_y, rank_space_order};
-use sfc::RankSpace;
+use sfc::{CurveKind, RankSpace};
 use std::sync::Mutex;
 use storage::BlockStore;
 
@@ -202,31 +202,10 @@ impl Builder {
     ) -> Subtree {
         let s = self.grid_side();
         let cells = s * s;
-        let grid_order = s.trailing_zeros();
         let n = points.len();
 
-        // Step 1: data-driven grid.  Cut the data into `s` columns of equal
-        // cardinality by x, then each column into `s` cells by y.
-        points.sort_by(point_cmp_x);
-        let col_size = n.div_ceil(s);
-        let mut true_cell: Vec<u64> = vec![0; n];
-        for (col, col_points) in points.chunks(col_size).enumerate() {
-            // Indices of this column within the sorted-by-x order.
-            let col_start = col * col_size;
-            let mut idx: Vec<usize> = (col_start..col_start + col_points.len()).collect();
-            idx.sort_by(|&a, &b| point_cmp_y(&points[a], &points[b]));
-            let cell_size = col_points.len().div_ceil(s).max(1);
-            for (row, row_idx) in idx.chunks(cell_size).enumerate() {
-                let cv = self.config.curve.encode(
-                    col as u32,
-                    (row as u32).min(s as u32 - 1),
-                    grid_order,
-                );
-                for &i in row_idx {
-                    true_cell[i] = cv;
-                }
-            }
-        }
+        // Step 1: data-driven grid.
+        let true_cell = grid_cells(&mut points, s, self.config.curve);
 
         // Step 2: learn the partitioning function M_{i,j}.
         let inputs: Vec<[f64; 2]> = points.iter().map(|p| [p.x, p.y]).collect();
@@ -297,6 +276,32 @@ impl Builder {
     }
 }
 
+/// The data-driven grid of an internal node (§3.2): sorts `points` by x,
+/// cuts them into `side` columns of equal cardinality, cuts each column into
+/// `side` cells by y, and returns the curve value of each point's cell,
+/// aligned with the sorted points.
+fn grid_cells(points: &mut [Point], side: usize, curve: CurveKind) -> Vec<u64> {
+    let grid_order = side.trailing_zeros();
+    let n = points.len();
+    points.sort_by(point_cmp_x);
+    let col_size = n.div_ceil(side);
+    let mut true_cell: Vec<u64> = vec![0; n];
+    for (col, col_points) in points.chunks(col_size).enumerate() {
+        // Indices of this column within the sorted-by-x order.
+        let col_start = col * col_size;
+        let mut idx: Vec<usize> = (col_start..col_start + col_points.len()).collect();
+        idx.sort_by(|&a, &b| point_cmp_y(&points[a], &points[b]));
+        let cell_size = col_points.len().div_ceil(side).max(1);
+        for (row, row_idx) in idx.chunks(cell_size).enumerate() {
+            let cv = curve.encode(col as u32, (row as u32).min(side as u32 - 1), grid_order);
+            for &i in row_idx {
+                true_cell[i] = cv;
+            }
+        }
+    }
+    true_cell
+}
+
 /// Maps `jobs` through `build` on up to `threads` workers — the calling
 /// thread and scoped helpers — each pulling the next job from a shared
 /// queue; the results come back in job order.
@@ -357,6 +362,143 @@ mod tests {
             pts.push(Point::with_id(x, y, id as u64));
         }
         pts
+    }
+
+    /// Seeded points with shared x values, shared y values, co-located
+    /// copies under equal and under distinct ids, and both signed zeros.
+    fn tie_heavy_points(n: usize, seed: u64) -> Vec<Point> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let coord = |r: u64| match r % 8 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => (r % 40) as f64 / 40.0,
+        };
+        let flip_zero = |v: f64| if v == 0.0 { -v } else { v };
+        let mut pts: Vec<Point> = Vec::with_capacity(n);
+        while pts.len() < n {
+            let r = next();
+            let fresh = Point::with_id(coord(next()), coord(next()), next() % 64);
+            let q = pts.get((next() as usize) % pts.len().max(1)).copied();
+            pts.push(match (r >> 6) % 5 {
+                0 => q.unwrap_or(fresh),
+                1 => q.map_or(fresh, |q| Point::with_id(q.x, q.y, next() % 64)),
+                2 => q.map_or(fresh, |q| {
+                    Point::with_id(flip_zero(q.x), flip_zero(q.y), q.id)
+                }),
+                _ => fresh,
+            });
+        }
+        pts
+    }
+
+    fn bits(p: &Point) -> (u64, u64, u64) {
+        (p.x.to_bits(), p.y.to_bits(), p.id)
+    }
+
+    #[test]
+    fn keyed_sorts_keep_the_comparator_order_and_its_tie_rule() {
+        use std::cmp::Ordering;
+        // The comparators the sorts used before they were keyed: stable
+        // sorts over `partial_cmp` chains, the id last.
+        fn by_x(a: &Point, b: &Point) -> Ordering {
+            let (x, y) = (
+                a.x.partial_cmp(&b.x).unwrap(),
+                a.y.partial_cmp(&b.y).unwrap(),
+            );
+            x.then(y).then(a.id.cmp(&b.id))
+        }
+        fn by_y(a: &Point, b: &Point) -> Ordering {
+            let (y, x) = (
+                a.y.partial_cmp(&b.y).unwrap(),
+                a.x.partial_cmp(&b.x).unwrap(),
+            );
+            y.then(x).then(a.id.cmp(&b.id))
+        }
+        let sorted_positions = |pts: &[Point], cmp: fn(&Point, &Point) -> Ordering| {
+            let mut idx: Vec<usize> = (0..pts.len()).collect();
+            idx.sort_by(|&a, &b| cmp(&pts[a], &pts[b]));
+            idx
+        };
+        for seed in [1, 7, 42] {
+            let pts = tie_heavy_points(3_000, seed);
+
+            // Rank space and the curve order of its cells.
+            let mut ranks = vec![(0u32, 0u32); pts.len()];
+            for (rank, i) in sorted_positions(&pts, by_x).into_iter().enumerate() {
+                ranks[i].0 = rank as u32;
+            }
+            for (rank, i) in sorted_positions(&pts, by_y).into_iter().enumerate() {
+                ranks[i].1 = rank as u32;
+            }
+            let rs = RankSpace::new(&pts);
+            assert_eq!(rs.ranks(), &ranks[..], "rank space, seed {seed}");
+            for curve in [CurveKind::Z, CurveKind::Hilbert] {
+                let values = rs.curve_values(curve);
+                let mut perm: Vec<usize> = (0..pts.len()).collect();
+                perm.sort_by_key(|&i| values[i]);
+                assert_eq!(rs.sorted_permutation(curve), perm, "{curve:?}, seed {seed}");
+            }
+
+            // The root grid: the x order of the points and every cell.
+            let side = 4;
+            let mut sorted = pts.clone();
+            sorted.sort_by(by_x);
+            let col_size = sorted.len().div_ceil(side);
+            let mut cells = vec![0u64; sorted.len()];
+            for (col, column) in sorted.chunks(col_size).enumerate() {
+                let cell_size = column.len().div_ceil(side);
+                let by_row = sorted_positions(column, by_y);
+                for (row, members) in by_row.chunks(cell_size).enumerate() {
+                    for &i in members {
+                        let cell = CurveKind::Hilbert.encode(col as u32, row as u32, 2);
+                        cells[col * col_size + i] = cell;
+                    }
+                }
+            }
+            let mut keyed = pts.clone();
+            let keyed_cells = grid_cells(&mut keyed, side, CurveKind::Hilbert);
+            let bits_of = |pts: &[Point]| pts.iter().map(bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits_of(&keyed),
+                bits_of(&sorted),
+                "grid x order, seed {seed}"
+            );
+            assert_eq!(keyed_cells, cells, "grid cells, seed {seed}");
+
+            // The marginal CDFs' breakpoints, signed zeros included.
+            for coord in [|p: &Point| p.x, |p: &Point| p.y] {
+                let values: Vec<f64> = pts.iter().map(coord).collect();
+                let mut sorted = values.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let n = sorted.len();
+                let (mut ref_xs, mut ref_fracs) = (vec![sorted[0]], vec![0.0]);
+                for i in 1..=100 {
+                    let idx = ((i * n) / 100).clamp(1, n) - 1;
+                    let frac = (idx + 1) as f64 / n as f64;
+                    if sorted[idx] > *ref_xs.last().unwrap() {
+                        ref_xs.push(sorted[idx]);
+                        ref_fracs.push(frac);
+                    } else {
+                        *ref_fracs.last_mut().unwrap() = frac;
+                    }
+                }
+                let cdf = crate::PiecewiseCdf::fit(&values, 100);
+                let (xs, fracs) = cdf.breakpoints();
+                let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    to_bits(xs),
+                    to_bits(&ref_xs),
+                    "CDF breakpoints, seed {seed}"
+                );
+                assert_eq!(fracs, ref_fracs);
+            }
+        }
     }
 
     fn test_config() -> RsmiConfig {

@@ -86,6 +86,12 @@ impl PiecewiseCdf {
         (delta / rise).clamp(0.05, 64.0)
     }
 
+    /// The breakpoint coordinates and their cumulative fractions.
+    #[cfg(test)]
+    pub(crate) fn breakpoints(&self) -> (&[f64], &[f64]) {
+        (&self.xs, &self.fracs)
+    }
+
     /// Number of stored breakpoints (for size accounting).
     pub fn size_bytes(&self) -> usize {
         (self.xs.len() + self.fracs.len()) * std::mem::size_of::<f64>()

@@ -240,6 +240,66 @@ mod tests {
     use super::*;
     use datagen::{generate, Distribution};
 
+    /// Seeded points with shared x values, shared y values, co-located
+    /// copies under equal and under distinct ids, and both signed zeros.
+    fn tie_heavy_points(n: usize, seed: u64) -> Vec<Point> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let coord = |r: u64| match r % 8 {
+            0 => -0.0,
+            1 => 0.0,
+            _ => (r % 40) as f64 / 40.0,
+        };
+        let flip_zero = |v: f64| if v == 0.0 { -v } else { v };
+        let mut pts: Vec<Point> = Vec::with_capacity(n);
+        while pts.len() < n {
+            let r = next();
+            let fresh = Point::with_id(coord(next()), coord(next()), next() % 64);
+            let q = pts.get((next() as usize) % pts.len().max(1)).copied();
+            pts.push(match (r >> 6) % 5 {
+                0 => q.unwrap_or(fresh),
+                1 => q.map_or(fresh, |q| Point::with_id(q.x, q.y, next() % 64)),
+                2 => q.map_or(fresh, |q| {
+                    Point::with_id(flip_zero(q.x), flip_zero(q.y), q.id)
+                }),
+                _ => fresh,
+            });
+        }
+        pts
+    }
+
+    #[test]
+    fn routing_tables_keep_the_comparator_order_and_its_tie_rule() {
+        // The stable sort over `partial_cmp` the tables used before they
+        // were keyed; equal pairs keep their input order.
+        let sorted = |mut pairs: Vec<(f64, f64)>| {
+            pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            pairs
+                .iter()
+                .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let bits = |pairs: &[(f64, f64)]| {
+            pairs
+                .iter()
+                .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for seed in [1, 7, 42] {
+            let pts = tie_heavy_points(3_000, seed);
+            let (p, _) = Partitioner::partition(&pts, 3, CurveKind::Hilbert);
+            let xy = sorted(pts.iter().map(|p| (p.x, p.y)).collect());
+            let yx = sorted(pts.iter().map(|p| (p.y, p.x)).collect());
+            assert_eq!(bits(&p.by_x), xy, "by_x, seed {seed}");
+            assert_eq!(bits(&p.by_y), yx, "by_y, seed {seed}");
+        }
+    }
+
     #[test]
     fn partition_is_near_equal_and_covers_all_points() {
         let data = generate(Distribution::skewed_default(), 1003, 7);
