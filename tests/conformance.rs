@@ -556,3 +556,50 @@ fn shared_index_serves_concurrent_queries() {
         }
     });
 }
+
+/// Skewed points with a NaN x at some positions and a NaN y at others.
+fn data_with_nans() -> (Vec<Point>, Vec<Point>) {
+    let mut data = generate(Distribution::skewed_default(), 3_000, 29);
+    for i in NAN_X {
+        data[i].x = f64::NAN;
+    }
+    for i in NAN_Y {
+        data[i].y = f64::NAN;
+    }
+    let finite = data
+        .iter()
+        .filter(|p| p.x.is_finite() && p.y.is_finite())
+        .copied()
+        .collect();
+    (data, finite)
+}
+
+const NAN_X: [usize; 3] = [17, 1_400, 2_911];
+const NAN_Y: [usize; 3] = [5, 1_023, 2_450];
+
+/// Coordinates should be finite, and the wire refuses others; but a NaN
+/// that reaches a bulk-load is stored and counted, and costs no finite
+/// point its answers.
+#[test]
+fn a_nan_coordinate_does_not_panic_a_bulk_load() {
+    let (data, finite) = data_with_nans();
+    let unit = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let mut failures = Vec::new();
+    for kind in IndexKind::all_with_sharded() {
+        let checked = std::panic::catch_unwind(|| {
+            let index = build_index(kind, &data, &cfg());
+            let mut cx = QueryContext::new();
+            assert_eq!(index.len(), data.len(), "len");
+            for p in &finite {
+                let found = index.point_query(p, &mut cx).map(|f| f.id);
+                assert_eq!(found, Some(p.id), "lost {p:?}");
+            }
+            let got = index.window_query(&unit, &mut cx);
+            assert_eq!(multiset(&got), multiset(&finite), "unit-square window");
+        });
+        if checked.is_err() {
+            failures.push(kind.name());
+        }
+    }
+    assert!(failures.is_empty(), "panicked: {failures:?}");
+}
