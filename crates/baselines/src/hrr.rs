@@ -14,7 +14,7 @@
 //! free.
 
 use common::{QueryContext, SpatialIndex};
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::{CurveKind, RankSpace};
 use std::ops::ControlFlow;
@@ -170,18 +170,10 @@ impl HilbertRTree {
                     let best = children
                         .iter()
                         .copied()
-                        .min_by(|&a, &b| {
-                            let ea = self.nodes[a].mbr.enlargement(&Rect::from_point(*p));
-                            let eb = self.nodes[b].mbr.enlargement(&Rect::from_point(*p));
-                            ea.partial_cmp(&eb)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                                .then_with(|| {
-                                    self.nodes[a]
-                                        .mbr
-                                        .area()
-                                        .partial_cmp(&self.nodes[b].mbr.area())
-                                        .unwrap_or(std::cmp::Ordering::Equal)
-                                })
+                        .min_by_key(|&c| {
+                            let mbr = &self.nodes[c].mbr;
+                            let growth = mbr.enlargement(&Rect::from_point(*p));
+                            (order_key(growth), order_key(mbr.area()))
                         })
                         .expect("internal nodes have children");
                     path.push(best);
@@ -191,10 +183,8 @@ impl HilbertRTree {
                     let best = blocks
                         .iter()
                         .copied()
-                        .min_by(|&a, &b| {
-                            let ea = self.block_mbr(a).enlargement(&Rect::from_point(*p));
-                            let eb = self.block_mbr(b).enlargement(&Rect::from_point(*p));
-                            ea.partial_cmp(&eb).unwrap_or(std::cmp::Ordering::Equal)
+                        .min_by_key(|&b| {
+                            order_key(self.block_mbr(b).enlargement(&Rect::from_point(*p)))
                         })
                         .expect("leaf parents have blocks");
                     return Some((path, best));
@@ -390,9 +380,9 @@ impl SpatialIndex for HilbertRTree {
                 acc
             });
             if mbr.width() >= mbr.height() {
-                pts.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+                pts.sort_by_key(|p| order_key(p.x));
             } else {
-                pts.sort_by(|a, b| a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal));
+                pts.sort_by_key(|p| order_key(p.y));
             }
             let half = pts.len() / 2;
             let second: Vec<Point> = pts.split_off(half);

@@ -20,7 +20,7 @@
 //! block.
 
 use common::{QueryContext, SpatialIndex};
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::ops::ControlFlow;
 use storage::directory::{self, Child, DirectoryView};
@@ -96,7 +96,7 @@ impl KdbTree {
         // `region` exactly.
         let n = points.len();
         let side = ((n as f64 / capacity as f64).sqrt().ceil() as usize).clamp(2, FANOUT_SIDE);
-        points.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+        points.sort_by_key(|p| order_key(p.x));
         let col_size = n.div_ceil(side);
         let mut children = Vec::new();
         let n_cols = n.div_ceil(col_size);
@@ -111,7 +111,7 @@ impl KdbTree {
             } else {
                 points[(ci + 1) * col_size].x
             };
-            col.sort_by(|a, b| a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal));
+            col.sort_by_key(|p| order_key(p.y));
             let cell_size = col.len().div_ceil(side).max(1);
             let n_cells = col.len().div_ceil(cell_size);
             let mut y_lo = region.min_y;
@@ -153,13 +153,10 @@ impl KdbTree {
                         // In no child (outside the tree's space, or a numerical
                         // edge): the nearest one, which the next step widens.
                         .or_else(|| {
-                            children.iter().copied().min_by(|&a, &b| {
-                                self.nodes[a]
-                                    .region
-                                    .min_dist(p)
-                                    .partial_cmp(&self.nodes[b].region.min_dist(p))
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                            })
+                            children
+                                .iter()
+                                .copied()
+                                .min_by_key(|&c| order_key(self.nodes[c].region.min_dist(p)))
                         })?;
                     cur = next;
                 }
@@ -177,9 +174,9 @@ impl KdbTree {
         pts.push(extra);
         let split_x = region.width() >= region.height();
         if split_x {
-            pts.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+            pts.sort_by_key(|p| order_key(p.x));
         } else {
-            pts.sort_by(|a, b| a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal));
+            pts.sort_by_key(|p| order_key(p.y));
         }
         let half = pts.len() / 2;
         let boundary = if split_x { pts[half].x } else { pts[half].y };

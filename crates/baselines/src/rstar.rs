@@ -17,7 +17,7 @@
 //! (a [`storage::Block`] the node owns, scanned by the shared kernels).
 
 use common::{QueryContext, SpatialIndex};
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::ops::ControlFlow;
 use storage::directory::{self, Child, DirectoryView};
@@ -160,9 +160,9 @@ impl RStarTree {
     fn split_points(mut points: Vec<Point>) -> (Vec<Point>, Vec<Point>) {
         let candidates = |pts: &mut Vec<Point>, by_x: bool| -> (f64, usize, f64, f64) {
             if by_x {
-                pts.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+                pts.sort_by_key(|p| order_key(p.x));
             } else {
-                pts.sort_by(|a, b| a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal));
+                pts.sort_by_key(|p| order_key(p.y));
             }
             let n = pts.len();
             let mut margin_sum = 0.0;
@@ -193,7 +193,7 @@ impl RStarTree {
         let (margin_y, split_y, ..) = candidates(&mut points, false);
         // `points` is currently sorted by y (last call); resort if x wins.
         let split = if margin_x <= margin_y {
-            points.sort_by(|a, b| a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal));
+            points.sort_by_key(|p| order_key(p.x));
             split_x
         } else {
             split_y
@@ -204,19 +204,12 @@ impl RStarTree {
 
     /// Same split procedure for internal entries, keyed on MBR centres.
     fn split_entries(mut entries: Vec<(Rect, usize)>) -> EntrySplit {
+        let x_key = |(r, _): &(Rect, usize)| (order_key(r.min_x), order_key(r.max_x));
         let margin_of = |entries: &mut Vec<(Rect, usize)>, by_x: bool| -> (f64, usize) {
             if by_x {
-                entries.sort_by(|a, b| {
-                    (a.0.min_x, a.0.max_x)
-                        .partial_cmp(&(b.0.min_x, b.0.max_x))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
+                entries.sort_by_key(x_key);
             } else {
-                entries.sort_by(|a, b| {
-                    (a.0.min_y, a.0.max_y)
-                        .partial_cmp(&(b.0.min_y, b.0.max_y))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
+                entries.sort_by_key(|(r, _)| (order_key(r.min_y), order_key(r.max_y)));
             }
             let n = entries.len();
             let lo = MIN_ENTRIES.min(n / 2).max(1);
@@ -242,11 +235,7 @@ impl RStarTree {
         let (margin_x, split_x) = margin_of(&mut entries, true);
         let (margin_y, split_y) = margin_of(&mut entries, false);
         let split = if margin_x <= margin_y {
-            entries.sort_by(|a, b| {
-                (a.0.min_x, a.0.max_x)
-                    .partial_cmp(&(b.0.min_x, b.0.max_x))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            entries.sort_by_key(x_key);
             split_x
         } else {
             split_y

@@ -14,7 +14,7 @@
 use common::brute_force::ScanIndex;
 use common::{QueryContext, SpatialIndex};
 use datagen::queries::MixedQuery;
-use geom::Point;
+use geom::{order_key, Point};
 use server::{SpatialServer, WriteOp};
 use std::time::Duration;
 
@@ -388,23 +388,17 @@ impl ReplayOutcome {
 /// id)` order is total) but O(n log k), which keeps replaying thousands of
 /// kNN queries against a 100k-point oracle cheap.
 fn oracle_knn_ids(points: &[Point], q: &Point, k: usize) -> Vec<u64> {
-    let mut best: Vec<(f64, u64)> = Vec::with_capacity(k + 1);
+    let mut best: Vec<(u64, u64)> = Vec::with_capacity(k + 1);
     if k == 0 {
         return Vec::new();
     }
     for p in points {
-        let d = p.dist_sq(q);
-        if best.len() >= k && (d, p.id) >= best[k - 1] {
+        let key = (order_key(p.dist_sq(q)), p.id);
+        if best.len() >= k && key >= best[k - 1] {
             continue;
         }
-        let pos = best
-            .binary_search_by(|(bd, bid)| {
-                bd.partial_cmp(&d)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(bid.cmp(&p.id))
-            })
-            .unwrap_or_else(|e| e);
-        best.insert(pos, (d, p.id));
+        let pos = best.binary_search(&key).unwrap_or_else(|e| e);
+        best.insert(pos, key);
         best.truncate(k);
     }
     best.into_iter().map(|(_, id)| id).collect()

@@ -4,7 +4,7 @@
 //! the learned indices) is measured, and the oracle used by correctness tests
 //! of every index.
 
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 
 /// Returns the indexed point with exactly the query coordinates, if any.
 pub fn point_query(points: &[Point], q: &Point) -> Option<Point> {
@@ -26,12 +26,7 @@ pub fn window_query(points: &[Point], window: &Rect) -> Vec<Point> {
 /// comparable across indices.
 pub fn knn_query(points: &[Point], q: &Point, k: usize) -> Vec<Point> {
     let mut v: Vec<Point> = points.to_vec();
-    v.sort_by(|a, b| {
-        a.dist_sq(q)
-            .partial_cmp(&b.dist_sq(q))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
+    v.sort_by_key(|p| (order_key(p.dist_sq(q)), p.id));
     v.truncate(k);
     v
 }

@@ -11,7 +11,7 @@ use crate::node::{InternalNode, LeafNode, Node, NodeId};
 use crate::RsmiConfig;
 use geom::{bounding_rect, Point, Rect};
 use mlp::{MlpConfig, ScaledRegressor};
-use sfc::rank_space::{point_cmp_x, point_cmp_y, rank_space_order};
+use sfc::rank_space::{axis_order, rank_space_order, Axis};
 use sfc::{CurveKind, RankSpace};
 use std::sync::Mutex;
 use storage::BlockStore;
@@ -280,22 +280,23 @@ impl Builder {
 /// cuts them into `side` columns of equal cardinality, cuts each column into
 /// `side` cells by y, and returns the curve value of each point's cell,
 /// aligned with the sorted points.
-fn grid_cells(points: &mut [Point], side: usize, curve: CurveKind) -> Vec<u64> {
+fn grid_cells(points: &mut Vec<Point>, side: usize, curve: CurveKind) -> Vec<u64> {
     let grid_order = side.trailing_zeros();
     let n = points.len();
-    points.sort_by(point_cmp_x);
+    *points = axis_order(points, Axis::X)
+        .iter()
+        .map(|&(_, i)| points[i])
+        .collect();
     let col_size = n.div_ceil(side);
     let mut true_cell: Vec<u64> = vec![0; n];
     for (col, col_points) in points.chunks(col_size).enumerate() {
-        // Indices of this column within the sorted-by-x order.
         let col_start = col * col_size;
-        let mut idx: Vec<usize> = (col_start..col_start + col_points.len()).collect();
-        idx.sort_by(|&a, &b| point_cmp_y(&points[a], &points[b]));
+        let by_y = axis_order(col_points, Axis::Y);
         let cell_size = col_points.len().div_ceil(side).max(1);
-        for (row, row_idx) in idx.chunks(cell_size).enumerate() {
+        for (row, row_entries) in by_y.chunks(cell_size).enumerate() {
             let cv = curve.encode(col as u32, (row as u32).min(side as u32 - 1), grid_order);
-            for &i in row_idx {
-                true_cell[i] = cv;
+            for &(_, i) in row_entries {
+                true_cell[col_start + i] = cv;
             }
         }
     }

@@ -28,7 +28,7 @@ impl PiecewiseCdf {
             };
         }
         let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        sorted.sort_by_key(|&v| geom::order_key(v));
         let n = sorted.len();
         let mut xs = Vec::with_capacity(pieces + 1);
         let mut fracs = Vec::with_capacity(pieces + 1);

@@ -12,7 +12,7 @@
 //! frozen marginals), one curve encode, and one binary search over the
 //! shard key boundaries — `O(log n)` with no per-shard work.
 
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use sfc::{rank_space_order, CurveKind, RankSpace};
 
 /// How a point set was cut into shards, plus the frozen routing tables.
@@ -60,9 +60,9 @@ impl Partitioner {
         let keys = rs.curve_values(curve);
 
         let mut by_x: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
-        by_x.sort_by(cmp_pair);
+        by_x.sort_by_key(pair_key);
         let mut by_y: Vec<(f64, f64)> = points.iter().map(|p| (p.y, p.x)).collect();
-        by_y.sort_by(cmp_pair);
+        by_y.sort_by_key(pair_key);
 
         // Near-equal cut: the first `n % s` shards get one extra point;
         // `cut[pos]` is the shard of the `pos`-th point in curve order.
@@ -189,11 +189,8 @@ impl Partitioner {
         }
         // Routing binary-searches all three tables; unsorted data would not
         // fail loudly — it would silently route queries to the wrong shard.
-        let sorted = |pairs: &[(f64, f64)]| {
-            pairs
-                .windows(2)
-                .all(|w| cmp_pair(&w[0], &w[1]) != std::cmp::Ordering::Greater)
-        };
+        let sorted =
+            |pairs: &[(f64, f64)]| pairs.windows(2).all(|w| pair_key(&w[0]) <= pair_key(&w[1]));
         if !sorted(&by_x) || !sorted(&by_y) || shard_key_lo.windows(2).any(|w| w[0] > w[1]) {
             return Err(persist::PersistError::Corrupt(
                 "partitioner routing tables are not sorted".into(),
@@ -230,9 +227,10 @@ fn decode_pairs(
     Ok(out)
 }
 
-/// Total order on coordinate pairs (the data contains no NaNs).
-fn cmp_pair(a: &(f64, f64), b: &(f64, f64)) -> std::cmp::Ordering {
-    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+/// The routing tables' order: lexicographic by [`order_key`].  A stable sort
+/// by it keeps equal pairs in input order.
+fn pair_key(&(a, b): &(f64, f64)) -> (u64, u64) {
+    (order_key(a), order_key(b))
 }
 
 #[cfg(test)]

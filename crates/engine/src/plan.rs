@@ -23,7 +23,7 @@
 
 use crate::partition::Partitioner;
 use common::knn::KBest;
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use std::convert::Infallible;
 
 /// What the planner may know about one shard.
@@ -195,11 +195,7 @@ impl KnnMerge {
         if k_eff == 0 {
             order.clear();
         } else {
-            order.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.1.cmp(&b.1))
-            });
+            order.sort_unstable_by_key(|&(d, shard)| (order_key(d), shard));
             fanout.pruned = n_shards - order.len();
         }
         Self {

@@ -21,7 +21,7 @@
 mod point;
 mod rect;
 
-pub use point::{cmp_by_x, cmp_by_y, Point, PointId};
+pub use point::{Point, PointId};
 pub use rect::Rect;
 
 /// Numeric tolerance used by approximate floating-point comparisons in tests
@@ -47,6 +47,36 @@ pub fn bounding_rect(points: &[Point]) -> Option<Rect> {
         rect.expand_to_point(*p);
     }
     Some(rect)
+}
+
+/// The key every float ordering sorts by.
+///
+/// For non-NaN `a` and `b`, `a < b` exactly when `order_key(a) <
+/// order_key(b)`, and `a == b` exactly when the keys are equal: `-0.0` and
+/// `+0.0` share a key, as `partial_cmp` calls them equal.  Every NaN gets
+/// the one key above `+∞`, so a sort by key is a total order and never
+/// panics, and NaNs sort last.  Sorts that break key ties by input
+/// position order NaN-free data exactly as a stable `partial_cmp` sort.
+///
+/// # Examples
+/// ```
+/// use geom::order_key;
+/// assert!(order_key(-1.5) < order_key(-0.0));
+/// assert_eq!(order_key(-0.0), order_key(0.0));
+/// assert!(order_key(f64::INFINITY) < order_key(f64::NAN));
+/// ```
+#[inline]
+pub fn order_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    // `v + 0.0` turns `-0.0` into `+0.0` and leaves every other value.
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// Normalises a value `v` from the range `[lo, hi]` into `[0, 1]`.
@@ -97,6 +127,38 @@ mod tests {
         let r = bounding_rect(&pts).unwrap();
         for p in &pts {
             assert!(r.contains(p));
+        }
+    }
+
+    #[test]
+    fn order_key_orders_like_partial_cmp_and_puts_nan_last() {
+        let values = [
+            f64::NEG_INFINITY,
+            f64::MIN,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            0.5,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for &a in &values {
+            for &b in &values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a} vs {b}"
+                );
+            }
+            for nan in [f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001)] {
+                assert!(order_key(a) < order_key(nan), "{a} vs NaN");
+                assert_eq!(order_key(nan), u64::MAX);
+            }
         }
     }
 

@@ -66,24 +66,6 @@ impl Default for Point {
     }
 }
 
-/// Ordering helper used by the rank-space transform: sort by x, break ties by
-/// y (and finally by id for full determinism on duplicate locations).
-pub fn cmp_by_x(a: &Point, b: &Point) -> std::cmp::Ordering {
-    a.x.partial_cmp(&b.x)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal))
-        .then(a.id.cmp(&b.id))
-}
-
-/// Ordering helper used by the rank-space transform: sort by y, break ties by
-/// x (and finally by id).
-pub fn cmp_by_y(a: &Point, b: &Point) -> std::cmp::Ordering {
-    a.y.partial_cmp(&b.y)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal))
-        .then(a.id.cmp(&b.id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,29 +84,6 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert!((a.dist(&b) - 5.0).abs() < 1e-12);
         assert!((a.dist_sq(&b) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cmp_by_x_breaks_ties_with_y() {
-        let a = Point::with_id(0.5, 0.1, 1);
-        let b = Point::with_id(0.5, 0.9, 2);
-        assert_eq!(cmp_by_x(&a, &b), std::cmp::Ordering::Less);
-        assert_eq!(cmp_by_x(&b, &a), std::cmp::Ordering::Greater);
-    }
-
-    #[test]
-    fn cmp_by_y_breaks_ties_with_x() {
-        let a = Point::with_id(0.1, 0.5, 1);
-        let b = Point::with_id(0.9, 0.5, 2);
-        assert_eq!(cmp_by_y(&a, &b), std::cmp::Ordering::Less);
-    }
-
-    #[test]
-    fn cmp_is_deterministic_for_identical_locations() {
-        let a = Point::with_id(0.5, 0.5, 1);
-        let b = Point::with_id(0.5, 0.5, 2);
-        assert_eq!(cmp_by_x(&a, &b), std::cmp::Ordering::Less);
-        assert_eq!(cmp_by_y(&a, &b), std::cmp::Ordering::Less);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! simplifies the CDF the index model has to learn.
 
 use crate::CurveKind;
-use geom::Point;
+use geom::{order_key, Point};
 
 /// The curve order needed so that a `2^order` grid has at least `n` rows and
 /// columns, i.e. `order = ceil(log2(n))` (minimum 1).
@@ -36,21 +36,17 @@ impl RankSpace {
     ///
     /// Sorting is `O(n log n)`; this is the dominant cost of bulk-loading a
     /// leaf model.  Ties on x are broken by y and vice versa, exactly as in
-    /// the paper's Fig. 3 example, with the point id as the final tiebreak so
-    /// the transform is deterministic even for duplicate locations.
+    /// the paper's Fig. 3 example, then by the point id and last by input
+    /// position, so the transform is deterministic even for duplicate
+    /// locations.  One axis is ranked at a time.
     pub fn new(points: &[Point]) -> Self {
         let n = points.len();
-        let mut by_x: Vec<usize> = (0..n).collect();
-        by_x.sort_by(|&a, &b| cmp_x(&points[a], &points[b]));
-        let mut by_y: Vec<usize> = (0..n).collect();
-        by_y.sort_by(|&a, &b| cmp_y(&points[a], &points[b]));
-
         let mut ranks = vec![(0u32, 0u32); n];
-        for (rank, &idx) in by_x.iter().enumerate() {
-            ranks[idx].0 = rank as u32;
+        for (rank, &(_, i)) in axis_order(points, Axis::X).iter().enumerate() {
+            ranks[i].0 = rank as u32;
         }
-        for (rank, &idx) in by_y.iter().enumerate() {
-            ranks[idx].1 = rank as u32;
+        for (rank, &(_, i)) in axis_order(points, Axis::Y).iter().enumerate() {
+            ranks[i].1 = rank as u32;
         }
         Self {
             order: rank_space_order(n.max(1)),
@@ -94,36 +90,59 @@ impl RankSpace {
     ///
     /// Packing every `B` consecutive indices of this permutation into a block
     /// realises the R-tree packing strategy the paper reuses (Equation 1).
+    /// Rank-space cells hold one point each, so no two values tie.
     pub fn sorted_permutation(&self, curve: CurveKind) -> Vec<usize> {
-        let values = self.curve_values(curve);
-        let mut perm: Vec<usize> = (0..self.ranks.len()).collect();
-        perm.sort_by_key(|&i| values[i]);
-        perm
+        let mut keyed: Vec<(u64, usize)> = (0..self.ranks.len())
+            .map(|i| (self.curve_value(i, curve), i))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, i)| i).collect()
     }
 }
 
-fn cmp_x(a: &Point, b: &Point) -> std::cmp::Ordering {
-    crate::rank_space::point_cmp_x(a, b)
+/// The coordinate an [`axis_order`] sorts by first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// By x, ties by y.
+    X,
+    /// By y, ties by x.
+    Y,
 }
 
-fn cmp_y(a: &Point, b: &Point) -> std::cmp::Ordering {
-    crate::rank_space::point_cmp_y(a, b)
+impl Axis {
+    /// `p`'s coordinate on this axis, then its other coordinate.
+    #[inline]
+    fn coords(self, p: &Point) -> (f64, f64) {
+        match self {
+            Axis::X => (p.x, p.y),
+            Axis::Y => (p.y, p.x),
+        }
+    }
 }
 
-/// Comparison by x, tie-break y, final tie-break id.
-pub fn point_cmp_x(a: &Point, b: &Point) -> std::cmp::Ordering {
-    a.x.partial_cmp(&b.x)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.y.partial_cmp(&b.y).unwrap_or(std::cmp::Ordering::Equal))
-        .then(a.id.cmp(&b.id))
-}
-
-/// Comparison by y, tie-break x, final tie-break id.
-pub fn point_cmp_y(a: &Point, b: &Point) -> std::cmp::Ordering {
-    a.y.partial_cmp(&b.y)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.x.partial_cmp(&b.x).unwrap_or(std::cmp::Ordering::Equal))
-        .then(a.id.cmp(&b.id))
+/// `points` sorted by their `axis` coordinate, ties broken by the other
+/// coordinate, then by id, then by input position, all compared by
+/// [`order_key`]: one `(key, position)` entry per point, where `position`
+/// indexes `points`.
+///
+/// The sort moves 16-byte entries rather than comparing points through an
+/// index.  Equal keys of the first coordinate are rare in real data; only
+/// their runs read the points again.
+pub fn axis_order(points: &[Point], axis: Axis) -> Vec<(u64, usize)> {
+    let mut order: Vec<(u64, usize)> = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (order_key(axis.coords(p).0), i))
+        .collect();
+    order.sort_unstable();
+    for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|&(_, i)| {
+                (order_key(axis.coords(&points[i]).1), points[i].id, i)
+            });
+        }
+    }
+    order
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 
 use crate::kernels;
 use crate::Block;
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow::{self, Break, Continue};
@@ -148,7 +148,8 @@ pub fn range<V: DirectoryView>(
 /// still compete — which makes kNN answers deterministic across families,
 /// runs and shards.
 struct Nearest {
-    dist: f64,
+    /// The [`order_key`] of the distance.
+    dist: u64,
     item: Item,
 }
 
@@ -169,8 +170,7 @@ impl Nearest {
 impl Ord for Nearest {
     fn cmp(&self, other: &Self) -> Ordering {
         self.dist
-            .partial_cmp(&other.dist)
-            .unwrap_or(Ordering::Equal)
+            .cmp(&other.dist)
             .then_with(|| self.key().cmp(&other.key()))
     }
 }
@@ -201,7 +201,7 @@ pub fn knn<V: DirectoryView>(view: &mut V, q: &Point, k: usize, mut visit: impl 
     let mut found = 0;
     let mut heap = BinaryHeap::new();
     heap.push(Reverse(Nearest {
-        dist: rect.min_dist(q),
+        dist: order_key(rect.min_dist(q)),
         item: Item::Container(root),
     }));
     while let Some(Reverse(Nearest { item, .. })) = heap.pop() {
@@ -215,14 +215,14 @@ pub fn knn<V: DirectoryView>(view: &mut V, q: &Point, k: usize, mut visit: impl 
             }
             Item::Container(Child::Page(page)) => view.page(page).for_each_dist_sq(q, |p, d_sq| {
                 heap.push(Reverse(Nearest {
-                    dist: d_sq.sqrt(),
+                    dist: order_key(d_sq.sqrt()),
                     item: Item::Point(p),
                 }));
             }),
             Item::Container(Child::Node(node)) => {
                 let _ = view.entries(node, |_, rect, child| {
                     heap.push(Reverse(Nearest {
-                        dist: rect.min_dist(q),
+                        dist: order_key(rect.min_dist(q)),
                         item: Item::Container(child),
                     }));
                     Continue(())
