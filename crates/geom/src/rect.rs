@@ -174,12 +174,6 @@ impl Rect {
         self.max_y = self.max_y.max(p.y);
     }
 
-    /// Grows the rectangle in place so that it contains `other`.
-    #[inline]
-    pub fn expand_to_rect(&mut self, other: &Rect) {
-        *self = self.union(other);
-    }
-
     /// How much the area would grow if the rectangle were enlarged to contain
     /// `other`.  Used by R-tree `ChooseSubtree`.
     #[inline]

@@ -167,6 +167,7 @@ fn event_field_count(tag: u8) -> Option<usize> {
         9 => Some(2),     // Shutdown
         10 => Some(4),    // PartialCompactionEnd
         11 => Some(2),    // ReplicaFailover
+        12 => Some(1),    // ExecPanic
         _ => None,
     }
 }
@@ -197,6 +198,7 @@ fn encode_kind(w: &mut ByteWriter, kind: &EventKind) {
             w.put_u64(seq);
         }
         EventKind::OverloadShed { shed_total } => w.put_u64(shed_total),
+        EventKind::ExecPanic { class } => w.put_u64(class),
         EventKind::ConnOpen { conn } | EventKind::ConnClose { conn } => w.put_u64(conn),
         EventKind::PartialCompactionEnd {
             epoch,
@@ -262,6 +264,7 @@ fn decode_kind(r: &mut ByteReader<'_>) -> Result<EventKind, NetError> {
             shard: f[0],
             replica: f[1],
         },
+        12 => EventKind::ExecPanic { class: f[0] },
         _ => unreachable!("tag validated above"),
     })
 }
@@ -345,6 +348,7 @@ mod tests {
             shard: 1,
             replica: 0,
         });
+        j.record(EventKind::ExecPanic { class: 2 });
         j.snapshot()
     }
 

@@ -321,7 +321,7 @@ impl FrontEnd {
             let resp = match self.triage(&payload, &service.seq) {
                 Triage::Reply(resp) => resp,
                 Triage::Admitted { req, class } => {
-                    let resp = self.execute(req, &service.exec);
+                    let resp = self.execute(req, class, &service.exec);
                     // Count before writing: a closed-loop client that sees
                     // this reply and immediately scrapes `Stats` must find
                     // it reflected.
@@ -344,12 +344,15 @@ impl FrontEnd {
 
     /// Runs an admitted request and returns its admission token, however
     /// the executor ends.  An executor that panics is answered with
-    /// [`ErrorCode::Internal`] and counted in `net.exec_panics`, and the
-    /// connection keeps serving.
-    fn execute(&self, req: Request, exec: &Exec) -> Response {
+    /// [`ErrorCode::Internal`], counted in `net.exec_panics` and journaled
+    /// as an `ExecPanic` of its `class`, and the connection keeps serving.
+    fn execute(&self, req: Request, class: usize, exec: &Exec) -> Response {
         let _token = Token(&self.admission);
         std::panic::catch_unwind(AssertUnwindSafe(|| exec(req))).unwrap_or_else(|panic| {
             self.metrics.exec_panics.inc();
+            self.telemetry.journal.record(EventKind::ExecPanic {
+                class: class as u64,
+            });
             let what = panic
                 .downcast_ref::<&str>()
                 .copied()

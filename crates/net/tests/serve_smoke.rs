@@ -7,6 +7,7 @@ use common::brute_force::ScanIndex;
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use net::{NetClient, NetError, Request, Response};
+use obs::EventKind;
 use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
 use std::sync::Arc;
@@ -480,6 +481,22 @@ fn a_panicking_executor_answers_internal_and_returns_its_admission_token() {
     assert_eq!(inflight(), Some(0), "the admission token leaked");
     let (_, metrics) = client.stats().unwrap();
     assert_eq!(metrics.counter("net.exec_panics"), Some(1));
+    let (_, events) = client.events(0).unwrap();
+    let panics: Vec<EventKind> = events
+        .events
+        .iter()
+        .map(|e| e.kind)
+        .filter(|kind| matches!(kind, EventKind::ExecPanic { .. }))
+        .collect();
+    let knn = net::REQUEST_CLASSES
+        .iter()
+        .position(|&c| c == "knn")
+        .unwrap() as u64;
+    assert_eq!(
+        panics,
+        [EventKind::ExecPanic { class: knn }],
+        "one kNN panic"
+    );
     // The connection keeps serving.
     client.ping().unwrap();
     let (_, hit) = client.point(&points[7]).unwrap();

@@ -88,6 +88,12 @@ pub enum EventKind {
         /// Subtrees retrained by this pass.
         subtrees: u64,
     },
+    /// An admitted request's executor panicked; the request was answered
+    /// with an internal error and the connection kept serving.
+    ExecPanic {
+        /// The request's class: its index into `net`'s request classes.
+        class: u64,
+    },
 }
 
 impl EventKind {
@@ -106,6 +112,7 @@ impl EventKind {
             EventKind::Shutdown { .. } => 9,
             EventKind::PartialCompactionEnd { .. } => 10,
             EventKind::ReplicaFailover { .. } => 11,
+            EventKind::ExecPanic { .. } => 12,
         }
     }
 
@@ -123,6 +130,7 @@ impl EventKind {
             EventKind::Shutdown { .. } => "shutdown",
             EventKind::PartialCompactionEnd { .. } => "partial-compaction-end",
             EventKind::ReplicaFailover { .. } => "replica-failover",
+            EventKind::ExecPanic { .. } => "exec-panic",
         }
     }
 
@@ -162,6 +170,7 @@ impl EventKind {
             EventKind::ReplicaFailover { shard, replica } => {
                 format!("shard={shard} replica={replica}")
             }
+            EventKind::ExecPanic { class } => format!("class={class}"),
         }
     }
 }
@@ -342,6 +351,7 @@ mod tests {
                 shard: 0,
                 replica: 0,
             },
+            EventKind::ExecPanic { class: 0 },
         ];
         for (i, k) in kinds.iter().enumerate() {
             assert_eq!(k.tag() as usize, i + 1);

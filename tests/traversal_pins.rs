@@ -138,6 +138,7 @@ const CODEC_FINGERPRINTS: &[(&str, u64)] = &[
     ("Response::Error internal", 0x455D6322CB798D70),
     ("Response::Stats", 0x86C60068C5EC7A08),
     ("Response::Events", 0x56E9F6C17C556110),
+    ("Response::Events exec panic", 0x1EFA356D20F1E9F6),
 ];
 
 fn fnv64(hash: &mut u64, value: u64) {
@@ -504,6 +505,14 @@ fn wire_messages() -> Vec<(&'static str, Vec<u8>)> {
             subtrees: 2,
         },
     ];
+    let exec_panic = EventsSnapshot {
+        dropped: 0,
+        events: vec![Event {
+            seq: 1,
+            at_us: 250,
+            kind: EventKind::ExecPanic { class: 2 },
+        }],
+    };
     let events = EventsSnapshot {
         dropped: 5,
         events: kinds
@@ -610,6 +619,13 @@ fn wire_messages() -> Vec<(&'static str, Vec<u8>)> {
         ),
         ("Response::Stats", Response::Stats { seq: 14, metrics }),
         ("Response::Events", Response::Events { seq: 15, events }),
+        (
+            "Response::Events exec panic",
+            Response::Events {
+                seq: 16,
+                events: exec_panic,
+            },
+        ),
     ];
     let mut out: Vec<(&str, Vec<u8>)> = requests
         .iter()
