@@ -18,44 +18,31 @@
 //! binary-search them behind a small location filter that answers "no
 //! entry here" without a search, and every union (window, range, kNN, join,
 //! `for_each_point`) walks them.  Key order is numeric `x` order (see
-//! `coord_bits`), so a query binary-searches the `x` lane for the slab that
+//! [`geom::order_key`]), so a query binary-searches the `x` lane for the slab that
 //! can match and runs the scan kernel over that slab alone.
 //!
 //! One accounting rule: a visit returns the number of overlay entries it
 //! actually examined (the slab handed to the kernel, or the entries at a
 //! location) and the caller charges exactly that to its `QueryContext`.
 
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use std::collections::HashMap;
 use std::ops::Range;
 use storage::kernels;
 
-/// Exact identity of a point: canonical coordinate bit patterns plus id.
+/// Exact identity of a point: the [`order_key`] of each coordinate plus id.
 ///
-/// `-0.0` is folded onto `+0.0` so the key relation matches
-/// [`geom::Point::same_location`] (float equality) exactly.  Keys are only
-/// ever compared and hashed, never decoded back into coordinates.
+/// `-0.0` and `+0.0` share a key, so for non-NaN coordinates the key
+/// relation matches [`geom::Point::same_location`] (float equality) exactly,
+/// and `u64` order is numeric order, which lets the lanes, sorted by key,
+/// be binary-searched by `x`.  Keys are only ever compared and hashed,
+/// never decoded back into coordinates.
 pub(crate) type Key = (u64, u64, u64);
-
-/// The canonical bit pattern of one coordinate: `-0.0` folded onto `+0.0`,
-/// then the standard order-preserving transform (negative values flip every
-/// bit, the others set the sign bit) so that `u64` order is numeric order
-/// for every non-NaN value — which is what lets the lanes, sorted by key, be
-/// binary-searched by `x`.
-#[inline]
-fn coord_bits(v: f64) -> u64 {
-    let bits = if v == 0.0 { 0 } else { v.to_bits() };
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
 
 /// The delta key of a point.
 #[inline]
 pub(crate) fn key_of(p: &Point) -> Key {
-    (coord_bits(p.x), coord_bits(p.y), p.id)
+    (order_key(p.x), order_key(p.y), p.id)
 }
 
 /// One write operation accepted by the server.
@@ -312,7 +299,7 @@ impl DeltaState {
     /// any — the delta side of a point query.  Returns the number of delta
     /// entries examined so the caller can charge them as candidates.
     pub(crate) fn point_lookup(&self, q: &Point) -> (Option<Point>, usize) {
-        let (xb, yb) = (coord_bits(q.x), coord_bits(q.y));
+        let (xb, yb) = (order_key(q.x), order_key(q.y));
         if !self.filter.may_contain(xb, yb) {
             return (None, 0);
         }

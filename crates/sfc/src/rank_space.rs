@@ -96,7 +96,9 @@ impl RankSpace {
             .map(|i| (self.curve_value(i, curve), i))
             .collect();
         keyed.sort_unstable();
-        keyed.into_iter().map(|(_, i)| i).collect()
+        // Collected from a borrow: an in-place `into_iter` collect would
+        // keep the entries' allocation, twice the permutation's size.
+        keyed.iter().map(|&(_, i)| i).collect()
     }
 }
 
