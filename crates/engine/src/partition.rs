@@ -189,8 +189,7 @@ impl Partitioner {
         }
         // Routing binary-searches all three tables; unsorted data would not
         // fail loudly — it would silently route queries to the wrong shard.
-        let sorted =
-            |pairs: &[(f64, f64)]| pairs.windows(2).all(|w| pair_key(&w[0]) <= pair_key(&w[1]));
+        let sorted = |pairs: &[(f64, f64)]| pairs.iter().map(pair_key).is_sorted();
         if !sorted(&by_x) || !sorted(&by_y) || shard_key_lo.windows(2).any(|w| w[0] > w[1]) {
             return Err(persist::PersistError::Corrupt(
                 "partitioner routing tables are not sorted".into(),
