@@ -274,18 +274,15 @@ mod tests {
     fn routing_tables_keep_the_comparator_order_and_its_tie_rule() {
         // The stable sort over `partial_cmp` the tables used before they
         // were keyed; equal pairs keep their input order.
-        let sorted = |mut pairs: Vec<(f64, f64)>| {
-            pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            pairs
-                .iter()
-                .map(|&(a, b)| (a.to_bits(), b.to_bits()))
-                .collect::<Vec<_>>()
-        };
         let bits = |pairs: &[(f64, f64)]| {
             pairs
                 .iter()
                 .map(|&(a, b)| (a.to_bits(), b.to_bits()))
                 .collect::<Vec<_>>()
+        };
+        let sorted = |mut pairs: Vec<(f64, f64)>| {
+            pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            bits(&pairs)
         };
         for seed in [1, 7, 42] {
             let pts = tie_heavy_points(3_000, seed);

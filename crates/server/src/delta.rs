@@ -18,8 +18,8 @@
 //! binary-search them behind a small location filter that answers "no
 //! entry here" without a search, and every union (window, range, kNN, join,
 //! `for_each_point`) walks them.  Key order is numeric `x` order (see
-//! [`geom::order_key`]), so a query binary-searches the `x` lane for the slab that
-//! can match and runs the scan kernel over that slab alone.
+//! [`geom::order_key`]), so a query binary-searches the `x` lane for the
+//! slab that can match and runs the scan kernel over that slab alone.
 //!
 //! One accounting rule: a visit returns the number of overlay entries it
 //! actually examined (the slab handed to the kernel, or the entries at a
