@@ -71,16 +71,11 @@ fn serve_live(args: &Args) -> bool {
     // Policy-driven compaction: kinds with maintenance support serve their
     // epoch swaps as drift-triggered partial rebuilds, everything else
     // falls back to the full fold-and-rebuild pass automatically.
-    let policy = registry::CompactionPolicy::default()
-        .with_ops_trigger(threshold)
+    let scfg = registry::ServerConfig::default()
+        .with_compact_threshold(threshold)
         .with_drift_trigger(0.05);
     let start = std::time::Instant::now();
-    let server = registry::serve_index(
-        kind,
-        &data,
-        &cfg,
-        registry::ServerConfig::default().with_policy(policy),
-    );
+    let server = registry::serve_index(kind, &data, &cfg, scfg);
     let build_s = start.elapsed().as_secs_f64();
 
     // Serve: N readers snapshot-and-query, 1 writer applies the write

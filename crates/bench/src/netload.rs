@@ -248,7 +248,7 @@ pub fn emit_latency_table(title: &str, outcome: &NetLoadOutcome) {
         .iter()
         .map(|(class, lat)| {
             let mut sorted = lat.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            sorted.sort_by_key(|&v| geom::order_key(v));
             vec![
                 (*class).to_string(),
                 sorted.len().to_string(),

@@ -31,13 +31,6 @@ pub fn knn_query(points: &[Point], q: &Point, k: usize) -> Vec<Point> {
     v
 }
 
-/// The distance of the `k`-th nearest neighbour (used to validate approximate
-/// kNN answers independently of tie-breaking).
-pub fn kth_distance(points: &[Point], q: &Point, k: usize) -> f64 {
-    let nn = knn_query(points, q, k);
-    nn.last().map_or(f64::INFINITY, |p| p.dist(q))
-}
-
 /// Returns all points within Euclidean distance `radius` of `center`
 /// (boundary inclusive), in input order — the distance-range oracle.
 /// Non-finite or negative radii yield no results, matching
@@ -313,13 +306,5 @@ mod tests {
         let mut n = 0;
         idx.for_each_point(&mut |_| n += 1);
         assert_eq!(n, idx.points().len());
-    }
-
-    #[test]
-    fn kth_distance_is_infinite_for_empty_sets() {
-        assert_eq!(kth_distance(&[], &Point::new(0.5, 0.5), 3), f64::INFINITY);
-        let pts = sample();
-        let d = kth_distance(&pts, &Point::new(0.5, 0.5), 1);
-        assert_eq!(d, 0.0);
     }
 }

@@ -114,13 +114,6 @@ impl QueryContext {
         self.stats.candidates_scanned += n as u64;
     }
 
-    /// Charges one shard fan-out: the planner decided to query this shard's
-    /// inner index.
-    #[inline]
-    pub fn count_shard_visit(&mut self) {
-        self.stats.shards_visited += 1;
-    }
-
     /// Charges `n` shards skipped by the planner without touching their
     /// inner index.
     #[inline]
@@ -501,30 +494,6 @@ pub trait SpatialIndex: Send + Sync {
     }
 }
 
-/// Statistics recorded while bulk-loading an index, reported in the paper's
-/// construction-time and index-size figures (Figs. 7 and 9, Table 3).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BuildStats {
-    /// Wall-clock construction time in seconds.
-    pub build_seconds: f64,
-    /// Total index size in bytes.
-    pub size_bytes: usize,
-    /// Structure height (levels above the data blocks).
-    pub height: usize,
-    /// Number of learned sub-models (zero for traditional indices).
-    pub model_count: usize,
-}
-
-/// Convenience: collects [`BuildStats`] for an already-built index.
-pub fn build_stats_of<I: SpatialIndex + ?Sized>(index: &I, build_seconds: f64) -> BuildStats {
-    BuildStats {
-        build_seconds,
-        size_bytes: index.size_bytes(),
-        height: index.height(),
-        model_count: index.model_count(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,16 +572,6 @@ mod tests {
         d.insert(Point::new(0.5, 0.5));
         assert!(!d.is_empty());
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn build_stats_of_reads_size_height_and_model_count() {
-        let d = Dummy(vec![Point::new(0.1, 0.1); 10]);
-        let s = build_stats_of(&d, 1.5);
-        assert_eq!(s.size_bytes, 10 * std::mem::size_of::<Point>());
-        assert_eq!(s.height, 1);
-        assert_eq!(s.model_count, 7);
-        assert_eq!(s.build_seconds, 1.5);
     }
 
     #[test]
@@ -739,10 +698,7 @@ mod tests {
     #[test]
     fn shard_counters_accumulate_through_the_context() {
         let mut cx = QueryContext::new();
-        cx.count_shard_visit();
-        cx.count_shard_visit();
         cx.count_shards_pruned(3);
-        assert_eq!(cx.stats.shards_visited, 2);
         assert_eq!(cx.stats.shards_pruned, 3);
         assert_eq!(cx.stats.total_accesses(), 0);
     }

@@ -516,7 +516,7 @@ mod tests {
     fn small_data_set_builds_a_single_leaf() {
         let out = Builder::run(test_config(), uniform_points(150), 1);
         assert_eq!(out.nodes.len(), 1);
-        assert!(out.nodes[out.root.unwrap()].is_leaf());
+        assert!(matches!(out.nodes[out.root.unwrap()], Node::Leaf(_)));
         assert_eq!(out.height, 1);
         assert_eq!(out.model_count, 1);
         assert_eq!(out.store.total_points(), 150);

@@ -5,7 +5,7 @@ use crate::node::{InternalNode, LeafNode, Node, NodeId};
 use crate::pmf::PiecewiseCdf;
 use crate::RsmiConfig;
 use common::{knn, QueryContext, SpatialIndex};
-use geom::{Point, Rect};
+use geom::{order_key, Point, Rect};
 use mlp::ScaledRegressor;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::CurveKind;
@@ -551,7 +551,7 @@ impl Rsmi {
             }
             let growth = block.mbr().enlargement(&key);
             // Ascending ids: a strict win keeps the lower id on a tie.
-            if best.is_none_or(|(g, d, _)| growth.total_cmp(&g).then(dist.cmp(&d)).is_lt()) {
+            if best.is_none_or(|(g, d, _)| (order_key(growth), dist) < (order_key(g), d)) {
                 best = Some((growth, dist, base));
             }
         }
@@ -665,7 +665,7 @@ impl Rsmi {
                 (refit || wear >= REPAIR_DRIFT).then_some((id, wear, refit))
             })
             .collect();
-        due.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        due.sort_by_key(|&(id, wear, _)| (std::cmp::Reverse(order_key(wear)), id));
         let take = budget.max_subtrees.min(due.len());
         for &(id, _, refit) in &due[..take] {
             self.repair_leaf(id, refit);

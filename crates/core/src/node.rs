@@ -86,16 +86,6 @@ impl LeafNode {
         self.first_block + (local as usize).min(self.n_blocks.saturating_sub(1))
     }
 
-    /// The global IDs of the first and last bulk-loaded blocks of this leaf.
-    #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn block_range(&self) -> (BlockId, BlockId) {
-        (
-            self.first_block,
-            self.first_block + self.n_blocks.saturating_sub(1),
-        )
-    }
-
     /// Predicted global block range for a point, widened by the model's
     /// error bounds and clamped to the leaf (the scan range of Algorithm 1).
     ///
@@ -135,12 +125,6 @@ impl Node {
             Node::Internal(n) => n.mbr,
             Node::Leaf(n) => n.mbr,
         }
-    }
-
-    /// Whether this is a leaf node.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
     }
 
     /// Approximate in-memory size in bytes.
@@ -208,7 +192,6 @@ mod tests {
         assert!(lo >= 10);
         assert!(hi <= 12);
         assert!(lo <= hi);
-        assert_eq!(leaf.block_range(), (10, 12));
         assert_eq!(leaf.global_block(100), 12);
     }
 
@@ -220,7 +203,6 @@ mod tests {
             n_blocks: 1,
             mbr: Rect::new(0.0, 0.0, 0.5, 0.5),
         });
-        assert!(leaf.is_leaf());
         assert_eq!(leaf.mbr(), Rect::new(0.0, 0.0, 0.5, 0.5));
         assert!(leaf.size_bytes() > 0);
     }

@@ -94,12 +94,6 @@ pub fn normalize(v: f64, lo: f64, hi: f64) -> f64 {
     }
 }
 
-/// Inverse of [`normalize`]: maps a value in `[0, 1]` back to `[lo, hi]`.
-#[inline]
-pub fn denormalize(v: f64, lo: f64, hi: f64) -> f64 {
-    lo + v * (hi - lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +160,7 @@ mod tests {
     fn normalize_roundtrip() {
         let v = 3.25;
         let n = normalize(v, 1.0, 5.0);
-        assert!((denormalize(n, 1.0, 5.0) - v).abs() < 1e-9);
+        assert!((1.0 + n * (5.0 - 1.0) - v).abs() < 1e-9);
     }
 
     #[test]

@@ -236,16 +236,6 @@ impl Rect {
             max_y: self.max_y.min(other.max_y),
         })
     }
-
-    /// Clamps a point to lie within this rectangle.
-    #[inline]
-    pub fn clamp_point(&self, p: &Point) -> Point {
-        Point::with_id(
-            p.x.clamp(self.min_x, self.max_x),
-            p.y.clamp(self.min_y, self.max_y),
-            p.id,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -348,15 +338,6 @@ mod tests {
         for c in r.corners() {
             assert!(r.contains(&c));
         }
-    }
-
-    #[test]
-    fn clamp_point_projects_outside_points_onto_boundary() {
-        let r = Rect::new(0.2, 0.2, 0.6, 0.6);
-        let p = r.clamp_point(&Point::new(0.9, 0.1));
-        assert_eq!(p.x, 0.6);
-        assert_eq!(p.y, 0.2);
-        assert!(r.contains(&p));
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn min_dist_lower_bounds_distance_to_contained_points() {
         let p = rand_point(&mut rng);
         let q = rand_point(&mut rng);
         // For any point q inside r, dist(p, q) >= min_dist(p, r).
-        let clamped = r.clamp_point(&q);
+        let clamped = Point::new(q.x.clamp(r.min_x, r.max_x), q.y.clamp(r.min_y, r.max_y));
         assert!(r.contains(&clamped));
         assert!(p.dist(&clamped) + 1e-9 >= r.min_dist(&p));
     }

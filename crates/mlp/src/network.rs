@@ -83,15 +83,6 @@ impl MlpConfig {
         }
     }
 
-    /// Configuration for a 1-D key model (the ZM baseline).
-    pub fn for_keys(classes: usize) -> Self {
-        Self {
-            input_dim: 1,
-            hidden: classes.div_ceil(2).clamp(4, 64),
-            ..Self::default()
-        }
-    }
-
     /// Returns a copy with a different seed (used to diversify sub-models).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -1279,9 +1270,6 @@ mod tests {
         let c = MlpConfig::for_coordinates(100);
         assert_eq!(c.input_dim, 2);
         assert_eq!(c.hidden, 51);
-        let k = MlpConfig::for_keys(100);
-        assert_eq!(k.input_dim, 1);
-        assert_eq!(k.hidden, 50);
         // Clamped for tiny/huge class counts.
         assert_eq!(MlpConfig::for_coordinates(1).hidden, 4);
         assert_eq!(MlpConfig::for_coordinates(1000).hidden, 64);

@@ -506,7 +506,7 @@ pub fn load_index(path: &Path) -> Result<Box<dyn SpatialIndex>, PersistError> {
 // Live serving: wrap any registered kind in a SpatialServer
 // ---------------------------------------------------------------------
 
-pub use server::{CompactionPolicy, ServeConfig, ServerConfig, SpatialServer};
+pub use server::{ServeConfig, ServerConfig, SpatialServer};
 
 /// The compaction rebuild closure for one registered kind: the registry's
 /// own [`build_index`] with the kind and configuration captured, which is
@@ -863,7 +863,7 @@ mod tests {
     #[test]
     fn serve_index_wraps_any_kind_with_live_writes() {
         let data = generate(Distribution::Uniform, 500, 33);
-        let scfg = ServerConfig::default().with_auto_compact(false);
+        let scfg = ServerConfig::default().with_compact_threshold(usize::MAX);
         for kind in [IndexKind::Hrr, BaseKind::Grid.sharded()] {
             let server = serve_index(kind, &data, &IndexConfig::fast().with_shards(3), scfg);
             let mut cx = QueryContext::new();
@@ -892,7 +892,7 @@ mod tests {
     #[test]
     fn serve_index_maintains_learned_kinds_incrementally() {
         let data = generate(Distribution::Uniform, 800, 39);
-        let scfg = ServerConfig::default().with_auto_compact(false);
+        let scfg = ServerConfig::default().with_compact_threshold(usize::MAX);
         for kind in [IndexKind::Rsmi, IndexKind::Rsmia] {
             let server = serve_index(kind, &data, &IndexConfig::fast(), scfg);
             let mut cx = QueryContext::new();
@@ -937,7 +937,7 @@ mod tests {
         data.push(Point::with_id(3.5, 0.5, 400_001));
         data.push(Point::with_id(-1.5, -2.0, 400_002));
         let cfg = IndexConfig::fast().with_shards(3);
-        let scfg = ServerConfig::default().with_auto_compact(false);
+        let scfg = ServerConfig::default().with_compact_threshold(usize::MAX);
         for kind in IndexKind::all_with_sharded() {
             let index = build_index(kind, &data, &cfg);
             let bytes = snapshot_bytes(index.as_ref()).expect("serialise");

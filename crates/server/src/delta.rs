@@ -383,11 +383,13 @@ impl DeltaState {
     /// Visits every live inserted copy within squared distance `r_sq` of
     /// `center`, in key order, where the bound may shrink as the visit goes:
     /// `visit` returns the bound to use from then on (never larger than the
-    /// last).  The chunked radius kernel runs over the `slab_within` of the
-    /// current bound — the whole lane while the bound is infinite — and the
-    /// slab is narrowed after every chunk that tightened it.  A copy a tighter bound would have excluded may still be
-    /// visited (its chunk's mask was taken under the older bound).  Returns
-    /// the number of entries examined (handed to the kernel).
+    /// last; the kNN union tightens it, the distance-range union keeps it).
+    /// The chunked radius kernel runs over the `slab_within` of the current
+    /// bound — the whole lane while the bound is infinite — and the slab is
+    /// narrowed after every chunk that tightened it.  A copy a tighter bound
+    /// would have excluded may still be visited (its chunk's mask was taken
+    /// under the older bound).  Returns the number of entries examined
+    /// (handed to the kernel).
     pub(crate) fn visit_inserts_near(
         &self,
         center: &Point,
@@ -419,21 +421,6 @@ impl DeltaState {
             }
         }
         examined
-    }
-
-    /// Visits every live inserted copy within the circle of squared radius
-    /// `r_sq` around `center` (the distance-range union), in key order.
-    /// Returns the number of entries examined.
-    pub(crate) fn visit_inserts_within(
-        &self,
-        center: &Point,
-        r_sq: f64,
-        visit: &mut dyn FnMut(&Point),
-    ) -> usize {
-        self.visit_inserts_near(center, r_sq, &mut |p| {
-            visit(p);
-            r_sq
-        })
     }
 }
 
@@ -686,7 +673,10 @@ mod tests {
         let r_sq = 0.04;
         let mut got = Vec::new();
         assert_eq!(
-            d.visit_inserts_within(&center, r_sq, &mut |q| got.push(q.id)),
+            d.visit_inserts_near(&center, r_sq, &mut |q| {
+                got.push(q.id);
+                r_sq
+            }),
             naive
                 .iter()
                 .filter(|(_, pt, _)| (pt.x - center.x) * (pt.x - center.x) <= r_sq)

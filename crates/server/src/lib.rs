@@ -24,7 +24,7 @@
 //!   the write stream it observes, which is what makes concurrent runs
 //!   verifiable against a single-threaded replay oracle.
 //! * **Background compaction.**  When the delta grows past
-//!   [`CompactionPolicy::ops_trigger`], a background thread absorbs it into
+//!   [`ServerConfig::compact_threshold`], a background thread absorbs it into
 //!   a refreshed base and atomically swaps in a new epoch.  Readers holding
 //!   the old epoch keep getting correct answers from it; the swap itself is
 //!   one `Arc` store.  Rebuilds happen entirely outside the read path.  The
@@ -35,7 +35,7 @@
 //!   pass replays the captured delta into the copy and calls
 //!   [`SpatialIndex::rebuild_partial`] on it, which repairs only the worn
 //!   subtrees (refitting those whose model drift crossed
-//!   [`CompactionPolicy::drift_trigger`]) — bounded per pass by a pause
+//!   [`ServerConfig::drift_trigger`]) — bounded per pass by a pause
 //!   budget so compaction cost stays proportional to churn, not to data
 //!   size.  When it offers none (a family without maintenance, or a
 //!   sharded base whose shard sizes are skewed), the caller's rebuild
@@ -88,18 +88,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod compact;
+mod config;
 mod delta;
+mod read;
 
+pub use config::{ServeConfig, ServerConfig, MAX_SUBTREES, PAUSE_BUDGET_US};
 pub use delta::{SequencedOp, WriteOp};
+pub use read::Snapshot;
 
-use common::knn::KBest;
-use common::{MaintenanceBudget, QueryContext, SpatialIndex};
+use common::{QueryContext, SpatialIndex};
+use compact::{base_copies, compactor_loop, CompactorSignal};
 use delta::DeltaState;
 use geom::{Point, Rect};
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
 
 /// The closure that builds a base index from a point set: the initial build
 /// of [`SpatialServer::new`], and a full compaction pass over the old base's
@@ -107,162 +111,6 @@ use std::time::{Duration, Instant};
 /// `build_index` (with the kind and config captured), so every registered
 /// family composes with the server without a dependency cycle.
 pub type RebuildFn = Box<dyn Fn(&[Point]) -> Box<dyn SpatialIndex> + Send + Sync>;
-
-/// When the server compacts and when a partial pass refits: the two
-/// values experiments sweep and tests pin.  Whether a pass *can* be partial
-/// is decided per pass from the base index, and the bounds on a partial
-/// pass ([`PAUSE_BUDGET_US`] and the constants beside it) are fixed.
-/// [`SpatialServer`] consults the policy on every policy-driven compaction
-/// ([`SpatialServer::maintain_now`] and the background thread).
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionPolicy {
-    /// Number of buffered delta ops that triggers a compaction.
-    pub ops_trigger: usize,
-    /// Per-subtree model drift at or above which a partial pass refits the
-    /// subtree's model as well as repairing its layout (the unit is
-    /// "fractions of a refit's worth of churn"; see the drift metric in
-    /// `docs/ARCHITECTURE.md`).  Subtrees below it keep their models.
-    pub drift_trigger: f64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        Self {
-            ops_trigger: 1_024,
-            drift_trigger: 1.0,
-        }
-    }
-}
-
-impl CompactionPolicy {
-    /// Returns a copy with the given ops trigger (clamped to at least 1).
-    pub fn with_ops_trigger(mut self, ops: usize) -> Self {
-        self.ops_trigger = ops.max(1);
-        self
-    }
-
-    /// Returns a copy with the given per-subtree drift trigger.
-    pub fn with_drift_trigger(mut self, drift: f64) -> Self {
-        self.drift_trigger = drift;
-        self
-    }
-}
-
-/// Budget, in microseconds, for the off-lock partial-rebuild work of one
-/// pass.  The server keeps a running estimate of per-subtree repair cost
-/// and caps the number of subtrees per pass so the pass fits the budget; the
-/// remainder is deferred to the next pass.
-pub const PAUSE_BUDGET_US: u64 = 50_000;
-
-/// Hard cap on subtrees repaired per partial pass, independent of the cost
-/// estimate.
-pub const MAX_SUBTREES: usize = 64;
-
-/// Tuning knobs of a [`SpatialServer`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// When to compact and when a partial pass refits a subtree.
-    pub policy: CompactionPolicy,
-    /// Whether the background compaction thread runs at all.  With `false`
-    /// the delta only ever shrinks through explicit
-    /// [`SpatialServer::compact_now`] / [`SpatialServer::maintain_now`]
-    /// calls — what deterministic tests use.
-    pub auto_compact: bool,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            policy: CompactionPolicy::default(),
-            auto_compact: true,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Returns a copy with the given compaction (ops) threshold.
-    pub fn with_compact_threshold(mut self, ops: usize) -> Self {
-        self.policy.ops_trigger = ops.max(1);
-        self
-    }
-
-    /// Returns a copy with the given compaction policy.
-    pub fn with_policy(mut self, policy: CompactionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Returns a copy with background compaction enabled or disabled.
-    pub fn with_auto_compact(mut self, on: bool) -> Self {
-        self.auto_compact = on;
-        self
-    }
-}
-
-/// The unified serving configuration: every knob a serving process needs —
-/// compaction ([`ServerConfig`]), the network admission window, the bind
-/// address, and an optional snapshot warm-start path — behind one builder.
-///
-/// This is the front door for `registry::serve_config`, `net::serve_config`,
-/// the shard server, and the distributed router; construct it with the
-/// `with_*` builders.  The network defaults are written here and nowhere
-/// else: `net` and the router read the fields directly.  [`ServerConfig`]
-/// is the compaction subset, for callers that construct a
-/// [`SpatialServer`] without a listener.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Address the serving listener binds (port 0 = ephemeral).
-    pub bind_addr: String,
-    /// Snapshot to warm-start from instead of building fresh (`None` =
-    /// build from the supplied points).
-    pub warm_start: Option<std::path::PathBuf>,
-    /// Compaction knobs of the wrapped [`SpatialServer`].
-    pub server: ServerConfig,
-    /// Bounded global in-flight admission window (a connection has at most
-    /// one request in flight).
-    pub global_inflight: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            bind_addr: "127.0.0.1:0".to_string(),
-            warm_start: None,
-            server: ServerConfig::default(),
-            global_inflight: 1024,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Returns a copy binding the given address (port 0 = ephemeral).
-    pub fn with_bind_addr(mut self, addr: impl Into<String>) -> Self {
-        self.bind_addr = addr.into();
-        self
-    }
-
-    /// Returns a copy that warm-starts from the given snapshot path.
-    pub fn with_warm_start(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.warm_start = Some(path.into());
-        self
-    }
-
-    /// Returns the configuration unchanged: every request is answered on
-    /// its connection's own thread, so there is no worker pool to size.
-    /// Kept only because the benchmark harness
-    /// (`benchmark/src/workloads/wire_read.rs`) still calls it; it goes
-    /// when that call does.
-    pub fn with_workers(self, _n: usize) -> Self {
-        self
-    }
-
-    /// Returns a copy with the given global in-flight window (0 sheds
-    /// everything — useful in tests).
-    pub fn with_global_inflight(mut self, n: usize) -> Self {
-        self.global_inflight = n;
-        self
-    }
-}
 
 /// One immutable generation of the server: a frozen base index plus the
 /// delta overlay accumulating the writes that arrived after the base was
@@ -278,20 +126,6 @@ struct Epoch {
     /// under a momentary read lock; the (single) writer appends through
     /// `Arc::make_mut` under the write lock.
     delta: RwLock<Arc<DeltaState>>,
-}
-
-/// How many copies of `p` (same location and id) `base` holds: a probe of
-/// the degenerate window at `p`, which scans exactly the range a point
-/// query at `p` scans, so it finds every stored copy of the location for
-/// every kind (point queries are exact throughout the repository).  A
-/// delete asks it once per key, so `len()`, the kNN widening cap and the
-/// delete's result stay exact.  Its cost is not charged to any query.
-fn base_copies(base: &dyn SpatialIndex, p: &Point) -> u32 {
-    let mut copies = 0;
-    base.window_query_visit(&Rect::from_point(*p), &mut QueryContext::new(), &mut |q| {
-        copies += u32::from(q.same_location(p) && q.id == p.id);
-    });
-    copies
 }
 
 /// Counters describing a server's current state, for experiments and logs.
@@ -338,10 +172,8 @@ struct ServerMetrics {
     compaction_pause_us: Histogram,
     /// `server.compaction_rebuild_us`: off-lock rebuild duration.
     compaction_rebuild_us: Histogram,
-    /// `server.compaction_pass_us`: a whole pass, full or partial — delta
-    /// capture, rebuild (for a full pass, collecting the base's points and
-    /// folding the delta into them first) and swap.  The rebuild and pause
-    /// clocks above time the last two phases.
+    /// `server.compaction_pass_us`: a whole pass, full or partial, capture
+    /// to record; the clocks above time its build and swap steps.
     compaction_pass_us: Histogram,
     /// `server.compactions_full` / `server.compactions_partial`: how the
     /// swaps were produced — the soak suite asserts partial passes carried
@@ -387,14 +219,12 @@ impl ServerMetrics {
         }
     }
 
-    fn set_model_error(&self, base: &dyn SpatialIndex) {
+    /// Sets the model-error and drift gauges from the live base.
+    fn set_base(&self, base: &dyn SpatialIndex) {
         if let Some((below, above)) = base.model_error_bounds() {
             self.model_err_below.set(below.min(i64::MAX as u64) as i64);
             self.model_err_above.set(above.min(i64::MAX as u64) as i64);
         }
-    }
-
-    fn set_maintenance(&self, base: &dyn SpatialIndex) {
         if let Some(m) = base.maintenance_stats() {
             self.maint_ops_since_train
                 .set(m.ops_since_train.min(i64::MAX as u64) as i64);
@@ -432,12 +262,6 @@ struct Core {
     metrics: ServerMetrics,
 }
 
-#[derive(Default)]
-struct CompactorSignal {
-    kicked: bool,
-    shutdown: bool,
-}
-
 impl Core {
     fn current_epoch(&self) -> Arc<Epoch> {
         self.epoch.read().expect("epoch lock poisoned").clone()
@@ -453,12 +277,10 @@ impl Core {
     ///
     /// Cost note: when a reader still holds a snapshot of the current delta
     /// (`Arc` shared), `Arc::make_mut` copies the overlay before appending —
-    /// bounded by [`CompactionPolicy::ops_trigger`] entries, which is the
+    /// bounded by [`ServerConfig::compact_threshold`] entries, which is the
     /// deliberate trade for readers that never take the write path's locks.
     fn apply(&self, op: WriteOp) -> (bool, u64) {
-        let buffered;
-        let result;
-        {
+        let (removed, seq, buffered) = {
             let _gate = self.write_gate.lock().expect("write gate poisoned");
             let epoch = self.current_epoch();
             let mut guard = epoch.delta.write().expect("delta lock poisoned");
@@ -467,179 +289,18 @@ impl Core {
             let removed = state.apply(SequencedOp { seq, op }, &|p| {
                 base_copies(epoch.base.as_ref(), p)
             });
-            buffered = state.op_count();
-            result = (removed, seq);
             self.metrics.seq.set(seq.min(i64::MAX as u64) as i64);
-            self.metrics.delta_ops.set(buffered as i64);
+            self.metrics.delta_ops.set(state.op_count() as i64);
             let live = epoch.base.len() - state.masked_base() + state.live_inserts();
             self.metrics.points.set(live as i64);
-        }
-        if self.cfg.auto_compact && buffered >= self.cfg.policy.ops_trigger {
+            (removed, seq, state.op_count())
+        };
+        if buffered >= self.cfg.compact_threshold {
             let mut sig = self.signal.lock().expect("signal lock poisoned");
             sig.kicked = true;
             self.signal_cv.notify_all();
         }
-        result
-    }
-
-    /// How many subtrees the next partial pass may repair:
-    /// [`MAX_SUBTREES`], shrunk so that `subtrees x estimated per-subtree
-    /// cost` fits [`PAUSE_BUDGET_US`] once a cost estimate exists.
-    fn partial_budget(&self) -> MaintenanceBudget {
-        let mut max_subtrees = MAX_SUBTREES;
-        let ema = self.partial_cost_ema_us.load(Ordering::Relaxed);
-        if let Some(affordable) = PAUSE_BUDGET_US.checked_div(ema) {
-            let affordable = affordable.max(1);
-            max_subtrees = max_subtrees.min(affordable.min(usize::MAX as u64) as usize);
-        }
-        MaintenanceBudget {
-            max_subtrees,
-            drift_threshold: self.cfg.policy.drift_trigger,
-        }
-    }
-
-    /// Folds the buffered delta into a refreshed base and swaps in a new
-    /// epoch.  Returns whether an epoch swap happened (false when the delta
-    /// was empty).  The expensive rebuild runs outside every lock the read
-    /// or write paths use; only the final pointer swap takes the write
-    /// gate.
-    ///
-    /// A `policy` pass asks the base for [`SpatialIndex::clone_index`]:
-    /// when it gets a copy, the captured ops are replayed into it in
-    /// sequence order and only worn subtrees are repaired under
-    /// [`Core::partial_budget`]; otherwise, and always without `policy`,
-    /// the base's points are collected, the captured ops folded into them
-    /// with [`delta::apply_log_to_points`], and the rebuild closure builds
-    /// a fresh base from the result.
-    fn compact_with(&self, policy: bool) -> bool {
-        let _pass = self.pass_gate.lock().expect("compact lock poisoned");
-        let pass_t0 = Instant::now();
-        let epoch = self.current_epoch();
-        let captured = epoch.delta.read().expect("delta lock poisoned").clone();
-        if captured.is_empty() {
-            return false;
-        }
-        let fold_seq = captured.seq();
-        self.telemetry.journal.record(EventKind::CompactionStart {
-            epoch: epoch.id,
-            delta_ops: captured.op_count() as u64,
-        });
-
-        let rebuild_t0 = Instant::now();
-        // `(subtrees, µs)` of the clone's `rebuild_partial` alone: the clone
-        // and the replay are not per-subtree work.
-        let mut partial = None;
-        let new_base = match policy.then(|| epoch.base.clone_index()).flatten() {
-            Some(mut clone) => {
-                for op in captured.log().iter().filter(|o| o.seq <= fold_seq) {
-                    match op.op {
-                        WriteOp::Insert(p) => clone.insert(p),
-                        WriteOp::Delete(p) => {
-                            clone.delete(&p);
-                        }
-                    }
-                }
-                let budget = self.partial_budget();
-                let t0 = Instant::now();
-                let subtrees = clone.rebuild_partial(&budget) as u64;
-                partial = Some((subtrees, t0.elapsed().as_micros() as u64));
-                clone
-            }
-            None => {
-                let mut points = Vec::with_capacity(epoch.base.len() + captured.op_count());
-                epoch.base.for_each_point(&mut |p| points.push(*p));
-                delta::apply_log_to_points(&mut points, captured.log(), fold_seq);
-                (self.rebuild)(&points)
-            }
-        };
-        let rebuild_us = rebuild_t0.elapsed().as_micros() as u64;
-        let new_points = new_base.len() as u64;
-        debug_assert_eq!(
-            new_base.len(),
-            epoch.base.len() - captured.masked_base() + captured.live_inserts(),
-            "the new base must hold the captured view's live points"
-        );
-        self.metrics.set_model_error(new_base.as_ref());
-        self.metrics.set_maintenance(new_base.as_ref());
-
-        // Swap: the ops beyond the fold point are the leftover the new
-        // epoch's delta starts from, and each leftover delete asks the new
-        // base for its copies.  Only passes swap epochs and they run one at
-        // a time, so `epoch` is still current and its delta only grows: the
-        // ops that landed during the pass are replayed before the write gate
-        // is taken, and under it, where no new op can land, only those that
-        // landed meanwhile.  Readers are not blocked: they only take the
-        // epoch read lock for the duration of an `Arc` clone.
-        let mut leftover = DeltaState::resume_at(fold_seq);
-        let catch_up = |leftover: &mut DeltaState| {
-            let delta = epoch.delta.read().expect("delta lock poisoned").clone();
-            let done = leftover.seq();
-            for op in delta.log().iter().filter(|o| o.seq > done) {
-                leftover.apply(*op, &|p| base_copies(new_base.as_ref(), p));
-            }
-        };
-        catch_up(&mut leftover);
-        let new_epoch_id;
-        let pause_us;
-        {
-            let pause_t0 = Instant::now();
-            let _gate = self.write_gate.lock().expect("write gate poisoned");
-            catch_up(&mut leftover);
-            new_epoch_id = epoch.id + 1;
-            self.metrics.delta_ops.set(leftover.op_count() as i64);
-            let live = new_base.len() - leftover.masked_base() + leftover.live_inserts();
-            self.metrics.points.set(live as i64);
-            let next = Arc::new(Epoch {
-                id: new_epoch_id,
-                base: new_base,
-                delta: RwLock::new(Arc::new(leftover)),
-            });
-            *self.epoch.write().expect("epoch lock poisoned") = next;
-            pause_us = pause_t0.elapsed().as_micros() as u64;
-        }
-        self.metrics
-            .epoch
-            .set(new_epoch_id.min(i64::MAX as u64) as i64);
-        self.metrics.compaction_pause_us.record(pause_us);
-        self.metrics
-            .compaction_pass_us
-            .record(pass_t0.elapsed().as_micros() as u64);
-        match partial {
-            Some((subtrees, partial_us)) => {
-                self.metrics.compactions_partial.inc();
-                self.metrics.subtree_rebuilds.add(subtrees);
-                self.metrics.partial_rebuild_us.record(rebuild_us);
-                if let Some(per) = partial_us.checked_div(subtrees) {
-                    let per = per.max(1);
-                    let ema = self.partial_cost_ema_us.load(Ordering::Relaxed);
-                    let next = if ema == 0 { per } else { (3 * ema + per) / 4 };
-                    self.partial_cost_ema_us.store(next, Ordering::Relaxed);
-                }
-                self.telemetry
-                    .journal
-                    .record(EventKind::PartialCompactionEnd {
-                        epoch: new_epoch_id,
-                        pause_us,
-                        rebuild_us,
-                        subtrees,
-                    });
-            }
-            None => {
-                self.metrics.compactions_full.inc();
-                self.metrics.compaction_rebuild_us.record(rebuild_us);
-                self.telemetry.journal.record(EventKind::CompactionEnd {
-                    epoch: new_epoch_id,
-                    pause_us,
-                    rebuild_us,
-                    points: new_points,
-                });
-            }
-        }
-        self.telemetry.journal.record(EventKind::EpochSwap {
-            epoch: new_epoch_id,
-            seq: fold_seq,
-        });
-        true
+        (removed, seq)
     }
 }
 
@@ -674,8 +335,7 @@ impl SpatialServer {
     pub fn from_parts(base: Box<dyn SpatialIndex>, rebuild: RebuildFn, cfg: ServerConfig) -> Self {
         let telemetry = Arc::new(Telemetry::new());
         let metrics = ServerMetrics::register(&telemetry);
-        metrics.set_model_error(base.as_ref());
-        metrics.set_maintenance(base.as_ref());
+        metrics.set_base(base.as_ref());
         metrics.points.set(base.len() as i64);
         telemetry.journal.record(EventKind::ServerStart {
             points: base.len() as u64,
@@ -696,14 +356,15 @@ impl SpatialServer {
             telemetry,
             metrics,
         });
-        let compactor = cfg.auto_compact.then(|| {
-            let worker = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("rsmi-compactor".into())
-                .spawn(move || compactor_loop(&worker))
-                .expect("failed to spawn the compaction thread")
-        });
-        Self { core, compactor }
+        let worker = Arc::clone(&core);
+        let compactor = std::thread::Builder::new()
+            .name("rsmi-compactor".into())
+            .spawn(move || compactor_loop(&worker))
+            .expect("failed to spawn the compaction thread");
+        Self {
+            core,
+            compactor: Some(compactor),
+        }
     }
 
     /// Takes a frozen, consistent view of the server: one epoch plus the
@@ -738,27 +399,22 @@ impl SpatialServer {
         self.core.apply(op)
     }
 
-    /// Synchronously runs one policy-driven compaction: a partial pass
-    /// (repair only the worn subtrees, refitting those drifted past the
-    /// [`CompactionPolicy`]'s trigger, in a clone of the base) when the
-    /// base's [`SpatialIndex::clone_index`] offers a copy, a full rebuild
-    /// otherwise; the resulting epoch swaps in atomically either way.
-    /// Returns whether a swap happened (`false` if the delta was empty).
-    /// This is what the background thread runs on every trigger.
+    /// Synchronously runs one policy-driven pass, as the background thread
+    /// does on every trigger: partial (in a clone of the base, refitting the
+    /// subtrees past [`ServerConfig::drift_trigger`]) when the base's
+    /// [`SpatialIndex::clone_index`] offers a copy, full otherwise.  Returns
+    /// whether an epoch swapped (`false` if the delta was empty).
     pub fn maintain_now(&self) -> bool {
-        self.core.compact_with(true)
+        compact::run(&self.core, true)
     }
 
-    /// Synchronously folds the buffered delta into a fresh base and swaps
-    /// epochs, always as a **full** rebuild through the rebuild closure,
+    /// Synchronously runs one **full** pass through the rebuild closure,
     /// without asking the base for a clone — the deterministic baseline
     /// (and what trait-level `rebuild` / `write_snapshot` use).  Returns
-    /// whether a swap happened (`false` if the delta was empty).  Safe to
-    /// call while the background thread is running — the two serialise on
-    /// the compaction lock.  See [`maintain_now`](Self::maintain_now) for
-    /// the policy-driven (possibly partial) variant.
+    /// whether a swap happened; passes serialise, so it is safe beside the
+    /// background thread.
     pub fn compact_now(&self) -> bool {
-        self.core.compact_with(false)
+        compact::run(&self.core, false)
     }
 
     /// Current server counters (epoch, sequence, delta size, live points);
@@ -823,306 +479,13 @@ impl Drop for SpatialServer {
     }
 }
 
-/// How long the compaction thread sleeps between trigger checks when nobody
-/// kicks it (a kick from the write path wakes it immediately).
-const COMPACTOR_POLL: Duration = Duration::from_millis(25);
-
-fn compactor_loop(core: &Core) {
-    loop {
-        {
-            let mut sig = core.signal.lock().expect("signal lock poisoned");
-            while !sig.shutdown && !sig.kicked {
-                let (guard, timeout) = core
-                    .signal_cv
-                    .wait_timeout(sig, COMPACTOR_POLL)
-                    .expect("signal lock poisoned");
-                sig = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            if sig.shutdown {
-                return;
-            }
-            sig.kicked = false;
-        }
-        let epoch = core.current_epoch();
-        let buffered = epoch.delta.read().expect("delta lock poisoned").op_count();
-        drop(epoch);
-        if buffered >= core.cfg.policy.ops_trigger {
-            core.compact_with(true);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Snapshot: the reader-side merged view
-// ---------------------------------------------------------------------
-
-/// A frozen, consistent view of a [`SpatialServer`]: one epoch's base index
-/// plus the delta overlay as of the moment the snapshot was taken.
-///
-/// Queries merge the two sides: base results whose key was deleted are
-/// masked out, live inserted points are unioned in, and every delta entry
-/// examined is charged to the caller's [`QueryContext`] as a scanned
-/// candidate, so per-query statistics stay exact.  [`seq`](Self::seq) names
-/// the exact prefix of the write stream this view observes — the handle a
-/// replay oracle verifies concurrent runs against.
-pub struct Snapshot {
-    epoch: Arc<Epoch>,
-    delta: Arc<DeltaState>,
-}
-
-impl Snapshot {
-    /// Last write sequence number this view observes (0 = none).
-    pub fn seq(&self) -> u64 {
-        self.delta.seq()
-    }
-
-    /// The epoch this view reads from.
-    pub fn epoch_id(&self) -> u64 {
-        self.epoch.id
-    }
-
-    /// Live points in this view.
-    pub fn len(&self) -> usize {
-        self.epoch.base.len() - self.delta.masked_base() + self.delta.live_inserts()
-    }
-
-    /// Whether the view holds no live points.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Display name of the underlying base index family.
-    pub fn base_name(&self) -> &'static str {
-        self.epoch.base.name()
-    }
-
-    /// Looks up a live point with exactly the query's coordinates.
-    ///
-    /// Matches `Vec` semantics: a live base copy wins over inserted copies
-    /// (the base's own answer, else its first live copy in the base's
-    /// order), and among inserted copies the earliest still-live insert
-    /// wins.
-    pub fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        if self.delta.is_empty() {
-            return self.epoch.base.point_query(q, cx);
-        }
-        let (delta_hit, examined) = self.delta.point_lookup(q);
-        cx.count_candidates(examined);
-        let base_hit = match self.epoch.base.point_query(q, cx) {
-            Some(p) if !self.delta.masks(&p) => Some(p),
-            Some(_) => {
-                // The base's answer at this location is deleted.  Another
-                // base copy can only exist if the data had duplicate
-                // locations under different ids; recover the first live
-                // one in the base's own order with an exhaustive
-                // degenerate-window probe (for a plain scan, `Vec` order).
-                let mut alt = None;
-                self.epoch
-                    .base
-                    .window_query_visit(&Rect::from_point(*q), cx, &mut |p| {
-                        if alt.is_none() && !self.delta.masks(p) {
-                            alt = Some(*p);
-                        }
-                    });
-                alt
-            }
-            None => None,
-        };
-        base_hit.or(delta_hit)
-    }
-
-    /// Calls `visit` for every live point inside `window`: unmasked base
-    /// results first, then live inserted copies.
-    pub fn window_query_visit(
-        &self,
-        window: &Rect,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        if self.delta.is_empty() {
-            self.epoch.base.window_query_visit(window, cx, visit);
-            return;
-        }
-        self.epoch.base.window_query_visit(window, cx, &mut |p| {
-            if !self.delta.masks(p) {
-                visit(p);
-            }
-        });
-        let examined = self.delta.visit_inserts_in(window, visit);
-        cx.count_candidates(examined);
-    }
-
-    /// Returns the live points inside `window` as a fresh vector.
-    pub fn window_query(&self, window: &Rect, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_visit(window, cx, &mut |p| out.push(*p));
-        out
-    }
-
-    /// Calls `visit` for (up to) the `k` live nearest neighbours of `q`,
-    /// closest first, ties broken by id — the same deterministic order as
-    /// [`common::brute_force::knn_query`].
-    pub fn knn_query_visit(
-        &self,
-        q: &Point,
-        k: usize,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        if self.delta.is_empty() {
-            self.epoch.base.knn_query_visit(q, k, cx, visit);
-            return;
-        }
-        if k == 0 {
-            return;
-        }
-        // Ask the base for the `k` that was asked for, and widen only on a
-        // shortfall: when more masked neighbours came back than the request
-        // allowed for and the base had more to give, ask again for `k` plus
-        // the masked ones seen.  The request grows every round and stops at
-        // `k + masked_base` at the latest.
-        let cap = k.saturating_add(self.delta.masked_base());
-        let mut best = KBest::new(k);
-        let mut k_base = k;
-        loop {
-            best.clear();
-            let (mut returned, mut masked) = (0usize, 0usize);
-            self.epoch.base.knn_query_visit(q, k_base, cx, &mut |p| {
-                returned += 1;
-                if self.delta.masks(p) {
-                    masked += 1;
-                } else {
-                    best.offer(*p, p.dist_sq(q));
-                }
-            });
-            let widened = k.saturating_add(masked).min(cap);
-            if returned < k_base || widened <= k_base {
-                break;
-            }
-            k_base = widened;
-        }
-        // Only inserts no farther than the running k-th distance can enter,
-        // and the bound tightens as they do.
-        let examined = self.delta.visit_inserts_near(q, best.bound(), &mut |p| {
-            best.offer(*p, p.dist_sq(q));
-            best.bound()
-        });
-        cx.count_candidates(examined);
-        best.iter().for_each(visit);
-    }
-
-    /// Returns (up to) the `k` live nearest neighbours of `q` as a fresh
-    /// vector, closest first.
-    pub fn knn_query(&self, q: &Point, k: usize, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::with_capacity(k);
-        self.knn_query_visit(q, k, cx, &mut |p| out.push(*p));
-        out
-    }
-
-    /// Calls `visit` for every live point within `radius` of `center`:
-    /// unmasked base results first, then live inserted copies.  Exact for
-    /// every base family (distance-range queries are exact throughout the
-    /// repository), so a live-served index answers exactly too.
-    pub fn range_query_visit(
-        &self,
-        center: &Point,
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        if self.delta.is_empty() {
-            self.epoch.base.range_query_visit(center, radius, cx, visit);
-            return;
-        }
-        if !radius.is_finite() || radius < 0.0 {
-            return;
-        }
-        self.epoch
-            .base
-            .range_query_visit(center, radius, cx, &mut |p| {
-                if !self.delta.masks(p) {
-                    visit(p);
-                }
-            });
-        let examined = self
-            .delta
-            .visit_inserts_within(center, radius * radius, visit);
-        cx.count_candidates(examined);
-    }
-
-    /// Returns the live points within `radius` of `center` as a fresh
-    /// vector.
-    pub fn range_query(&self, center: &Point, radius: f64, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.range_query_visit(center, radius, cx, &mut |p| out.push(*p));
-        out
-    }
-
-    /// The join worker against this view: every live `(p, q)` pair with `p`
-    /// in the view and `q ∈ probes` within `radius`.  Base pairs whose left
-    /// side was deleted are masked out; live inserted copies pair directly
-    /// against the probe set (each examined entry charged as a candidate) —
-    /// the delta-overlay merge that keeps live-served joins exact.
-    pub fn distance_join_probes(
-        &self,
-        probes: &[Point],
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point, &Point),
-    ) {
-        if self.delta.is_empty() {
-            self.epoch
-                .base
-                .distance_join_probes(probes, radius, cx, visit);
-            return;
-        }
-        if !radius.is_finite() || radius < 0.0 || probes.is_empty() {
-            return;
-        }
-        let r_sq = radius * radius;
-        self.epoch
-            .base
-            .distance_join_probes(probes, radius, cx, &mut |p, q| {
-                if !self.delta.masks(p) {
-                    visit(p, q);
-                }
-            });
-        let examined = self.delta.visit_inserts(&mut |p| {
-            for q in probes {
-                if p.dist_sq(q) <= r_sq {
-                    visit(p, q);
-                }
-            }
-        });
-        cx.count_candidates(examined);
-    }
-
-    /// Visits every live point exactly once: unmasked base points, then
-    /// live inserted copies (uncharged, like any index enumeration).
-    pub fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
-        if self.delta.is_empty() {
-            self.epoch.base.for_each_point(visit);
-            return;
-        }
-        self.epoch.base.for_each_point(&mut |p| {
-            if !self.delta.masks(p) {
-                visit(p);
-            }
-        });
-        self.delta.visit_inserts(visit);
-    }
-}
-
 // ---------------------------------------------------------------------
 // The server is itself a SpatialIndex
 // ---------------------------------------------------------------------
 
 impl SpatialIndex for SpatialServer {
     fn name(&self) -> &'static str {
-        self.snapshot().base_name()
+        self.snapshot().epoch.base.name()
     }
 
     fn len(&self) -> usize {
@@ -1224,14 +587,16 @@ impl SpatialIndex for SpatialServer {
 mod tests {
     use super::*;
     use common::brute_force::{self, ScanIndex};
+    use common::MaintenanceBudget;
     use datagen::{generate, Distribution};
+    use std::time::Duration;
 
-    fn scan_rebuild() -> RebuildFn {
+    pub(crate) fn scan_rebuild() -> RebuildFn {
         Box::new(|pts| Box::new(ScanIndex::new(pts.to_vec())))
     }
 
     fn manual_cfg() -> ServerConfig {
-        ServerConfig::default().with_auto_compact(false)
+        ServerConfig::default().with_compact_threshold(usize::MAX)
     }
 
     fn serve(n: usize, seed: u64) -> (Vec<Point>, SpatialServer) {
@@ -1769,7 +1134,7 @@ mod tests {
         }
     }
 
-    fn maint_rebuild() -> RebuildFn {
+    pub(crate) fn maint_rebuild() -> RebuildFn {
         Box::new(|pts| Box::new(MaintScan::new(pts.to_vec())))
     }
 

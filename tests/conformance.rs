@@ -487,7 +487,7 @@ fn duplicate_heavy_deletes_agree_with_the_oracle_on_the_scan_and_the_server() {
     for kind in [IndexKind::Rsmi, IndexKind::Rsmia] {
         for full in [false, true] {
             let pass = if full { "full" } else { "partial" };
-            let scfg = ServerConfig::default().with_auto_compact(false);
+            let scfg = ServerConfig::default().with_compact_threshold(usize::MAX);
             let mut server = serve_index(kind, &data, &cfg(), scfg);
             let mut fail =
                 |what: String| failures.push(format!("{kind} server, {pass} pass: {what}"));

@@ -27,7 +27,7 @@ fn serve(kind: IndexKind, data: &[Point]) -> SpatialServer {
         kind,
         data,
         &cfg(),
-        ServerConfig::default().with_auto_compact(false),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
     )
 }
 

@@ -130,7 +130,7 @@ fn server_overlay_body(kind: IndexKind) {
         kind,
         &data,
         &cfg(),
-        ServerConfig::default().with_auto_compact(false),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
     );
     let mut live = data.clone();
     let probes = queries::join_points(&data, 120, 137);

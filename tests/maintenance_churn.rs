@@ -27,7 +27,7 @@ use datagen::queries::{self, MixedQuery, WindowSpec};
 use datagen::{generate, Distribution};
 use geom::Point;
 use obs::EventKind;
-use registry::{serve_index, CompactionPolicy, IndexConfig, IndexKind, ServerConfig};
+use registry::{serve_index, IndexConfig, IndexKind, ServerConfig};
 use server::{SpatialServer, WriteOp, MAX_SUBTREES};
 
 const READERS: usize = 3;
@@ -123,16 +123,13 @@ fn churn_soak(kind: IndexKind, verify_windows: bool, verify_knn: bool) {
 
     // Low drift trigger so hot subtrees actually retrain during the soak
     // (the point of the exercise) instead of only widening bounds.
-    let policy = CompactionPolicy::default()
-        .with_ops_trigger(TRIGGER)
-        .with_drift_trigger(0.05);
     let server = serve_index(
         kind,
         &data,
         &IndexConfig::fast(),
         ServerConfig::default()
-            .with_policy(policy)
-            .with_auto_compact(false),
+            .with_compact_threshold(usize::MAX)
+            .with_drift_trigger(0.05),
     );
 
     let mut observations = run_soak(&server, &reads, &writes);
@@ -259,7 +256,7 @@ fn ghost_delta_delete_stays_dead_across_partial_epochs() {
         IndexKind::Rsmi,
         &data,
         &IndexConfig::fast(),
-        ServerConfig::default().with_auto_compact(false),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
     );
     let ghost = Point::with_id(0.771, 0.333, 7_000_001);
     let mut cx = QueryContext::new();
@@ -307,7 +304,7 @@ fn a_skewed_sharded_base_compacts_fully_and_an_even_one_partially() {
             IndexKind::Sharded(registry::BaseKind::Rsmi),
             &data,
             &IndexConfig::fast().with_shards(8),
-            ServerConfig::default().with_auto_compact(false),
+            ServerConfig::default().with_compact_threshold(usize::MAX),
         );
         for i in 0..inserts {
             let (x, y) = ((i % 50) as f64 * 1e-4, (i / 50) as f64 * 1e-4);
@@ -337,7 +334,7 @@ fn a_4096_op_backlog_folds_in_one_pass() {
         IndexKind::Rsmi,
         &data,
         &IndexConfig::fast(),
-        ServerConfig::default().with_auto_compact(false),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
     );
     let mut oracle = data.clone();
     let delete = |oracle: &mut Vec<Point>, victim: Point| {

@@ -199,7 +199,7 @@ fn stats_scrape_exposes_maintenance_metrics() {
         IndexKind::Rsmi,
         &data,
         &IndexConfig::fast(),
-        ServerConfig::default().with_auto_compact(false),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
     ));
     let handle = net::serve_config(Arc::clone(&engine), &ServeConfig::default()).unwrap();
     let mut client = NetClient::connect(&handle.local_addr().to_string()).unwrap();

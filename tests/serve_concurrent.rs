@@ -12,7 +12,7 @@
 use bench::live::{await_compactions, replay_against_oracle, run_live_serving, split_stream};
 use datagen::queries::{self, WindowSpec};
 use datagen::{generate, Distribution};
-use registry::{serve_index, CompactionPolicy, IndexConfig, IndexKind, ServerConfig};
+use registry::{serve_index, IndexConfig, IndexKind, ServerConfig};
 use server::WriteOp;
 use std::time::Duration;
 
@@ -100,14 +100,13 @@ fn background_partial_compaction_serves_a_learned_kind_verifiably() {
     *first_delete.expect("the stream deletes") = WriteOp::Delete(data[0]);
 
     let threshold = (writes.len() / 6).max(8);
-    let policy = CompactionPolicy::default()
-        .with_ops_trigger(threshold)
-        .with_drift_trigger(0.05);
     let server = serve_index(
         IndexKind::Rsmia,
         &data,
         &IndexConfig::fast(),
-        ServerConfig::default().with_policy(policy),
+        ServerConfig::default()
+            .with_compact_threshold(threshold)
+            .with_drift_trigger(0.05),
     );
 
     let run = run_live_serving(

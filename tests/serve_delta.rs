@@ -118,7 +118,7 @@ fn delta_overlay_body(kind: IndexKind, seed: u64) {
         kind,
         &data,
         &cfg,
-        ServerConfig::default().with_auto_compact(false),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
     );
     let mut oracle = data.clone();
     let mut deleted: Vec<Point> = Vec::new();

@@ -17,8 +17,8 @@ use bench::{replay_workload, ReplaySpec};
 use common::{MaintenanceBudget, QueryContext};
 use datagen::{generate, Distribution};
 use registry::{
-    build_index, load_index_bytes, serve_snapshot_bytes, snapshot_bytes, CompactionPolicy,
-    IndexConfig, IndexKind, ServerConfig,
+    build_index, load_index_bytes, serve_snapshot_bytes, snapshot_bytes, IndexConfig, IndexKind,
+    ServerConfig,
 };
 use server::WriteOp;
 use std::path::PathBuf;
@@ -156,9 +156,7 @@ fn fixtures_default_maintenance_state_sanely() {
         let server = serve_snapshot_bytes(
             &bytes,
             &fixture_cfg(),
-            ServerConfig::default()
-                .with_policy(CompactionPolicy::default().with_ops_trigger(8))
-                .with_auto_compact(false),
+            ServerConfig::default().with_compact_threshold(usize::MAX),
         )
         .unwrap_or_else(|e| panic!("fixture {name} no longer serves: {e}"));
         let extra = geom::Point::with_id(0.123, 0.789, 900_000 + seed);
