@@ -364,9 +364,9 @@ mod tests {
             }
         }
 
-        /// Up to `max` writes, then every answer checked after `step`.
-        fn step(&mut self, server: &SpatialServer, max: usize, step: &str) {
-            for _ in 0..self.rng.below(max + 1) {
+        /// Up to three writes, then every answer checked after `step`.
+        fn step(&mut self, server: &SpatialServer, step: &str) {
+            for _ in 0..self.rng.below(4) {
                 self.write(server);
             }
             self.check(server, step);
@@ -456,17 +456,17 @@ mod tests {
             let mut partial_passes = 0;
             for i in 0..PASSES {
                 oracle.write(&server);
-                oracle.step(&server, 3, "the writes before a pass");
+                oracle.step(&server, "the writes before a pass");
                 let partial = (seed + i).is_multiple_of(2);
                 partial_passes += u64::from(maint && partial);
                 let mut pass = Pass::capture(&server.core).expect("writes are buffered");
-                oracle.step(&server, 3, "capture");
+                oracle.step(&server, "capture");
                 let next = pass.build(partial);
-                oracle.step(&server, 3, "build");
+                oracle.step(&server, "build");
                 pass.catch_up(&next);
-                oracle.step(&server, 3, "catch_up");
+                oracle.step(&server, "catch_up");
                 pass.swap(&next);
-                oracle.step(&server, 3, "swap");
+                oracle.step(&server, "swap");
                 pass.record(&next);
                 oracle.check(&server, "record");
             }
