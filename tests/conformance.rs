@@ -603,3 +603,128 @@ fn a_nan_coordinate_does_not_panic_a_bulk_load() {
     }
     assert!(failures.is_empty(), "panicked: {failures:?}");
 }
+
+/// Uniform points in the unit square plus five outside it, on both sides
+/// of every axis.
+fn data_outside_the_unit_square() -> (Vec<Point>, Vec<Point>) {
+    let mut data = generate(Distribution::Uniform, 2_000, 31);
+    let outside = vec![
+        Point::with_id(-5.0, 0.5, 900_001),
+        Point::with_id(-5.0, 0.9, 900_002),
+        Point::with_id(3.5, 0.5, 900_003),
+        Point::with_id(0.5, -2.0, 900_004),
+        Point::with_id(1.7, 1.9, 900_005),
+    ];
+    data.extend(&outside);
+    (data, outside)
+}
+
+/// Points and queries outside the unit square get the oracle's answers:
+/// point, range and join on every kind, window and kNN on the kinds whose
+/// answers are exact.  Failures are collected and reported together.
+#[test]
+fn points_and_queries_outside_the_unit_square_match_the_oracle_on_every_kind() {
+    let (data, outside) = data_outside_the_unit_square();
+    let ids = |pts: &[Point]| {
+        let mut ids: Vec<u64> = pts.iter().map(|p| p.id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let knn_queries = [
+        Point::new(-5.0, 0.55),
+        Point::new(3.0, 0.45),
+        Point::new(0.5, -1.5),
+        Point::new(1.2, 1.3),
+        Point::new(-0.2, -0.2),
+    ];
+    let windows = [
+        Rect::new(-6.0, 0.4, -4.0, 1.0),
+        Rect::new(-1.0, 0.45, 4.0, 0.55),
+        Rect::new(0.4, -3.0, 0.6, 0.1),
+        Rect::new(0.9, 0.9, 2.0, 2.0),
+    ];
+    let ranges = [
+        (Point::new(-5.0, 0.55), 0.3),
+        (Point::new(3.4, 0.5), 0.5),
+        (Point::new(0.5, -1.0), 1.05),
+        (Point::new(1.6, 1.8), 0.2),
+    ];
+    let probes = [
+        Point::with_id(-4.9, 0.6, 1),
+        Point::with_id(-5.1, 0.8, 2),
+        Point::with_id(3.6, 0.45, 3),
+        Point::with_id(0.45, -1.8, 4),
+        Point::with_id(1.6, 2.0, 5),
+        Point::with_id(0.5, 0.5, 6),
+    ];
+    let join_radius = 0.3;
+
+    // What an answer misses and adds against the oracle's.
+    fn diff<T: Ord + Copy + std::fmt::Debug>(got: &[T], truth: &[T]) -> Option<String> {
+        let missing: Vec<T> = truth.iter().filter(|t| !got.contains(t)).copied().collect();
+        let extra: Vec<T> = got.iter().filter(|g| !truth.contains(g)).copied().collect();
+        (got != truth).then(|| format!("missing {missing:?}, extra {extra:?}"))
+    }
+
+    let mut failures: Vec<String> = Vec::new();
+    for kind in IndexKind::all_with_sharded() {
+        let mut fail =
+            |class: &str, what: String| failures.push(format!("{kind} / {class}: {what}"));
+        let index = build_index(kind, &data, &cfg());
+        let mut cx = QueryContext::new();
+
+        for p in &outside {
+            let found = index.point_query(p, &mut cx).map(|f| f.id);
+            if found != Some(p.id) {
+                fail("point", format!("{p:?} found as {found:?}"));
+            }
+        }
+        for (c, r) in ranges {
+            let got = ids(&index.range_query(&c, r, &mut cx));
+            let truth = ids(&brute_force::range_query(&data, &c, r));
+            if let Some(d) = diff(&got, &truth) {
+                fail("range", format!("at {c:?} r {r}: {d}"));
+            }
+        }
+        let other = brute_force::ScanIndex::new(probes.to_vec());
+        let pairs = |pairs: &[(Point, Point)]| {
+            let mut keys: Vec<(u64, u64)> = pairs.iter().map(|(p, q)| (p.id, q.id)).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let got = pairs(&index.distance_join(&other, join_radius, &mut cx));
+        let truth = pairs(&brute_force::distance_join(&data, &probes, join_radius));
+        if let Some(d) = diff(&got, &truth) {
+            fail("join", d);
+        }
+        if kind.exact_windows() {
+            for w in &windows {
+                let got = ids(&index.window_query(w, &mut cx));
+                let truth = ids(&brute_force::window_query(&data, w));
+                if let Some(d) = diff(&got, &truth) {
+                    fail("window", format!("{w:?}: {d}"));
+                }
+            }
+        }
+        if kind.exact_knn() {
+            for q in &knn_queries {
+                for k in [1usize, 3, 10] {
+                    let got = index.knn_query(q, k, &mut cx);
+                    let truth = brute_force::knn_query(&data, q, k);
+                    let same = got.len() == truth.len()
+                        && got
+                            .iter()
+                            .zip(&truth)
+                            .all(|(g, t)| (g.dist(q) - t.dist(q)).abs() < 1e-12);
+                    if !same {
+                        fail(
+                            "knn",
+                            format!("k={k} at {q:?}: {:?} != {:?}", ids(&got), ids(&truth)),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
