@@ -57,17 +57,24 @@ impl GridFile {
         row * side + col
     }
 
+    /// The extent of the points a cell can hold.  `cell_of` clamps points
+    /// outside the unit square into the border cells, so a border cell
+    /// reaches to `f64::MIN` / `f64::MAX` on its outer sides; inside the
+    /// unit square every cell keeps its nominal extent.
     #[inline]
     fn cell_rect(&self, cell: usize) -> Rect {
         let col = cell % self.side;
         let row = cell / self.side;
         let w = 1.0 / self.side as f64;
-        Rect::new(
-            col as f64 * w,
-            row as f64 * w,
-            (col + 1) as f64 * w,
-            (row + 1) as f64 * w,
-        )
+        let lo = |i: usize| if i == 0 { f64::MIN } else { i as f64 * w };
+        let hi = |i: usize| {
+            if i + 1 == self.side {
+                f64::MAX
+            } else {
+                (i + 1) as f64 * w
+            }
+        };
+        Rect::new(lo(col), lo(row), hi(col), hi(row))
     }
 
     /// Cells whose extent intersects the window.
