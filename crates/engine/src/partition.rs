@@ -150,10 +150,7 @@ impl Partitioner {
     /// Appends the frozen routing tables to a snapshot (sub-record of the
     /// sharded container's partitioner section).
     pub fn encode(&self, w: &mut persist::SnapshotWriter) {
-        w.put_u8(match self.curve {
-            CurveKind::Z => 0,
-            CurveKind::Hilbert => 1,
-        });
+        w.put_u8(self.curve.tag());
         w.put_u32(self.order);
         encode_pairs(w, &self.by_x);
         encode_pairs(w, &self.by_y);
@@ -165,15 +162,9 @@ impl Partitioner {
 
     /// Reads a partitioner written by [`Partitioner::encode`].
     pub fn decode(r: &mut persist::SnapshotReader<'_>) -> Result<Self, persist::PersistError> {
-        let curve = match r.get_u8()? {
-            0 => CurveKind::Z,
-            1 => CurveKind::Hilbert,
-            other => {
-                return Err(persist::PersistError::Corrupt(format!(
-                    "unknown curve tag {other}"
-                )))
-            }
-        };
+        let tag = r.get_u8()?;
+        let curve = CurveKind::from_tag(tag)
+            .ok_or_else(|| persist::PersistError::Corrupt(format!("unknown curve tag {tag}")))?;
         let order = r.get_u32()?;
         let by_x = decode_pairs(r)?;
         let by_y = decode_pairs(r)?;

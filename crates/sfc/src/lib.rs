@@ -55,6 +55,23 @@ impl CurveKind {
         }
     }
 
+    /// The byte that names the curve in a snapshot: `Z = 0`, `Hilbert = 1`.
+    pub fn tag(self) -> u8 {
+        match self {
+            CurveKind::Z => 0,
+            CurveKind::Hilbert => 1,
+        }
+    }
+
+    /// The curve a snapshot byte names, or `None` for an unknown byte.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(CurveKind::Z),
+            1 => Some(CurveKind::Hilbert),
+            _ => None,
+        }
+    }
+
     /// Human-readable name used in experiment output.
     pub fn name(&self) -> &'static str {
         match self {
@@ -96,6 +113,15 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s));
         }
+    }
+
+    #[test]
+    fn tags_roundtrip_and_unknown_bytes_are_refused() {
+        for curve in [CurveKind::Z, CurveKind::Hilbert] {
+            assert_eq!(CurveKind::from_tag(curve.tag()), Some(curve));
+        }
+        assert_eq!((CurveKind::Z.tag(), CurveKind::Hilbert.tag()), (0, 1));
+        assert_eq!(CurveKind::from_tag(2), None);
     }
 
     #[test]
