@@ -17,7 +17,7 @@ use bench::{
     build_timed, fmt, measure_insertions, measure_knn_queries, measure_point_queries,
     measure_window_queries, print_table, IndexConfig, IndexKind,
 };
-use common::QueryContext;
+use common::{QueryContext, SpatialIndex};
 use datagen::queries::{self, WindowSpec};
 use datagen::Distribution;
 use geom::Point;

@@ -80,13 +80,6 @@ impl Rsmi {
         directory::window(&mut ExactView { index: self, cx }, window, visit)
     }
 
-    /// Exact window query returning a fresh vector.
-    pub fn window_query_exact(&self, window: &Rect, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::new();
-        self.window_query_exact_visit(window, cx, &mut |p| out.push(*p));
-        out
-    }
-
     /// Exact distance-range query: an R-tree-style `MINDIST` traversal over
     /// the MBRs stored with every sub-model.
     ///
@@ -111,7 +104,7 @@ impl Rsmi {
     /// discarding the probes beyond the radius before descending (the
     /// learned directory doubles as the join's pruning directory), and each
     /// surviving block is read once for all probes that reach it.
-    pub fn distance_join_probes_visit(
+    pub(crate) fn distance_join_probes_visit(
         &self,
         probes: &[Point],
         radius: f64,
@@ -119,25 +112,6 @@ impl Rsmi {
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
         directory::distance_join(&mut ExactView { index: self, cx }, probes, radius, visit)
-    }
-
-    /// Exact kNN query, visitor form — the RSMIa variant: a best-first
-    /// traversal over the sub-model MBRs.  Visits results closest first.
-    pub fn knn_query_exact_visit(
-        &self,
-        q: &Point,
-        k: usize,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point),
-    ) {
-        directory::knn(&mut ExactView { index: self, cx }, q, k, visit)
-    }
-
-    /// Exact kNN query returning a fresh vector, closest first.
-    pub fn knn_query_exact(&self, q: &Point, k: usize, cx: &mut QueryContext) -> Vec<Point> {
-        let mut out = Vec::with_capacity(k);
-        self.knn_query_exact_visit(q, k, cx, &mut |p| out.push(*p));
-        out
     }
 }
 
@@ -159,16 +133,6 @@ impl RsmiExact {
     /// Wraps an already-built RSMI.
     pub fn from_rsmi(inner: Rsmi) -> Self {
         Self(inner)
-    }
-
-    /// The wrapped index.
-    pub fn inner(&self) -> &Rsmi {
-        &self.0
-    }
-
-    /// Unwraps into the plain (approximate) index.
-    pub fn into_inner(self) -> Rsmi {
-        self.0
     }
 
     /// Reads an RSMIa snapshot: the identical structure record as
@@ -208,7 +172,8 @@ impl SpatialIndex for RsmiExact {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        self.0.knn_query_exact_visit(q, k, cx, visit)
+        // A best-first traversal over the sub-model MBRs, closest first.
+        directory::knn(&mut ExactView { index: &self.0, cx }, q, k, visit)
     }
 
     fn range_query_visit(
@@ -264,11 +229,11 @@ impl SpatialIndex for RsmiExact {
     }
 
     fn maintenance_stats(&self) -> Option<common::MaintenanceStats> {
-        Some(Rsmi::maintenance_stats(&self.0))
+        self.0.maintenance_stats()
     }
 
     fn rebuild_partial(&mut self, budget: &common::MaintenanceBudget) -> usize {
-        Rsmi::rebuild_partial(&mut self.0, budget)
+        self.0.rebuild_partial(budget)
     }
 
     fn clone_index(&self) -> Option<Box<dyn SpatialIndex>> {
@@ -276,7 +241,6 @@ impl SpatialIndex for RsmiExact {
     }
 
     fn write_snapshot(&self, w: &mut SnapshotWriter) -> Result<(), PersistError> {
-        self.0.encode_snapshot(w);
-        Ok(())
+        self.0.write_snapshot(w)
     }
 }

@@ -25,19 +25,22 @@
 //!    false positives); kNN queries expand a data-distribution-scaled search
 //!    region around the query point.
 //! 4. **Updates (§5).**  Insertions go to the predicted block or to a linked
-//!    overflow block; deletions leave free slots; [`Rsmi::rebuild`]
-//!    implements the RSMIr periodic-rebuild variant.
+//!    overflow block; deletions leave free slots;
+//!    [`SpatialIndex::rebuild`](common::SpatialIndex::rebuild) implements
+//!    the RSMIr periodic-rebuild variant and
+//!    [`SpatialIndex::rebuild_partial`](common::SpatialIndex::rebuild_partial)
+//!    its per-leaf form.
 //!
 //! The MBR-augmented exact variants of window and kNN queries (the paper's
-//! **RSMIa**) are available as [`Rsmi::window_query_exact`] /
-//! [`Rsmi::knn_query_exact`], or uniformly through the [`RsmiExact`]
-//! wrapper, which answers exactly via the common `SpatialIndex` trait.
+//! **RSMIa**) are answered by the [`RsmiExact`] wrapper through the same
+//! trait; [`Rsmi::window_query_exact_visit`] runs the exact window
+//! traversal on a plain [`Rsmi`].
 //!
 //! # Quick start
 //!
-//! Queries go through the zero-copy visitor/`Vec` API of
-//! [`common::SpatialIndex`], with per-query costs charged to an explicit
-//! [`common::QueryContext`]:
+//! Queries, updates and maintenance go through the zero-copy visitor/`Vec`
+//! API of [`common::SpatialIndex`], the index's one query surface, with
+//! per-query costs charged to an explicit [`common::QueryContext`]:
 //!
 //! ```
 //! use datagen::{generate, Distribution};

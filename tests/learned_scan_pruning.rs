@@ -5,7 +5,7 @@
 //! keep finding what lives in overflow blocks and stop opening a block once
 //! a delete has pulled its rectangle back.
 
-use common::{QueryContext, QueryStats};
+use common::{QueryContext, QueryStats, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use geom::{Point, Rect};
 use rsmi::{Rsmi, RsmiConfig};

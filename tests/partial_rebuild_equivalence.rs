@@ -9,9 +9,9 @@
 //! * trait-level twins for the exact kinds (RSMIa and its sharded
 //!   composition, which routes the maintenance protocol through the
 //!   engine's shard aggregation) across all five query classes;
-//! * concrete [`Rsmi`] twins through the `*_exact` variants, so the
-//!   approximate kind is also held to strict equality on the classes
-//!   where it has an exact mode;
+//! * concrete [`Rsmi`] twins through the exact (RSMIa) traversals, by
+//!   wrapping each in [`RsmiExact`], so the approximate kind is also held
+//!   to strict equality on the classes where it has an exact mode;
 //! * widened error bounds stay **sound** (`bounds_violations() == 0`)
 //!   under seeded adversarial duplicate inserts, and a partial pass
 //!   reclaims all accumulated widening.
@@ -20,7 +20,7 @@ use common::{brute_force, MaintenanceBudget, QueryContext, SpatialIndex};
 use datagen::{generate, Distribution};
 use geom::{Point, Rect};
 use registry::{build_index, BaseKind, IndexConfig, IndexKind};
-use rsmi::Rsmi;
+use rsmi::{Rsmi, RsmiExact};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -210,7 +210,7 @@ fn partial_twin_matches_full_rebuild_twin_for_exact_kinds() {
 }
 
 /// Concrete-RSMI property: the approximate kind is held to the same
-/// equivalence through its `*_exact` query variants, so the partial pass
+/// equivalence through its exact (RSMIa) traversals, so the partial pass
 /// is proven not to change even the answers the trait surface reports
 /// only approximately.
 #[test]
@@ -249,10 +249,11 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
         for p in &dead {
             assert_eq!(partial.point_query(p, &mut cx), None);
         }
+        let (partial, full) = (RsmiExact::from_rsmi(partial), RsmiExact::from_rsmi(full));
         for (cx_c, cy_c, side) in [(0.3, 0.3, 0.25), (0.6, 0.7, 0.15)] {
             let w = Rect::centered(cx_c, cy_c, side, side);
-            let a = sorted_ids(&partial.window_query_exact(&w, &mut cx));
-            let b = sorted_ids(&full.window_query_exact(&w, &mut cx));
+            let a = sorted_ids(&partial.window_query(&w, &mut cx));
+            let b = sorted_ids(&full.window_query(&w, &mut cx));
             let truth = sorted_ids(&brute_force::window_query(&live, &w));
             assert_eq!(a, b, "exact window diverged between twins");
             assert_eq!(a, truth, "exact window diverged from oracle");
@@ -260,12 +261,12 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
         for i in 0..6 {
             let q = live[(i * 89) % live.len()];
             let a: Vec<u64> = partial
-                .knn_query_exact(&q, 10, &mut cx)
+                .knn_query(&q, 10, &mut cx)
                 .iter()
                 .map(|p| p.id)
                 .collect();
             let b: Vec<u64> = full
-                .knn_query_exact(&q, 10, &mut cx)
+                .knn_query(&q, 10, &mut cx)
                 .iter()
                 .map(|p| p.id)
                 .collect();
@@ -273,9 +274,9 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
         }
         for i in 0..4 {
             let c = live[(i * 113) % live.len()];
-            let collect = |idx: &Rsmi, cx: &mut QueryContext| {
+            let collect = |idx: &RsmiExact, cx: &mut QueryContext| {
                 let mut out = Vec::new();
-                idx.range_query_exact_visit(&c, 0.05, cx, &mut |p| out.push(*p));
+                idx.range_query_visit(&c, 0.05, cx, &mut |p| out.push(*p));
                 sorted_ids(&out)
             };
             let truth = sorted_ids(&brute_force::range_query(&live, &c, 0.05));
@@ -285,9 +286,9 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
             assert_eq!(a, truth);
         }
         let probes: Vec<Point> = (0..30).map(|i| live[(i * 41) % live.len()]).collect();
-        let join_pairs = |idx: &Rsmi, cx: &mut QueryContext| {
+        let join_pairs = |idx: &RsmiExact, cx: &mut QueryContext| {
             let mut v: Vec<(u64, u64)> = Vec::new();
-            idx.distance_join_probes_visit(&probes, 0.03, cx, &mut |l, r| {
+            idx.distance_join_probes(&probes, 0.03, cx, &mut |l, r| {
                 v.push((l.id, r.id));
             });
             v.sort_unstable();
@@ -365,14 +366,14 @@ fn widened_bounds_stay_sound_under_adversarial_duplicate_inserts() {
             let got = index.point_query(p, &mut cx).expect("live point lost");
             assert!(got.same_location(p));
         }
-        let stats = index.maintenance_stats();
+        let stats = index.maintenance_stats().expect("maintenance support");
         let widened = stats.widened_below + stats.widened_above;
         assert!(widened <= 32 * stats.subtrees as u64, "per-leaf cap broken");
         any_widened |= widened > 0;
 
         // A partial pass reclaims every widened bound and stays sound.
         index.rebuild_partial(&MaintenanceBudget::default());
-        let after = index.maintenance_stats();
+        let after = index.maintenance_stats().expect("maintenance support");
         assert_eq!(after.widened_below + after.widened_above, 0);
         assert_eq!(after.ops_since_train, 0);
         assert_eq!(index.bounds_violations(), 0);
