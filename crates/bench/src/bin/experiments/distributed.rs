@@ -15,6 +15,7 @@ use crate::netserve::{
     bind_config, serve_config, serve_until_stopped, COMPACT_THRESHOLD, DURATION, PORT,
 };
 use bench::print_table;
+use common::SpatialIndex;
 use std::path::PathBuf;
 use std::sync::Arc;
 

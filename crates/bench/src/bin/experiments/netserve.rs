@@ -30,6 +30,7 @@ use crate::harness::{
     SEED, SHARDS, THREADS, WRITE_RATIO,
 };
 use bench::{fmt, netload, print_table, IndexKind};
+use common::SpatialIndex;
 use datagen::Distribution;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};

@@ -434,36 +434,6 @@ impl SpatialServer {
             len: snap.len(),
         }
     }
-
-    /// Live points currently visible to a fresh snapshot.
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// Whether no points are visible.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Convenience: a point query against a fresh snapshot.
-    pub fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        self.snapshot().point_query(q, cx)
-    }
-
-    /// Convenience: a window query against a fresh snapshot.
-    pub fn window_query(&self, window: &Rect, cx: &mut QueryContext) -> Vec<Point> {
-        self.snapshot().window_query(window, cx)
-    }
-
-    /// Convenience: a kNN query against a fresh snapshot.
-    pub fn knn_query(&self, q: &Point, k: usize, cx: &mut QueryContext) -> Vec<Point> {
-        self.snapshot().knn_query(q, k, cx)
-    }
-
-    /// Convenience: a distance-range query against a fresh snapshot.
-    pub fn range_query(&self, center: &Point, radius: f64, cx: &mut QueryContext) -> Vec<Point> {
-        self.snapshot().range_query(center, radius, cx)
-    }
 }
 
 impl Drop for SpatialServer {
@@ -489,7 +459,7 @@ impl SpatialIndex for SpatialServer {
     }
 
     fn len(&self) -> usize {
-        SpatialServer::len(self)
+        self.snapshot().len()
     }
 
     fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {

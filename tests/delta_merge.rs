@@ -10,7 +10,7 @@
 //! `min(k, live)` of them).  Background compaction is off throughout, so
 //! the delta is exactly what each case wrote.
 
-use common::{brute_force, QueryContext};
+use common::{brute_force, QueryContext, SpatialIndex};
 use datagen::{generate, Distribution};
 use geom::{Point, Rect};
 use registry::{build_index, serve_index, IndexConfig, IndexKind, ServerConfig, SpatialServer};

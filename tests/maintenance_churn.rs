@@ -22,7 +22,7 @@
 //! race those swaps exactly as they do under the background compactor.
 
 use bench::live::{replay_against_oracle, split_stream, LiveAnswer, LiveObs};
-use common::QueryContext;
+use common::{QueryContext, SpatialIndex};
 use datagen::queries::{self, MixedQuery, WindowSpec};
 use datagen::{generate, Distribution};
 use geom::Point;

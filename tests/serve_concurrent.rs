@@ -10,6 +10,7 @@
 //! interleaving is real.)
 
 use bench::live::{await_compactions, replay_against_oracle, run_live_serving, split_stream};
+use common::SpatialIndex;
 use datagen::queries::{self, WindowSpec};
 use datagen::{generate, Distribution};
 use registry::{serve_index, IndexConfig, IndexKind, ServerConfig};

@@ -12,7 +12,7 @@
 //! `len` stays exact, deleted points never reappear in any result, and no
 //! result is ever a phantom (every returned point is live in the oracle).
 
-use common::{brute_force, QueryContext};
+use common::{brute_force, QueryContext, SpatialIndex};
 use datagen::{generate, Distribution};
 use geom::{Point, Rect};
 use rand::rngs::StdRng;
