@@ -12,8 +12,6 @@
 mod query;
 mod repair;
 mod snapshot;
-#[cfg(test)]
-mod tests;
 mod update;
 
 use crate::build::Builder;
@@ -353,3 +351,6 @@ impl SpatialIndex for Rsmi {
         Ok(())
     }
 }
+
+#[cfg(test)]
+mod tests;
