@@ -15,6 +15,8 @@
 //! * [`knn`] — the k-nearest rule every family and merge layer shares: the
 //!   `(distance², id)` best-k list and Algorithm 3's region expansion.
 //! * [`metrics`] — recall computation and small measurement helpers.
+//! * [`parallel_map`] — jobs on scoped threads, results in input order:
+//!   the RSMI bulk-load's subtrees and the sharded index's shards.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +24,9 @@
 pub mod brute_force;
 pub mod knn;
 pub mod metrics;
+mod parallel;
+
+pub use parallel::parallel_map;
 
 use geom::{Point, Rect};
 

@@ -13,7 +13,6 @@ use geom::{bounding_rect, Point, Rect};
 use mlp::{MlpConfig, ScaledRegressor};
 use sfc::rank_space::{axis_order, rank_space_order, Axis};
 use sfc::{CurveKind, RankSpace};
-use std::sync::Mutex;
 use storage::BlockStore;
 
 /// Output of a bulk-load.
@@ -263,7 +262,7 @@ impl Builder {
             (cell, sub)
         };
         let mut tree = Subtree::empty(self.config.block_capacity, depth);
-        for (cell, sub) in fan_out(jobs, threads, build_child) {
+        for (cell, sub) in common::parallel_map(jobs, threads, build_child) {
             children[cell] = Some(tree.append(sub));
         }
         tree.nodes.push(Node::Internal(InternalNode {
@@ -301,46 +300,6 @@ fn grid_cells(points: &mut Vec<Point>, side: usize, curve: CurveKind) -> Vec<u64
         }
     }
     true_cell
-}
-
-/// Maps `jobs` through `build` on up to `threads` workers — the calling
-/// thread and scoped helpers — each pulling the next job from a shared
-/// queue; the results come back in job order.
-fn fan_out<J: Send, T: Send>(
-    jobs: Vec<J>,
-    threads: usize,
-    build: impl Fn(J) -> T + Sync,
-) -> Vec<T> {
-    let workers = threads.min(jobs.len());
-    if workers <= 1 {
-        return jobs.into_iter().map(build).collect();
-    }
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let work = || {
-        let mut built = Vec::new();
-        loop {
-            let next = queue
-                .lock()
-                .expect("no worker panics while taking a job")
-                .next();
-            let Some((i, job)) = next else { break built };
-            built.push((i, build(job)));
-        }
-    };
-    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
-        let mut done = work();
-        for helper in helpers {
-            done.extend(
-                helper
-                    .join()
-                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
-            );
-        }
-        done
-    });
-    done.sort_by_key(|(i, _)| *i);
-    done.into_iter().map(|(_, built)| built).collect()
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@
 //!   `MINDIST` with a distance-bound cutoff and a `(distance, id)` k-way
 //!   merge.  [`ShardedIndex`] is its in-process executor; skipped shards
 //!   are charged to [`QueryStats::shards_pruned`](common::QueryStats).
-//! * [`executor`] — scoped worker pools: `parallel_map` runs the per-shard
-//!   builds and rebuilds, and `run_batch` lets any caller split a query
-//!   workload over workers, one [`QueryContext`] per worker, merging their
-//!   statistics.
+//! * [`executor`] — `run_batch` lets any caller split a query workload
+//!   over workers, one [`QueryContext`] per worker, merging their
+//!   statistics; the per-shard builds and rebuilds run on
+//!   [`common::parallel_map`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -262,7 +262,7 @@ impl ShardedIndex {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
         );
-        let shards = executor::parallel_map(slices, workers, |slice| Shard {
+        let shards = common::parallel_map(slices, workers, |slice| Shard {
             index: build_inner(&slice.points),
             mbr: slice.mbr,
         });
@@ -442,7 +442,7 @@ impl SpatialIndex for ShardedIndex {
         // Per-shard maintenance rebuild on the configured workers.  The
         // partitioning itself is frozen; only inner layouts are restored.
         let shards: Vec<&mut Shard> = self.shards.iter_mut().collect();
-        executor::parallel_map(shards, self.threads, |s| s.index.rebuild());
+        common::parallel_map(shards, self.threads, |s| s.index.rebuild());
     }
 
     fn size_bytes(&self) -> usize {
