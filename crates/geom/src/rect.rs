@@ -189,23 +189,15 @@ impl Rect {
         self.min_dist_sq(p).sqrt()
     }
 
-    /// Squared `MINDIST`; cheaper for comparisons.
+    /// Squared `MINDIST`; cheaper for comparisons.  Branchless: the
+    /// per-axis excursion is `max(min - v, v - max, 0)`, two `max` ops
+    /// instead of a two-way branch chain, and bit-identical to that chain
+    /// for finite inputs (inside the slab both differences are `<= 0`, so
+    /// the fold returns exactly `0.0`).
     #[inline]
     pub fn min_dist_sq(&self, p: &Point) -> f64 {
-        let dx = if p.x < self.min_x {
-            self.min_x - p.x
-        } else if p.x > self.max_x {
-            p.x - self.max_x
-        } else {
-            0.0
-        };
-        let dy = if p.y < self.min_y {
-            self.min_y - p.y
-        } else if p.y > self.max_y {
-            p.y - self.max_y
-        } else {
-            0.0
-        };
+        let dx = (self.min_x - p.x).max(p.x - self.max_x).max(0.0);
+        let dy = (self.min_y - p.y).max(p.y - self.max_y).max(0.0);
         dx * dx + dy * dy
     }
 

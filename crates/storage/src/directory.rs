@@ -134,7 +134,7 @@ pub fn range<V: DirectoryView>(
     };
     search(
         view,
-        |r| kernels::min_dist_sq(r, center.x, center.y) <= r_sq,
+        |r| r.min_dist_sq(center) <= r_sq,
         |block| {
             block.for_each_within(center, r_sq, |p, _| visit(&p));
             None::<()>

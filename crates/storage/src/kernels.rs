@@ -11,7 +11,6 @@
 //! * [`rect_mask`] — batch rect-contains over a ≤64-point chunk, bitmask out,
 //! * [`dist_sq_into`] — batch squared distances into a caller buffer,
 //! * [`within_mask`] — batch distance-range test, bitmask out,
-//! * [`min_dist_sq`] — branchless `MINDIST` (point to rectangle),
 //! * [`mbr_of`] — min/max fold of a lane pair,
 //! * [`for_each_in_rect`] / [`for_each_within`] / [`for_each_dist_sq`] —
 //!   candidate filters driving the masks chunk by chunk, visiting survivors
@@ -105,18 +104,6 @@ fn pack_mask(flags: &[bool; CHUNK], n: usize) -> u64 {
         mask &= (1u64 << n) - 1;
     }
     mask
-}
-
-/// Branchless squared `MINDIST` from `(x, y)` to `rect`: the per-axis
-/// excursion is `max(min - v, v - max, 0)`, computed with two `max` ops
-/// instead of the classic two-way branch chain.  Bit-identical to the
-/// branchy form for finite inputs (for a point inside the slab both
-/// differences are `<= 0`, so the fold returns exactly `0.0`).
-#[inline]
-pub fn min_dist_sq(rect: &Rect, x: f64, y: f64) -> f64 {
-    let dx = (rect.min_x - x).max(x - rect.max_x).max(0.0);
-    let dy = (rect.min_y - y).max(y - rect.max_y).max(0.0);
-    dx * dx + dy * dy
 }
 
 /// The minimum bounding rectangle of a lane pair (empty rectangle for empty
@@ -225,15 +212,11 @@ pub fn for_each_dist_sq(
 
 /// Filters an array-of-structs probe set down to the probes within
 /// `MINDIST <= r_sq` of `rect` — the shard/node fan-out step of the join
-/// filter cascade, using the branchless [`min_dist_sq`].
+/// filter cascade, using the branchless [`Rect::min_dist_sq`].
 #[inline]
 pub fn probes_within(probes: &[Point], rect: &Rect, r_sq: f64, out: &mut Vec<Point>) {
     out.clear();
-    out.extend(
-        probes
-            .iter()
-            .filter(|q| min_dist_sq(rect, q.x, q.y) <= r_sq),
-    );
+    out.extend(probes.iter().filter(|q| rect.min_dist_sq(q) <= r_sq));
 }
 
 /// Non-inlined instantiations of the hot kernels for the CI
@@ -319,31 +302,6 @@ mod tests {
                 let inside = Point::new(xs[i], ys[i]).dist_sq(&q) <= r_sq;
                 assert_eq!(mask >> i & 1 == 1, inside, "lane {i} r_sq {r_sq}");
             }
-        }
-    }
-
-    #[test]
-    fn min_dist_sq_matches_branchy_rect_version() {
-        let r = Rect::new(0.25, 0.25, 0.75, 0.75);
-        for (x, y) in [
-            (0.1, 0.1),
-            (0.5, 0.1),
-            (0.9, 0.1),
-            (0.1, 0.5),
-            (0.5, 0.5),
-            (0.9, 0.5),
-            (0.1, 0.9),
-            (0.5, 0.9),
-            (0.9, 0.9),
-            (0.25, 0.75),
-            (0.75, 0.25),
-        ] {
-            let p = Point::new(x, y);
-            assert_eq!(
-                min_dist_sq(&r, x, y).to_bits(),
-                r.min_dist_sq(&p).to_bits(),
-                "({x}, {y})"
-            );
         }
     }
 

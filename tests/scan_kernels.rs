@@ -204,19 +204,19 @@ fn min_dist_sq_matches_branchy_reference_in_all_nine_regions() {
     ];
     for &(x, y) in &probes {
         assert_eq!(
-            kernels::min_dist_sq(&rect, x, y).to_bits(),
+            rect.min_dist_sq(&Point::new(x, y)).to_bits(),
             branchy(&rect, x, y).to_bits(),
             "MINDIST differs at ({x}, {y})"
         );
     }
-    assert_eq!(kernels::min_dist_sq(&rect, 0.45, 0.55), 0.0);
+    assert_eq!(rect.min_dist_sq(&Point::new(0.45, 0.55)), 0.0);
 
     // And a seeded sweep for good measure.
     let mut rng = Lcg(0xA5A5_0004);
     for _ in 0..500 {
         let (x, y) = (rng.next_f64() * 2.0 - 0.5, rng.next_f64() * 2.0 - 0.5);
         assert_eq!(
-            kernels::min_dist_sq(&rect, x, y).to_bits(),
+            rect.min_dist_sq(&Point::new(x, y)).to_bits(),
             branchy(&rect, x, y).to_bits()
         );
     }
@@ -301,7 +301,7 @@ fn probes_within_matches_scalar_mindist_filter() {
             kernels::probes_within(&probes, &rect, r_sq, &mut out);
             let expect: Vec<u64> = probes
                 .iter()
-                .filter(|q| kernels::min_dist_sq(&rect, q.x, q.y) <= r_sq)
+                .filter(|q| rect.min_dist_sq(q) <= r_sq)
                 .map(|q| q.id)
                 .collect();
             let got: Vec<u64> = out.iter().map(|q| q.id).collect();
