@@ -1,7 +1,7 @@
 //! The feed-forward network and its SGD trainer.
 
 use crate::isa::Isa;
-use crate::{sigmoid, sigmoid_in_place};
+use crate::sigmoid_in_place;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -211,23 +211,6 @@ impl Mlp {
         out
     }
 
-    /// Mean squared error over a data set.
-    pub fn mse<R: AsRef<[f64]>>(&self, inputs: &[R], targets: &[f64]) -> f64 {
-        assert_eq!(inputs.len(), targets.len());
-        if inputs.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = inputs
-            .iter()
-            .zip(targets)
-            .map(|(x, &t)| {
-                let e = self.predict(x.as_ref()) - t;
-                e * e
-            })
-            .sum();
-        sum / inputs.len() as f64
-    }
-
     /// Trains the network in place with mini-batch SGD, minimising the L2
     /// loss between predictions and `targets` (Equation 3 of the paper).
     ///
@@ -334,50 +317,6 @@ impl Mlp {
         (self.w1.len() + self.b1.len() + self.w2.len() + 1) * std::mem::size_of::<f64>()
     }
 
-    /// Analytic gradient of the loss for a single sample, flattened in the
-    /// order `[w1, b1, w2, b2]`.  Exposed for gradient-check tests.
-    #[doc(hidden)]
-    #[allow(clippy::needless_range_loop)]
-    pub fn gradient(&self, x: &[f64], target: f64) -> Vec<f64> {
-        let d = self.config.input_dim;
-        let h_count = self.config.hidden;
-        let mut hidden = vec![0.0; h_count];
-        let mut out = self.b2;
-        for h in 0..h_count {
-            let mut z = self.b1[h];
-            for (w, xv) in self.w1[h * d..(h + 1) * d].iter().zip(x) {
-                z += w * xv;
-            }
-            hidden[h] = sigmoid(z);
-            out += self.w2[h] * hidden[h];
-        }
-        let delta = out - target;
-        let mut grad = Vec::with_capacity(h_count * d + 2 * h_count + 1);
-        for h in 0..h_count {
-            for xv in x.iter().take(d) {
-                grad.push(delta * self.w2[h] * hidden[h] * (1.0 - hidden[h]) * xv);
-            }
-        }
-        for h in 0..h_count {
-            grad.push(delta * self.w2[h] * hidden[h] * (1.0 - hidden[h]));
-        }
-        for &a in hidden.iter().take(h_count) {
-            grad.push(delta * a);
-        }
-        grad.push(delta);
-        grad
-    }
-
-    /// Returns a flat copy of all parameters (for gradient-check tests).
-    #[doc(hidden)]
-    pub fn parameters(&self) -> Vec<f64> {
-        let mut p = self.w1.clone();
-        p.extend_from_slice(&self.b1);
-        p.extend_from_slice(&self.w2);
-        p.push(self.b2);
-        p
-    }
-
     /// Appends the architecture and all weights to a snapshot (sub-record of
     /// an index section).
     pub fn encode(&self, w: &mut persist::SnapshotWriter) {
@@ -429,19 +368,6 @@ impl Mlp {
             w2,
             b2,
         })
-    }
-
-    /// Overwrites all parameters from a flat vector (for gradient checks).
-    #[doc(hidden)]
-    pub fn set_parameters(&mut self, p: &[f64]) {
-        let n1 = self.w1.len();
-        let n2 = self.b1.len();
-        let n3 = self.w2.len();
-        assert_eq!(p.len(), n1 + n2 + n3 + 1);
-        self.w1.copy_from_slice(&p[..n1]);
-        self.b1.copy_from_slice(&p[n1..n1 + n2]);
-        self.w2.copy_from_slice(&p[n1 + n2..n1 + n2 + n3]);
-        self.b2 = p[n1 + n2 + n3];
     }
 }
 
@@ -834,6 +760,49 @@ impl Drop for AbandonOnUnwind<'_> {
     }
 }
 
+/// Test-only views of the weights and the loss: the references the tests
+/// hold the shipped `predict` and training to.
+#[cfg(test)]
+impl Mlp {
+    /// Returns a flat copy of all parameters.
+    pub(crate) fn parameters(&self) -> Vec<f64> {
+        let mut p = self.w1.clone();
+        p.extend_from_slice(&self.b1);
+        p.extend_from_slice(&self.w2);
+        p.push(self.b2);
+        p
+    }
+
+    /// Overwrites all parameters from a flat vector.
+    fn set_parameters(&mut self, p: &[f64]) {
+        let n1 = self.w1.len();
+        let n2 = self.b1.len();
+        let n3 = self.w2.len();
+        assert_eq!(p.len(), n1 + n2 + n3 + 1);
+        self.w1.copy_from_slice(&p[..n1]);
+        self.b1.copy_from_slice(&p[n1..n1 + n2]);
+        self.w2.copy_from_slice(&p[n1 + n2..n1 + n2 + n3]);
+        self.b2 = p[n1 + n2 + n3];
+    }
+
+    /// Mean squared error over a data set.
+    fn mse<R: AsRef<[f64]>>(&self, inputs: &[R], targets: &[f64]) -> f64 {
+        assert_eq!(inputs.len(), targets.len());
+        if inputs.is_empty() {
+            return 0.0;
+        }
+        let sum: f64 = inputs
+            .iter()
+            .zip(targets)
+            .map(|(x, &t)| {
+                let e = self.predict(x.as_ref()) - t;
+                e * e
+            })
+            .sum();
+        sum / inputs.len() as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1188,42 +1157,6 @@ mod tests {
             violations < n / 20,
             "too many monotonicity violations: {violations}"
         );
-    }
-
-    #[test]
-    fn gradient_matches_finite_differences() {
-        let cfg = MlpConfig {
-            input_dim: 2,
-            hidden: 4,
-            learning_rate: 0.1,
-            epochs: 1,
-            batch_size: 1,
-            seed: 11,
-        };
-        let mlp = Mlp::new(cfg);
-        let x = vec![0.3, 0.7];
-        let target = 0.42;
-        let analytic = mlp.gradient(&x, target);
-        let params = mlp.parameters();
-        let eps = 1e-6;
-        let loss = |m: &Mlp| {
-            let e = m.predict(&x) - target;
-            0.5 * e * e
-        };
-        for (i, grad_i) in analytic.iter().enumerate() {
-            let mut plus = mlp.clone();
-            let mut p = params.clone();
-            p[i] += eps;
-            plus.set_parameters(&p);
-            let mut minus = mlp.clone();
-            p[i] -= 2.0 * eps;
-            minus.set_parameters(&p);
-            let numeric = (loss(&plus) - loss(&minus)) / (2.0 * eps);
-            assert!(
-                (numeric - grad_i).abs() < 1e-5,
-                "param {i}: numeric {numeric} vs analytic {grad_i}"
-            );
-        }
     }
 
     #[test]

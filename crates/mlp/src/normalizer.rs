@@ -38,12 +38,6 @@ impl Normalizer {
         Self { lo, hi }
     }
 
-    /// Creates a normaliser from explicit per-dimension bounds.
-    pub fn from_bounds(lo: Vec<f64>, hi: Vec<f64>) -> Self {
-        assert_eq!(lo.len(), hi.len());
-        Self { lo, hi }
-    }
-
     /// Number of dimensions.
     pub fn dim(&self) -> usize {
         self.lo.len()
@@ -65,11 +59,6 @@ impl Normalizer {
         for (d, &v) in row.iter().enumerate() {
             out[d] = geom_normalize(v, self.lo[d], self.hi[d]);
         }
-    }
-
-    /// Maps a normalised value in dimension `d` back to the raw range.
-    pub fn inverse(&self, d: usize, v: f64) -> f64 {
-        self.lo[d] + v * (self.hi[d] - self.lo[d])
     }
 
     /// The fitted `[lo, hi]` bounds of dimension `d`.
@@ -116,6 +105,14 @@ fn geom_normalize(v: f64, lo: f64, hi: f64) -> f64 {
 mod tests {
     use super::*;
 
+    impl Normalizer {
+        /// A normaliser with explicit per-dimension bounds.
+        fn from_bounds(lo: Vec<f64>, hi: Vec<f64>) -> Self {
+            assert_eq!(lo.len(), hi.len());
+            Self { lo, hi }
+        }
+    }
+
     #[test]
     fn fit_and_transform_map_extremes_to_unit_interval() {
         let samples = vec![vec![2.0, -1.0], vec![4.0, 3.0], vec![3.0, 1.0]];
@@ -139,16 +136,6 @@ mod tests {
         let samples = vec![vec![3.0, 1.0], vec![3.0, 2.0]];
         let norm = Normalizer::fit(&samples);
         assert_eq!(norm.transform(&[3.0, 1.5]), vec![0.0, 0.5]);
-    }
-
-    #[test]
-    fn inverse_roundtrips() {
-        let norm = Normalizer::from_bounds(vec![-2.0, 10.0], vec![2.0, 20.0]);
-        let raw = [1.0, 17.5];
-        let t = norm.transform(&raw);
-        for d in 0..2 {
-            assert!((norm.inverse(d, t[d]) - raw[d]).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -210,12 +210,6 @@ impl ScaledRegressor {
         (0, 0)
     }
 
-    /// The largest target value seen during training.
-    #[inline]
-    pub fn max_target(&self) -> u64 {
-        self.max_target
-    }
-
     /// Approximate in-memory size of the model, for index-size accounting.
     pub fn size_bytes(&self) -> usize {
         self.mlp.size_bytes() + self.input_norm.size_bytes() + 3 * std::mem::size_of::<u64>()
@@ -296,7 +290,7 @@ mod tests {
         let targets: Vec<u64> = (0..50).map(|i| i as u64).collect();
         let model = ScaledRegressor::fit(fast_config(2), &inputs, &targets);
         // Far outside the training range the clamp keeps predictions valid.
-        assert!(model.predict(&[1e9, 1e9]) <= model.max_target());
+        assert!(model.predict(&[1e9, 1e9]) <= model.max_target);
         // predict on raw rows equals predict_xy.
         assert_eq!(model.predict(&[3.0, 3.0]), model.predict_xy(3.0, 3.0));
     }
@@ -393,7 +387,7 @@ mod tests {
 
         assert_eq!(loaded.err_below(), model.err_below());
         assert_eq!(loaded.err_above(), model.err_above());
-        assert_eq!(loaded.max_target(), model.max_target());
+        assert_eq!(loaded.max_target, model.max_target);
         for row in &inputs {
             assert_eq!(loaded.predict(row), model.predict(row));
         }
