@@ -522,7 +522,7 @@ pub fn rebuild_fn(kind: IndexKind, cfg: &IndexConfig) -> server::RebuildFn {
 /// the registry.
 ///
 /// ```
-/// use common::QueryContext;
+/// use common::{QueryContext, SpatialIndex};
 /// use geom::Point;
 /// use registry::{serve_index, IndexConfig, IndexKind, ServerConfig};
 ///
