@@ -62,4 +62,19 @@ mod tests {
         assert!(parallel_map(Vec::<u32>::new(), 4, |i| i).is_empty());
         assert_eq!(parallel_map(vec![7u32], 4, |i| i + 1), vec![8]);
     }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller_with_its_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            parallel_map((0..8u32).collect(), 4, |i| {
+                assert_ne!(i, 5, "job 5");
+                i
+            })
+        });
+        let payload = caught.expect_err("the job's panic reaches the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert!(message.contains("job 5"), "{message}");
+    }
 }
