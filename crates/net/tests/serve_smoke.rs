@@ -10,8 +10,9 @@ use net::{NetClient, NetError, Request, Response};
 use obs::EventKind;
 use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_points(n: usize) -> Vec<Point> {
     // Deterministic, irregular, collision-free.
@@ -402,12 +403,13 @@ fn invalid_requests_get_bad_request_and_the_connection_lives_on() {
     handle.join();
 }
 
-/// A scan whose kNN panics: a stand-in for any executor defect.
-struct PanickingKnn(ScanIndex);
+/// A scan whose kNN first runs a hook: a panic stands in for any executor
+/// defect, a sleep for an executor slower than the wait's spin.
+struct KnnHook(ScanIndex, fn());
 
-impl SpatialIndex for PanickingKnn {
+impl SpatialIndex for KnnHook {
     fn name(&self) -> &'static str {
-        "PanickingKnn"
+        "KnnHook"
     }
     fn len(&self) -> usize {
         self.0.len()
@@ -420,12 +422,13 @@ impl SpatialIndex for PanickingKnn {
     }
     fn knn_query_visit(
         &self,
-        _: &Point,
-        _: usize,
-        _: &mut QueryContext,
-        _: &mut dyn FnMut(&Point),
+        q: &Point,
+        k: usize,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point),
     ) {
-        panic!("this index's kNN panics");
+        (self.1)();
+        self.0.knn_query_visit(q, k, cx, visit)
     }
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
         self.0.for_each_point(visit)
@@ -444,16 +447,19 @@ impl SpatialIndex for PanickingKnn {
     }
 }
 
+/// Serves `points` from a [`KnnHook`] that runs `hook` before every kNN.
+fn spawn_hooked(points: &[Point], hook: fn()) -> (Arc<SpatialServer>, net::NetHandle) {
+    let rebuild: RebuildFn =
+        Box::new(move |pts| Box::new(KnnHook(ScanIndex::new(pts.to_vec()), hook)));
+    let engine = Arc::new(SpatialServer::new(points, rebuild, ServerConfig::default()));
+    let handle = net::serve_config(Arc::clone(&engine), &ServeConfig::default()).unwrap();
+    (engine, handle)
+}
+
 #[test]
 fn a_panicking_executor_answers_internal_and_returns_its_admission_token() {
-    let rebuild: RebuildFn = Box::new(|pts| Box::new(PanickingKnn(ScanIndex::new(pts.to_vec()))));
     let points = test_points(50);
-    let engine = Arc::new(SpatialServer::new(
-        &points,
-        rebuild,
-        ServerConfig::default(),
-    ));
-    let handle = net::serve_config(Arc::clone(&engine), &ServeConfig::default()).unwrap();
+    let (engine, handle) = spawn_hooked(&points, || panic!("this index's kNN panics"));
     let addr = handle.local_addr().to_string();
     // The call runs on its own thread, so a server that never answers
     // fails the test instead of hanging it.
@@ -502,6 +508,214 @@ fn a_panicking_executor_answers_internal_and_returns_its_admission_token() {
     let (_, hit) = client.point(&points[7]).unwrap();
     assert_eq!(hit, Some(points[7]));
     assert_eq!(inflight(), Some(0));
+    handle.shutdown();
+    handle.join();
+}
+
+// The edges of the wait for the next frame.  Both ends of a connection spin
+// briefly on a non-blocking socket before they block for a frame; these
+// pin what must hold however that wait ends.
+
+/// A raw connection whose reads fail after 30 s instead of hanging.
+fn raw_stream(addr: std::net::SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+}
+
+/// Polls `net.connections_open` until it reads 0; false if it still reads
+/// more at `deadline`.
+fn connections_close_by(engine: &SpatialServer, deadline: Instant) -> bool {
+    let open = || {
+        engine
+            .telemetry()
+            .metrics
+            .snapshot()
+            .gauge("net.connections_open")
+    };
+    while open() != Some(0) {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    true
+}
+
+/// A request frame whose second part arrives 2 ms after its first, longer
+/// than the server spins for it, is read whole and answered, wherever the
+/// frame is cut.
+#[test]
+fn a_frame_written_in_two_parts_apart_is_answered() {
+    let points = test_points(50);
+    let (_engine, handle) = spawn_server(points.clone(), ServeConfig::default());
+    let mut stream = raw_stream(handle.local_addr());
+    let frame = net::wire::frame_bytes(&Request::Point(points[10]).encode());
+    for cut in [1, 6, frame.len() / 2, frame.len() - 1] {
+        stream.write_all(&frame[..cut]).unwrap();
+        std::thread::sleep(Duration::from_millis(2));
+        stream.write_all(&frame[cut..]).unwrap();
+        let payload = net::wire::read_frame(&mut stream).unwrap().unwrap();
+        assert!(
+            matches!(Response::decode(&payload).unwrap(), Response::Point { hit: Some(p), .. } if p == points[10]),
+            "frame cut at byte {cut}"
+        );
+    }
+    drop(stream);
+    handle.shutdown();
+    handle.join();
+}
+
+/// A window over 200 000 points (about 4.8 MB, more than the socket
+/// buffers hold) asked right after a reply, while both ends wait for their
+/// next frame, comes back whole: the server writes it and the client reads
+/// it on blocking sockets.  A raw reader that starts reading 50 ms late
+/// leaves the server's write waiting for buffer space, which a
+/// non-blocking socket would refuse.
+#[test]
+fn a_reply_larger_than_the_socket_buffers_is_read_whole_after_a_spin() {
+    let points = test_points(200_000);
+    let (_engine, handle) = spawn_server(points.clone(), ServeConfig::default());
+    let everything = Rect::new(0.0, 0.0, 1.0, 1.0);
+    let mut client = NetClient::connect(&handle.local_addr().to_string()).unwrap();
+    let mut late_reader = raw_stream(handle.local_addr());
+    let mut raw_call = |req: Request, delay: Duration| {
+        net::wire::write_frame(&mut late_reader, &req.encode()).unwrap();
+        std::thread::sleep(delay);
+        let payload = net::wire::read_frame(&mut late_reader).unwrap().unwrap();
+        Response::decode(&payload).unwrap()
+    };
+    for _ in 0..2 {
+        client.ping().unwrap();
+        let (_, got) = client.window(&everything).unwrap();
+        assert_eq!(got.len(), points.len());
+
+        raw_call(Request::Ping, Duration::ZERO);
+        let Response::Points { points: got, .. } =
+            raw_call(Request::Window(everything), Duration::from_millis(50))
+        else {
+            panic!("not a window reply");
+        };
+        assert_eq!(got.len(), points.len());
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+/// A reply whose second part reaches the client 2 ms after its first,
+/// longer than the client spins for it, is read whole.
+#[test]
+fn a_reply_written_in_two_parts_apart_is_read() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let frame = net::wire::frame_bytes(&Response::Pong { seq: 7 }.encode());
+        for cut in [1, 6, frame.len() / 2, frame.len() - 1] {
+            net::wire::read_frame(&mut stream).unwrap().unwrap();
+            stream.write_all(&frame[..cut]).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            stream.write_all(&frame[cut..]).unwrap();
+        }
+    });
+    let mut client = NetClient::connect(&addr.to_string()).unwrap();
+    for _ in 0..4 {
+        assert_eq!(client.ping().unwrap(), 7);
+    }
+    server.join().unwrap();
+}
+
+/// Clients that close right after a reply, while the server waits for
+/// their next frame, end their connections: `net.connections_open` returns
+/// to 0.
+#[test]
+fn a_client_that_closes_during_the_wait_ends_its_connection() {
+    let (engine, handle) = spawn_server(test_points(50), ServeConfig::default());
+    let addr = handle.local_addr().to_string();
+    for _ in 0..8 {
+        let mut client = NetClient::connect(&addr).unwrap();
+        client.ping().unwrap();
+        drop(client);
+    }
+    if !connections_close_by(&engine, Instant::now() + Duration::from_secs(30)) {
+        // A connection that never ends cannot drain: leak the server rather
+        // than hang in its drop.
+        std::mem::forget(handle);
+        panic!("a connection closed by its client still counts as open after 30 s");
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+/// A drain that lands while closed-loop connections wait between their
+/// frames completes within the deadline, and so does every client, which
+/// sees its connection end.
+#[test]
+fn a_drain_while_connections_wait_for_frames_completes() {
+    const CLIENTS: usize = 4;
+    let points = test_points(200);
+    let (engine, handle) = spawn_server(points, ServeConfig::default());
+    let addr = handle.local_addr().to_string();
+    // Each client sends how many pings it got once its connection ends;
+    // the drain sends `None` once it is complete.
+    let (done, finished) = std::sync::mpsc::channel();
+    for _ in 0..CLIENTS {
+        let mut client = NetClient::connect(&addr).unwrap();
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let mut pings = 0u64;
+            while client.ping().is_ok() {
+                pings += 1;
+            }
+            done.send(Some(pings)).unwrap();
+        });
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    std::thread::spawn(move || {
+        handle.shutdown();
+        handle.join();
+        done.send(None).unwrap();
+    });
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for _ in 0..=CLIENTS {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match finished.recv_timeout(left) {
+            Ok(Some(pings)) => assert!(pings > 0, "a client got no reply before the drain"),
+            Ok(None) => {}
+            Err(_) => panic!("the drain or a client was still waiting for a frame after 120 s"),
+        }
+    }
+    assert!(connections_close_by(&engine, Instant::now()));
+}
+
+/// A client whose reply takes 5 ms, longer than it spins for it, still
+/// gets it, on every call of the connection.
+#[test]
+fn a_client_gets_a_reply_that_takes_longer_than_its_spin() {
+    let points = test_points(50);
+    let (_engine, handle) = spawn_hooked(&points, || std::thread::sleep(Duration::from_millis(5)));
+    let addr = handle.local_addr().to_string();
+    let expected = {
+        let mut cx = QueryContext::new();
+        ScanIndex::new(points.clone()).knn_query(&points[3], 4, &mut cx)
+    };
+    // The calls run on their own thread, so a client that never reads its
+    // reply fails the test instead of hanging it.
+    let (done, reply) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = NetClient::connect(&addr).unwrap();
+        let got: Result<Vec<_>, NetError> = (0..3)
+            .map(|_| client.knn(&points[3], 4).map(|(_, hits)| hits))
+            .collect();
+        done.send(got.map_err(|e| e.to_string())).unwrap();
+    });
+    let got = reply
+        .recv_timeout(Duration::from_secs(30))
+        .expect("no reply within 30 s");
+    assert_eq!(got, Ok(vec![expected; 3]));
     handle.shutdown();
     handle.join();
 }
