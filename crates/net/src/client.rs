@@ -1,18 +1,22 @@
-//! Blocking client for the wire protocol.
+//! Closed-loop client for the wire protocol.
 //!
 //! One [`NetClient`] owns one TCP connection.  The typed methods run one
-//! request at a time ([`NetClient::call`]: send, then block for the
+//! request at a time ([`NetClient::call`]: send, then wait for the
 //! response) — the closed-loop shape.  The two halves are public too:
 //! [`NetClient::send`] writes a request without waiting, and
-//! [`NetClient::recv`] blocks for the next reply, so a caller holding
+//! [`NetClient::recv`] waits for the next reply, so a caller holding
 //! several connections (the router's scatter) can put a request on each
 //! before it reads any reply.  The server answers a connection's frames one
 //! at a time, in request order, so every `send` owes exactly one `recv`
-//! before that connection carries anything else.  A caller that frames its
+//! before that connection carries anything else.  `recv` waits the way the
+//! server's connection loop does: it polls the socket for up to 100 µs,
+//! yielding between tries, and only then blocks, so a reply that comes back
+//! quickly is read without waking a halted core.  A caller that frames its
 //! own requests takes the stream with [`NetClient::into_stream`] and writes
 //! raw frames through [`crate::wire`] (the benchmark's `wire_read` and
-//! `routed_mixed` workloads do).
+//! `routed_mixed` workloads do); its reads block at once.
 
+use crate::wait::wait_for_frame;
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
 use geom::{Point, Rect};
@@ -20,7 +24,7 @@ use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// A blocking connection to a serving front-end.  Replies are read through
+/// A connection to a serving front-end.  Replies are read through
 /// a buffer, so a small frame takes one `read` call, not three (header,
 /// payload, CRC); requests are written to the stream itself.
 pub struct NetClient {
@@ -73,9 +77,11 @@ impl NetClient {
         wire::write_frame(self.stream.get_mut(), &req.encode())
     }
 
-    /// Blocks for the next reply on this connection.  A refusal
-    /// ([`Response::Error`]) comes back as the matching [`NetError`].
+    /// Waits for the next reply on this connection: spins briefly for it,
+    /// then blocks (see the module docs).  A refusal ([`Response::Error`])
+    /// comes back as the matching [`NetError`].
     pub fn recv(&mut self) -> Result<Response, NetError> {
+        wait_for_frame(&mut self.stream)?;
         let payload = wire::read_frame(&mut self.stream)?.ok_or(NetError::Closed)?;
         match Response::decode(&payload)? {
             Response::Error { code, message } => Err(match code {

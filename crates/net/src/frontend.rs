@@ -12,6 +12,7 @@
 //! control replies report, and the executor of an admitted request.
 
 use crate::admission::AdmissionGate;
+use crate::wait::{wait_for_frame, Waited};
 use crate::wire::{self, ErrorCode, Request, Response};
 use crate::NetError;
 use geom::Point;
@@ -136,6 +137,9 @@ struct FrontMetrics {
     /// `net.connections_open` / `net.connections_total`.
     connections_open: Gauge,
     connections_total: Counter,
+    /// `net.reads_blocked`: frames whose wait ended in a blocking read,
+    /// because the spin budget ran out or every spin slot was taken.
+    reads_blocked: Counter,
 }
 
 impl FrontMetrics {
@@ -149,6 +153,7 @@ impl FrontMetrics {
             exec_panics: t.metrics.counter("net.exec_panics"),
             connections_open: t.metrics.gauge("net.connections_open"),
             connections_total: t.metrics.counter("net.connections_total"),
+            reads_blocked: t.metrics.counter("net.reads_blocked"),
         }
     }
 }
@@ -307,16 +312,27 @@ impl FrontEnd {
     }
 
     /// One connection, one request at a time: a request is answered and
-    /// its reply written before the next frame is read.  Frames are read
-    /// through a buffer, so a small frame takes one `read` call, not three
-    /// (header, payload, CRC); replies are written to the stream itself.
+    /// its reply written before the next frame is read.  Before each frame
+    /// the loop waits the way [`NetClient::recv`](crate::NetClient::recv)
+    /// does: it polls the socket for up to 100 µs, then blocks, and a frame
+    /// whose wait ended blocked counts in `net.reads_blocked`.  Frames are
+    /// read through a buffer, so a small frame takes one `read` call, not
+    /// three (header, payload, CRC); replies are written to the stream
+    /// itself.
     fn connection_loop(&self, stream: TcpStream, service: &Service) {
         let mut conn = BufReader::new(stream);
         // Clean EOF between frames (client done, or our read half was shut
         // down by the drain) ends the loop; so does framing broken
         // mid-stream (client disconnected mid-request, or garbage), where
-        // resynchronisation is impossible.
-        while let Ok(Some(payload)) = wire::read_frame(&mut conn) {
+        // resynchronisation is impossible, and a socket error seen while
+        // waiting.
+        while let Ok(waited) = wait_for_frame(&mut conn) {
+            let Ok(Some(payload)) = wire::read_frame(&mut conn) else {
+                break;
+            };
+            if waited == Waited::Blocked {
+                self.metrics.reads_blocked.inc();
+            }
             let t0 = Instant::now();
             let resp = match self.triage(&payload, &service.seq) {
                 Triage::Reply(resp) => resp,

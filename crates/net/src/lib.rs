@@ -7,7 +7,9 @@
 //! control, drain, `net.*` telemetry — shared with the distributed router
 //! ([`frontend`]), an admission-controlled TCP server that answers each
 //! request against one pinned snapshot on its connection's thread
-//! ([`serve_config`]), and a blocking [`NetClient`].
+//! ([`serve_config`]), and a closed-loop [`NetClient`].  Both ends of a
+//! connection wait for their next frame the same way: a short spin on the
+//! socket, then a blocking read (the `wait` module).
 //!
 //! The serving contract is the same one the in-process engine makes:
 //! every data-bearing response carries the write sequence number
@@ -54,6 +56,7 @@ mod codec;
 pub mod frontend;
 pub mod remote;
 pub mod server_loop;
+mod wait;
 pub mod wire;
 
 pub use client::NetClient;

@@ -662,23 +662,25 @@ fn a_drain_while_connections_wait_for_frames_completes() {
     // Each client sends how many pings it got once its connection ends;
     // the drain sends `None` once it is complete.
     let (done, finished) = std::sync::mpsc::channel();
-    for _ in 0..CLIENTS {
-        let mut client = NetClient::connect(&addr).unwrap();
-        let done = done.clone();
-        std::thread::spawn(move || {
-            let mut pings = 0u64;
-            while client.ping().is_ok() {
-                pings += 1;
-            }
-            done.send(Some(pings)).unwrap();
-        });
-    }
+    let mut threads: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let mut client = NetClient::connect(&addr).unwrap();
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let mut pings = 0u64;
+                while client.ping().is_ok() {
+                    pings += 1;
+                }
+                done.send(Some(pings)).unwrap();
+            })
+        })
+        .collect();
     std::thread::sleep(Duration::from_millis(50));
-    std::thread::spawn(move || {
+    threads.push(std::thread::spawn(move || {
         handle.shutdown();
         handle.join();
         done.send(None).unwrap();
-    });
+    }));
     let deadline = Instant::now() + Duration::from_secs(120);
     for _ in 0..=CLIENTS {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -687,6 +689,9 @@ fn a_drain_while_connections_wait_for_frames_completes() {
             Ok(None) => {}
             Err(_) => panic!("the drain or a client was still waiting for a frame after 120 s"),
         }
+    }
+    for thread in threads {
+        thread.join().unwrap();
     }
     assert!(connections_close_by(&engine, Instant::now()));
 }
@@ -705,7 +710,7 @@ fn a_client_gets_a_reply_that_takes_longer_than_its_spin() {
     // The calls run on their own thread, so a client that never reads its
     // reply fails the test instead of hanging it.
     let (done, reply) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
+    let caller = std::thread::spawn(move || {
         let mut client = NetClient::connect(&addr).unwrap();
         let got: Result<Vec<_>, NetError> = (0..3)
             .map(|_| client.knn(&points[3], 4).map(|(_, hits)| hits))
@@ -715,6 +720,7 @@ fn a_client_gets_a_reply_that_takes_longer_than_its_spin() {
     let got = reply
         .recv_timeout(Duration::from_secs(30))
         .expect("no reply within 30 s");
+    caller.join().unwrap();
     assert_eq!(got, Ok(vec![expected; 3]));
     handle.shutdown();
     handle.join();
