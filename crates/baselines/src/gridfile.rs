@@ -121,18 +121,7 @@ impl GridFile {
         }
         let mut cells = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {
-            let len = r.get_len(8)?;
-            let mut blocks = Vec::with_capacity(len);
-            for _ in 0..len {
-                let b = r.get_usize()?;
-                if b >= store.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "cell references nonexistent block {b}"
-                    )));
-                }
-                blocks.push(b);
-            }
-            cells.push(blocks);
+            cells.push(r.get_indices(store.len())?);
         }
         r.end_section()?;
         Ok(Self {

@@ -205,34 +205,8 @@ impl HilbertRTree {
         for _ in 0..n_nodes {
             let mbr = r.get_rect()?;
             let kind = match r.get_u8()? {
-                0 => {
-                    let len = r.get_len(8)?;
-                    let mut children = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let c = r.get_usize()?;
-                        if c >= n_nodes {
-                            return Err(PersistError::Corrupt(format!(
-                                "HRR node child {c} out of range"
-                            )));
-                        }
-                        children.push(c);
-                    }
-                    NodeKind::Internal(children)
-                }
-                1 => {
-                    let len = r.get_len(8)?;
-                    let mut blocks = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let b = r.get_usize()?;
-                        if b >= store.len() {
-                            return Err(PersistError::Corrupt(format!(
-                                "HRR leaf parent references nonexistent block {b}"
-                            )));
-                        }
-                        blocks.push(b);
-                    }
-                    NodeKind::LeafParent(blocks)
-                }
+                0 => NodeKind::Internal(r.get_indices(n_nodes)?),
+                1 => NodeKind::LeafParent(r.get_indices(store.len())?),
                 other => {
                     return Err(PersistError::Corrupt(format!(
                         "unknown HRR node kind byte {other}"
@@ -241,9 +215,7 @@ impl HilbertRTree {
             };
             nodes.push(TreeNode { mbr, kind });
         }
-        if root.is_some_and(|root| root >= n_nodes) {
-            return Err(PersistError::Corrupt("HRR root out of range".into()));
-        }
+        let root = root.map(|i| persist::check_index(i, n_nodes)).transpose()?;
         let n_mbrs = r.get_len(32)?;
         let mut block_mbrs = Vec::with_capacity(n_mbrs);
         for _ in 0..n_mbrs {

@@ -232,29 +232,8 @@ impl KdbTree {
         for _ in 0..n_nodes {
             let region = r.get_rect()?;
             let kind = match r.get_u8()? {
-                0 => {
-                    let len = r.get_len(8)?;
-                    let mut children = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let c = r.get_usize()?;
-                        if c >= n_nodes {
-                            return Err(PersistError::Corrupt(format!(
-                                "KDB node child {c} out of range"
-                            )));
-                        }
-                        children.push(c);
-                    }
-                    NodeKind::Internal(children)
-                }
-                1 => {
-                    let b = r.get_usize()?;
-                    if b >= store.len() {
-                        return Err(PersistError::Corrupt(format!(
-                            "KDB leaf references nonexistent block {b}"
-                        )));
-                    }
-                    NodeKind::Leaf(b)
-                }
+                0 => NodeKind::Internal(r.get_indices(n_nodes)?),
+                1 => NodeKind::Leaf(r.get_index(store.len())?),
                 other => {
                     return Err(PersistError::Corrupt(format!(
                         "unknown KDB node kind byte {other}"
@@ -263,9 +242,7 @@ impl KdbTree {
             };
             nodes.push(KdbNode { region, kind });
         }
-        if root.is_some_and(|root| root >= n_nodes) {
-            return Err(PersistError::Corrupt("KDB root out of range".into()));
-        }
+        let root = root.map(|i| persist::check_index(i, n_nodes)).transpose()?;
         r.end_section()?;
         Ok(Self {
             store,

@@ -362,14 +362,7 @@ impl RStarTree {
                     let len = r.get_len(40)?;
                     let mut entries = Vec::with_capacity(len);
                     for _ in 0..len {
-                        let rect = r.get_rect()?;
-                        let child = r.get_usize()?;
-                        if child >= n_nodes {
-                            return Err(PersistError::Corrupt(format!(
-                                "R*-tree entry child {child} out of range"
-                            )));
-                        }
-                        entries.push((rect, child));
+                        entries.push((r.get_rect()?, r.get_index(n_nodes)?));
                     }
                     NodeKind::Internal(entries)
                 }
@@ -389,9 +382,7 @@ impl RStarTree {
             };
             nodes.push(RNode { mbr, kind });
         }
-        if root.is_some_and(|root| root >= n_nodes) {
-            return Err(PersistError::Corrupt("R*-tree root out of range".into()));
-        }
+        let root = root.map(|i| persist::check_index(i, n_nodes)).transpose()?;
         r.end_section()?;
         Ok(Self {
             nodes,

@@ -128,13 +128,7 @@ impl Rsmi {
                     let len = r.get_len(1)?;
                     let mut children = Vec::with_capacity(len);
                     for _ in 0..len {
-                        let child = r.get_opt_usize()?;
-                        if child.is_some_and(|c| c >= n_nodes) {
-                            return Err(PersistError::Corrupt(
-                                "RSMI child node out of range".into(),
-                            ));
-                        }
-                        children.push(child);
+                        children.push(r.get_opt_index(n_nodes)?);
                     }
                     let mut child_mbrs = Vec::with_capacity(len);
                     for _ in 0..len {
@@ -177,9 +171,7 @@ impl Rsmi {
             };
             nodes.push(node);
         }
-        if root.is_some_and(|root| root >= n_nodes) {
-            return Err(PersistError::Corrupt("RSMI root out of range".into()));
-        }
+        let root = root.map(|i| persist::check_index(i, n_nodes)).transpose()?;
         r.end_section()?;
 
         r.begin_section(SECTION_RSMI_CDF)?;

@@ -36,10 +36,10 @@ use geom::{Point, Rect};
 
 /// File magic: identifies an RSMI snapshot (final byte doubles as a format
 /// generation marker so future incompatible rewrites fail fast on magic).
-pub const MAGIC: [u8; 8] = *b"RSMISNP\x01";
+const MAGIC: [u8; 8] = *b"RSMISNP\x01";
 
 /// Current format version, bumped on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 1;
 
 // ---------------------------------------------------------------------
 // Errors
@@ -389,7 +389,7 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes left to read.
     #[inline]
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.rest.len()
     }
 
@@ -506,6 +506,31 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Reads a reference into a table of `bound` entries (a node, block or
+    /// child index), refusing one at or past the bound.
+    #[inline]
+    pub fn get_index(&mut self, bound: usize) -> Result<usize, DecodeError> {
+        check_index(self.get_usize()?, bound)
+    }
+
+    /// Reads an optional [`ByteReader::get_index`] reference.
+    pub fn get_opt_index(&mut self, bound: usize) -> Result<Option<usize>, DecodeError> {
+        self.get_opt_usize()?
+            .map(|i| check_index(i, bound))
+            .transpose()
+    }
+
+    /// Reads a length-prefixed list of [`ByteReader::get_index`]
+    /// references; the count is checked before anything is allocated.
+    pub fn get_indices(&mut self, bound: usize) -> Result<Vec<usize>, DecodeError> {
+        let n = self.get_len(8)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(self.get_index(bound)?);
+        }
+        Ok(out)
+    }
+
     /// Reads an `f64` from its bit pattern.
     #[inline]
     pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
@@ -571,6 +596,24 @@ impl<'a> ByteReader<'a> {
             max_y: self.get_f64()?,
         })
     }
+}
+
+/// Checks a decoded reference into a table of `bound` entries: the one
+/// range check behind [`ByteReader::get_index`], for a reference read
+/// before its table's size is known (a root stored ahead of its nodes).
+#[inline]
+pub fn check_index(index: usize, bound: usize) -> Result<usize, DecodeError> {
+    if index >= bound {
+        return Err(out_of_range(index, bound));
+    }
+    Ok(index)
+}
+
+#[cold]
+fn out_of_range(index: usize, bound: usize) -> DecodeError {
+    DecodeError::Corrupt(format!(
+        "reference {index} out of range: the table holds {bound} entries"
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -949,6 +992,42 @@ mod tests {
         let mut r = ByteReader::new(&[0xFF, 0xFF, 0xFF, 0xFF], LenWidth::U32);
         assert!(matches!(r.get_len(1), Err(DecodeError::Corrupt(_))));
         assert!(matches!(r.get_u8(), Err(DecodeError::Truncated)));
+    }
+
+    #[test]
+    fn references_must_lie_below_their_bound() {
+        let mut w = ByteWriter::new(LenWidth::U64);
+        for i in [2, 3, 4] {
+            w.put_usize(i);
+        }
+        for i in [Some(2), Some(3), None] {
+            w.put_opt_usize(i);
+        }
+        for list in [&[0, 2][..], &[1, 3]] {
+            w.put_len(list.len());
+            list.iter().for_each(|&i| w.put_usize(i));
+        }
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes, LenWidth::U64);
+        fn corrupt<T>(got: Result<T, DecodeError>) -> bool {
+            matches!(got, Err(DecodeError::Corrupt(_)))
+        }
+        // In range, at the bound, past the bound.
+        assert_eq!(r.get_index(3), Ok(2));
+        assert!(corrupt(r.get_index(3)));
+        assert!(corrupt(r.get_index(3)));
+        // The optional form: in range, at the bound, absent.
+        assert_eq!(r.get_opt_index(3), Ok(Some(2)));
+        assert!(corrupt(r.get_opt_index(3)));
+        assert_eq!(r.get_opt_index(0), Ok(None));
+        // The list form: every entry in range, then one at the bound.
+        assert_eq!(r.get_indices(3), Ok(vec![0, 2]));
+        assert!(corrupt(r.get_indices(3)));
+        assert_eq!(check_index(0, 1), Ok(0));
+        assert!(matches!(check_index(1, 1), Err(DecodeError::Corrupt(m)) if m.contains('1')));
+        // An absurd list count is refused before anything is allocated.
+        let mut r = ByteReader::new(&[0xFF; 8], LenWidth::U64);
+        assert!(corrupt(r.get_indices(usize::MAX)));
     }
 
     #[test]

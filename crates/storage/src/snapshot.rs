@@ -71,30 +71,14 @@ impl BlockStore {
                     .block_mut(bid)
                     .push(geom::Point::with_id(xs[i], ys[i], ids[i]));
             }
-            let prev = checked_link(r.get_opt_usize()?, n_blocks, id, "prev")?;
-            let next = checked_link(r.get_opt_usize()?, n_blocks, id, "next")?;
             let block = store.block_mut(bid);
-            block.set_prev(prev);
-            block.set_next(next);
+            block.set_prev(r.get_opt_index(n_blocks)?);
+            block.set_next(r.get_opt_index(n_blocks)?);
             block.set_overflow(r.get_bool()?);
         }
         r.end_section()?;
         store.find_free_blocks();
         Ok(store)
-    }
-}
-
-fn checked_link(
-    link: Option<usize>,
-    n_blocks: usize,
-    id: usize,
-    which: &str,
-) -> Result<Option<usize>, PersistError> {
-    match link {
-        Some(target) if target >= n_blocks => Err(PersistError::Corrupt(format!(
-            "block {id} links {which} to nonexistent block {target}"
-        ))),
-        other => Ok(other),
     }
 }
 
