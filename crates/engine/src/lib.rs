@@ -24,13 +24,19 @@
 //!   over workers, one [`QueryContext`] per worker, merging their
 //!   statistics; the per-shard builds and rebuilds run on
 //!   [`common::parallel_map`].
+//! * `container` — the sharded snapshot container's one writer and one
+//!   reader: [`ShardedIndex::read_snapshot`], [`ShardManifest::read`] and
+//!   [`read_shard_snapshot_bytes`] all read through it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod container;
 pub mod executor;
 pub mod partition;
 pub mod plan;
+
+pub use container::{read_shard_snapshot_bytes, ShardManifest, ShardMeta};
 
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
@@ -38,14 +44,6 @@ use partition::Partitioner;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use plan::{infallible, Fanout, ShardView};
 use sfc::CurveKind;
-
-/// Section tag of the sharded container metadata.
-const SECTION_SHARDED_META: u32 = 0x5401;
-/// Section tag of the frozen partitioner routing tables.
-const SECTION_SHARDED_PARTITIONER: u32 = 0x5402;
-/// Section tag of one shard (MBR, key range, embedded inner snapshot);
-/// repeated once per shard.
-const SECTION_SHARD: u32 = 0x5403;
 
 /// Max-to-mean shard size ratio at or above which
 /// [`ShardedIndex::clone_index`](SpatialIndex::clone_index) declines, so
@@ -104,131 +102,6 @@ impl Shard {
 fn charge(cx: &mut QueryContext, fan: Fanout) {
     cx.stats.shards_visited += fan.visited as u64;
     cx.count_shards_pruned(fan.pruned);
-}
-
-/// Routing metadata of one shard as stored in the sharded container: the
-/// MBR and frozen curve-key range, without the shard's data.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardMeta {
-    /// Bounding rectangle of the shard's contents at snapshot time.
-    pub mbr: Rect,
-    /// Inclusive lower bound of the shard's frozen curve-key range.
-    pub key_lo: u64,
-    /// Exclusive upper bound of the range (`None` = open-ended last shard).
-    pub key_hi: Option<u64>,
-}
-
-/// The routing-table view of a sharded snapshot: everything a distributed
-/// router needs to plan queries — the frozen [`Partitioner`] plus each
-/// shard's MBR and key range — **without** loading any shard's data.  This
-/// is the router's whole contract with the container format: it reads the
-/// meta sections and skips every embedded inner snapshot.
-#[derive(Debug, Clone)]
-pub struct ShardManifest {
-    /// The frozen rank-space routing table.
-    pub partitioner: Partitioner,
-    /// Per-shard routing metadata, in shard order.
-    pub shards: Vec<ShardMeta>,
-}
-
-impl ShardManifest {
-    /// Reads only the routing metadata from a sharded container, skipping
-    /// the embedded per-shard snapshots (their bytes are never parsed).
-    pub fn read(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
-        r.begin_section(SECTION_SHARDED_META)?;
-        let _threads = r.get_usize()?;
-        let n_shards = r.get_usize()?;
-        r.end_section()?;
-
-        r.begin_section(SECTION_SHARDED_PARTITIONER)?;
-        let partitioner = Partitioner::decode(r)?;
-        r.end_section()?;
-        if partitioner.shard_count() != n_shards {
-            return Err(PersistError::Corrupt(format!(
-                "container announces {n_shards} shards, partitioner routes to {}",
-                partitioner.shard_count()
-            )));
-        }
-
-        let mut shards = Vec::with_capacity(n_shards);
-        for i in 0..n_shards {
-            r.begin_section(SECTION_SHARD)?;
-            let meta = read_shard_meta(r, &partitioner, i)?;
-            let _blob = r.get_bytes()?;
-            r.end_section()?;
-            shards.push(meta);
-        }
-        Ok(Self {
-            partitioner,
-            shards,
-        })
-    }
-
-    /// Number of shards the manifest routes to.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-/// Reads one shard section's routing metadata (MBR + key range), leaving
-/// the reader positioned at the embedded inner snapshot bytes.
-fn read_shard_meta(
-    r: &mut SnapshotReader<'_>,
-    partitioner: &Partitioner,
-    i: usize,
-) -> Result<ShardMeta, PersistError> {
-    let mbr = r.get_rect()?;
-    let key_lo = r.get_u64()?;
-    let key_hi = if r.get_bool()? {
-        Some(r.get_u64()?)
-    } else {
-        None
-    };
-    if (key_lo, key_hi) != partitioner.shard_key_range(i) {
-        return Err(PersistError::Corrupt(format!(
-            "shard {i} key range disagrees with the partitioner"
-        )));
-    }
-    Ok(ShardMeta {
-        mbr,
-        key_lo,
-        key_hi,
-    })
-}
-
-/// Extracts shard `shard`'s embedded inner snapshot from a sharded
-/// container — a complete snapshot image with its own header, loadable (or
-/// servable) on its own.  Other shards' bytes are skipped, never parsed:
-/// this is what lets a shard server start by reading one section of a
-/// container that may hold many times its memory.
-pub fn read_shard_snapshot_bytes(
-    r: &mut SnapshotReader<'_>,
-    shard: usize,
-) -> Result<Vec<u8>, PersistError> {
-    r.begin_section(SECTION_SHARDED_META)?;
-    let _threads = r.get_usize()?;
-    let n_shards = r.get_usize()?;
-    r.end_section()?;
-    if shard >= n_shards {
-        return Err(PersistError::Corrupt(format!(
-            "shard {shard} out of range: container holds {n_shards} shards"
-        )));
-    }
-
-    r.begin_section(SECTION_SHARDED_PARTITIONER)?;
-    let partitioner = Partitioner::decode(r)?;
-    r.end_section()?;
-
-    for i in 0..=shard {
-        r.begin_section(SECTION_SHARD)?;
-        let _meta = read_shard_meta(r, &partitioner, i)?;
-        let blob = r.get_bytes()?;
-        r.end_section()?;
-        if i == shard {
-            return Ok(blob.to_vec());
-        }
-    }
-    unreachable!("loop returns at i == shard")
 }
 
 /// A sharded spatial index: `S` inner indices behind one [`SpatialIndex`]
@@ -293,39 +166,22 @@ impl ShardedIndex {
         name: &'static str,
         load_inner: InnerLoader<'_>,
     ) -> Result<Self, PersistError> {
-        r.begin_section(SECTION_SHARDED_META)?;
-        let threads = r.get_usize()?.max(1);
-        let n_shards = r.get_usize()?;
-        r.end_section()?;
-
-        r.begin_section(SECTION_SHARDED_PARTITIONER)?;
-        let partitioner = Partitioner::decode(r)?;
-        r.end_section()?;
-        if partitioner.shard_count() != n_shards {
-            return Err(PersistError::Corrupt(format!(
-                "container announces {n_shards} shards, partitioner routes to {}",
-                partitioner.shard_count()
-            )));
-        }
-
-        let mut shards = Vec::with_capacity(n_shards);
-        for i in 0..n_shards {
-            r.begin_section(SECTION_SHARD)?;
-            let meta = read_shard_meta(r, &partitioner, i)?;
-            let blob = r.get_bytes()?;
-            let index = load_inner(blob)?;
-            r.end_section()?;
-            shards.push(Shard {
-                index,
-                mbr: meta.mbr,
-            });
-        }
-
+        let mut sections = container::ShardSections::open(r)?;
+        let shards = sections
+            .by_ref()
+            .map(|shard| {
+                let (meta, blob) = shard?;
+                Ok(Shard {
+                    index: load_inner(blob)?,
+                    mbr: meta.mbr,
+                })
+            })
+            .collect::<Result<_, PersistError>>()?;
         Ok(Self {
             name,
-            partitioner,
+            partitioner: sections.partitioner,
             shards,
-            threads,
+            threads: sections.threads.max(1),
         })
     }
 
@@ -551,36 +407,8 @@ impl SpatialIndex for ShardedIndex {
     }
 
     fn write_snapshot(&self, w: &mut SnapshotWriter) -> Result<(), PersistError> {
-        w.begin_section(SECTION_SHARDED_META);
-        w.put_usize(self.threads);
-        w.put_usize(self.shards.len());
-        w.end_section();
-
-        w.begin_section(SECTION_SHARDED_PARTITIONER);
-        self.partitioner.encode(w);
-        w.end_section();
-
-        // One section per shard: serving metadata (MBR, frozen key range)
-        // plus the inner index as a complete embedded snapshot, so each
-        // shard round-trips independently through the registry's loader.
-        for (i, shard) in self.shards.iter().enumerate() {
-            w.begin_section(SECTION_SHARD);
-            w.put_rect(&shard.mbr);
-            let (key_lo, key_hi) = self.partitioner.shard_key_range(i);
-            w.put_u64(key_lo);
-            match key_hi {
-                Some(hi) => {
-                    w.put_bool(true);
-                    w.put_u64(hi);
-                }
-                None => w.put_bool(false),
-            }
-            let mut inner = SnapshotWriter::new(shard.index.name());
-            shard.index.write_snapshot(&mut inner)?;
-            w.put_bytes(&inner.finish());
-            w.end_section();
-        }
-        Ok(())
+        let shards = self.shards.iter().map(|s| (s.mbr, s.index.as_ref()));
+        container::write(w, self.threads, &self.partitioner, shards)
     }
 }
 

@@ -13,6 +13,7 @@
 //! shard key boundaries — `O(log n)` with no per-shard work.
 
 use geom::{order_key, Point, Rect};
+use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::{rank_space_order, CurveKind, RankSpace};
 
 /// How a point set was cut into shards, plus the frozen routing tables.
@@ -33,11 +34,11 @@ pub struct Partitioner {
 /// One shard produced by [`Partitioner::partition`]: its points (in curve
 /// order) and their bounding rectangle.
 #[derive(Debug, Clone)]
-pub struct ShardSlice {
+pub(crate) struct ShardSlice {
     /// The shard's points, sorted by rank-space curve key.
-    pub points: Vec<Point>,
+    pub(crate) points: Vec<Point>,
     /// Minimum bounding rectangle of the shard's points.
-    pub mbr: Rect,
+    pub(crate) mbr: Rect,
 }
 
 impl Partitioner {
@@ -51,7 +52,11 @@ impl Partitioner {
     /// split them, and a lookup or delete must find them all in one shard.
     /// Data with unique locations is cut exactly at the near-equal
     /// boundaries.
-    pub fn partition(points: &[Point], shards: usize, curve: CurveKind) -> (Self, Vec<ShardSlice>) {
+    pub(crate) fn partition(
+        points: &[Point],
+        shards: usize,
+        curve: CurveKind,
+    ) -> (Self, Vec<ShardSlice>) {
         let n = points.len();
         let s = shards.max(1).min(n.max(1));
 
@@ -136,53 +141,44 @@ impl Partitioner {
     }
 
     /// Approximate memory held by the frozen routing tables, in bytes.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.by_x.len() * std::mem::size_of::<(f64, f64)>() * 2
             + self.shard_key_lo.len() * std::mem::size_of::<u64>()
     }
 
     /// The curve-key range `[lo, hi)` routed to shard `i` (`hi` is `None`
     /// for the last shard, which is unbounded above).
-    pub fn shard_key_range(&self, i: usize) -> (u64, Option<u64>) {
+    pub(crate) fn shard_key_range(&self, i: usize) -> (u64, Option<u64>) {
         (self.shard_key_lo[i], self.shard_key_lo.get(i + 1).copied())
     }
 
     /// Appends the frozen routing tables to a snapshot (sub-record of the
     /// sharded container's partitioner section).
-    pub fn encode(&self, w: &mut persist::SnapshotWriter) {
+    pub(crate) fn encode(&self, w: &mut SnapshotWriter) {
         w.put_u8(self.curve.tag());
         w.put_u32(self.order);
         encode_pairs(w, &self.by_x);
         encode_pairs(w, &self.by_y);
-        w.put_usize(self.shard_key_lo.len());
-        for &k in &self.shard_key_lo {
-            w.put_u64(k);
-        }
+        w.put_u64s(&self.shard_key_lo);
     }
 
     /// Reads a partitioner written by [`Partitioner::encode`].
-    pub fn decode(r: &mut persist::SnapshotReader<'_>) -> Result<Self, persist::PersistError> {
+    pub(crate) fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         let tag = r.get_u8()?;
         let curve = CurveKind::from_tag(tag)
-            .ok_or_else(|| persist::PersistError::Corrupt(format!("unknown curve tag {tag}")))?;
+            .ok_or_else(|| PersistError::Corrupt(format!("unknown curve tag {tag}")))?;
         let order = r.get_u32()?;
         let by_x = decode_pairs(r)?;
         let by_y = decode_pairs(r)?;
-        let n = r.get_len(8)?;
-        if n == 0 {
-            return Err(persist::PersistError::Corrupt(
-                "partitioner with zero shards".into(),
-            ));
-        }
-        let mut shard_key_lo = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_key_lo.push(r.get_u64()?);
+        let shard_key_lo = r.get_u64s()?;
+        if shard_key_lo.is_empty() {
+            return Err(PersistError::Corrupt("partitioner with zero shards".into()));
         }
         // Routing binary-searches all three tables; unsorted data would not
         // fail loudly — it would silently route queries to the wrong shard.
         let sorted = |pairs: &[(f64, f64)]| pairs.iter().map(pair_key).is_sorted();
         if !sorted(&by_x) || !sorted(&by_y) || shard_key_lo.windows(2).any(|w| w[0] > w[1]) {
-            return Err(persist::PersistError::Corrupt(
+            return Err(PersistError::Corrupt(
                 "partitioner routing tables are not sorted".into(),
             ));
         }
@@ -196,7 +192,7 @@ impl Partitioner {
     }
 }
 
-fn encode_pairs(w: &mut persist::SnapshotWriter, pairs: &[(f64, f64)]) {
+fn encode_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
     w.put_usize(pairs.len());
     for &(a, b) in pairs {
         w.put_f64(a);
@@ -204,9 +200,7 @@ fn encode_pairs(w: &mut persist::SnapshotWriter, pairs: &[(f64, f64)]) {
     }
 }
 
-fn decode_pairs(
-    r: &mut persist::SnapshotReader<'_>,
-) -> Result<Vec<(f64, f64)>, persist::PersistError> {
+fn decode_pairs(r: &mut SnapshotReader<'_>) -> Result<Vec<(f64, f64)>, PersistError> {
     let n = r.get_len(16)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {

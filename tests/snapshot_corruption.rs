@@ -7,8 +7,8 @@
 
 use datagen::{generate, Distribution};
 use registry::{
-    build_index, load_index, load_index_bytes, snapshot_bytes, BaseKind, IndexConfig, IndexKind,
-    PersistError,
+    build_index, load_index, load_index_bytes, load_shard_manifest_bytes,
+    load_shard_snapshot_bytes, snapshot_bytes, BaseKind, IndexConfig, IndexKind, PersistError,
 };
 
 fn snapshot_of(kind: IndexKind) -> Vec<u8> {
@@ -145,6 +145,51 @@ fn sharded_containers_reject_corrupt_inner_snapshots() {
         load_index_bytes(&corrupted).is_err(),
         "corrupted shard blob loaded silently"
     );
+}
+
+/// Panics unless `got` is a typed [`PersistError::Corrupt`].
+fn expect_corrupt<T>(what: &str, got: Result<T, PersistError>) {
+    match got {
+        Err(PersistError::Corrupt(_)) => {}
+        Ok(_) => panic!("{what}: a spliced container loaded successfully"),
+        Err(other) => panic!("{what}: expected Corrupt, got {other}"),
+    }
+}
+
+#[test]
+fn spliced_container_announcing_more_shards_than_its_partitioner_is_corrupt() {
+    // Whole, CRC-valid sections of a 2-shard and a 1-shard Sharded-Grid:
+    // the 2-shard build's header and meta (announcing 2 shards), the
+    // 1-shard build's partitioner (routing to 1) and shard 0, then the
+    // 2-shard build's shard 1.  Every entry point must refuse it, the
+    // one-shard extraction a shard server starts from included.
+    let data = generate(Distribution::Uniform, 500, 3);
+    let container = |shards: usize| {
+        let cfg = IndexConfig::fast().with_shards(shards);
+        let index = build_index(BaseKind::Grid.sharded(), &data, &cfg);
+        let bytes = snapshot_bytes(index.as_ref()).expect("serialise");
+        let mut cuts = section_starts(&bytes);
+        cuts.push(bytes.len());
+        assert_eq!(cuts.len(), shards + 3, "header, meta, partitioner, shards");
+        (bytes, cuts)
+    };
+    let (two, t) = container(2);
+    let (one, o) = container(1);
+    let mut spliced = two[..t[1]].to_vec();
+    spliced.extend_from_slice(&one[o[1]..o[3]]);
+    spliced.extend_from_slice(&two[t[3]..]);
+
+    expect_corrupt("load_index_bytes", load_index_bytes(&spliced));
+    expect_corrupt(
+        "load_shard_manifest_bytes",
+        load_shard_manifest_bytes(&spliced),
+    );
+    for shard in 0..3 {
+        expect_corrupt(
+            &format!("load_shard_snapshot_bytes(_, {shard})"),
+            load_shard_snapshot_bytes(&spliced, shard),
+        );
+    }
 }
 
 #[test]
