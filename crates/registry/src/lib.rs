@@ -4,8 +4,10 @@
 //! The paper's value is a head-to-head comparison of seven index variants;
 //! this crate is the single place that knows how to build each of them.  The
 //! bench harness, the experiments binary, the examples, and the integration
-//! tests all construct indices exclusively through [`build_index`], so
-//! adding an index family is a one-file change.
+//! tests all construct indices exclusively through [`build_index`] and
+//! load them through [`load_index_bytes`] (in the `snapshot` module, beside
+//! the sharded container's manifest and shard extraction), so adding an
+//! index family is a change to this crate alone.
 //!
 //! ```
 //! use registry::{build_index, IndexConfig, IndexKind};
@@ -31,6 +33,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod snapshot;
+
 use baselines::zm::ZmConfig;
 use baselines::{GridFile, HilbertRTree, KdbTree, RStarTree, ZOrderModel};
 use common::SpatialIndex;
@@ -40,6 +44,10 @@ use sfc::CurveKind;
 use std::path::Path;
 
 pub use persist::PersistError;
+pub use snapshot::{
+    load_index, load_index_bytes, load_shard_manifest, load_shard_manifest_bytes,
+    load_shard_snapshot, load_shard_snapshot_bytes, save_index, snapshot_bytes,
+};
 
 /// A leaf index family — the families compared head-to-head in the paper,
 /// and the inner-index payload of [`IndexKind::Sharded`].
@@ -123,7 +131,7 @@ pub enum IndexKind {
 impl IndexKind {
     /// The paper's seven leaf families, in the order its legends list them
     /// (sharded compositions are not part of the paper's figures; see
-    /// [`IndexKind::all_sharded`]).
+    /// [`IndexKind::all_with_sharded`]).
     pub fn all() -> Vec<IndexKind> {
         BaseKind::all()
             .into_iter()
@@ -131,16 +139,11 @@ impl IndexKind {
             .collect()
     }
 
-    /// The seven sharded compositions, in the same order.
-    pub fn all_sharded() -> Vec<IndexKind> {
-        BaseKind::all().into_iter().map(BaseKind::sharded).collect()
-    }
-
     /// Every kind the registry can build: leaf families then sharded
     /// compositions.
     pub fn all_with_sharded() -> Vec<IndexKind> {
         let mut v = Self::all();
-        v.extend(Self::all_sharded());
+        v.extend(BaseKind::all().map(BaseKind::sharded));
         v
     }
 
@@ -230,32 +233,24 @@ impl std::str::FromStr for IndexKind {
         let lower = s.to_ascii_lowercase();
         if let Some(inner) = lower.strip_prefix("sharded-") {
             let leaf: IndexKind = inner.parse()?;
-            return match leaf {
-                IndexKind::Grid => Ok(BaseKind::Grid.sharded()),
-                IndexKind::Hrr => Ok(BaseKind::Hrr.sharded()),
-                IndexKind::Kdb => Ok(BaseKind::Kdb.sharded()),
-                IndexKind::RStar => Ok(BaseKind::RStar.sharded()),
-                IndexKind::Rsmi => Ok(BaseKind::Rsmi.sharded()),
-                IndexKind::Rsmia => Ok(BaseKind::Rsmia.sharded()),
-                IndexKind::Zm => Ok(BaseKind::Zm.sharded()),
-                IndexKind::Sharded(_) => {
-                    Err(format!("cannot shard an already-sharded kind: '{s}'"))
-                }
-            };
+            return BaseKind::all()
+                .into_iter()
+                .find(|base| base.unsharded() == leaf)
+                .map(BaseKind::sharded)
+                .ok_or_else(|| format!("cannot shard an already-sharded kind: '{s}'"));
         }
-        match lower.as_str() {
-            "grid" => Ok(IndexKind::Grid),
-            "hrr" => Ok(IndexKind::Hrr),
-            "kdb" => Ok(IndexKind::Kdb),
-            "rr*" | "rstar" | "r*" => Ok(IndexKind::RStar),
-            "rsmi" => Ok(IndexKind::Rsmi),
-            "rsmia" => Ok(IndexKind::Rsmia),
-            "zm" => Ok(IndexKind::Zm),
-            other => Err(format!(
-                "unknown index kind '{other}' (expected one of Grid, HRR, KDB, RR*, RSMI, \
-                 RSMIa, ZM, or sharded-<kind>)"
-            )),
+        if lower == "rstar" || lower == "r*" {
+            return Ok(IndexKind::RStar);
         }
+        Self::all()
+            .into_iter()
+            .find(|kind| kind.name().eq_ignore_ascii_case(&lower))
+            .ok_or_else(|| {
+                format!(
+                    "unknown index kind '{lower}' (expected one of Grid, HRR, KDB, RR*, RSMI, \
+                     RSMIa, ZM, or sharded-<kind>)"
+                )
+            })
     }
 }
 
@@ -414,95 +409,6 @@ pub fn build_index(kind: IndexKind, points: &[Point], cfg: &IndexConfig) -> Box<
 }
 
 // ---------------------------------------------------------------------
-// Snapshot persistence: save any built index, load it back by kind tag
-// ---------------------------------------------------------------------
-
-/// Serialises a built index into snapshot bytes: the versioned header
-/// carries the family's display name as the kind tag, and the body is
-/// whatever the family's [`SpatialIndex::write_snapshot`] appends.
-///
-/// The full build → query → save → load round trip:
-///
-/// ```
-/// use common::{QueryContext, SpatialIndex};
-/// use geom::Point;
-/// use registry::{build_index, load_index_bytes, snapshot_bytes, IndexConfig, IndexKind};
-///
-/// let points: Vec<Point> = (0..400)
-///     .map(|i| Point::with_id((i as f64 * 0.618) % 1.0, (i as f64 * 0.414) % 1.0, i))
-///     .collect();
-/// let index = build_index(IndexKind::Hrr, &points, &IndexConfig::fast());
-/// let mut cx = QueryContext::new();
-/// let before = index.point_query(&points[42], &mut cx);
-///
-/// // Save, drop the built index, load it back: answers are identical.
-/// let bytes = snapshot_bytes(index.as_ref()).unwrap();
-/// drop(index);
-/// let restored = load_index_bytes(&bytes).unwrap();
-/// assert_eq!(restored.name(), "HRR");
-/// assert_eq!(restored.point_query(&points[42], &mut cx), before);
-/// ```
-pub fn snapshot_bytes(index: &dyn SpatialIndex) -> Result<Vec<u8>, PersistError> {
-    let mut w = persist::SnapshotWriter::new(index.name());
-    index.write_snapshot(&mut w)?;
-    Ok(w.finish())
-}
-
-/// Saves a built index to a snapshot file (see [`snapshot_bytes`]).
-pub fn save_index(index: &dyn SpatialIndex, path: &Path) -> Result<(), PersistError> {
-    persist::write_file(path, &snapshot_bytes(index)?)
-}
-
-/// Loads an index from snapshot bytes, dispatching on the kind tag embedded
-/// in the header.  The loaded index answers every query with byte-identical
-/// results and statistics to the index that was saved — nothing is rebuilt
-/// or retrained.  Bytes after the last section are refused.
-pub fn load_index_bytes(bytes: &[u8]) -> Result<Box<dyn SpatialIndex>, PersistError> {
-    let (kind_tag, mut r) = persist::SnapshotReader::open(bytes)?;
-    let kind: IndexKind = kind_tag
-        .parse()
-        .map_err(|_| PersistError::UnknownKind(kind_tag.clone()))?;
-    let index: Box<dyn SpatialIndex> = match kind {
-        IndexKind::Grid => Box::new(GridFile::read_snapshot(&mut r)?),
-        IndexKind::Hrr => Box::new(HilbertRTree::read_snapshot(&mut r)?),
-        IndexKind::Kdb => Box::new(KdbTree::read_snapshot(&mut r)?),
-        IndexKind::RStar => Box::new(RStarTree::read_snapshot(&mut r)?),
-        IndexKind::Rsmi => Box::new(Rsmi::read_snapshot(&mut r)?),
-        IndexKind::Rsmia => Box::new(RsmiExact::read_snapshot(&mut r)?),
-        IndexKind::Zm => Box::new(ZOrderModel::read_snapshot(&mut r)?),
-        IndexKind::Sharded(base) => {
-            // The engine reads the container; this closure turns each
-            // embedded inner snapshot back into an index through this very
-            // function — mirroring how `build_index` hands the engine its
-            // own construction entry point.
-            let expected = base.unsharded();
-            let loaded = engine::ShardedIndex::read_snapshot(&mut r, kind.name(), &|blob| {
-                // Check the embedded snapshot's kind tag *before* recursing:
-                // a crafted sharded-in-sharded chain would otherwise nest
-                // loads until the stack overflows.  The expected inner kind
-                // is always a leaf family, so recursion depth is bounded.
-                let (inner_tag, _) = persist::SnapshotReader::open(blob)?;
-                if inner_tag != expected.name() {
-                    return Err(PersistError::Corrupt(format!(
-                        "sharded container for {} holds a '{inner_tag}' shard",
-                        kind.name(),
-                    )));
-                }
-                load_index_bytes(blob)
-            })?;
-            Box::new(loaded)
-        }
-    };
-    r.finish()?;
-    Ok(index)
-}
-
-/// Loads an index from a snapshot file (see [`load_index_bytes`]).
-pub fn load_index(path: &Path) -> Result<Box<dyn SpatialIndex>, PersistError> {
-    load_index_bytes(&persist::read_file(path)?)
-}
-
-// ---------------------------------------------------------------------
 // Live serving: wrap any registered kind in a SpatialServer
 // ---------------------------------------------------------------------
 
@@ -511,7 +417,7 @@ pub use server::{ServeConfig, ServerConfig, SpatialServer};
 /// The compaction rebuild closure for one registered kind: the registry's
 /// own [`build_index`] with the kind and configuration captured, which is
 /// how every family composes with the serving engine.
-pub fn rebuild_fn(kind: IndexKind, cfg: &IndexConfig) -> server::RebuildFn {
+fn rebuild_fn(kind: IndexKind, cfg: &IndexConfig) -> server::RebuildFn {
     let cfg = *cfg;
     Box::new(move |pts: &[Point]| build_index(kind, pts, &cfg))
 }
@@ -558,11 +464,7 @@ pub fn serve_snapshot_bytes(
     cfg: &IndexConfig,
     server_cfg: ServerConfig,
 ) -> Result<SpatialServer, PersistError> {
-    let index = load_index_bytes(bytes)?;
-    let kind: IndexKind = index
-        .name()
-        .parse()
-        .map_err(|_| PersistError::UnknownKind(index.name().to_string()))?;
+    let (kind, index) = snapshot::load(bytes)?;
     let n_points = index.len() as u64;
     let server = SpatialServer::from_parts(index, rebuild_fn(kind, cfg), server_cfg);
     server
@@ -596,72 +498,6 @@ pub fn serve_config(
         Some(path) if path.exists() => serve_snapshot(path, cfg, serve.server),
         _ => Ok(serve_index(kind, points, cfg, serve.server)),
     }
-}
-
-// ---------------------------------------------------------------------
-// Distributed serving: routing-table-only views of sharded snapshots
-// ---------------------------------------------------------------------
-
-/// Reads only the routing metadata of a sharded snapshot — the frozen
-/// partitioner plus per-shard MBRs and key ranges — without parsing any
-/// shard's data.  Returns the container's [`IndexKind`] alongside, so a
-/// router knows which family (and exactness contract) its shard servers
-/// hold.  Errors on non-sharded snapshots.
-pub fn load_shard_manifest_bytes(
-    bytes: &[u8],
-) -> Result<(IndexKind, engine::ShardManifest), PersistError> {
-    let (kind_tag, mut r) = persist::SnapshotReader::open(bytes)?;
-    let kind: IndexKind = kind_tag
-        .parse()
-        .map_err(|_| PersistError::UnknownKind(kind_tag.clone()))?;
-    if kind.base().is_none() {
-        return Err(PersistError::Corrupt(format!(
-            "'{kind_tag}' is not a sharded container — nothing to route to"
-        )));
-    }
-    Ok((kind, engine::ShardManifest::read(&mut r)?))
-}
-
-/// Reads a sharded snapshot file's routing metadata (see
-/// [`load_shard_manifest_bytes`]).
-pub fn load_shard_manifest(
-    path: &Path,
-) -> Result<(IndexKind, engine::ShardManifest), PersistError> {
-    load_shard_manifest_bytes(&persist::read_file(path)?)
-}
-
-/// Extracts one shard's embedded snapshot from a sharded container: a
-/// complete, self-describing snapshot image a shard server can
-/// [`load_index_bytes`] or [`serve_snapshot_bytes`] on its own.  Other
-/// shards' bytes are skipped, never parsed.
-pub fn load_shard_snapshot_bytes(bytes: &[u8], shard: usize) -> Result<Vec<u8>, PersistError> {
-    let (kind_tag, mut r) = persist::SnapshotReader::open(bytes)?;
-    let kind: IndexKind = kind_tag
-        .parse()
-        .map_err(|_| PersistError::UnknownKind(kind_tag.clone()))?;
-    let expected = match kind.base() {
-        Some(base) => base.unsharded(),
-        None => {
-            return Err(PersistError::Corrupt(format!(
-                "'{kind_tag}' is not a sharded container — no shard {shard} to extract"
-            )))
-        }
-    };
-    let blob = engine::read_shard_snapshot_bytes(&mut r, shard)?;
-    let (inner_tag, _) = persist::SnapshotReader::open(&blob)?;
-    if inner_tag != expected.name() {
-        return Err(PersistError::Corrupt(format!(
-            "sharded container for {} holds a '{inner_tag}' shard",
-            kind.name(),
-        )));
-    }
-    Ok(blob)
-}
-
-/// Extracts one shard's embedded snapshot from a sharded snapshot file
-/// (see [`load_shard_snapshot_bytes`]).
-pub fn load_shard_snapshot(path: &Path, shard: usize) -> Result<Vec<u8>, PersistError> {
-    load_shard_snapshot_bytes(&persist::read_file(path)?, shard)
 }
 
 #[cfg(test)]

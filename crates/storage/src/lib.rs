@@ -36,6 +36,3 @@ mod store;
 pub use block::{Block, BlockId};
 pub use snapshot::SECTION_STORE_V2;
 pub use store::{BlockStore, ChainRange};
-
-/// The block capacity used throughout the paper's experiments (`B = 100`).
-pub const DEFAULT_BLOCK_CAPACITY: usize = 100;
