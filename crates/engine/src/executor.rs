@@ -1,14 +1,14 @@
 //! Query-time parallelism: a query workload split into one contiguous chunk
-//! per worker, run on `std::thread::scope` threads, so results come back in
-//! input order and nothing outlives the call.  With `workers <= 1` (or a
-//! single chunk) it degrades to plain sequential execution on the caller's
-//! thread.  Per-shard builds and rebuilds go through
-//! [`common::parallel_map`].
+//! per worker and run on [`common::parallel_map`], the workspace's one
+//! parallel map, so results come back in input order and nothing outlives
+//! the call.  With `workers <= 1` (or a single chunk) it runs sequentially
+//! on the caller's thread.  Per-shard builds and rebuilds go through the
+//! same map.
 
 use common::{QueryContext, QueryStats};
 
-/// Runs a query workload split across up to `workers` scoped threads, one
-/// fresh [`QueryContext`] per worker, and returns the per-query results in
+/// Runs a query workload split into up to `workers` contiguous chunks, one
+/// fresh [`QueryContext`] per chunk, and returns the per-query results in
 /// input order together with the merged statistics.
 ///
 /// Any caller's parallel batch runs through this: every index is `Sync`, so
@@ -20,34 +20,17 @@ where
     R: Send,
     F: Fn(&[Q], &mut QueryContext) -> Vec<R> + Sync,
 {
-    let n = queries.len();
-    let w = workers.max(1).min(n.max(1));
-    if w <= 1 {
-        let mut cx = QueryContext::new();
-        let out = run(queries, &mut cx);
-        return (out, cx.stats);
-    }
-    let chunk = n.div_ceil(w);
-    let run = &run;
-    let mut out = Vec::with_capacity(n);
+    let w = workers.clamp(1, queries.len().max(1));
+    let chunks: Vec<&[Q]> = queries.chunks(queries.len().div_ceil(w).max(1)).collect();
+    let mut out = Vec::with_capacity(queries.len());
     let mut stats = QueryStats::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|qs| {
-                scope.spawn(move || {
-                    let mut cx = QueryContext::new();
-                    let res = run(qs, &mut cx);
-                    (res, cx.stats)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (res, s) = h.join().expect("worker thread panicked");
-            out.extend(res);
-            stats += s;
-        }
-    });
+    for (res, s) in common::parallel_map(chunks, w, |qs| {
+        let mut cx = QueryContext::new();
+        (run(qs, &mut cx), cx.stats)
+    }) {
+        out.extend(res);
+        stats += s;
+    }
     (out, stats)
 }
 
