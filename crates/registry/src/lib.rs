@@ -347,7 +347,7 @@ impl IndexConfig {
 
     /// The sharded-engine configuration corresponding to this
     /// configuration.
-    pub fn sharded_config(&self) -> engine::ShardedConfig {
+    pub(crate) fn sharded_config(&self) -> engine::ShardedConfig {
         engine::ShardedConfig {
             shards: self.shards,
             threads: self.threads,

@@ -20,12 +20,11 @@ fn open(bytes: &[u8]) -> Result<(IndexKind, SnapshotReader<'_>), PersistError> {
 /// Opens a sharded container: its leaf family, and a reader at its first
 /// section.  Any other snapshot is refused.
 fn open_sharded(bytes: &[u8]) -> Result<(BaseKind, SnapshotReader<'_>), PersistError> {
-    match open(bytes)? {
-        (IndexKind::Sharded(base), r) => Ok((base, r)),
-        (kind, _) => Err(PersistError::Corrupt(format!(
-            "'{kind}' is not a sharded container"
-        ))),
-    }
+    let (kind, r) = open(bytes)?;
+    let base = kind
+        .base()
+        .ok_or_else(|| PersistError::Corrupt(format!("'{kind}' is not a sharded container")))?;
+    Ok((base, r))
 }
 
 /// Checks that a shard embedded in a `base` container holds `base`'s
