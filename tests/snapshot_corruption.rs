@@ -151,7 +151,7 @@ fn sharded_containers_reject_corrupt_inner_snapshots() {
 fn expect_corrupt<T>(what: &str, got: Result<T, PersistError>) {
     match got {
         Err(PersistError::Corrupt(_)) => {}
-        Ok(_) => panic!("{what}: a spliced container loaded successfully"),
+        Ok(_) => panic!("{what}: loaded successfully"),
         Err(other) => panic!("{what}: expected Corrupt, got {other}"),
     }
 }
@@ -190,6 +190,51 @@ fn spliced_container_announcing_more_shards_than_its_partitioner_is_corrupt() {
             load_shard_snapshot_bytes(&spliced, shard),
         );
     }
+}
+
+/// Rewrites the payload of the top-level section tagged `tag` through
+/// `patch` and stores its new CRC, so the file stays well-framed.
+fn patch_section(bytes: &mut [u8], tag: u32, patch: impl FnOnce(&mut [u8])) {
+    let at = section_starts(bytes)
+        .into_iter()
+        .find(|&at| bytes[at..at + 4] == tag.to_le_bytes())
+        .unwrap_or_else(|| panic!("no section 0x{tag:04x}"));
+    let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+    let payload = &mut bytes[at + 12..at + 12 + len];
+    patch(payload);
+    let crc = persist::crc32(payload).to_le_bytes();
+    bytes[at + 12 + len..at + 16 + len].copy_from_slice(&crc);
+}
+
+#[test]
+fn references_past_their_table_are_corrupt_not_a_panic() {
+    let past = u64::from(u32::MAX).to_le_bytes();
+    // HRR (0x4801), KDB (0x4B01) and RR* (0x5201) store their root first:
+    // a presence byte, then the node index.
+    for (kind, tag) in [
+        (IndexKind::Hrr, 0x4801),
+        (IndexKind::Kdb, 0x4B01),
+        (IndexKind::RStar, 0x5201),
+    ] {
+        let mut bytes = snapshot_of(kind);
+        patch_section(&mut bytes, tag, |payload| {
+            assert_eq!(payload[0], 1, "{kind}: the root is stored");
+            payload[1..9].copy_from_slice(&past);
+        });
+        expect_corrupt(&format!("{kind} root"), load_index_bytes(&bytes));
+    }
+    // Grid (0x4701): side, point count, cell count, then each cell's
+    // block list; point the first block of the first non-empty cell past
+    // the store.
+    let mut bytes = snapshot_of(IndexKind::Grid);
+    patch_section(&mut bytes, 0x4701, |payload| {
+        let mut at = 24;
+        while payload[at..at + 8] == [0; 8] {
+            at += 8;
+        }
+        payload[at + 8..at + 16].copy_from_slice(&past);
+    });
+    expect_corrupt("Grid cell block", load_index_bytes(&bytes));
 }
 
 #[test]
