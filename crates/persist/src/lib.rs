@@ -1003,10 +1003,8 @@ mod tests {
         for i in [Some(2), Some(3), None] {
             w.put_opt_usize(i);
         }
-        for list in [&[0, 2][..], &[1, 3]] {
-            w.put_len(list.len());
-            list.iter().for_each(|&i| w.put_usize(i));
-        }
+        w.put_u64s(&[0, 2]);
+        w.put_u64s(&[1, 3]);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes, LenWidth::U64);
         fn corrupt<T>(got: Result<T, DecodeError>) -> bool {
