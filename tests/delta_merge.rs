@@ -235,6 +235,159 @@ fn a_key_folded_to_three_copies_then_deleted() {
         delete(&server, &mut oracle, &twin);
         assert!(server.compact_now());
         check("after compact_now", &oracle);
+        every_copy_counted_fresh_churned_and_after_passes(kind, &data);
+    }
+}
+
+/// Keys with one to three copies, one of them outside the unit square.
+const KEYS: [(f64, f64, u64, usize); 4] = [
+    (0.23, 0.61, FRESH + 10, 1),
+    (0.71, 0.17, FRESH + 11, 2),
+    (0.38, 0.84, FRESH + 12, 3),
+    (-0.35, -0.72, FRESH + 13, 2),
+];
+
+/// One location under two ids, with one and two copies.
+const SHARED: [(f64, f64, u64, usize); 2] =
+    [(0.64, 0.52, FRESH + 20, 1), (0.64, 0.52, FRESH + 21, 2)];
+
+/// Every stored copy of the [`KEYS`] and [`SHARED`] points, copy by copy.
+fn key_copies() -> Vec<Point> {
+    KEYS.iter()
+        .chain(&SHARED)
+        .flat_map(|&(x, y, id, n)| std::iter::repeat_n(Point::with_id(x, y, id), n))
+        .collect()
+}
+
+/// Copies in `oracle` with `p`'s location and id.
+fn copies_of(oracle: &[Point], p: &Point) -> usize {
+    oracle
+        .iter()
+        .filter(|q| q.same_location(p) && q.id == p.id)
+        .count()
+}
+
+/// The ids `oracle` holds at `q`'s location, deduplicated.
+fn ids_at(oracle: &[Point], q: &Point) -> Vec<u64> {
+    let mut v: Vec<u64> = oracle
+        .iter()
+        .filter(|p| p.same_location(q))
+        .map(|p| p.id)
+        .collect();
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// The server's point lookup at `q` against `Vec` semantics: `None` where
+/// nothing lives, else a live copy at `q` — the one live id when the
+/// location holds one.
+fn assert_point_answer(what: &str, server: &SpatialServer, oracle: &[Point], q: &Point) {
+    let hit = server.point_query(q, &mut QueryContext::new());
+    let live = ids_at(oracle, q);
+    match hit {
+        None => assert!(live.is_empty(), "{what}: missed {q:?}, live ids {live:?}"),
+        Some(p) => {
+            assert!(p.same_location(q), "{what}: answered {p:?} for {q:?}");
+            assert!(
+                live.contains(&p.id),
+                "{what}: answered dead {p:?}, live {live:?}"
+            );
+        }
+    }
+}
+
+/// Deletes every key and the shared location's two ids — the base's first
+/// copy there first — checking that each delete changes `len()` by the
+/// brute-force copy count, that a second delete removes nothing, and that
+/// point lookups follow the live set.
+fn delete_every_key(kind: IndexKind, stage: &str, server: &SpatialServer, oracle: &mut Vec<Point>) {
+    let what = format!("{}: {stage}", kind.name());
+    assert_eq!(server.len(), oracle.len(), "{what}");
+    let (sx, sy, _, _) = SHARED[0];
+    let shared = Point::new(sx, sy);
+    assert_point_answer(&what, server, oracle, &shared);
+    let first = server
+        .point_query(&shared, &mut QueryContext::new())
+        .expect("the shared location is stored");
+    let other = SHARED.iter().find(|s| s.2 != first.id).expect("two ids");
+    let mut victims = vec![first, Point::with_id(other.0, other.1, other.2)];
+    victims.extend(KEYS.iter().map(|&(x, y, id, _)| Point::with_id(x, y, id)));
+    for victim in victims {
+        let copies = copies_of(oracle, &victim);
+        assert!(copies > 0, "{what}: {victim:?} is not stored");
+        assert_point_answer(&what, server, oracle, &victim);
+        let before = server.len();
+        assert!(server.delete(&victim).0, "{what}: delete of {victim:?}");
+        oracle.retain(|q| !(q.same_location(&victim) && q.id == victim.id));
+        assert_eq!(
+            before - server.len(),
+            copies,
+            "{what}: deleting {victim:?} removed a wrong number of copies"
+        );
+        assert!(
+            !server.delete(&victim).0,
+            "{what}: second delete of {victim:?}"
+        );
+        assert_eq!(server.len(), oracle.len(), "{what}");
+        assert_point_answer(&what, server, oracle, &victim);
+    }
+}
+
+/// The copy count a delete masks, at four stages: a fresh base, a base
+/// churned in place by 30 % writes, and after a partial and a full pass.
+fn every_copy_counted_fresh_churned_and_after_passes(kind: IndexKind, data: &[Point]) {
+    let all_copies = key_copies();
+    let mut fresh: Vec<Point> = data.to_vec();
+    fresh.extend(&all_copies);
+    let server = serve(kind, &fresh);
+    delete_every_key(kind, "fresh", &server, &mut fresh);
+    drop(server);
+
+    // Build over the data and each key's first copy; insert the other
+    // copies among 30 % churn writes, in place, then serve the worn base.
+    let keys = KEYS.iter().chain(&SHARED);
+    let mut oracle: Vec<Point> = data.to_vec();
+    oracle.extend(keys.clone().map(|&(x, y, id, _)| Point::with_id(x, y, id)));
+    let mut base = build_index(kind, &oracle, &cfg());
+    let churn = generate(Distribution::Uniform, data.len() * 3 / 20, 29);
+    let mut later =
+        keys.flat_map(|&(x, y, id, n)| std::iter::repeat_n(Point::with_id(x, y, id), n - 1));
+    for (i, p) in churn.iter().enumerate() {
+        let p = Point::with_id(p.x, p.y, FRESH + 100 + i as u64);
+        base.insert(p);
+        oracle.push(p);
+        let victim = data[i * 2];
+        assert!(base.delete(&victim), "{}: churn delete", kind.name());
+        oracle.retain(|q| !(q.same_location(&victim) && q.id == victim.id));
+        if let Some(copy) = later.next() {
+            base.insert(copy);
+            oracle.push(copy);
+        }
+    }
+    assert!(later.next().is_none());
+    let bytes = registry::snapshot_bytes(base.as_ref()).expect("snapshot");
+    let server = registry::serve_snapshot_bytes(
+        &bytes,
+        &cfg(),
+        ServerConfig::default().with_compact_threshold(usize::MAX),
+    )
+    .expect("warm start");
+    delete_every_key(kind, "churned", &server, &mut oracle);
+
+    // Both passes fold the keys back in from the delta.
+    for (stage, pass) in [
+        (
+            "after a partial pass",
+            SpatialServer::maintain_now as fn(&SpatialServer) -> bool,
+        ),
+        ("after a full pass", SpatialServer::compact_now),
+    ] {
+        for &p in &all_copies {
+            insert(&server, &mut oracle, p);
+        }
+        assert!(pass(&server), "{}: {stage}", kind.name());
+        delete_every_key(kind, stage, &server, &mut oracle);
     }
 }
 
