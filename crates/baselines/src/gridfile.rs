@@ -7,6 +7,7 @@ use common::knn::KBest;
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
+use std::ops::ControlFlow;
 use storage::{BlockId, BlockStore};
 
 /// Section tag of the grid directory (the cell table).
@@ -142,14 +143,22 @@ impl SpatialIndex for GridFile {
         self.n_points
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
         let cell = Self::cell_of(self.side, q);
         for &b in &self.cells[cell] {
-            if let Some(p) = self.read_block(b, cx).find_at(q.x, q.y) {
-                return Some(p);
+            if self
+                .read_block(b, cx)
+                .find_at(q.x, q.y, &mut *visit)
+                .is_break()
+            {
+                return;
             }
         }
-        None
     }
 
     fn window_query_visit(

@@ -281,8 +281,13 @@ impl SpatialIndex for HilbertRTree {
         self.n_points
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        directory::point(&mut View { tree: self, cx }, q)
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        directory::point(&mut View { tree: self, cx }, q, visit)
     }
 
     fn window_query_visit(

@@ -302,10 +302,15 @@ impl SpatialIndex for KdbTree {
         self.n_points
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
         // A point on a partition boundary lies in the regions of two sibling
         // leaves; the traversal follows every containing child.
-        directory::point(&mut View { tree: self, cx }, q)
+        directory::point(&mut View { tree: self, cx }, q, visit)
     }
 
     fn window_query_visit(

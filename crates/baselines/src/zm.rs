@@ -13,6 +13,7 @@ use geom::{Point, Rect};
 use mlp::{MlpConfig, ScaledRegressor};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::zcurve;
+use std::ops::ControlFlow;
 use storage::{BlockId, BlockStore};
 
 /// Bits per dimension of the Z-curve grid.  With 20 bits per dimension the
@@ -348,18 +349,24 @@ impl SpatialIndex for ZOrderModel {
         self.n_points
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
         let z = zcurve::encode_unit(q.x, q.y, Z_ORDER);
-        let (lo, hi) = self.predicted_block_range(z, cx)?;
+        let Some((lo, hi)) = self.predicted_block_range(z, cx) else {
+            return;
+        };
         for (_, block) in self.store.chain_range(lo, hi) {
             if block.mbr().contains(q) {
                 cx.count_block_scan(block.len());
-                if let Some(p) = block.find_at(q.x, q.y) {
-                    return Some(p);
+                if block.find_at(q.x, q.y, &mut *visit).is_break() {
+                    return;
                 }
             }
         }
-        None
     }
 
     fn window_query_visit(
@@ -621,7 +628,11 @@ mod tests {
             let position = zm
                 .store
                 .chain_range(lo, hi)
-                .position(|(_, block)| block.find_at(p.x, p.y).is_some())
+                .position(|(_, block)| {
+                    block
+                        .find_at(p.x, p.y, |_| ControlFlow::Break(()))
+                        .is_break()
+                })
                 .expect("the predicted range holds every indexed point");
             let mut c = cx();
             assert!(zm.point_query(p, &mut c).is_some());

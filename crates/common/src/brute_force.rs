@@ -99,9 +99,18 @@ impl crate::SpatialIndex for ScanIndex {
         self.0.len()
     }
 
-    fn point_query(&self, q: &Point, cx: &mut crate::QueryContext) -> Option<Point> {
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut crate::QueryContext,
+        visit: &mut dyn FnMut(&Point) -> std::ops::ControlFlow<()>,
+    ) {
         cx.count_block_scan(self.0.len());
-        point_query(&self.0, q)
+        let _ = self
+            .0
+            .iter()
+            .filter(|p| p.same_location(q))
+            .try_for_each(visit);
     }
 
     fn window_query_visit(

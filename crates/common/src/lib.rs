@@ -29,6 +29,7 @@ mod parallel;
 pub use parallel::parallel_map;
 
 use geom::{Point, Rect};
+use std::ops::ControlFlow;
 
 /// Per-query cost counters, the paper's "# block accesses" axis split into
 /// its components so that learned and traditional indices stay comparable.
@@ -209,7 +210,7 @@ pub struct MaintenanceStats {
 ///   or bounded-sweep (ZM) traversal instead of the learned scan-range
 ///   prediction, and a test-enforced oracle holds all of them to the
 ///   brute-force answer.
-/// * **Index-nested distance joins** ([`distance_join_visit`](Self::distance_join_visit)):
+/// * **Index-nested distance joins** ([`distance_join`](Self::distance_join)):
 ///   all cross-index pairs `(p ∈ self, q ∈ other)` with `dist(p, q) ≤ r`.
 ///   The other index is enumerated exactly once through
 ///   [`for_each_point`](Self::for_each_point) and joined against this
@@ -220,15 +221,17 @@ pub struct MaintenanceStats {
 ///
 /// # Query forms
 ///
-/// * **Visitor methods** ([`window_query_visit`](Self::window_query_visit),
+/// * **Visitor methods** ([`point_query_visit`](Self::point_query_visit),
+///   [`window_query_visit`](Self::window_query_visit),
 ///   [`knn_query_visit`](Self::knn_query_visit),
 ///   [`range_query_visit`](Self::range_query_visit)) are the required core:
 ///   they hand each result to a callback by reference and never allocate on
 ///   behalf of the caller.
-/// * **`Vec` adapters** ([`window_query`](Self::window_query),
-///   [`knn_query`](Self::knn_query), [`range_query`](Self::range_query),
-///   [`distance_join`](Self::distance_join)) are provided for ergonomics and
-///   copy results into a fresh vector.
+/// * **Adapters** ([`point_query`](Self::point_query) keeps the first copy;
+///   [`window_query`](Self::window_query), [`knn_query`](Self::knn_query),
+///   [`range_query`](Self::range_query) and
+///   [`distance_join`](Self::distance_join) copy results into a fresh
+///   vector) are provided for ergonomics.
 ///
 /// A workload is the caller's loop over these one-query methods.  Because
 /// every index is `Sync`, a caller that wants a parallel batch splits that
@@ -254,9 +257,28 @@ pub trait SpatialIndex: Send + Sync {
         self.len() == 0
     }
 
+    /// Calls `visit` for every stored copy at exactly `q`'s coordinates,
+    /// whatever its id, in the order the index's point lookup scans them,
+    /// until `visit` breaks.  It opens only the blocks a lookup opens: the
+    /// one place every copy of the location can be stored.
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    );
+
     /// Looks up a point with exactly the query's coordinates and returns it
-    /// (with its stored identifier), or `None` if it is not indexed.
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point>;
+    /// (with its stored identifier), or `None` if it is not indexed: the
+    /// first copy [`point_query_visit`](Self::point_query_visit) visits.
+    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        let mut hit = None;
+        self.point_query_visit(q, cx, &mut |p| {
+            hit = Some(*p);
+            ControlFlow::Break(())
+        });
+        hit
+    }
 
     /// Calls `visit` for every result of the window query.  Visit order is
     /// unspecified; results never lie outside the window.
@@ -281,7 +303,7 @@ pub trait SpatialIndex: Send + Sync {
     /// unspecified order.
     ///
     /// This is the exact enumeration primitive the distance-join machinery
-    /// builds on: the probe side of [`distance_join_visit`](Self::distance_join_visit)
+    /// builds on: the probe side of [`distance_join`](Self::distance_join)
     /// is materialised through it, so it must be exact even for families
     /// whose window/kNN answers are approximate (every family stores its
     /// points in blocks/leaves it can stream).  Enumeration is a
@@ -422,28 +444,6 @@ pub trait SpatialIndex: Send + Sync {
     // Provided: index-nested distance joins
     // ------------------------------------------------------------------
 
-    /// Calls `visit` for every pair `(p, q)` with `p` indexed here, `q`
-    /// indexed in `other`, and `dist(p, q) ≤ radius`.  Pair order is
-    /// unspecified; each qualifying pair is visited exactly once (per stored
-    /// copy on either side).
-    ///
-    /// This is an **index-nested** join: `other` is enumerated exactly once
-    /// through [`for_each_point`](Self::for_each_point) (uncharged, like any
-    /// streaming read) and the resulting probe set is joined against this
-    /// index's structure by [`distance_join_probes`](Self::distance_join_probes),
-    /// which is where all pruning and cost accounting happen.
-    fn distance_join_visit(
-        &self,
-        other: &dyn SpatialIndex,
-        radius: f64,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point, &Point),
-    ) {
-        let mut probes = Vec::with_capacity(other.len());
-        other.for_each_point(&mut |q| probes.push(*q));
-        self.distance_join_probes(&probes, radius, cx, visit);
-    }
-
     /// The join worker: calls `visit(p, q)` for every indexed point `p` and
     /// probe `q ∈ probes` with `dist(p, q) ≤ radius`.
     ///
@@ -466,16 +466,26 @@ pub trait SpatialIndex: Send + Sync {
         }
     }
 
-    /// Returns every qualifying `(self_point, other_point)` pair as a fresh
-    /// vector (see [`distance_join_visit`](Self::distance_join_visit)).
+    /// Returns every pair `(p, q)` with `p` indexed here, `q` indexed in
+    /// `other`, and `dist(p, q) ≤ radius`, as a fresh vector.  Pair order is
+    /// unspecified; each qualifying pair appears exactly once (per stored
+    /// copy on either side).
+    ///
+    /// This is an **index-nested** join: `other` is enumerated exactly once
+    /// through [`for_each_point`](Self::for_each_point) (uncharged, like any
+    /// streaming read) and the resulting probe set is joined against this
+    /// index's structure by [`distance_join_probes`](Self::distance_join_probes),
+    /// which is where all pruning and cost accounting happen.
     fn distance_join(
         &self,
         other: &dyn SpatialIndex,
         radius: f64,
         cx: &mut QueryContext,
     ) -> Vec<(Point, Point)> {
+        let mut probes = Vec::with_capacity(other.len());
+        other.for_each_point(&mut |q| probes.push(*q));
         let mut out = Vec::new();
-        self.distance_join_visit(other, radius, cx, &mut |p, q| out.push((*p, *q)));
+        self.distance_join_probes(&probes, radius, cx, &mut |p, q| out.push((*p, *q)));
         out
     }
 
@@ -512,10 +522,19 @@ mod tests {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        fn point_query_visit(
+            &self,
+            q: &Point,
+            cx: &mut QueryContext,
+            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+        ) {
             cx.count_block();
             cx.count_candidates(self.0.len());
-            self.0.iter().copied().find(|p| p.same_location(q))
+            let _ = self
+                .0
+                .iter()
+                .filter(|p| p.same_location(q))
+                .try_for_each(visit);
         }
         fn window_query_visit(
             &self,

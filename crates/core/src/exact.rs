@@ -152,8 +152,13 @@ impl SpatialIndex for RsmiExact {
         self.0.len()
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        self.0.point_query(q, cx)
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        self.0.point_query_visit(q, cx, visit)
     }
 
     fn window_query_visit(

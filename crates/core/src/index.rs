@@ -21,6 +21,7 @@ use crate::RsmiConfig;
 use common::{MaintenanceBudget, MaintenanceStats, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotWriter};
+use std::ops::ControlFlow;
 use storage::BlockStore;
 
 /// Summary statistics of a built RSMI (Tables 3 and 4 of the paper).
@@ -244,8 +245,13 @@ impl SpatialIndex for Rsmi {
         self.n_points
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        query::point(self, q, cx)
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        let _ = query::point(self, q, cx, visit);
     }
 
     fn window_query_visit(

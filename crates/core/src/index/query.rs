@@ -6,6 +6,7 @@ use crate::node::{Node, NodeId};
 use common::{knn, QueryContext};
 use geom::{Point, Rect};
 use sfc::CurveKind;
+use std::ops::ControlFlow;
 use storage::BlockId;
 
 /// Descends from the root to a leaf following model predictions
@@ -41,21 +42,27 @@ pub(super) fn descend(index: &Rsmi, x: f64, y: f64, cx: &mut QueryContext) -> Op
     descend_with(index, x, y, cx, |_, _| {})
 }
 
-/// Point query (Algorithm 1): returns the indexed point with exactly the
-/// query coordinates, if present.  Walks the predicted range in chain
-/// order and opens only the blocks whose MBR contains the key.
-pub(super) fn point(index: &Rsmi, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-    let leaf = index.leaf(descend(index, q.x, q.y, cx)?);
-    let (lo, hi) = leaf.predicted_range(q.x, q.y);
+/// Point query (Algorithm 1): visits every indexed copy with exactly the
+/// query coordinates until `visit` breaks.  Walks the predicted range in
+/// chain order — the range [`delete`](super::update::delete) scans — and
+/// opens only the blocks whose MBR contains the key.
+pub(super) fn point(
+    index: &Rsmi,
+    q: &Point,
+    cx: &mut QueryContext,
+    visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let Some(leaf) = descend(index, q.x, q.y, cx) else {
+        return ControlFlow::Continue(());
+    };
+    let (lo, hi) = index.leaf(leaf).predicted_range(q.x, q.y);
     for (_, block) in index.store.chain_range(lo, hi) {
         if block.mbr().contains(q) {
             cx.count_block_scan(block.len());
-            if let Some(p) = block.find_at(q.x, q.y) {
-                return Some(p);
-            }
+            block.find_at(q.x, q.y, &mut *visit)?;
         }
     }
-    None
+    ControlFlow::Continue(())
 }
 
 /// The anchor points whose predicted blocks bound the scan range: the

@@ -44,6 +44,7 @@ use partition::Partitioner;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use plan::{infallible, Fanout, ShardView};
 use sfc::CurveKind;
+use std::ops::ControlFlow;
 
 /// Max-to-mean shard size ratio at or above which
 /// [`ShardedIndex::clone_index`](SpatialIndex::clone_index) declines, so
@@ -200,12 +201,17 @@ impl SpatialIndex for ShardedIndex {
         self.shards.iter().map(|s| s.index.len()).sum()
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        let (hit, fan) = infallible(plan::point(&self.partitioner, q, |shard| {
-            Ok(self.shards[shard].index.point_query(q, cx))
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        let ((), fan) = infallible(plan::point(&self.partitioner, q, |shard| {
+            self.shards[shard].index.point_query_visit(q, cx, visit);
+            Ok(())
         }));
         charge(cx, fan);
-        hit
     }
 
     fn window_query_visit(
@@ -429,9 +435,18 @@ mod tests {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        fn point_query_visit(
+            &self,
+            q: &Point,
+            cx: &mut QueryContext,
+            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+        ) {
             cx.count_block_scan(self.0.len());
-            brute_force::point_query(&self.0, q)
+            let _ = self
+                .0
+                .iter()
+                .filter(|p| p.same_location(q))
+                .try_for_each(visit);
         }
         fn window_query_visit(
             &self,
@@ -713,9 +728,18 @@ mod tests {
         fn len(&self) -> usize {
             self.pts.len()
         }
-        fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
+        fn point_query_visit(
+            &self,
+            q: &Point,
+            cx: &mut QueryContext,
+            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+        ) {
             cx.count_block_scan(self.pts.len());
-            brute_force::point_query(&self.pts, q)
+            let _ = self
+                .pts
+                .iter()
+                .filter(|p| p.same_location(q))
+                .try_for_each(visit);
         }
         fn window_query_visit(
             &self,

@@ -17,6 +17,7 @@
 use crate::NetClient;
 use common::{QueryContext, SpatialIndex};
 use geom::{Point, Rect};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -86,6 +87,24 @@ impl SpatialIndex for RemoteIndex {
         n
     }
 
+    /// The wire has no copy probe: this asks for the window
+    /// `Rect::from_point(q)`, whose answer holds every copy at `q`'s
+    /// location, in the server's window order.
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        let mut flow = ControlFlow::Continue(());
+        self.window_query_visit(&Rect::from_point(*q), cx, &mut |p| {
+            if flow.is_continue() {
+                flow = visit(p);
+            }
+        });
+    }
+
+    /// One `Point` request: the served index's own lookup answers it.
     fn point_query(&self, q: &Point, _cx: &mut QueryContext) -> Option<Point> {
         self.call("point query", |c| c.point(q))
     }

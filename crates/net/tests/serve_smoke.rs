@@ -11,6 +11,7 @@ use obs::EventKind;
 use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -414,8 +415,13 @@ impl SpatialIndex for KnnHook {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        self.0.point_query(q, cx)
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        self.0.point_query_visit(q, cx, visit)
     }
     fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {
         self.0.window_query_visit(w, cx, visit)

@@ -15,6 +15,7 @@ use net::{NetClient, RemoteIndex, Request, Response};
 use registry::{BaseKind, IndexConfig};
 use server::{ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -717,8 +718,13 @@ impl SpatialIndex for PanickingKnn {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        self.0.point_query(q, cx)
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        self.0.point_query_visit(q, cx, visit)
     }
     fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {
         self.0.window_query_visit(w, cx, visit)

@@ -1,25 +1,30 @@
 //! The compaction pass as five steps on a [`Pass`] — capture, build,
 //! catch-up, swap, record — and the background thread that runs it.
+//!
+//! A delete, and the catch-up's replay of one, learns how many base copies
+//! it masks from [`base_copies`]: the base's own point lookup, which visits
+//! every stored copy of a location.
 
 use crate::delta::{self, DeltaState};
 use crate::{Core, Epoch, WriteOp, MAX_SUBTREES, PAUSE_BUDGET_US};
 use common::{MaintenanceBudget, QueryContext, SpatialIndex};
-use geom::{Point, Rect};
+use geom::Point;
 use obs::EventKind;
+use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
-/// How many copies of `p` (same location and id) `base` holds: a probe of
-/// the degenerate window at `p`, which scans exactly the range a point
-/// query at `p` scans, so it finds every stored copy of the location for
-/// every kind (point queries are exact throughout the repository).  A
-/// delete asks it once per key, so `len()`, the kNN widening cap and the
-/// delete's result stay exact.  Its cost is not charged to any query.
+/// How many copies of `p` (same location and id) `base` holds, counted by
+/// the base's own point lookup, which visits every stored copy of the
+/// location.  A delete asks it once per key, so `len()`, the kNN widening
+/// cap and the delete's result stay exact.  Its cost is not charged to any
+/// query.
 pub(crate) fn base_copies(base: &dyn SpatialIndex, p: &Point) -> u32 {
     let mut copies = 0;
-    base.window_query_visit(&Rect::from_point(*p), &mut QueryContext::new(), &mut |q| {
-        copies += u32::from(q.same_location(p) && q.id == p.id);
+    base.point_query_visit(p, &mut QueryContext::new(), &mut |q| {
+        copies += u32::from(q.id == p.id);
+        ControlFlow::Continue(())
     });
     copies
 }
@@ -275,6 +280,7 @@ mod tests {
     use crate::{ServerConfig, SpatialServer};
     use common::brute_force;
     use geom::order_key;
+    use geom::Rect;
 
     /// Seeds that once failed, run before the range: a failing seed prints
     /// itself and is added here, so it stays a row when the range changes.

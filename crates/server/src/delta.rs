@@ -14,7 +14,7 @@
 //! Keys identify a point exactly the way [`common::SpatialIndex::delete`]
 //! matches one: by bit-exact location plus id.  The net state is one set of
 //! struct-of-arrays **lanes** sorted by key: [`DeltaState::apply`] edits
-//! them in place, the two by-key reads (`masks`, `point_lookup`)
+//! them in place, the two by-key reads (`masks`, `entries_at`)
 //! binary-search them behind a small location filter that answers "no
 //! entry here" without a search, and every union (window, range, kNN, join,
 //! `for_each_point`) walks them.  Key order is numeric `x` order (see
@@ -27,7 +27,7 @@
 
 use geom::{order_key, Point, Rect};
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use storage::kernels;
 
 /// Exact identity of a point: the [`order_key`] of each coordinate plus id.
@@ -89,7 +89,7 @@ struct Entry {
 const FILTER_BITS: usize = 16_384;
 
 /// A one-hash Bloom filter over the *locations* (not ids) that have ever had
-/// an entry in this epoch's overlay.  `masks` and `point_lookup` ask it
+/// an entry in this epoch's overlay.  `masks` and `entries_at` ask it
 /// before searching the lanes; base results almost never sit on a written
 /// location, so almost every probe ends here.  Bits are only ever set: an
 /// entry's `base_masked` never reverts within an epoch and every epoch
@@ -295,23 +295,38 @@ impl DeltaState {
                 .is_ok_and(|i| self.lane_entries[i].base_masked > 0)
     }
 
-    /// The earliest-inserted live copy at exactly the query's location, if
-    /// any — the delta side of a point query.  Returns the number of delta
-    /// entries examined so the caller can charge them as candidates.
-    pub(crate) fn point_lookup(&self, q: &Point) -> (Option<Point>, usize) {
+    /// The lane entries at exactly the query's location — the delta side of
+    /// a point query, whose length the caller charges as candidates.
+    pub(crate) fn entries_at(&self, q: &Point) -> Range<usize> {
         let (xb, yb) = (order_key(q.x), order_key(q.y));
         if !self.filter.may_contain(xb, yb) {
-            return (None, 0);
+            return 0..0;
         }
         let start = self.lane_keys.partition_point(|k| (k.0, k.1) < (xb, yb));
         let end = start + self.lane_keys[start..].partition_point(|k| (k.0, k.1) == (xb, yb));
-        let mut best: Option<(u64, usize)> = None;
-        for (i, e) in self.lane_entries[start..end].iter().enumerate() {
-            if e.copies > 0 && best.is_none_or(|(fs, _)| e.first_seq < fs) {
-                best = Some((e.first_seq, start + i));
+        start..end
+    }
+
+    /// Visits every live copy among `entries` (a range [`entries_at`]
+    /// returned), earliest insert first, until `visit` breaks.
+    ///
+    /// [`entries_at`]: Self::entries_at
+    pub(crate) fn visit_copies_at(
+        &self,
+        entries: Range<usize>,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mut live: Vec<usize> = entries
+            .filter(|&i| self.lane_entries[i].copies > 0)
+            .collect();
+        live.sort_unstable_by_key(|&i| self.lane_entries[i].first_seq);
+        for i in live {
+            let p = self.lane_point(i);
+            for _ in 0..self.lane_entries[i].copies {
+                visit(&p)?;
             }
         }
-        (best.map(|(_, i)| self.lane_point(i)), end - start)
+        ControlFlow::Continue(())
     }
 
     /// The point of lane entry `i`.
@@ -468,6 +483,18 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// The earliest-inserted live copy at `q`'s location and the entries
+    /// examined: the delta side of a point query.
+    fn point_lookup(d: &DeltaState, q: &Point) -> (Option<Point>, usize) {
+        let entries = d.entries_at(q);
+        let mut hit = None;
+        let _ = d.visit_copies_at(entries.clone(), &mut |p| {
+            hit = Some(*p);
+            ControlFlow::Break(())
+        });
+        (hit, entries.len())
+    }
+
     fn p(x: f64, y: f64, id: u64) -> Point {
         Point::with_id(x, y, id)
     }
@@ -514,7 +541,7 @@ mod tests {
         assert_eq!(d.live_inserts(), 0);
         assert_eq!(d.masked_base(), 0, "key was never in base");
         assert!(apply(&mut d, 3, WriteOp::Insert(p(0.5, 0.5, 7)), &base));
-        let (hit, _) = d.point_lookup(&p(0.5, 0.5, 0));
+        let (hit, _) = point_lookup(&d, &p(0.5, 0.5, 0));
         assert_eq!(hit.map(|q| q.id), Some(7));
         assert_eq!(d.seq(), 3);
         assert_eq!(d.op_count(), 3);
@@ -541,12 +568,12 @@ mod tests {
         assert!(apply(&mut d, 1, WriteOp::Insert(p(0.5, 0.5, 30)), &[]));
         assert!(apply(&mut d, 2, WriteOp::Insert(p(0.5, 0.5, 10)), &[]));
         // Vec order: id 30 was appended first, so it is the first match.
-        let (hit, examined) = d.point_lookup(&p(0.5, 0.5, 0));
+        let (hit, examined) = point_lookup(&d, &p(0.5, 0.5, 0));
         assert_eq!(hit.map(|q| q.id), Some(30));
         assert_eq!(examined, 2);
         // Delete the earliest; the later insert becomes the first match.
         assert!(apply(&mut d, 3, WriteOp::Delete(p(0.5, 0.5, 30)), &[]));
-        let (hit, _) = d.point_lookup(&p(0.5, 0.5, 0));
+        let (hit, _) = point_lookup(&d, &p(0.5, 0.5, 0));
         assert_eq!(hit.map(|q| q.id), Some(10));
     }
 
@@ -869,7 +896,7 @@ mod tests {
                 let at_location = net
                     .range((key.0, key.1, u64::MIN)..=(key.0, key.1, u64::MAX))
                     .count();
-                assert_eq!(d.point_lookup(&probe).1, at_location, "{probe:?}");
+                assert_eq!(point_lookup(&d, &probe).1, at_location, "{probe:?}");
                 if at_location == 0 {
                     absent += 1;
                     false_positives += usize::from(d.filter.may_contain(key.0, key.1));
@@ -887,7 +914,7 @@ mod tests {
     fn negative_zero_folds_onto_positive_zero() {
         let mut d = DeltaState::default();
         apply(&mut d, 1, WriteOp::Insert(p(0.0, 0.5, 1)), &[]);
-        let (hit, _) = d.point_lookup(&p(-0.0, 0.5, 0));
+        let (hit, _) = point_lookup(&d, &p(-0.0, 0.5, 0));
         assert_eq!(hit.map(|q| q.id), Some(1));
     }
 

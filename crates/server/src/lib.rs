@@ -102,6 +102,7 @@ use compact::{base_copies, compactor_loop, CompactorSignal};
 use delta::DeltaState;
 use geom::{Point, Rect};
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
+use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -462,8 +463,13 @@ impl SpatialIndex for SpatialServer {
         self.snapshot().len()
     }
 
-    fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        self.snapshot().point_query(q, cx)
+    fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        self.snapshot().point_query_visit(q, cx, visit)
     }
 
     fn window_query_visit(
@@ -1043,8 +1049,13 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-            self.inner.point_query(q, cx)
+        fn point_query_visit(
+            &self,
+            q: &Point,
+            cx: &mut QueryContext,
+            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+        ) {
+            self.inner.point_query_visit(q, cx, visit)
         }
         fn window_query_visit(
             &self,

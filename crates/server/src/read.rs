@@ -1,11 +1,16 @@
 //! The reader side: a [`Snapshot`] of one epoch's base plus its delta
 //! prefix, and the per-class merges that answer every query from the two.
+//!
+//! A point lookup is one probe of the base: its point lookup visits the
+//! location's copies in scan order and the first unmasked one wins, so a
+//! deleted first copy costs the rest of that scan, never a second query.
 
 use crate::delta::DeltaState;
 use crate::Epoch;
 use common::knn::KBest;
 use common::QueryContext;
 use geom::{Point, Rect};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// A frozen, consistent view of a [`SpatialServer`](crate::SpatialServer): one epoch's base index
@@ -43,39 +48,50 @@ impl Snapshot {
         self.len() == 0
     }
 
-    /// Looks up a live point with exactly the query's coordinates.
+    /// Calls `visit` for every live copy at exactly the query's location
+    /// until it breaks: the base's unmasked copies in the order its point
+    /// lookup scans them, then inserted copies, earliest insert first.
+    ///
+    /// One probe of the base serves every case: when the base's first copy
+    /// is deleted, the same scan goes on to the next live one.
+    pub fn point_query_visit(
+        &self,
+        q: &Point,
+        cx: &mut QueryContext,
+        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
+    ) {
+        if self.delta.is_empty() {
+            return self.epoch.base.point_query_visit(q, cx, visit);
+        }
+        let inserts = self.delta.entries_at(q);
+        cx.count_candidates(inserts.len());
+        let mut stopped = false;
+        self.epoch.base.point_query_visit(q, cx, &mut |p| {
+            if self.delta.masks(p) {
+                return ControlFlow::Continue(());
+            }
+            let flow = visit(p);
+            stopped = flow.is_break();
+            flow
+        });
+        if !stopped {
+            let _ = self.delta.visit_copies_at(inserts, visit);
+        }
+    }
+
+    /// Looks up a live point with exactly the query's coordinates: the
+    /// first copy [`point_query_visit`](Self::point_query_visit) visits.
     ///
     /// Matches `Vec` semantics: a live base copy wins over inserted copies
-    /// (the base's own answer, else its first live copy in the base's
-    /// order), and among inserted copies the earliest still-live insert
-    /// wins.
+    /// (the first live one in the base's lookup order), and among inserted
+    /// copies the earliest still-live insert wins.
     pub fn point_query(&self, q: &Point, cx: &mut QueryContext) -> Option<Point> {
-        if self.delta.is_empty() {
-            return self.epoch.base.point_query(q, cx);
-        }
-        let (delta_hit, examined) = self.delta.point_lookup(q);
-        cx.count_candidates(examined);
-        let base_hit = match self.epoch.base.point_query(q, cx) {
-            Some(p) if !self.delta.masks(&p) => Some(p),
-            Some(_) => {
-                // The base's answer at this location is deleted.  Another
-                // base copy can only exist if the data had duplicate
-                // locations under different ids; recover the first live
-                // one in the base's own order with an exhaustive
-                // degenerate-window probe (for a plain scan, `Vec` order).
-                let mut alt = None;
-                self.epoch
-                    .base
-                    .window_query_visit(&Rect::from_point(*q), cx, &mut |p| {
-                        if alt.is_none() && !self.delta.masks(p) {
-                            alt = Some(*p);
-                        }
-                    });
-                alt
-            }
-            None => None,
-        };
-        base_hit.or(delta_hit)
+        let mut hit = None;
+        self.point_query_visit(q, cx, &mut |p| {
+            hit = Some(*p);
+            ControlFlow::Break(())
+        });
+        hit
     }
 
     /// Calls `visit` for every live point inside `window`: unmasked base

@@ -2,6 +2,7 @@
 
 use crate::kernels;
 use geom::{Point, Rect};
+use std::ops::ControlFlow;
 
 /// Identifier of a block within a [`crate::BlockStore`].
 pub type BlockId = usize;
@@ -265,12 +266,21 @@ impl Block {
         p
     }
 
-    /// Finds a point with exactly the given coordinates.
-    pub fn find_at(&self, x: f64, y: f64) -> Option<Point> {
+    /// Visits every point with exactly the given coordinates, in slot order,
+    /// until `visit` breaks; returns what stopped the scan.
+    pub fn find_at(
+        &self,
+        x: f64,
+        y: f64,
+        mut visit: impl FnMut(&Point) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let (xs, ys) = (self.xs(), self.ys());
-        (0..xs.len())
-            .find(|&i| xs[i] == x && ys[i] == y)
-            .map(|i| self.point(i))
+        for i in 0..xs.len() {
+            if xs[i] == x && ys[i] == y {
+                visit(&self.point(i))?;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// The minimum bounding rectangle of the block's points (empty rectangle
@@ -295,6 +305,16 @@ impl Block {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first point [`Block::find_at`] visits.
+    fn first_at(b: &Block, x: f64, y: f64) -> Option<Point> {
+        let mut hit = None;
+        let _ = b.find_at(x, y, |p| {
+            hit = Some(*p);
+            ControlFlow::Break(())
+        });
+        hit
+    }
 
     #[test]
     fn push_until_full_then_panic() {
@@ -353,7 +373,7 @@ mod tests {
         // still there, and id 0 is an ordinary id that matches neither.
         assert_eq!(b.to_points()[1], Point::with_id(0.5, 0.5, 7));
         assert_eq!(b.remove_at(0.3, 0.7, 0), 0);
-        assert_eq!(b.find_at(0.3, 0.7).unwrap().id, 1001);
+        assert_eq!(first_at(&b, 0.3, 0.7).unwrap().id, 1001);
         // Every copy of one `(x, y, id)` goes in one call, swapped-in
         // copies included.
         b.push(Point::with_id(0.3, 0.7, 1001));
@@ -362,7 +382,7 @@ mod tests {
         assert_eq!(b.remove_at(0.3, 0.7, 1001), 3);
         assert_eq!(b.ids(), &[0, 7]);
         assert_eq!(b.remove_at(0.3, 0.7, 0), 1);
-        assert!(b.find_at(0.3, 0.7).is_none());
+        assert!(first_at(&b, 0.3, 0.7).is_none());
         assert_eq!(b.len(), 1);
     }
 
@@ -370,8 +390,20 @@ mod tests {
     fn find_at_matches_exact_coordinates() {
         let mut b = Block::new(4);
         b.push(Point::with_id(0.25, 0.75, 3));
-        assert_eq!(b.find_at(0.25, 0.75).unwrap().id, 3);
-        assert!(b.find_at(0.25, 0.7500001).is_none());
+        assert_eq!(first_at(&b, 0.25, 0.75).unwrap().id, 3);
+        assert!(first_at(&b, 0.25, 0.7500001).is_none());
+        // Every copy at the location is visited, in slot order, until the
+        // visitor breaks.
+        b.push(Point::with_id(0.5, 0.5, 4));
+        b.push(Point::with_id(0.25, 0.75, 5));
+        let mut ids = Vec::new();
+        let walk = b.find_at(0.25, 0.75, |p| {
+            ids.push(p.id);
+            ControlFlow::Continue(())
+        });
+        assert!(walk.is_continue());
+        assert_eq!(ids, vec![3, 5]);
+        assert!(b.find_at(0.25, 0.75, |_| ControlFlow::Break(())).is_break());
     }
 
     #[test]

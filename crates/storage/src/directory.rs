@@ -98,9 +98,18 @@ fn search<V: DirectoryView, T>(
     hit
 }
 
-/// Point query: the first stored point at exactly `q`'s coordinates.
-pub fn point<V: DirectoryView>(view: &mut V, q: &Point) -> Option<Point> {
-    search(view, |r| r.contains(q), |block| block.find_at(q.x, q.y))
+/// Point query: visits every stored point at exactly `q`'s coordinates
+/// until `visit` breaks, which ends the search.
+pub fn point<V: DirectoryView>(
+    view: &mut V,
+    q: &Point,
+    mut visit: impl FnMut(&Point) -> ControlFlow<()>,
+) {
+    search(
+        view,
+        |r| r.contains(q),
+        |block| block.find_at(q.x, q.y, &mut visit).break_value(),
+    );
 }
 
 /// Window query: visits every point inside `window`.
@@ -367,6 +376,16 @@ mod tests {
         (ids, toy.expanded, toy.opened)
     }
 
+    /// The first point [`point`] visits.
+    fn first_point(t: &mut Toy, q: &Point) -> Option<Point> {
+        let mut hit = None;
+        point(t, q, |p| {
+            hit = Some(*p);
+            Break(())
+        });
+        hit
+    }
+
     fn join_of(probes: &[Point], radius: f64) -> impl FnOnce(&mut Toy, &mut Vec<u64>) + '_ {
         move |t, ids| distance_join(t, probes, radius, |p, q| ids.extend([p.id, q.id]))
     }
@@ -374,7 +393,7 @@ mod tests {
     #[test]
     fn an_entry_that_fails_the_predicate_is_never_opened() {
         let got = run(toy(), |t, ids| {
-            ids.extend(point(t, &Point::new(0.25, 0.375)).map(|p| p.id))
+            ids.extend(first_point(t, &Point::new(0.25, 0.375)).map(|p| p.id))
         });
         assert_eq!(got, (vec![3], vec![0, 1], vec![1]));
         let w = Rect::new(0.6, 0.45, 0.8, 0.8);
@@ -462,7 +481,7 @@ mod tests {
         let q = Point::with_id(0.75, 0.75, 100);
         type Query = fn(&mut Toy, &Point, &mut Vec<u64>);
         let classes: [Query; 5] = [
-            |t, q, ids| ids.extend(point(t, q).map(|p| p.id)),
+            |t, q, ids| ids.extend(first_point(t, q).map(|p| p.id)),
             |t, q, ids| window(t, &Rect::new(0.7, 0.7, q.x, q.y), |p| ids.push(p.id)),
             |t, q, ids| knn(t, q, 1, |p| ids.push(p.id)),
             |t, q, ids| range(t, q, 0.0, |p| ids.push(p.id)),

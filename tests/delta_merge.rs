@@ -14,6 +14,7 @@ use common::{brute_force, QueryContext, SpatialIndex};
 use datagen::{generate, Distribution};
 use geom::{Point, Rect};
 use registry::{build_index, serve_index, IndexConfig, IndexKind, ServerConfig, SpatialServer};
+use std::ops::ControlFlow::{Break, Continue};
 
 /// Ids of inserted points start here, far above any data id.
 const FRESH: u64 = 1_000_000;
@@ -297,6 +298,34 @@ fn assert_point_answer(what: &str, server: &SpatialServer, oracle: &[Point], q: 
     }
 }
 
+/// `index`'s copy probe at every key location visits exactly the copies
+/// `oracle` holds there, and one that breaks stops after the first.
+fn assert_probe_counts(what: &str, index: &dyn SpatialIndex, oracle: &[Point]) {
+    for &(x, y, _, _) in KEYS.iter().chain(&SHARED) {
+        let q = Point::new(x, y);
+        let mut seen = Vec::new();
+        index.point_query_visit(&q, &mut QueryContext::new(), &mut |p| {
+            assert!(p.same_location(&q), "{what}: probe at {q:?} visited {p:?}");
+            seen.push(p.id);
+            Continue(())
+        });
+        seen.sort_unstable();
+        let mut expected: Vec<u64> = oracle
+            .iter()
+            .filter(|p| p.same_location(&q))
+            .map(|p| p.id)
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(seen, expected, "{what}: copies visited at {q:?}");
+        let mut first = 0;
+        index.point_query_visit(&q, &mut QueryContext::new(), &mut |_| {
+            first += 1;
+            Break(())
+        });
+        assert_eq!(first, expected.len().min(1), "{what}: a break at {q:?}");
+    }
+}
+
 /// Deletes every key and the shared location's two ids — the base's first
 /// copy there first — checking that each delete changes `len()` by the
 /// brute-force copy count, that a second delete removes nothing, and that
@@ -304,6 +333,7 @@ fn assert_point_answer(what: &str, server: &SpatialServer, oracle: &[Point], q: 
 fn delete_every_key(kind: IndexKind, stage: &str, server: &SpatialServer, oracle: &mut Vec<Point>) {
     let what = format!("{}: {stage}", kind.name());
     assert_eq!(server.len(), oracle.len(), "{what}");
+    assert_probe_counts(&what, server, oracle);
     let (sx, sy, _, _) = SHARED[0];
     let shared = Point::new(sx, sy);
     assert_point_answer(&what, server, oracle, &shared);
@@ -331,6 +361,7 @@ fn delete_every_key(kind: IndexKind, stage: &str, server: &SpatialServer, oracle
         );
         assert_eq!(server.len(), oracle.len(), "{what}");
         assert_point_answer(&what, server, oracle, &victim);
+        assert_probe_counts(&what, server, oracle);
     }
 }
 
@@ -340,6 +371,29 @@ fn every_copy_counted_fresh_churned_and_after_passes(kind: IndexKind, data: &[Po
     let all_copies = key_copies();
     let mut fresh: Vec<Point> = data.to_vec();
     fresh.extend(&all_copies);
+    let server = serve(kind, &fresh);
+    let bare = build_index(kind, &fresh, &cfg());
+    assert_probe_counts(&format!("{}: bare", kind.name()), bare.as_ref(), &fresh);
+    // With the base's first copy at the shared location deleted, a lookup
+    // there is one probe that scans on to the next live copy: it costs no
+    // more than visiting every copy of the bare base, plus the one delta
+    // entry at the location.
+    let shared = Point::new(SHARED[0].0, SHARED[0].1);
+    let mut every = QueryContext::new();
+    bare.point_query_visit(&shared, &mut every, &mut |_| Continue(()));
+    let first = server.point_query(&shared, &mut QueryContext::new());
+    assert!(server.delete(&first.expect("stored")).0);
+    let mut cx = QueryContext::new();
+    assert!(server.point_query(&shared, &mut cx).is_some());
+    let (got, bound) = (cx.stats, every.stats);
+    assert!(
+        got.blocks_touched <= bound.blocks_touched
+            && got.nodes_visited <= bound.nodes_visited
+            && got.candidates_scanned <= bound.candidates_scanned + 1,
+        "{}: a masked first copy cost {got:?} against one probe's {bound:?}",
+        kind.name()
+    );
+    drop(server);
     let server = serve(kind, &fresh);
     delete_every_key(kind, "fresh", &server, &mut fresh);
     drop(server);
@@ -366,6 +420,7 @@ fn every_copy_counted_fresh_churned_and_after_passes(kind: IndexKind, data: &[Po
         }
     }
     assert!(later.next().is_none());
+    assert_probe_counts(&format!("{}: churned", kind.name()), base.as_ref(), &oracle);
     let bytes = registry::snapshot_bytes(base.as_ref()).expect("snapshot");
     let server = registry::serve_snapshot_bytes(
         &bytes,
