@@ -148,11 +148,6 @@ impl ShardedIndex {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Reads a sharded snapshot written by
     /// [`SpatialIndex::write_snapshot`].
     ///
@@ -513,7 +508,7 @@ mod tests {
     fn point_queries_route_to_exactly_one_shard() {
         let data = generate(Distribution::skewed_default(), 2_000, 3);
         let index = build(&data, 8, 1);
-        assert_eq!(index.shard_count(), 8);
+        assert_eq!(index.shards.len(), 8);
         assert_eq!(index.len(), data.len());
         let mut cx = QueryContext::new();
         for p in data.iter().step_by(17) {
@@ -677,7 +672,7 @@ mod tests {
         // Two shards: the near-equal cut alone would put two copies in each.
         let four = Point::with_id(0.5, 0.5, 9);
         let mut index = build(&[four; 4], 2, 1);
-        assert_eq!(index.shard_count(), 2);
+        assert_eq!(index.shards.len(), 2);
         let mut cx = QueryContext::new();
         assert_eq!(index.point_query(&four, &mut cx), Some(four));
         assert_eq!(cx.take_stats().shards_visited, 1);
@@ -691,7 +686,7 @@ mod tests {
         let empty = build(&[], 4, 2);
         let mut cx = QueryContext::new();
         assert!(empty.is_empty());
-        assert_eq!(empty.shard_count(), 1);
+        assert_eq!(empty.shards.len(), 1);
         assert!(empty.point_query(&Point::new(0.5, 0.5), &mut cx).is_none());
         assert!(empty.window_query(&Rect::unit(), &mut cx).is_empty());
         assert!(empty
