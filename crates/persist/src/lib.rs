@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 use geom::{Point, Rect};
+use std::io::Write;
 
 /// File magic: identifies an RSMI snapshot (final byte doubles as a format
 /// generation marker so future incompatible rewrites fail fast on magic).
@@ -795,10 +796,38 @@ impl<'a> SnapshotReader<'a> {
 // File helpers
 // ---------------------------------------------------------------------
 
-/// Writes snapshot bytes to a file.
+/// Writes snapshot bytes to a file (see [`write_file_with`]).
 pub fn write_file(path: &std::path::Path, bytes: &[u8]) -> Result<(), PersistError> {
-    std::fs::write(path, bytes)?;
-    Ok(())
+    write_file_with(path, |file| file.write_all(bytes))
+}
+
+/// Replaces the file at `path` with what `write` writes, so that a crash
+/// or a failure mid-save never cuts the file already there: `write` fills
+/// a sibling temporary file (`path` plus `.tmp`), which is synced, renamed
+/// over `path`, and the directory synced.  On failure the temporary file
+/// is removed and `path` is left as it was.
+pub fn write_file_with(
+    path: &std::path::Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), PersistError> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let saved = (|| -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&tmp)?;
+        write(&mut file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        if cfg!(unix) {
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()?;
+        }
+        Ok(())
+    })();
+    if saved.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    saved.map_err(PersistError::Io)
 }
 
 /// Reads snapshot bytes from a file.

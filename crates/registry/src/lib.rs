@@ -678,6 +678,83 @@ mod tests {
         assert_eq!(loaded.len(), data.len());
     }
 
+    /// A writer that fails once `left` bytes have gone through: a save cut
+    /// at a chosen byte offset.
+    struct FailAt<'a> {
+        file: &'a mut std::fs::File,
+        left: usize,
+    }
+
+    impl std::io::Write for FailAt<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.left == 0 {
+                return Err(std::io::Error::other("injected write failure"));
+            }
+            let n = self.file.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    #[test]
+    fn a_save_cut_midway_leaves_the_previous_snapshot_loadable() {
+        use std::io::Write;
+        let dir = std::env::temp_dir().join(format!("rsmi-registry-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch directory");
+        let path = dir.join("index.snapshot");
+        let files = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .expect("list")
+                .map(|e| e.expect("entry").file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let old = build_index(
+            IndexKind::Hrr,
+            &generate(Distribution::Normal, 400, 21),
+            &IndexConfig::fast(),
+        );
+        save_index(old.as_ref(), &path).expect("save");
+        let old_bytes = snapshot_bytes(old.as_ref()).expect("bytes");
+        let new = build_index(
+            IndexKind::Hrr,
+            &generate(Distribution::Uniform, 900, 22),
+            &IndexConfig::fast(),
+        );
+        let new_bytes = snapshot_bytes(new.as_ref()).expect("bytes");
+        // Offsets from a seeded SplitMix64, plus both ends.
+        let mut state = 0x5eed_u64;
+        let mut offsets = vec![0, new_bytes.len() - 1];
+        for _ in 0..6 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            offsets.push((z ^ (z >> 31)) as usize % new_bytes.len());
+        }
+        for left in offsets {
+            let cut =
+                persist::write_file_with(&path, |file| FailAt { file, left }.write_all(&new_bytes));
+            assert!(matches!(cut, Err(PersistError::Io(_))), "cut at {left}");
+            assert_eq!(
+                std::fs::read(&path).expect("read"),
+                old_bytes,
+                "cut at {left}"
+            );
+            assert_eq!(load_index(&path).expect("load").len(), 400, "cut at {left}");
+            assert_eq!(files(), ["index.snapshot"], "cut at {left}");
+        }
+        save_index(new.as_ref(), &path).expect("save");
+        assert_eq!(load_index(&path).expect("load").len(), 900);
+        assert_eq!(files(), ["index.snapshot"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn loading_garbage_reports_typed_errors() {
         assert!(matches!(
