@@ -4,10 +4,9 @@
 //! every cell to the list of blocks storing its points.
 
 use common::knn::KBest;
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
-use std::ops::ControlFlow;
 use storage::{BlockId, BlockStore};
 
 /// Section tag of the grid directory (the cell table).
@@ -143,12 +142,7 @@ impl SpatialIndex for GridFile {
         self.n_points
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         let cell = Self::cell_of(self.side, q);
         for &b in &self.cells[cell] {
             if self

@@ -13,7 +13,7 @@
 //! opened data block; block MBRs sit in the directory, so testing one is
 //! free.
 
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::{CurveKind, RankSpace};
@@ -281,12 +281,7 @@ impl SpatialIndex for HilbertRTree {
         self.n_points
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         directory::point(&mut View { tree: self, cx }, q, visit)
     }
 

@@ -19,7 +19,7 @@
 //! leaf is a directory node that costs nothing and whose one entry is its
 //! block.
 
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::ops::ControlFlow;
@@ -302,12 +302,7 @@ impl SpatialIndex for KdbTree {
         self.n_points
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         // A point on a partition boundary lies in the regions of two sibling
         // leaves; the traversal follows every containing child.
         directory::point(&mut View { tree: self, cx }, q, visit)

@@ -16,7 +16,7 @@
 //! is a directory node that costs nothing and whose one entry is its page
 //! (a [`storage::Block`] the node owns, scanned by the shared kernels).
 
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::ops::ControlFlow;
@@ -444,12 +444,7 @@ impl SpatialIndex for RStarTree {
         self.n_points
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         directory::point(&mut View { tree: self, cx }, q, visit)
     }
 

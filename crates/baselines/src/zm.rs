@@ -8,12 +8,11 @@
 //! the rank of the point among all points sorted by Z-value.  The rank
 //! determines the data block (`rank / B`).
 
-use common::{knn, QueryContext, SpatialIndex};
+use common::{knn, CopyVisit, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use mlp::{MlpConfig, ScaledRegressor};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use sfc::zcurve;
-use std::ops::ControlFlow;
 use storage::{BlockId, BlockStore};
 
 /// Bits per dimension of the Z-curve grid.  With 20 bits per dimension the
@@ -349,12 +348,7 @@ impl SpatialIndex for ZOrderModel {
         self.n_points
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         let z = zcurve::encode_unit(q.x, q.y, Z_ORDER);
         let Some((lo, hi)) = self.predicted_block_range(z, cx) else {
             return;
@@ -589,6 +583,7 @@ mod tests {
     use super::*;
     use common::{brute_force, metrics};
     use datagen::{generate, Distribution};
+    use std::ops::ControlFlow::Break;
 
     fn cx() -> QueryContext {
         QueryContext::new()
@@ -628,11 +623,7 @@ mod tests {
             let position = zm
                 .store
                 .chain_range(lo, hi)
-                .position(|(_, block)| {
-                    block
-                        .find_at(p.x, p.y, |_| ControlFlow::Break(()))
-                        .is_break()
-                })
+                .position(|(_, block)| block.find_at(p.x, p.y, |_| Break(())).is_break())
                 .expect("the predicted range holds every indexed point");
             let mut c = cx();
             assert!(zm.point_query(p, &mut c).is_some());

@@ -4,6 +4,7 @@
 //! the learned indices) is measured, and the oracle used by correctness tests
 //! of every index.
 
+use crate::CopyVisit;
 use geom::{order_key, Point, Rect};
 
 /// Returns the indexed point with exactly the query coordinates, if any.
@@ -99,17 +100,12 @@ impl crate::SpatialIndex for ScanIndex {
         self.0.len()
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut crate::QueryContext,
-        visit: &mut dyn FnMut(&Point) -> std::ops::ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut crate::QueryContext, visit: &mut CopyVisit) {
         cx.count_block_scan(self.0.len());
         let _ = self
             .0
             .iter()
-            .filter(|p| p.same_location(q))
+            .filter(|p| q.same_location(p))
             .try_for_each(visit);
     }
 

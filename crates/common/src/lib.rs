@@ -192,6 +192,10 @@ pub struct MaintenanceStats {
     pub subtrees: usize,
 }
 
+/// The visitor of [`SpatialIndex::point_query_visit`]: called once per
+/// stored copy, it breaks to end the probe.
+pub type CopyVisit<'a> = dyn FnMut(&Point) -> ControlFlow<()> + 'a;
+
 /// The interface shared by every spatial index in this repository.
 ///
 /// The first three query types are the paper's: point queries (§4.1), window
@@ -261,12 +265,7 @@ pub trait SpatialIndex: Send + Sync {
     /// whatever its id, in the order the index's point lookup scans them,
     /// until `visit` breaks.  It opens only the blocks a lookup opens: the
     /// one place every copy of the location can be stored.
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    );
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit);
 
     /// Looks up a point with exactly the query's coordinates and returns it
     /// (with its stored identifier), or `None` if it is not indexed: the
@@ -522,12 +521,7 @@ mod tests {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn point_query_visit(
-            &self,
-            q: &Point,
-            cx: &mut QueryContext,
-            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-        ) {
+        fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
             cx.count_block();
             cx.count_candidates(self.0.len());
             let _ = self

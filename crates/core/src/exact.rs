@@ -14,7 +14,7 @@
 use crate::index::Rsmi;
 use crate::node::Node;
 use crate::RsmiConfig;
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use std::ops::ControlFlow;
@@ -152,12 +152,7 @@ impl SpatialIndex for RsmiExact {
         self.0.len()
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         self.0.point_query_visit(q, cx, visit)
     }
 

@@ -18,10 +18,9 @@ use crate::build::Builder;
 use crate::node::{LeafNode, Node, NodeId};
 use crate::pmf::PiecewiseCdf;
 use crate::RsmiConfig;
-use common::{MaintenanceBudget, MaintenanceStats, QueryContext, SpatialIndex};
+use common::{CopyVisit, MaintenanceBudget, MaintenanceStats, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotWriter};
-use std::ops::ControlFlow;
 use storage::BlockStore;
 
 /// Summary statistics of a built RSMI (Tables 3 and 4 of the paper).
@@ -245,13 +244,8 @@ impl SpatialIndex for Rsmi {
         self.n_points
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
-        let _ = query::point(self, q, cx, visit);
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
+        query::point(self, q, cx, visit)
     }
 
     fn window_query_visit(

@@ -3,10 +3,9 @@
 
 use super::Rsmi;
 use crate::node::{Node, NodeId};
-use common::{knn, QueryContext};
+use common::{knn, CopyVisit, QueryContext};
 use geom::{Point, Rect};
 use sfc::CurveKind;
-use std::ops::ControlFlow;
 use storage::BlockId;
 
 /// Descends from the root to a leaf following model predictions
@@ -46,23 +45,19 @@ pub(super) fn descend(index: &Rsmi, x: f64, y: f64, cx: &mut QueryContext) -> Op
 /// query coordinates until `visit` breaks.  Walks the predicted range in
 /// chain order — the range [`delete`](super::update::delete) scans — and
 /// opens only the blocks whose MBR contains the key.
-pub(super) fn point(
-    index: &Rsmi,
-    q: &Point,
-    cx: &mut QueryContext,
-    visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-) -> ControlFlow<()> {
+pub(super) fn point(index: &Rsmi, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
     let Some(leaf) = descend(index, q.x, q.y, cx) else {
-        return ControlFlow::Continue(());
+        return;
     };
     let (lo, hi) = index.leaf(leaf).predicted_range(q.x, q.y);
     for (_, block) in index.store.chain_range(lo, hi) {
         if block.mbr().contains(q) {
             cx.count_block_scan(block.len());
-            block.find_at(q.x, q.y, &mut *visit)?;
+            if block.find_at(q.x, q.y, &mut *visit).is_break() {
+                return;
+            }
         }
     }
-    ControlFlow::Continue(())
 }
 
 /// The anchor points whose predicted blocks bound the scan range: the

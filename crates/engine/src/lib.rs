@@ -38,13 +38,12 @@ pub mod plan;
 
 pub use container::{read_shard_snapshot_bytes, ShardManifest, ShardMeta};
 
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use partition::Partitioner;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 use plan::{infallible, Fanout, ShardView};
 use sfc::CurveKind;
-use std::ops::ControlFlow;
 
 /// Max-to-mean shard size ratio at or above which
 /// [`ShardedIndex::clone_index`](SpatialIndex::clone_index) declines, so
@@ -196,12 +195,7 @@ impl SpatialIndex for ShardedIndex {
         self.shards.iter().map(|s| s.index.len()).sum()
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         let ((), fan) = infallible(plan::point(&self.partitioner, q, |shard| {
             self.shards[shard].index.point_query_visit(q, cx, visit);
             Ok(())
@@ -430,12 +424,7 @@ mod tests {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn point_query_visit(
-            &self,
-            q: &Point,
-            cx: &mut QueryContext,
-            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-        ) {
+        fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
             cx.count_block_scan(self.0.len());
             let _ = self
                 .0
@@ -723,12 +712,7 @@ mod tests {
         fn len(&self) -> usize {
             self.pts.len()
         }
-        fn point_query_visit(
-            &self,
-            q: &Point,
-            cx: &mut QueryContext,
-            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-        ) {
+        fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
             cx.count_block_scan(self.pts.len());
             let _ = self
                 .pts

@@ -15,9 +15,8 @@
 //! directly.
 
 use crate::NetClient;
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -87,21 +86,11 @@ impl SpatialIndex for RemoteIndex {
         n
     }
 
-    /// The wire has no copy probe: this asks for the window
-    /// `Rect::from_point(q)`, whose answer holds every copy at `q`'s
-    /// location, in the server's window order.
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
-        let mut flow = ControlFlow::Continue(());
-        self.window_query_visit(&Rect::from_point(*q), cx, &mut |p| {
-            if flow.is_continue() {
-                flow = visit(p);
-            }
-        });
+    /// The wire has no copy probe: this asks for the window at `q`, which
+    /// holds every copy of the location.
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
+        let copies = self.window_query(&Rect::from_point(*q), cx);
+        let _ = copies.iter().try_for_each(visit);
     }
 
     /// One `Point` request: the served index's own lookup answers it.

@@ -4,14 +4,13 @@
 //! never takes the server down.
 
 use common::brute_force::ScanIndex;
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use net::{NetClient, NetError, Request, Response};
 use obs::EventKind;
 use server::{RebuildFn, ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
 use std::net::TcpStream;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -415,12 +414,7 @@ impl SpatialIndex for KnnHook {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         self.0.point_query_visit(q, cx, visit)
     }
     fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {

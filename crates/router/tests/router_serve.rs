@@ -7,7 +7,7 @@
 //! (The cross-*process* suite — subprocess shard servers, SIGKILL chaos —
 //! lives in the workspace-level `tests/sharded_determinism.rs`.)
 
-use common::{QueryContext, QueryStats, SpatialIndex};
+use common::{CopyVisit, QueryContext, QueryStats, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use engine::ShardManifest;
 use geom::{Point, Rect};
@@ -15,7 +15,6 @@ use net::{NetClient, RemoteIndex, Request, Response};
 use registry::{BaseKind, IndexConfig};
 use server::{ServeConfig, ServerConfig, SpatialServer};
 use std::io::Write;
-use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -718,12 +717,7 @@ impl SpatialIndex for PanickingKnn {
     fn len(&self) -> usize {
         self.0.len()
     }
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         self.0.point_query_visit(q, cx, visit)
     }
     fn window_query_visit(&self, w: &Rect, cx: &mut QueryContext, visit: &mut dyn FnMut(&Point)) {

@@ -25,9 +25,10 @@
 //! actually examined (the slab handed to the kernel, or the entries at a
 //! location) and the caller charges exactly that to its `QueryContext`.
 
+use common::CopyVisit;
 use geom::{order_key, Point, Rect};
 use std::collections::HashMap;
-use std::ops::{ControlFlow, Range};
+use std::ops::Range;
 use storage::kernels;
 
 /// Exact identity of a point: the [`order_key`] of each coordinate plus id.
@@ -307,26 +308,19 @@ impl DeltaState {
         start..end
     }
 
-    /// Visits every live copy among `entries` (a range [`entries_at`]
-    /// returned), earliest insert first, until `visit` breaks.
+    /// Visits every live copy among `entries` (from [`entries_at`]),
+    /// earliest insert first, until `visit` breaks.
     ///
     /// [`entries_at`]: Self::entries_at
-    pub(crate) fn visit_copies_at(
-        &self,
-        entries: Range<usize>,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
+    pub(crate) fn visit_copies_at(&self, entries: Range<usize>, visit: &mut CopyVisit) {
         let mut live: Vec<usize> = entries
             .filter(|&i| self.lane_entries[i].copies > 0)
             .collect();
         live.sort_unstable_by_key(|&i| self.lane_entries[i].first_seq);
-        for i in live {
+        let _ = live.into_iter().try_for_each(|i| {
             let p = self.lane_point(i);
-            for _ in 0..self.lane_entries[i].copies {
-                visit(&p)?;
-            }
-        }
-        ControlFlow::Continue(())
+            (0..self.lane_entries[i].copies).try_for_each(|_| visit(&p))
+        });
     }
 
     /// The point of lane entry `i`.
@@ -482,13 +476,14 @@ pub(crate) fn apply_log_to_points(points: &mut Vec<Point>, log: &[SequencedOp], 
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::ops::ControlFlow;
 
     /// The earliest-inserted live copy at `q`'s location and the entries
     /// examined: the delta side of a point query.
     fn point_lookup(d: &DeltaState, q: &Point) -> (Option<Point>, usize) {
         let entries = d.entries_at(q);
         let mut hit = None;
-        let _ = d.visit_copies_at(entries.clone(), &mut |p| {
+        d.visit_copies_at(entries.clone(), &mut |p| {
             hit = Some(*p);
             ControlFlow::Break(())
         });

@@ -97,12 +97,11 @@ pub use config::{ServeConfig, ServerConfig, MAX_SUBTREES, PAUSE_BUDGET_US};
 pub use delta::{SequencedOp, WriteOp};
 pub use read::Snapshot;
 
-use common::{QueryContext, SpatialIndex};
+use common::{CopyVisit, QueryContext, SpatialIndex};
 use compact::{base_copies, compactor_loop, CompactorSignal};
 use delta::DeltaState;
 use geom::{Point, Rect};
 use obs::{Counter, EventKind, Gauge, Histogram, Telemetry};
-use std::ops::ControlFlow;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
@@ -463,12 +462,7 @@ impl SpatialIndex for SpatialServer {
         self.snapshot().len()
     }
 
-    fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         self.snapshot().point_query_visit(q, cx, visit)
     }
 
@@ -1049,12 +1043,7 @@ mod tests {
         fn len(&self) -> usize {
             self.inner.len()
         }
-        fn point_query_visit(
-            &self,
-            q: &Point,
-            cx: &mut QueryContext,
-            visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-        ) {
+        fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
             self.inner.point_query_visit(q, cx, visit)
         }
         fn window_query_visit(

@@ -8,7 +8,7 @@
 use crate::delta::DeltaState;
 use crate::Epoch;
 use common::knn::KBest;
-use common::QueryContext;
+use common::{CopyVisit, QueryContext};
 use geom::{Point, Rect};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -54,28 +54,21 @@ impl Snapshot {
     ///
     /// One probe of the base serves every case: when the base's first copy
     /// is deleted, the same scan goes on to the next live one.
-    pub fn point_query_visit(
-        &self,
-        q: &Point,
-        cx: &mut QueryContext,
-        visit: &mut dyn FnMut(&Point) -> ControlFlow<()>,
-    ) {
+    pub fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         if self.delta.is_empty() {
             return self.epoch.base.point_query_visit(q, cx, visit);
         }
         let inserts = self.delta.entries_at(q);
         cx.count_candidates(inserts.len());
-        let mut stopped = false;
+        let mut flow = ControlFlow::Continue(());
         self.epoch.base.point_query_visit(q, cx, &mut |p| {
-            if self.delta.masks(p) {
-                return ControlFlow::Continue(());
+            if !self.delta.masks(p) {
+                flow = visit(p);
             }
-            let flow = visit(p);
-            stopped = flow.is_break();
             flow
         });
-        if !stopped {
-            let _ = self.delta.visit_copies_at(inserts, visit);
+        if flow.is_continue() {
+            self.delta.visit_copies_at(inserts, visit);
         }
     }
 

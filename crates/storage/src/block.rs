@@ -266,8 +266,8 @@ impl Block {
         p
     }
 
-    /// Visits every point with exactly the given coordinates, in slot order,
-    /// until `visit` breaks; returns what stopped the scan.
+    /// Visits every point at exactly `(x, y)`, in slot order, until `visit`
+    /// breaks; returns what stopped the scan.
     pub fn find_at(
         &self,
         x: f64,
@@ -275,12 +275,8 @@ impl Block {
         mut visit: impl FnMut(&Point) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let (xs, ys) = (self.xs(), self.ys());
-        for i in 0..xs.len() {
-            if xs[i] == x && ys[i] == y {
-                visit(&self.point(i))?;
-            }
-        }
-        ControlFlow::Continue(())
+        let mut at = (0..xs.len()).filter(|&i| xs[i] == x && ys[i] == y);
+        at.try_for_each(|i| visit(&self.point(i)))
     }
 
     /// The minimum bounding rectangle of the block's points (empty rectangle

@@ -105,11 +105,8 @@ pub fn point<V: DirectoryView>(
     q: &Point,
     mut visit: impl FnMut(&Point) -> ControlFlow<()>,
 ) {
-    search(
-        view,
-        |r| r.contains(q),
-        |block| block.find_at(q.x, q.y, &mut visit).break_value(),
-    );
+    let scan = |block: &Block| block.find_at(q.x, q.y, &mut visit).break_value();
+    search(view, |r| r.contains(q), scan);
 }
 
 /// Window query: visits every point inside `window`.

@@ -441,6 +441,8 @@ fn every_copy_counted_fresh_churned_and_after_passes(kind: IndexKind, data: &[Po
         for &p in &all_copies {
             insert(&server, &mut oracle, p);
         }
+        // The server's probe visits the delta's inserted copies too.
+        assert_probe_counts(&format!("{}: in the delta", kind.name()), &server, &oracle);
         assert!(pass(&server), "{}: {stage}", kind.name());
         delete_every_key(kind, stage, &server, &mut oracle);
     }
