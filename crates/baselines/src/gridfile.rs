@@ -145,11 +145,8 @@ impl SpatialIndex for GridFile {
     fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
         let cell = Self::cell_of(self.side, q);
         for &b in &self.cells[cell] {
-            if self
-                .read_block(b, cx)
-                .find_at(q.x, q.y, &mut *visit)
-                .is_break()
-            {
+            let block = self.read_block(b, cx);
+            if block.find_at(q.x, q.y, &mut *visit).is_break() {
                 return;
             }
         }

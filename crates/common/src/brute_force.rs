@@ -102,11 +102,8 @@ impl crate::SpatialIndex for ScanIndex {
 
     fn point_query_visit(&self, q: &Point, cx: &mut crate::QueryContext, visit: &mut CopyVisit) {
         cx.count_block_scan(self.0.len());
-        let _ = self
-            .0
-            .iter()
-            .filter(|p| q.same_location(p))
-            .try_for_each(visit);
+        let mut copies = self.0.iter().filter(|p| p.same_location(q));
+        let _ = copies.try_for_each(visit);
     }
 
     fn window_query_visit(

@@ -426,11 +426,8 @@ mod tests {
         }
         fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
             cx.count_block_scan(self.0.len());
-            let _ = self
-                .0
-                .iter()
-                .filter(|p| p.same_location(q))
-                .try_for_each(visit);
+            let mut copies = self.0.iter().filter(|p| p.same_location(q));
+            let _ = copies.try_for_each(visit);
         }
         fn window_query_visit(
             &self,
@@ -714,11 +711,8 @@ mod tests {
         }
         fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
             cx.count_block_scan(self.pts.len());
-            let _ = self
-                .pts
-                .iter()
-                .filter(|p| p.same_location(q))
-                .try_for_each(visit);
+            let mut copies = self.pts.iter().filter(|p| p.same_location(q));
+            let _ = copies.try_for_each(visit);
         }
         fn window_query_visit(
             &self,
