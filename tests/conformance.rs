@@ -3,10 +3,13 @@
 //! [`IndexKind`] built through the dynamic registry, so all index families
 //! are held to the same contract.
 
-use common::{brute_force, QueryContext, SpatialIndex};
+use common::{brute_force, MaintenanceBudget, QueryContext, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use geom::{Point, Rect};
-use registry::{build_index, serve_index, BaseKind, IndexConfig, IndexKind, ServerConfig};
+use registry::{
+    build_index, load_index_bytes, serve_index, snapshot_bytes, BaseKind, IndexConfig, IndexKind,
+    ServerConfig,
+};
 
 fn cfg() -> IndexConfig {
     IndexConfig::fast()
@@ -14,6 +17,53 @@ fn cfg() -> IndexConfig {
 
 fn windows(data: &[Point]) -> Vec<Rect> {
     queries::window_queries(data, queries::WindowSpec::default(), 20, 9)
+}
+
+/// The index is still the kind it was built as: it carries the kind's name,
+/// and an exact family answers a fixed window and a kNN query over `points`
+/// as brute force does.  Checked after every step that builds a new
+/// structure or copies one, so a variant is not lost on the way.
+fn assert_kind_kept(index: &dyn SpatialIndex, kind: IndexKind, points: &[Point], stage: &str) {
+    let name = kind.name();
+    assert_eq!(index.name(), name, "{name} renamed after {stage}");
+    let mut cx = QueryContext::new();
+    if kind.exact_windows() {
+        let w = Rect::new(0.2, 0.0, 0.6, 0.2);
+        let ids = |got: Vec<Point>| {
+            let mut ids: Vec<u64> = got.iter().map(|p| p.id).collect();
+            ids.sort_unstable();
+            ids
+        };
+        assert_eq!(
+            ids(index.window_query(&w, &mut cx)),
+            ids(brute_force::window_query(points, &w)),
+            "{name} window answer differs after {stage}"
+        );
+    }
+    if kind.exact_knn() {
+        let q = Point::new(0.4, 0.05);
+        let got = index.knn_query(&q, 7, &mut cx);
+        let truth = brute_force::knn_query(points, &q, 7);
+        assert_eq!(got.len(), truth.len(), "{name} kNN count after {stage}");
+        for (t, g) in truth.iter().zip(&got) {
+            assert!(
+                (t.dist(&q) - g.dist(&q)).abs() < 1e-12,
+                "{name} kNN distance mismatch after {stage}"
+            );
+        }
+    }
+}
+
+/// A registry snapshot round trip of `index`, checked by [`assert_kind_kept`].
+fn assert_round_trip_keeps_kind(
+    index: &dyn SpatialIndex,
+    kind: IndexKind,
+    points: &[Point],
+    stage: &str,
+) {
+    let bytes = snapshot_bytes(index).expect("snapshot");
+    let loaded = load_index_bytes(&bytes).expect("load");
+    assert_kind_kept(loaded.as_ref(), kind, points, stage);
 }
 
 /// The shared conformance body: every invariant an index family must
@@ -24,7 +74,7 @@ fn conformance_body(kind: IndexKind) {
     let mut cx = QueryContext::new();
 
     // Identity.
-    assert_eq!(index.name(), kind.name());
+    assert_kind_kept(index.as_ref(), kind, &data, "a fresh build");
     assert_eq!(index.len(), data.len());
     assert!(!index.is_empty());
     assert!(index.size_bytes() > 0);
@@ -240,6 +290,15 @@ fn conformance_body(kind: IndexKind) {
             kind.name()
         );
     }
+    assert_kind_kept(index.as_ref(), kind, &data, "rebuild");
+
+    // Copies, partial maintenance and snapshots keep the kind too.
+    if let Some(copy) = index.clone_index() {
+        assert_kind_kept(copy.as_ref(), kind, &data, "clone_index");
+    }
+    index.rebuild_partial(&MaintenanceBudget::default());
+    assert_kind_kept(index.as_ref(), kind, &data, "rebuild_partial");
+    assert_round_trip_keeps_kind(index.as_ref(), kind, &data, "a snapshot round trip");
 
     // Empty indices answer queries gracefully.
     let empty = build_index(kind, &[], &cfg());
@@ -257,6 +316,15 @@ fn conformance_body(kind: IndexKind) {
     let mut none = 0;
     empty.for_each_point(&mut |_| none += 1);
     assert_eq!(none, 0);
+
+    // An index built from no points grows by inserts into the same kind.
+    let mut grown = empty;
+    let seeded = &data[..200];
+    for p in seeded {
+        grown.insert(*p);
+    }
+    assert_kind_kept(grown.as_ref(), kind, seeded, "inserts into an empty build");
+    assert_round_trip_keeps_kind(grown.as_ref(), kind, seeded, "inserts and a snapshot");
 }
 
 macro_rules! conformance_tests {
