@@ -7,7 +7,8 @@
 //! * `repair`: drift, partial rebuilds and leaf repair (§5, RSMIr);
 //! * `snapshot`: the persisted form.
 //!
-//! The exact (RSMIa) traversals are in [`crate::exact`].
+//! The exact (RSMIa) traversals run over the directory view in
+//! [`crate::exact`].
 
 mod query;
 mod repair;
@@ -15,13 +16,14 @@ mod snapshot;
 mod update;
 
 use crate::build::Builder;
+use crate::exact::ExactView;
 use crate::node::{LeafNode, Node, NodeId};
 use crate::pmf::PiecewiseCdf;
 use crate::RsmiConfig;
 use common::{CopyVisit, MaintenanceBudget, MaintenanceStats, QueryContext, SpatialIndex};
 use geom::{Point, Rect};
 use persist::{PersistError, SnapshotWriter};
-use storage::BlockStore;
+use storage::{directory, BlockStore};
 
 /// Summary statistics of a built RSMI (Tables 3 and 4 of the paper).
 #[derive(Debug, Clone, Copy)]
@@ -52,12 +54,15 @@ pub struct RsmiStats {
 /// See the crate-level documentation for an overview and a usage example.
 /// Queries, updates and maintenance go through [`SpatialIndex`].  Window
 /// and kNN answers are **approximate** (high recall, no false positives);
-/// wrap the index in [`crate::RsmiExact`] for the paper's RSMIa variant
-/// with exact answers.  Distance-range queries and distance joins are exact
-/// for *both* variants (see [`Rsmi::range_query_exact_visit`]).
+/// [`Rsmi::into_exact`] gives the paper's RSMIa variant, which answers them
+/// exactly.  Distance-range queries and distance joins are exact for *both*
+/// variants.
 #[derive(Debug, Clone)]
 pub struct Rsmi {
     config: RsmiConfig,
+    /// Whether window and kNN queries take the exact traversals (RSMIa).
+    /// Not part of `config`: a snapshot's kind tag records the variant.
+    exact: bool,
     pub(crate) nodes: Vec<Node>,
     pub(crate) root: Option<NodeId>,
     pub(crate) store: BlockStore,
@@ -141,6 +146,7 @@ impl Rsmi {
         let maint = vec![LeafMaint::default(); out.nodes.len()];
         Self {
             config,
+            exact: false,
             nodes: out.nodes,
             root: out.root,
             store: out.store,
@@ -152,6 +158,15 @@ impl Rsmi {
             build_seconds: start.elapsed().as_secs_f64(),
             maint,
         }
+    }
+
+    /// This index answering window and kNN queries **exactly** — the
+    /// paper's RSMIa: an R-tree-style traversal over the MBRs stored with
+    /// every sub-model replaces the learned scan range.  The structure is
+    /// unchanged, and rebuilds and inserts keep the variant.
+    pub fn into_exact(mut self) -> Self {
+        self.exact = true;
+        self
     }
 
     /// The configuration used to build the index.
@@ -237,7 +252,11 @@ impl Rsmi {
 
 impl SpatialIndex for Rsmi {
     fn name(&self) -> &'static str {
-        "RSMI"
+        if self.exact {
+            "RSMIa"
+        } else {
+            "RSMI"
+        }
     }
 
     fn len(&self) -> usize {
@@ -254,7 +273,11 @@ impl SpatialIndex for Rsmi {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        query::window(self, window, cx, visit)
+        if self.exact {
+            directory::window(&mut ExactView { index: self, cx }, window, visit)
+        } else {
+            query::window(self, window, cx, visit)
+        }
     }
 
     fn knn_query_visit(
@@ -264,8 +287,18 @@ impl SpatialIndex for Rsmi {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        query::knn(self, q, k, cx, visit)
+        if self.exact {
+            // Best-first over the sub-model MBRs, closest first.
+            directory::knn(&mut ExactView { index: self, cx }, q, k, visit)
+        } else {
+            query::knn(self, q, k, cx, visit)
+        }
     }
+
+    /// Exact for both variants: the learned scan-range prediction cannot
+    /// bound a circle (curve values inside a Hilbert window are not
+    /// bracketed by its corners), so distance queries always take the
+    /// MBR-guided traversal.
 
     fn range_query_visit(
         &self,
@@ -274,7 +307,7 @@ impl SpatialIndex for Rsmi {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point),
     ) {
-        self.range_query_exact_visit(center, radius, cx, visit)
+        directory::range(&mut ExactView { index: self, cx }, center, radius, visit)
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
@@ -292,7 +325,10 @@ impl SpatialIndex for Rsmi {
         cx: &mut QueryContext,
         visit: &mut dyn FnMut(&Point, &Point),
     ) {
-        self.distance_join_probes_visit(probes, radius, cx, visit)
+        // One traversal of the model tree carries every probe: each node's
+        // MBR discards the probes beyond the radius before descending, and
+        // each surviving block is read once for all probes that reach it.
+        directory::distance_join(&mut ExactView { index: self, cx }, probes, radius, visit)
     }
 
     fn insert(&mut self, p: Point) {
@@ -311,7 +347,10 @@ impl SpatialIndex for Rsmi {
     fn rebuild(&mut self) {
         let mut points = Vec::with_capacity(self.n_points);
         self.for_each_point(&mut |p| points.push(*p));
-        *self = Rsmi::build(points, self.config);
+        *self = Rsmi {
+            exact: self.exact,
+            ..Rsmi::build(points, self.config)
+        };
     }
 
     fn size_bytes(&self) -> usize {

@@ -101,8 +101,7 @@ pub(super) fn window_block_range(
 /// The answer is **approximate**: it never contains points outside the
 /// window (results are filtered), but points whose blocks fall outside
 /// the predicted scan range may be missed.  The paper reports recall
-/// above 87 % across all settings; [`Rsmi::window_query_exact_visit`]
-/// (or the [`crate::RsmiExact`] wrapper) answers exactly.
+/// above 87 % across all settings; [`Rsmi::into_exact`] answers exactly.
 pub(super) fn window(
     index: &Rsmi,
     window: &Rect,

@@ -91,6 +91,8 @@ pub(super) fn encode(index: &Rsmi, w: &mut SnapshotWriter) {
 impl Rsmi {
     /// Reads an RSMI snapshot written by
     /// [`SpatialIndex::write_snapshot`](common::SpatialIndex::write_snapshot).
+    /// The record is the same for both variants; an RSMIa snapshot's kind
+    /// tag asks the loader for [`Rsmi::into_exact`].
     pub fn read_snapshot(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         r.begin_section(SECTION_RSMI_META)?;
         let config = RsmiConfig {
@@ -200,6 +202,7 @@ impl Rsmi {
 
         Ok(Self {
             config,
+            exact: false,
             nodes,
             root,
             store,

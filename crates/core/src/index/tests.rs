@@ -1,5 +1,4 @@
 use super::*;
-use crate::RsmiExact;
 use common::{brute_force, knn, metrics, QueryStats};
 use persist::SnapshotReader;
 use sfc::CurveKind;
@@ -96,7 +95,7 @@ fn empty_index_answers_queries_gracefully() {
     assert!(index.point_query(&Point::new(0.5, 0.5), &mut c).is_none());
     assert!(SpatialIndex::window_query(&index, &Rect::unit(), &mut c).is_empty());
     assert!(SpatialIndex::knn_query(&index, &Point::new(0.5, 0.5), 3, &mut c).is_empty());
-    let exact = RsmiExact::from_rsmi(index);
+    let exact = index.into_exact();
     assert!(exact.window_query(&Rect::unit(), &mut c).is_empty());
     assert!(exact.knn_query(&Point::new(0.5, 0.5), 3, &mut c).is_empty());
 }
@@ -126,7 +125,7 @@ fn window_query_has_no_false_positives_and_good_recall() {
 #[test]
 fn exact_window_query_matches_brute_force() {
     let pts = pseudo_random_points(1500, 5);
-    let index = RsmiExact::build(pts.clone(), small_config());
+    let index = Rsmi::build(pts.clone(), small_config()).into_exact();
     let mut c = cx();
     for w in [
         Rect::new(0.2, 0.3, 0.5, 0.6),
@@ -151,7 +150,7 @@ fn exact_window_query_matches_brute_force() {
 #[test]
 fn exact_knn_matches_brute_force_distances() {
     let pts = pseudo_random_points(800, 7);
-    let index = RsmiExact::build(pts.clone(), small_config());
+    let index = Rsmi::build(pts.clone(), small_config()).into_exact();
     let mut c = cx();
     for q in [
         Point::new(0.5, 0.5),
@@ -299,7 +298,7 @@ fn window_queries_see_inserted_points() {
     let extra = Point::with_id(0.505, 0.505, 99_999);
     index.insert(extra);
     let w = Rect::new(0.45, 0.45, 0.55, 0.55);
-    let exact = RsmiExact::from_rsmi(index).window_query(&w, &mut cx());
+    let exact = index.into_exact().window_query(&w, &mut cx());
     assert!(
         exact.iter().any(|p| p.id == extra.id),
         "exact window query must see the insert"
@@ -385,7 +384,7 @@ fn z_curve_configuration_also_works() {
 #[test]
 fn rsmi_exact_wrapper_answers_exactly_through_the_trait() {
     let pts = pseudo_random_points(1200, 77);
-    let exact = RsmiExact::build(pts.clone(), small_config());
+    let exact = Rsmi::build(pts.clone(), small_config()).into_exact();
     assert_eq!(exact.name(), "RSMIa");
     assert_eq!(exact.len(), pts.len());
     assert!(SpatialIndex::model_count(&exact) > 0);
@@ -420,7 +419,6 @@ fn rsmi_exact_wrapper_answers_exactly_through_the_trait() {
 fn indices_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Rsmi>();
-    assert_send_sync::<RsmiExact>();
 }
 
 #[test]
@@ -434,7 +432,7 @@ fn range_queries_are_exact_for_both_variants_even_after_inserts() {
         index.insert(p);
         pts.push(p);
     }
-    let exact = RsmiExact::from_rsmi(Rsmi::build(pts.clone(), small_config()));
+    let exact = Rsmi::build(pts.clone(), small_config()).into_exact();
     let mut c = cx();
     for (center, r) in [
         (Point::new(0.5, 0.5), 0.07),
@@ -464,7 +462,7 @@ fn distance_join_matches_the_nested_loop_oracle() {
     let index = Rsmi::build(pts.clone(), small_config());
     let mut c = cx();
     let mut got: Vec<(u64, u64)> = Vec::new();
-    index.distance_join_probes_visit(&others, 0.03, &mut c, &mut |p, q| {
+    SpatialIndex::distance_join_probes(&index, &others, 0.03, &mut c, &mut |p, q| {
         got.push((p.id, q.id));
     });
     let mut truth: Vec<(u64, u64)> = brute_force::distance_join(&pts, &others, 0.03)
@@ -496,7 +494,7 @@ fn ablation_configurations_still_index_correctly() {
     // breaks the routing guarantee — exactly the paper's argument for
     // learned grouping — but the MBR-based exact queries stay correct.
     let cfg = small_config().with_group_by_prediction(false);
-    let index = RsmiExact::build(pts.clone(), cfg);
+    let index = Rsmi::build(pts.clone(), cfg).into_exact();
     let w = Rect::new(0.2, 0.2, 0.5, 0.5);
     let mut truth: Vec<u64> = brute_force::window_query(&pts, &w)
         .iter()
@@ -628,7 +626,7 @@ fn answers_and_stats(index: &Rsmi, probes: &[Point]) -> Vec<(Vec<u64>, QueryStat
         out.push((ids(range), c.take_stats()));
     }
     let mut pairs = Vec::new();
-    index.distance_join_probes_visit(probes, 0.02, &mut c, &mut |l, r| {
+    SpatialIndex::distance_join_probes(index, probes, 0.02, &mut c, &mut |l, r| {
         pairs.extend([l.id, r.id]);
     });
     out.push((pairs, c.take_stats()));
@@ -985,7 +983,7 @@ fn snapshot_roundtrips_maintenance_state() {
 #[test]
 fn exact_variant_delegates_maintenance_to_the_inner_index() {
     let pts = pseudo_random_points(800, 71);
-    let mut exact = RsmiExact::build(pts.clone(), small_config());
+    let mut exact = Rsmi::build(pts.clone(), small_config()).into_exact();
     for i in 0..120u64 {
         SpatialIndex::insert(
             &mut exact,
@@ -994,7 +992,7 @@ fn exact_variant_delegates_maintenance_to_the_inner_index() {
     }
     let stats = SpatialIndex::maintenance_stats(&exact).unwrap();
     assert_eq!(stats.ops_since_train, 120);
-    let clone = SpatialIndex::clone_index(&exact).expect("RsmiExact clones");
+    let clone = SpatialIndex::clone_index(&exact).expect("RSMIa clones");
     assert_eq!(clone.len(), exact.len());
     assert!(SpatialIndex::rebuild_partial(&mut exact, &common::MaintenanceBudget::default()) >= 1);
     assert_eq!(

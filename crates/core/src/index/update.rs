@@ -15,7 +15,10 @@ use storage::BlockId;
 /// path are enlarged so the exact-query variants stay correct.
 pub(super) fn insert(index: &mut Rsmi, p: Point) {
     if index.root.is_none() {
-        *index = Rsmi::build(vec![p], index.config);
+        *index = Rsmi {
+            exact: index.exact,
+            ..Rsmi::build(vec![p], index.config)
+        };
         return;
     }
     // Updates are maintenance, not queries: route with a throwaway

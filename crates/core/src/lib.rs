@@ -32,9 +32,8 @@
 //!    its per-leaf form.
 //!
 //! The MBR-augmented exact variants of window and kNN queries (the paper's
-//! **RSMIa**) are answered by the [`RsmiExact`] wrapper through the same
-//! trait; [`Rsmi::window_query_exact_visit`] runs the exact window
-//! traversal on a plain [`Rsmi`].
+//! **RSMIa**) are the same structure answering through the same trait:
+//! [`Rsmi::into_exact`] turns them on.
 //!
 //! # Quick start
 //!
@@ -80,7 +79,6 @@ mod index;
 mod node;
 mod pmf;
 
-pub use exact::RsmiExact;
 pub use index::{Rsmi, RsmiStats};
 pub use pmf::PiecewiseCdf;
 

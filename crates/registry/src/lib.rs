@@ -39,7 +39,7 @@ use baselines::zm::ZmConfig;
 use baselines::{GridFile, HilbertRTree, KdbTree, RStarTree, ZOrderModel};
 use common::SpatialIndex;
 use geom::Point;
-use rsmi::{Rsmi, RsmiConfig, RsmiExact};
+use rsmi::{Rsmi, RsmiConfig};
 use sfc::CurveKind;
 use std::path::Path;
 
@@ -390,7 +390,7 @@ pub fn build_index(kind: IndexKind, points: &[Point], cfg: &IndexConfig) -> Box<
         IndexKind::Kdb => Box::new(KdbTree::build(points.to_vec(), cfg.block_capacity)),
         IndexKind::RStar => Box::new(RStarTree::build(points.to_vec(), cfg.block_capacity)),
         IndexKind::Rsmi => Box::new(Rsmi::build(points.to_vec(), cfg.rsmi_config())),
-        IndexKind::Rsmia => Box::new(RsmiExact::build(points.to_vec(), cfg.rsmi_config())),
+        IndexKind::Rsmia => Box::new(Rsmi::build(points.to_vec(), cfg.rsmi_config()).into_exact()),
         IndexKind::Zm => Box::new(ZOrderModel::build(points.to_vec(), cfg.zm_config())),
         IndexKind::Sharded(base) => {
             // The engine takes the registry's own entry point as the

@@ -6,7 +6,7 @@ use crate::{BaseKind, IndexKind};
 use baselines::{GridFile, HilbertRTree, KdbTree, RStarTree, ZOrderModel};
 use common::SpatialIndex;
 use persist::{PersistError, SnapshotReader};
-use rsmi::{Rsmi, RsmiExact};
+use rsmi::Rsmi;
 use std::path::Path;
 
 /// Opens a snapshot and parses its kind tag: the one place a tag becomes
@@ -88,7 +88,7 @@ pub(crate) fn load(bytes: &[u8]) -> Result<(IndexKind, Box<dyn SpatialIndex>), P
         IndexKind::Kdb => Box::new(KdbTree::read_snapshot(&mut r)?),
         IndexKind::RStar => Box::new(RStarTree::read_snapshot(&mut r)?),
         IndexKind::Rsmi => Box::new(Rsmi::read_snapshot(&mut r)?),
-        IndexKind::Rsmia => Box::new(RsmiExact::read_snapshot(&mut r)?),
+        IndexKind::Rsmia => Box::new(Rsmi::read_snapshot(&mut r)?.into_exact()),
         IndexKind::Zm => Box::new(ZOrderModel::read_snapshot(&mut r)?),
         // The engine reads the container; this closure turns each embedded
         // inner snapshot back into an index through this very loader —

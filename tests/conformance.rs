@@ -599,7 +599,6 @@ fn every_index_type_is_send_and_sync() {
     assert_send_sync::<baselines::RStarTree>();
     assert_send_sync::<baselines::ZOrderModel>();
     assert_send_sync::<rsmi::Rsmi>();
-    assert_send_sync::<rsmi::RsmiExact>();
     assert_send_sync::<engine::ShardedIndex>();
     assert_send_sync::<dyn SpatialIndex>();
     assert_send_sync::<Box<dyn SpatialIndex>>();

@@ -10,22 +10,12 @@ use datagen::{generate, queries, Distribution};
 use geom::{Point, Rect};
 use rsmi::{Rsmi, RsmiConfig};
 
-fn window_ids(
-    index: &Rsmi,
-    window: &Rect,
-    exact: bool,
-) -> (std::collections::BTreeSet<u64>, QueryStats) {
+fn window_ids(index: &Rsmi, window: &Rect) -> (std::collections::BTreeSet<u64>, QueryStats) {
     let mut cx = QueryContext::new();
     let mut ids = std::collections::BTreeSet::new();
-    if exact {
-        index.window_query_exact_visit(window, &mut cx, &mut |p| {
-            ids.insert(p.id);
-        });
-    } else {
-        index.window_query_visit(window, &mut cx, &mut |p| {
-            ids.insert(p.id);
-        });
-    }
+    index.window_query_visit(window, &mut cx, &mut |p| {
+        ids.insert(p.id);
+    });
     (ids, cx.take_stats())
 }
 
@@ -83,9 +73,10 @@ fn learned_windows_open_a_subset_of_the_blocks_the_exact_traversal_opens() {
             };
             windows.extend(queries::window_queries(&data, spec, 40, 31));
         }
+        let exact_index = index.clone().into_exact();
         for w in &windows {
-            let (learned, learned_cost) = window_ids(&index, w, false);
-            let (exact, exact_cost) = window_ids(&index, w, true);
+            let (learned, learned_cost) = window_ids(&index, w);
+            let (exact, exact_cost) = window_ids(&exact_index, w);
             assert!(learned.is_subset(&exact), "false positive in {w:?}");
             assert!(
                 learned_cost.blocks_touched <= exact_cost.blocks_touched,
@@ -114,7 +105,7 @@ fn points_in_overflow_blocks_are_found_by_point_and_window_queries() {
     let mut cx = QueryContext::new();
     for p in &overflowed {
         assert_eq!(index.point_query(p, &mut cx).map(|f| f.id), Some(p.id));
-        let (ids, _) = window_ids(&index, &Rect::new(p.x, p.y, p.x, p.y), false);
+        let (ids, _) = window_ids(&index, &Rect::new(p.x, p.y, p.x, p.y));
         assert!(ids.contains(&p.id), "window at {p:?} misses it");
     }
 }
@@ -136,14 +127,14 @@ fn deleting_an_edge_point_stops_windows_over_the_vacated_strip_opening_the_block
     // The strip the edge point holds open, at its own height: one corner is
     // an indexed key, so the key's block is inside the predicted range.
     let strip = Rect::new((runner_up.x + edge.x) / 2.0, edge.y, edge.x, edge.y);
-    let (found, before) = window_ids(&index, &strip, false);
+    let (found, before) = window_ids(&index, &strip);
     assert!(found.contains(&edge.id));
 
     assert!(index.delete(&edge));
     let after_mbr = index.block_store().block(id).mbr();
     assert_eq!(after_mbr.max_x, runner_up.x, "the rectangle did not shrink");
     assert!(!after_mbr.intersects(&strip));
-    let (found, after) = window_ids(&index, &strip, false);
+    let (found, after) = window_ids(&index, &strip);
     assert!(!found.contains(&edge.id));
     assert_eq!(after.blocks_touched, before.blocks_touched - 1);
     assert_eq!(

@@ -10,7 +10,8 @@
 //!   composition, which routes the maintenance protocol through the
 //!   engine's shard aggregation) across all five query classes;
 //! * concrete [`Rsmi`] twins through the exact (RSMIa) traversals, by
-//!   wrapping each in [`RsmiExact`], so the approximate kind is also held
+//!   turning each exact with [`Rsmi::into_exact`], so the approximate kind
+//!   is also held
 //!   to strict equality on the classes where it has an exact mode;
 //! * widened error bounds stay **sound** (`bounds_violations() == 0`)
 //!   under seeded adversarial duplicate inserts, and a partial pass
@@ -20,7 +21,7 @@ use common::{brute_force, MaintenanceBudget, QueryContext, SpatialIndex};
 use datagen::{generate, Distribution};
 use geom::{Point, Rect};
 use registry::{build_index, BaseKind, IndexConfig, IndexKind};
-use rsmi::{Rsmi, RsmiExact};
+use rsmi::Rsmi;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state
@@ -249,7 +250,7 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
         for p in &dead {
             assert_eq!(partial.point_query(p, &mut cx), None);
         }
-        let (partial, full) = (RsmiExact::from_rsmi(partial), RsmiExact::from_rsmi(full));
+        let (partial, full) = (partial.into_exact(), full.into_exact());
         for (cx_c, cy_c, side) in [(0.3, 0.3, 0.25), (0.6, 0.7, 0.15)] {
             let w = Rect::centered(cx_c, cy_c, side, side);
             let a = sorted_ids(&partial.window_query(&w, &mut cx));
@@ -274,7 +275,7 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
         }
         for i in 0..4 {
             let c = live[(i * 113) % live.len()];
-            let collect = |idx: &RsmiExact, cx: &mut QueryContext| {
+            let collect = |idx: &Rsmi, cx: &mut QueryContext| {
                 let mut out = Vec::new();
                 idx.range_query_visit(&c, 0.05, cx, &mut |p| out.push(*p));
                 sorted_ids(&out)
@@ -286,7 +287,7 @@ fn partial_twin_matches_full_rebuild_twin_on_rsmi_exact_variants() {
             assert_eq!(a, truth);
         }
         let probes: Vec<Point> = (0..30).map(|i| live[(i * 41) % live.len()]).collect();
-        let join_pairs = |idx: &RsmiExact, cx: &mut QueryContext| {
+        let join_pairs = |idx: &Rsmi, cx: &mut QueryContext| {
             let mut v: Vec<(u64, u64)> = Vec::new();
             idx.distance_join_probes(&probes, 0.03, cx, &mut |l, r| {
                 v.push((l.id, r.id));

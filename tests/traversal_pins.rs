@@ -42,7 +42,7 @@ use net::wire::frame_bytes;
 use net::{ErrorCode, Request, Response};
 use obs::{Event, EventKind, EventsSnapshot, HistogramSnapshot, MetricsSnapshot};
 use registry::{build_index, BaseKind, IndexConfig, IndexKind};
-use rsmi::{Rsmi, RsmiConfig, RsmiExact};
+use rsmi::{Rsmi, RsmiConfig};
 use std::ops::Range;
 
 const BLOCK_CAPACITY: usize = 50;
@@ -251,7 +251,7 @@ fn visit_order_and_accounting_match_the_pinned_table() {
         Box::new(HilbertRTree::build(data.clone(), BLOCK_CAPACITY)),
         Box::new(KdbTree::build(data.clone(), BLOCK_CAPACITY)),
         Box::new(RStarTree::build(data.clone(), BLOCK_CAPACITY)),
-        Box::new(RsmiExact::from_rsmi(rsmi.clone())),
+        Box::new(rsmi.clone().into_exact()),
         // Plain RSMI answers range and join through the exact traversal.
         Box::new(rsmi),
         // ZM's kNN is its window scan under `common::knn::expand`.
