@@ -75,21 +75,20 @@ impl SpatialIndex for RemoteIndex {
         "Remote"
     }
 
-    /// Counts the points inside the unit square — the same full-space scan
-    /// the snapshot warm-start recovery uses, so it is exact for every
-    /// exact family over the standard `[0,1]²` datasets.  One wire round
-    /// trip per call; cache it if called in a loop.
+    /// Counts every finite point the server holds (see
+    /// [`SpatialIndex::for_each_point`]).  One wire round trip per call;
+    /// cache it if called in a loop.
     fn len(&self) -> usize {
         let mut n = 0usize;
-        let mut cx = QueryContext::new();
-        self.window_query_visit(&Rect::unit(), &mut cx, &mut |_| n += 1);
+        self.for_each_point(&mut |_| n += 1);
         n
     }
 
-    /// The wire has no copy probe: this asks for the window at `q`, which
-    /// holds every copy of the location.
-    fn point_query_visit(&self, q: &Point, cx: &mut QueryContext, visit: &mut CopyVisit) {
-        let copies = self.window_query(&Rect::from_point(*q), cx);
+    /// The wire has no copy probe: this asks for the points at distance 0
+    /// from `q`, every copy of the location.  Distance-range answers are
+    /// exact for every family.
+    fn point_query_visit(&self, q: &Point, _cx: &mut QueryContext, visit: &mut CopyVisit) {
+        let copies = self.call("point probe", |c| c.range(q, 0.0));
         let _ = copies.iter().try_for_each(visit);
     }
 
@@ -152,9 +151,13 @@ impl SpatialIndex for RemoteIndex {
         }
     }
 
+    /// One distance-range request around the origin with the largest
+    /// finite radius: its square overflows to infinity, so the circle holds
+    /// every finite point, and the answer is exact for every family.
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
-        let mut cx = QueryContext::new();
-        self.window_query_visit(&Rect::unit(), &mut cx, visit);
+        for p in self.call("enumeration", |c| c.range(&Point::new(0.0, 0.0), f64::MAX)) {
+            visit(&p);
+        }
     }
 
     fn insert(&mut self, p: Point) {

@@ -21,7 +21,7 @@ use bench::live::{
     observe_range_join, observe_reads, replay_against_oracle, replay_range_join_against_oracle,
     split_stream, JoinObs, LiveObs, RangeObs,
 };
-use common::SpatialIndex;
+use common::{QueryContext, SpatialIndex};
 use datagen::queries::{
     range_query_centers, read_write_workload, MixedQuery, WindowSpec, DEFAULT_RANGE_RADIUS,
 };
@@ -30,6 +30,7 @@ use geom::Point;
 use net::{NetClient, RemoteIndex};
 use registry::{serve_index, IndexConfig, IndexKind, ServeConfig, ServerConfig};
 use server::WriteOp;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -152,6 +153,41 @@ fn networked_answers_replay_verify_against_the_oracle() {
         rj.checked > 40,
         "range/join replay exercised too few answers"
     );
+}
+
+/// A `RemoteIndex` counts, enumerates and probes every point the server
+/// holds, inside the unit square or not, for an exact family and for the
+/// approximate RSMI alike: it asks distance-range requests, which every
+/// family answers exactly.
+#[test]
+fn a_remote_index_counts_and_finds_points_outside_the_unit_square() {
+    let data = vec![
+        Point::with_id(0.5, 0.5, 1),
+        Point::with_id(-0.3, -0.7, 2),
+        Point::with_id(1.5, 0.2, 3),
+    ];
+    for kind in [IndexKind::Hrr, IndexKind::Rsmi] {
+        let server = serve_index(kind, &data, &IndexConfig::fast(), ServerConfig::default());
+        let handle = net::serve_config(Arc::new(server), &ServeConfig::default()).unwrap();
+        let remote = RemoteIndex::connect(&handle.local_addr().to_string()).unwrap();
+        assert_eq!(remote.len(), 3, "{}", kind.name());
+        let mut ids = Vec::new();
+        remote.for_each_point(&mut |p| ids.push(p.id));
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2, 3], "{}", kind.name());
+        let mut cx = QueryContext::new();
+        for p in &data {
+            let mut copies = Vec::new();
+            remote.point_query_visit(p, &mut cx, &mut |c| {
+                copies.push(c.id);
+                ControlFlow::Continue(())
+            });
+            assert_eq!(copies, [p.id], "{} at {p:?}", kind.name());
+        }
+        drop(remote);
+        handle.shutdown();
+        handle.join();
+    }
 }
 
 #[test]
