@@ -12,9 +12,10 @@
 //! * [`dist_sq_into`] — batch squared distances into a caller buffer,
 //! * [`within_mask`] — batch distance-range test, bitmask out,
 //! * [`mbr_of`] — min/max fold of a lane pair,
-//! * [`for_each_in_rect`] / [`for_each_within`] / [`for_each_dist_sq`] —
-//!   candidate filters driving the masks chunk by chunk, visiting survivors
-//!   in ascending lane order,
+//! * [`for_each_in_rect`] / [`for_each_within`] — candidate filters driving
+//!   [`rect_mask`] / [`within_mask`] chunk by chunk, visiting survivors in
+//!   ascending lane order,
+//! * [`for_each_dist_sq`] — every point with its squared distance (kNN),
 //! * [`probes_within`] — a join's probe set filtered by `MINDIST` to a
 //!   rectangle (the survivors are paired with a block by
 //!   [`crate::Block::for_each_pair_within`]).
@@ -123,37 +124,22 @@ pub fn mbr_of(xs: &[f64], ys: &[f64]) -> Rect {
 
 /// Candidate filter: visits every point inside `rect`, in ascending lane
 /// order — the shared inner loop of window queries and window-probe joins.
-/// Chunks with an all-zero mask are skipped without touching the id lane.
 #[inline]
 pub fn for_each_in_rect(
     xs: &[f64],
     ys: &[f64],
     ids: &[u64],
     rect: &Rect,
-    mut visit: impl FnMut(Point),
+    visit: impl FnMut(Point),
 ) {
-    debug_assert_eq!(xs.len(), ids.len());
-    let mut start = 0;
-    while start < xs.len() {
-        let end = (start + CHUNK).min(xs.len());
-        let mut mask = rect_mask(&xs[start..end], &ys[start..end], rect);
-        while mask != 0 {
-            let i = start + mask.trailing_zeros() as usize;
-            visit(Point::with_id(xs[i], ys[i], ids[i]));
-            mask &= mask - 1;
-        }
-        start = end;
-    }
+    for_each_masked(xs, ys, ids, |x, y| rect_mask(x, y, rect), visit)
 }
 
 /// Candidate filter: visits every point within squared distance `r_sq` of
 /// `(cx, cy)` together with its squared distance, in ascending lane order —
 /// the shared inner loop of distance-range queries and distance joins.
-///
-/// Distances are computed once into a batched buffer (the vectorized part),
-/// the radius compare folds the buffer into a bitmask, and survivors are
-/// emitted sparsely via `trailing_zeros` — matches re-read their distance
-/// from the buffer instead of recomputing it.
+/// [`within_mask`] tests each chunk; a survivor's distance is
+/// [`Point::dist_sq`], the mask's own expression, so it is bit-identical.
 #[inline]
 pub fn for_each_within(
     xs: &[f64],
@@ -164,21 +150,35 @@ pub fn for_each_within(
     r_sq: f64,
     mut visit: impl FnMut(Point, f64),
 ) {
+    let center = Point::new(cx, cy);
+    for_each_masked(
+        xs,
+        ys,
+        ids,
+        |x, y| within_mask(x, y, cx, cy, r_sq),
+        |p| visit(p, p.dist_sq(&center)),
+    )
+}
+
+/// Drives a chunk mask over the lanes and visits the set lanes in ascending
+/// order.  Chunks with an all-zero mask are skipped without touching the id
+/// lane.
+#[inline(always)]
+fn for_each_masked(
+    xs: &[f64],
+    ys: &[f64],
+    ids: &[u64],
+    mask_of: impl Fn(&[f64], &[f64]) -> u64,
+    mut visit: impl FnMut(Point),
+) {
     debug_assert_eq!(xs.len(), ids.len());
-    let mut buf = [0.0f64; CHUNK];
-    let mut flags = [false; CHUNK];
     let mut start = 0;
     while start < xs.len() {
         let end = (start + CHUNK).min(xs.len());
-        dist_sq_into(&xs[start..end], &ys[start..end], cx, cy, &mut buf);
-        for (f, &d_sq) in flags.iter_mut().zip(&buf[..end - start]) {
-            *f = d_sq <= r_sq;
-        }
-        let mut mask = pack_mask(&flags, end - start);
+        let mut mask = mask_of(&xs[start..end], &ys[start..end]);
         while mask != 0 {
-            let off = mask.trailing_zeros() as usize;
-            let i = start + off;
-            visit(Point::with_id(xs[i], ys[i], ids[i]), buf[off]);
+            let i = start + mask.trailing_zeros() as usize;
+            visit(Point::with_id(xs[i], ys[i], ids[i]));
             mask &= mask - 1;
         }
         start = end;
