@@ -315,11 +315,7 @@ impl SpatialIndex for HilbertRTree {
     }
 
     fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
-        for (_, block) in self.store.iter() {
-            for p in block.iter_points() {
-                visit(&p);
-            }
-        }
+        self.store.for_each_point(visit)
     }
 
     fn distance_join_probes(

@@ -292,6 +292,16 @@ impl BlockStore {
         self.blocks.iter().enumerate()
     }
 
+    /// Visits every stored point, block by block in store order — the
+    /// enumeration of every index whose points all live in one store.
+    pub fn for_each_point(&self, visit: &mut dyn FnMut(&Point)) {
+        for block in &self.blocks {
+            for p in block.iter_points() {
+                visit(&p);
+            }
+        }
+    }
+
     /// Approximate total size of all blocks in bytes.
     pub fn size_bytes(&self) -> usize {
         self.blocks.iter().map(Block::size_bytes).sum()
