@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The admission gate.  `try_admit` / `release` are a handful of atomic
 /// ops; nothing here takes a lock.
-pub struct AdmissionGate {
+pub(crate) struct AdmissionGate {
     /// Remaining global admission tokens.
     global_tokens: AtomicUsize,
     global_cap: usize,
@@ -26,7 +26,7 @@ pub struct AdmissionGate {
 impl AdmissionGate {
     /// A gate with the given global window, reporting held tokens through
     /// `inflight_gauge`.
-    pub fn new(global_cap: usize, inflight_gauge: Gauge) -> Self {
+    pub(crate) fn new(global_cap: usize, inflight_gauge: Gauge) -> Self {
         Self {
             global_tokens: AtomicUsize::new(global_cap),
             global_cap,
@@ -36,7 +36,7 @@ impl AdmissionGate {
 
     /// Tries to admit one request; `false` means the request must be shed
     /// with an `OVERLOAD` response.
-    pub fn try_admit(&self) -> bool {
+    pub(crate) fn try_admit(&self) -> bool {
         let admitted = self
             .global_tokens
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |t| t.checked_sub(1))
@@ -48,14 +48,14 @@ impl AdmissionGate {
     }
 
     /// Returns one admitted request's token.
-    pub fn release(&self) {
+    pub(crate) fn release(&self) {
         self.global_tokens.fetch_add(1, Ordering::AcqRel);
         self.inflight_gauge.add(-1);
     }
 
     /// Requests currently admitted (held tokens) — the "drained" count a
     /// graceful shutdown reports.
-    pub fn inflight(&self) -> u64 {
+    pub(crate) fn inflight(&self) -> u64 {
         (self.global_cap
             - self
                 .global_tokens

@@ -51,11 +51,11 @@
 use std::fmt;
 
 mod admission;
-pub mod client;
+pub(crate) mod client;
 mod codec;
 pub mod frontend;
-pub mod remote;
-pub mod server_loop;
+pub(crate) mod remote;
+pub(crate) mod server_loop;
 mod wait;
 pub mod wire;
 

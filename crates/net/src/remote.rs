@@ -33,7 +33,7 @@ pub struct RemoteIndex {
 
 impl RemoteIndex {
     /// Wraps an already-connected client.
-    pub fn new(client: NetClient) -> Self {
+    pub(crate) fn new(client: NetClient) -> Self {
         Self {
             client: Mutex::new(client),
             last_seq: AtomicU64::new(0),

@@ -38,8 +38,7 @@ mod metrics;
 
 pub use journal::{Event, EventJournal, EventKind, EventsSnapshot};
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, HIST_BUCKETS,
 };
 
 /// The shared telemetry sink of one serving process: one metrics registry
@@ -56,7 +55,7 @@ pub struct Telemetry {
 
 /// Default bound on retained journal events; old events are dropped (and
 /// counted) once a process has produced more lifecycle events than this.
-pub const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_JOURNAL_CAPACITY: usize = 1024;
 
 impl Telemetry {
     /// Creates an empty telemetry sink with the default journal capacity.

@@ -16,7 +16,7 @@ const SUB_BITS: u32 = 3;
 
 /// Maps a recorded value to its bucket index (0-based, `< HIST_BUCKETS`).
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v < (1 << SUB_BITS) {
         return v as usize;
     }
@@ -29,7 +29,7 @@ pub fn bucket_index(v: u64) -> usize {
 /// The largest value mapping to bucket `idx` — the conservative
 /// (upper-edge) representative percentile extraction reports.
 #[inline]
-pub fn bucket_upper_bound(idx: usize) -> u64 {
+pub(crate) fn bucket_upper_bound(idx: usize) -> u64 {
     debug_assert!(idx < HIST_BUCKETS);
     if idx < (1 << SUB_BITS) {
         return idx as u64;
@@ -137,12 +137,6 @@ impl Gauge {
     pub fn add(&self, d: i64) {
         self.0.fetch_add(d, Ordering::Relaxed);
     }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
 }
 
 /// A latency-histogram handle; cloning shares the underlying buckets.
@@ -155,11 +149,6 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         self.0.record(v);
-    }
-
-    /// A point-in-time copy of the distribution.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.0.snapshot()
     }
 }
 
@@ -401,7 +390,6 @@ mod tests {
         let g = reg.gauge("depth");
         g.set(10);
         g.add(-3);
-        assert_eq!(reg.gauge("depth").get(), 7);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("reqs"), Some(6));
         assert_eq!(snap.gauge("depth"), Some(7));
@@ -415,7 +403,8 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        let s = h.snapshot();
+        let snap = reg.snapshot();
+        let s = snap.histogram("lat").unwrap();
         assert_eq!(s.count, 100);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 100);
@@ -443,8 +432,10 @@ mod tests {
         for v in [2u64, 100, 9000] {
             b.record(v);
         }
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
+        let snap = reg.snapshot();
+        let (a, b) = (snap.histogram("a").unwrap(), snap.histogram("b").unwrap());
+        let mut m = a.clone();
+        m.merge(b);
         assert_eq!(m.count, 6);
         assert_eq!(m.sum, 1 + 5 + 100 + 2 + 100 + 9000);
         assert_eq!(m.min, 1);
@@ -460,7 +451,7 @@ mod tests {
         );
         // Merging into an empty snapshot copies the other side.
         let mut empty = HistogramSnapshot::default();
-        empty.merge(&b.snapshot());
+        empty.merge(b);
         assert_eq!(empty.min, 2);
         assert_eq!(empty.count, 3);
     }

@@ -72,12 +72,6 @@ impl Block {
         self.ids.len() >= self.capacity
     }
 
-    /// The block's configured capacity (`B`).
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Whether this block was created by an insertion after bulk-loading.
     #[inline]
     pub fn is_overflow(&self) -> bool {
@@ -86,13 +80,13 @@ impl Block {
 
     /// Marks the block as an insertion-created overflow block.
     #[inline]
-    pub fn set_overflow(&mut self, overflow: bool) {
+    pub(crate) fn set_overflow(&mut self, overflow: bool) {
         self.overflow = overflow;
     }
 
     /// ID of the preceding block in curve order, if any.
     #[inline]
-    pub fn prev(&self) -> Option<BlockId> {
+    pub(crate) fn prev(&self) -> Option<BlockId> {
         self.prev
     }
 
@@ -104,13 +98,13 @@ impl Block {
 
     /// Sets the predecessor link.
     #[inline]
-    pub fn set_prev(&mut self, prev: Option<BlockId>) {
+    pub(crate) fn set_prev(&mut self, prev: Option<BlockId>) {
         self.prev = prev;
     }
 
     /// Sets the successor link.
     #[inline]
-    pub fn set_next(&mut self, next: Option<BlockId>) {
+    pub(crate) fn set_next(&mut self, next: Option<BlockId>) {
         self.next = next;
     }
 
@@ -130,13 +124,13 @@ impl Block {
 
     /// The x-coordinate lane.
     #[inline]
-    pub fn xs(&self) -> &[f64] {
+    pub(crate) fn xs(&self) -> &[f64] {
         &self.coords[..self.ids.len()]
     }
 
     /// The y-coordinate lane.
     #[inline]
-    pub fn ys(&self) -> &[f64] {
+    pub(crate) fn ys(&self) -> &[f64] {
         &self.coords[self.capacity..self.capacity + self.ids.len()]
     }
 
@@ -151,7 +145,7 @@ impl Block {
     /// # Panics
     /// Panics if `i >= len()`.
     #[inline]
-    pub fn point(&self, i: usize) -> Point {
+    pub(crate) fn point(&self, i: usize) -> Point {
         assert!(i < self.ids.len());
         Point::with_id(self.coords[i], self.coords[self.capacity + i], self.ids[i])
     }
@@ -247,7 +241,7 @@ impl Block {
     }
 
     /// Removes every point; links and the overflow flag stay.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.ids.clear();
         self.mbr = Rect::empty();
     }
@@ -291,7 +285,7 @@ impl Block {
     /// full, mirroring an on-disk page (the lane split leaves the per-point
     /// footprint unchanged: two `f64`s plus one `u64`); the header is the
     /// links and flags plus the MBR.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.capacity * (2 * std::mem::size_of::<f64>() + std::mem::size_of::<u64>())
             + 4 * std::mem::size_of::<usize>()
             + std::mem::size_of::<Rect>()
