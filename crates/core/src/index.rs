@@ -299,7 +299,6 @@ impl SpatialIndex for Rsmi {
     /// bound a circle (curve values inside a Hilbert window are not
     /// bracketed by its corners), so distance queries always take the
     /// MBR-guided traversal.
-
     fn range_query_visit(
         &self,
         center: &Point,
