@@ -1,5 +1,5 @@
 //! The listener front-end shared by the single-process serving loop
-//! ([`crate::server_loop`]) and the distributed router (`crates/router`).
+//! ([`crate::serve_config`]) and the distributed router (`crates/router`).
 //!
 //! A [`FrontEnd`] owns everything about serving the wire protocol that does
 //! not depend on *what* answers a request: the acceptor and the connection
