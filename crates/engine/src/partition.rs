@@ -277,6 +277,50 @@ mod tests {
             assert_eq!(bits(&p.by_x), xy, "by_x, seed {seed}");
             assert_eq!(bits(&p.by_y), yx, "by_y, seed {seed}");
         }
+
+        // NaNs of two payloads under both signs: `order_key` gives them all
+        // one key, so in a run of equal keys only the input order fixes the
+        // table bytes.  `partial_cmp` cannot order NaN; the reference is the
+        // stable sort by key the tables used before they were read off the
+        // rank space's axis orders.
+        let keyed = |mut pairs: Vec<(f64, f64)>| {
+            pairs.sort_by_key(pair_key);
+            bits(&pairs)
+        };
+        let nans = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff0_0000_0000_0001),
+        ];
+        for seed in [1, 7, 42] {
+            let pts: Vec<Point> = tie_heavy_points(3_000, seed)
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| match i % 7 {
+                    0 => Point::with_id(nans[i / 7 % 4], p.y, p.id),
+                    1 => Point::with_id(p.x, nans[i / 7 % 4], p.id),
+                    _ => p,
+                })
+                .collect();
+            // The run of `(NaN, ±0.0)` pairs holds every NaN and both zeros.
+            let run: Vec<(u64, u64)> = pts
+                .iter()
+                .filter(|p| p.x.is_nan() && p.y == 0.0)
+                .map(|p| (p.x.to_bits(), p.y.to_bits()))
+                .collect();
+            for nan in nans {
+                assert!(run.iter().any(|&(x, _)| x == nan.to_bits()), "seed {seed}");
+            }
+            for zero in [0.0f64, -0.0] {
+                assert!(run.iter().any(|&(_, y)| y == zero.to_bits()), "seed {seed}");
+            }
+            let (p, _) = Partitioner::partition(&pts, 3, CurveKind::Hilbert);
+            let xy = keyed(pts.iter().map(|p| (p.x, p.y)).collect());
+            let yx = keyed(pts.iter().map(|p| (p.y, p.x)).collect());
+            assert_eq!(bits(&p.by_x), xy, "by_x with NaNs, seed {seed}");
+            assert_eq!(bits(&p.by_y), yx, "by_y with NaNs, seed {seed}");
+        }
     }
 
     #[test]

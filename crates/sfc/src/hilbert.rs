@@ -80,6 +80,59 @@ pub fn encode_unit(x: f64, y: f64, order: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The classic rotate-and-flip loop ("xy2d"), one branch per bit: the
+    /// reference `encode` must reproduce cell for cell.
+    fn rotate_and_flip(x: u32, y: u32, order: u32) -> u64 {
+        let n: u64 = 1 << order;
+        let (mut x, mut y) = (x as u64, y as u64);
+        let mut d: u64 = 0;
+        let mut s: u64 = n >> 1;
+        while s > 0 {
+            let rx = u64::from((x & s) > 0);
+            let ry = u64::from((y & s) > 0);
+            d += s * s * ((3 * rx) ^ ry);
+            if ry == 0 {
+                if rx == 1 {
+                    x = n - 1 - x;
+                    y = n - 1 - y;
+                }
+                std::mem::swap(&mut x, &mut y);
+            }
+            s >>= 1;
+        }
+        d
+    }
+
+    #[test]
+    fn encode_matches_the_rotate_and_flip_reference() {
+        for order in 1..=8u32 {
+            let n = 1u32 << order;
+            for x in 0..n {
+                for y in 0..n {
+                    assert_eq!(
+                        encode(x, y, order),
+                        rotate_and_flip(x, y, order),
+                        "cell ({x}, {y}), order {order}"
+                    );
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..1_000_000 {
+            let order = rng.gen_range(1usize..=31) as u32;
+            let mask = (1u64 << order) - 1;
+            let x = (rng.gen::<u64>() & mask) as u32;
+            let y = (rng.gen::<u64>() & mask) as u32;
+            assert_eq!(
+                encode(x, y, order),
+                rotate_and_flip(x, y, order),
+                "cell ({x}, {y}), order {order}"
+            );
+        }
+    }
 
     #[test]
     fn order_one_matches_manual_curve() {
