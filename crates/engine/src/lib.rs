@@ -126,15 +126,15 @@ impl ShardedIndex {
         name: &'static str,
         build_inner: InnerBuilder<'_>,
     ) -> Self {
-        let (partitioner, slices) = Partitioner::partition(points, cfg.shards, cfg.curve);
+        let parallelism = std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1);
+        let (partitioner, slices) =
+            Partitioner::partition(points, cfg.shards, cfg.curve, parallelism);
         // One build job per shard, capped at the machine's parallelism so a
         // high shard count cannot oversubscribe cores (each job is a full
         // inner-index build — sort + packing, or model training).
-        let workers = slices.len().min(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        );
+        let workers = slices.len().min(parallelism);
         let shards = common::parallel_map(slices, workers, |slice| Shard {
             index: build_inner(&slice.points),
             mbr: slice.mbr,

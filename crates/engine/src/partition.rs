@@ -14,6 +14,7 @@
 
 use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
+use sfc::rank_space::{axis_order, Axis};
 use sfc::{rank_space_order, CurveKind, RankSpace};
 
 /// How a point set was cut into shards, plus the frozen routing tables.
@@ -51,30 +52,34 @@ impl Partitioner {
     /// to: the copies hold consecutive ranks, so the near-equal cut could
     /// split them, and a lookup or delete must find them all in one shard.
     /// Data with unique locations is cut exactly at the near-equal
-    /// boundaries.
+    /// boundaries.  The two axes are sorted on up to `workers` threads (at
+    /// most two are used); the result does not depend on the count.
     pub(crate) fn partition(
         points: &[Point],
         shards: usize,
         curve: CurveKind,
+        workers: usize,
     ) -> (Self, Vec<ShardSlice>) {
         let n = points.len();
         let s = shards.max(1).min(n.max(1));
 
-        let rs = RankSpace::new(points);
-        let perm = rs.sorted_permutation(curve);
-        let keys = rs.curve_values(curve);
-
-        let mut by_x: Vec<(f64, f64)> = points.iter().map(|p| (p.x, p.y)).collect();
-        by_x.sort_by_key(pair_key);
-        let mut by_y: Vec<(f64, f64)> = points.iter().map(|p| (p.y, p.x)).collect();
-        by_y.sort_by_key(pair_key);
+        // Each axis is sorted once, both at a time: the rank space ranks by
+        // the two orders, and the routing tables are read off them.
+        let orders = common::parallel_map(vec![Axis::X, Axis::Y], workers, |axis| {
+            axis_order(points, axis)
+        });
+        let [x_order, y_order] = <[_; 2]>::try_from(orders).expect("one order per axis");
+        let rs = RankSpace::from_axis_orders(&x_order, &y_order);
+        let by_x = routing_table(points, x_order, Axis::X);
+        let by_y = routing_table(points, y_order, Axis::Y);
+        let keyed = rs.curve_order(curve);
 
         // Near-equal cut: the first `n % s` shards get one extra point;
         // `cut[pos]` is the shard of the `pos`-th point in curve order.
         let mut cut = Vec::with_capacity(n);
         let mut shard_key_lo = Vec::with_capacity(s);
         for i in 0..s {
-            shard_key_lo.push(perm.get(cut.len()).map_or(0, |&idx| keys[idx]));
+            shard_key_lo.push(keyed.get(cut.len()).map_or(0, |&(key, _)| key));
             cut.resize(cut.len() + n / s + usize::from(i < n % s), i);
         }
         let partitioner = Self {
@@ -98,7 +103,7 @@ impl Partitioner {
                 mbr: Rect::empty(),
             })
             .collect();
-        for (&idx, &i) in perm.iter().zip(&cut) {
+        for (&(_, idx), &i) in keyed.iter().zip(&cut) {
             let p = points[idx];
             let home = if shared(idx) {
                 partitioner.route(p.x, p.y)
@@ -174,13 +179,8 @@ impl Partitioner {
         if shard_key_lo.is_empty() {
             return Err(PersistError::Corrupt("partitioner with zero shards".into()));
         }
-        // Routing binary-searches all three tables; unsorted data would not
-        // fail loudly — it would silently route queries to the wrong shard.
-        let sorted = |pairs: &[(f64, f64)]| pairs.iter().map(pair_key).is_sorted();
-        if !sorted(&by_x) || !sorted(&by_y) || shard_key_lo.windows(2).any(|w| w[0] > w[1]) {
-            return Err(PersistError::Corrupt(
-                "partitioner routing tables are not sorted".into(),
-            ));
+        if !shard_key_lo.is_sorted() {
+            return Err(unsorted());
         }
         Ok(Self {
             curve,
@@ -192,27 +192,66 @@ impl Partitioner {
     }
 }
 
-fn encode_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
-    w.put_usize(pairs.len());
-    for &(a, b) in pairs {
-        w.put_f64(a);
-        w.put_f64(b);
+/// The routing table of one axis, read off the axis's [`axis_order`]: each
+/// point's `(axis coordinate, other coordinate)` in that order, with every
+/// run of equal [`pair_key`]s put back in input order, the order a stable
+/// sort by key keeps (the axis order breaks those ties by id first).  The
+/// order's 16-byte entries become the table's in place.
+fn routing_table(points: &[Point], mut order: Vec<(u64, usize)>, axis: Axis) -> Vec<(f64, f64)> {
+    let pair = |i: usize| axis.coords(&points[i]);
+    for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
+        if run.len() > 1 {
+            for ties in run.chunk_by_mut(|a, b| order_key(pair(a.1).1) == order_key(pair(b.1).1)) {
+                ties.sort_unstable_by_key(|&(_, i)| i);
+            }
+        }
     }
+    order.into_iter().map(|(_, i)| pair(i)).collect()
 }
 
+/// Writes a routing table as one slice: its length, then each pair's two
+/// `f64` bit patterns, little-endian.
+fn encode_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
+    let mut bytes = Vec::with_capacity(pairs.len() * 16);
+    for &(a, b) in pairs {
+        bytes.extend_from_slice(&a.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&b.to_bits().to_le_bytes());
+    }
+    w.put_usize(pairs.len());
+    w.put_raw(&bytes);
+}
+
+/// Reads a table written by [`encode_pairs`] as one slice, checking its
+/// order in the same pass.  Routing binary-searches the tables; unsorted
+/// data would not fail loudly — it would silently route queries to the
+/// wrong shard.
 fn decode_pairs(r: &mut SnapshotReader<'_>) -> Result<Vec<(f64, f64)>, PersistError> {
     let n = r.get_len(16)?;
+    let (records, _) = r.take(n * 16)?.as_chunks::<16>();
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let a = r.get_f64()?;
-        let b = r.get_f64()?;
-        out.push((a, b));
+    let mut last = (0, 0);
+    for record in records {
+        let (a, b) = record.split_at(8);
+        let pair = (
+            f64::from_le_bytes(a.try_into().expect("8 bytes")),
+            f64::from_le_bytes(b.try_into().expect("8 bytes")),
+        );
+        let key = pair_key(&pair);
+        if key < last {
+            return Err(unsorted());
+        }
+        last = key;
+        out.push(pair);
     }
     Ok(out)
 }
 
-/// The routing tables' order: lexicographic by [`order_key`].  A stable sort
-/// by it keeps equal pairs in input order.
+fn unsorted() -> PersistError {
+    PersistError::Corrupt("partitioner routing tables are not sorted".into())
+}
+
+/// The routing tables' order: lexicographic by [`order_key`], equal pairs in
+/// input order.
 fn pair_key(&(a, b): &(f64, f64)) -> (u64, u64) {
     (order_key(a), order_key(b))
 }
@@ -269,9 +308,38 @@ mod tests {
             pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             bits(&pairs)
         };
+        // One worker and two build the same tables and slices, bit for bit.
+        let partition = |pts: &[Point]| {
+            let (one, one_slices) = Partitioner::partition(pts, 3, CurveKind::Hilbert, 1);
+            let (two, two_slices) = Partitioner::partition(pts, 3, CurveKind::Hilbert, 2);
+            assert_eq!(bits(&one.by_x), bits(&two.by_x), "by_x on 1 and 2 workers");
+            assert_eq!(bits(&one.by_y), bits(&two.by_y), "by_y on 1 and 2 workers");
+            assert_eq!(one.shard_key_lo, two.shard_key_lo);
+            let slice_bits = |slices: &[ShardSlice]| {
+                slices
+                    .iter()
+                    .map(|s| {
+                        let r = s.mbr;
+                        let mbr = [r.min_x, r.min_y, r.max_x, r.max_y].map(f64::to_bits);
+                        let points: Vec<_> = s
+                            .points
+                            .iter()
+                            .map(|p| (p.x.to_bits(), p.y.to_bits(), p.id))
+                            .collect();
+                        (mbr, points)
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                slice_bits(&one_slices),
+                slice_bits(&two_slices),
+                "slices on 1 and 2 workers"
+            );
+            two
+        };
         for seed in [1, 7, 42] {
             let pts = tie_heavy_points(3_000, seed);
-            let (p, _) = Partitioner::partition(&pts, 3, CurveKind::Hilbert);
+            let p = partition(&pts);
             let xy = sorted(pts.iter().map(|p| (p.x, p.y)).collect());
             let yx = sorted(pts.iter().map(|p| (p.y, p.x)).collect());
             assert_eq!(bits(&p.by_x), xy, "by_x, seed {seed}");
@@ -315,7 +383,7 @@ mod tests {
             for zero in [0.0f64, -0.0] {
                 assert!(run.iter().any(|&(_, y)| y == zero.to_bits()), "seed {seed}");
             }
-            let (p, _) = Partitioner::partition(&pts, 3, CurveKind::Hilbert);
+            let p = partition(&pts);
             let xy = keyed(pts.iter().map(|p| (p.x, p.y)).collect());
             let yx = keyed(pts.iter().map(|p| (p.y, p.x)).collect());
             assert_eq!(bits(&p.by_x), xy, "by_x with NaNs, seed {seed}");
@@ -326,7 +394,7 @@ mod tests {
     #[test]
     fn partition_is_near_equal_and_covers_all_points() {
         let data = generate(Distribution::skewed_default(), 1003, 7);
-        let (p, slices) = Partitioner::partition(&data, 4, CurveKind::Hilbert);
+        let (p, slices) = Partitioner::partition(&data, 4, CurveKind::Hilbert, 2);
         assert_eq!(p.shard_count(), 4);
         assert_eq!(slices.iter().map(|s| s.points.len()).sum::<usize>(), 1003);
         for s in &slices {
@@ -354,7 +422,7 @@ mod tests {
         inputs.push(("50 x 40 copies".into(), shared, 8));
         inputs.push(("4 identical".into(), four, 2));
         for (what, data, shards) in inputs {
-            let (p, slices) = Partitioner::partition(&data, shards, CurveKind::Hilbert);
+            let (p, slices) = Partitioner::partition(&data, shards, CurveKind::Hilbert, 2);
             assert_eq!(
                 slices.iter().map(|s| s.points.len()).sum::<usize>(),
                 data.len()
@@ -371,7 +439,7 @@ mod tests {
     #[test]
     fn routing_is_total_for_unseen_locations() {
         let data = generate(Distribution::Normal, 500, 3);
-        let (p, _) = Partitioner::partition(&data, 4, CurveKind::Hilbert);
+        let (p, _) = Partitioner::partition(&data, 4, CurveKind::Hilbert, 2);
         for (x, y) in [(0.0, 0.0), (1.0, 1.0), (0.5, 0.123), (0.999, 0.001)] {
             assert!(p.route(x, y) < 4);
         }
@@ -379,13 +447,13 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_produce_at_least_one_shard() {
-        let (p, slices) = Partitioner::partition(&[], 4, CurveKind::Hilbert);
+        let (p, slices) = Partitioner::partition(&[], 4, CurveKind::Hilbert, 2);
         assert_eq!(p.shard_count(), 1);
         assert!(slices[0].points.is_empty());
         assert!(slices[0].mbr.is_empty());
 
         let one = [Point::with_id(0.5, 0.5, 1)];
-        let (p, slices) = Partitioner::partition(&one, 4, CurveKind::Hilbert);
+        let (p, slices) = Partitioner::partition(&one, 4, CurveKind::Hilbert, 2);
         assert_eq!(p.shard_count(), 1);
         assert_eq!(slices[0].points.len(), 1);
         assert_eq!(p.route(0.5, 0.5), 0);
@@ -396,7 +464,7 @@ mod tests {
         let data = generate(Distribution::Uniform, 600, 13);
         let rs = RankSpace::new(&data);
         let keys = rs.curve_values(CurveKind::Hilbert);
-        let (_, slices) = Partitioner::partition(&data, 3, CurveKind::Hilbert);
+        let (_, slices) = Partitioner::partition(&data, 3, CurveKind::Hilbert, 2);
         let mut last = 0u64;
         for s in &slices {
             for pt in &s.points {
@@ -410,7 +478,7 @@ mod tests {
     #[test]
     fn z_curve_partitioning_also_routes_correctly() {
         let data = generate(Distribution::TigerLike, 800, 17);
-        let (p, slices) = Partitioner::partition(&data, 5, CurveKind::Z);
+        let (p, slices) = Partitioner::partition(&data, 5, CurveKind::Z, 2);
         for (i, s) in slices.iter().enumerate() {
             for pt in s.points.iter().step_by(7) {
                 assert_eq!(p.route(pt.x, pt.y), i);

@@ -1,21 +1,57 @@
 //! Hilbert curve encoding.
 //!
 //! RSMI orders points with a Hilbert curve by default because its better
-//! locality yields better query performance than the Z-curve (§6.1).  The
-//! implementation below is the classic iterative rotate-and-flip algorithm
-//! ("xy2d"/"d2xy"), generalised to an arbitrary curve order up to 31.
+//! locality yields better query performance than the Z-curve (§6.1).
+//! [`encode`] walks a state table three levels of the curve per lookup, for
+//! any curve order up to 31.  Within a quadrant the curve runs in one of
+//! four orientations: as the whole curve does, with x and y swapped, with
+//! both coordinates flipped, or both.  One table entry, indexed by the
+//! orientation and the next three bits of each coordinate, holds the six
+//! bits of the curve value those levels add and the orientation of the
+//! sub-quadrant reached.  No step branches on a coordinate bit.  The values
+//! are those of the classic rotate-and-flip loop ("xy2d"), which the tests
+//! keep as the reference.
 
-/// Rotates/flips a quadrant so that the recursion of the Hilbert construction
-/// lines up.  `n` is the current (power-of-two) grid side length.
-#[inline]
-fn rot(n: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
-    if ry == 0 {
-        if rx == 1 {
-            *x = n.wrapping_sub(1).wrapping_sub(*x);
-            *y = n.wrapping_sub(1).wrapping_sub(*y);
+/// Orientation bit: x and y are swapped.
+const SWAP: usize = 1;
+/// Orientation bit: both coordinates are flipped.
+const FLIP: usize = 2;
+
+/// `TABLE[orientation << 6 | x bits << 3 | y bits]` holds the curve value
+/// of the three levels in its high six bits and the orientation they reach
+/// in its low two.
+static TABLE: [u8; 256] = table();
+
+const fn table() -> [u8; 256] {
+    let mut table = [0u8; 256];
+    let mut entry = 0;
+    while entry < 256 {
+        let mut orientation = entry >> 6;
+        let mut digits = 0;
+        let mut level = 3;
+        while level > 0 {
+            level -= 1;
+            let (bx, by) = ((entry >> (3 + level)) & 1, (entry >> level) & 1);
+            let (mut rx, mut ry) = if orientation & SWAP != 0 {
+                (by, bx)
+            } else {
+                (bx, by)
+            };
+            if orientation & FLIP != 0 {
+                rx ^= 1;
+                ry ^= 1;
+            }
+            digits = digits << 2 | ((3 * rx) ^ ry);
+            // The lower-left quadrant swaps the axes, the lower-right one
+            // swaps and flips them.
+            if ry == 0 {
+                orientation ^= SWAP | if rx == 1 { FLIP } else { 0 };
+            }
         }
-        std::mem::swap(x, y);
+        table[entry] = (digits << 2 | orientation) as u8;
+        entry += 1;
     }
+    table
 }
 
 /// Encodes grid cell `(x, y)` of a `2^order x 2^order` grid into its Hilbert
@@ -26,44 +62,24 @@ fn rot(n: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
 pub fn encode(x: u32, y: u32, order: u32) -> u64 {
     assert!(order <= 31, "hilbert order {order} too large (max 31)");
     let n: u64 = 1 << order;
-    let (mut x, mut y) = (x as u64, y as u64);
     assert!(
-        x < n && y < n,
+        u64::from(x) < n && u64::from(y) < n,
         "coordinate ({x}, {y}) outside 2^{order} grid"
     );
+    // The walk starts at a multiple of three levels.  Each leading zero
+    // level it adds swaps the axes once and adds nothing to the value, so
+    // an odd count of them starts swapped.
+    let groups = order.div_ceil(3);
+    let mut orientation = (groups * 3 - order) as usize & SWAP;
     let mut d: u64 = 0;
-    let mut s: u64 = n >> 1;
-    while s > 0 {
-        let rx = u64::from((x & s) > 0);
-        let ry = u64::from((y & s) > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        rot(n, &mut x, &mut y, rx, ry);
-        s >>= 1;
+    for group in (0..groups).rev() {
+        let shift = 3 * group;
+        let (bx, by) = ((x >> shift) as usize & 7, (y >> shift) as usize & 7);
+        let entry = TABLE[orientation << 6 | bx << 3 | by];
+        d = d << 6 | u64::from(entry >> 2);
+        orientation = usize::from(entry & 3);
     }
     d
-}
-
-/// Decodes a Hilbert curve value back into its `(x, y)` grid cell.
-///
-/// # Panics
-/// Panics if `order > 31` or the value is out of range for the grid.
-pub fn decode(d: u64, order: u32) -> (u32, u32) {
-    assert!(order <= 31, "hilbert order {order} too large (max 31)");
-    let n: u64 = 1 << order;
-    assert!(d < n * n, "hilbert value {d} outside 4^{order} range");
-    let (mut x, mut y): (u64, u64) = (0, 0);
-    let mut t = d;
-    let mut s: u64 = 1;
-    while s < n {
-        let rx = 1 & (t / 2);
-        let ry = 1 & (t ^ rx);
-        rot(s, &mut x, &mut y, rx, ry);
-        x += s * rx;
-        y += s * ry;
-        t /= 4;
-        s <<= 1;
-    }
-    (x as u32, y as u32)
 }
 
 /// Maps a point in the unit square onto the Hilbert curve of a `2^order`
@@ -75,6 +91,37 @@ pub fn encode_unit(x: f64, y: f64, order: u32) -> u64 {
     let gx = ((x.clamp(0.0, 1.0) * scale) as u64).min(max) as u32;
     let gy = ((y.clamp(0.0, 1.0) * scale) as u64).min(max) as u32;
     encode(gx, gy, order)
+}
+
+/// Decodes a Hilbert curve value back into its `(x, y)` grid cell: the
+/// rotate-and-flip loop ("d2xy"), the round-trip reference of [`encode`].
+///
+/// # Panics
+/// Panics if `order > 31` or the value is out of range for the grid.
+#[cfg(test)]
+pub(crate) fn decode(d: u64, order: u32) -> (u32, u32) {
+    assert!(order <= 31, "hilbert order {order} too large (max 31)");
+    let n: u64 = 1 << order;
+    assert!(d < n * n, "hilbert value {d} outside 4^{order} range");
+    let (mut x, mut y): (u64, u64) = (0, 0);
+    let mut t = d;
+    let mut s: u64 = 1;
+    while s < n {
+        let rx = 1 & (t / 2);
+        let ry = 1 & (t ^ rx);
+        if ry == 0 {
+            if rx == 1 {
+                x = s - 1 - x;
+                y = s - 1 - y;
+            }
+            std::mem::swap(&mut x, &mut y);
+        }
+        x += s * rx;
+        y += s * ry;
+        t /= 4;
+        s <<= 1;
+    }
+    (x as u32, y as u32)
 }
 
 #[cfg(test)]
@@ -131,6 +178,36 @@ mod tests {
                 rotate_and_flip(x, y, order),
                 "cell ({x}, {y}), order {order}"
             );
+        }
+    }
+
+    #[test]
+    fn seeded_cells_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for _ in 0..256 {
+            let order = rng.gen_range(1usize..=20) as u32;
+            let mask = (1u64 << order) - 1;
+            let x = (rng.gen::<u64>() & mask) as u32;
+            let y = (rng.gen::<u64>() & mask) as u32;
+            let v = encode(x, y, order);
+            assert!(v < 1u64 << (2 * order));
+            assert_eq!(decode(v, order), (x, y));
+        }
+    }
+
+    #[test]
+    fn consecutive_values_are_adjacent_cells() {
+        // The defining locality property: consecutive curve positions differ
+        // by exactly one step in exactly one dimension.
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..256 {
+            let order = rng.gen_range(1usize..=6) as u32;
+            let max = 1u64 << (2 * order);
+            let d = rng.gen::<u64>() % (max - 1);
+            let (x0, y0) = decode(d, order);
+            let (x1, y1) = decode(d + 1, order);
+            let dist = (x0 as i64 - x1 as i64).abs() + (y0 as i64 - y1 as i64).abs();
+            assert_eq!(dist, 1);
         }
     }
 

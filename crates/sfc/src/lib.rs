@@ -46,15 +46,6 @@ impl CurveKind {
         }
     }
 
-    /// Decodes a curve value back into grid coordinates.
-    #[inline]
-    pub fn decode(&self, value: u64, order: u32) -> (u32, u32) {
-        match self {
-            CurveKind::Z => zcurve::decode(value),
-            CurveKind::Hilbert => hilbert::decode(value, order),
-        }
-    }
-
     /// The byte that names the curve in a snapshot: `Z = 0`, `Hilbert = 1`.
     pub fn tag(self) -> u8 {
         match self {
@@ -77,6 +68,18 @@ impl CurveKind {
         match self {
             CurveKind::Z => "z",
             CurveKind::Hilbert => "hilbert",
+        }
+    }
+}
+
+#[cfg(test)]
+impl CurveKind {
+    /// Decodes a curve value back into grid coordinates: the round-trip
+    /// reference of [`CurveKind::encode`].
+    fn decode(&self, value: u64, order: u32) -> (u32, u32) {
+        match self {
+            CurveKind::Z => zcurve::decode(value),
+            CurveKind::Hilbert => hilbert::decode(value, order),
         }
     }
 }

@@ -24,7 +24,7 @@ pub fn rank_space_order(n: usize) -> u32 {
 /// The rank-space representation of a point set.
 ///
 /// Rank pairs are stored in the same order as the input slice, so
-/// `ranks()[i]` corresponds to `points[i]`.
+/// `rank(i)` corresponds to `points[i]`.
 #[derive(Debug, Clone)]
 pub struct RankSpace {
     order: u32,
@@ -38,14 +38,38 @@ impl RankSpace {
     /// leaf model.  Ties on x are broken by y and vice versa, exactly as in
     /// the paper's Fig. 3 example, then by the point id and last by input
     /// position, so the transform is deterministic even for duplicate
-    /// locations.  One axis is ranked at a time.
+    /// locations.  One axis is sorted and ranked at a time.
     pub fn new(points: &[Point]) -> Self {
-        let n = points.len();
+        Self::ranked(points.len(), |axis| axis_order(points, axis))
+    }
+
+    /// The rank space of the points whose [`axis_order`]s are `by_x` and
+    /// `by_y`, for a caller that needs the orders too and sorts each axis
+    /// once.
+    ///
+    /// # Panics
+    /// Panics if the two orders differ in length.
+    pub fn from_axis_orders(by_x: &[(u64, usize)], by_y: &[(u64, usize)]) -> Self {
+        assert_eq!(
+            by_x.len(),
+            by_y.len(),
+            "axis orders of different point sets"
+        );
+        Self::ranked(by_x.len(), |axis| match axis {
+            Axis::X => by_x,
+            Axis::Y => by_y,
+        })
+    }
+
+    /// The one ranking routine: a point's rank on an axis is its position
+    /// in that axis's order.  `order` is asked for the x order, which is
+    /// dropped before the y order is asked for.
+    fn ranked<O: AsRef<[(u64, usize)]>>(n: usize, mut order: impl FnMut(Axis) -> O) -> Self {
         let mut ranks = vec![(0u32, 0u32); n];
-        for (rank, &(_, i)) in axis_order(points, Axis::X).iter().enumerate() {
+        for (rank, &(_, i)) in order(Axis::X).as_ref().iter().enumerate() {
             ranks[i].0 = rank as u32;
         }
-        for (rank, &(_, i)) in axis_order(points, Axis::Y).iter().enumerate() {
+        for (rank, &(_, i)) in order(Axis::Y).as_ref().iter().enumerate() {
             ranks[i].1 = rank as u32;
         }
         Self {
@@ -54,22 +78,10 @@ impl RankSpace {
         }
     }
 
-    /// The curve order of the rank-space grid.
-    #[inline]
-    pub fn order(&self) -> u32 {
-        self.order
-    }
-
     /// The `(rank_x, rank_y)` pair of the `i`-th input point.
     #[inline]
     pub fn rank(&self, i: usize) -> (u32, u32) {
         self.ranks[i]
-    }
-
-    /// All rank pairs, aligned with the input slice.
-    #[inline]
-    pub fn ranks(&self) -> &[(u32, u32)] {
-        &self.ranks
     }
 
     /// The curve value of the `i`-th input point under the given curve.
@@ -86,19 +98,26 @@ impl RankSpace {
             .collect()
     }
 
-    /// A permutation of the input indices sorted by ascending curve value.
-    ///
-    /// Packing every `B` consecutive indices of this permutation into a block
-    /// realises the R-tree packing strategy the paper reuses (Equation 1).
-    /// Rank-space cells hold one point each, so no two values tie.
-    pub fn sorted_permutation(&self, curve: CurveKind) -> Vec<usize> {
+    /// One `(curve value, index)` entry per input point, ascending by
+    /// value: every value is encoded once, for a caller that needs the
+    /// values beside the permutation.  Rank-space cells hold one point
+    /// each, so no two values tie.
+    pub fn curve_order(&self, curve: CurveKind) -> Vec<(u64, usize)> {
         let mut keyed: Vec<(u64, usize)> = (0..self.ranks.len())
             .map(|i| (self.curve_value(i, curve), i))
             .collect();
         keyed.sort_unstable();
+        keyed
+    }
+
+    /// A permutation of the input indices sorted by ascending curve value.
+    ///
+    /// Packing every `B` consecutive indices of this permutation into a block
+    /// realises the R-tree packing strategy the paper reuses (Equation 1).
+    pub fn sorted_permutation(&self, curve: CurveKind) -> Vec<usize> {
         // Collected from a borrow: an in-place `into_iter` collect would
         // keep the entries' allocation, twice the permutation's size.
-        keyed.iter().map(|&(_, i)| i).collect()
+        self.curve_order(curve).iter().map(|&(_, i)| i).collect()
     }
 }
 
@@ -114,7 +133,7 @@ pub enum Axis {
 impl Axis {
     /// `p`'s coordinate on this axis, then its other coordinate.
     #[inline]
-    fn coords(self, p: &Point) -> (f64, f64) {
+    pub fn coords(self, p: &Point) -> (f64, f64) {
         match self {
             Axis::X => (p.x, p.y),
             Axis::Y => (p.y, p.x),
@@ -176,6 +195,7 @@ mod tests {
         assert_eq!(rank_space_order(8), 3);
         assert_eq!(rank_space_order(9), 4);
         assert_eq!(rank_space_order(1_000_000), 20);
+        assert_eq!(RankSpace::new(&paper_example()).order, rank_space_order(8));
     }
 
     #[test]

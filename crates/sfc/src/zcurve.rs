@@ -19,18 +19,6 @@ fn interleave_zeros(v: u32) -> u64 {
     x
 }
 
-/// Inverse of [`interleave_zeros`]: keeps every other bit and compacts them.
-#[inline]
-fn compact_bits(v: u64) -> u32 {
-    let mut x = v & 0x5555_5555_5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF;
-    x as u32
-}
-
 /// Encodes grid cell `(x, y)` into its Z-curve (Morton) value.
 ///
 /// The full 32 bits of each coordinate are supported; the grid order is
@@ -38,12 +26,6 @@ fn compact_bits(v: u64) -> u32 {
 #[inline]
 pub fn encode(x: u32, y: u32) -> u64 {
     interleave_zeros(x) | (interleave_zeros(y) << 1)
-}
-
-/// Decodes a Z-curve value back into its `(x, y)` grid cell.
-#[inline]
-pub fn decode(value: u64) -> (u32, u32) {
-    (compact_bits(value), compact_bits(value >> 1))
 }
 
 /// Maps a point in the unit square onto the Z-curve of a `2^order` grid.
@@ -59,9 +41,40 @@ pub fn encode_unit(x: f64, y: f64, order: u32) -> u64 {
     encode(gx, gy)
 }
 
+/// Inverse of [`interleave_zeros`]: keeps every other bit and compacts them.
+#[cfg(test)]
+fn compact_bits(v: u64) -> u32 {
+    let mut x = v & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
+    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
+    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
+    x = (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF;
+    x as u32
+}
+
+/// Decodes a Z-curve value back into its `(x, y)` grid cell: the
+/// round-trip reference of [`encode`].
+#[cfg(test)]
+pub(crate) fn decode(value: u64) -> (u32, u32) {
+    (compact_bits(value), compact_bits(value >> 1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn seeded_cells_roundtrip() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..256 {
+            let x = rng.gen::<u64>() as u32;
+            let y = rng.gen::<u64>() as u32;
+            assert_eq!(decode(encode(x, y)), (x, y));
+        }
+    }
 
     #[test]
     fn encode_matches_known_values() {
