@@ -1,9 +1,11 @@
 //! The sharded snapshot container, with its only writer and its only
 //! reader.  A `Sharded-*` snapshot body is a meta section (`0x5401`: the
 //! per-shard rebuild's worker count and the shard count), the frozen
-//! [`Partitioner`] (`0x5402`), then one section per shard in shard order
-//! (`0x5403`: MBR, frozen curve-key range, and the inner index as a
-//! complete embedded snapshot with its own header).
+//! [`Partitioner`] (`0x5404`: its knot tables and shard cut), then one
+//! section per shard in shard order (`0x5403`: MBR, frozen curve-key range,
+//! and the inner index as a complete embedded snapshot with its own
+//! header).  `0x5402` held the exact routing tables the knot tables
+//! replaced; a container carrying it is refused by the section tag check.
 
 use crate::partition::Partitioner;
 use common::SpatialIndex;
@@ -11,7 +13,7 @@ use geom::Rect;
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
 
 const SECTION_SHARDED_META: u32 = 0x5401;
-const SECTION_SHARDED_PARTITIONER: u32 = 0x5402;
+const SECTION_SHARDED_PARTITIONER: u32 = 0x5404;
 const SECTION_SHARD: u32 = 0x5403;
 
 /// Routing metadata of one shard as stored in the sharded container: the
@@ -33,7 +35,7 @@ pub struct ShardMeta {
 /// meta sections and skips every embedded inner snapshot.
 #[derive(Debug, Clone)]
 pub struct ShardManifest {
-    /// The frozen rank-space routing table.
+    /// The frozen key function and shard cut.
     pub partitioner: Partitioner,
     /// Per-shard routing metadata, in shard order.
     pub shards: Vec<ShardMeta>,
@@ -128,7 +130,7 @@ pub(crate) struct ShardSections<'r, 'a> {
     r: &'r mut SnapshotReader<'a>,
     /// The per-shard rebuild's worker count stored in the meta section.
     pub(crate) threads: usize,
-    /// The frozen routing table; it routes to the announced shard count.
+    /// The frozen partitioner; it routes to the announced shard count.
     pub(crate) partitioner: Partitioner,
     /// The next shard section to read.
     next: usize,

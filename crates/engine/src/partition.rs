@@ -1,32 +1,45 @@
-//! The learned partitioner: rank-space Hilbert-key range partitioning.
+//! The learned partitioner: rank-space Hilbert-key range partitioning over
+//! a learned CDF.
 //!
-//! Points are ordered by the curve value of their global rank-space cell
-//! (the same transform RSMI uses to order points *within* an index, §3.1)
-//! and cut into `S` near-equal contiguous runs.  Because the rank space is
-//! equi-depth in both marginals, the cut is balanced by construction — the
-//! "learned" CDF here is the exact empirical one, frozen at build time.
+//! Points are ordered by the curve value of their rank-space cell (the
+//! transform RSMI uses to order points *within* an index, §3.1) and cut
+//! into `S` near-equal contiguous runs.  The ranks come from a model of
+//! each marginal rather than from the data: an axis keeps `KNOTS + 1`
+//! (1 025) [`order_key`]s taken at evenly spaced positions of its sorted
+//! keys, and a location's rank interpolates linearly between the two knots
+//! that bracket its key.  Build points and queried locations share that
+//! one key function, so equal locations always share a key, and the cut
+//! never splits a run of equal keys: every copy of a location lands in one
+//! shard.
 //!
 //! Each shard records its minimum bounding rectangle (for window / kNN
-//! pruning) and its curve-key range (for point routing).  Routing a query
-//! location reduces to two binary searches (its x- and y-rank under the
-//! frozen marginals), one curve encode, and one binary search over the
-//! shard key boundaries — `O(log n)` with no per-shard work.
+//! pruning) and its curve-key range (for point routing).  Routing a
+//! location is two binary searches over the knots, one curve encode and one
+//! binary search over the shard key boundaries; the router holds
+//! `O(shards + KNOTS)` words, whatever the number of points.
 
 use geom::{order_key, Point, Rect};
 use persist::{PersistError, SnapshotReader, SnapshotWriter};
-use sfc::rank_space::{axis_order, Axis};
-use sfc::{rank_space_order, CurveKind, RankSpace};
+use sfc::{rank_space_order, CurveKind};
 
-/// How a point set was cut into shards, plus the frozen routing tables.
+/// Segments of each axis's knot table: the table holds `KNOTS + 1` knots,
+/// or one per build point when there are fewer.
+const KNOTS: usize = 1_024;
+
+/// The largest build a partitioner routes: ranks must fit the curve's
+/// grid, whose order is at most 31.
+const MAX_POINTS: usize = 1 << 31;
+
+/// How a point set was cut into shards, plus the frozen key function.
 #[derive(Debug, Clone)]
 pub struct Partitioner {
     curve: CurveKind,
+    /// Build points: ranks run over `0..n`.
+    n: usize,
+    /// Curve order of the `n`-point rank-space grid.
     order: u32,
-    /// `(x, y)` of every build point, sorted by `(x, y)`: the frozen
-    /// empirical marginal used to recover a location's x-rank.
-    by_x: Vec<(f64, f64)>,
-    /// `(y, x)` of every build point, sorted by `(y, x)`.
-    by_y: Vec<(f64, f64)>,
+    /// Knot tables of the x and y marginals, ascending.
+    knots: [Vec<u64>; 2],
     /// First curve key of each shard, ascending; routing picks the last
     /// shard whose first key is `<=` the query key.
     shard_key_lo: Vec<u64>,
@@ -36,7 +49,7 @@ pub struct Partitioner {
 /// order) and their bounding rectangle.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardSlice {
-    /// The shard's points, sorted by rank-space curve key.
+    /// The shard's points, sorted by curve key, ties in input order.
     pub(crate) points: Vec<Point>,
     /// Minimum bounding rectangle of the shard's points.
     pub(crate) mbr: Rect,
@@ -44,16 +57,18 @@ pub(crate) struct ShardSlice {
 
 impl Partitioner {
     /// Partitions `points` into (up to) `shards` near-equal slices by
-    /// rank-space curve key, returning the partitioner and the slices.
+    /// curve key, returning the partitioner and the slices.
     ///
     /// The slice count is `min(shards, n)` but at least one, so empty and
-    /// tiny data sets degrade gracefully.  Every copy of a location stored
-    /// more than once goes to the shard its location [routes](Self::route)
-    /// to: the copies hold consecutive ranks, so the near-equal cut could
-    /// split them, and a lookup or delete must find them all in one shard.
-    /// Data with unique locations is cut exactly at the near-equal
-    /// boundaries.  The two axes are sorted on up to `workers` threads (at
-    /// most two are used); the result does not depend on the count.
+    /// tiny data sets degrade gracefully.  The cut falls at the near-equal
+    /// positions of the sorted keys, and a shard holds every key from its
+    /// first up to the next shard's first, so a run of equal keys is never
+    /// split: no shard holds more than `⌈n / shards⌉` points plus the
+    /// longest run.  The axes are sorted and the points keyed on up to
+    /// `workers` threads; the result does not depend on the count.
+    ///
+    /// # Panics
+    /// Panics above `2^31` points, where ranks no longer fit the curve.
     pub(crate) fn partition(
         points: &[Point],
         shards: usize,
@@ -61,55 +76,59 @@ impl Partitioner {
         workers: usize,
     ) -> (Self, Vec<ShardSlice>) {
         let n = points.len();
+        assert!(n <= MAX_POINTS, "{n} points exceed the partitioner's grid");
         let s = shards.max(1).min(n.max(1));
 
-        // Each axis is sorted once, both at a time: the rank space ranks by
-        // the two orders, and the routing tables are read off them.
-        let orders = common::parallel_map(vec![Axis::X, Axis::Y], workers, |axis| {
-            axis_order(points, axis)
+        // Each axis's keys are sorted once, both at a time; only the knots
+        // are kept.
+        let tables = common::parallel_map(vec![0, 1], workers, |axis| {
+            let mut keys: Vec<u64> = points.iter().map(|p| order_key(coord(p, axis))).collect();
+            keys.sort_unstable();
+            sample_knots(&keys)
         });
-        let [x_order, y_order] = <[_; 2]>::try_from(orders).expect("one order per axis");
-        let rs = RankSpace::from_axis_orders(&x_order, &y_order);
-        let by_x = routing_table(points, x_order, Axis::X);
-        let by_y = routing_table(points, y_order, Axis::Y);
-        let keyed = rs.curve_order(curve);
-
-        // Near-equal cut: the first `n % s` shards get one extra point;
-        // `cut[pos]` is the shard of the `pos`-th point in curve order.
-        let mut cut = Vec::with_capacity(n);
-        let mut shard_key_lo = Vec::with_capacity(s);
-        for i in 0..s {
-            shard_key_lo.push(keyed.get(cut.len()).map_or(0, |&(key, _)| key));
-            cut.resize(cut.len() + n / s + usize::from(i < n % s), i);
-        }
-        let partitioner = Self {
+        let mut partitioner = Self {
             curve,
+            n,
             order: rank_space_order(n.max(1)),
-            by_x,
-            by_y,
-            shard_key_lo,
+            knots: <[_; 2]>::try_from(tables).expect("one table per axis"),
+            shard_key_lo: Vec::with_capacity(s),
         };
 
-        // A copy's x-rank is its position in `by_x`, where the other copies
-        // of its location sit next to it.
-        let shared = |idx: usize| {
-            let (rank, at) = (rs.rank(idx).0 as usize, (points[idx].x, points[idx].y));
-            (rank > 0 && partitioner.by_x[rank - 1] == at)
-                || partitioner.by_x.get(rank + 1) == Some(&at)
-        };
+        // Every point is keyed on the same workers, then one sort orders
+        // the `(key, index)` entries: equal keys in input order.
+        let mut keyed = vec![(0u64, 0usize); n];
+        let chunk = n.div_ceil(workers.max(1)).max(1);
+        let jobs: Vec<_> = keyed.chunks_mut(chunk).enumerate().collect();
+        common::parallel_map(jobs, workers, |(c, entries)| {
+            for (i, entry) in entries.iter_mut().enumerate() {
+                let p = &points[c * chunk + i];
+                *entry = (partitioner.key_of(p.x, p.y), c * chunk + i);
+            }
+        });
+        keyed.sort_unstable();
+
+        // Near-equal cut: the first `n % s` shards get one extra position.
+        let mut at = 0;
+        for i in 0..s {
+            let lo = keyed.get(at).map_or(0, |&(key, _)| key);
+            partitioner.shard_key_lo.push(lo);
+            at += n / s + usize::from(i < n % s);
+        }
+
+        // Each key goes to the last shard whose first key is `<=` it, the
+        // shard `route` picks.
         let mut slices: Vec<ShardSlice> = (0..s)
             .map(|_| ShardSlice {
                 points: Vec::with_capacity(n / s + 1),
                 mbr: Rect::empty(),
             })
             .collect();
-        for (&(_, idx), &i) in keyed.iter().zip(&cut) {
+        let mut home = 0;
+        for &(key, idx) in &keyed {
+            while home + 1 < s && partitioner.shard_key_lo[home + 1] <= key {
+                home += 1;
+            }
             let p = points[idx];
-            let home = if shared(idx) {
-                partitioner.route(p.x, p.y)
-            } else {
-                i
-            };
             slices[home].mbr.expand_to_point(p);
             slices[home].points.push(p);
         }
@@ -128,8 +147,8 @@ impl Partitioner {
     /// For any build point this is exactly the shard the point was placed
     /// in, every copy of a shared location included; for locations unseen at
     /// build time (negative lookups, inserts) it is the shard whose key
-    /// range the location's frozen-rank curve key falls into, so inserts and
-    /// later lookups of the same location always agree.
+    /// range the location's curve key falls into, so inserts and later
+    /// lookups of the same location always agree.
     pub fn route(&self, x: f64, y: f64) -> usize {
         let key = self.key_of(x, y);
         self.shard_key_lo
@@ -137,18 +156,16 @@ impl Partitioner {
             .saturating_sub(1)
     }
 
-    /// The rank-space curve key of a location under the frozen marginals.
+    /// The curve key of a location: the curve value of its two ranks.
     fn key_of(&self, x: f64, y: f64) -> u64 {
-        let max_coord = (1u32 << self.order) - 1;
-        let rx = (self.by_x.partition_point(|&(px, py)| (px, py) < (x, y)) as u32).min(max_coord);
-        let ry = (self.by_y.partition_point(|&(py, px)| (py, px) < (y, x)) as u32).min(max_coord);
-        self.curve.encode(rx, ry, self.order)
+        let rank_on = |axis: usize, v: f64| rank(&self.knots[axis], self.n, order_key(v));
+        self.curve.encode(rank_on(0, x), rank_on(1, y), self.order)
     }
 
-    /// Approximate memory held by the frozen routing tables, in bytes.
+    /// Memory held by the frozen key function and cut, in bytes.
     pub(crate) fn size_bytes(&self) -> usize {
-        self.by_x.len() * std::mem::size_of::<(f64, f64)>() * 2
-            + self.shard_key_lo.len() * std::mem::size_of::<u64>()
+        (self.knots[0].len() + self.knots[1].len() + self.shard_key_lo.len())
+            * std::mem::size_of::<u64>()
     }
 
     /// The curve-key range `[lo, hi)` routed to shard `i` (`hi` is `None`
@@ -157,103 +174,108 @@ impl Partitioner {
         (self.shard_key_lo[i], self.shard_key_lo.get(i + 1).copied())
     }
 
-    /// Appends the frozen routing tables to a snapshot (sub-record of the
+    /// Appends the key function and cut to a snapshot (sub-record of the
     /// sharded container's partitioner section).
     pub(crate) fn encode(&self, w: &mut SnapshotWriter) {
         w.put_u8(self.curve.tag());
-        w.put_u32(self.order);
-        encode_pairs(w, &self.by_x);
-        encode_pairs(w, &self.by_y);
+        w.put_usize(self.n);
+        for table in &self.knots {
+            w.put_u64s(table);
+        }
         w.put_u64s(&self.shard_key_lo);
     }
 
-    /// Reads a partitioner written by [`Partitioner::encode`].
+    /// Reads a partitioner written by [`Partitioner::encode`].  Routing
+    /// binary-searches the knots and the cut; unsorted tables would not
+    /// fail loudly — they would silently route to the wrong shard.
     pub(crate) fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, PersistError> {
         let tag = r.get_u8()?;
         let curve = CurveKind::from_tag(tag)
             .ok_or_else(|| PersistError::Corrupt(format!("unknown curve tag {tag}")))?;
-        let order = r.get_u32()?;
-        let by_x = decode_pairs(r)?;
-        let by_y = decode_pairs(r)?;
+        let n = r.get_usize()?;
+        if n > MAX_POINTS {
+            return Err(PersistError::Corrupt(format!(
+                "partitioner over {n} points exceeds the curve's grid"
+            )));
+        }
+        let knots = [r.get_u64s()?, r.get_u64s()?];
+        let expected = if n == 0 { 0 } else { KNOTS.min(n - 1) + 1 };
+        for table in &knots {
+            if table.len() != expected {
+                return Err(PersistError::Corrupt(format!(
+                    "knot table of {} entries for {n} points, expected {expected}",
+                    table.len()
+                )));
+            }
+            if !table.is_sorted() {
+                return Err(unsorted("knot table"));
+            }
+        }
         let shard_key_lo = r.get_u64s()?;
         if shard_key_lo.is_empty() {
             return Err(PersistError::Corrupt("partitioner with zero shards".into()));
         }
         if !shard_key_lo.is_sorted() {
-            return Err(unsorted());
+            return Err(unsorted("shard key boundaries"));
         }
         Ok(Self {
             curve,
-            order,
-            by_x,
-            by_y,
+            n,
+            order: rank_space_order(n.max(1)),
+            knots,
             shard_key_lo,
         })
     }
 }
 
-/// The routing table of one axis, read off the axis's [`axis_order`]: each
-/// point's `(axis coordinate, other coordinate)` in that order, with every
-/// run of equal [`pair_key`]s put back in input order, the order a stable
-/// sort by key keeps (the axis order breaks those ties by id first).  The
-/// order's 16-byte entries become the table's in place.
-fn routing_table(points: &[Point], mut order: Vec<(u64, usize)>, axis: Axis) -> Vec<(f64, f64)> {
-    let pair = |i: usize| axis.coords(&points[i]);
-    for run in order.chunk_by_mut(|a, b| a.0 == b.0) {
-        if run.len() > 1 {
-            for ties in run.chunk_by_mut(|a, b| order_key(pair(a.1).1) == order_key(pair(b.1).1)) {
-                ties.sort_unstable_by_key(|&(_, i)| i);
-            }
-        }
+/// `p`'s coordinate on axis 0 (x) or 1 (y).
+fn coord(p: &Point, axis: usize) -> f64 {
+    if axis == 0 {
+        p.x
+    } else {
+        p.y
     }
-    order.into_iter().map(|(_, i)| pair(i)).collect()
 }
 
-/// Writes a routing table as one slice: its length, then each pair's two
-/// `f64` bit patterns, little-endian.
-fn encode_pairs(w: &mut SnapshotWriter, pairs: &[(f64, f64)]) {
-    let mut bytes = Vec::with_capacity(pairs.len() * 16);
-    for &(a, b) in pairs {
-        bytes.extend_from_slice(&a.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&b.to_bits().to_le_bytes());
+/// The position of knot `j` of `m + 1` over `n` sorted keys.
+fn knot_position(j: usize, m: usize, n: usize) -> usize {
+    (j * (n - 1)).checked_div(m).unwrap_or(0)
+}
+
+/// The knot table of one axis's sorted keys: `KNOTS + 1` keys at evenly
+/// spaced positions, first and last included (every key when there are
+/// fewer).
+fn sample_knots(sorted: &[u64]) -> Vec<u64> {
+    let n = sorted.len();
+    if n == 0 {
+        return Vec::new();
     }
-    w.put_usize(pairs.len());
-    w.put_raw(&bytes);
+    let m = KNOTS.min(n - 1);
+    (0..=m).map(|j| sorted[knot_position(j, m, n)]).collect()
 }
 
-/// Reads a table written by [`encode_pairs`] as one slice, checking its
-/// order in the same pass.  Routing binary-searches the tables; unsorted
-/// data would not fail loudly — it would silently route queries to the
-/// wrong shard.
-fn decode_pairs(r: &mut SnapshotReader<'_>) -> Result<Vec<(f64, f64)>, PersistError> {
-    let n = r.get_len(16)?;
-    let (records, _) = r.take(n * 16)?.as_chunks::<16>();
-    let mut out = Vec::with_capacity(n);
-    let mut last = (0, 0);
-    for record in records {
-        let (a, b) = record.split_at(8);
-        let pair = (
-            f64::from_le_bytes(a.try_into().expect("8 bytes")),
-            f64::from_le_bytes(b.try_into().expect("8 bytes")),
-        );
-        let key = pair_key(&pair);
-        if key < last {
-            return Err(unsorted());
-        }
-        last = key;
-        out.push(pair);
+/// The rank of `key` among `n` build keys under a knot table: linear
+/// between the two knots that bracket it, floored; 0 below the first knot
+/// and `n - 1` at or above the last.
+fn rank(knots: &[u64], n: usize, key: u64) -> u32 {
+    let j = knots.partition_point(|&k| k <= key);
+    if j == 0 {
+        return 0;
     }
-    Ok(out)
+    if j == knots.len() {
+        return (n - 1) as u32;
+    }
+    let m = knots.len() - 1;
+    let (lo, hi) = (knots[j - 1], knots[j]);
+    let (from, to) = (knot_position(j - 1, m, n), knot_position(j, m, n));
+    // `lo <= key < hi`, so the share is below one up to rounding, and at
+    // most one after it: the rank stays within `from..=to`.
+    let share = (key - lo) as f64 / (hi - lo) as f64;
+    (from + (share * (to - from) as f64) as usize) as u32
 }
 
-fn unsorted() -> PersistError {
-    PersistError::Corrupt("partitioner routing tables are not sorted".into())
-}
-
-/// The routing tables' order: lexicographic by [`order_key`], equal pairs in
-/// input order.
-fn pair_key(&(a, b): &(f64, f64)) -> (u64, u64) {
-    (order_key(a), order_key(b))
+fn unsorted(what: &str) -> PersistError {
+    PersistError::Corrupt(format!("partitioner {what} are not sorted"))
 }
 
 #[cfg(test)]
@@ -294,100 +316,100 @@ mod tests {
         pts
     }
 
+    /// NaNs of two payloads under both signs: `order_key` gives them one
+    /// key.
+    const NANS: [f64; 4] = [
+        f64::NAN,
+        -f64::NAN,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+        f64::from_bits(0xfff0_0000_0000_0001),
+    ];
+
+    /// [`tie_heavy_points`] with a NaN on x for one point in seven and on y
+    /// for another.
+    fn with_nans(pts: Vec<Point>) -> Vec<Point> {
+        pts.into_iter()
+            .enumerate()
+            .map(|(i, p)| match i % 7 {
+                0 => Point::with_id(NANS[i / 7 % 4], p.y, p.id),
+                1 => Point::with_id(p.x, NANS[i / 7 % 4], p.id),
+                _ => p,
+            })
+            .collect()
+    }
+
     #[test]
-    fn routing_tables_keep_the_comparator_order_and_its_tie_rule() {
-        // The stable sort over `partial_cmp` the tables used before they
-        // were keyed; equal pairs keep their input order.
-        let bits = |pairs: &[(f64, f64)]| {
-            pairs
+    fn one_and_two_workers_build_the_same_knots_cuts_and_slices() {
+        let slice_bits = |slices: &[ShardSlice]| {
+            slices
                 .iter()
-                .map(|&(a, b)| (a.to_bits(), b.to_bits()))
+                .map(|s| {
+                    let r = s.mbr;
+                    let mbr = [r.min_x, r.min_y, r.max_x, r.max_y].map(f64::to_bits);
+                    let points: Vec<_> = s
+                        .points
+                        .iter()
+                        .map(|p| (p.x.to_bits(), p.y.to_bits(), p.id))
+                        .collect();
+                    (mbr, points)
+                })
                 .collect::<Vec<_>>()
         };
-        let sorted = |mut pairs: Vec<(f64, f64)>| {
-            pairs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            bits(&pairs)
-        };
-        // One worker and two build the same tables and slices, bit for bit.
-        let partition = |pts: &[Point]| {
+        let mut inputs: Vec<Vec<Point>> = [1, 7, 42]
+            .into_iter()
+            .flat_map(|seed| {
+                let pts = tie_heavy_points(3_000, seed);
+                [with_nans(pts.clone()), pts]
+            })
+            .collect();
+        inputs.push(generate(Distribution::skewed_default(), 20_000, 42));
+        for pts in &inputs {
             let (one, one_slices) = Partitioner::partition(pts, 3, CurveKind::Hilbert, 1);
             let (two, two_slices) = Partitioner::partition(pts, 3, CurveKind::Hilbert, 2);
-            assert_eq!(bits(&one.by_x), bits(&two.by_x), "by_x on 1 and 2 workers");
-            assert_eq!(bits(&one.by_y), bits(&two.by_y), "by_y on 1 and 2 workers");
-            assert_eq!(one.shard_key_lo, two.shard_key_lo);
-            let slice_bits = |slices: &[ShardSlice]| {
-                slices
-                    .iter()
-                    .map(|s| {
-                        let r = s.mbr;
-                        let mbr = [r.min_x, r.min_y, r.max_x, r.max_y].map(f64::to_bits);
-                        let points: Vec<_> = s
-                            .points
-                            .iter()
-                            .map(|p| (p.x.to_bits(), p.y.to_bits(), p.id))
-                            .collect();
-                        (mbr, points)
-                    })
-                    .collect::<Vec<_>>()
-            };
+            assert_eq!(one.knots, two.knots, "knots on 1 and 2 workers");
+            assert_eq!(one.shard_key_lo, two.shard_key_lo, "cut on 1 and 2 workers");
             assert_eq!(
                 slice_bits(&one_slices),
                 slice_bits(&two_slices),
                 "slices on 1 and 2 workers"
             );
-            two
-        };
-        for seed in [1, 7, 42] {
-            let pts = tie_heavy_points(3_000, seed);
-            let p = partition(&pts);
-            let xy = sorted(pts.iter().map(|p| (p.x, p.y)).collect());
-            let yx = sorted(pts.iter().map(|p| (p.y, p.x)).collect());
-            assert_eq!(bits(&p.by_x), xy, "by_x, seed {seed}");
-            assert_eq!(bits(&p.by_y), yx, "by_y, seed {seed}");
+            assert_eq!(
+                one.knots.each_ref().map(Vec::len),
+                [KNOTS.min(pts.len() - 1) + 1; 2]
+            );
         }
+    }
 
-        // NaNs of two payloads under both signs: `order_key` gives them all
-        // one key, so in a run of equal keys only the input order fixes the
-        // table bytes.  `partial_cmp` cannot order NaN; the reference is the
-        // stable sort by key the tables used before they were read off the
-        // rank space's axis orders.
-        let keyed = |mut pairs: Vec<(f64, f64)>| {
-            pairs.sort_by_key(pair_key);
-            bits(&pairs)
-        };
-        let nans = [
-            f64::NAN,
-            -f64::NAN,
-            f64::from_bits(0x7ff0_0000_0000_0001),
-            f64::from_bits(0xfff0_0000_0000_0001),
-        ];
-        for seed in [1, 7, 42] {
-            let pts: Vec<Point> = tie_heavy_points(3_000, seed)
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| match i % 7 {
-                    0 => Point::with_id(nans[i / 7 % 4], p.y, p.id),
-                    1 => Point::with_id(p.x, nans[i / 7 % 4], p.id),
-                    _ => p,
-                })
-                .collect();
-            // The run of `(NaN, ±0.0)` pairs holds every NaN and both zeros.
-            let run: Vec<(u64, u64)> = pts
-                .iter()
-                .filter(|p| p.x.is_nan() && p.y == 0.0)
-                .map(|p| (p.x.to_bits(), p.y.to_bits()))
-                .collect();
-            for nan in nans {
-                assert!(run.iter().any(|&(x, _)| x == nan.to_bits()), "seed {seed}");
+    #[test]
+    fn no_shard_exceeds_its_share_by_more_than_the_longest_run_of_equal_keys() {
+        let copies: Vec<Point> = (0..2_000)
+            .map(|i| Point::with_id((i % 50) as f64 / 50.0, 0.3, i as u64))
+            .collect();
+        let mut inputs: Vec<(String, Vec<Point>, usize)> = Distribution::all()
+            .into_iter()
+            .map(|dist| (format!("{dist:?}"), generate(dist, 5_000, 11), 8))
+            .collect();
+        inputs.push(("50 x 40 copies".into(), copies, 8));
+        inputs.push((
+            "4 identical".into(),
+            vec![Point::with_id(0.5, 0.5, 9); 4],
+            2,
+        ));
+        inputs.push(("tie-heavy".into(), tie_heavy_points(3_000, 7), 5));
+        inputs.push(("NaNs".into(), with_nans(tie_heavy_points(3_000, 7)), 5));
+        for (what, data, shards) in inputs {
+            let (p, slices) = Partitioner::partition(&data, shards, CurveKind::Hilbert, 2);
+            let mut keys: Vec<u64> = data.iter().map(|q| p.key_of(q.x, q.y)).collect();
+            keys.sort_unstable();
+            let longest = keys.chunk_by(|a, b| a == b).map(<[u64]>::len).max();
+            let bound = data.len().div_ceil(shards) + longest.unwrap_or(0);
+            for (i, s) in slices.iter().enumerate() {
+                assert!(
+                    s.points.len() <= bound,
+                    "{what}: shard {i} holds {} points, bound {bound}",
+                    s.points.len()
+                );
             }
-            for zero in [0.0f64, -0.0] {
-                assert!(run.iter().any(|&(_, y)| y == zero.to_bits()), "seed {seed}");
-            }
-            let p = partition(&pts);
-            let xy = keyed(pts.iter().map(|p| (p.x, p.y)).collect());
-            let yx = keyed(pts.iter().map(|p| (p.y, p.x)).collect());
-            assert_eq!(bits(&p.by_x), xy, "by_x with NaNs, seed {seed}");
-            assert_eq!(bits(&p.by_y), yx, "by_y with NaNs, seed {seed}");
         }
     }
 
@@ -462,15 +484,13 @@ mod tests {
     #[test]
     fn shards_are_contiguous_in_curve_key_order() {
         let data = generate(Distribution::Uniform, 600, 13);
-        let rs = RankSpace::new(&data);
-        let keys = rs.curve_values(CurveKind::Hilbert);
-        let (_, slices) = Partitioner::partition(&data, 3, CurveKind::Hilbert, 2);
+        let (p, slices) = Partitioner::partition(&data, 3, CurveKind::Hilbert, 2);
         let mut last = 0u64;
         for s in &slices {
             for pt in &s.points {
-                let idx = data.iter().position(|d| d.id == pt.id).unwrap();
-                assert!(keys[idx] >= last, "curve order broken across shards");
-                last = keys[idx];
+                let key = p.key_of(pt.x, pt.y);
+                assert!(key >= last, "curve order broken across shards");
+                last = key;
             }
         }
     }

@@ -40,36 +40,12 @@ impl RankSpace {
     /// position, so the transform is deterministic even for duplicate
     /// locations.  One axis is sorted and ranked at a time.
     pub fn new(points: &[Point]) -> Self {
-        Self::ranked(points.len(), |axis| axis_order(points, axis))
-    }
-
-    /// The rank space of the points whose [`axis_order`]s are `by_x` and
-    /// `by_y`, for a caller that needs the orders too and sorts each axis
-    /// once.
-    ///
-    /// # Panics
-    /// Panics if the two orders differ in length.
-    pub fn from_axis_orders(by_x: &[(u64, usize)], by_y: &[(u64, usize)]) -> Self {
-        assert_eq!(
-            by_x.len(),
-            by_y.len(),
-            "axis orders of different point sets"
-        );
-        Self::ranked(by_x.len(), |axis| match axis {
-            Axis::X => by_x,
-            Axis::Y => by_y,
-        })
-    }
-
-    /// The one ranking routine: a point's rank on an axis is its position
-    /// in that axis's order.  `order` is asked for the x order, which is
-    /// dropped before the y order is asked for.
-    fn ranked<O: AsRef<[(u64, usize)]>>(n: usize, mut order: impl FnMut(Axis) -> O) -> Self {
+        let n = points.len();
         let mut ranks = vec![(0u32, 0u32); n];
-        for (rank, &(_, i)) in order(Axis::X).as_ref().iter().enumerate() {
+        for (rank, &(_, i)) in axis_order(points, Axis::X).iter().enumerate() {
             ranks[i].0 = rank as u32;
         }
-        for (rank, &(_, i)) in order(Axis::Y).as_ref().iter().enumerate() {
+        for (rank, &(_, i)) in axis_order(points, Axis::Y).iter().enumerate() {
             ranks[i].1 = rank as u32;
         }
         Self {
@@ -98,26 +74,19 @@ impl RankSpace {
             .collect()
     }
 
-    /// One `(curve value, index)` entry per input point, ascending by
-    /// value: every value is encoded once, for a caller that needs the
-    /// values beside the permutation.  Rank-space cells hold one point
-    /// each, so no two values tie.
-    pub fn curve_order(&self, curve: CurveKind) -> Vec<(u64, usize)> {
-        let mut keyed: Vec<(u64, usize)> = (0..self.ranks.len())
-            .map(|i| (self.curve_value(i, curve), i))
-            .collect();
-        keyed.sort_unstable();
-        keyed
-    }
-
     /// A permutation of the input indices sorted by ascending curve value.
     ///
     /// Packing every `B` consecutive indices of this permutation into a block
     /// realises the R-tree packing strategy the paper reuses (Equation 1).
+    /// Rank-space cells hold one point each, so no two values tie.
     pub fn sorted_permutation(&self, curve: CurveKind) -> Vec<usize> {
+        let mut keyed: Vec<(u64, usize)> = (0..self.ranks.len())
+            .map(|i| (self.curve_value(i, curve), i))
+            .collect();
+        keyed.sort_unstable();
         // Collected from a borrow: an in-place `into_iter` collect would
         // keep the entries' allocation, twice the permutation's size.
-        self.curve_order(curve).iter().map(|&(_, i)| i).collect()
+        keyed.iter().map(|&(_, i)| i).collect()
     }
 }
 
@@ -133,7 +102,7 @@ pub enum Axis {
 impl Axis {
     /// `p`'s coordinate on this axis, then its other coordinate.
     #[inline]
-    pub fn coords(self, p: &Point) -> (f64, f64) {
+    fn coords(self, p: &Point) -> (f64, f64) {
         match self {
             Axis::X => (p.x, p.y),
             Axis::Y => (p.y, p.x),

@@ -11,8 +11,9 @@
 //!   from every decode of the manifest and from a second build.
 //!
 //! The data sets are the five distributions, 50 locations stored 40 times
-//! each, 4 identical points, and a set of signed zeros, infinities and
-//! points outside the unit square.
+//! each, 4 identical points, a set of signed zeros, infinities and points
+//! outside the unit square, and the same with NaNs of two payloads and
+//! both signs.
 
 use datagen::{generate, Distribution};
 use geom::{order_key, Point};
@@ -98,6 +99,11 @@ fn data_sets() -> Vec<(String, Vec<Point>, usize)> {
     sets.push((
         "zeros, infinities, outside".into(),
         hostile(&SPECIALS[4..], 1_500, 5),
+        4,
+    ));
+    sets.push((
+        "NaNs, zeros, infinities, outside".into(),
+        hostile(&SPECIALS, 1_500, 5),
         4,
     ));
     sets

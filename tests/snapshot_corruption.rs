@@ -298,6 +298,36 @@ fn retag_section(bytes: &mut [u8], from: u32, to: u32) {
 }
 
 #[test]
+fn retired_routing_table_section_is_a_typed_error_for_every_sharded_entry_point() {
+    // 0x5402 held the exact routing tables (every build point's location
+    // twice); the knot tables of 0x5404 replaced them and no reader of the
+    // old layout is kept.  A well-framed container still carrying the tag
+    // must be refused by the tag check, naming the tag, by every reader a
+    // router or shard server starts from.
+    let mut bytes = snapshot_of(BaseKind::Hrr.sharded());
+    assert!(load_index_bytes(&bytes).is_ok(), "fresh container");
+    retag_section(&mut bytes, 0x5404, 0x5402);
+    let refusals = [
+        ("load_index_bytes", load_index_bytes(&bytes).err()),
+        (
+            "load_shard_manifest_bytes",
+            load_shard_manifest_bytes(&bytes).err(),
+        ),
+        (
+            "load_shard_snapshot_bytes(_, 0)",
+            load_shard_snapshot_bytes(&bytes, 0).err(),
+        ),
+    ];
+    for (what, refusal) in refusals {
+        match refusal {
+            Some(PersistError::Corrupt(msg)) => assert!(msg.contains("0x5402"), "{what}: {msg}"),
+            None => panic!("{what}: a 0x5402 partitioner section loaded successfully"),
+            Some(other) => panic!("{what}: expected Corrupt, got {other}"),
+        }
+    }
+}
+
+#[test]
 fn learned_model_sections_with_libm_sigmoid_bounds_are_typed_errors_not_panics() {
     // 0x5102 (RSMI nodes) and 0x5A02 (ZM models) hold error bounds
     // measured under the libm sigmoid, which today's `predict` can step
