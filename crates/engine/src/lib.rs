@@ -6,8 +6,9 @@
 //! partition-then-learn recipe winning *across* workers.  This crate is that
 //! serving layer:
 //!
-//! * [`partition`] — the learned partitioner: points are ordered by their
-//!   global rank-space Hilbert key (reusing `sfc`) and cut into `S`
+//! * [`partition`] — the learned partitioner: points are ordered by the
+//!   Hilbert key of their ranks under per-axis knot tables (a learned
+//!   model of each marginal, reusing `sfc`'s curves) and cut into `S`
 //!   near-equal shards, each with an MBR and a curve-key range.
 //! * [`ShardedIndex`] — a [`SpatialIndex`] whose shards each hold an inner
 //!   index built by a caller-supplied factory (the registry passes
