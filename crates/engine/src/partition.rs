@@ -82,7 +82,7 @@ impl Partitioner {
         // Each axis's keys are sorted once, both at a time; only the knots
         // are kept.
         let tables = common::parallel_map(vec![0, 1], workers, |axis| {
-            let mut keys: Vec<u64> = points.iter().map(|p| order_key(coord(p, axis))).collect();
+            let mut keys: Vec<u64> = points.iter().map(|p| order_key([p.x, p.y][axis])).collect();
             keys.sort_unstable();
             sample_knots(&keys)
         });
@@ -225,15 +225,6 @@ impl Partitioner {
             knots,
             shard_key_lo,
         })
-    }
-}
-
-/// `p`'s coordinate on axis 0 (x) or 1 (y).
-fn coord(p: &Point, axis: usize) -> f64 {
-    if axis == 0 {
-        p.x
-    } else {
-        p.y
     }
 }
 
