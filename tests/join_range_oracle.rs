@@ -6,6 +6,10 @@
 //! For the exact kinds the per-query [`QueryStats`] must also be
 //! deterministic: a rebuilt index replaying the same workload charges
 //! byte-identical counters.
+//!
+//! Under `--release` each kind also runs the gate row: 4 000 skewed points
+//! with the experiments harness's configuration, 100 range queries and a
+//! join against a 1 000-point index of the same kind.
 
 use common::brute_force::{self, ScanIndex};
 use common::{QueryContext, QueryStats, SpatialIndex};
@@ -13,21 +17,62 @@ use datagen::{generate, queries, Distribution};
 use geom::Point;
 use registry::{build_index, serve_index, BaseKind, IndexConfig, IndexKind, ServerConfig};
 
-const RADII: [f64; 3] = [0.0, 0.02, 0.08];
-
-fn cfg() -> IndexConfig {
-    IndexConfig::fast().with_shards(3)
+/// One input row of the oracle body: a data set, the configuration its
+/// index is built with, and the range and join workload run against it.
+struct Row {
+    label: &'static str,
+    data: Vec<Point>,
+    cfg: IndexConfig,
+    centers: Vec<Point>,
+    radii: &'static [f64],
+    /// The join's other side, indexed with the kind under test.
+    inner: Vec<Point>,
+    join_radius: f64,
 }
 
 /// The three data shapes of the suite: uniform, clustered (truncated
 /// normal), and hotspot (the paper's skewed family piles the mass onto one
 /// edge, the serving-traffic hotspot shape).
-fn datasets(n: usize) -> Vec<(&'static str, Vec<Point>)> {
-    vec![
-        ("uniform", generate(Distribution::Uniform, n, 101)),
-        ("clustered", generate(Distribution::Normal, n, 103)),
-        ("hotspot", generate(Distribution::skewed_default(), n, 107)),
+fn small_rows() -> Vec<Row> {
+    [
+        ("uniform", generate(Distribution::Uniform, 1_200, 101)),
+        ("clustered", generate(Distribution::Normal, 1_200, 103)),
+        (
+            "hotspot",
+            generate(Distribution::skewed_default(), 1_200, 107),
+        ),
     ]
+    .into_iter()
+    .map(|(label, data)| Row {
+        label,
+        cfg: IndexConfig::fast().with_shards(3),
+        centers: queries::range_query_centers(&data, 12, 109),
+        radii: &[0.0, 0.02, 0.08],
+        inner: queries::join_points(&data, 200, 113),
+        join_radius: 0.03,
+        data,
+    })
+    .collect()
+}
+
+/// The gate row: 4 000 skewed points at seed 42, built as the experiments
+/// harness builds (blocks of 100, partition threshold 5 000, 10 epochs,
+/// 4 shards on 4 threads); 100 centers at r = 0.02 and a join at r = 0.02
+/// against 1 000 points.
+fn gate_row() -> Row {
+    let data = generate(Distribution::skewed_default(), 4_000, 42);
+    Row {
+        label: "gate",
+        cfg: IndexConfig::default()
+            .with_partition_threshold(5_000)
+            .with_epochs(10)
+            .with_threads(4),
+        centers: queries::range_query_centers(&data, 100, 23),
+        radii: &[0.02],
+        inner: queries::join_points(&data, 1_000, 29),
+        join_radius: 0.02,
+        data,
+    }
 }
 
 fn sorted_ids(pts: &[Point]) -> Vec<u64> {
@@ -42,22 +87,21 @@ fn sorted_pairs(pairs: &[(Point, Point)]) -> Vec<(u64, u64)> {
     keys
 }
 
-/// Runs the full range + join workload against one index, returning the
+/// Runs the row's range + join workload against one index, returning the
 /// accumulated stats (for the determinism checks) after asserting every
 /// answer equals the oracle's.
 fn verify_against_oracle(
     kind: IndexKind,
-    label: &str,
+    row: &Row,
     index: &dyn SpatialIndex,
-    data: &[Point],
-    inner: &[Point],
+    other: &dyn SpatialIndex,
 ) -> QueryStats {
-    let oracle = ScanIndex::new(data.to_vec());
+    let label = row.label;
+    let oracle = ScanIndex::new(row.data.clone());
     let mut cx = QueryContext::new();
     let mut oracle_cx = QueryContext::new();
-    let centers = queries::range_query_centers(data, 12, 109);
-    for r in RADII {
-        for c in &centers {
+    for &r in row.radii {
+        for c in &row.centers {
             let got = index.range_query(c, r, &mut cx);
             let truth = oracle.range_query(c, r, &mut oracle_cx);
             assert_eq!(
@@ -68,9 +112,8 @@ fn verify_against_oracle(
             );
         }
     }
-    let other = ScanIndex::new(inner.to_vec());
-    let got = index.distance_join(&other, 0.03, &mut cx);
-    let truth = oracle.distance_join(&other, 0.03, &mut oracle_cx);
+    let got = index.distance_join(other, row.join_radius, &mut cx);
+    let truth = brute_force::distance_join(&row.data, &row.inner, row.join_radius);
     let got_keys = sorted_pairs(&got);
     let mut deduped = got_keys.clone();
     deduped.dedup();
@@ -89,16 +132,24 @@ fn verify_against_oracle(
     cx.take_stats()
 }
 
-/// The shared per-kind body: every data set, bulk-built index.
+/// The shared per-kind body: every row, bulk-built index.  The gate row
+/// runs under `--release` only.
 fn oracle_body(kind: IndexKind) {
-    for (label, data) in datasets(1_200) {
-        let index = build_index(kind, &data, &cfg());
-        let inner = queries::join_points(&data, 200, 113);
-        let first = verify_against_oracle(kind, label, index.as_ref(), &data, &inner);
+    let mut rows = small_rows();
+    if cfg!(debug_assertions) {
+        println!("skipped: the 4 000-point gate row runs under --release only");
+    } else {
+        rows.push(gate_row());
+    }
+    for row in &rows {
+        let label = row.label;
+        let index = build_index(kind, &row.data, &row.cfg);
+        let other = build_index(kind, &row.inner, &row.cfg);
+        let first = verify_against_oracle(kind, row, index.as_ref(), other.as_ref());
 
         // Replaying the identical workload on the same index charges the
         // identical counters (per-query statistics carry no hidden state).
-        let again = verify_against_oracle(kind, label, index.as_ref(), &data, &inner);
+        let again = verify_against_oracle(kind, row, index.as_ref(), other.as_ref());
         assert_eq!(
             first,
             again,
@@ -109,8 +160,8 @@ fn oracle_body(kind: IndexKind) {
         // For the exact kinds, a from-scratch rebuild replays the workload
         // with byte-identical statistics too (builds are deterministic).
         if kind.exact_windows() {
-            let rebuilt = build_index(kind, &data, &cfg());
-            let fresh = verify_against_oracle(kind, label, rebuilt.as_ref(), &data, &inner);
+            let rebuilt = build_index(kind, &row.data, &row.cfg);
+            let fresh = verify_against_oracle(kind, row, rebuilt.as_ref(), other.as_ref());
             assert_eq!(
                 first,
                 fresh,
@@ -129,7 +180,7 @@ fn server_overlay_body(kind: IndexKind) {
     let server = serve_index(
         kind,
         &data,
-        &cfg(),
+        &IndexConfig::fast().with_shards(3),
         ServerConfig::default().with_compact_threshold(usize::MAX),
     );
     let mut live = data.clone();
