@@ -63,35 +63,9 @@ pub const THREADS: Flag = Flag::value(
     "--threads",
     "N",
     check::positive_count,
-    "worker threads of the sharded kinds' per-shard rebuild and of `sharded`'s parallel batch",
+    "worker threads of the sharded kinds' per-shard rebuild",
 )
 .default("4");
-
-/// Query radius of the distance-predicate classes (`range`, `join`, and the
-/// load generator's range and join-probe requests);
-/// `datagen::queries::DEFAULT_RANGE_RADIUS` by default.
-pub const RADIUS: Flag = Flag::value(
-    "--radius",
-    "R",
-    check::positive_finite,
-    "query radius, as a fraction of the unit data space",
-)
-.default("0.02");
-
-/// Write share of a serving workload (`serve-live`, `net-load`).
-pub const WRITE_RATIO: Flag = Flag::value(
-    "--write-ratio",
-    "R",
-    write_ratio,
-    "write share of the workload, in [0, 1)",
-)
-.default("0.1");
-
-/// `--queries`; `serve-live` counts them per reader thread, `net-load` per
-/// connection.
-pub const fn queries(help: &'static str) -> Flag {
-    Flag::value("--queries", "N", check::positive_count, help).default("500")
-}
 
 /// `--kind`; each subcommand sets its own default and help.
 pub const fn kind(help: &'static str) -> Flag {
@@ -101,14 +75,6 @@ pub const fn kind(help: &'static str) -> Flag {
 /// `--path`; each subcommand says what the file is to it.
 pub const fn path(help: &'static str) -> Flag {
     Flag::value("--path", "PATH", check::any, help)
-}
-
-fn write_ratio(raw: &str) -> Result<(), String> {
-    if (0.0..1.0).contains(&check::parsed::<f64>(raw)?) {
-        Ok(())
-    } else {
-        Err("must be in [0, 1)".into())
-    }
 }
 
 fn index_kinds(raw: &str) -> Result<(), String> {

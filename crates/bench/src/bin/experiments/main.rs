@@ -1,9 +1,11 @@
 //! Regenerates every table and figure of the paper's evaluation (§6), and
-//! drives the persistence, live-serving, network and distributed-serving
-//! subsystems from the command line — the correctness tooling CI runs: every
-//! subcommand that verifies something exits 1 on a wrong answer, a failed
-//! drain or a leaked process.  (Performance is measured elsewhere:
-//! `benchmark/` with its contract in `BENCHMARK.json`.)
+//! runs the processes whose checks cross a process boundary: the
+//! persistence pair (`snapshot`, then `serve` in a fresh process) and the
+//! network and distributed serving processes.  Every subcommand that
+//! verifies something exits 1 on a wrong answer, a failed drain or a leaked
+//! process.  In-process oracle checks live in the test suites.
+//! (Performance is measured elsewhere: `benchmark/` with its contract in
+//! `BENCHMARK.json`.)
 //!
 //! ```text
 //! experiments <subcommand> [flags]
@@ -11,8 +13,8 @@
 //! ```
 //!
 //! **[`SUBCOMMANDS`] is the one place a subcommand is declared.**  Each
-//! family module (`paper`, `sharded`, `range_join`, `snapshot`,
-//! `serve_live`, `netserve`, `distributed`) exports its rows — name(s), the
+//! family module (`paper`, `snapshot`, `netserve`, `distributed`) exports
+//! its rows — name(s), the
 //! flags it reads with their defaults and value checks, whether `all`
 //! includes it, the function to run — and the usage text, name lookup,
 //! dispatch and `all` are all generated from that table.  A flag a
@@ -37,21 +39,15 @@ mod distributed;
 mod harness;
 mod netserve;
 mod paper;
-mod range_join;
-mod serve_live;
-mod sharded;
 mod snapshot;
 
 use cli::{Args, Run, Subcommand};
 
 /// The subcommand table, one slice per family; `all` runs the rows marked
 /// `in_all`, in this order.
-static SUBCOMMANDS: [&[Subcommand]; 7] = [
+static SUBCOMMANDS: [&[Subcommand]; 4] = [
     paper::SUBCOMMANDS,
-    sharded::SUBCOMMANDS,
-    range_join::SUBCOMMANDS,
     snapshot::SUBCOMMANDS,
-    serve_live::SUBCOMMANDS,
     netserve::SUBCOMMANDS,
     distributed::SUBCOMMANDS,
 ];

@@ -26,8 +26,7 @@
 
 use crate::cli::{check, Args, Flag, Run, Subcommand};
 use crate::harness::{
-    dataset, kind, path, queries as queries_flag, scale, scaled, sharded_config, EPOCHS, RADIUS,
-    SEED, SHARDS, THREADS, WRITE_RATIO,
+    dataset, kind, path, scale, scaled, sharded_config, EPOCHS, SEED, SHARDS, THREADS,
 };
 use bench::{fmt, netload, print_table, IndexKind};
 use common::SpatialIndex;
@@ -70,6 +69,40 @@ const SHUTDOWN_SERVER: Flag = Flag::switch(
     "send a graceful Shutdown to the server after the run (lets a script reap it)",
 );
 
+/// Query radius of the load's range and join-probe requests;
+/// `datagen::queries::DEFAULT_RANGE_RADIUS` by default.
+const RADIUS: Flag = Flag::value(
+    "--radius",
+    "R",
+    check::positive_finite,
+    "query radius, as a fraction of the unit data space",
+)
+.default("0.02");
+
+const WRITE_RATIO: Flag = Flag::value(
+    "--write-ratio",
+    "R",
+    write_ratio,
+    "write share of the workload, in [0, 1)",
+)
+.default("0.1");
+
+const QUERIES: Flag = Flag::value(
+    "--queries",
+    "N",
+    check::positive_count,
+    "operations per connection",
+)
+.default("500");
+
+fn write_ratio(raw: &str) -> Result<(), String> {
+    if (0.0..1.0).contains(&check::parsed::<f64>(raw)?) {
+        Ok(())
+    } else {
+        Err("must be in [0, 1)".into())
+    }
+}
+
 pub const SUBCOMMANDS: &[Subcommand] = &[
     Subcommand {
         names: &["net-serve"],
@@ -100,7 +133,7 @@ pub const SUBCOMMANDS: &[Subcommand] = &[
                 "concurrent client connections",
             )
             .default("4"),
-            queries_flag("operations per connection"),
+            QUERIES,
             WRITE_RATIO,
             RADIUS,
             scale::<100_000>(),

@@ -9,13 +9,14 @@
 //! harness.
 //!
 //! The binary `experiments` (in `src/bin/experiments/`) uses these helpers
-//! to regenerate every table and figure and to drive the serving stack;
-//! [`live`] (oracle replay of concurrent runs) and [`netload`] (closed-loop
-//! load generation and telemetry reconciliation) are shared with the
-//! workspace's integration tests, so the CLI gates and the test suites
-//! enforce the same acceptance criteria.  Performance is measured by the
-//! standalone harness under `benchmark/` (contract: `BENCHMARK.json`), not
-//! here.
+//! to regenerate every table and figure and to drive the persistence and
+//! network serving processes.  [`live`] (oracle replay of concurrent runs)
+//! is the workspace's integration tests' harness; [`netload`] (closed-loop
+//! load generation and telemetry reconciliation) is shared by the
+//! `net-load` process and the networked tests, so the cross-process gates
+//! and the test suites enforce the same acceptance criteria.  Performance
+//! is measured by the standalone harness under `benchmark/` (contract:
+//! `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +27,7 @@ pub mod netload;
 use common::{brute_force, metrics, QueryContext, QueryStats, SpatialIndex};
 use geom::{Point, Rect};
 
-pub use registry::{build_index, BaseKind, IndexConfig, IndexKind};
+pub use registry::{build_index, IndexConfig, IndexKind};
 
 /// A built index together with its construction-time measurement.
 pub struct BuiltIndex {
@@ -142,93 +143,6 @@ pub fn measure_knn_queries(
         avg_block_accesses: per_query(stats.total_accesses(), queries.len()),
         avg_candidates: per_query(stats.candidates_scanned, queries.len()),
         recall: metrics::mean(&recalls),
-    }
-}
-
-/// Measures distance-range queries, one call at a time through one context:
-/// average latency, accesses and recall against the brute-force oracle
-/// (every family answers distance-range queries exactly, so recall below 1
-/// is a bug the `range` experiment fails on).
-pub fn measure_range_queries(
-    built: &BuiltIndex,
-    data: &[Point],
-    centers: &[Point],
-    radius: f64,
-) -> Measurement {
-    let mut cx = QueryContext::new();
-    let start = std::time::Instant::now();
-    let results: Vec<_> = centers
-        .iter()
-        .map(|c| built.index.range_query(c, radius, &mut cx))
-        .collect();
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = cx.take_stats();
-    let mut recalls = Vec::with_capacity(centers.len());
-    for (c, got) in centers.iter().zip(&results) {
-        let truth = brute_force::range_query(data, c, radius);
-        recalls.push(metrics::recall(got, &truth));
-    }
-    Measurement {
-        index: built.kind.name().to_string(),
-        avg_time_us: elapsed * 1e6 / centers.len().max(1) as f64,
-        avg_block_accesses: per_query(stats.total_accesses(), centers.len()),
-        avg_candidates: per_query(stats.candidates_scanned, centers.len()),
-        recall: metrics::mean(&recalls),
-    }
-}
-
-/// Result of measuring one distance join.
-pub struct JoinMeasurement {
-    /// The usual per-operation measurement (the join is one operation, so
-    /// `avg_time_us` is the total join time in microseconds and `recall`
-    /// compares the pair set against the nested-loop oracle).
-    pub measurement: Measurement,
-    /// Number of qualifying pairs the join produced.
-    pub pairs: usize,
-}
-
-/// Measures one index-nested distance join of `built` against `other`,
-/// verifying the pair set against the brute-force nested-loop oracle over
-/// the two raw point sets (`recall` is the fraction of oracle pairs found;
-/// any false positive also drags it below 1 through the pair count check in
-/// the `join` experiment).
-pub fn measure_distance_join(
-    built: &BuiltIndex,
-    data: &[Point],
-    other: &dyn SpatialIndex,
-    other_data: &[Point],
-    radius: f64,
-) -> JoinMeasurement {
-    let mut cx = QueryContext::new();
-    let start = std::time::Instant::now();
-    let got = built.index.distance_join(other, radius, &mut cx);
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = cx.take_stats();
-    let truth = brute_force::distance_join(data, other_data, radius);
-    let mut got_keys: Vec<(u64, u64)> = got.iter().map(|(p, q)| (p.id, q.id)).collect();
-    let mut truth_keys: Vec<(u64, u64)> = truth.iter().map(|(p, q)| (p.id, q.id)).collect();
-    got_keys.sort_unstable();
-    truth_keys.sort_unstable();
-    let recall = if got_keys == truth_keys {
-        1.0
-    } else {
-        let found = truth_keys
-            .iter()
-            .filter(|k| got_keys.binary_search(k).is_ok())
-            .count();
-        // Penalise false positives as well as misses, so any divergence
-        // from the oracle reads as recall < 1.
-        found as f64 / truth_keys.len().max(got_keys.len()).max(1) as f64
-    };
-    JoinMeasurement {
-        measurement: Measurement {
-            index: built.kind.name().to_string(),
-            avg_time_us: elapsed * 1e6,
-            avg_block_accesses: stats.total_accesses() as f64,
-            avg_candidates: stats.candidates_scanned as f64,
-            recall,
-        },
-        pairs: got.len(),
     }
 }
 
@@ -439,38 +353,6 @@ mod tests {
             let m = measure_knn_queries(&built, &data, &qs, 5);
             assert!(m.recall > 0.5, "{} recall {}", kind.name(), m.recall);
         }
-    }
-
-    #[test]
-    fn range_measurement_reports_recall_one_for_every_family() {
-        let data = generate(Distribution::skewed_default(), 900, 37);
-        let centers = queries::range_query_centers(&data, 25, 39);
-        for kind in IndexKind::all() {
-            let built = build_timed(kind, &data, &tiny_cfg());
-            let m = measure_range_queries(&built, &data, &centers, queries::DEFAULT_RANGE_RADIUS);
-            assert_eq!(
-                m.recall,
-                1.0,
-                "{} distance-range answers must be exact",
-                kind.name()
-            );
-            assert!(m.avg_block_accesses > 0.0, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn join_measurement_verifies_the_pair_set() {
-        let data = generate(Distribution::Uniform, 700, 41);
-        let inner = queries::join_points(&data, 150, 43);
-        let built = build_timed(IndexKind::Hrr, &data, &tiny_cfg());
-        let other = build_index(IndexKind::Kdb, &inner, &tiny_cfg());
-        let jm = measure_distance_join(&built, &data, other.as_ref(), &inner, 0.02);
-        assert_eq!(jm.measurement.recall, 1.0);
-        assert_eq!(
-            jm.pairs,
-            common::brute_force::distance_join(&data, &inner, 0.02).len()
-        );
-        assert!(jm.measurement.avg_block_accesses > 0.0);
     }
 
     #[test]

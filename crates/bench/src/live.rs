@@ -3,13 +3,12 @@
 //! sequenced op stream, then verify **every** recorded answer against a
 //! single-threaded `Vec`-scan oracle.
 //!
-//! The `serve-live` experiment and `tests/serve_concurrent.rs` share this
-//! module so the verification semantics cannot drift between the CI gate
-//! and the test suite.  The mechanism: every reader query records the
-//! write-sequence number its snapshot observed ([`server::Snapshot::seq`]);
-//! replaying the writes up to that sequence number into a [`ScanIndex`]
-//! reproduces exactly the state the query saw, no matter how the threads
-//! interleaved.
+//! The concurrent-serving, maintenance-churn and networked-serving test
+//! suites verify through this module.  The mechanism: every reader query
+//! records the write-sequence number its snapshot observed
+//! ([`server::Snapshot::seq`]); replaying the writes up to that sequence
+//! number into a [`ScanIndex`] reproduces exactly the state the query saw,
+//! no matter how the threads interleaved.
 
 use common::brute_force::ScanIndex;
 use common::{QueryContext, SpatialIndex};
@@ -41,22 +40,6 @@ pub struct LiveObs {
     pub answer: LiveAnswer,
 }
 
-/// What [`run_live_serving`] produced: the reader observations plus the
-/// phase timings throughput numbers must be computed from.
-#[derive(Debug)]
-pub struct LiveRun {
-    /// Every reader observation (one per read query).
-    pub observations: Vec<LiveObs>,
-    /// Wall-clock time until the **last reader** finished — read-throughput
-    /// numbers divide by this, not by the full run (the deliberately paced
-    /// writer may still be draining after the readers are done).
-    pub read_wall: Duration,
-    /// Time the writer spent inside `server.apply` — the pacing sleeps are
-    /// **excluded**, so write-throughput numbers derived from this measure
-    /// the server's write path, not the pacing schedule.
-    pub write_busy: Duration,
-}
-
 /// Splits a [`read_write_workload`](datagen::queries::read_write_workload)
 /// stream into the harness's two inputs: the reads (fanned out over reader
 /// threads) and the writes (applied in stream order by the writer thread).
@@ -84,28 +67,21 @@ pub fn split_stream(ops: &[datagen::queries::ServeOp]) -> (Vec<MixedQuery>, Vec<
 /// the live server while one writer thread applies `writes` in stream
 /// order, pacing each write by `write_pace` so the writes span the read
 /// phase.  The server's own background compaction runs throughout.
-/// Returns every reader observation plus the writer's unpaced busy time.
+/// Returns every reader observation.
 pub fn run_live_serving(
     server: &SpatialServer,
     reads: &[MixedQuery],
     writes: &[WriteOp],
     readers: usize,
     write_pace: Duration,
-) -> LiveRun {
+) -> Vec<LiveObs> {
     let mut observations: Vec<LiveObs> = Vec::with_capacity(reads.len());
-    let mut write_busy = Duration::ZERO;
-    let mut read_wall = Duration::ZERO;
-    let started = std::time::Instant::now();
     std::thread::scope(|scope| {
         let writer = scope.spawn(move || {
-            let mut busy = Duration::ZERO;
             for op in writes {
-                let start = std::time::Instant::now();
                 server.apply(*op);
-                busy += start.elapsed();
                 std::thread::sleep(write_pace);
             }
-            busy
         });
         let handles: Vec<_> = (0..readers)
             .map(|r| {
@@ -144,14 +120,9 @@ pub fn run_live_serving(
         for h in handles {
             observations.extend(h.join().expect("reader thread panicked"));
         }
-        read_wall = started.elapsed();
-        write_busy = writer.join().expect("writer thread panicked");
+        writer.join().expect("writer thread panicked");
     });
-    LiveRun {
-        observations,
-        read_wall,
-        write_busy,
-    }
+    observations
 }
 
 /// Drives a mixed read stream through any [`SpatialIndex`] — a local
@@ -500,11 +471,8 @@ mod tests {
             &IndexConfig::fast(),
             ServerConfig::default().with_compact_threshold((writes.len() / 2).max(4)),
         );
-        let run = run_live_serving(&server, &reads, &writes, 3, Duration::from_micros(100));
-        let mut obs = run.observations;
+        let mut obs = run_live_serving(&server, &reads, &writes, 3, Duration::from_micros(100));
         assert_eq!(obs.len(), reads.len());
-        assert!(run.write_busy > Duration::ZERO);
-        assert!(run.read_wall > Duration::ZERO);
         let compactions = await_compactions(&server, 1, Duration::from_secs(10));
         assert!(compactions >= 1, "compactor never caught up");
         let outcome = replay_against_oracle(&data, &writes, &mut obs, true, true);

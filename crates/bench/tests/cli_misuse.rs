@@ -122,7 +122,7 @@ fn every_listed_subcommand_dispatches_and_rejects_undeclared_flags() {
             "{expected} not in {names:?}"
         );
     }
-    assert_eq!(names.len(), 31, "{names:?}");
+    assert_eq!(names.len(), 27, "{names:?}");
     for name in &names {
         let out = run(&[name, "--no-such-flag"]);
         let stderr = String::from_utf8_lossy(&out.stderr);

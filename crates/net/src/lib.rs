@@ -15,8 +15,8 @@
 //! every data-bearing response carries the write sequence number
 //! ([`server::Snapshot::seq`]) its snapshot observed, so a client can
 //! replay the write stream into a scan oracle and verify every networked
-//! answer — the `serve-live` verification pattern, extended across the
-//! wire.
+//! answer — the record-and-replay check of the concurrent-serving tests,
+//! extended across the wire.
 //!
 //! ```
 //! use common::SpatialIndex;

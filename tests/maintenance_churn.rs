@@ -1,10 +1,10 @@
-//! Maintenance churn **soak**: a seeded 30%-write serve-live workload is
+//! Maintenance churn **soak**: a seeded 30%-write live-serving workload is
 //! driven through 100+ epoch swaps per learned kind while reader threads
 //! query concurrently.  The suite proves the incremental-maintenance layer
 //! end to end:
 //!
 //! * every recorded answer replays exactly against the `Vec`-scan oracle
-//!   (the same record-and-replay harness the `serve-live` CI gate uses),
+//!   (the record-and-replay harness of `tests/serve_concurrent.rs`),
 //! * the obs counters show **partial** passes carried the entire load —
 //!   zero full rebuilds across the whole soak, and
 //! * the journal's per-pass counts show every pass stayed small: it folded
@@ -232,7 +232,7 @@ fn churn_soak(kind: IndexKind, verify_windows: bool, verify_knn: bool) {
 }
 
 /// RSMI: point answers exact (verified), window/kNN approximate by
-/// contract (skipped by the oracle, like the CI gate does).
+/// contract (skipped by the oracle).
 #[test]
 fn churn_soak_rsmi_partial_passes_carry_100_swaps() {
     churn_soak(IndexKind::Rsmi, false, false);

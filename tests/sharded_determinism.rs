@@ -8,10 +8,10 @@
 //! CI runs this suite in debug *and* release mode, because `run_batch`'s
 //! threaded paths only get real interleaving under optimised builds.
 
-use common::{QueryContext, SpatialIndex};
+use common::{QueryContext, QueryStats, SpatialIndex};
 use datagen::{generate, queries, Distribution};
 use engine::executor::run_batch;
-use geom::Point;
+use geom::{Point, Rect};
 use registry::{build_index, BaseKind, IndexConfig, IndexKind};
 
 fn cfg() -> IndexConfig {
@@ -20,7 +20,7 @@ fn cfg() -> IndexConfig {
 
 /// Window answers as id-sorted point lists — "byte-identical" modulo the
 /// (unspecified) visit order of the trait.
-fn window_sets(index: &dyn SpatialIndex, windows: &[geom::Rect]) -> Vec<Vec<Point>> {
+fn window_sets(index: &dyn SpatialIndex, windows: &[Rect]) -> Vec<Vec<Point>> {
     let mut cx = QueryContext::new();
     windows
         .iter()
@@ -159,40 +159,99 @@ fn approximate_kinds_are_self_deterministic_when_sharded() {
     }
 }
 
+/// One row of the batch check: a data set, its window workload, the build,
+/// the kinds, and the worker counts whose batches must match the
+/// sequential loop.
+struct BatchRow {
+    data: Vec<Point>,
+    windows: Vec<Rect>,
+    cfg: IndexConfig,
+    kinds: Vec<IndexKind>,
+    workers: &'static [usize],
+}
+
+/// The caller's own loop: every query on one context.
+fn one_context<Q, R>(
+    queries: &[Q],
+    run: impl Fn(&[Q], &mut QueryContext) -> Vec<R>,
+) -> (Vec<R>, QueryStats) {
+    let mut cx = QueryContext::new();
+    (run(queries, &mut cx), cx.take_stats())
+}
+
+/// Every index is `Sync`: a parallel batch is the caller's loop, split over
+/// workers by `run_batch`, one context per worker.  Its answers, in order,
+/// and its merged statistics equal the same loop run on one context.
+fn batch_body(row: &BatchRow) {
+    let point_qs = queries::point_queries(&row.data, 300, 49);
+    let knn_qs = queries::knn_queries(&row.data, 60, 51);
+    let centers = queries::knn_queries(&row.data, 60, 53);
+    for &kind in &row.kinds {
+        let built = build_index(kind, &row.data, &row.cfg);
+        let index = built.as_ref();
+        let point = |qs: &[Point], cx: &mut QueryContext| -> Vec<_> {
+            qs.iter().map(|q| index.point_query(q, cx)).collect()
+        };
+        let window = |ws: &[Rect], cx: &mut QueryContext| -> Vec<_> {
+            ws.iter().map(|w| index.window_query(w, cx)).collect()
+        };
+        let knn = |qs: &[Point], cx: &mut QueryContext| -> Vec<_> {
+            qs.iter().map(|q| index.knn_query(q, 15, cx)).collect()
+        };
+        let range = |cs: &[Point], cx: &mut QueryContext| -> Vec<_> {
+            cs.iter().map(|c| index.range_query(c, 0.02, cx)).collect()
+        };
+        let sequential = (
+            one_context(&point_qs, point),
+            one_context(&row.windows, window),
+            one_context(&knn_qs, knn),
+            one_context(&centers, range),
+        );
+        for &workers in row.workers {
+            let batched = (
+                run_batch(&point_qs, workers, point),
+                run_batch(&row.windows, workers, window),
+                run_batch(&knn_qs, workers, knn),
+                run_batch(&centers, workers, range),
+            );
+            assert!(
+                batched == sequential,
+                "{}: answers or merged statistics at {workers} workers differ from the sequential loop",
+                kind.name()
+            );
+        }
+    }
+}
+
 #[test]
 fn batch_thread_count_never_changes_results() {
     let data = generate(Distribution::TigerLike, 8_000, 45);
-    let windows = queries::window_queries(&data, queries::WindowSpec::default(), 60, 47);
-    let point_qs = queries::point_queries(&data, 300, 49);
-    let knn_qs = queries::knn_queries(&data, 60, 51);
-    let centers = queries::knn_queries(&data, 60, 53);
-    let index = build_index(BaseKind::Kdb.sharded(), &data, &cfg());
+    batch_body(&BatchRow {
+        windows: queries::window_queries(&data, queries::WindowSpec::default(), 60, 47),
+        data,
+        cfg: cfg(),
+        kinds: vec![BaseKind::Kdb.sharded()],
+        workers: &[1, 4],
+    });
 
-    // Every index is `Sync`: a parallel batch is the caller's loop, split
-    // over workers by `run_batch`, one context per worker.
-    let batches = |workers| {
-        let (points, point_stats) = run_batch(&point_qs, workers, |qs, cx| {
-            qs.iter().map(|q| index.point_query(q, cx)).collect()
-        });
-        let (windows, window_stats) = run_batch(&windows, workers, |ws, cx| {
-            ws.iter().map(|w| index.window_query(w, cx)).collect()
-        });
-        let (knn, knn_stats) = run_batch(&knn_qs, workers, |qs, cx| {
-            qs.iter().map(|q| index.knn_query(q, 15, cx)).collect()
-        });
-        let (ranges, range_stats) = run_batch(&centers, workers, |cs, cx| {
-            cs.iter().map(|c| index.range_query(c, 0.02, cx)).collect()
-        });
-        (
-            (points, windows, knn, ranges),
-            [point_stats, window_stats, knn_stats, range_stats],
-        )
-    };
-    assert_eq!(
-        batches(1),
-        batches(4),
-        "batch answers and merged statistics must not depend on the worker count"
-    );
+    // The gate row: every sharded kind over 4 000 skewed points at seed 42,
+    // built as the experiments harness builds (blocks of 100, partition
+    // threshold 5 000, 30 epochs, 4 shards on 2 threads), under 100 hotspot
+    // windows.
+    if cfg!(debug_assertions) {
+        println!("skipped: the 4 000-point gate row runs under --release only");
+        return;
+    }
+    let data = generate(Distribution::skewed_default(), 4_000, 42);
+    batch_body(&BatchRow {
+        windows: queries::hotspot_window_queries(&data, queries::WindowSpec::default(), 100, 3),
+        data,
+        cfg: IndexConfig::default()
+            .with_partition_threshold(5_000)
+            .with_threads(2),
+        kinds: BaseKind::all().into_iter().map(BaseKind::sharded).collect(),
+        workers: &[1, 2],
+    });
 }
 
 /// The acceptance-scale workload: ≥100k points, a window workload that
