@@ -2,7 +2,7 @@
 //! reads and writes from several concurrent client connections, and every
 //! networked answer is replay-verified against the single-threaded
 //! [`ScanIndex`](common::brute_force::ScanIndex) oracle — the same
-//! verification the in-process serving gate uses
+//! verification `tests/serve_concurrent.rs` uses
 //! (`bench::live::replay_against_oracle`), now crossing a real TCP socket
 //! and the server's per-connection threads, which run the readers' queries
 //! concurrently with the writer's inserts and deletes.
