@@ -126,20 +126,14 @@ pub fn sharded_config(args: &Args) -> IndexConfig {
     }
 }
 
-/// The families `--only` names, if given.
-pub fn only(args: &Args) -> Option<Vec<IndexKind>> {
-    let list: String = args.opt("--only")?;
-    Some(
-        list.split(',')
-            .map(|name| name.parse().expect("checked at parse time"))
-            .collect(),
-    )
-}
-
 /// The families a cross-family subcommand covers, honouring `--only`.
 pub fn kinds(args: &Args, base: Vec<IndexKind>) -> Vec<IndexKind> {
-    match only(args) {
-        None => base,
-        Some(only) => base.into_iter().filter(|k| only.contains(k)).collect(),
-    }
+    let Some(list) = args.opt::<String>("--only") else {
+        return base;
+    };
+    let only: Vec<IndexKind> = list
+        .split(',')
+        .map(|name| name.parse().expect("checked at parse time"))
+        .collect();
+    base.into_iter().filter(|k| only.contains(k)).collect()
 }
